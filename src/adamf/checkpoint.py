@@ -16,12 +16,12 @@ float32 regardless of the compute precision in use.
 
 from __future__ import annotations
 
-import os
 import struct
 
 import numpy as np
 
 from .errors import ContractError, DataError
+from .ioutil import atomic_open
 from .params import ParameterStore
 
 MAGIC = b"AMF1"
@@ -58,10 +58,10 @@ def _read_record(fh) -> tuple[str, np.ndarray]:
 
 
 def save_checkpoint(store: ParameterStore, path: str):
-    """Write atomically: a temp file in the same directory, then rename."""
-    tmp = f"{path}.tmp.{os.getpid()}"
+    """Write atomically: a temp file in the same directory, then rename; a
+    failed write leaves any previous file at `path` untouched."""
     names = store.names()
-    with open(tmp, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(names)))
@@ -73,7 +73,6 @@ def save_checkpoint(store: ParameterStore, path: str):
             _write_record(fh, f"{name}.adam_m", m)
             _write_record(fh, f"{name}.adam_v", v)
             _write_record(fh, f"{name}.step", np.asarray(float(step)))
-    os.replace(tmp, path)
 
 
 def read_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:

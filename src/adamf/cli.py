@@ -240,9 +240,8 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0,
     model = Model(model_cfg, store, tables)
 
     triple_rng = root.substream("triples")
-    batch = np.array([[triple_rng.randint(n_entities), triple_rng.randint(n_relations),
-                       triple_rng.randint(n_entities)] for _ in range(4)],
-                     dtype=np.int64)
+    batch = triple_rng.randints(np.tile([n_entities, n_relations, n_entities], 4)
+                                ).reshape(4, 3)
     negatives = sample_negatives(batch, n_entities, 4, root.substream("negatives"))
 
     probe = Tape(store)

@@ -71,32 +71,37 @@ def sample_negatives(triples: np.ndarray, n_entities: int, k: int,
                      dataset: TripleDataset | None = None) -> np.ndarray:
     """K single-slot corruptions per positive, shape (B, K, 3).
 
-    Per draw: corrupt head or tail with probability 1/2, replacement uniform
+    Per slot: corrupt head or tail with probability 1/2, replacement uniform
     over entities.  A replacement that collides (reconstructs the positive,
-    or with `dataset` given any known true triple) is redrawn once and the
-    second draw is accepted unconditionally.
+    or with `dataset` given any known true triple) is replaced by a second
+    pick, which is accepted unconditionally.
+
+    Draws are made in bulk: B*K coins, then B*K first picks, then B*K
+    second picks, whether or not they are used, so the stream position after
+    a call does not depend on collisions.
     """
     if k < 1:
         raise ContractError("need at least one negative per positive")
-    out = np.repeat(triples[:, None, :], k, axis=1).copy()
-    for b in range(triples.shape[0]):
-        h, r, t = (int(v) for v in triples[b])
-        for j in range(k):
-            corrupt_head = rng.uniform() < 0.5
-            e = rng.randint(n_entities)
-            if _collides(e, corrupt_head, h, r, t, dataset):
-                e = rng.randint(n_entities)
-            out[b, j, 0 if corrupt_head else 2] = e
-    return out
+    n_slots = triples.shape[0] * k
+    corrupt_head = (rng.uniforms(n_slots) < 0.5).reshape(-1, k)
+    bounds = np.full(n_slots, n_entities)
+    first = rng.randints(bounds).reshape(-1, k)
+    second = rng.randints(bounds).reshape(-1, k)
 
+    def corrupt(picks):
+        out = np.repeat(triples[:, None, :], k, axis=1)
+        out[:, :, 0] = np.where(corrupt_head, picks, out[:, :, 0])
+        out[:, :, 2] = np.where(corrupt_head, out[:, :, 2], picks)
+        return out
 
-def _collides(e: int, corrupt_head: bool, h: int, r: int, t: int,
-              dataset: TripleDataset | None) -> bool:
+    negatives = corrupt(first)
     if dataset is None:
-        return e == (h if corrupt_head else t)
-    if corrupt_head:
-        return e in dataset.filter_heads.get((r, t), ())
-    return e in dataset.filter_tails.get((h, r), ())
+        collides = (negatives == triples[:, None, :]).all(axis=-1)
+    else:
+        collides = np.array([t in dataset.filter_tails.get((h, r), ())
+                             for h, r, t in negatives.reshape(-1, 3).tolist()],
+                            dtype=bool).reshape(-1, k)
+    return np.where(collides[:, :, None], corrupt(second), negatives)
 
 
 def self_adv_weights(neg_scores: np.ndarray, beta: float,

@@ -1,13 +1,17 @@
 """Binary checkpoint format: round trips, atomicity, and rejection paths."""
 
+import os
+import stat
 import struct
 
 import numpy as np
 import pytest
 
+from adamf import checkpoint
 from adamf.checkpoint import (MAGIC, load_checkpoint, read_checkpoint,
                               save_checkpoint)
 from adamf.errors import ContractError, DataError
+from adamf.ioutil import atomic_write_text
 from adamf.model import init_params
 from adamf.training import TrainConfig, train
 
@@ -128,3 +132,38 @@ def test_no_temp_litter_after_save(tmp_path):
     save_checkpoint(model.store, str(tmp_path / "g.bin"))
     leftovers = [p.name for p in tmp_path.iterdir() if p.name != "g.bin"]
     assert leftovers == []
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    model = trained_model()
+    path = tmp_path / "h.bin"
+    save_checkpoint(model.store, str(path))
+    before = path.read_bytes()
+
+    real_write = checkpoint._write_record
+    calls = []
+
+    def failing_write(fh, name, arr):
+        calls.append(name)
+        if len(calls) == 3:
+            raise OSError("simulated disk full")
+        real_write(fh, name, arr * 2)
+
+    monkeypatch.setattr(checkpoint, "_write_record", failing_write)
+    with pytest.raises(OSError, match="simulated"):
+        save_checkpoint(model.store, str(path))
+    assert len(calls) == 3
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["h.bin"]
+
+
+def test_saved_files_get_umask_permissions(tmp_path):
+    model = small_model()
+    old = os.umask(0o022)
+    try:
+        save_checkpoint(model.store, str(tmp_path / "i.bin"))
+        atomic_write_text(tmp_path / "report.json", "{}\n")
+    finally:
+        os.umask(old)
+    for name in ("i.bin", "report.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644, name

@@ -118,6 +118,69 @@ def test_negatives_redraw_once_accepts_collision():
     assert np.all(negs[:, :, [0, 2]] == 0)
 
 
+def reference_negatives(triples, n_entities, k, rng, dataset=None):
+    """Slot-by-slot statement of the sampling rule, over the same bulk draws:
+    B*K coins, B*K first picks, B*K second picks."""
+    n = triples.shape[0] * k
+    coins = rng.uniforms(n)
+    first = rng.randints([n_entities] * n)
+    second = rng.randints([n_entities] * n)
+    out = np.repeat(triples[:, None, :], k, axis=1).copy()
+    for slot in range(n):
+        b, j = divmod(slot, k)
+        h, r, t = (int(v) for v in triples[b])
+        head = coins[slot] < 0.5
+        e = int(first[slot])
+        if dataset is None:
+            collides = e == (h if head else t)
+        elif head:
+            collides = e in dataset.filter_heads.get((r, t), ())
+        else:
+            collides = e in dataset.filter_tails.get((h, r), ())
+        out[b, j, 0 if head else 2] = int(second[slot]) if collides else e
+    return out, first.reshape(-1, k), second.reshape(-1, k)
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+def test_vectorised_negatives_match_slot_rule(filtered):
+    # Three entities, so a first pick collides often and the second pick
+    # (which may differ from it) must be the one kept.
+    ds = make_dataset(3, {"train": [(0, 0, 1), (0, 0, 2), (2, 0, 1)]})
+    batch = ds.train
+    k = 40
+    dataset = ds if filtered else None
+    rng = SeededRng(21, stream="negatives")
+    rng.uniforms(5)  # start mid-stream
+    start = rng.counter
+    negs = sample_negatives(batch, 3, k, rng, dataset=dataset)
+    assert rng.counter - start == 3 * batch.shape[0] * k
+
+    ref_rng = SeededRng(21, stream="negatives")
+    ref_rng.uniforms(5)
+    want, first, second = reference_negatives(batch, 3, k, ref_rng, dataset)
+    assert negs.tobytes() == want.tobytes()
+    assert ref_rng.counter == rng.counter
+
+    changed_head = negs[:, :, 0] != batch[:, None, 0]
+    changed_tail = negs[:, :, 2] != batch[:, None, 2]
+    assert np.all(negs[:, :, 1] == batch[:, None, 1])
+    assert not np.any(changed_head & changed_tail)  # one side at most
+    # collisions happened and were replaced by a differing second pick
+    replaced = (first != second) & ((negs[:, :, 0] == second) & changed_head |
+                                    (negs[:, :, 2] == second) & changed_tail)
+    assert replaced.any()
+
+
+def test_negatives_stream_position_ignores_collisions():
+    # A single-entity universe collides on every slot; a large one almost
+    # never does.  Both consume exactly 3*B*K draws.
+    batch = np.array([[0, 0, 0], [0, 0, 0]])
+    for n_entities in (1, 10**6):
+        rng = SeededRng(2, stream="negatives")
+        sample_negatives(batch, n_entities, 7, rng)
+        assert rng.counter == 3 * 2 * 7
+
+
 def test_negatives_filtering_avoids_known_truths():
     # With filtering on, corruptions that form known triples are redrawn
     # once; verify the second draw is used when the first collides.
