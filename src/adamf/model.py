@@ -218,6 +218,21 @@ class Model:
         return joint, alpha
 
     def joint_and_alpha(self, tape: Tape, idx: np.ndarray, live) -> tuple[Node, Node]:
+        """Joint embeddings (B, 2d) and fusion weights (B, M) of entities idx.
+
+        Modal embeddings and fusion are built once per unique entity of idx
+        and gathered back into idx's order, so a batch that names an entity
+        many times (negatives do) projects and fuses it once.  Gradients
+        are the same mathematics; only float32 summation order changes.
+        """
+        idx = np.asarray(idx, dtype=np.int64)
+        unique, inverse = np.unique(idx, return_inverse=True)
+        if unique.shape[0] == idx.shape[0]:
+            return self._fused_rows(tape, idx, live)
+        joint, alpha = self._fused_rows(tape, unique, live)
+        return tape.gather(joint, inverse), tape.gather(alpha, inverse)
+
+    def _fused_rows(self, tape: Tape, idx: np.ndarray, live) -> tuple[Node, Node]:
         parts = {m: self.modal_embedding(tape, m, idx, live) for m in self.cfg.modalities}
         return self.fuse(tape, parts, live)
 
@@ -251,15 +266,14 @@ class Model:
                        hidden)
 
     def synthetic_entity(self, tape: Tape, idx: np.ndarray, live,
-                         rng: SeededRng | None = None,
                          frozen: dict[str, np.ndarray] | None = None,
                          noise: dict[str, np.ndarray] | None = None
                          ) -> tuple[Node, Node]:
         """Joint embedding of entities whose modal embeddings are generated.
 
         The structural embedding stays the entity's own; each generated
-        modality draws fresh noise (or reuses `noise`, or skips generation
-        entirely via `frozen` precomputed embeddings).
+        modality runs the generator on its `noise` draw, or generation is
+        skipped entirely via `frozen` precomputed embeddings.
         """
         idx = np.asarray(idx, dtype=np.int64)
         e_s_values = np.asarray(self.store["entity.structural"][idx])
@@ -270,31 +284,28 @@ class Model:
             elif frozen is not None:
                 parts[m] = tape.const(frozen[m])
             else:
-                z = noise[m] if noise is not None else None
-                parts[m] = self.generator_output(tape, m, e_s_values, live, z=z, rng=rng)
+                parts[m] = self.generator_output(tape, m, e_s_values, live, z=noise[m])
         return self.fuse(tape, parts, live)
 
     def draw_noise(self, triples: np.ndarray, n_groups: int,
                    patterns: tuple[str, ...], rng: SeededRng) -> dict:
-        """Pre-draw every noise vector a synthetic build would consume.
+        """Every noise vector a synthetic build consumes, in one draw.
 
-        Keys are (group, side, modality); the draw order matches the on-tape
-        construction exactly, so a run that pre-draws and a run that draws
-        lazily see the same streams.
+        Keys are (group, side, modality) in construction order.  The draw is
+        one `rng.normals` call split into blocks; each block is padded to an
+        even length, so the values equal those of one call per block.
         """
         patterns = tuple(p for p in ALL_PATTERNS if p in patterns)
         need = {"h": SYN_HEAD in patterns or SYN_BOTH in patterns,
                 "t": SYN_TAIL in patterns or SYN_BOTH in patterns}
+        keys = [(g, side, m) for g in range(n_groups) for side in ("h", "t")
+                if need[side] for m in self.cfg.projected_modalities]
         rows = triples.shape[0]
-        out = {}
-        for g in range(n_groups):
-            for side in ("h", "t"):
-                if not need[side]:
-                    continue
-                for m in self.cfg.projected_modalities:
-                    out[(g, side, m)] = rng.normals(
-                        rows * self.cfg.noise_dim).reshape(rows, self.cfg.noise_dim)
-        return out
+        size = rows * self.cfg.noise_dim
+        padded = size + size % 2
+        z = rng.normals(len(keys) * padded).reshape(len(keys), padded)[:, :size]
+        return {key: z[i].reshape(rows, self.cfg.noise_dim)
+                for i, key in enumerate(keys)}
 
     def synthetic_triple_scores(self, tape: Tape, triples: np.ndarray,
                                 n_groups: int, patterns: tuple[str, ...],
@@ -312,6 +323,7 @@ class Model:
         Returns a flat (B * len(meta),) score node plus the (group, pattern)
         block order.  `frozen` maps (group, side, modality) to precomputed
         generated embeddings; `noise` maps the same keys to fixed z draws.
+        Without either, the noise comes from `draw_noise` on `rng`.
         """
         if n_groups < 1:
             raise ContractError("synthetic group count must be >= 1")
@@ -319,6 +331,8 @@ class Model:
         if not patterns:
             raise ContractError("at least one adversarial pattern is required")
         h_idx, r_idx, t_idx = triples[:, 0], triples[:, 1], triples[:, 2]
+        if frozen is None and noise is None:
+            noise = self.draw_noise(triples, n_groups, patterns, rng)
         if h_joint is None:
             h_joint, _ = self.joint_and_alpha(tape, h_idx, live)
         if t_joint is None:
@@ -337,7 +351,7 @@ class Model:
             for side, idx in (("h", h_idx), ("t", t_idx)):
                 if need[side]:
                     star[side], _ = self.synthetic_entity(
-                        tape, idx, live, rng,
+                        tape, idx, live,
                         frozen=per_modality(frozen, g, side),
                         noise=per_modality(noise, g, side))
             for pattern in patterns:

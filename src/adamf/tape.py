@@ -8,6 +8,14 @@ and an optional leading axis batches independent rows.
 
 Complex-valued quantities are interleaved (re, im) pairs in an even-length
 last axis; phase vectors have half that length.
+
+Dead adjoints are pruned: a node is *live* when some parameter leaf lies
+upstream of it.  ``param`` leaves are live; ``const`` leaves (and ``leaf`` on
+a group outside the live set) are not; an emitted node is live iff any
+parent is.  A node that is not live gets no ``backward_fn``, and every
+kernel forms only the adjoints of its live operands, so constants never
+receive a gradient.  Live parameters see the same adjoints, accumulated in
+the same order, as without pruning.
 """
 
 from __future__ import annotations
@@ -18,14 +26,15 @@ from .errors import ContractError, NumericError
 
 
 class Node:
-    __slots__ = ("value", "grad", "parents", "backward_fn", "name")
+    __slots__ = ("value", "grad", "parents", "backward_fn", "name", "live")
 
-    def __init__(self, value, parents=(), backward_fn=None, name=None):
+    def __init__(self, value, parents=(), backward_fn=None, name=None, live=False):
         self.value = value
         self.grad = None
         self.parents = parents
         self.backward_fn = backward_fn
         self.name = name
+        self.live = live
 
     @property
     def shape(self):
@@ -67,7 +76,7 @@ class Tape:
             return self._param_nodes[name]
         if self.store is None:
             raise ContractError("param leaves require a ParameterStore")
-        node = Node(self.store[name], name=name)
+        node = Node(self.store[name], name=name, live=True)
         self._param_nodes[name] = node
         self.nodes.append(node)
         return node
@@ -88,7 +97,9 @@ class Tape:
     def _emit(self, value, parents, backward_fn) -> Node:
         if self.check_finite and not np.all(np.isfinite(value)):
             raise NumericError("non-finite value in forward pass")
-        node = Node(np.asarray(value), parents, backward_fn)
+        live = any(p.live for p in parents)
+        node = Node(np.asarray(value), parents, backward_fn if live else None,
+                    live=live)
         self.nodes.append(node)
         return node
 
@@ -106,8 +117,10 @@ class Tape:
             self._require(False, "add", a.shape, b.shape)
 
         def backward(g):
-            a.add_grad(_unbroadcast(g, a.shape))
-            b.add_grad(_unbroadcast(g, b.shape))
+            if a.live:
+                a.add_grad(_unbroadcast(g, a.shape))
+            if b.live:
+                b.add_grad(_unbroadcast(g, b.shape))
 
         return self._emit(out, (a, b), backward)
 
@@ -118,8 +131,10 @@ class Tape:
             self._require(False, "sub", a.shape, b.shape)
 
         def backward(g):
-            a.add_grad(_unbroadcast(g, a.shape))
-            b.add_grad(_unbroadcast(-g, b.shape))
+            if a.live:
+                a.add_grad(_unbroadcast(g, a.shape))
+            if b.live:
+                b.add_grad(_unbroadcast(-g, b.shape))
 
         return self._emit(out, (a, b), backward)
 
@@ -130,8 +145,10 @@ class Tape:
             self._require(False, "mul", a.shape, b.shape)
 
         def backward(g):
-            a.add_grad(_unbroadcast(g * b.value, a.shape))
-            b.add_grad(_unbroadcast(g * a.value, b.shape))
+            if a.live:
+                a.add_grad(_unbroadcast(g * b.value, a.shape))
+            if b.live:
+                b.add_grad(_unbroadcast(g * a.value, b.shape))
 
         return self._emit(out, (a, b), backward)
 
@@ -146,14 +163,18 @@ class Tape:
             out = w.value @ x.value
 
             def backward(g):
-                w.add_grad(np.outer(g, x.value))
-                x.add_grad(w.value.T @ g)
+                if w.live:
+                    w.add_grad(np.outer(g, x.value))
+                if x.live:
+                    x.add_grad(w.value.T @ g)
         else:
             out = x.value @ w.value.T
 
             def backward(g):
-                w.add_grad(g.T @ x.value)
-                x.add_grad(g @ w.value)
+                if w.live:
+                    w.add_grad(g.T @ x.value)
+                if x.live:
+                    x.add_grad(g @ w.value)
 
         return self._emit(out, (w, x), backward)
 
@@ -169,7 +190,8 @@ class Tape:
         def backward(g):
             offset = 0
             for p, w in zip(parts, widths):
-                p.add_grad(g[..., offset:offset + w])
+                if p.live:
+                    p.add_grad(g[..., offset:offset + w])
                 offset += w
 
         return self._emit(out, tuple(parts), backward)
@@ -181,7 +203,8 @@ class Tape:
 
         def backward(g):
             for j, p in enumerate(parts):
-                p.add_grad(g[..., j])
+                if p.live:
+                    p.add_grad(g[..., j])
 
         return self._emit(out, tuple(parts), backward)
 
@@ -289,12 +312,14 @@ class Tape:
         def backward(g):
             gre = g[..., 0::2]
             gim = g[..., 1::2]
-            gx = np.empty_like(x.value)
-            gx[..., 0::2] = gre * c + gim * s
-            gx[..., 1::2] = -gre * s + gim * c
-            x.add_grad(gx)
-            gtheta = gre * (-a * s - b * c) + gim * (a * c - b * s)
-            theta.add_grad(_unbroadcast(gtheta, theta.shape))
+            if x.live:
+                gx = np.empty_like(x.value)
+                gx[..., 0::2] = gre * c + gim * s
+                gx[..., 1::2] = -gre * s + gim * c
+                x.add_grad(gx)
+            if theta.live:
+                gtheta = gre * (-a * s - b * c) + gim * (a * c - b * s)
+                theta.add_grad(_unbroadcast(gtheta, theta.shape))
 
         return self._emit(out, (x, theta), backward)
 

@@ -160,14 +160,16 @@ def loss_adv(model: Model, tape: Tape, batch: np.ndarray, n_groups: int,
              patterns: tuple[str, ...], live,
              rng: SeededRng | None = None, noise: dict | None = None,
              frozen: dict | None = None,
-             pos_term: Node | None = None) -> tuple[Node, dict]:
+             pos_term: Node | None = None, h_joint: Node | None = None,
+             t_joint: Node | None = None) -> tuple[Node, dict]:
     """Adversarial contrast loss: mean_b[-log s(g - F_pos)
-    - (1/|S|) sum_{s in S} log s(F_syn_s - g)] over synthetic triples S."""
+    - (1/|S|) sum_{s in S} log s(F_syn_s - g)] over synthetic triples S.
+
+    A caller that already built the positives passes their pieces from
+    `positive_parts` (`pos_term`, `h_joint`, `t_joint`) to share them."""
     n_batch = batch.shape[0]
     if pos_term is None:
         _, pos_term, h_joint, t_joint = positive_parts(model, tape, batch, live)
-    else:
-        h_joint = t_joint = None
     f_syn, meta = model.synthetic_triple_scores(
         tape, batch, n_groups, patterns, live, rng=rng,
         h_joint=h_joint, t_joint=t_joint, frozen=frozen, noise=noise)
@@ -195,14 +197,9 @@ def train_step_discriminator(model: Model, batch: np.ndarray,
     adv_value = 0.0
     total = kgc
     if cfg.mat_enabled:
-        f_syn, meta = model.synthetic_triple_scores(
-            tape, batch, cfg.adv_groups, cfg.adversarial_patterns, DISC,
-            rng=noise_rng, h_joint=h_joint, t_joint=t_joint)
-        syn_term = tape.log_sigmoid(tape.sub(f_syn, tape.const(model.cfg.gamma)))
-        adv = tape.scale(
-            tape.add(tape.sum(pos_term),
-                     tape.scale(tape.sum(syn_term), 1.0 / len(meta))),
-            -1.0 / batch.shape[0])
+        adv, _ = loss_adv(model, tape, batch, cfg.adv_groups,
+                          cfg.adversarial_patterns, DISC, rng=noise_rng,
+                          pos_term=pos_term, h_joint=h_joint, t_joint=t_joint)
         adv_value = float(adv.value)
         total = tape.add(kgc, tape.scale(adv, cfg.adv_lambda))
     grads = tape.backward(total)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from adamf import cli
 from adamf.cli import main
 from adamf.errors import NumericError
+from adamf.model import Model
 from adamf.tape import Tape
 
 N_ENTITIES = 8
@@ -248,6 +250,26 @@ def test_gradcheck_flags_corrupted_kernel(monkeypatch, capsys):
     monkeypatch.setattr(Tape, "tanh", crooked)
     assert main(["gradcheck"]) == 5
     assert "exceeds" in capsys.readouterr().err
+
+
+def test_gradcheck_fixture_repeats_entities(monkeypatch):
+    # The audit must cover the unique-entity build of joint_and_alpha: every
+    # entity batch its losses embed names some entity more than once.
+    seen = []
+    original = Model.joint_and_alpha
+
+    def recording(self, tape, idx, live):
+        seen.append(np.asarray(idx).copy())
+        return original(self, tape, idx, live)
+
+    monkeypatch.setattr(Model, "joint_and_alpha", recording)
+    # build each audited loss once instead of running the finite differences
+    monkeypatch.setattr(cli, "_checked_at_both_scales",
+                        lambda builder, store, names: builder(store))
+    cli.run_gradcheck()
+    assert len(seen) == 10  # probe 2, margin 4, adversarial 2 + 2
+    for idx in seen:
+        assert np.unique(idx).size < idx.size, idx
 
 
 # ------------------------------------------------- dump-weights and masking

@@ -179,6 +179,40 @@ def test_joint_equals_convex_combination():
     assert np.allclose(joint.value, manual, atol=1e-12)
 
 
+def test_joint_and_alpha_dedup_matches_row_by_row():
+    # Repeated entities are built once and gathered back; the result must
+    # match building every requested row on its own, gradients included.
+    model = small_model(absent_v=(1,), absent_t=(4,))
+    idx = np.array([3, 1, 3, 0, 4, 1, 3, 5])
+    rng = SeededRng(11, stream="dedup")
+    coef_joint = rng.normals(idx.size * 6).reshape(idx.size, 6)
+    coef_alpha = rng.normals(idx.size * 3).reshape(idx.size, 3)
+
+    def loss(tape, joint, alpha, rows):
+        return tape.add(tape.sum(tape.mul(joint, tape.const(coef_joint[rows]))),
+                        tape.sum(tape.mul(alpha, tape.const(coef_alpha[rows]))))
+
+    tape = Tape(model.store)
+    joint, alpha = model.joint_and_alpha(tape, idx, DISC)
+    assert joint.parents[0].shape[0] == np.unique(idx).size
+    grads = tape.backward(loss(tape, joint, alpha, slice(None)))
+
+    ref = Tape(model.store)
+    total, ref_joint, ref_alpha = None, [], []
+    for i in range(idx.size):
+        j, a = model.joint_and_alpha(ref, idx[i:i + 1], DISC)
+        ref_joint.append(j.value[0])
+        ref_alpha.append(a.value[0])
+        term = loss(ref, j, a, slice(i, i + 1))
+        total = term if total is None else ref.add(total, term)
+    ref_grads = ref.backward(total)
+
+    assert np.allclose(joint.value, np.stack(ref_joint), rtol=0, atol=1e-12)
+    assert np.allclose(alpha.value, np.stack(ref_alpha), rtol=0, atol=1e-12)
+    for name in model.store.names("discriminator"):
+        assert np.allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12), name
+
+
 # --- scoring ---------------------------------------------------------------------
 
 def score_pair(h, theta, t):
@@ -356,6 +390,20 @@ def test_noise_draw_order_is_canonical():
                                   (0, "t", "v"), (0, "t", "t"),
                                   (1, "h", "v"), (1, "h", "t"),
                                   (1, "t", "v"), (1, "t", "t")]
+
+
+def test_noise_one_draw_equals_one_draw_per_block():
+    # One bulk draw, split into blocks, must reproduce one normals() call per
+    # (group, side, modality) block, also when a block's size is odd.
+    model = small_model()  # noise_dim 3
+    for batch in (np.array([[0, 0, 1]]), np.array([[0, 0, 1], [2, 1, 3]])):
+        bulk = SeededRng(5, stream="noise")
+        noise = model.draw_noise(batch, 2, ALL_PATTERNS, bulk)
+        per_block = SeededRng(5, stream="noise")
+        for key, z in noise.items():
+            ref = per_block.normals(z.size).reshape(z.shape)
+            assert z.tobytes() == ref.tobytes(), key
+        assert bulk.counter == per_block.counter
 
 
 def test_groups_use_distinct_noise():

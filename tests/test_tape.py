@@ -352,3 +352,45 @@ def test_forward_and_backward_deterministic():
         return root.value.tobytes(), grads["w"].tobytes(), grads["x"].tobytes()
 
     assert run() == run()
+
+
+# --- dead-adjoint pruning ----------------------------------------------------
+
+def test_constant_subgraph_gets_no_adjoint():
+    store = ParameterStore(dtype=np.float64)
+    store.add("p", np.ones(3), group="discriminator")
+    store.add("frozen", np.full(3, 2.0), group="generator")
+    tape = Tape(store)
+    c = tape.const(np.arange(3.0))
+    frozen = tape.leaf("frozen", frozenset({"discriminator"}))
+    product = tape.mul(c, frozen)
+    dead = tape.tanh(product)
+    root = tape.sum(tape.mul(tape.param("p"), dead))
+    grads = tape.backward(root)
+    for node in (c, frozen, product, dead):
+        assert not node.live
+        assert node.backward_fn is None
+        assert node.grad is None
+    assert root.live
+    assert np.array_equal(grads["p"], np.tanh(np.arange(3.0) * 2.0))
+    assert np.array_equal(grads["frozen"], np.zeros(3))
+
+
+def test_matvec_constant_input_forms_no_input_adjoint():
+    rng = SeededRng(3)
+    store = ParameterStore(dtype=np.float64)
+    store.add("w", rng.normals(12).reshape(3, 4), group="discriminator")
+    store.add("x", rng.normals(20).reshape(5, 4), group="discriminator")
+
+    def run(x_is_param):
+        tape = Tape(store)
+        x = tape.param("x") if x_is_param else tape.const(store["x"])
+        out = tape.matvec(tape.param("w"), x)
+        grads = tape.backward(tape.sum(tape.mul(out, out)))
+        return grads["w"], x
+
+    w_grad, x_param = run(True)
+    w_grad_const, x_const = run(False)
+    assert w_grad_const.tobytes() == w_grad.tobytes()
+    assert x_param.grad is not None
+    assert x_const.grad is None
