@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -63,7 +64,7 @@ def _load_run_config(args) -> RunConfig:
     if getattr(args, "out", None):
         cfg.out = os.path.abspath(args.out)
     if getattr(args, "deterministic", False):
-        cfg.deterministic = True
+        warnings.warn("--deterministic is deprecated and does nothing", DeprecationWarning)
     return cfg
 
 
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="optional config file (defaults used otherwise)")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--deterministic", action="store_true",
-                       help="force fully serial execution (already the default)")
+                       help="deprecated no-op (runs are always serial)")
 
     p_train = sub.add_parser("train", help="train a model and evaluate it")
     common(p_train)

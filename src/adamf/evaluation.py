@@ -4,6 +4,11 @@ fusion-weight summaries.
 Scores are distances (lower is more plausible), so ranking sorts ascending.
 The filtered protocol removes every candidate completion that forms a known
 true triple in train/valid/test, except the query's own target.
+
+Scoring is planar float64 (exact ranks): `build_cache` splits the joint
+embeddings once into (N, d) `re`, `im`, plus cos/sin of the (R, d) phases, and
+keeps nothing per relation.  Rotations have unit modulus, so |h o r - t| =
+|h - t o conj(r)|: a tail query scores (h o r) - e, a head one e - (t o conj(r)).
 """
 
 from __future__ import annotations
@@ -21,51 +26,47 @@ from .model import MODALITY_ORDER, Model
 
 # ------------------------------------------------------------ score plumbing
 
-def _rotate_rows(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Rotate interleaved (re, im) pairs of each row by unit phases theta."""
-    a, b = x[..., 0::2], x[..., 1::2]
-    c, s = np.cos(theta), np.sin(theta)
-    out = np.empty_like(x)
-    out[..., 0::2] = a * c - b * s
-    out[..., 1::2] = a * s + b * c
-    return out
-
-
-def _modulus_sum_rows(x: np.ndarray) -> np.ndarray:
-    return np.hypot(x[..., 0::2], x[..., 1::2]).sum(axis=-1)
-
-
 @dataclass
 class EvalCache:
-    """Frozen all-entity representations used to score candidate sets."""
-    joint: np.ndarray     # (N, 2d)
-    alpha: np.ndarray     # (N, M)
-    phases: np.ndarray    # (R, d)
-
-    def __post_init__(self):
-        self._rotated: dict[int, np.ndarray] = {}
-
-    def rotated_entities(self, r: int) -> np.ndarray:
-        """All entities rotated by relation r's phases, memoized per relation."""
-        if r not in self._rotated:
-            self._rotated[r] = _rotate_rows(self.joint, self.phases[r])
-        return self._rotated[r]
+    """Frozen planar entity embeddings and relation rotations for scoring."""
+    re: np.ndarray     # (N, d)
+    im: np.ndarray     # (N, d)
+    cos: np.ndarray    # (R, d)
+    sin: np.ndarray    # (R, d)
 
 
 def build_cache(model: Model) -> EvalCache:
-    joint, alpha = model.entity_representations()
-    return EvalCache(joint=np.asarray(joint, dtype=np.float64),
-                     alpha=np.asarray(alpha, dtype=np.float64),
-                     phases=np.asarray(model.relation_phases(), dtype=np.float64))
+    joint, _ = model.entity_representations()
+    joint = np.asarray(joint, dtype=np.float64)
+    phases = np.asarray(model.relation_phases(), dtype=np.float64)
+    return EvalCache(re=np.ascontiguousarray(joint[:, 0::2]),
+                     im=np.ascontiguousarray(joint[:, 1::2]),
+                     cos=np.cos(phases), sin=np.sin(phases))
+
+
+def _distances(cache: EvalCache, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k sqrt((x_k - re_jk)^2 + (y_k - im_jk)^2) for every entity j."""
+    n, d = cache.re.shape
+    out = np.empty(n)
+    step = max(1, (1 << 19) // (8 * d))     # 512 KiB blocks stay in cache
+    for lo in range(0, n, step):
+        a, b = x - cache.re[lo:lo + step], y - cache.im[lo:lo + step]
+        a *= a
+        a += np.square(b, out=b)
+        out[lo:lo + step] = np.sqrt(a, out=a).sum(axis=1)
+    return out
 
 
 def candidate_scores(cache: EvalCache, side: str, triple) -> np.ndarray:
     """Distance of every entity as the `side` completion of the triple."""
     h, r, t = (int(v) for v in triple)
-    if side == "head":
-        return _modulus_sum_rows(cache.rotated_entities(r) - cache.joint[t])
-    if side == "tail":
-        return _modulus_sum_rows(cache.rotated_entities(r)[h] - cache.joint)
+    c, s = cache.cos[r], cache.sin[r]
+    if side == "head":      # |e - t o conj(r)|
+        a, b = cache.re[t], cache.im[t]
+        return _distances(cache, a * c + b * s, b * c - a * s)
+    if side == "tail":      # |h o r - e|
+        a, b = cache.re[h], cache.im[h]
+        return _distances(cache, a * c - b * s, a * s + b * c)
     raise ContractError(f"side must be 'head' or 'tail', got {side!r}")
 
 
@@ -78,31 +79,26 @@ def rank_from_scores(scores: np.ndarray, target: int, excluded,
     """
     if tie_break not in ("optimistic", "pessimistic"):
         raise ContractError(f"unknown tie_break {tie_break!r}")
-    valid = np.ones(scores.shape[0], dtype=bool)
-    if len(excluded):
-        valid[np.fromiter(excluded, dtype=np.int64)] = False
-    valid[target] = False
-    others = scores[valid]
     f = scores[target]
-    if tie_break == "optimistic":
-        return 1 + int((others < f).sum())
-    return 1 + int((others <= f).sum())
+    better = scores < f if tie_break == "optimistic" else scores <= f
+    if len(excluded):
+        better[np.fromiter(excluded, dtype=np.int64)] = False
+    better[target] = False
+    return 1 + int(better.sum())
 
 
 def rank_query(cache: EvalCache, dataset: TripleDataset, side: str, triple,
                tie_break: str = "optimistic") -> int:
     """Filtered rank of the triple's own entity as the `side` completion."""
     h, r, t = (int(v) for v in triple)
-    n = cache.joint.shape[0]
-    target = h if side == "head" else t
-    if not 0 <= target < n:
-        raise ContractError(f"target entity {target} outside vocabulary")
     if side == "head":
-        known = dataset.filter_heads.get((r, t), set())
+        target, known = h, dataset.filter_heads.get((r, t), ())
     else:
-        known = dataset.filter_tails.get((h, r), set())
+        target, known = t, dataset.filter_tails.get((h, r), ())
+    if not 0 <= target < cache.re.shape[0]:
+        raise ContractError(f"target entity {target} outside vocabulary")
     scores = candidate_scores(cache, side, triple)
-    return rank_from_scores(scores, target, known - {target}, tie_break)
+    return rank_from_scores(scores, target, known, tie_break)
 
 
 # ---------------------------------------------------------------- aggregates

@@ -214,6 +214,33 @@ def test_eval_mismatched_model_leaves_no_outputs(trained, corpus, tmp_path):
     assert not (tmp_path / "big-out").exists()
 
 
+def test_deterministic_flag_is_a_deprecated_no_op(trained, tmp_path):
+    out, cfg = trained
+    args = ["eval", cfg, str(out / "checkpoint.bin"), "--out"]
+    assert main(args + [str(tmp_path / "plain")]) == 0
+    with pytest.warns(DeprecationWarning, match="--deterministic"):
+        assert main(args + [str(tmp_path / "flag"), "--deterministic"]) == 0
+    for name in ("rank_report.json", "ranks.tsv"):
+        assert ((tmp_path / "flag" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes())
+
+
+def test_old_resolved_config_with_deterministic_key_loads(trained, tmp_path):
+    out, _ = trained
+    resolved = (out / "config.resolved.cfg").read_text()
+    assert "deterministic" not in resolved
+    old = tmp_path / "old.cfg"
+    old.write_text(resolved + "deterministic = true\n")
+    ckpt = str(out / "checkpoint.bin")
+    assert main(["eval", str(out / "config.resolved.cfg"), ckpt,
+                 "--out", str(tmp_path / "new")]) == 0
+    with pytest.warns(DeprecationWarning, match="'deterministic'"):
+        assert main(["eval", str(old), ckpt, "--out", str(tmp_path / "old")]) == 0
+    for name in ("rank_report.json", "ranks.tsv"):
+        assert ((tmp_path / "old" / name).read_bytes()
+                == (tmp_path / "new" / name).read_bytes())
+
+
 # ---------------------------------------------------------------- gradcheck
 
 def test_gradcheck_passes_with_defaults(capsys):

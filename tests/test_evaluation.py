@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adamf.evaluation
 from adamf.errors import ContractError
 from adamf.evaluation import (build_cache, candidate_scores, evaluate,
                               rank_from_scores, rank_query,
@@ -153,12 +154,84 @@ def test_candidate_scores_rejects_unknown_side():
         candidate_scores(build_cache(model), "middle", (0, 0, 1))
 
 
-def test_rotation_cache_is_stable():
-    ds, model = random_fixture(3)
+def test_scores_repeat_and_relation_order_does_not_matter():
+    n = 12
+    model = small_model(n_entities=n, n_relations=2, seed=3)
+    on_a = [(0, 0, 1), (2, 0, 5), (7, 0, 3)]
+    on_b = [(1, 1, 4), (6, 1, 0), (9, 1, 11)]
     cache = build_cache(model)
-    first = cache.rotated_entities(0).tobytes()
-    cache.rotated_entities(0)
-    assert cache.rotated_entities(0).tobytes() == first
+    for side in ("head", "tail"):
+        first = candidate_scores(cache, side, on_a[0]).tobytes()
+        assert candidate_scores(cache, side, on_a[0]).tobytes() == first
+        candidate_scores(cache, side, on_b[0])
+        assert candidate_scores(cache, side, on_a[0]).tobytes() == first
+
+    def ranks(test):
+        ds = make_dataset(n, {"train": [(0, 0, 4), (6, 1, 2)], "test": test},
+                          n_relations=2)
+        report = evaluate(model, ds)
+        return {tuple(q): (int(rh), int(rt)) for q, rh, rt in
+                zip(report.triples.tolist(), report.head_ranks, report.tail_ranks)}
+
+    assert ranks(on_a + on_b) == ranks(on_b + on_a)
+
+
+def _rotate_every_entity_scores(model, side, triple):
+    """|e o r - t| (head) or |h o r - e| (tail) with every entity rotated."""
+    joint, _ = model.entity_representations()
+    joint = np.asarray(joint, dtype=np.float64)
+    z = joint[:, 0::2] + 1j * joint[:, 1::2]
+    h, r, t = triple
+    rotated = z * np.exp(1j * np.asarray(model.relation_phases()[r], dtype=np.float64))
+    diff = rotated - z[t] if side == "head" else rotated[h] - z
+    return np.abs(diff).sum(axis=1)
+
+
+@given(st.integers(0, 2**31 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_candidate_scores_match_rotating_every_entity(seed, data):
+    _, model = random_fixture(seed)
+    n, n_rel = model.n_entities, model.n_relations
+    triple = (data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n_rel - 1)),
+              data.draw(st.integers(0, n - 1)))
+    cache = build_cache(model)
+    for side in ("head", "tail"):
+        np.testing.assert_allclose(candidate_scores(cache, side, triple),
+                                   _rotate_every_entity_scores(model, side, triple),
+                                   rtol=1e-12, atol=0)
+
+
+def test_candidate_scores_span_several_row_blocks():
+    # 1300 entities at d = 128 score in 512 KiB blocks of 512, 512 and 276 rows.
+    model = small_model(n_entities=1300, n_relations=1, d=128, seed=5)
+    cache = build_cache(model)
+    for side in ("head", "tail"):
+        np.testing.assert_allclose(candidate_scores(cache, side, (7, 0, 1100)),
+                                   _rotate_every_entity_scores(model, side, (7, 0, 1100)),
+                                   rtol=1e-12, atol=0)
+
+
+def test_eval_cache_memory_is_flat_in_relations_queried(monkeypatch):
+    n, n_rel, d = 10, 5, 3
+    model = small_model(n_entities=n, n_relations=n_rel, d=d, seed=4)
+    ds = make_dataset(n, {"test": [(r, r, (r + 3) % n) for r in range(n_rel)]},
+                      n_relations=n_rel)
+    built = []
+
+    def nbytes(cache):
+        return sum(v.nbytes for v in vars(cache).values())
+
+    def spy(m):
+        cache = build_cache(m)
+        built.append((cache, nbytes(cache)))
+        return cache
+
+    monkeypatch.setattr(adamf.evaluation, "build_cache", spy)
+    evaluate(model, ds)
+    [(cache, before)] = built
+    assert all(isinstance(v, np.ndarray) for v in vars(cache).values())
+    assert before == 8 * 2 * d * (n + n_rel)   # planar re/im plus cos/sin
+    assert nbytes(cache) == before
 
 
 # --------------------------------------------------------------- hand cases
