@@ -17,7 +17,8 @@ import warnings
 
 import numpy as np
 
-from .config import RunConfig, echo_config, grid_warnings, parse_config
+from .config import (RunConfig, echo_config, grid_warnings, parse_config,
+                     parse_eval_ks)
 from .checkpoint import load_checkpoint
 from .data import (FeatureTable, TripleDataset, Vocab, apply_modality_missing,
                    load_features, load_triples, save_features)
@@ -27,12 +28,12 @@ from .evaluation import (evaluate, relation_weight_report,
                          write_per_query_tsv, write_rank_report_json,
                          write_weight_csv)
 from .ioutil import atomic_write_text
-from .model import DISC, GEN, Model, ModelConfig, init_params
+from .model import DISC, FROZEN, GEN, Model, ModelConfig, init_params
 from .params import GradCheckResult, finite_diff_check
 from .rng import SeededRng
 from .tape import Tape
-from .training import (TrainConfig, loss_adv, loss_kgc, sample_negatives,
-                       self_adv_weights, train)
+from .training import (TrainConfig, loss_adv, loss_kgc, positive_parts,
+                       sample_negatives, self_adv_weights, train)
 
 GRADCHECK_TOLERANCE = 1e-5
 # Central differences are truncation-limited at large probe steps and
@@ -135,11 +136,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
-    if args.ks:
-        try:
-            cfg.eval_ks = tuple(int(p) for p in args.ks.split(","))
-        except ValueError:
-            raise ConfigError(f"--ks expects comma-separated ints, got {args.ks!r}")
+    if args.ks is not None:
+        cfg.eval_ks = parse_eval_ks(args.ks)
     dataset = _load_dataset(cfg)
     model_cfg = cfg.model_config()
     tables = _load_feature_tables(cfg, dataset.vocab, model_cfg)
@@ -255,7 +253,11 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0,
     patterns = ("syn_tail", "syn_head", "syn_both")
     noise = model.draw_noise(batch, 1, patterns, root.substream("noise"))
     _clear_generator_kinks(model, batch, noise)
-    frozen = model.materialize_synthetic(batch, 1, patterns, noise=noise)
+    # The discriminator view holds the generated embeddings fixed, since
+    # probing entity.structural must not move the generator's input: they
+    # are computed once here and enter each rebuilt tape as constants.
+    frozen = {key: node.value for key, node in
+              model.generate(Tape(store), batch, noise, FROZEN).items()}
     disc_names = store.names("discriminator")
     gen_names = store.names("generator")
 
@@ -267,12 +269,16 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0,
 
     def adv_disc_builder(params):
         tape = Tape(params)
-        adv, _ = loss_adv(model, tape, batch, 1, patterns, DISC, frozen=frozen)
+        pos = positive_parts(model, tape, batch, DISC)
+        generated = {key: tape.const(value) for key, value in frozen.items()}
+        adv, _ = loss_adv(model, tape, batch, 1, patterns, DISC, generated, pos)
         return tape, tape.scale(adv, lam * GRADCHECK_SCALE)
 
     def adv_gen_builder(params):
         tape = Tape(params)
-        adv, _ = loss_adv(model, tape, batch, 1, patterns, GEN, noise=noise)
+        pos = positive_parts(model, tape, batch, GEN)
+        generated = model.generate(tape, batch, noise, GEN)
+        adv, _ = loss_adv(model, tape, batch, 1, patterns, GEN, generated, pos)
         return tape, tape.scale(adv, -lam * GRADCHECK_SCALE)
 
     results = [("margin loss (discriminator)",

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .evaluation import TIE_BREAKS
 from .model import ALL_PATTERNS, MODALITY_ORDER, ModelConfig
 from .training import TrainConfig
 
@@ -94,6 +95,17 @@ def _parse_bool(key, raw):
     raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
+def parse_eval_ks(raw: str) -> tuple[int, ...]:
+    """Hit@K cutoffs from comma-separated positive ints (`eval_ks`, `--ks`)."""
+    try:
+        ks = tuple(int(p.strip()) for p in raw.split(",") if p.strip())
+    except ValueError:
+        raise ConfigError(f"eval_ks: expected comma-separated ints, got {raw!r}")
+    if not ks or any(k < 1 for k in ks):
+        raise ConfigError(f"eval_ks: cutoffs must be positive, got {raw!r}")
+    return ks
+
+
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key in _PATH_KEYS:
@@ -111,13 +123,10 @@ def _parse_value(key: str, raw: str):
             raise ConfigError(f"adversarial_patterns: unknown entries {bad}")
         return tuple(p for p in ALL_PATTERNS if p in tokens)
     if key == "eval_ks":
-        try:
-            ks = tuple(int(p.strip()) for p in raw.split(",") if p.strip())
-        except ValueError:
-            raise ConfigError(f"eval_ks: expected comma-separated ints, got {raw!r}")
-        if not ks or any(k < 1 for k in ks):
-            raise ConfigError(f"eval_ks: cutoffs must be positive, got {raw!r}")
-        return ks
+        return parse_eval_ks(raw)
+    if key == "tie_break" and raw not in TIE_BREAKS:
+        raise ConfigError(f"tie_break: expected one of {', '.join(TIE_BREAKS)}, "
+                          f"got {raw!r}")
     hint = _FIELD_TYPES[key]
     try:
         if hint == "bool":

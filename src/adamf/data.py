@@ -71,6 +71,20 @@ class TripleDataset:
     filter_tails: dict[tuple[int, int], set[int]]
     filter_heads: dict[tuple[int, int], set[int]]
 
+    @classmethod
+    def from_splits(cls, vocab: Vocab, train, valid, test) -> TripleDataset:
+        """Dataset over three sequences of (h, r, t) index triples, with the
+        filter index built from every split."""
+        arrays = [np.array(rows, dtype=np.int64).reshape(-1, 3)
+                  for rows in (train, valid, test)]
+        filter_tails: dict[tuple[int, int], set[int]] = {}
+        filter_heads: dict[tuple[int, int], set[int]] = {}
+        for arr in arrays:
+            for h, r, t in arr.tolist():
+                filter_tails.setdefault((h, r), set()).add(t)
+                filter_heads.setdefault((r, t), set()).add(h)
+        return cls(vocab, *arrays, filter_tails, filter_heads)
+
     def split(self, name: str) -> np.ndarray:
         if name not in SPLITS:
             raise ContractError(f"unknown split {name!r}")
@@ -127,28 +141,18 @@ def load_triples(train_path: str, valid_path: str | None = None,
     is an error, as is any triple appearing in more than one split.
     """
     vocab = Vocab()
-    arrays = {}
-    as_sets = {}
-    for split, path in zip(SPLITS, (train_path, valid_path, test_path)):
-        triples = _parse_triple_file(path, split, vocab) if path else []
-        arrays[split] = np.array(triples, dtype=np.int64).reshape(-1, 3)
-        as_sets[split] = set(triples)
-    if arrays["train"].shape[0] == 0:
+    triples = {split: _parse_triple_file(path, split, vocab) if path else []
+               for split, path in zip(SPLITS, (train_path, valid_path, test_path))}
+    if not triples["train"]:
         raise DataError(f"{train_path}: train split is empty")
     for a, b in (("train", "valid"), ("train", "test"), ("valid", "test")):
-        overlap = as_sets[a] & as_sets[b]
+        overlap = set(triples[a]) & set(triples[b])
         if overlap:
             raise DataError(
                 f"splits {a} and {b} are not disjoint; "
                 f"{len(overlap)} shared triples, e.g. {sorted(overlap)[0]}")
-    filter_tails: dict[tuple[int, int], set[int]] = {}
-    filter_heads: dict[tuple[int, int], set[int]] = {}
-    for split in SPLITS:
-        for h, r, t in arrays[split]:
-            filter_tails.setdefault((int(h), int(r)), set()).add(int(t))
-            filter_heads.setdefault((int(r), int(t)), set()).add(int(h))
-    return TripleDataset(vocab, arrays["train"], arrays["valid"], arrays["test"],
-                         filter_tails, filter_heads)
+    return TripleDataset.from_splits(vocab, triples["train"], triples["valid"],
+                                     triples["test"])
 
 
 def save_triples(dataset: TripleDataset, train_path: str, valid_path: str,

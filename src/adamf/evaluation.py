@@ -23,6 +23,7 @@ from .errors import ContractError
 from .ioutil import atomic_write_text
 from .model import MODALITY_ORDER, Model
 
+TIE_BREAKS = ("optimistic", "pessimistic")
 
 # ------------------------------------------------------------ score plumbing
 
@@ -77,7 +78,7 @@ def rank_from_scores(scores: np.ndarray, target: int, excluded,
     Optimistic ties count only strictly better candidates; pessimistic also
     counts equal ones.
     """
-    if tie_break not in ("optimistic", "pessimistic"):
+    if tie_break not in TIE_BREAKS:
         raise ContractError(f"unknown tie_break {tie_break!r}")
     f = scores[target]
     better = scores < f if tie_break == "optimistic" else scores <= f

@@ -10,7 +10,7 @@ everything else enters the tape as a detached constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,13 @@ ALL_PATTERNS = (SYN_TAIL, SYN_HEAD, SYN_BOTH)
 DISC = frozenset({"discriminator"})
 GEN = frozenset({"generator"})
 FROZEN = frozenset()
+
+
+def synthetic_sides(patterns: tuple[str, ...]) -> tuple[str, ...]:
+    """Sides ("h", "t") whose synthetic entity some pattern uses, in build order."""
+    return tuple(side for side, users in (("h", (SYN_HEAD, SYN_BOTH)),
+                                          ("t", (SYN_TAIL, SYN_BOTH)))
+                 if any(p in patterns for p in users))
 
 
 @dataclass
@@ -248,44 +255,18 @@ class Model:
     # -------------------------------------------------------------- generator
 
     def generator_output(self, tape: Tape, m: str, e_s_values: np.ndarray, live,
-                         z: np.ndarray | None = None,
-                         rng: SeededRng | None = None) -> Node:
+                         z: np.ndarray) -> Node:
         """Synthetic modal embedding G_m([e_s; z]) for a batch, shape (B, 2d).
 
         The structural input is always a detached constant: gradients reach
         the generator weights, never the structural embeddings behind them.
         """
-        rows = e_s_values.shape[0]
-        if z is None:
-            z = rng.normals(rows * self.cfg.noise_dim).reshape(rows, self.cfg.noise_dim)
         x = tape.concat([tape.const(e_s_values), tape.const(z)])
         hidden = tape.leaky_relu(
             project(tape, tape.leaf(f"gen.{m}.w1", live), tape.leaf(f"gen.{m}.b1", live), x),
             self.cfg.leaky_slope)
         return project(tape, tape.leaf(f"gen.{m}.w2", live), tape.leaf(f"gen.{m}.b2", live),
                        hidden)
-
-    def synthetic_entity(self, tape: Tape, idx: np.ndarray, live,
-                         frozen: dict[str, np.ndarray] | None = None,
-                         noise: dict[str, np.ndarray] | None = None
-                         ) -> tuple[Node, Node]:
-        """Joint embedding of entities whose modal embeddings are generated.
-
-        The structural embedding stays the entity's own; each generated
-        modality runs the generator on its `noise` draw, or generation is
-        skipped entirely via `frozen` precomputed embeddings.
-        """
-        idx = np.asarray(idx, dtype=np.int64)
-        e_s_values = np.asarray(self.store["entity.structural"][idx])
-        parts: dict[str, Node] = {}
-        for m in self.cfg.modalities:
-            if m == "s":
-                parts[m] = tape.gather(tape.leaf("entity.structural", live), idx)
-            elif frozen is not None:
-                parts[m] = tape.const(frozen[m])
-            else:
-                parts[m] = self.generator_output(tape, m, e_s_values, live, z=noise[m])
-        return self.fuse(tape, parts, live)
 
     def draw_noise(self, triples: np.ndarray, n_groups: int,
                    patterns: tuple[str, ...], rng: SeededRng) -> dict:
@@ -295,11 +276,8 @@ class Model:
         one `rng.normals` call split into blocks; each block is padded to an
         even length, so the values equal those of one call per block.
         """
-        patterns = tuple(p for p in ALL_PATTERNS if p in patterns)
-        need = {"h": SYN_HEAD in patterns or SYN_BOTH in patterns,
-                "t": SYN_TAIL in patterns or SYN_BOTH in patterns}
-        keys = [(g, side, m) for g in range(n_groups) for side in ("h", "t")
-                if need[side] for m in self.cfg.projected_modalities]
+        keys = [(g, side, m) for g in range(n_groups) for side in synthetic_sides(patterns)
+                for m in self.cfg.projected_modalities]
         rows = triples.shape[0]
         size = rows * self.cfg.noise_dim
         padded = size + size % 2
@@ -307,53 +285,47 @@ class Model:
         return {key: z[i].reshape(rows, self.cfg.noise_dim)
                 for i, key in enumerate(keys)}
 
+    def generate(self, tape: Tape, triples: np.ndarray, noise: dict, live) -> dict:
+        """Generated modal embeddings, one node per `noise` key, in key order.
+
+        Key (group, side, modality) runs G_m on the structural embeddings of
+        the batch's heads (side "h") or tails (side "t") and that key's z.
+        """
+        e_s = {side: np.asarray(self.store["entity.structural"][triples[:, col]])
+               for side, col in (("h", 0), ("t", 2))}
+        return {(g, side, m): self.generator_output(tape, m, e_s[side], live, z)
+                for (g, side, m), z in noise.items()}
+
     def synthetic_triple_scores(self, tape: Tape, triples: np.ndarray,
                                 n_groups: int, patterns: tuple[str, ...],
-                                live, rng: SeededRng | None = None,
-                                h_joint: Node | None = None,
-                                t_joint: Node | None = None,
-                                frozen: dict | None = None,
-                                noise: dict | None = None
-                                ) -> tuple[Node, list[tuple[int, str]]]:
+                                live, generated: dict, h_joint: Node,
+                                t_joint: Node) -> tuple[Node, list[tuple[int, str]]]:
         """Scores of L groups of synthetic triples for a batch of positives.
 
         Per group one synthetic head and one synthetic tail are built (when
         a requested pattern needs them) and shared across that group's
         patterns, mirroring the construction of the adversarial example set.
-        Returns a flat (B * len(meta),) score node plus the (group, pattern)
-        block order.  `frozen` maps (group, side, modality) to precomputed
-        generated embeddings; `noise` maps the same keys to fixed z draws.
-        Without either, the noise comes from `draw_noise` on `rng`.
+        A synthetic entity keeps its own structural embedding and takes its
+        other modalities from `generated` (keys as in `draw_noise`);
+        `h_joint`/`t_joint` are the positives' joint embeddings.  Returns a
+        flat (B * len(meta),) score node plus the (group, pattern) block
+        order.
         """
         if n_groups < 1:
             raise ContractError("synthetic group count must be >= 1")
         patterns = tuple(p for p in ALL_PATTERNS if p in patterns)
         if not patterns:
             raise ContractError("at least one adversarial pattern is required")
-        h_idx, r_idx, t_idx = triples[:, 0], triples[:, 1], triples[:, 2]
-        if frozen is None and noise is None:
-            noise = self.draw_noise(triples, n_groups, patterns, rng)
-        if h_joint is None:
-            h_joint, _ = self.joint_and_alpha(tape, h_idx, live)
-        if t_joint is None:
-            t_joint, _ = self.joint_and_alpha(tape, t_idx, live)
-        need = {"h": SYN_HEAD in patterns or SYN_BOTH in patterns,
-                "t": SYN_TAIL in patterns or SYN_BOTH in patterns}
-
-        def per_modality(source, g, side):
-            if source is None:
-                return None
-            return {m: source[(g, side, m)] for m in self.cfg.projected_modalities}
-
+        r_idx = triples[:, 1]
+        entity_idx = {"h": triples[:, 0], "t": triples[:, 2]}
         blocks, meta = [], []
         for g in range(n_groups):
-            star = {"h": None, "t": None}
-            for side, idx in (("h", h_idx), ("t", t_idx)):
-                if need[side]:
-                    star[side], _ = self.synthetic_entity(
-                        tape, idx, live,
-                        frozen=per_modality(frozen, g, side),
-                        noise=per_modality(noise, g, side))
+            star = {}
+            for side in synthetic_sides(patterns):
+                parts = {m: generated[(g, side, m)] if m != "s" else
+                         self.modal_embedding(tape, "s", entity_idx[side], live)
+                         for m in self.cfg.modalities}
+                star[side], _ = self.fuse(tape, parts, live)
             for pattern in patterns:
                 if pattern == SYN_TAIL:
                     scores = self.triple_scores(tape, h_joint, r_idx, star["t"], live)
@@ -365,27 +337,6 @@ class Model:
                 meta.append((g, pattern))
         flat = blocks[0] if len(blocks) == 1 else tape.concat(blocks)
         return flat, meta
-
-    def materialize_synthetic(self, triples: np.ndarray, n_groups: int,
-                              patterns: tuple[str, ...],
-                              rng: SeededRng | None = None,
-                              noise: dict | None = None) -> dict:
-        """Generated modal embeddings as plain arrays, keyed (group, side, m).
-
-        Noise is drawn in the same order the on-tape construction uses, so a
-        frozen rebuild scores the identical synthetic entities.
-        """
-        if noise is None:
-            noise = self.draw_noise(triples, n_groups, patterns, rng)
-        patterns = tuple(p for p in ALL_PATTERNS if p in patterns)
-        scratch = Tape(self.store)
-        out = {}
-        for (g, side, m), z in noise.items():
-            idx = triples[:, 0] if side == "h" else triples[:, 2]
-            e_s_values = np.asarray(self.store["entity.structural"][idx])
-            node = self.generator_output(scratch, m, e_s_values, FROZEN, z=z)
-            out[(g, side, m)] = node.value
-        return out
 
     # ------------------------------------------------------------- evaluation
 

@@ -44,16 +44,8 @@ def build_toy_kg(n_entities: int = 50) -> tuple[TripleDataset, dict[str, Feature
             slot = (i + split_offset) % 10
             split = "valid" if slot == 8 else "test" if slot == 9 else "train"
             splits[split].append(triple)
-    arrays = {k: np.array(v, dtype=np.int64).reshape(-1, 3)
-              for k, v in splits.items()}
-    filter_tails: dict[tuple[int, int], set[int]] = {}
-    filter_heads: dict[tuple[int, int], set[int]] = {}
-    for arr in arrays.values():
-        for h, r, t in arr:
-            filter_tails.setdefault((int(h), int(r)), set()).add(int(t))
-            filter_heads.setdefault((int(r), int(t)), set()).add(int(h))
-    dataset = TripleDataset(vocab, arrays["train"], arrays["valid"],
-                            arrays["test"], filter_tails, filter_heads)
+    dataset = TripleDataset.from_splits(vocab, splits["train"], splits["valid"],
+                                        splits["test"])
     angles = 2.0 * math.pi * np.arange(n_entities) / n_entities
     visual = np.stack([np.cos(angles), np.sin(angles),
                        np.ones(n_entities)], axis=1)

@@ -73,8 +73,8 @@ def sample_negatives(triples: np.ndarray, n_entities: int, k: int,
 
     Per slot: corrupt head or tail with probability 1/2, replacement uniform
     over entities.  A replacement that collides (reconstructs the positive,
-    or with `dataset` given any known true triple) is replaced by a second
-    pick, which is accepted unconditionally.
+    or with `dataset` given any triple of its three splits) is replaced by a
+    second pick, which is accepted unconditionally.
 
     Draws are made in bulk: B*K coins, then B*K first picks, then B*K
     second picks, whether or not they are used, so the stream position after
@@ -98,9 +98,12 @@ def sample_negatives(triples: np.ndarray, n_entities: int, k: int,
     if dataset is None:
         collides = (negatives == triples[:, None, :]).all(axis=-1)
     else:
-        collides = np.array([t in dataset.filter_tails.get((h, r), ())
-                             for h, r, t in negatives.reshape(-1, 3).tolist()],
-                            dtype=bool).reshape(-1, k)
+        known = np.concatenate([dataset.train, dataset.valid, dataset.test])
+        flat = negatives.reshape(-1, 3)
+        dims = tuple(np.maximum(known.max(axis=0, initial=0),
+                                flat.max(axis=0, initial=0)) + 1)
+        collides = np.isin(np.ravel_multi_index(flat.T, dims),
+                           np.ravel_multi_index(known.T, dims)).reshape(-1, k)
     return np.where(collides[:, :, None], corrupt(second), negatives)
 
 
@@ -157,22 +160,17 @@ def loss_kgc(model: Model, tape: Tape, batch: np.ndarray, negatives: np.ndarray,
 
 
 def loss_adv(model: Model, tape: Tape, batch: np.ndarray, n_groups: int,
-             patterns: tuple[str, ...], live,
-             rng: SeededRng | None = None, noise: dict | None = None,
-             frozen: dict | None = None,
-             pos_term: Node | None = None, h_joint: Node | None = None,
-             t_joint: Node | None = None) -> tuple[Node, dict]:
+             patterns: tuple[str, ...], live, generated: dict,
+             pos: tuple) -> tuple[Node, dict]:
     """Adversarial contrast loss: mean_b[-log s(g - F_pos)
     - (1/|S|) sum_{s in S} log s(F_syn_s - g)] over synthetic triples S.
 
-    A caller that already built the positives passes their pieces from
-    `positive_parts` (`pos_term`, `h_joint`, `t_joint`) to share them."""
+    `generated` holds the synthetic modal embeddings (`Model.generate`) and
+    `pos` the batch's `positive_parts`."""
     n_batch = batch.shape[0]
-    if pos_term is None:
-        _, pos_term, h_joint, t_joint = positive_parts(model, tape, batch, live)
+    _, pos_term, h_joint, t_joint = pos
     f_syn, meta = model.synthetic_triple_scores(
-        tape, batch, n_groups, patterns, live, rng=rng,
-        h_joint=h_joint, t_joint=t_joint, frozen=frozen, noise=noise)
+        tape, batch, n_groups, patterns, live, generated, h_joint, t_joint)
     syn_term = tape.log_sigmoid(tape.sub(f_syn, tape.const(model.cfg.gamma)))
     loss = tape.scale(
         tape.add(tape.sum(pos_term), tape.scale(tape.sum(syn_term), 1.0 / len(meta))),
@@ -192,14 +190,15 @@ def train_step_discriminator(model: Model, batch: np.ndarray,
     the generator group nor flows through it into the structural embeddings.
     """
     tape = Tape(model.store, check_finite=True)
-    _, pos_term, h_joint, t_joint = positive_parts(model, tape, batch, DISC)
-    kgc, _ = loss_kgc(model, tape, batch, negatives, DISC, pos_term=pos_term)
+    pos = positive_parts(model, tape, batch, DISC)
+    kgc, _ = loss_kgc(model, tape, batch, negatives, DISC, pos_term=pos[1])
     adv_value = 0.0
     total = kgc
     if cfg.mat_enabled:
-        adv, _ = loss_adv(model, tape, batch, cfg.adv_groups,
-                          cfg.adversarial_patterns, DISC, rng=noise_rng,
-                          pos_term=pos_term, h_joint=h_joint, t_joint=t_joint)
+        noise = model.draw_noise(batch, cfg.adv_groups, cfg.adversarial_patterns, noise_rng)
+        generated = model.generate(tape, batch, noise, DISC)
+        adv, _ = loss_adv(model, tape, batch, cfg.adv_groups, cfg.adversarial_patterns,
+                          DISC, generated, pos)
         adv_value = float(adv.value)
         total = tape.add(kgc, tape.scale(adv, cfg.adv_lambda))
     grads = tape.backward(total)
@@ -214,8 +213,11 @@ def train_step_generator(model: Model, batch: np.ndarray, cfg: TrainConfig,
     if not cfg.mat_enabled:
         raise ContractError("generator step requires mat_enabled")
     tape = Tape(model.store, check_finite=True)
-    adv, _ = loss_adv(model, tape, batch, cfg.adv_groups,
-                      cfg.adversarial_patterns, GEN, rng=noise_rng)
+    pos = positive_parts(model, tape, batch, GEN)
+    noise = model.draw_noise(batch, cfg.adv_groups, cfg.adversarial_patterns, noise_rng)
+    generated = model.generate(tape, batch, noise, GEN)
+    adv, _ = loss_adv(model, tape, batch, cfg.adv_groups, cfg.adversarial_patterns,
+                      GEN, generated, pos)
     objective = tape.scale(adv, -cfg.adv_lambda)
     grads = tape.backward(objective)
     adam_step(model.store, grads, "generator", cfg.lr_g)

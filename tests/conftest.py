@@ -15,17 +15,18 @@ def make_dataset(n_entities, triples_by_split, n_relations=1):
         vocab.add_entity(f"e{i}")
     for r in range(n_relations):
         vocab.add_relation(f"r{r}")
-    arrays = {}
-    for split in ("train", "valid", "test"):
-        rows = triples_by_split.get(split, [])
-        arrays[split] = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    filter_tails, filter_heads = {}, {}
-    for arr in arrays.values():
-        for h, r, t in arr:
-            filter_tails.setdefault((int(h), int(r)), set()).add(int(t))
-            filter_heads.setdefault((int(r), int(t)), set()).add(int(h))
-    return TripleDataset(vocab, arrays["train"], arrays["valid"],
-                         arrays["test"], filter_tails, filter_heads)
+    return TripleDataset.from_splits(
+        vocab, *(triples_by_split.get(split, []) for split in ("train", "valid", "test")))
+
+
+def synthetic_scores(model, tape, batch, n_groups, patterns, live, noise):
+    """`Model.synthetic_triple_scores` against the batch's own positives,
+    with the synthetic modal embeddings generated from `noise`."""
+    generated = model.generate(tape, batch, noise, live)
+    h_joint, _ = model.joint_and_alpha(tape, batch[:, 0], live)
+    t_joint, _ = model.joint_and_alpha(tape, batch[:, 2], live)
+    return model.synthetic_triple_scores(tape, batch, n_groups, patterns, live,
+                                         generated, h_joint, t_joint)
 
 
 def random_features(n_entities, dim, modality, rng, absent=()):

@@ -18,7 +18,7 @@ from adamf.toykg import TOY_DEFAULTS, toy_config_text, write_toy_kg
 from adamf.training import (TrainConfig, sample_negatives,
                             train_step_discriminator, train_step_generator)
 
-from conftest import line_model, make_dataset, small_model
+from conftest import line_model, make_dataset, small_model, synthetic_scores
 from test_evaluation import oracle_rank, random_fixture
 
 from adamf.evaluation import build_cache, evaluate, rank_query
@@ -228,8 +228,7 @@ def test_generator_pressure():
 
     def mean_distance():
         tape = Tape(model.store)
-        scores, _ = model.synthetic_triple_scores(
-            tape, batch, 1, ALL_PATTERNS, GEN, noise=probe)
+        scores, _ = synthetic_scores(model, tape, batch, 1, ALL_PATTERNS, GEN, probe)
         return float(scores.value.mean())
 
     start = mean_distance()

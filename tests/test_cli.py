@@ -155,6 +155,14 @@ def test_train_missing_data_file(corpus, tmp_path):
     assert main(["train", cfg]) == 4
 
 
+def test_train_bad_tie_break_fails_before_output(corpus, tmp_path, capsys):
+    cfg = write_config(corpus, tmp_path / "x", name="tie.cfg",
+                       tie_break="pesimistic")
+    assert main(["train", cfg]) == 2
+    assert "tie_break" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_unknown_config_key(corpus, tmp_path):
     path = corpus / "broken.cfg"
     path.write_text("momentum = 0.9\n")
@@ -194,9 +202,13 @@ def test_eval_custom_ks(trained, tmp_path):
 
 
 def test_eval_bad_ks(trained, tmp_path):
+    # --ks goes through the eval_ks parser: non-integers and cutoffs below 1
+    # are both rejected before anything is written.
     out, cfg = trained
-    assert main(["eval", cfg, str(out / "checkpoint.bin"),
-                 "--ks", "one", "--out", str(tmp_path / "x")]) == 2
+    for ks in ("one", "0,-3"):
+        assert main(["eval", cfg, str(out / "checkpoint.bin"),
+                     "--ks", ks, "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
 
 
 def test_eval_missing_checkpoint(trained, tmp_path):

@@ -97,6 +97,13 @@ def test_eval_ks_parsing(tmp_path):
         parse_config(write_cfg(tmp_path, "eval_ks = 0\n"))
 
 
+def test_tie_break_parsing(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path, "tie_break = pessimistic\n"))
+    assert cfg.tie_break == "pessimistic"
+    with pytest.raises(ConfigError, match="tie_break"):
+        parse_config(write_cfg(tmp_path, "tie_break = pesimistic\n"))
+
+
 def test_relative_paths_resolve_against_config_dir(tmp_path):
     sub = tmp_path / "exp" / "a"
     sub.mkdir(parents=True)

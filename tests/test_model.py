@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from adamf.errors import ContractError
-from adamf.model import (ALL_PATTERNS, DISC, GEN, MODALITY_ORDER, Model,
-                         ModelConfig, init_params)
+from adamf.model import (ALL_PATTERNS, DISC, FROZEN, GEN, MODALITY_ORDER,
+                         Model, ModelConfig, init_params)
 from adamf.params import ParameterStore
 from adamf.rng import SeededRng
 from adamf.tape import Tape
 
-from conftest import random_features, small_model
+from conftest import random_features, small_model, synthetic_scores
 
 
 # --- configuration ------------------------------------------------------------
@@ -318,7 +318,7 @@ def test_generator_zero_weights_zero_output():
         model.store.set(name, np.zeros_like(model.store[name]))
     tape = Tape(model.store)
     out = model.generator_output(tape, "v", np.ones((3, 6)), GEN,
-                                 rng=SeededRng(0))
+                                 z=SeededRng(0).normals(3 * 3).reshape(3, 3))
     assert np.all(out.value == 0.0)
 
 
@@ -329,7 +329,7 @@ def test_generator_bias_passthrough():
     model.store.set("gen.t.b2", c)
     tape = Tape(model.store)
     out = model.generator_output(tape, "t", np.zeros((2, 6)), GEN,
-                                 rng=SeededRng(1))
+                                 z=SeededRng(1).normals(2 * 3).reshape(2, 3))
     assert np.allclose(out.value, c, atol=1e-15)
 
 
@@ -346,7 +346,7 @@ def test_generator_output_varies_with_noise():
     tape = Tape(model.store)
     e_s = np.ones((1, 6))
     outputs = {model.generator_output(tape, "v", e_s, GEN,
-                                      rng=rng).value.tobytes()
+                                      z=rng.normals(3).reshape(1, 3)).value.tobytes()
                for _ in range(100)}
     assert len(outputs) == 100
 
@@ -366,8 +366,8 @@ def test_synthetic_set_size_and_patterns():
     model = small_model()
     batch = np.array([[0, 0, 1], [2, 1, 3]])
     tape = Tape(model.store)
-    scores, meta = model.synthetic_triple_scores(
-        tape, batch, 1, ALL_PATTERNS, DISC, rng=SeededRng(0, stream="noise"))
+    noise = model.draw_noise(batch, 1, ALL_PATTERNS, SeededRng(0, stream="noise"))
+    scores, meta = synthetic_scores(model, tape, batch, 1, ALL_PATTERNS, DISC, noise)
     assert scores.value.shape == (2 * 3,)
     assert meta == [(0, "syn_tail"), (0, "syn_head"), (0, "syn_both")]
 
@@ -376,8 +376,8 @@ def test_synthetic_set_three_groups():
     model = small_model()
     batch = np.array([[0, 0, 1]])
     tape = Tape(model.store)
-    scores, meta = model.synthetic_triple_scores(
-        tape, batch, 3, ALL_PATTERNS, DISC, rng=SeededRng(0, stream="noise"))
+    noise = model.draw_noise(batch, 3, ALL_PATTERNS, SeededRng(0, stream="noise"))
+    scores, meta = synthetic_scores(model, tape, batch, 3, ALL_PATTERNS, DISC, noise)
     assert scores.value.shape == (9,)
     assert [g for g, _ in meta] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
@@ -414,16 +414,16 @@ def test_groups_use_distinct_noise():
 
 
 def test_starred_entity_shared_within_group():
-    # Within a group one h* and one t* serve all patterns, so the frozen
-    # materialization holds exactly one generator output per
-    # (group, side, modality) — not one per pattern.
+    # Within a group one h* and one t* serve all patterns, so generation
+    # builds exactly one generator output per (group, side, modality) —
+    # not one per pattern.
     model = small_model()
     batch = np.array([[0, 0, 1], [1, 1, 2]])
     noise = model.draw_noise(batch, 1, ALL_PATTERNS, SeededRng(7, stream="noise"))
-    frozen = model.materialize_synthetic(batch, 1, ALL_PATTERNS, noise=noise)
-    assert set(frozen.keys()) == {(0, "h", "v"), (0, "h", "t"),
-                                  (0, "t", "v"), (0, "t", "t")}
-    assert frozen[(0, "h", "v")].shape == (2, 6)
+    generated = model.generate(Tape(model.store), batch, noise, FROZEN)
+    assert set(generated.keys()) == {(0, "h", "v"), (0, "h", "t"),
+                                     (0, "t", "v"), (0, "t", "t")}
+    assert generated[(0, "h", "v")].shape == (2, 6)
 
 
 def test_zero_generator_still_builds_full_set():
@@ -433,8 +433,8 @@ def test_zero_generator_still_builds_full_set():
             model.store.set(f"gen.{m}.{p}", np.zeros_like(model.store[f"gen.{m}.{p}"]))
     batch = np.array([[0, 0, 1]])
     tape = Tape(model.store)
-    scores, meta = model.synthetic_triple_scores(
-        tape, batch, 2, ALL_PATTERNS, DISC, rng=SeededRng(1, stream="noise"))
+    noise = model.draw_noise(batch, 2, ALL_PATTERNS, SeededRng(1, stream="noise"))
+    scores, meta = synthetic_scores(model, tape, batch, 2, ALL_PATTERNS, DISC, noise)
     assert len(meta) == 6
     assert np.all(np.isfinite(scores.value))
 

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from adamf.errors import ContractError, NumericError
-from adamf.model import ALL_PATTERNS, DISC, GEN
+from adamf.model import ALL_PATTERNS, DISC, FROZEN, GEN
 from adamf.params import adam_step
 from adamf.rng import SeededRng
 from adamf.tape import Tape
-from adamf.training import (TrainConfig, loss_adv, loss_kgc, sample_negatives,
-                            self_adv_weights, train, train_step_discriminator,
-                            train_step_generator)
+from adamf.training import (TrainConfig, loss_adv, loss_kgc, positive_parts,
+                            sample_negatives, self_adv_weights, train,
+                            train_step_discriminator, train_step_generator)
 
-from conftest import line_model, make_dataset, small_model
+from conftest import line_model, make_dataset, small_model, synthetic_scores
 
 
 # --- config -----------------------------------------------------------------
@@ -144,31 +144,38 @@ def reference_negatives(triples, n_entities, k, rng, dataset=None):
 @pytest.mark.parametrize("filtered", [False, True])
 def test_vectorised_negatives_match_slot_rule(filtered):
     # Three entities, so a first pick collides often and the second pick
-    # (which may differ from it) must be the one kept.
-    ds = make_dataset(3, {"train": [(0, 0, 1), (0, 0, 2), (2, 0, 1)]})
-    batch = ds.train
-    k = 40
-    dataset = ds if filtered else None
-    rng = SeededRng(21, stream="negatives")
-    rng.uniforms(5)  # start mid-stream
-    start = rng.counter
-    negs = sample_negatives(batch, 3, k, rng, dataset=dataset)
-    assert rng.counter - start == 3 * batch.shape[0] * k
+    # (which may differ from it) must be the one kept.  The second dataset
+    # has two relations and known triples in every split, and each true
+    # (h, t) pair is true under one relation only, so a collision test that
+    # ignored the relation or a split would keep the wrong picks.
+    datasets = (make_dataset(3, {"train": [(0, 0, 1), (0, 0, 2), (2, 0, 1)]}),
+                make_dataset(3, {"train": [(0, 0, 1), (2, 1, 0), (1, 1, 2)],
+                                 "valid": [(2, 0, 1)], "test": [(1, 1, 0)]},
+                             n_relations=2))
+    for ds in datasets:
+        batch = ds.train
+        k = 40
+        dataset = ds if filtered else None
+        rng = SeededRng(21, stream="negatives")
+        rng.uniforms(5)  # start mid-stream
+        start = rng.counter
+        negs = sample_negatives(batch, 3, k, rng, dataset=dataset)
+        assert rng.counter - start == 3 * batch.shape[0] * k
 
-    ref_rng = SeededRng(21, stream="negatives")
-    ref_rng.uniforms(5)
-    want, first, second = reference_negatives(batch, 3, k, ref_rng, dataset)
-    assert negs.tobytes() == want.tobytes()
-    assert ref_rng.counter == rng.counter
+        ref_rng = SeededRng(21, stream="negatives")
+        ref_rng.uniforms(5)
+        want, first, second = reference_negatives(batch, 3, k, ref_rng, dataset)
+        assert negs.tobytes() == want.tobytes()
+        assert ref_rng.counter == rng.counter
 
-    changed_head = negs[:, :, 0] != batch[:, None, 0]
-    changed_tail = negs[:, :, 2] != batch[:, None, 2]
-    assert np.all(negs[:, :, 1] == batch[:, None, 1])
-    assert not np.any(changed_head & changed_tail)  # one side at most
-    # collisions happened and were replaced by a differing second pick
-    replaced = (first != second) & ((negs[:, :, 0] == second) & changed_head |
-                                    (negs[:, :, 2] == second) & changed_tail)
-    assert replaced.any()
+        changed_head = negs[:, :, 0] != batch[:, None, 0]
+        changed_tail = negs[:, :, 2] != batch[:, None, 2]
+        assert np.all(negs[:, :, 1] == batch[:, None, 1])
+        assert not np.any(changed_head & changed_tail)  # one side at most
+        # collisions happened and were replaced by a differing second pick
+        replaced = (first != second) & ((negs[:, :, 0] == second) & changed_head |
+                                        (negs[:, :, 2] == second) & changed_tail)
+        assert replaced.any()
 
 
 def test_negatives_stream_position_ignores_collisions():
@@ -243,8 +250,11 @@ def test_loss_adv_all_scores_at_margin():
     tape = Tape(model.store)
     # syn scores: tail pattern F(1,0*)=gamma... all entities sit at their
     # real positions, so every pattern scores gamma as well.
+    noise = model.draw_noise(batch, 1, ALL_PATTERNS, SeededRng(0, stream="noise"))
+    assert noise == {}  # no projected modality, nothing to generate
     loss, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, DISC,
-                       rng=SeededRng(0, stream="noise"))
+                       model.generate(tape, batch, noise, DISC),
+                       positive_parts(model, tape, batch, DISC))
     assert abs(loss.value - 2.0 * math.log(2.0)) < 1e-12
 
 
@@ -256,8 +266,11 @@ def test_loss_positive_on_random_fixtures():
         negs = sample_negatives(batch, model.n_entities, 4, rng)
         tape = Tape(model.store)
         kgc, _ = loss_kgc(model, tape, batch, negs, DISC)
+        noise = model.draw_noise(batch, 2, ALL_PATTERNS,
+                                 SeededRng(seed, stream="noise"))
         adv, _ = loss_adv(model, tape, batch, 2, ALL_PATTERNS, DISC,
-                          rng=SeededRng(seed, stream="noise"))
+                          model.generate(tape, batch, noise, DISC),
+                          positive_parts(model, tape, batch, DISC))
         assert kgc.value > 0.0
         assert adv.value > 0.0
 
@@ -266,8 +279,8 @@ def test_restricted_patterns_shrink_synthetic_set():
     model = small_model()
     batch = np.array([[0, 0, 1]])
     tape = Tape(model.store)
-    scores, meta = model.synthetic_triple_scores(
-        tape, batch, 1, ("syn_head",), DISC, rng=SeededRng(0, stream="noise"))
+    noise = model.draw_noise(batch, 1, ("syn_head",), SeededRng(0, stream="noise"))
+    scores, meta = synthetic_scores(model, tape, batch, 1, ("syn_head",), DISC, noise)
     assert meta == [(0, "syn_head")]
 
 
@@ -278,9 +291,11 @@ def test_discriminator_view_gives_zero_generator_gradient():
     batch = np.array([[0, 0, 1], [2, 1, 3]])
     noise_rng = SeededRng(0, stream="noise")
     noise = model.draw_noise(batch, 1, ALL_PATTERNS, noise_rng)
-    frozen = model.materialize_synthetic(batch, 1, ALL_PATTERNS, noise=noise)
+    frozen = model.generate(Tape(model.store), batch, noise, FROZEN)
     tape = Tape(model.store)
-    loss, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, DISC, frozen=frozen)
+    generated = {key: tape.const(node.value) for key, node in frozen.items()}
+    loss, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, DISC, generated,
+                       positive_parts(model, tape, batch, DISC))
     grads = tape.backward(loss)
     for name in model.store.names("generator"):
         assert np.all(grads[name] == 0.0), name
@@ -293,7 +308,9 @@ def test_generator_view_gives_zero_discriminator_gradient():
     noise = model.draw_noise(batch, 1, ALL_PATTERNS,
                              SeededRng(0, stream="noise"))
     tape = Tape(model.store)
-    loss, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, GEN, noise=noise)
+    loss, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, GEN,
+                       model.generate(tape, batch, noise, GEN),
+                       positive_parts(model, tape, batch, GEN))
     grads = tape.backward(loss)
     for name in model.store.names("discriminator"):
         assert np.all(grads[name] == 0.0), name
@@ -493,8 +510,8 @@ def test_generator_pressure_reduces_synthetic_distance():
 
     def mean_synthetic_f():
         tape = Tape(model.store)
-        scores, _ = model.synthetic_triple_scores(
-            tape, batch, 1, ALL_PATTERNS, GEN, noise=probe_noise)
+        scores, _ = synthetic_scores(model, tape, batch, 1, ALL_PATTERNS, GEN,
+                                     probe_noise)
         return float(scores.value.mean())
 
     start = mean_synthetic_f()
