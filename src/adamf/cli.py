@@ -20,7 +20,7 @@ import numpy as np
 from .config import (RunConfig, echo_config, grid_warnings, parse_config,
                      parse_eval_ks)
 from .checkpoint import load_checkpoint
-from .data import (FeatureTable, TripleDataset, Vocab, apply_modality_missing,
+from .data import (FeatureTable, TripleDataset, apply_modality_missing,
                    load_features, load_triples, save_features)
 from .errors import (ConfigError, ContractError, DataError, GradCheckError,
                      NumericError)
@@ -82,21 +82,26 @@ def _load_dataset(cfg: RunConfig) -> TripleDataset:
     return load_triples(cfg.train, cfg.valid, cfg.test)
 
 
-def _load_feature_tables(cfg: RunConfig, vocab: Vocab,
-                         model_cfg: ModelConfig) -> dict[str, FeatureTable | None]:
-    tables: dict[str, FeatureTable | None] = {}
+def _build_model(cfg: RunConfig, dataset: TripleDataset, checkpoint=None) -> Model:
+    """The run's model: feature tables (with the configured missing ratio
+    applied), parameters initialised from the seed and, when `checkpoint`
+    names a file, overwritten from it."""
+    model_cfg = cfg.model_config()
     paths = {"v": cfg.visual_features, "t": cfg.textual_features}
+    tables: dict[str, FeatureTable | None] = {}
     for m in model_cfg.projected_modalities:
-        path = paths[m]
-        if path is None:
-            tables[m] = None
-            continue
-        table = load_features(path, vocab, m, model_cfg.feature_dim(m))
-        if cfg.modality_missing_ratio > 0:
-            table = apply_modality_missing(table, cfg.modality_missing_ratio,
-                                           cfg.seed)
+        table = None
+        if paths[m] is not None:
+            table = load_features(paths[m], dataset.vocab, m, model_cfg.feature_dim(m))
+            if cfg.modality_missing_ratio > 0:
+                table = apply_modality_missing(table, cfg.modality_missing_ratio,
+                                               cfg.seed)
         tables[m] = table
-    return tables
+    store = init_params(model_cfg, dataset.vocab.n_entities,
+                        dataset.vocab.n_relations, cfg.seed)
+    if checkpoint is not None:
+        load_checkpoint(store, checkpoint)
+    return Model(model_cfg, store, tables)
 
 
 # ------------------------------------------------------------------ commands
@@ -107,15 +112,11 @@ def cmd_train(args) -> int:
         _warn(message)
     # Validate all inputs before touching the output directory.
     dataset = _load_dataset(cfg)
-    model_cfg = cfg.model_config()
     train_cfg = cfg.train_config()
-    tables = _load_feature_tables(cfg, dataset.vocab, model_cfg)
+    model = _build_model(cfg, dataset)
     out = _require_out(cfg)
     os.makedirs(out, exist_ok=True)
     atomic_write_text(os.path.join(out, "config.resolved.cfg"), echo_config(cfg))
-    store = init_params(model_cfg, dataset.vocab.n_entities,
-                        dataset.vocab.n_relations, cfg.seed)
-    model = Model(model_cfg, store, tables)
     history = train(model, dataset, train_cfg,
                     log_path=os.path.join(out, "train_log.jsonl"),
                     checkpoint_path=os.path.join(out, "checkpoint.bin"),
@@ -139,12 +140,7 @@ def cmd_eval(args) -> int:
     if args.ks is not None:
         cfg.eval_ks = parse_eval_ks(args.ks)
     dataset = _load_dataset(cfg)
-    model_cfg = cfg.model_config()
-    tables = _load_feature_tables(cfg, dataset.vocab, model_cfg)
-    store = init_params(model_cfg, dataset.vocab.n_entities,
-                        dataset.vocab.n_relations, cfg.seed)
-    load_checkpoint(store, args.checkpoint)
-    model = Model(model_cfg, store, tables)
+    model = _build_model(cfg, dataset, args.checkpoint)
     report = evaluate(model, dataset, args.split, cfg.eval_ks, cfg.tie_break)
     out = _require_out(cfg)
     os.makedirs(out, exist_ok=True)
@@ -297,12 +293,7 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0,
 def cmd_dump_weights(args) -> int:
     cfg = _load_run_config(args)
     dataset = _load_dataset(cfg)
-    model_cfg = cfg.model_config()
-    tables = _load_feature_tables(cfg, dataset.vocab, model_cfg)
-    store = init_params(model_cfg, dataset.vocab.n_entities,
-                        dataset.vocab.n_relations, cfg.seed)
-    load_checkpoint(store, args.checkpoint)
-    model = Model(model_cfg, store, tables)
+    model = _build_model(cfg, dataset, args.checkpoint)
     rows = relation_weight_report(model, dataset, "test")
     out = _require_out(cfg)
     os.makedirs(out, exist_ok=True)

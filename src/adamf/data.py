@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractError, DataError
+from .ioutil import atomic_open
 from .rng import SeededRng
 
 log = logging.getLogger(__name__)
@@ -160,7 +161,7 @@ def save_triples(dataset: TripleDataset, train_path: str, valid_path: str,
     names = dataset.vocab.entity_names
     relations = dataset.vocab.relation_names
     for path, split in zip((train_path, valid_path, test_path), SPLITS):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for h, r, t in dataset.split(split):
                 fh.write(f"{names[h]}\t{relations[r]}\t{names[t]}\n")
 
@@ -211,7 +212,7 @@ def load_features(path: str, vocab: Vocab, modality: str, dim: int) -> FeatureTa
 
 def save_features(table: FeatureTable, vocab: Vocab, path: str):
     """Write present rows only, in vocab order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for idx, name in enumerate(vocab.entity_names):
             if table.present[idx]:
                 row = ",".join(repr(float(v)) for v in table.matrix[idx])

@@ -199,30 +199,20 @@ class Model:
 
         Adaptive mode scores each modality by the inner product of its
         fusion vector with tanh(embedding) and softmaxes the scores; mean
-        mode weights every available modality equally.
+        mode weights every available modality equally.  Both modes build
+        joint as the alpha-weighted sum of the parts.
         """
         order = self.cfg.modalities
         if set(parts) != set(order):
             raise ContractError(
                 f"fusion expects modalities {order}, got {tuple(parts)}")
-        n = len(order)
+        xs = [parts[m] for m in order]
         if self.cfg.fusion_mode == "mean":
-            joint = tape.scale(parts[order[0]], 1.0 / n)
-            for m in order[1:]:
-                joint = tape.add(joint, tape.scale(parts[m], 1.0 / n))
-            rows = parts[order[0]].shape[0]
-            alpha = tape.const(np.full((rows, n), 1.0 / n))
-            return joint, alpha
-        scores = []
-        for m in order:
-            w = tape.leaf(f"fusion.w.{m}", live)
-            scores.append(tape.sum(tape.mul(tape.tanh(parts[m]), w), axis=-1))
-        alpha = tape.softmax(tape.stack(scores))
-        joint = None
-        for j, m in enumerate(order):
-            weighted = tape.mul(tape.col(alpha, j), parts[m])
-            joint = weighted if joint is None else tape.add(joint, weighted)
-        return joint, alpha
+            alpha = tape.const(np.full((xs[0].shape[0], len(xs)), 1.0 / len(xs)))
+        else:
+            alpha = tape.fusion_weights(
+                xs, [tape.leaf(f"fusion.w.{m}", live) for m in order])
+        return tape.mix(alpha, xs), alpha
 
     def joint_and_alpha(self, tape: Tape, idx: np.ndarray, live) -> tuple[Node, Node]:
         """Joint embeddings (B, 2d) and fusion weights (B, M) of entities idx.

@@ -6,6 +6,12 @@ the backward pass is a single reverse sweep that accumulates exact adjoints.
 Values are numpy arrays (scalars are 0-d); the last axis is the vector axis
 and an optional leading axis batches independent rows.
 
+The kernels are arithmetic (``add``, ``sub``, ``mul``, ``scale``, ``sum``),
+``matvec``, ``concat`` and ``gather``, the nonlinearities ``leaky_relu`` and
+``log_sigmoid``, adaptive fusion, and complex rotation.  Fusion is two
+kernels: ``fusion_weights`` (the tanh-score softmax alpha) and ``mix`` (the
+alpha-weighted sum of the parts), each with an analytic backward.
+
 Complex-valued quantities are interleaved (re, im) pairs in an even-length
 last axis; phase vectors have half that length.
 
@@ -196,30 +202,6 @@ class Tape:
 
         return self._emit(out, tuple(parts), backward)
 
-    def stack(self, parts: list[Node]) -> Node:
-        """Stack scalars into a vector, or (B,) parts into (B, len(parts))."""
-        self._require(len(parts) > 0, "stack")
-        out = np.stack([p.value for p in parts], axis=-1)
-
-        def backward(g):
-            for j, p in enumerate(parts):
-                if p.live:
-                    p.add_grad(g[..., j])
-
-        return self._emit(out, tuple(parts), backward)
-
-    def col(self, x: Node, j: int) -> Node:
-        """Column j of a (B,m) node, kept as (B,1) for row broadcasting."""
-        self._require(x.value.ndim == 2, "col", x.shape)
-        out = x.value[:, j:j + 1]
-
-        def backward(g):
-            full = np.zeros_like(x.value)
-            full[:, j:j + 1] = g
-            x.add_grad(full)
-
-        return self._emit(out, (x,), backward)
-
     def gather(self, x: Node, idx: np.ndarray) -> Node:
         """Rows of a 2-d node selected by an integer index array."""
         self._require(x.value.ndim == 2, "gather", x.shape)
@@ -233,32 +215,12 @@ class Tape:
 
         return self._emit(out, (x,), backward)
 
-    def tanh(self, x: Node) -> Node:
-        out = np.tanh(x.value)
-
-        def backward(g):
-            x.add_grad(g * (1.0 - out * out))
-
-        return self._emit(out, (x,), backward)
-
     def leaky_relu(self, x: Node, slope: float) -> Node:
         positive = x.value >= 0
         out = np.where(positive, x.value, slope * x.value)
 
         def backward(g):
             x.add_grad(g * np.where(positive, 1.0, slope))
-
-        return self._emit(out, (x,), backward)
-
-    def softmax(self, x: Node) -> Node:
-        """Softmax over the last axis, numerically stabilized."""
-        shifted = x.value - np.max(x.value, axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        out = e / e.sum(axis=-1, keepdims=True)
-
-        def backward(g):
-            inner = (g * out).sum(axis=-1, keepdims=True)
-            x.add_grad(out * (g - inner))
 
         return self._emit(out, (x,), backward)
 
@@ -279,18 +241,61 @@ class Tape:
 
         return self._emit(out, (x,), backward)
 
-    def sum(self, x: Node, axis=None) -> Node:
-        """Full reduction to a scalar (axis=None) or over the last axis."""
-        self._require(axis in (None, -1), "sum", x.shape)
-        out = x.value.sum(axis=axis)
+    def sum(self, x: Node) -> Node:
+        """Full reduction to a scalar."""
+        out = x.value.sum()
 
         def backward(g):
-            if axis is None:
-                x.add_grad(np.broadcast_to(g, x.shape).copy())
-            else:
-                x.add_grad(np.broadcast_to(np.expand_dims(g, -1), x.shape).copy())
+            x.add_grad(np.broadcast_to(g, x.shape).copy())
 
         return self._emit(out, (x,), backward)
+
+    def fusion_weights(self, parts: list[Node], weights: list[Node]) -> Node:
+        """Adaptive fusion weights alpha (B, M) of M parts (B, n):
+        alpha[:, j] = softmax_j(tanh(parts[j]) . weights[j]), max-shifted."""
+        shape = parts[0].shape if parts else ()
+        self._require(len(shape) == 2 and len(weights) == len(parts)
+                      and all(p.shape == shape for p in parts)
+                      and all(w.shape == shape[1:] for w in weights),
+                      "fusion_weights", *[x.shape for x in (*parts, *weights)])
+        t = [np.tanh(p.value) for p in parts]
+        scores = np.stack([(tj * w.value).sum(axis=-1) for tj, w in zip(t, weights)],
+                          axis=-1)
+        e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+        out = e / e.sum(axis=-1, keepdims=True)
+
+        def backward(g):
+            g_scores = out * (g - (g * out).sum(axis=-1, keepdims=True))
+            for j, (p, w) in enumerate(zip(parts, weights)):
+                g_b = g_scores[:, j:j + 1]
+                if w.live:
+                    w.add_grad((g_b * t[j]).sum(axis=0))
+                if p.live:
+                    p.add_grad((g_b * w.value) * (1.0 - t[j] * t[j]))
+
+        return self._emit(out, (*parts, *weights), backward)
+
+    def mix(self, alpha: Node, parts: list[Node]) -> Node:
+        """Row-wise weighted sum of M parts (B, n) by alpha (B, M) -> (B, n)."""
+        shape = parts[0].shape if parts else ()
+        self._require(len(shape) == 2 and all(p.shape == shape for p in parts)
+                      and alpha.shape == (shape[0], len(parts)),
+                      "mix", alpha.shape, *[p.shape for p in parts])
+        out = alpha.value[:, 0:1] * parts[0].value
+        for j in range(1, len(parts)):
+            out += alpha.value[:, j:j + 1] * parts[j].value
+
+        def backward(g):
+            if alpha.live:
+                g_alpha = np.empty_like(alpha.value)
+                for j, p in enumerate(parts):
+                    g_alpha[:, j] = (g * p.value).sum(axis=-1)
+                alpha.add_grad(g_alpha)
+            for j, p in enumerate(parts):
+                if p.live:
+                    p.add_grad(g * alpha.value[:, j:j + 1])
+
+        return self._emit(out, (alpha, *parts), backward)
 
     def complex_rotate(self, x: Node, theta: Node) -> Node:
         """Rotate interleaved complex pairs of x by unit phases cos/sin(theta).

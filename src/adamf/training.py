@@ -182,8 +182,7 @@ def loss_adv(model: Model, tape: Tape, batch: np.ndarray, n_groups: int,
 
 def train_step_discriminator(model: Model, batch: np.ndarray,
                              negatives: np.ndarray, cfg: TrainConfig,
-                             noise_rng: SeededRng | None = None
-                             ) -> tuple[float, float]:
+                             noise_rng: SeededRng) -> tuple[float, float]:
     """One Adam step on the scoring parameters; returns (L_kgc, L_adv) values.
 
     Generator outputs enter the tape as constants, so no gradient reaches
@@ -207,7 +206,7 @@ def train_step_discriminator(model: Model, batch: np.ndarray,
 
 
 def train_step_generator(model: Model, batch: np.ndarray, cfg: TrainConfig,
-                         noise_rng: SeededRng | None = None) -> float:
+                         noise_rng: SeededRng) -> float:
     """One Adam ascent step of lambda * L_adv on the generator parameters,
     with fresh noise; the scoring parameters are constants here."""
     if not cfg.mat_enabled:

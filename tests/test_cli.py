@@ -273,20 +273,24 @@ def test_gradcheck_skips_generator_at_zero_coefficient(corpus, tmp_path, capsys)
 
 
 def test_gradcheck_flags_corrupted_kernel(monkeypatch, capsys):
-    true_tanh = Tape.tanh
+    true_kernel = Tape.fusion_weights
 
-    def crooked(self, x):
-        node = true_tanh(self, x)
+    def crooked(self, parts, weights):
+        node = true_kernel(self, parts, weights)
         inner = node.backward_fn
+        if inner is None:
+            return node
 
         def corrupted(grad):
-            x.add_grad(0.001 * grad * np.tanh(x.value))
             inner(grad)
+            first = weights[0]
+            if first.live:
+                first.add_grad(0.001 * grad.sum() * np.tanh(first.value))
 
         node.backward_fn = corrupted
         return node
 
-    monkeypatch.setattr(Tape, "tanh", crooked)
+    monkeypatch.setattr(Tape, "fusion_weights", crooked)
     assert main(["gradcheck"]) == 5
     assert "exceeds" in capsys.readouterr().err
 

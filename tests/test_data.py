@@ -167,6 +167,35 @@ def test_feature_round_trip(tmp_path):
     assert np.array_equal(back.matrix[back.present], table.matrix[table.present])
 
 
+class DiskFull:
+    """A value whose write fails, so a file is left half written."""
+
+    def __format__(self, spec=""):
+        raise OSError("simulated disk full")
+
+    __float__ = __format__
+
+
+def test_failed_write_keeps_previous_files(tmp_path):
+    ds = make_dataset(6, {"train": [(0, 0, 1), (1, 0, 2), (3, 0, 4)],
+                          "valid": [(2, 0, 3)], "test": [(4, 0, 5)]})
+    table = random_features(6, 4, "v", SeededRng(3))
+    paths = [str(tmp_path / f"{s}.tsv") for s in ("train", "valid", "test")]
+    save_triples(ds, *paths)
+    save_features(table, ds.vocab, str(tmp_path / "feat.tsv"))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    ds.vocab.entity_names[3] = DiskFull()   # third train line fails
+    with pytest.raises(OSError, match="simulated"):
+        save_triples(ds, *paths)
+    broken = table.matrix.astype(object)
+    broken[2, 1] = DiskFull()               # third feature row fails
+    table.matrix = broken
+    with pytest.raises(OSError, match="simulated"):
+        save_features(table, ds.vocab, str(tmp_path / "feat.tsv"))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 # --- modality masking ----------------------------------------------------------
 
 def test_mask_ratio_zero_is_identity():

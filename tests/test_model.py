@@ -100,18 +100,15 @@ def test_projection_zero_and_identity():
 
 # --- fusion ----------------------------------------------------------------------
 
-def fuse_scalar_case(e_values, w_values, mode="adaptive"):
+def fuse_scalar_case(e_values, w_values):
     """1-long embedding vectors so the modality scores are w*tanh(e)."""
     store = ParameterStore(dtype=np.float64)
     for m, w in zip(MODALITY_ORDER, w_values):
         store.add(f"fusion.w.{m}", np.array([w], dtype=float), "discriminator")
     tape = Tape(store)
-    parts = {m: tape.const(np.array([[e]], dtype=float))
-             for m, e in zip(MODALITY_ORDER, e_values)}
-    scores = [tape.sum(tape.mul(tape.leaf(f"fusion.w.{m}", DISC),
-                                tape.tanh(parts[m])), axis=-1)
-              for m in MODALITY_ORDER]
-    alpha = tape.softmax(tape.stack(scores))
+    parts = [tape.const(np.array([[e]], dtype=float)) for e in e_values]
+    alpha = tape.fusion_weights(
+        parts, [tape.leaf(f"fusion.w.{m}", DISC) for m in MODALITY_ORDER])
     return alpha.value[0]
 
 
@@ -157,6 +154,27 @@ def test_fusion_permutation_equivariance():
     base = fuse_scalar_case([0.3, 1.2, -0.7], [1.0, 0.5, 2.0])
     swapped = fuse_scalar_case([0.3, -0.7, 1.2], [1.0, 2.0, 0.5])
     assert np.allclose(base[[0, 2, 1]], swapped, atol=1e-15)
+
+
+def test_fuse_is_two_nodes():
+    # Adaptive: fusion_weights + mix beside the fusion-vector leaves;
+    # mean: a constant alpha + mix.
+    for mode in ("adaptive", "mean"):
+        model = small_model(fusion_mode=mode)
+        tape = Tape(model.store)
+        parts = {m: tape.const(np.full((2, 6), 0.1 * j))
+                 for j, m in enumerate(MODALITY_ORDER)}
+        before = len(tape.nodes)
+        joint, alpha = model.fuse(tape, parts, DISC)
+        added = tape.nodes[before:]
+        emitted = [node for node in added if node.parents]
+        assert emitted[-1] is joint and joint.parents[0] is alpha
+        if mode == "adaptive":
+            assert len(emitted) == 2 and emitted[0] is alpha
+            assert [node.name for node in added if not node.parents] == [
+                f"fusion.w.{m}" for m in MODALITY_ORDER]
+        else:
+            assert added == [alpha, joint] and not alpha.parents
 
 
 def test_fuse_rejects_wrong_parts():

@@ -375,7 +375,7 @@ def test_d_step_descends_for_small_lr():
         return float(loss.value)
 
     before = loss_now()
-    train_step_discriminator(model, batch, negs, cfg)
+    train_step_discriminator(model, batch, negs, cfg, SeededRng(0, stream="noise"))
     assert loss_now() < before
 
 
@@ -491,7 +491,8 @@ def test_monotone_descent_rate_on_tiny_fixture():
         ok = True
         prev = loss_now()
         for _ in range(50):
-            train_step_discriminator(model, batch, negs, cfg)
+            train_step_discriminator(model, batch, negs, cfg,
+                                     SeededRng(seed, stream="noise"))
             cur = loss_now()
             if cur > prev + 1e-9:
                 ok = False
