@@ -213,7 +213,9 @@ def test_fusion_weights_gradients():
     check_kernel(fusion_shapes, build)
 
 
-def test_fusion_weights_constant_parts_gradients():
+def test_softmax_gradients():
+    # Constant parts fix tanh(e_m), so the scores are linear in the weights
+    # and the check isolates the shifted softmax's backward.
     fixed = {}
 
     def build(tape, lv):
@@ -221,6 +223,37 @@ def test_fusion_weights_constant_parts_gradients():
         alpha = tape.fusion_weights(parts, leaves_named(lv, "w"))
         return tape.mul(alpha, alpha)
     check_kernel(lambda rng: fusion_shapes(rng, fixed), build)
+
+
+def test_tanh_gradients():
+    # Constant weights leave only the parts adjoint (g*w)*(1-t*t).
+    fixed = {}
+
+    def shapes(rng):
+        out = fusion_shapes(rng)
+        fixed["w"] = [rng.normals(out[name][0])
+                      for name in sorted(out) if name.startswith("w")]
+        return {name: shape for name, shape in out.items() if name.startswith("p")}
+
+    def build(tape, lv):
+        weights = [tape.const(w) for w in fixed["w"]]
+        alpha = tape.fusion_weights(leaves_named(lv, "p"), weights)
+        return tape.mul(alpha, alpha)
+    check_kernel(shapes, build)
+
+
+def test_sum_axis_gradients():
+    # Each score sums t*w over the last axis; one weight leaf shared by
+    # every modality must collect its adjoint over batch rows and modalities.
+    def shapes(rng):
+        b, n, m = dims(rng), dims(rng, 2, 6), dims(rng, 2, 4)
+        return {"w": (n,), **{f"p{j}": (b, n) for j in range(m)}}
+
+    def build(tape, lv):
+        parts = leaves_named(lv, "p")
+        alpha = tape.fusion_weights(parts, [lv["w"]] * len(parts))
+        return tape.mul(alpha, alpha)
+    check_kernel(shapes, build)
 
 
 def mix_shapes(rng):
@@ -246,6 +279,20 @@ def test_mix_constant_alpha_gradients():
 
     def build(tape, lv):
         out = tape.mix(tape.const(fixed["alpha"]), leaves_named(lv, "p"))
+        return tape.mul(out, out)
+    check_kernel(shapes, build)
+
+
+def test_stack_gradients():
+    # One part leaf in every modality slot: its adjoint accumulates over
+    # the stacked modality axis.
+    def shapes(rng):
+        b, n, m = dims(rng), dims(rng), dims(rng, 2, 4)
+        return {"alpha": (b, m), "p": (b, n)}
+
+    def build(tape, lv):
+        m = lv["alpha"].value.shape[1]
+        out = tape.mix(lv["alpha"], [lv["p"]] * m)
         return tape.mul(out, out)
     check_kernel(shapes, build)
 
@@ -319,15 +366,25 @@ def test_log_sigmoid_at_zero():
 @example(np.ones((3, 4, 5)), np.ones((3, 5)), 1e3)
 @example(np.zeros((3, 4, 5)), np.ones((3, 5)), 1e300)
 @settings(max_examples=200, deadline=None)
-def test_fusion_weights_simplex(parts, w, scale):
+def test_softmax_simplex(parts, w, scale):
     # Scores reach scale * 5 >> 709, where an unshifted exp overflows.
     tape = Tape()
     out = tape.fusion_weights([tape.const(p) for p in parts],
                               [tape.const(scale * row) for row in w]).value
     assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
     assert np.all(np.abs(out.sum(axis=-1) - 1.0) <= 1e-12)
-    if not parts.any():
-        assert np.array_equal(out, np.full((4, 3), 1.0 / 3.0))
+
+
+def test_softmax_of_zeros_is_uniform():
+    # Zero parts or zero weights give every modality a zero score.
+    tape = Tape()
+    zeros = [tape.const(np.zeros((2, 4))) for _ in range(3)]
+    weights = [tape.const(np.array([1e300, -2.0, 0.5, 3.0])) for _ in range(3)]
+    out = tape.fusion_weights(zeros, weights).value
+    assert np.array_equal(out, np.full((2, 3), 1.0 / 3.0))
+    parts = [tape.const(np.full((2, 4), float(j + 1))) for j in range(3)]
+    out = tape.fusion_weights(parts, [tape.const(np.zeros(4))] * 3).value
+    assert np.array_equal(out, np.full((2, 3), 1.0 / 3.0))
 
 
 # --- backward-pass contracts ------------------------------------------------
