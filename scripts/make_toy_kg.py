@@ -26,7 +26,8 @@ def main() -> None:
     write_toy_kg(data_dir, n_entities=args.entities)
     cfg_path = os.path.join(args.dir, "toy.cfg")
     with open(cfg_path, "w", encoding="utf-8") as fh:
-        fh.write(toy_config_text(data_dir, os.path.join(args.dir, "out")))
+        # a config's relative paths resolve against the config's own directory
+        fh.write(toy_config_text("data", "out"))
 
     dataset, _ = build_toy_kg(args.entities)
     print(f"wrote {data_dir}: {len(dataset.train)} train / "

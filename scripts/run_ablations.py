@@ -42,7 +42,8 @@ def main() -> None:
     for name, overrides in ROWS:
         out_dir = os.path.join(args.dir, name)
         cfg_path = os.path.join(args.dir, f"{name}.cfg")
-        text = toy_config_text(data_dir, out_dir, epochs=args.epochs,
+        # a config's relative paths resolve against the config's own directory
+        text = toy_config_text("data", name, epochs=args.epochs,
                                seed=args.seed, **overrides)
         with open(cfg_path, "w", encoding="utf-8") as fh:
             fh.write(text)

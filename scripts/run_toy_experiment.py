@@ -30,9 +30,9 @@ def main() -> None:
     write_toy_kg(data_dir)
 
     for seed in args.seeds:
-        out_dir = os.path.join(args.dir, f"seed{seed}")
         cfg_path = os.path.join(args.dir, f"seed{seed}.cfg")
-        text = toy_config_text(data_dir, out_dir, epochs=args.epochs,
+        # a config's relative paths resolve against the config's own directory
+        text = toy_config_text("data", f"seed{seed}", epochs=args.epochs,
                                seed=seed, mat_enabled=args.mat)
         with open(cfg_path, "w", encoding="utf-8") as fh:
             fh.write(text)

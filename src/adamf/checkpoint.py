@@ -93,24 +93,26 @@ def read_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict[str, np.ndar
 def load_checkpoint(store: ParameterStore, path: str):
     """Load values and Adam state into an already-shaped store.
 
-    Every checked tensor must exist in the store with a matching shape;
-    mismatches are contract errors naming the tensor.
+    Every tensor must exist in the store with a matching shape (Adam moments
+    too, step counts rank 0); mismatches are contract errors naming the
+    tensor, raised before the store changes.
     """
     values, state = read_checkpoint(path)
-    for name, arr in values.items():
+    records = {**state, **values}
+    for name in values:
         if name not in store:
             raise ContractError(f"checkpoint tensor {name!r} not in model")
-        if arr.shape != store[name].shape:
-            raise ContractError(
-                f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                f"model expects {store[name].shape}")
+        shape = store[name].shape
+        for key, want in ((name, shape), (f"{name}.adam_m", shape),
+                          (f"{name}.adam_v", shape), (f"{name}.step", ())):
+            if key in records and records[key].shape != want:
+                raise ContractError(f"checkpoint tensor {key!r} has shape "
+                                    f"{records[key].shape}, model expects {want}")
     missing = [n for n in store.names() if n not in values]
     if missing:
         raise ContractError(f"checkpoint missing tensors: {missing}")
     for name, arr in values.items():
         store.set(name, arr)
-        m = state.get(f"{name}.adam_m")
-        v = state.get(f"{name}.adam_v")
-        step = state.get(f"{name}.step")
+        m, v, step = (state.get(f"{name}.{k}") for k in ("adam_m", "adam_v", "step"))
         if m is not None and v is not None and step is not None:
             store.set_adam_state(name, m, v, int(step))

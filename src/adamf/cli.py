@@ -4,8 +4,8 @@ mask-modality.
 Exit codes: 0 success, 2 configuration/contract problem, 3 numeric failure,
 4 I/O or data problem, 5 gradient check over tolerance.  AMF_SEED in the
 environment overrides the config seed; --out overrides the output
-directory.  Output files go through temp-then-rename, so a failed run never
-leaves half-written artifacts.
+directory.  Output files except the streamed train_log.jsonl go through
+temp-then-rename, so a failed run leaves no half-written artifact.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .params import GradCheckResult, finite_diff_check
 from .rng import SeededRng
 from .tape import Tape
 from .training import (TrainConfig, loss_adv, loss_kgc, positive_parts,
-                       sample_negatives, self_adv_weights, train)
+                       sample_negatives, train)
 
 GRADCHECK_TOLERANCE = 1e-5
 # Central differences are truncation-limited at large probe steps and
@@ -239,12 +239,10 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0,
                                 ).reshape(4, 3)
     negatives = sample_negatives(batch, n_entities, 4, root.substream("negatives"))
 
+    # The margin loss's self-adversarial weights, held fixed while probing.
     probe = Tape(store)
-    flat = negatives.reshape(-1, 3)
-    nh, _ = model.joint_and_alpha(probe, flat[:, 0], frozenset())
-    nt, _ = model.joint_and_alpha(probe, flat[:, 2], frozenset())
-    f_neg = model.triple_scores(probe, nh, flat[:, 1], nt, frozenset())
-    weights = self_adv_weights(f_neg.value.reshape(4, 4), beta, selfadv_sign)
+    pos = positive_parts(model, probe, (batch, negatives), FROZEN)
+    weights = loss_kgc(model, probe, negatives, FROZEN, pos)[1]["weights"]
 
     patterns = ("syn_tail", "syn_head", "syn_both")
     noise = model.draw_noise(batch, 1, patterns, root.substream("noise"))
@@ -259,20 +257,20 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0,
 
     def kgc_builder(params):
         tape = Tape(params)
-        loss, _ = loss_kgc(model, tape, batch, negatives, DISC,
-                           frozen_weights=weights)
+        pos = positive_parts(model, tape, (batch, negatives), DISC)
+        loss, _ = loss_kgc(model, tape, negatives, DISC, pos, frozen_weights=weights)
         return tape, tape.scale(loss, GRADCHECK_SCALE)
 
     def adv_disc_builder(params):
         tape = Tape(params)
-        pos = positive_parts(model, tape, batch, DISC)
+        pos = positive_parts(model, tape, (batch,), DISC)
         generated = {key: tape.const(value) for key, value in frozen.items()}
         adv, _ = loss_adv(model, tape, batch, 1, patterns, DISC, generated, pos)
         return tape, tape.scale(adv, lam * GRADCHECK_SCALE)
 
     def adv_gen_builder(params):
         tape = Tape(params)
-        pos = positive_parts(model, tape, batch, GEN)
+        pos = positive_parts(model, tape, (batch,), GEN)
         generated = model.generate(tape, batch, noise, GEN)
         adv, _ = loss_adv(model, tape, batch, 1, patterns, GEN, generated, pos)
         return tape, tape.scale(adv, -lam * GRADCHECK_SCALE)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,6 +143,20 @@ def project(tape: Tape, weight: Node, bias: Node, features: Node) -> Node:
     return tape.add(tape.matvec(weight, features), bias)
 
 
+class EntityTable(NamedTuple):
+    """One step's fused entity rows: entity ids[i] is row i of joint/alpha."""
+    ids: np.ndarray    # (U,) sorted unique entity ids
+    joint: Node        # (U, 2d)
+    alpha: Node        # (U, M)
+
+    def rows(self, entities: np.ndarray) -> np.ndarray:
+        """Row of each entity; every one must be in the table."""
+        rows = np.searchsorted(self.ids, entities)
+        if not np.array_equal(self.ids[np.minimum(rows, self.ids.size - 1)], entities):
+            raise ContractError("entity outside this step's entity table")
+        return rows
+
+
 class Model:
     """Binds config, parameters, and feature tables; builds tape subgraphs."""
 
@@ -190,9 +205,7 @@ class Model:
                             tape.const(self._raw[m][idx]))
         if mask.all():
             return projected
-        keep = tape.const(mask)
-        drop = tape.const(1.0 - mask)
-        return tape.add(tape.mul(projected, keep), tape.mul(fallback, drop))
+        return tape.mix(tape.const(np.hstack([mask, 1.0 - mask])), [projected, fallback])
 
     def fuse(self, tape: Tape, parts: dict[str, Node], live) -> tuple[Node, Node]:
         """Combine per-modality embeddings into (joint (B,2d), alpha (B,M)).
@@ -215,32 +228,24 @@ class Model:
         return tape.mix(alpha, xs), alpha
 
     def joint_and_alpha(self, tape: Tape, idx: np.ndarray, live) -> tuple[Node, Node]:
-        """Joint embeddings (B, 2d) and fusion weights (B, M) of entities idx.
-
-        Modal embeddings and fusion are built once per unique entity of idx
-        and gathered back into idx's order, so a batch that names an entity
-        many times (negatives do) projects and fuses it once.  Gradients
-        are the same mathematics; only float32 summation order changes.
-        """
-        idx = np.asarray(idx, dtype=np.int64)
-        unique, inverse = np.unique(idx, return_inverse=True)
-        if unique.shape[0] == idx.shape[0]:
-            return self._fused_rows(tape, idx, live)
-        joint, alpha = self._fused_rows(tape, unique, live)
-        return tape.gather(joint, inverse), tape.gather(alpha, inverse)
-
-    def _fused_rows(self, tape: Tape, idx: np.ndarray, live) -> tuple[Node, Node]:
+        """Joint embeddings (B, 2d) and fusion weights (B, M) of entities idx."""
         parts = {m: self.modal_embedding(tape, m, idx, live) for m in self.cfg.modalities}
         return self.fuse(tape, parts, live)
 
+    def entity_table(self, tape: Tape, triples, live) -> EntityTable:
+        """Fused rows of every entity named as a head or tail in `triples`
+        (a sequence of (..., 3) arrays), each entity built once."""
+        ids = np.unique(np.concatenate([np.asarray(x)[..., 0::2].ravel() for x in triples]))
+        return EntityTable(ids, *self.joint_and_alpha(tape, ids, live))
+
     # ---------------------------------------------------------------- scoring
 
-    def triple_scores(self, tape: Tape, h_joint: Node, r_idx: np.ndarray,
-                      t_joint: Node, live) -> Node:
-        """Rotation distance F(h,r,t) = sum_k |(h o r - t)_k|, shape (B,)."""
-        phases = tape.gather(tape.leaf("relation.phase", live), r_idx)
-        rotated = tape.complex_rotate(h_joint, phases)
-        return tape.complex_modulus_sum(tape.sub(rotated, t_joint))
+    def distances(self, tape: Tape, table: EntityTable, triples: np.ndarray,
+                  live) -> Node:
+        """Rotation distance F(h,r,t) of (B, 3) triples over `table`, (B,)."""
+        return tape.rotate_distance(table.joint, table.rows(triples[:, 0]),
+                                    tape.leaf("relation.phase", live), triples[:, 1],
+                                    table.joint, table.rows(triples[:, 2]))
 
     # -------------------------------------------------------------- generator
 
@@ -251,7 +256,7 @@ class Model:
         The structural input is always a detached constant: gradients reach
         the generator weights, never the structural embeddings behind them.
         """
-        x = tape.concat([tape.const(e_s_values), tape.const(z)])
+        x = tape.const(np.concatenate([e_s_values, z], axis=1))
         hidden = tape.leaky_relu(
             project(tape, tape.leaf(f"gen.{m}.w1", live), tape.leaf(f"gen.{m}.b1", live), x),
             self.cfg.leaky_slope)
@@ -288,26 +293,26 @@ class Model:
 
     def synthetic_triple_scores(self, tape: Tape, triples: np.ndarray,
                                 n_groups: int, patterns: tuple[str, ...],
-                                live, generated: dict, h_joint: Node,
-                                t_joint: Node) -> tuple[Node, list[tuple[int, str]]]:
+                                live, generated: dict,
+                                table: EntityTable) -> tuple[Node, list[tuple[int, str]]]:
         """Scores of L groups of synthetic triples for a batch of positives.
 
         Per group one synthetic head and one synthetic tail are built (when
         a requested pattern needs them) and shared across that group's
         patterns, mirroring the construction of the adversarial example set.
         A synthetic entity keeps its own structural embedding and takes its
-        other modalities from `generated` (keys as in `draw_noise`);
-        `h_joint`/`t_joint` are the positives' joint embeddings.  Returns a
-        flat (B * len(meta),) score node plus the (group, pattern) block
-        order.
+        other modalities from `generated` (keys as in `draw_noise`); real
+        entities are rows of `table`.  Returns a flat (B * len(meta),) score
+        node plus the (group, pattern) block order.
         """
         if n_groups < 1:
             raise ContractError("synthetic group count must be >= 1")
         patterns = tuple(p for p in ALL_PATTERNS if p in patterns)
         if not patterns:
             raise ContractError("at least one adversarial pattern is required")
-        r_idx = triples[:, 1]
+        phase = tape.leaf("relation.phase", live)
         entity_idx = {"h": triples[:, 0], "t": triples[:, 2]}
+        real = {side: (table.joint, table.rows(idx)) for side, idx in entity_idx.items()}
         blocks, meta = [], []
         for g in range(n_groups):
             star = {}
@@ -315,15 +320,11 @@ class Model:
                 parts = {m: generated[(g, side, m)] if m != "s" else
                          self.modal_embedding(tape, "s", entity_idx[side], live)
                          for m in self.cfg.modalities}
-                star[side], _ = self.fuse(tape, parts, live)
+                star[side] = (self.fuse(tape, parts, live)[0], np.arange(len(triples)))
             for pattern in patterns:
-                if pattern == SYN_TAIL:
-                    scores = self.triple_scores(tape, h_joint, r_idx, star["t"], live)
-                elif pattern == SYN_HEAD:
-                    scores = self.triple_scores(tape, star["h"], r_idx, t_joint, live)
-                else:
-                    scores = self.triple_scores(tape, star["h"], r_idx, star["t"], live)
-                blocks.append(scores)
+                h = star["h"] if pattern in (SYN_HEAD, SYN_BOTH) else real["h"]
+                t = star["t"] if pattern in (SYN_TAIL, SYN_BOTH) else real["t"]
+                blocks.append(tape.rotate_distance(*h, phase, triples[:, 1], *t))
                 meta.append((g, pattern))
         flat = blocks[0] if len(blocks) == 1 else tape.concat(blocks)
         return flat, meta

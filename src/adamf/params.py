@@ -137,8 +137,6 @@ def finite_diff_check(loss_builder, params: ParameterStore, epsilon: float,
         return float(node.value)
 
     checked = params.names() if names is None else list(names)
-    worst = 0.0
-    worst_param = ""
     per_param: dict[str, float] = {}
     for name in checked:
         value = params[name]
@@ -158,7 +156,5 @@ def finite_diff_check(loss_builder, params: ParameterStore, epsilon: float,
             rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
             err = max(err, rel)
         per_param[name] = err
-        if err > worst:
-            worst = err
-            worst_param = name
-    return GradCheckResult(worst, worst_param, per_param)
+    worst_param = max(per_param, key=per_param.get, default="")
+    return GradCheckResult(per_param.get(worst_param, 0.0), worst_param, per_param)

@@ -8,9 +8,10 @@ and an optional leading axis batches independent rows.
 
 The kernels are arithmetic (``add``, ``sub``, ``mul``, ``scale``, ``sum``),
 ``matvec``, ``concat`` and ``gather``, the nonlinearities ``leaky_relu`` and
-``log_sigmoid``, adaptive fusion, and complex rotation.  Fusion is two
-kernels: ``fusion_weights`` (the tanh-score softmax alpha) and ``mix`` (the
-alpha-weighted sum of the parts), each with an analytic backward.
+``log_sigmoid``, adaptive fusion as ``fusion_weights`` (the tanh-score
+softmax alpha) and ``mix`` (the alpha-weighted sum of the parts), and
+``rotate_distance``, the RotatE score of indexed table rows.  Each has an
+analytic backward.
 
 Complex-valued quantities are interleaved (re, im) pairs in an even-length
 last axis; phase vectors have half that length.
@@ -61,6 +62,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if dim == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
+
+
+def _pairs(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Interleave (B, d) real and imaginary parts into (B, 2d) pairs."""
+    return np.stack((re, im), axis=-1).reshape(re.shape[0], -1)
 
 
 class Tape:
@@ -297,54 +303,54 @@ class Tape:
 
         return self._emit(out, (alpha, *parts), backward)
 
-    def complex_rotate(self, x: Node, theta: Node) -> Node:
-        """Rotate interleaved complex pairs of x by unit phases cos/sin(theta).
+    def rotate_distance(self, h: Node, h_idx, phase: Node, r_idx, t: Node,
+                        t_idx) -> Node:
+        """RotatE distance sum_k |h_k e^{i theta_k} - t_k| of rows
+        (h[h_idx[i]], phase[r_idx[i]], t[t_idx[i]]), shape (rows,).
 
-        x has even last axis 2d; theta has last axis d (broadcastable over the
-        batch axis of x).  Each rotation has unit modulus by construction.
+        h and t are (., 2d) tables, possibly one node; phase is (R, d).  Rows
+        run in fixed-size blocks that the backward recomputes, so no
+        (rows, 2d) array outlives a block.  Adjoints scatter-add into h, t
+        and phase; at |u| = 0 the subgradient is 0.
         """
-        self._require(x.shape[-1] % 2 == 0, "complex_rotate", x.shape, theta.shape)
-        self._require(theta.shape[-1] * 2 == x.shape[-1], "complex_rotate",
-                      x.shape, theta.shape)
-        a = x.value[..., 0::2]
-        b = x.value[..., 1::2]
-        c = np.cos(theta.value)
-        s = np.sin(theta.value)
-        out = np.empty_like(x.value)
-        out[..., 0::2] = a * c - b * s
-        out[..., 1::2] = a * s + b * c
+        idx = [np.asarray(i, dtype=np.int64) for i in (h_idx, r_idx, t_idx)]
+        d = phase.shape[-1]
+        self._require(phase.value.ndim == 2 and h.shape[1:] == t.shape[1:] == (2 * d,)
+                      and idx[0].ndim == 1 and len({i.shape for i in idx}) == 1,
+                      "rotate_distance", h.shape, phase.shape, t.shape, *map(np.shape, idx))
+        n = idx[0].shape[0]
+        step = max(1, (1 << 19) // (np.dtype(self.dtype).itemsize * 2 * d))
+
+        def block(lo):
+            hi, ri, ti = (i[lo:lo + step] for i in idx)
+            c, s = np.cos(phase.value[ri]), np.sin(phase.value[ri])
+            a, b = h.value[hi, 0::2], h.value[hi, 1::2]
+            rot_re, rot_im = a * c - b * s, a * s + b * c
+            return ((hi, ri, ti), c, s, rot_re, rot_im,
+                    rot_re - t.value[ti, 0::2], rot_im - t.value[ti, 1::2])
+
+        out = np.empty(n, dtype=self.dtype)
+        for lo in range(0, n, step):
+            *_, u_re, u_im = block(lo)
+            out[lo:lo + step] = np.hypot(u_re, u_im).sum(axis=-1)
 
         def backward(g):
-            gre = g[..., 0::2]
-            gim = g[..., 1::2]
-            if x.live:
-                gx = np.empty_like(x.value)
-                gx[..., 0::2] = gre * c + gim * s
-                gx[..., 1::2] = -gre * s + gim * c
-                x.add_grad(gx)
-            if theta.live:
-                gtheta = gre * (-a * s - b * c) + gim * (a * c - b * s)
-                theta.add_grad(_unbroadcast(gtheta, theta.shape))
+            grads = {x: np.zeros_like(x.value) for x in (h, t, phase) if x.live}
+            for lo in range(0, n, step):
+                (hi, ri, ti), c, s, rot_re, rot_im, u_re, u_im = block(lo)
+                m = np.hypot(u_re, u_im)
+                scale = np.divide(g[lo:lo + step, None], m, out=np.zeros_like(m), where=m > 0)
+                g_re, g_im = scale * u_re, scale * u_im
+                if h.live:
+                    np.add.at(grads[h], hi, _pairs(g_re * c + g_im * s, g_im * c - g_re * s))
+                if t.live:
+                    np.subtract.at(grads[t], ti, _pairs(g_re, g_im))
+                if phase.live:
+                    np.add.at(grads[phase], ri, g_im * rot_re - g_re * rot_im)
+            for x, g_x in grads.items():
+                x.add_grad(g_x)
 
-        return self._emit(out, (x, theta), backward)
-
-    def complex_modulus_sum(self, x: Node) -> Node:
-        """Sum of moduli of interleaved complex pairs: sum_k sqrt(re^2 + im^2)."""
-        self._require(x.shape[-1] % 2 == 0, "complex_modulus_sum", x.shape)
-        a = x.value[..., 0::2]
-        b = x.value[..., 1::2]
-        m = np.hypot(a, b)
-        out = m.sum(axis=-1)
-
-        def backward(g):
-            safe = np.where(m > 0, m, 1.0)
-            ge = np.expand_dims(g, -1)
-            gx = np.empty_like(x.value)
-            gx[..., 0::2] = ge * np.where(m > 0, a / safe, 0.0)
-            gx[..., 1::2] = ge * np.where(m > 0, b / safe, 0.0)
-            x.add_grad(gx)
-
-        return self._emit(out, (x,), backward)
+        return self._emit(out, (h, phase, t), backward)
 
     # ---------------------------------------------------------------- backward
 

@@ -126,27 +126,23 @@ def self_adv_weights(neg_scores: np.ndarray, beta: float,
 
 # -------------------------------------------------------------------- losses
 
-def positive_parts(model: Model, tape: Tape, batch: np.ndarray, live):
-    """Shared positive-triple pieces: (F_pos, log sigma(gamma - F_pos))."""
-    h_joint, _ = model.joint_and_alpha(tape, batch[:, 0], live)
-    t_joint, _ = model.joint_and_alpha(tape, batch[:, 2], live)
-    f_pos = model.triple_scores(tape, h_joint, batch[:, 1], t_joint, live)
-    pos_term = tape.log_sigmoid(tape.sub(tape.const(model.cfg.gamma), f_pos))
-    return f_pos, pos_term, h_joint, t_joint
+def positive_parts(model: Model, tape: Tape, triples: tuple, live) -> tuple:
+    """A step's shared pieces: the entity table over every head and tail in
+    `triples` (the batch first, then any negatives) and the batch's
+    log sigma(gamma - F_pos)."""
+    table = model.entity_table(tape, triples, live)
+    f_pos = model.distances(tape, table, triples[0], live)
+    return table, tape.log_sigmoid(tape.sub(tape.const(model.cfg.gamma), f_pos))
 
 
-def loss_kgc(model: Model, tape: Tape, batch: np.ndarray, negatives: np.ndarray,
-             live, frozen_weights: np.ndarray | None = None,
-             pos_term: Node | None = None) -> tuple[Node, dict]:
+def loss_kgc(model: Model, tape: Tape, negatives: np.ndarray, live, pos: tuple,
+             frozen_weights: np.ndarray | None = None) -> tuple[Node, dict]:
     """Sigmoid margin loss over positives and self-adversarially weighted
-    negatives: mean_b[-log s(g - F_pos) - sum_i p_i log s(F_neg_i - g)]."""
+    negatives: mean_b[-log s(g - F_pos) - sum_i p_i log s(F_neg_i - g)].
+    `pos` is the step's `positive_parts`, built over the negatives too."""
     n_batch, k = negatives.shape[0], negatives.shape[1]
-    if pos_term is None:
-        _, pos_term, _, _ = positive_parts(model, tape, batch, live)
-    flat = negatives.reshape(-1, 3)
-    nh_joint, _ = model.joint_and_alpha(tape, flat[:, 0], live)
-    nt_joint, _ = model.joint_and_alpha(tape, flat[:, 2], live)
-    f_neg = model.triple_scores(tape, nh_joint, flat[:, 1], nt_joint, live)
+    table, pos_term = pos
+    f_neg = model.distances(tape, table, negatives.reshape(-1, 3), live)
     if frozen_weights is None:
         weights = self_adv_weights(f_neg.value.reshape(n_batch, k),
                                    model.cfg.beta, model.cfg.selfadv_sign)
@@ -166,11 +162,11 @@ def loss_adv(model: Model, tape: Tape, batch: np.ndarray, n_groups: int,
     - (1/|S|) sum_{s in S} log s(F_syn_s - g)] over synthetic triples S.
 
     `generated` holds the synthetic modal embeddings (`Model.generate`) and
-    `pos` the batch's `positive_parts`."""
+    `pos` the step's `positive_parts`."""
     n_batch = batch.shape[0]
-    _, pos_term, h_joint, t_joint = pos
+    table, pos_term = pos
     f_syn, meta = model.synthetic_triple_scores(
-        tape, batch, n_groups, patterns, live, generated, h_joint, t_joint)
+        tape, batch, n_groups, patterns, live, generated, table)
     syn_term = tape.log_sigmoid(tape.sub(f_syn, tape.const(model.cfg.gamma)))
     loss = tape.scale(
         tape.add(tape.sum(pos_term), tape.scale(tape.sum(syn_term), 1.0 / len(meta))),
@@ -189,8 +185,8 @@ def train_step_discriminator(model: Model, batch: np.ndarray,
     the generator group nor flows through it into the structural embeddings.
     """
     tape = Tape(model.store, check_finite=True)
-    pos = positive_parts(model, tape, batch, DISC)
-    kgc, _ = loss_kgc(model, tape, batch, negatives, DISC, pos_term=pos[1])
+    pos = positive_parts(model, tape, (batch, negatives), DISC)
+    kgc, _ = loss_kgc(model, tape, negatives, DISC, pos)
     adv_value = 0.0
     total = kgc
     if cfg.mat_enabled:
@@ -212,7 +208,7 @@ def train_step_generator(model: Model, batch: np.ndarray, cfg: TrainConfig,
     if not cfg.mat_enabled:
         raise ContractError("generator step requires mat_enabled")
     tape = Tape(model.store, check_finite=True)
-    pos = positive_parts(model, tape, batch, GEN)
+    pos = positive_parts(model, tape, (batch,), GEN)
     noise = model.draw_noise(batch, cfg.adv_groups, cfg.adversarial_patterns, noise_rng)
     generated = model.generate(tape, batch, noise, GEN)
     adv, _ = loss_adv(model, tape, batch, cfg.adv_groups, cfg.adversarial_patterns,

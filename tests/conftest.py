@@ -6,6 +6,7 @@ import pytest
 from adamf.data import FeatureTable, TripleDataset, Vocab
 from adamf.model import Model, ModelConfig, init_params
 from adamf.rng import SeededRng
+from adamf.training import loss_kgc, positive_parts
 
 
 def make_dataset(n_entities, triples_by_split, n_relations=1):
@@ -23,10 +24,16 @@ def synthetic_scores(model, tape, batch, n_groups, patterns, live, noise):
     """`Model.synthetic_triple_scores` against the batch's own positives,
     with the synthetic modal embeddings generated from `noise`."""
     generated = model.generate(tape, batch, noise, live)
-    h_joint, _ = model.joint_and_alpha(tape, batch[:, 0], live)
-    t_joint, _ = model.joint_and_alpha(tape, batch[:, 2], live)
+    table = model.entity_table(tape, (batch,), live)
     return model.synthetic_triple_scores(tape, batch, n_groups, patterns, live,
-                                         generated, h_joint, t_joint)
+                                         generated, table)
+
+
+def margin_loss(model, tape, batch, negatives, live):
+    """`loss_kgc` as the discriminator step builds it, with `positive_parts`
+    over the batch and its negatives."""
+    pos = positive_parts(model, tape, (batch, negatives), live)
+    return loss_kgc(model, tape, negatives, live, pos)
 
 
 def random_features(n_entities, dim, modality, rng, absent=()):

@@ -108,6 +108,42 @@ def test_shape_mismatch_names_the_tensor(tmp_path):
         load_checkpoint(other.store, path)
 
 
+def write_raw(path, values, state):
+    """An AMF1 file holding exactly the given value and state records."""
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<II", checkpoint.VERSION, len(values)))
+        for name, arr in values.items():
+            checkpoint._write_record(fh, name, arr)
+        fh.write(struct.pack("<I", len(state)))
+        for name, arr in state.items():
+            checkpoint._write_record(fh, name, arr)
+
+
+@pytest.mark.parametrize("record,value", [("adam_m", np.float32(0.5)),
+                                          ("adam_v", np.zeros((2, 1))),
+                                          ("step", np.array([3.0]))])
+def test_malformed_adam_state_rejected(tmp_path, record, value):
+    # A rank-0 moment would broadcast silently in a later Adam step, and a
+    # step count must be rank 0: either is refused before anything loads.
+    path = str(tmp_path / "good.bin")
+    save_checkpoint(trained_model().store, path)
+    values, state = read_checkpoint(path)
+    state[f"relation.phase.{record}"] = np.asarray(value)
+    write_raw(path, values, state)
+
+    target = small_model(n_entities=6, n_relations=1)
+
+    def dump(store):
+        return [store[n].tobytes() + b"".join(np.asarray(x).tobytes()
+                                               for x in store.adam_state(n))
+                for n in store.names()]
+
+    before = dump(target.store)
+    with pytest.raises(ContractError, match=f"relation.phase.{record}"):
+        load_checkpoint(target.store, path)
+    assert dump(target.store) == before
+
+
 def test_missing_tensor_rejected(tmp_path):
     model = small_model(n_entities=4, n_relations=1, modalities=("s", "v"))
     path = str(tmp_path / "e.bin")

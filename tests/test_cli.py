@@ -1,12 +1,16 @@
 """End-to-end command-line behaviour: artifacts, exit codes, determinism."""
 
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adamf import cli
 from adamf.cli import main
+from adamf.config import parse_config
 from adamf.errors import NumericError
 from adamf.model import Model
 from adamf.tape import Tape
@@ -296,23 +300,52 @@ def test_gradcheck_flags_corrupted_kernel(monkeypatch, capsys):
 
 
 def test_gradcheck_fixture_repeats_entities(monkeypatch):
-    # The audit must cover the unique-entity build of joint_and_alpha: every
-    # entity batch its losses embed names some entity more than once.
-    seen = []
-    original = Model.joint_and_alpha
+    # The audit must cover the scatter-add backward of rotate_distance: in
+    # every audited loss, each rotate_distance call repeats some row of one
+    # of its index arrays, and some call repeats an entity-table row.  The
+    # margin loss's union table must be built from inputs with repeats.
+    audited = []
+    build = {"tables": [], "scores": []}  # the self-adversarial weight probe
+    original_rd, original_table = Tape.rotate_distance, Model.entity_table
 
-    def recording(self, tape, idx, live):
-        seen.append(np.asarray(idx).copy())
-        return original(self, tape, idx, live)
+    def recording_rd(self, h, h_idx, phase, r_idx, t, t_idx):
+        build["scores"].append((h, np.asarray(h_idx), np.asarray(r_idx), t,
+                                np.asarray(t_idx)))
+        return original_rd(self, h, h_idx, phase, r_idx, t, t_idx)
 
-    monkeypatch.setattr(Model, "joint_and_alpha", recording)
+    def recording_table(self, tape, triples, live):
+        table = original_table(self, tape, triples, live)
+        inputs = np.concatenate([np.asarray(x)[..., 0::2].ravel() for x in triples])
+        build["tables"].append((inputs, table.joint))
+        return table
+
+    def one_build(builder, store, names):
+        nonlocal build
+        build = {"tables": [], "scores": []}
+        builder(store)
+        audited.append(build)
+
+    monkeypatch.setattr(Tape, "rotate_distance", recording_rd)
+    monkeypatch.setattr(Model, "entity_table", recording_table)
     # build each audited loss once instead of running the finite differences
-    monkeypatch.setattr(cli, "_checked_at_both_scales",
-                        lambda builder, store, names: builder(store))
+    monkeypatch.setattr(cli, "_checked_at_both_scales", one_build)
     cli.run_gradcheck()
-    assert len(seen) == 10  # probe 2, margin 4, adversarial 2 + 2
-    for idx in seen:
-        assert np.unique(idx).size < idx.size, idx
+    assert len(audited) == 3  # margin, adversarial (discriminator), generator
+
+    def repeats(idx):
+        return np.unique(idx).size < idx.size
+
+    for loss in audited:
+        [(inputs, joint)] = loss["tables"]  # one union table per loss
+        assert loss["scores"]
+        table_repeats = False
+        for h, h_idx, r_idx, t, t_idx in loss["scores"]:
+            assert repeats(h_idx) or repeats(r_idx) or repeats(t_idx)
+            table_repeats |= (h is joint and repeats(h_idx)) or \
+                             (t is joint and repeats(t_idx))
+        assert table_repeats
+    margin_inputs, _ = audited[0]["tables"][0]
+    assert repeats(margin_inputs)
 
 
 # ------------------------------------------------- dump-weights and masking
@@ -360,3 +393,20 @@ def test_mask_modality_requires_feature_paths(corpus, tmp_path):
     path.write_text("train = train.tsv\n")
     assert main(["mask-modality", str(path),
                  "--out", str(tmp_path / "x")]) == 2
+
+
+# ------------------------------------------------------------- toy-graph script
+
+def test_make_toy_kg_config_resolves_against_its_directory(tmp_path, monkeypatch):
+    # The README quick start passes a relative --dir; every path in the
+    # written config must resolve to the files the script wrote.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_toy_kg.py"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [str(script), "--dir", "runs/toy"])
+    runpy.run_path(str(script), run_name="__main__")
+    cfg = parse_config("runs/toy/toy.cfg")
+    toy = tmp_path / "runs" / "toy"
+    for path in (cfg.train, cfg.valid, cfg.test, cfg.visual_features,
+                 cfg.textual_features):
+        assert Path(path).is_file() and Path(path).parent == toy / "data"
+    assert Path(cfg.out) == toy / "out"

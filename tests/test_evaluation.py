@@ -14,6 +14,8 @@ from adamf.evaluation import (build_cache, candidate_scores, evaluate,
                               rank_from_scores, rank_query,
                               relation_weight_report, write_per_query_tsv,
                               write_rank_report_json, write_weight_csv)
+from adamf.model import FROZEN
+from adamf.tape import Tape
 
 from conftest import line_model, make_dataset, small_model
 
@@ -209,6 +211,21 @@ def test_candidate_scores_span_several_row_blocks():
         np.testing.assert_allclose(candidate_scores(cache, side, (7, 0, 1100)),
                                    _rotate_every_entity_scores(model, side, (7, 0, 1100)),
                                    rtol=1e-12, atol=0)
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_training_distance_equals_eval_candidate_score(seed):
+    # One formula: the training kernel's F(h, r, t) over a step's entity
+    # table is eval's tail-candidate score of t, in float64.
+    ds, model = random_fixture(seed)
+    cache = build_cache(model)
+    tape = Tape(model.store)
+    table = model.entity_table(tape, (ds.train,), FROZEN)
+    f = model.distances(tape, table, ds.train, FROZEN).value
+    for triple, value in zip(ds.train, f):
+        expect = candidate_scores(cache, "tail", triple)[triple[2]]
+        assert abs(value - expect) <= 1e-12
 
 
 def test_eval_cache_memory_is_flat_in_relations_queried(monkeypatch):

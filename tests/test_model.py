@@ -198,10 +198,12 @@ def test_joint_equals_convex_combination():
 
 
 def test_joint_and_alpha_dedup_matches_row_by_row():
-    # Repeated entities are built once and gathered back; the result must
-    # match building every requested row on its own, gradients included.
+    # The union-table builder fuses every entity of its triple arrays once;
+    # reading rows back must match building every requested row on its own,
+    # gradients included.
     model = small_model(absent_v=(1,), absent_t=(4,))
     idx = np.array([3, 1, 3, 0, 4, 1, 3, 5])
+    batch = np.stack([idx[:4], np.zeros(4, dtype=np.int64), idx[4:]], axis=1)
     rng = SeededRng(11, stream="dedup")
     coef_joint = rng.normals(idx.size * 6).reshape(idx.size, 6)
     coef_alpha = rng.normals(idx.size * 3).reshape(idx.size, 3)
@@ -211,8 +213,11 @@ def test_joint_and_alpha_dedup_matches_row_by_row():
                         tape.sum(tape.mul(alpha, tape.const(coef_alpha[rows]))))
 
     tape = Tape(model.store)
-    joint, alpha = model.joint_and_alpha(tape, idx, DISC)
-    assert joint.parents[0].shape[0] == np.unique(idx).size
+    table = model.entity_table(tape, (batch[:2], batch[2:, None]), DISC)
+    assert np.array_equal(table.ids, np.unique(idx))
+    assert table.joint.shape[0] == table.alpha.shape[0] == np.unique(idx).size
+    rows = table.rows(idx)
+    joint, alpha = tape.gather(table.joint, rows), tape.gather(table.alpha, rows)
     grads = tape.backward(loss(tape, joint, alpha, slice(None)))
 
     ref = Tape(model.store)
@@ -231,14 +236,29 @@ def test_joint_and_alpha_dedup_matches_row_by_row():
         assert np.allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12), name
 
 
+def test_entity_table_rejects_entity_outside_it():
+    model = small_model()
+    table = model.entity_table(Tape(model.store), (np.array([[0, 0, 2]]),), DISC)
+    assert np.array_equal(table.rows(np.array([2, 0, 2])), [1, 0, 1])
+    for outside in ([1], [5]):
+        with pytest.raises(ContractError, match="entity table"):
+            table.rows(np.array(outside))
+
+
 # --- scoring ---------------------------------------------------------------------
+
+def complex_rows(x):
+    """Interleaved (re, im) rows as complex128 values."""
+    x = np.asarray(x, dtype=np.float64)
+    return x[..., 0::2] + 1j * x[..., 1::2]
+
 
 def score_pair(h, theta, t):
     tape = Tape()
-    out = tape.complex_modulus_sum(
-        tape.sub(tape.complex_rotate(tape.const(np.array([h], dtype=float)),
-                                     tape.const(np.array([theta], dtype=float))),
-                 tape.const(np.array([t], dtype=float))))
+    row = np.zeros(1, dtype=np.int64)
+    out = tape.rotate_distance(tape.const(np.array([h], dtype=float)), row,
+                               tape.const(np.array([theta], dtype=float)), row,
+                               tape.const(np.array([t], dtype=float)), row)
     return float(out.value[0])
 
 
@@ -274,9 +294,8 @@ def test_score_rotation_invariance():
         theta, q = rng.normals(4), rng.normals(4)
 
         def rotate(x, angles):
-            tape = Tape()
-            return tape.complex_rotate(tape.const(np.array([x])),
-                                       tape.const(np.array([angles]))).value[0]
+            z = complex_rows(x) * np.exp(1j * angles)
+            return np.stack([z.real, z.imag], axis=-1).reshape(-1)
 
         base = score_pair(h, theta, t)
         moved = score_pair(rotate(h, q), theta, rotate(t, q))
@@ -287,12 +306,12 @@ def test_triple_scores_match_manual():
     model = small_model()
     tape = Tape(model.store)
     batch = np.array([[0, 0, 1], [2, 1, 3]])
-    h_joint, _ = model.joint_and_alpha(tape, batch[:, 0], DISC)
-    t_joint, _ = model.joint_and_alpha(tape, batch[:, 2], DISC)
-    scores = model.triple_scores(tape, h_joint, batch[:, 1], t_joint, DISC)
+    table = model.entity_table(tape, (batch,), DISC)
+    scores = model.distances(tape, table, batch, DISC)
     for i, (h, r, t) in enumerate(batch):
-        manual = score_pair(h_joint.value[i],
-                            model.store["relation.phase"][r], t_joint.value[i])
+        z_h, z_t = complex_rows(table.joint.value[table.rows([h, t])])
+        theta = model.store["relation.phase"][r]
+        manual = np.abs(z_h * np.exp(1j * theta) - z_t).sum()
         assert abs(scores.value[i] - manual) < 1e-12
 
 

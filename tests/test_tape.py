@@ -145,48 +145,150 @@ def test_gather_gradients():
     check_kernel(lambda rng: {"table": (4, dims(rng))}, build)
 
 
-# --- complex-rotation kernels ----------------------------------------------
+# --- rotation distance --------------------------------------------------------
+
+def rows_of(n):
+    return np.arange(n, dtype=np.int64)
+
 
 def test_complex_rotate_gradients():
+    # The rotation's adjoints: h and theta live, t a fixed constant.
     def shapes(rng):
         b, d = dims(rng), dims(rng)
-        return {"x": (b, 2 * d), "theta": (b, d)}
-    check_kernel(shapes,
-                 lambda tape, lv: tape.complex_rotate(lv["x"], lv["theta"]))
+        return {"h": (b, 2 * d), "theta": (b, d)}
+
+    def build(tape, lv):
+        b, n = lv["h"].shape
+        t = tape.const(2.0 * np.cos(np.arange(b * n)).reshape(b, n))
+        return tape.rotate_distance(lv["h"], rows_of(b), lv["theta"], rows_of(b),
+                                    t, rows_of(b))
+    check_kernel(shapes, build)
 
 
 def test_complex_modulus_sum_gradients():
-    # The modulus is nonsmooth at the origin; push every complex pair's
-    # magnitude above a floor so the probes stay in the smooth region.
+    # With h = 0 the distance is the modulus sum of t.  The modulus is
+    # nonsmooth at the origin; push every complex pair's magnitude above a
+    # floor so the probes stay in the smooth region.
     def clear_cone(store):
-        x = store["x"]
+        x = store["t"]
         pairs = x.reshape(x.shape[0], -1, 2)
         mod = np.sqrt((pairs ** 2).sum(axis=2, keepdims=True))
         scale = np.maximum(1.0, 0.3 / np.maximum(mod, 1e-12))
-        store.set("x", (pairs * scale).reshape(x.shape))
+        store.set("t", (pairs * scale).reshape(x.shape))
 
     def shapes(rng):
         b, d = dims(rng), dims(rng)
-        return {"x": (b, 2 * d)}
-    check_kernel(shapes,
-                 lambda tape, lv: tape.complex_modulus_sum(lv["x"]),
-                 mutate=clear_cone)
+        return {"t": (b, 2 * d)}
+
+    def build(tape, lv):
+        b, n = lv["t"].shape
+        return tape.rotate_distance(tape.const(np.zeros((b, n))), rows_of(b),
+                                    tape.const(np.zeros((b, n // 2))), rows_of(b),
+                                    lv["t"], rows_of(b))
+    check_kernel(shapes, build, mutate=clear_cone)
 
 
 def test_rotate_then_score_gradients():
-    # Composition mirroring the triple-score data path.
+    # The whole score with all three operands live, indexed with repeats so
+    # the backward scatter-adds, under a non-uniform upstream gradient.
     def clear(store):
         for name in ("h", "t"):
             store.set(name, store[name] + 0.5 * np.sign(store[name]))
 
     def shapes(rng):
-        b, d = dims(rng), dims(rng, 2, 4)
-        return {"h": (b, 2 * d), "theta": (b, d), "t": (b, 2 * d)}
+        d = dims(rng, 2, 4)
+        return {"h": (dims(rng, 2, 4), 2 * d), "theta": (dims(rng, 1, 3), d),
+                "t": (dims(rng, 2, 4), 2 * d)}
 
     def build(tape, lv):
-        rotated = tape.complex_rotate(lv["h"], lv["theta"])
-        return tape.complex_modulus_sum(tape.sub(rotated, lv["t"]))
+        n_rows = 7
+        idx = [np.arange(n_rows) * (3 + j) % lv[name].shape[0]
+               for j, name in enumerate(("h", "theta", "t"))]
+        return tape.log_sigmoid(tape.rotate_distance(lv["h"], idx[0], lv["theta"],
+                                                     idx[1], lv["t"], idx[2]))
     check_kernel(shapes, build, trials=TRIALS // 2, mutate=clear)
+
+
+def complex_reference(h, h_idx, theta, r_idx, t, t_idx, w):
+    """F = sum_k |z_h q - z_t| with q = e^{i theta} in complex128, and the
+    gradients of sum_i w_i F_i, from the complex chain rule."""
+    z_h = (h[:, 0::2] + 1j * h[:, 1::2])[h_idx]
+    z_t = (t[:, 0::2] + 1j * t[:, 1::2])[t_idx]
+    q = np.exp(1j * theta[r_idx])
+    u = z_h * q - z_t
+    n = w[:, None] * u / np.abs(u)
+
+    def scatter(shape, idx, rows):
+        out = np.zeros(shape, dtype=rows.dtype)
+        np.add.at(out, idx, rows)
+        return out
+
+    def interleave(z):
+        return np.stack([z.real, z.imag], axis=-1).reshape(z.shape[0], -1)
+
+    return (np.abs(u).sum(axis=1),
+            interleave(scatter((h.shape[0], theta.shape[1]), h_idx, n * np.conj(q))),
+            scatter(theta.shape, r_idx, np.imag(n * np.conj(z_h * q))),
+            interleave(scatter((t.shape[0], theta.shape[1]), t_idx, -n)))
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_rotate_distance_matches_complex_reference(shared):
+    # float64, repeated indices, and 2000 rows at d = 64 (four 512-row
+    # blocks); `shared` scores one table against itself, as training does.
+    rng = SeededRng(5, stream="rotate-reference")
+    d, n_rows, n_h, n_t, n_r = 64, 2000, 37, 23, 5
+    store = ParameterStore(dtype=np.float64)
+    store.add("h", rng.normals(n_h * 2 * d).reshape(n_h, 2 * d), "discriminator")
+    store.add("t", rng.normals(n_t * 2 * d).reshape(n_t, 2 * d), "discriminator")
+    store.add("theta", (rng.uniforms(n_r * d).reshape(n_r, d) * 2 - 1) * math.pi,
+              "discriminator")
+    h_idx = rng.randints(np.full(n_rows, n_h))
+    r_idx = rng.randints(np.full(n_rows, n_r))
+    t_idx = rng.randints(np.full(n_rows, n_h if shared else n_t))
+    w = rng.normals(n_rows)
+
+    tape = Tape(store)
+    h = tape.param("h")
+    t = h if shared else tape.param("t")
+    out = tape.rotate_distance(h, h_idx, tape.param("theta"), r_idx, t, t_idx)
+    grads = tape.backward(tape.sum(tape.mul(out, tape.const(w))))
+
+    t_value = store["h"] if shared else store["t"]
+    f, g_h, g_theta, g_t = complex_reference(store["h"], h_idx, store["theta"], r_idx,
+                                             t_value, t_idx, w)
+    if shared:
+        g_h, g_t = g_h + g_t, np.zeros_like(store["t"])
+    assert out.value.dtype == np.float64
+    for got, want in ((out.value, f), (grads["h"], g_h), (grads["theta"], g_theta),
+                      (grads["t"], g_t)):
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_rotate_distance_keeps_tape_dtype():
+    store = ParameterStore(dtype=np.float32)
+    store.add("h", np.ones((3, 4)), "discriminator")
+    store.add("theta", np.full((2, 2), 0.5), "discriminator")
+    tape = Tape(store)
+    h = tape.param("h")
+    out = tape.rotate_distance(h, [0, 1, 1], tape.param("theta"), [0, 1, 0], h, [2, 2, 0])
+    grads = tape.backward(tape.sum(out))
+    assert out.value.dtype == np.float32
+    assert grads["h"].dtype == grads["theta"].dtype == np.float32
+
+
+def test_rotate_distance_zero_modulus_subgradient():
+    # Identical rows under a zero phase give u = 0 exactly: the distance is
+    # 0 and the subgradient 0, like the modulus at the origin.
+    store = ParameterStore(dtype=np.float64)
+    store.add("h", np.array([[1.5, -2.0, 0.25, 3.0]]), "discriminator")
+    store.add("theta", np.zeros((1, 2)), "discriminator")
+    tape = Tape(store)
+    h = tape.param("h")
+    out = tape.rotate_distance(h, [0], tape.param("theta"), [0], h, [0])
+    grads = tape.backward(tape.sum(out))
+    assert out.value[0] == 0.0
+    assert np.all(grads["h"] == 0.0) and np.all(grads["theta"] == 0.0)
 
 
 # --- fusion kernels ----------------------------------------------------------
@@ -334,11 +436,14 @@ def test_fusion_kernels_shape_mismatch():
 # --- exact values -----------------------------------------------------------
 
 def test_identity_rotation_is_exact():
+    # Zero phases give sum_k |h_k - t_k| exactly.
+    h = np.array([[1.5, -2.0, 0.25, 3.0], [0.0, 1.0, -4.0, 0.5]])
+    t = np.array([[0.5, 2.0, 0.25, -1.0]])
     tape = Tape()
-    x = tape.const(np.array([[1.5, -2.0, 0.25, 3.0]]))
-    theta = tape.const(np.zeros((1, 2)))
-    out = tape.complex_rotate(x, theta)
-    assert np.array_equal(out.value, x.value)
+    out = tape.rotate_distance(tape.const(h), [0, 1], tape.const(np.zeros((1, 2))),
+                               [0, 0], tape.const(t), [0, 0])
+    diff = h - t
+    assert np.array_equal(out.value, np.hypot(diff[:, 0::2], diff[:, 1::2]).sum(axis=1))
 
 
 @given(hnp.arrays(np.float64, st.integers(1, 8).map(lambda d: (3, 2 * d)),
@@ -346,12 +451,14 @@ def test_identity_rotation_is_exact():
        st.floats(-10, 10))
 @settings(max_examples=200, deadline=None)
 def test_rotation_preserves_norm(x, angle):
+    # With t = 0 the distance is sum_k |h_k| at every angle.
     tape = Tape()
-    theta = np.full((x.shape[0], x.shape[1] // 2), angle)
-    out = tape.complex_rotate(tape.const(x), tape.const(theta))
-    before = np.linalg.norm(x, axis=1)
-    after = np.linalg.norm(out.value, axis=1)
-    assert np.all(np.abs(before - after) <= 1e-12 * np.maximum(1.0, before))
+    theta = np.full((1, x.shape[1] // 2), angle)
+    rows = np.arange(x.shape[0])
+    out = tape.rotate_distance(tape.const(x), rows, tape.const(theta), np.zeros(3, int),
+                               tape.const(np.zeros_like(x)), rows)
+    before = np.hypot(x[:, 0::2], x[:, 1::2]).sum(axis=1)
+    assert np.all(np.abs(before - out.value) <= 1e-12 * np.maximum(1.0, before))
 
 
 def test_log_sigmoid_at_zero():
@@ -452,8 +559,11 @@ def test_complex_rotate_shape_mismatch():
     tape = Tape()
     x = tape.const(np.ones((1, 3)))  # odd length: no complex pairing
     theta = tape.const(np.ones((1, 1)))
-    with pytest.raises(ContractError):
-        tape.complex_rotate(x, theta)
+    with pytest.raises(ContractError, match="rotate_distance"):
+        tape.rotate_distance(x, [0], theta, [0], x, [0])
+    even = tape.const(np.ones((1, 2)))
+    with pytest.raises(ContractError, match="rotate_distance"):
+        tape.rotate_distance(even, [0, 0], theta, [0], even, [0, 0])
 
 
 def test_concat_shape_mismatch():

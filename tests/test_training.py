@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from adamf.errors import ContractError, NumericError
-from adamf.model import ALL_PATTERNS, DISC, FROZEN, GEN
+from adamf.model import ALL_PATTERNS, DISC, FROZEN, GEN, Model
 from adamf.params import adam_step
 from adamf.rng import SeededRng
 from adamf.tape import Tape
-from adamf.training import (TrainConfig, loss_adv, loss_kgc, positive_parts,
+from adamf.training import (TrainConfig, loss_adv, positive_parts,
                             sample_negatives, self_adv_weights, train,
                             train_step_discriminator, train_step_generator)
 
-from conftest import line_model, make_dataset, small_model, synthetic_scores
+from conftest import (line_model, make_dataset, margin_loss, small_model,
+                      synthetic_scores)
 
 
 # --- config -----------------------------------------------------------------
@@ -210,7 +211,7 @@ def test_loss_kgc_all_scores_at_margin():
     batch = np.array([[1, 0, 0]])        # F = gamma
     negatives = np.array([[[2, 0, 0]]])  # F = gamma
     tape = Tape(model.store)
-    loss, _ = loss_kgc(model, tape, batch, negatives, DISC)
+    loss, _ = margin_loss(model, tape, batch, negatives, DISC)
     assert abs(loss.value - 2.0 * math.log(2.0)) < 1e-12
 
 
@@ -221,7 +222,7 @@ def test_loss_kgc_wide_margin_hand_value():
     batch = np.array([[0, 0, 1]])
     negatives = np.array([[[0, 0, 2]]])
     tape = Tape(model.store)
-    loss, _ = loss_kgc(model, tape, batch, negatives, DISC)
+    loss, _ = margin_loss(model, tape, batch, negatives, DISC)
     expect = 2.0 * math.log1p(math.exp(-12.0))
     assert abs(loss.value - expect) < 1e-12
     assert abs(loss.value - 1.229e-5) < 1e-8
@@ -236,7 +237,7 @@ def test_loss_kgc_batch_mean():
     losses = []
     for batch, negs in (one, two):
         tape = Tape(model.store)
-        loss, _ = loss_kgc(model, tape, batch, negs, DISC)
+        loss, _ = margin_loss(model, tape, batch, negs, DISC)
         losses.append(float(loss.value))
     assert abs(losses[0] - losses[1]) < 1e-12
 
@@ -254,7 +255,7 @@ def test_loss_adv_all_scores_at_margin():
     assert noise == {}  # no projected modality, nothing to generate
     loss, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, DISC,
                        model.generate(tape, batch, noise, DISC),
-                       positive_parts(model, tape, batch, DISC))
+                       positive_parts(model, tape, (batch,), DISC))
     assert abs(loss.value - 2.0 * math.log(2.0)) < 1e-12
 
 
@@ -265,12 +266,12 @@ def test_loss_positive_on_random_fixtures():
         batch = np.array([[0, 0, 1], [2, 1, 3]])
         negs = sample_negatives(batch, model.n_entities, 4, rng)
         tape = Tape(model.store)
-        kgc, _ = loss_kgc(model, tape, batch, negs, DISC)
+        kgc, _ = margin_loss(model, tape, batch, negs, DISC)
         noise = model.draw_noise(batch, 2, ALL_PATTERNS,
                                  SeededRng(seed, stream="noise"))
         adv, _ = loss_adv(model, tape, batch, 2, ALL_PATTERNS, DISC,
                           model.generate(tape, batch, noise, DISC),
-                          positive_parts(model, tape, batch, DISC))
+                          positive_parts(model, tape, (batch,), DISC))
         assert kgc.value > 0.0
         assert adv.value > 0.0
 
@@ -295,7 +296,7 @@ def test_discriminator_view_gives_zero_generator_gradient():
     tape = Tape(model.store)
     generated = {key: tape.const(node.value) for key, node in frozen.items()}
     loss, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, DISC, generated,
-                       positive_parts(model, tape, batch, DISC))
+                       positive_parts(model, tape, (batch,), DISC))
     grads = tape.backward(loss)
     for name in model.store.names("generator"):
         assert np.all(grads[name] == 0.0), name
@@ -310,7 +311,7 @@ def test_generator_view_gives_zero_discriminator_gradient():
     tape = Tape(model.store)
     loss, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, GEN,
                        model.generate(tape, batch, noise, GEN),
-                       positive_parts(model, tape, batch, GEN))
+                       positive_parts(model, tape, (batch,), GEN))
     grads = tape.backward(loss)
     for name in model.store.names("discriminator"):
         assert np.all(grads[name] == 0.0), name
@@ -371,12 +372,39 @@ def test_d_step_descends_for_small_lr():
 
     def loss_now():
         tape = Tape(model.store)
-        loss, _ = loss_kgc(model, tape, batch, negs, DISC)
+        loss, _ = margin_loss(model, tape, batch, negs, DISC)
         return float(loss.value)
 
     before = loss_now()
     train_step_discriminator(model, batch, negs, cfg, SeededRng(0, stream="noise"))
     assert loss_now() < before
+
+
+def test_each_step_fuses_one_union_table(monkeypatch):
+    # One joint_and_alpha call per step, on the unique entities of the
+    # batch (and, in the discriminator step, of its negatives).
+    model = small_model(seed=2)
+    cfg = TrainConfig(k_negatives=4, batch_size=8, mat_enabled=True, seed=0)
+    batch = np.array([[0, 0, 1], [2, 1, 3], [0, 1, 3]])
+    negs = sample_negatives(batch, model.n_entities, 4,
+                            SeededRng(0, stream="negatives"))
+    seen = []
+    original = Model.joint_and_alpha
+
+    def recording(self, tape, idx, live):
+        seen.append(np.asarray(idx).copy())
+        return original(self, tape, idx, live)
+
+    monkeypatch.setattr(Model, "joint_and_alpha", recording)
+    noise_rng = SeededRng(0, stream="noise")
+    train_step_discriminator(model, batch, negs, cfg, noise_rng)
+    train_step_generator(model, batch, cfg, noise_rng)
+    entities = [np.concatenate([batch[:, 0], batch[:, 2], negs[..., 0].ravel(),
+                                negs[..., 2].ravel()]),
+                np.concatenate([batch[:, 0], batch[:, 2]])]
+    assert len(seen) == 2
+    for idx, named in zip(seen, entities):
+        assert np.array_equal(idx, np.unique(named))
 
 
 # --- alternating training -----------------------------------------------------------
@@ -429,7 +457,7 @@ def test_mat_disabled_matches_handwritten_kgc_loop():
             batch = shuffled[start:start + 4]
             negs = sample_negatives(batch, 8, cfg.k_negatives, neg_rng)
             tape = Tape(manual.store)
-            loss, _ = loss_kgc(manual, tape, batch, negs, DISC)
+            loss, _ = margin_loss(manual, tape, batch, negs, DISC)
             grads = tape.backward(loss)
             adam_step(manual.store, grads, "discriminator", lr=cfg.lr_d)
 
@@ -485,7 +513,7 @@ def test_monotone_descent_rate_on_tiny_fixture():
 
         def loss_now():
             tape = Tape(model.store)
-            loss, _ = loss_kgc(model, tape, batch, negs, DISC)
+            loss, _ = margin_loss(model, tape, batch, negs, DISC)
             return float(loss.value)
 
         ok = True
