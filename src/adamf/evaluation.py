@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TripleDataset
-from .errors import ContractError
+from .errors import ContractError, NumericError
 from .ioutil import atomic_write_text
 from .model import MODALITY_ORDER, Model
 
@@ -37,9 +37,14 @@ class EvalCache:
 
 
 def build_cache(model: Model) -> EvalCache:
+    """Raises `NumericError` on a non-finite embedding or phase, which no
+    ranking can order (NaN never compares below a target)."""
     joint, _ = model.entity_representations()
     joint = np.asarray(joint, dtype=np.float64)
     phases = np.asarray(model.relation_phases(), dtype=np.float64)
+    for what, values in (("entity embeddings", joint), ("relation phases", phases)):
+        if not np.isfinite(values).all():
+            raise NumericError(f"non-finite {what}; cannot rank")
     return EvalCache(re=np.ascontiguousarray(joint[:, 0::2]),
                      im=np.ascontiguousarray(joint[:, 1::2]),
                      cos=np.cos(phases), sin=np.sin(phases))

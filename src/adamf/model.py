@@ -59,6 +59,9 @@ class ModelConfig:
     precision: str = "single"
 
     def __post_init__(self):
+        unknown = set(self.modalities) - set(MODALITY_ORDER)
+        if unknown:
+            raise ContractError(f"unknown modalities {sorted(unknown)}")
         self.modalities = tuple(m for m in MODALITY_ORDER if m in self.modalities)
         if self.d < 1:
             raise ContractError("embedding dimension d must be >= 1")

@@ -128,8 +128,6 @@ def finite_diff_check(loss_builder, params: ParameterStore, epsilon: float,
     if params.dtype != np.float64:
         raise ContractError("finite_diff_check requires a double-precision store")
     tape, root = loss_builder(params)
-    if not np.isfinite(root.value):
-        raise NumericError("non-finite loss at the base point")
     analytic = tape.backward(root)
 
     def loss_value():

@@ -23,6 +23,10 @@ parent is.  A node that is not live gets no ``backward_fn``, and every
 kernel forms only the adjoints of its live operands, so constants never
 receive a gradient.  Live parameters see the same adjoints, accumulated in
 the same order, as without pruning.
+
+The one finite check runs at the end of ``backward``, on the root value and
+each gradient the sweep produced, before any optimizer sees them.  A failure
+rescans the tape once to name the first non-finite node or gradient.
 """
 
 from __future__ import annotations
@@ -72,11 +76,10 @@ def _pairs(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 class Tape:
     """Append-only computation record yielding gradients of a scalar root."""
 
-    def __init__(self, store=None, check_finite=False):
+    def __init__(self, store=None):
         self.store = store
         self.nodes: list[Node] = []
         self._param_nodes: dict[str, Node] = {}
-        self.check_finite = check_finite
         self.consumed = False
         self.dtype = store.dtype if store is not None else np.float64
 
@@ -99,19 +102,20 @@ class Tape:
         return node
 
     def leaf(self, name: str, live_groups) -> Node:
-        """Parameter leaf if its group is live, otherwise a detached constant."""
+        """Parameter leaf if its group is live, otherwise a detached constant
+        that keeps the parameter's name."""
         if self.store.group_of(name) in live_groups:
             return self.param(name)
-        return self.const(self.store[name])
+        node = self.const(self.store[name])
+        node.name = name
+        return node
 
     # ------------------------------------------------------------- op plumbing
 
-    def _emit(self, value, parents, backward_fn) -> Node:
-        if self.check_finite and not np.all(np.isfinite(value)):
-            raise NumericError("non-finite value in forward pass")
+    def _emit(self, op, value, parents, backward_fn) -> Node:
         live = any(p.live for p in parents)
         node = Node(np.asarray(value), parents, backward_fn if live else None,
-                    live=live)
+                    name=op, live=live)
         self.nodes.append(node)
         return node
 
@@ -134,7 +138,7 @@ class Tape:
             if b.live:
                 b.add_grad(_unbroadcast(g, b.shape))
 
-        return self._emit(out, (a, b), backward)
+        return self._emit("add", out, (a, b), backward)
 
     def sub(self, a: Node, b: Node) -> Node:
         try:
@@ -148,7 +152,7 @@ class Tape:
             if b.live:
                 b.add_grad(_unbroadcast(-g, b.shape))
 
-        return self._emit(out, (a, b), backward)
+        return self._emit("sub", out, (a, b), backward)
 
     def mul(self, a: Node, b: Node) -> Node:
         try:
@@ -162,33 +166,21 @@ class Tape:
             if b.live:
                 b.add_grad(_unbroadcast(g * a.value, b.shape))
 
-        return self._emit(out, (a, b), backward)
+        return self._emit("mul", out, (a, b), backward)
 
     def matvec(self, w: Node, x: Node) -> Node:
-        """w (m,n) applied to x (n,) -> (m,), or row-wise to x (B,n) -> (B,m)."""
-        self._require(w.value.ndim == 2, "matvec", w.shape, x.shape)
-        self._require(
-            x.value.ndim in (1, 2) and x.shape[-1] == w.shape[1],
-            "matvec", w.shape, x.shape,
-        )
-        if x.value.ndim == 1:
-            out = w.value @ x.value
+        """w (m,n) applied row-wise to x (B,n) -> (B,m)."""
+        self._require(w.value.ndim == 2 and x.value.ndim == 2
+                      and x.shape[1] == w.shape[1], "matvec", w.shape, x.shape)
+        out = x.value @ w.value.T
 
-            def backward(g):
-                if w.live:
-                    w.add_grad(np.outer(g, x.value))
-                if x.live:
-                    x.add_grad(w.value.T @ g)
-        else:
-            out = x.value @ w.value.T
+        def backward(g):
+            if w.live:
+                w.add_grad(g.T @ x.value)
+            if x.live:
+                x.add_grad(g @ w.value)
 
-            def backward(g):
-                if w.live:
-                    w.add_grad(g.T @ x.value)
-                if x.live:
-                    x.add_grad(g @ w.value)
-
-        return self._emit(out, (w, x), backward)
+        return self._emit("matvec", out, (w, x), backward)
 
     def concat(self, parts: list[Node]) -> Node:
         self._require(len(parts) > 0, "concat")
@@ -206,7 +198,7 @@ class Tape:
                     p.add_grad(g[..., offset:offset + w])
                 offset += w
 
-        return self._emit(out, tuple(parts), backward)
+        return self._emit("concat", out, tuple(parts), backward)
 
     def gather(self, x: Node, idx: np.ndarray) -> Node:
         """Rows of a 2-d node selected by an integer index array."""
@@ -219,7 +211,7 @@ class Tape:
             np.add.at(full, idx, g)
             x.add_grad(full)
 
-        return self._emit(out, (x,), backward)
+        return self._emit("gather", out, (x,), backward)
 
     def leaky_relu(self, x: Node, slope: float) -> Node:
         positive = x.value >= 0
@@ -228,7 +220,7 @@ class Tape:
         def backward(g):
             x.add_grad(g * np.where(positive, 1.0, slope))
 
-        return self._emit(out, (x,), backward)
+        return self._emit("leaky_relu", out, (x,), backward)
 
     def log_sigmoid(self, x: Node) -> Node:
         out = -np.logaddexp(0.0, -x.value)
@@ -237,7 +229,7 @@ class Tape:
             # d/dx log sigma(x) = sigma(-x)
             x.add_grad(g * np.exp(-np.logaddexp(0.0, x.value)))
 
-        return self._emit(out, (x,), backward)
+        return self._emit("log_sigmoid", out, (x,), backward)
 
     def scale(self, x: Node, c: float) -> Node:
         out = x.value * c
@@ -245,7 +237,7 @@ class Tape:
         def backward(g):
             x.add_grad(g * c)
 
-        return self._emit(out, (x,), backward)
+        return self._emit("scale", out, (x,), backward)
 
     def sum(self, x: Node) -> Node:
         """Full reduction to a scalar."""
@@ -254,7 +246,7 @@ class Tape:
         def backward(g):
             x.add_grad(np.broadcast_to(g, x.shape).copy())
 
-        return self._emit(out, (x,), backward)
+        return self._emit("sum", out, (x,), backward)
 
     def fusion_weights(self, parts: list[Node], weights: list[Node]) -> Node:
         """Adaptive fusion weights alpha (B, M) of M parts (B, n):
@@ -279,7 +271,7 @@ class Tape:
                 if p.live:
                     p.add_grad((g_b * w.value) * (1.0 - t[j] * t[j]))
 
-        return self._emit(out, (*parts, *weights), backward)
+        return self._emit("fusion_weights", out, (*parts, *weights), backward)
 
     def mix(self, alpha: Node, parts: list[Node]) -> Node:
         """Row-wise weighted sum of M parts (B, n) by alpha (B, M) -> (B, n)."""
@@ -301,7 +293,7 @@ class Tape:
                 if p.live:
                     p.add_grad(g * alpha.value[:, j:j + 1])
 
-        return self._emit(out, (alpha, *parts), backward)
+        return self._emit("mix", out, (alpha, *parts), backward)
 
     def rotate_distance(self, h: Node, h_idx, phase: Node, r_idx, t: Node,
                         t_idx) -> Node:
@@ -350,7 +342,7 @@ class Tape:
             for x, g_x in grads.items():
                 x.add_grad(g_x)
 
-        return self._emit(out, (h, phase, t), backward)
+        return self._emit("rotate_distance", out, (h, phase, t), backward)
 
     # ---------------------------------------------------------------- backward
 
@@ -358,7 +350,8 @@ class Tape:
         """Gradients of the scalar root for every registered parameter.
 
         Parameters the root does not depend on get zero gradients.  A tape
-        can run backward once.
+        can run backward once.  A non-finite root or gradient raises
+        `NumericError` naming where it arose.
         """
         if self.consumed:
             raise ContractError("tape already consumed by a backward pass")
@@ -369,12 +362,23 @@ class Tape:
         for node in reversed(self.nodes):
             if node.grad is not None and node.backward_fn is not None:
                 node.backward_fn(node.grad)
-        grads = {}
-        if self.store is not None:
-            for name in self.store.names():
-                node = self._param_nodes.get(name)
-                if node is not None and node.grad is not None:
-                    grads[name] = node.grad
-                else:
-                    grads[name] = np.zeros_like(self.store[name])
-        return grads
+        reached = {name: node.grad for name, node in self._param_nodes.items()
+                   if node.grad is not None}
+        if not (np.isfinite(root.value)
+                and all(np.isfinite(g).all() for g in reached.values())):
+            raise NumericError(_first_nonfinite(self.nodes, reached))
+        names = self.store.names() if self.store is not None else ()
+        return {n: reached[n] if n in reached else np.zeros_like(self.store[n])
+                for n in names}
+
+
+def _first_nonfinite(nodes: list[Node], grads: dict[str, np.ndarray]) -> str:
+    """The first non-finite value in tape order (a parameter leaf by its name,
+    an emitted node by its kernel), else the first non-finite gradient."""
+    for node in nodes:
+        if not np.isfinite(node.value).all():
+            if node.parents:
+                return f"non-finite value from op {node.name!r}"
+            return f"non-finite parameter {node.name!r}" if node.name else "non-finite constant"
+    name = next(n for n, g in grads.items() if not np.isfinite(g).all())
+    return f"non-finite gradient of parameter {name!r}"

@@ -54,11 +54,11 @@ class TrainConfig:
             raise ContractError("learning rates must be positive")
         if self.validate_every < 0:
             raise ContractError("validate_every must be >= 0")
-        self.adversarial_patterns = tuple(
-            p for p in ALL_PATTERNS if p in self.adversarial_patterns)
         unknown = set(self.adversarial_patterns) - set(ALL_PATTERNS)
         if unknown:
             raise ContractError(f"unknown adversarial patterns {sorted(unknown)}")
+        self.adversarial_patterns = tuple(
+            p for p in ALL_PATTERNS if p in self.adversarial_patterns)
         if self.mat_enabled and not self.adversarial_patterns:
             raise ContractError("adversarial_patterns must be non-empty when "
                                 "mat_enabled is true")
@@ -98,12 +98,7 @@ def sample_negatives(triples: np.ndarray, n_entities: int, k: int,
     if dataset is None:
         collides = (negatives == triples[:, None, :]).all(axis=-1)
     else:
-        known = np.concatenate([dataset.train, dataset.valid, dataset.test])
-        flat = negatives.reshape(-1, 3)
-        dims = tuple(np.maximum(known.max(axis=0, initial=0),
-                                flat.max(axis=0, initial=0)) + 1)
-        collides = np.isin(np.ravel_multi_index(flat.T, dims),
-                           np.ravel_multi_index(known.T, dims)).reshape(-1, k)
+        collides = dataset.is_known(negatives.reshape(-1, 3)).reshape(-1, k)
     return np.where(collides[:, :, None], corrupt(second), negatives)
 
 
@@ -184,7 +179,7 @@ def train_step_discriminator(model: Model, batch: np.ndarray,
     Generator outputs enter the tape as constants, so no gradient reaches
     the generator group nor flows through it into the structural embeddings.
     """
-    tape = Tape(model.store, check_finite=True)
+    tape = Tape(model.store)
     pos = positive_parts(model, tape, (batch, negatives), DISC)
     kgc, _ = loss_kgc(model, tape, negatives, DISC, pos)
     adv_value = 0.0
@@ -207,7 +202,7 @@ def train_step_generator(model: Model, batch: np.ndarray, cfg: TrainConfig,
     with fresh noise; the scoring parameters are constants here."""
     if not cfg.mat_enabled:
         raise ContractError("generator step requires mat_enabled")
-    tape = Tape(model.store, check_finite=True)
+    tape = Tape(model.store)
     pos = positive_parts(model, tape, (batch,), GEN)
     noise = model.draw_noise(batch, cfg.adv_groups, cfg.adversarial_patterns, noise_rng)
     generated = model.generate(tape, batch, noise, GEN)

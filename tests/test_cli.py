@@ -10,10 +10,12 @@ import pytest
 
 from adamf import cli
 from adamf.cli import main
+from adamf.checkpoint import save_checkpoint
 from adamf.config import parse_config
 from adamf.errors import NumericError
 from adamf.model import Model
 from adamf.tape import Tape
+from adamf.toykg import toy_config_text, write_toy_kg
 
 N_ENTITIES = 8
 
@@ -230,6 +232,20 @@ def test_eval_mismatched_model_leaves_no_outputs(trained, corpus, tmp_path):
     assert not (tmp_path / "big-out").exists()
 
 
+def test_eval_nonfinite_checkpoint_exits_3_without_outputs(trained, tmp_path, capsys):
+    _, cfg = trained
+    run = parse_config(cfg)
+    store = cli._build_model(run, cli._load_dataset(run)).store
+    store.set("entity.structural", np.full_like(store["entity.structural"], np.nan))
+    save_checkpoint(store, str(tmp_path / "nan.bin"))
+    eval_out = tmp_path / "eval"
+    with np.errstate(invalid="ignore"):
+        rc = main(["eval", cfg, str(tmp_path / "nan.bin"), "--out", str(eval_out)])
+    assert rc == 3
+    assert "entity embeddings" in capsys.readouterr().err
+    assert not eval_out.exists()  # no rank_report.json, not even the directory
+
+
 def test_deterministic_flag_is_a_deprecated_no_op(trained, tmp_path):
     out, cfg = trained
     args = ["eval", cfg, str(out / "checkpoint.bin"), "--out"]
@@ -396,6 +412,17 @@ def test_mask_modality_requires_feature_paths(corpus, tmp_path):
 
 
 # ------------------------------------------------------------- toy-graph script
+
+def test_toy_config_trains_with_negative_filtering(tmp_path):
+    write_toy_kg(str(tmp_path / "data"))
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(toy_config_text("data", "out", epochs=2, negative_filtering=True))
+    assert parse_config(str(cfg)).negative_filtering
+    assert main(["train", str(cfg)]) == 0
+    lines = (tmp_path / "out" / "train_log.jsonl").read_text().splitlines()
+    assert [json.loads(line)["epoch"] for line in lines] == [1, 2]
+    assert (tmp_path / "out" / "rank_report.json").exists()
+
 
 def test_make_toy_kg_config_resolves_against_its_directory(tmp_path, monkeypatch):
     # The README quick start passes a relative --dir; every path in the

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adamf.evaluation
-from adamf.errors import ContractError
+from adamf.errors import ContractError, NumericError
 from adamf.evaluation import (build_cache, candidate_scores, evaluate,
                               rank_from_scores, rank_query,
                               relation_weight_report, write_per_query_tsv,
@@ -290,6 +290,21 @@ def test_optimistic_vs_pessimistic_on_coincident_entities():
     pes = evaluate(model, ds, ks=(1,), tie_break="pessimistic")
     assert opt.mrr == 1.0
     assert pes.mrr == 0.5
+
+
+def test_evaluate_rejects_nonfinite_model():
+    # NaN never compares below the target, so an unchecked NaN model would
+    # rank every target first and report MRR 1.0.
+    ds = make_dataset(3, {"train": [(0, 0, 2)], "test": [(0, 0, 1)]})
+    model = line_model([0.0, 2.0, 3.0])
+    model.store.set("entity.structural",
+                    np.full_like(model.store["entity.structural"], np.nan))
+    with pytest.raises(NumericError, match="entity embeddings"):
+        evaluate(model, ds)
+    model = line_model([0.0, 2.0, 3.0], n_relations=2)
+    model.store.set("relation.phase", np.array([[0.0], [np.nan]]))
+    with pytest.raises(NumericError, match="relation phases"):
+        evaluate(model, ds)
 
 
 def test_evaluate_rejects_empty_split():

@@ -28,6 +28,8 @@ def test_config_validation():
         ModelConfig(modalities=("v",))  # missing structural, not the v+t case
     with pytest.raises(ContractError):
         ModelConfig(modalities=())
+    with pytest.raises(ContractError, match="'x'"):
+        ModelConfig(modalities=("s", "x"))  # not dropped on the way to ("s",)
     ModelConfig(modalities=("v", "t"))  # explicit no-structural ablation
 
 

@@ -118,7 +118,7 @@ def test_leaky_relu_gradients():
 def test_matvec_gradients():
     def shapes(rng):
         m, n = dims(rng), dims(rng)
-        return {"w": (m, n), "x": (n,)}
+        return {"w": (m, n), "x": (1, n)}
     check_kernel(shapes, lambda tape, lv: tape.matvec(lv["w"], lv["x"]))
 
 
@@ -541,18 +541,36 @@ def test_backward_runs_once():
 
 
 def test_check_finite_raises_on_overflow():
-    tape = Tape(check_finite=True)
+    # The forward pass never checks; backward names the kernel whose value
+    # first went non-finite.
+    tape = Tape()
     big = tape.const(np.array([1e308]))
-    with np.errstate(over="ignore"), pytest.raises(NumericError):
-        tape.add(big, big)
+    with np.errstate(over="ignore"):
+        root = tape.sum(tape.add(big, big))
+    with pytest.raises(NumericError, match="op 'add'"):
+        tape.backward(root)
+
+
+def test_finite_loss_with_overflowing_gradient_names_parameter():
+    # sum(p*c*c) = 2e30 fits float32, but its gradient c*c = 1e60 does not;
+    # backward must refuse it before any optimizer step can see it.
+    store = ParameterStore(dtype=np.float32)
+    store.add("p", np.full(2, 1e-30), group="discriminator")
+    tape = Tape(store)
+    c = tape.const(np.full(2, 1e30))
+    root = tape.sum(tape.mul(tape.mul(tape.param("p"), c), c))
+    assert np.isfinite(root.value)
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match="gradient of parameter 'p'"):
+        tape.backward(root)
 
 
 def test_matvec_shape_mismatch_names_op():
     tape = Tape()
     w = tape.const(np.ones((2, 3)))
-    x = tape.const(np.ones(4))
-    with pytest.raises(ContractError, match="matvec"):
-        tape.matvec(w, x)
+    for x in (np.ones((1, 4)), np.ones(3)):  # wrong width; unbatched row
+        with pytest.raises(ContractError, match="matvec"):
+            tape.matvec(w, tape.const(x))
 
 
 def test_complex_rotate_shape_mismatch():
@@ -579,7 +597,7 @@ def test_forward_and_backward_deterministic():
         rng = SeededRng(99)
         store = ParameterStore()
         store.add("w", rng.normals(12).reshape(3, 4), group="discriminator")
-        store.add("x", rng.normals(4), group="discriminator")
+        store.add("x", rng.normals(4).reshape(1, 4), group="discriminator")
         tape = Tape(store)
         y = tape.log_sigmoid(tape.matvec(tape.param("w"), tape.param("x")))
         root = tape.sum(y)

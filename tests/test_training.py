@@ -1,5 +1,6 @@
 """Negative sampling, loss arithmetic, and the alternating optimization."""
 
+import itertools
 import json
 import math
 
@@ -35,6 +36,8 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ContractError):
         TrainConfig(mat_enabled=True, adversarial_patterns=())
+    with pytest.raises(ContractError, match="bogus"):
+        TrainConfig(adversarial_patterns=("syn_tail", "bogus"))
     TrainConfig(mat_enabled=False, adversarial_patterns=())
 
 
@@ -148,24 +151,28 @@ def test_vectorised_negatives_match_slot_rule(filtered):
     # (which may differ from it) must be the one kept.  The second dataset
     # has two relations and known triples in every split, and each true
     # (h, t) pair is true under one relation only, so a collision test that
-    # ignored the relation or a split would keep the wrong picks.
-    datasets = (make_dataset(3, {"train": [(0, 0, 1), (0, 0, 2), (2, 0, 1)]}),
-                make_dataset(3, {"train": [(0, 0, 1), (2, 1, 0), (1, 1, 2)],
-                                 "valid": [(2, 0, 1)], "test": [(1, 1, 0)]},
-                             n_relations=2))
-    for ds in datasets:
+    # ignored the relation or a split would keep the wrong picks.  The third
+    # draws over four entities, and entity 3 is in no known triple (a
+    # corruption to it must not be read as the known (0, 0, 0)).  Each
+    # dataset is drawn from twice, so the second call reuses its known keys.
+    datasets = ((3, make_dataset(3, {"train": [(0, 0, 1), (0, 0, 2), (2, 0, 1)]})),
+                (3, make_dataset(3, {"train": [(0, 0, 1), (2, 1, 0), (1, 1, 2)],
+                                     "valid": [(2, 0, 1)], "test": [(1, 1, 0)]},
+                                 n_relations=2)),
+                (4, make_dataset(4, {"train": [(0, 0, 0), (0, 0, 1), (1, 0, 2), (2, 0, 0)]})))
+    for (n, ds), call in itertools.product(datasets, (1, 2)):
         batch = ds.train
         k = 40
         dataset = ds if filtered else None
-        rng = SeededRng(21, stream="negatives")
+        rng = SeededRng(21 + call, stream="negatives")
         rng.uniforms(5)  # start mid-stream
         start = rng.counter
-        negs = sample_negatives(batch, 3, k, rng, dataset=dataset)
+        negs = sample_negatives(batch, n, k, rng, dataset=dataset)
         assert rng.counter - start == 3 * batch.shape[0] * k
 
-        ref_rng = SeededRng(21, stream="negatives")
+        ref_rng = SeededRng(21 + call, stream="negatives")
         ref_rng.uniforms(5)
-        want, first, second = reference_negatives(batch, 3, k, ref_rng, dataset)
+        want, first, second = reference_negatives(batch, n, k, ref_rng, dataset)
         assert negs.tobytes() == want.tobytes()
         assert ref_rng.counter == rng.counter
 
@@ -489,15 +496,43 @@ def test_train_deterministic_across_runs():
 
 
 def test_nonfinite_loss_aborts_with_batch_context():
-    # 1e308 embeddings overflow the per-triple modulus sum; the loop must
-    # surface the failure with epoch/batch coordinates rather than emit
-    # garbage log entries.  (Merely huge-but-finite values train fine.)
-    model, ds, cfg = toy_train_setup(mat=False, epochs=1)
-    model.store.set("entity.structural",
-                    np.full_like(model.store["entity.structural"], 1e308))
-    with pytest.raises(NumericError, match="epoch 1"):
-        with np.errstate(all="ignore"):
-            train(model, ds, cfg)
+    # The loop must surface a non-finite step with its epoch, batch and
+    # origin, and refuse it before Adam moves anything.  The fixture is
+    # double precision: 1e308 embeddings are finite and overflow the
+    # per-triple modulus sum, so the kernel is named; NaN embeddings are
+    # named by their parameter.  (Merely huge-but-finite values train fine.)
+    for fill, origin in ((1e308, "op 'rotate_distance'"),
+                         (np.nan, "parameter 'entity.structural'")):
+        model, ds, cfg = toy_train_setup(mat=False, epochs=1)
+        store = model.store
+        store.set("entity.structural", np.full_like(store["entity.structural"], fill))
+        before = _store_state(store)
+        with pytest.raises(NumericError, match=f"epoch 1 batch 0: .*{origin}"):
+            with np.errstate(all="ignore"):
+                train(model, ds, cfg)
+        assert _store_state(store) == before
+
+
+def test_generator_step_names_nonfinite_detached_parameter():
+    # In the generator step the scorer's parameters are constants; a NaN
+    # among them is still named by its parameter, and Adam never runs.
+    model, ds, cfg = toy_train_setup(mat=True, epochs=1)
+    store = model.store
+    store.set("entity.structural", np.full_like(store["entity.structural"], np.nan))
+    before = _store_state(store)
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericError, match="parameter 'entity.structural'"):
+        train_step_generator(model, ds.train[:4], cfg, SeededRng(0, stream="noise"))
+    assert _store_state(store) == before
+
+
+def _store_state(store):
+    """Bytes of every value and Adam moment, and every Adam step count."""
+    state = {}
+    for name in store.names():
+        m, v, step = store.adam_state(name)
+        state[name] = (store[name].tobytes(), m.tobytes(), v.tobytes(), step)
+    return state
 
 
 def test_monotone_descent_rate_on_tiny_fixture():
