@@ -181,6 +181,8 @@ def relation_weight_report(model: Model, dataset: TripleDataset,
     entities, sorted by triple count descending.
 
     Only meaningful for adaptive fusion; inactive modalities report 0.
+    Raises `NumericError` on non-finite fusion weights, as `build_cache` does
+    on non-finite embeddings.
     """
     if model.cfg.fusion_mode != "adaptive":
         raise ContractError("modality-weight report requires adaptive fusion")
@@ -189,6 +191,8 @@ def relation_weight_report(model: Model, dataset: TripleDataset,
         raise ContractError(f"cannot summarize an empty {split!r} split")
     _, alpha = model.entity_representations()
     alpha = np.asarray(alpha, dtype=np.float64)
+    if not np.isfinite(alpha).all():
+        raise NumericError("non-finite fusion weights; cannot summarize")
     rows = []
     for r in sorted(set(int(v) for v in triples[:, 1])):
         idx = np.flatnonzero(triples[:, 1] == r)

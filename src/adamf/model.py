@@ -171,11 +171,11 @@ class Model:
         self.n_relations = store["relation.phase"].shape[0]
         features = features or {}
         self._raw: dict[str, np.ndarray] = {}
-        self._mask: dict[str, np.ndarray] = {}
+        self._present: dict[str, np.ndarray] = {}
         for m in cfg.projected_modalities:
             table = features.get(m)
-            if table is None:
-                raw = np.zeros((self.n_entities, cfg.feature_dim(m)))
+            if table is None:   # no row is present, so no raw row is ever read
+                raw = np.zeros((0, cfg.feature_dim(m)))
                 present = np.zeros(self.n_entities, dtype=bool)
             else:
                 if table.matrix.shape != (self.n_entities, cfg.feature_dim(m)):
@@ -184,31 +184,32 @@ class Model:
                         f"expected {(self.n_entities, cfg.feature_dim(m))}")
                 raw, present = table.matrix, table.present
             self._raw[m] = np.asarray(raw, dtype=cfg.dtype)
-            self._mask[m] = present.astype(cfg.dtype).reshape(-1, 1)
+            self._present[m] = np.asarray(present, dtype=bool)
 
     # ------------------------------------------------------------- embeddings
 
     def modal_embedding(self, tape: Tape, m: str, idx: np.ndarray, live) -> Node:
         """Entity embedding for one modality, shape (B, 2d).
 
-        Projected modalities mix the affine projection of raw features with
-        the trainable fallback rows, per the entity presence mask.
+        Projected modalities take the affine projection of the raw features
+        of entities whose features are present, and the trainable fallback
+        row of the others; only present rows are projected.
         """
         idx = np.asarray(idx, dtype=np.int64)
         if m == "s":
             return tape.gather(tape.leaf("entity.structural", live), idx)
         if m not in self.cfg.projected_modalities:
             raise ContractError(f"modality {m!r} not active in this model")
-        mask = self._mask[m][idx]
-        fallback = tape.gather(tape.leaf(f"fallback.{m}", live), idx)
-        if not mask.any():
-            return fallback
+        present = self._present[m][idx]
+        if not present.any():
+            return tape.gather(tape.leaf(f"fallback.{m}", live), idx)
         projected = project(tape, tape.leaf(f"proj.{m}.weight", live),
                             tape.leaf(f"proj.{m}.bias", live),
-                            tape.const(self._raw[m][idx]))
-        if mask.all():
+                            tape.const(self._raw[m][idx[present]]))
+        if present.all():
             return projected
-        return tape.mix(tape.const(np.hstack([mask, 1.0 - mask])), [projected, fallback])
+        fallback = tape.gather(tape.leaf(f"fallback.{m}", live), idx[~present])
+        return tape.merge_rows(present, projected, fallback)
 
     def fuse(self, tape: Tape, parts: dict[str, Node], live) -> tuple[Node, Node]:
         """Combine per-modality embeddings into (joint (B,2d), alpha (B,M)).

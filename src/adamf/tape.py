@@ -7,11 +7,11 @@ Values are numpy arrays (scalars are 0-d); the last axis is the vector axis
 and an optional leading axis batches independent rows.
 
 The kernels are arithmetic (``add``, ``sub``, ``mul``, ``scale``, ``sum``),
-``matvec``, ``concat`` and ``gather``, the nonlinearities ``leaky_relu`` and
-``log_sigmoid``, adaptive fusion as ``fusion_weights`` (the tanh-score
-softmax alpha) and ``mix`` (the alpha-weighted sum of the parts), and
-``rotate_distance``, the RotatE score of indexed table rows.  Each has an
-analytic backward.
+``matvec``, ``concat``, ``gather`` and ``merge_rows``, the nonlinearities
+``leaky_relu`` and ``log_sigmoid``, adaptive fusion as ``fusion_weights``
+(the tanh-score softmax alpha) and ``mix`` (the alpha-weighted sum of the
+parts), and ``rotate_distance``, the RotatE score of indexed table rows.
+Each has an analytic backward.
 
 Complex-valued quantities are interleaved (re, im) pairs in an even-length
 last axis; phase vectors have half that length.
@@ -23,6 +23,15 @@ parent is.  A node that is not live gets no ``backward_fn``, and every
 kernel forms only the adjoints of its live operands, so constants never
 receive a gradient.  Live parameters see the same adjoints, accumulated in
 the same order, as without pruning.
+
+Subnormal adjoints are flushed in one place: ``matvec``'s backward sets each
+entry of its incoming adjoint below ``np.finfo(dtype).tiny`` to exactly 0
+before its two GEMMs.  Such entries arise where self-adversarial weights and
+sigma(-x) underflow, and already carry fewer than 24 significant bits in
+float32.  Each adds at most tiny * |x| to a GEMM output, below the last bit
+of an output of ordinary size, yet each sends BLAS down a slow path.  Every
+other kernel keeps them, and no normal or non-finite entry is changed, so the
+finite check below sees everything it saw before.
 
 The one finite check runs at the end of ``backward``, on the root value and
 each gradient the sweep produced, before any optimizer sees them.  A failure
@@ -175,6 +184,8 @@ class Tape:
         out = x.value @ w.value.T
 
         def backward(g):
+            # Subnormal entries become exact zeros (see the module docstring).
+            g = np.where(np.abs(g) < np.finfo(g.dtype).tiny, g.dtype.type(0), g)
             if w.live:
                 w.add_grad(g.T @ x.value)
             if x.live:
@@ -201,17 +212,43 @@ class Tape:
         return self._emit("concat", out, tuple(parts), backward)
 
     def gather(self, x: Node, idx: np.ndarray) -> Node:
-        """Rows of a 2-d node selected by an integer index array."""
+        """Rows of a 2-d node selected by an integer index array.  The adjoint
+        is assigned when the indices strictly increase (unique rows, as a
+        table's sorted ids), else scatter-added."""
         self._require(x.value.ndim == 2, "gather", x.shape)
         idx = np.asarray(idx, dtype=np.int64)
         out = x.value[idx]
 
         def backward(g):
             full = np.zeros_like(x.value)
-            np.add.at(full, idx, g)
+            flat = idx.ravel()
+            if np.all(flat[1:] > flat[:-1]):
+                full[idx] = g + 0.0     # unique rows; + 0.0 as np.add.at, so -0.0 -> 0.0
+            else:
+                np.add.at(full, idx, g)
             x.add_grad(full)
 
         return self._emit("gather", out, (x,), backward)
+
+    def merge_rows(self, mask, a: Node, b: Node) -> Node:
+        """Rows of a where the 1-d bool mask is set and rows of b elsewhere,
+        each in order: a (P, n), b (B - P, n) -> (B, n)."""
+        mask = np.asarray(mask, dtype=bool)
+        p = int(mask.sum())
+        self._require(mask.ndim == 1 and a.value.ndim == 2 and b.value.ndim == 2
+                      and a.shape == (p, b.shape[1]) and b.shape[0] == mask.size - p,
+                      "merge_rows", mask.shape, a.shape, b.shape)
+        out = np.empty((mask.size, a.shape[1]), dtype=np.result_type(a.value, b.value))
+        out[mask] = a.value
+        out[~mask] = b.value
+
+        def backward(g):
+            if a.live:
+                a.add_grad(g[mask])
+            if b.live:
+                b.add_grad(g[~mask])
+
+        return self._emit("merge_rows", out, (a, b), backward)
 
     def leaky_relu(self, x: Node, slope: float) -> Node:
         positive = x.value >= 0

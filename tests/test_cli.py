@@ -246,6 +246,22 @@ def test_eval_nonfinite_checkpoint_exits_3_without_outputs(trained, tmp_path, ca
     assert not eval_out.exists()  # no rank_report.json, not even the directory
 
 
+def test_dump_weights_nonfinite_checkpoint_exits_3_without_outputs(trained, tmp_path,
+                                                                  capsys):
+    _, cfg = trained
+    run = parse_config(cfg)
+    store = cli._build_model(run, cli._load_dataset(run)).store
+    store.set("entity.structural", np.full_like(store["entity.structural"], np.nan))
+    save_checkpoint(store, str(tmp_path / "nan.bin"))
+    weights_out = tmp_path / "weights"
+    with np.errstate(invalid="ignore"):
+        rc = main(["dump-weights", cfg, str(tmp_path / "nan.bin"),
+                   "--out", str(weights_out)])
+    assert rc == 3
+    assert "fusion weights" in capsys.readouterr().err
+    assert not weights_out.exists()  # no weights.csv, not even the directory
+
+
 def test_deterministic_flag_is_a_deprecated_no_op(trained, tmp_path):
     out, cfg = trained
     args = ["eval", cfg, str(out / "checkpoint.bin"), "--out"]

@@ -1,6 +1,7 @@
 """Projection, fusion, rotation scoring, and the synthetic-embedding path."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,6 +348,61 @@ def test_mixed_batch_routes_by_mask():
         else:
             expect = w @ model._raw["t"][i] + b
         assert np.allclose(emb[row], expect, atol=1e-12)
+
+
+def project_then_mix(tape, model, m, idx):
+    """Every row projected, then mixed with the fallback rows by the 0/1
+    presence mask: the form that present-row projection must equal."""
+    mask = model._present[m][idx].astype(np.float64)[:, None]
+    raw = tape.const(model._raw[m][idx])
+    projected = tape.add(tape.matvec(tape.param(f"proj.{m}.weight"), raw),
+                         tape.param(f"proj.{m}.bias"))
+    fallback = tape.gather(tape.param(f"fallback.{m}"), idx)
+    return tape.mix(tape.const(np.hstack([mask, 1.0 - mask])), [projected, fallback])
+
+
+def test_present_rows_projection_matches_project_then_mix():
+    model = small_model(absent_v=(1, 4), absent_t=(1, 4))
+    rng = SeededRng(8, stream="present-rows")
+    cases = {"all present": [0, 2, 3, 5], "none present": [4, 1], "mixed": [0, 1, 2, 4],
+             "repeated ids": [3, 1, 3, 0, 4, 1, 3, 5, 4]}
+    for m in ("v", "t"):
+        for case, idx in cases.items():
+            idx = np.array(idx)
+            coef = rng.normals(idx.size * 6).reshape(idx.size, 6)
+            out = {}
+            for form in ("present rows", "project then mix"):
+                tape = Tape(model.store)
+                emb = (model.modal_embedding(tape, m, idx, DISC) if form == "present rows"
+                       else project_then_mix(tape, model, m, idx))
+                grads = tape.backward(tape.sum(tape.mul(emb, tape.const(coef))))
+                out[form] = emb.value, grads
+            (got, got_grads), (ref, ref_grads) = out.values()
+            assert np.allclose(got, ref, rtol=0, atol=1e-12), (m, case)
+            for name in (f"proj.{m}.weight", f"proj.{m}.bias", f"fallback.{m}"):
+                assert np.allclose(got_grads[name], ref_grads[name], rtol=0, atol=1e-12), \
+                    (m, case, name)
+
+
+def test_modality_without_features_holds_no_raw_rows():
+    # A projected modality with no feature table never projects a row, so
+    # Model keeps (and allocates) no (N, dim) raw array for it.
+    cfg = ModelConfig(d=2, visual_dim=4096, textual_dim=768, noise_dim=3,
+                      precision="double")
+    store = init_params(cfg, 2000, 2, seed=0)
+    tracemalloc.start()
+    try:
+        model = Model(cfg, store, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20     # a zero (2000, 4096) float64 array is 65.5 MB
+    arrays = [a for value in vars(model).values() if isinstance(value, dict)
+              for a in value.values() if isinstance(a, np.ndarray)]
+    assert arrays and not any(a.shape[0] == 2000 and a.ndim == 2 for a in arrays)
+    idx = np.array([0, 7, 1999])
+    emb = model.modal_embedding(Tape(store), "v", idx, DISC)
+    assert np.array_equal(emb.value, store["fallback.v"][idx])
 
 
 # --- generator --------------------------------------------------------------------

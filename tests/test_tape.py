@@ -145,6 +145,59 @@ def test_gather_gradients():
     check_kernel(lambda rng: {"table": (4, dims(rng))}, build)
 
 
+def scatter_add_adjoint(store, idx, coef):
+    """Adjoint of table rows `idx` under coefficients `coef`: the gather
+    kernel's, and the one np.add.at forms into zeros."""
+    tape = Tape(store)
+    root = tape.sum(tape.mul(tape.gather(tape.param("table"), idx), tape.const(coef)))
+    expect = np.zeros_like(store["table"])
+    np.add.at(expect, idx, coef)
+    return tape.backward(root)["table"], expect
+
+
+def test_unique_gather_adjoint_equals_scatter_add():
+    # Strictly increasing indices (sorted table ids) assign their adjoint;
+    # the bytes must be np.add.at's, -0.0 (which 0.0 + -0.0 makes 0.0) too.
+    store = ParameterStore(dtype=np.float32)
+    store.add("table", np.ones((8, 3)), group="discriminator")
+    rng = SeededRng(5, stream="unique-gather")
+    for idx in ([0, 2, 3, 7], [[0, 1], [4, 6]], [5], [3, 1, 6], [0, 2, 2, 5],
+                [[0, 3], [1, 4]], [[0, 1], [1, 2]]):
+        idx = np.array(idx)
+        coef = rng.normals(idx.size * 3).reshape(*idx.shape, 3).astype(np.float32)
+        coef.reshape(-1)[::4] = -0.0
+        got, expect = scatter_add_adjoint(store, idx, coef)
+        assert got.dtype == np.float32
+        assert got.tobytes() == expect.tobytes(), idx.tolist()
+
+
+def test_merge_rows_gradients():
+    fixed = {}
+
+    def shapes(rng):
+        b, n = dims(rng, 2, 7), dims(rng)
+        mask = rng.uniforms(b) < 0.5
+        mask[:2] = (True, False)
+        fixed["mask"] = mask
+        return {"a": (int(mask.sum()), n), "b": (b - int(mask.sum()), n)}
+
+    def build(tape, lv):
+        out = tape.merge_rows(fixed["mask"], lv["a"], lv["b"])
+        return tape.mul(out, out)
+    check_kernel(shapes, build)
+
+
+def test_merge_rows_routes_rows_in_order():
+    tape = Tape()
+    a = tape.const(np.array([[1.0], [2.0]]))
+    b = tape.const(np.array([[-1.0], [-2.0], [-3.0]]))
+    out = tape.merge_rows(np.array([False, True, False, True, False]), a, b)
+    assert out.value.ravel().tolist() == [-1.0, 1.0, -2.0, 2.0, -3.0]
+    for mask in ([True, True, False], [True, True, False, False, False, True], [[True]]):
+        with pytest.raises(ContractError, match="merge_rows"):
+            tape.merge_rows(np.array(mask), a, b)
+
+
 # --- rotation distance --------------------------------------------------------
 
 def rows_of(n):
@@ -590,6 +643,36 @@ def test_concat_shape_mismatch():
     b = tape.const(np.ones((3, 3)))
     with pytest.raises(ContractError):
         tape.concat([a, b])
+
+
+def test_matvec_flushes_subnormal_adjoint():
+    # 2% of a float32 adjoint is subnormal: all of output 1's and 1% of the
+    # rest.  The gradients must be the GEMMs of the hand-zeroed adjoint
+    # (output 1's weight row exactly 0) and agree with float64 unflushed.
+    rng = SeededRng(21, stream="subnormal-matvec")
+    b, m, n = 300, 100, 6
+    store = ParameterStore(dtype=np.float32)
+    store.add("w", rng.normals(m * n).reshape(m, n), group="discriminator")
+    store.add("x", rng.normals(b * n).reshape(b, n), group="discriminator")
+    coef = rng.normals(b * m).reshape(b, m).astype(np.float32)
+    tiny = np.finfo(np.float32).tiny
+    sub = rng.uniforms(b * m).reshape(b, m) < 0.01
+    sub[:, 1] = True
+    coef[sub] = (np.sign(coef[sub]) * tiny * rng.uniforms(int(sub.sum()))).astype(np.float32)
+    assert 0.015 < np.mean((coef != 0) & (np.abs(coef) < tiny)) < 0.025
+    tape = Tape(store)
+    root = tape.sum(tape.mul(tape.matvec(tape.param("w"), tape.param("x")),
+                             tape.const(coef)))
+    grads = tape.backward(root)
+    zeroed = np.where(np.abs(coef) < tiny, np.float32(0), coef)
+    w, x = store["w"], store["x"]
+    assert grads["w"].tobytes() == (zeroed.T @ x).tobytes()
+    assert grads["x"].tobytes() == (zeroed @ w).tobytes()
+    assert not grads["w"][1].any()
+    ref_w = coef.astype(np.float64).T @ x.astype(np.float64)
+    ref_x = coef.astype(np.float64) @ w.astype(np.float64)
+    for got, ref in ((grads["w"], ref_w), (grads["x"], ref_x)):
+        assert np.allclose(got, ref, rtol=1e-5, atol=1e-6 * np.abs(ref).max())
 
 
 def test_forward_and_backward_deterministic():
