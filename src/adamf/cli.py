@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="optional config file (defaults used otherwise)")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--deterministic", action="store_true",
-                       help="deprecated no-op (runs are always serial)")
+                       help="deprecated no-op (runs are always deterministic)")
 
     p_train = sub.add_parser("train", help="train a model and evaluate it")
     common(p_train)

@@ -170,7 +170,7 @@ def parse_config(path) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: expected `key = value`, "
                                   f"got {line.strip()!r}")
             key, raw = (part.strip() for part in text.split("=", 1))
-            if key == "deterministic":      # a no-op: runs are always serial
+            if key == "deterministic":      # a no-op: runs are always deterministic
                 warnings.warn(f"{path}: {key!r} is a deprecated no-op", DeprecationWarning)
                 continue
             if key not in _FIELD_TYPES:

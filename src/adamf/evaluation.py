@@ -9,11 +9,19 @@ Scoring is planar float64 (exact ranks): `build_cache` splits the joint
 embeddings once into (N, d) `re`, `im`, plus cos/sin of the (R, d) phases, and
 keeps nothing per relation.  Rotations have unit modulus, so |h o r - t| =
 |h - t o conj(r)|: a tail query scores (h o r) - e, a head one e - (t o conj(r)).
+
+`evaluate` ranks contiguous slices of the split on one thread per CPU the
+process may use (numpy releases the GIL inside the blocked `_distances`).
+Every query is scored by the same code whatever the slicing, so the ranks do
+not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,16 +58,35 @@ def build_cache(model: Model) -> EvalCache:
                      cos=np.cos(phases), sin=np.sin(phases))
 
 
+def _block_rows(d: int) -> int:
+    """Entity rows per `_distances` block: 512 KiB of float64 stays in cache."""
+    return max(1, (1 << 19) // (8 * d))
+
+
+_per_thread = threading.local()
+
+
+def _blocks(rows: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two (rows, d) block buffers, reused from query to query."""
+    blocks = getattr(_per_thread, "blocks", None)
+    if blocks is None or blocks[0].shape != (rows, d):
+        blocks = _per_thread.blocks = (np.empty((rows, d)), np.empty((rows, d)))
+    return blocks
+
+
 def _distances(cache: EvalCache, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum_k sqrt((x_k - re_jk)^2 + (y_k - im_jk)^2) for every entity j."""
     n, d = cache.re.shape
     out = np.empty(n)
-    step = max(1, (1 << 19) // (8 * d))     # 512 KiB blocks stay in cache
+    step = _block_rows(d)
+    a_block, b_block = _blocks(min(step, n), d)
     for lo in range(0, n, step):
-        a, b = x - cache.re[lo:lo + step], y - cache.im[lo:lo + step]
+        a, b = a_block[:n - lo], b_block[:n - lo]      # a full block but the last
+        np.subtract(x, cache.re[lo:lo + step], out=a)
+        np.subtract(y, cache.im[lo:lo + step], out=b)
         a *= a
         a += np.square(b, out=b)
-        out[lo:lo + step] = np.sqrt(a, out=a).sum(axis=1)
+        np.add.reduce(np.sqrt(a, out=a), axis=1, out=out[lo:lo + step])
     return out
 
 
@@ -105,6 +132,19 @@ def rank_query(cache: EvalCache, dataset: TripleDataset, side: str, triple,
         raise ContractError(f"target entity {target} outside vocabulary")
     scores = candidate_scores(cache, side, triple)
     return rank_from_scores(scores, target, known, tie_break)
+
+
+def _rank_workers(n_queries: int, n_entities: int, d: int) -> int:
+    """One ranking thread per CPU the process may use, at most one per query;
+    a single thread when every entity fits in one `_distances` block, where
+    the per-query Python overhead would outweigh the parallel numpy."""
+    if n_entities <= _block_rows(d):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_queries)
 
 
 # ---------------------------------------------------------------- aggregates
@@ -153,9 +193,18 @@ def evaluate(model: Model, dataset: TripleDataset, split: str = "test",
     n = triples.shape[0]
     head_ranks = np.empty(n, dtype=np.int64)
     tail_ranks = np.empty(n, dtype=np.int64)
-    for i, triple in enumerate(triples):
-        head_ranks[i] = rank_query(cache, dataset, "head", triple, tie_break)
-        tail_ranks[i] = rank_query(cache, dataset, "tail", triple, tie_break)
+
+    def rank_slice(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            head_ranks[i] = rank_query(cache, dataset, "head", triples[i], tie_break)
+            tail_ranks[i] = rank_query(cache, dataset, "tail", triples[i], tie_break)
+
+    workers = _rank_workers(n, *cache.re.shape)
+    bounds = [n * k // workers for k in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        slices = [pool.submit(rank_slice, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    for done in slices:     # in slice order: the serial loop's first error
+        done.result()
     mrr, hits = _aggregate(head_ranks, tail_ranks, ks)
     per_relation = []
     for r in sorted(set(int(v) for v in triples[:, 1])):

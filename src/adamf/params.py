@@ -49,7 +49,7 @@ class ParameterStore:
         return name in self._values
 
     def set(self, name: str, value):
-        arr = np.asarray(value, dtype=self.dtype)
+        arr = np.array(value, dtype=self.dtype)     # owned: Adam updates in place
         if arr.shape != self._values[name].shape:
             raise ContractError(
                 f"shape mismatch for {name!r}: have {self._values[name].shape}, "
@@ -87,22 +87,41 @@ def adam_step(params: ParameterStore, grads: dict[str, np.ndarray], group: str,
 
     Parameters outside the group are untouched even if grads carries entries
     for them (a full-store gradient map is the common case).
+
+    Values and moments are updated in place, with two temporary arrays per
+    parameter, in the binary-op order of
+    m = beta1 m + (1 - beta1) g,  v = beta2 v + (1 - beta2) g^2,
+    value -= lr m_hat / (sqrt(v_hat) + eps),
+    so the bytes equal the out-of-place formula's.  A gradient must have the
+    store's dtype: a wider one would round differently, a narrower one would
+    lose precision.
     """
-    for name in grads:
+    for name, g in grads.items():
         if name not in params:
             raise ContractError(f"gradient for unknown parameter {name!r}")
+        if g.dtype != params.dtype:
+            raise ContractError(f"gradient for {name!r} is {g.dtype}, "
+                                f"the store is {params.dtype}")
     for name in params.names(group):
         if name not in grads:
             continue
         g = grads[name]
         m, v, step = params.adam_state(name)
         step += 1
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1 ** step)
-        v_hat = v / (1.0 - beta2 ** step)
-        params.set(name, params[name] - lr * m_hat / (np.sqrt(v_hat) + eps))
-        params.set_adam_state(name, m, v, step)
+        tmp, update = np.empty_like(m), np.empty_like(m)
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=tmp)
+        v *= beta2
+        v += np.multiply(np.multiply(g, g, out=tmp), 1.0 - beta2, out=tmp)
+        np.divide(m, 1.0 - beta1 ** step, out=update)       # m_hat
+        update *= lr
+        np.divide(v, 1.0 - beta2 ** step, out=tmp)          # v_hat
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        update /= tmp
+        value = params[name]
+        value -= update
+        params._steps[name] = step
 
 
 @dataclass

@@ -255,7 +255,7 @@ class Tape:
         out = np.where(positive, x.value, slope * x.value)
 
         def backward(g):
-            x.add_grad(g * np.where(positive, 1.0, slope))
+            x.add_grad(np.where(positive, g, g * slope))
 
         return self._emit("leaky_relu", out, (x,), backward)
 
@@ -405,8 +405,8 @@ class Tape:
                 and all(np.isfinite(g).all() for g in reached.values())):
             raise NumericError(_first_nonfinite(self.nodes, reached))
         names = self.store.names() if self.store is not None else ()
-        return {n: reached[n] if n in reached else np.zeros_like(self.store[n])
-                for n in names}
+        return {n: reached[n] if n in reached
+                else np.zeros(self.store[n].shape, self.store.dtype) for n in names}
 
 
 def _first_nonfinite(nodes: list[Node], grads: dict[str, np.ndarray]) -> str:

@@ -1,7 +1,9 @@
 """Filtered ranking against a brute-force oracle, plus metric arithmetic."""
 
 import json
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -305,6 +307,114 @@ def test_evaluate_rejects_nonfinite_model():
     model.store.set("relation.phase", np.array([[0.0], [np.nan]]))
     with pytest.raises(NumericError, match="relation phases"):
         evaluate(model, ds)
+
+
+# ------------------------------------------------------- parallel ranking
+
+def _tied_block_fixture(n_model=1300, test=None):
+    """Structural-only model (1300 entities by default) at d = 128, so the
+    entities span three `_distances` blocks, with entities 40-59 copies of
+    entities 0-19 so that candidates tie with targets; the vocabulary has
+    1300 entities either way."""
+    model = small_model(n_entities=n_model, n_relations=2, d=128, seed=8,
+                        modalities=("s",))
+    table = model.store["entity.structural"].copy()
+    table[40:60] = table[0:20]
+    model.store.set("entity.structural", table)
+    if test is None:
+        test = [(i, i % 2, (7 * i + 3) % 20) for i in range(11)]
+    train = [(0, 0, 5), (3, 1, 44), (45, 1, 6), (9, 0, 1)]
+    return model, make_dataset(1300, {"train": train, "test": test}, n_relations=2)
+
+
+def _serial_ranks(model, ds, tie_break):
+    cache = build_cache(model)
+    return ([rank_query(cache, ds, "head", q, tie_break) for q in ds.test],
+            [rank_query(cache, ds, "tail", q, tie_break) for q in ds.test])
+
+
+def _pool_sizes(monkeypatch):
+    """The thread count of every ranking pool `evaluate` opens from here on."""
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(adamf.evaluation, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+def _affinity(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_parallel_evaluate_equals_serial_rank_query_loop(monkeypatch, cpus):
+    model, ds = _tied_block_fixture()
+    want = {tie: _serial_ranks(model, ds, tie) for tie in ("optimistic", "pessimistic")}
+    assert want["optimistic"] != want["pessimistic"]     # the fixture has ties
+    _affinity(monkeypatch, cpus)
+    sizes = _pool_sizes(monkeypatch)
+    for tie, (head, tail) in want.items():
+        report = evaluate(model, ds, tie_break=tie)
+        assert report.head_ranks.tolist() == head, tie
+        assert report.tail_ranks.tolist() == tail, tie
+    assert sizes == [cpus, cpus]
+
+
+def test_ranking_pool_size(monkeypatch):
+    # One thread when every entity fits in one block; never more threads
+    # than queries.
+    _affinity(monkeypatch, 4)
+    sizes = _pool_sizes(monkeypatch)
+    model = small_model(n_entities=30, n_relations=2, d=4, seed=2)
+    evaluate(model, make_dataset(30, {"test": [(i, i % 2, 29 - i) for i in range(8)]},
+                                 n_relations=2))
+    model, ds = _tied_block_fixture(test=[(0, 0, 1), (2, 1, 3)])
+    evaluate(model, ds)
+    assert sizes == [1, 2]
+
+
+def test_parallel_evaluate_raises_first_serial_error(monkeypatch):
+    # Entities 1250 and 1299 are in the vocabulary but not in the model.
+    # They head queries 4 and 9 of 11, which three threads rank in
+    # different slices; the serial loop would stop at query 4.  No other
+    # query's filter names them.
+    test = [(i, 0, i + 1) for i in range(11)]
+    test[4], test[9] = (1250, 0, 15), (1299, 1, 16)
+    model, ds = _tied_block_fixture(n_model=1200, test=test)
+    _affinity(monkeypatch, 3)
+    with pytest.raises(ContractError, match="target entity 1250 outside vocabulary"):
+        evaluate(model, ds)
+
+
+def _fresh_distances(cache, x, y):
+    """`_distances` with two new arrays per block, as it was written before
+    the block buffers were reused."""
+    n, d = cache.re.shape
+    out = np.empty(n)
+    step = max(1, (1 << 19) // (8 * d))
+    for lo in range(0, n, step):
+        a, b = x - cache.re[lo:lo + step], y - cache.im[lo:lo + step]
+        a *= a
+        a += np.square(b, out=b)
+        out[lo:lo + step] = np.sqrt(a, out=a).sum(axis=1)
+    return out
+
+
+def test_distances_with_reused_blocks_equal_fresh_arrays():
+    gen = np.random.default_rng(11)
+    for n, d in ((1300, 128), (2000, 200), (40, 3), (70000, 1)):
+        cache = adamf.evaluation.EvalCache(
+            re=gen.standard_normal((n, d)), im=gen.standard_normal((n, d)),
+            cos=np.ones((1, d)), sin=np.zeros((1, d)))
+        for _ in range(3):      # later calls reuse this thread's blocks
+            x, y = gen.standard_normal(d), gen.standard_normal(d)
+            got = adamf.evaluation._distances(cache, x, y)
+            assert got.tobytes() == _fresh_distances(cache, x, y).tobytes(), (n, d)
 
 
 def test_evaluate_rejects_empty_split():

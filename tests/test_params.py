@@ -49,6 +49,60 @@ def test_group_isolation_bitwise():
     assert not np.array_equal(store["d"], np.ones(4))
 
 
+def _adam_formula(value, m, v, step, g, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The out-of-place Adam update, one fresh array per operation."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * (g * g)
+    m_hat = m / (1.0 - beta1 ** step)
+    v_hat = v / (1.0 - beta2 ** step)
+    return value - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_adam_equals_out_of_place_formula(dtype):
+    gen = np.random.default_rng(7)
+    for shape in ((), (5,), (40, 30)):
+        store = ParameterStore(dtype=dtype)
+        store.add("w", gen.standard_normal(shape), "discriminator")
+        value = store["w"].copy()
+        m = v = np.zeros(shape, dtype)
+        for step in range(1, 7):
+            scale = 10.0 ** gen.integers(-8, 3)
+            g = np.array(scale * gen.standard_normal(shape), dtype=dtype)
+            if step == 3:
+                g[...] = 0
+            adam_step(store, {"w": g}, "discriminator", lr=3e-3)
+            value, m, v = _adam_formula(value, m, v, step, g, lr=3e-3)
+            got_m, got_v, got_step = store.adam_state("w")
+            assert store["w"].dtype == got_m.dtype == got_v.dtype == dtype
+            assert store["w"].tobytes() == value.tobytes(), (shape, step)
+            assert got_m.tobytes() == m.tobytes() and got_v.tobytes() == v.tobytes()
+            assert got_step == step
+
+
+def test_adam_rejects_gradient_of_another_dtype():
+    store = ParameterStore(dtype=np.float32)
+    store.add("d", np.ones(3), "discriminator")
+    store.add("g", np.ones(3), "generator")
+    before = (store["d"].tobytes(), [a.tobytes() for a in store.adam_state("d")[:2]])
+    grads = {"d": np.ones(3, np.float32), "g": np.ones(3, np.float64)}
+    with pytest.raises(ContractError, match="'g' is float64"):
+        adam_step(store, grads, "discriminator", lr=0.1)
+    assert (store["d"].tobytes(), [a.tobytes() for a in store.adam_state("d")[:2]]) == before
+    assert store.adam_state("d")[2] == 0
+
+
+def test_store_owns_set_values():
+    # Checkpoints load read-only buffers; Adam must still update in place,
+    # and never write through to the caller's array.
+    store = make_store(w=(np.zeros(3), "discriminator"))
+    loaded = np.frombuffer(np.arange(3.0).tobytes())
+    store.set("w", loaded)
+    adam_step(store, {"w": np.ones(3)}, "discriminator", lr=0.1)
+    assert loaded.tolist() == [0.0, 1.0, 2.0]
+    assert np.all(store["w"] < loaded)
+
+
 def test_unknown_gradient_name_rejected():
     store = make_store(w=(np.ones(2), "discriminator"))
     with pytest.raises(ContractError):

@@ -7,6 +7,7 @@ step and roundoff-limited ones at the large step, so each trial takes the
 per-parameter minimum over both.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -328,6 +329,59 @@ def test_rotate_distance_keeps_tape_dtype():
     grads = tape.backward(tape.sum(out))
     assert out.value.dtype == np.float32
     assert grads["h"].dtype == grads["theta"].dtype == np.float32
+
+
+def _float32_uses():
+    """One use of every kernel on float32 parameter leaves; `p` makes a leaf."""
+    mask = np.array([True, False, True])
+    return {
+        "add": lambda t, p: t.add(p("a"), p("b")),
+        "sub": lambda t, p: t.sub(p("a"), p("b")),
+        "mul": lambda t, p: t.mul(p("a"), p("b")),
+        "matvec": lambda t, p: t.matvec(p("w"), p("a")),
+        "concat": lambda t, p: t.concat([p("a"), p("b")]),
+        "gather": lambda t, p: t.gather(p("a"), np.array([2, 0, 0])),
+        "merge_rows": lambda t, p: t.merge_rows(
+            mask, t.gather(p("a"), np.array([0, 1])), t.gather(p("b"), np.array([2]))),
+        "leaky_relu": lambda t, p: t.leaky_relu(p("a"), 0.01),
+        "log_sigmoid": lambda t, p: t.log_sigmoid(p("a")),
+        "scale": lambda t, p: t.scale(p("a"), 0.3),
+        "sum": lambda t, p: t.sum(p("a")),
+        "fusion_weights": lambda t, p: t.fusion_weights([p("a"), p("b")],
+                                                        [p("u"), p("v")]),
+        "mix": lambda t, p: t.mix(p("alpha"), [p("a"), p("b")]),
+        "rotate_distance": lambda t, p: t.rotate_distance(
+            p("a"), [0, 1, 2], p("phase"), [1, 0, 1], p("b"), [2, 2, 0]),
+    }
+
+
+def test_float32_tape_gradients_stay_float32():
+    # A float64 adjoint in a float32 store would run float64 GEMMs and mix
+    # dtypes in Adam.  Every kernel is listed, so a new one must join here.
+    uses = _float32_uses()
+    kernels = {n for n, v in vars(Tape).items() if inspect.isfunction(v)
+               and not n.startswith("_")} - {"param", "const", "leaf", "backward"}
+    assert set(uses) == kernels
+    rng = SeededRng(3, stream="float32-grads")
+    shapes = {"a": (3, 4), "b": (3, 4), "w": (5, 4), "u": (4,), "v": (4,),
+              "alpha": (3, 2), "phase": (2, 2), "unused": (2, 2)}
+    store = ParameterStore(dtype=np.float32)
+    for name, shape in shapes.items():
+        store.add(name, rng.normals(int(np.prod(shape))).reshape(shape), "discriminator")
+    assert (store["a"] < 0).any() and (store["a"] > 0).any()   # both leaky slopes
+    for op, use in uses.items():
+        tape = Tape(store)
+        leaves = []
+
+        def p(name):
+            leaves.append(name)
+            return tape.param(name)
+
+        out = use(tape, p)
+        grads = tape.backward(tape.sum(tape.mul(out, out)))
+        assert {n: g.dtype for n, g in grads.items()} == dict.fromkeys(shapes, np.float32), op
+        assert all(np.any(grads[n] != 0) for n in leaves), op
+        assert not np.any(grads["unused"]), op
 
 
 def test_rotate_distance_zero_modulus_subgradient():
