@@ -30,6 +30,7 @@ from .data import TripleDataset
 from .errors import ContractError, NumericError
 from .ioutil import atomic_write_text
 from .model import MODALITY_ORDER, Model
+from .tape import modulus_sum
 
 TIE_BREAKS = ("optimistic", "pessimistic")
 
@@ -81,12 +82,8 @@ def _distances(cache: EvalCache, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     step = _block_rows(d)
     a_block, b_block = _blocks(min(step, n), d)
     for lo in range(0, n, step):
-        a, b = a_block[:n - lo], b_block[:n - lo]      # a full block but the last
-        np.subtract(x, cache.re[lo:lo + step], out=a)
-        np.subtract(y, cache.im[lo:lo + step], out=b)
-        a *= a
-        a += np.square(b, out=b)
-        np.add.reduce(np.sqrt(a, out=a), axis=1, out=out[lo:lo + step])
+        modulus_sum(x, y, cache.re[lo:lo + step], cache.im[lo:lo + step],
+                    a_block[:n - lo], b_block[:n - lo], out[lo:lo + step])
     return out
 
 

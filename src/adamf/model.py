@@ -244,12 +244,23 @@ class Model:
 
     # ---------------------------------------------------------------- scoring
 
-    def distances(self, tape: Tape, table: EntityTable, triples: np.ndarray,
-                  live) -> Node:
-        """Rotation distance F(h,r,t) of (B, 3) triples over `table`, (B,)."""
-        return tape.rotate_distance(table.joint, table.rows(triples[:, 0]),
-                                    tape.leaf("relation.phase", live), triples[:, 1],
-                                    table.joint, table.rows(triples[:, 2]))
+    def distances(self, tape: Tape, table: EntityTable, triples: np.ndarray, live,
+                  negatives: np.ndarray | None = None) -> Node:
+        """Rotation distance F(h,r,t) of (B, 3) triples over `table`, (B,); or,
+        given (B, K, 3) `negatives` that each replace one side of their
+        triple, F of those, (B, K), from one query row per triple and side:
+        |h o r - t'| and |h' - t o conj(r)| (a rotation keeps the modulus)."""
+        h, r, t = table.rows(triples[:, 0]), triples[:, 1], table.rows(triples[:, 2])
+        phase = tape.leaf("relation.phase", live)
+        if negatives is None:
+            return tape.query_distance(table.joint, h, phase, r, table.joint, t)
+        head = negatives[..., 0] != triples[:, None, 0]
+        if not ((head <= (negatives[..., 2] == triples[:, None, 2]))
+                & (negatives[..., 1] == triples[:, None, 1])).all():
+            raise ContractError("a negative must replace one side of its triple")
+        return tape.query_distance(table.joint, np.stack((h, t)), phase, r, table.joint,
+                                   table.rows(np.where(head, negatives[..., 0],
+                                                       negatives[..., 2])), head)
 
     # -------------------------------------------------------------- generator
 
@@ -328,7 +339,7 @@ class Model:
             for pattern in patterns:
                 h = star["h"] if pattern in (SYN_HEAD, SYN_BOTH) else real["h"]
                 t = star["t"] if pattern in (SYN_TAIL, SYN_BOTH) else real["t"]
-                blocks.append(tape.rotate_distance(*h, phase, triples[:, 1], *t))
+                blocks.append(tape.query_distance(*h, phase, triples[:, 1], *t))
                 meta.append((g, pattern))
         flat = blocks[0] if len(blocks) == 1 else tape.concat(blocks)
         return flat, meta

@@ -9,6 +9,7 @@ import numpy as np
 from .errors import ContractError, NumericError
 
 GROUPS = ("discriminator", "generator")
+ADAM_CHUNK = 1 << 15    # flat elements per pass of adam_step
 
 
 class ParameterStore:
@@ -32,7 +33,7 @@ class ParameterStore:
             raise ContractError(f"parameter {name!r} registered twice")
         if group not in GROUPS:
             raise ContractError(f"unknown parameter group {group!r}")
-        arr = np.array(value, dtype=self.dtype)
+        arr = np.array(value, dtype=self.dtype, order="C")
         self._values[name] = arr
         self._groups[name] = group
         self._adam_m[name] = np.zeros_like(arr)
@@ -49,7 +50,7 @@ class ParameterStore:
         return name in self._values
 
     def set(self, name: str, value):
-        arr = np.array(value, dtype=self.dtype)     # owned: Adam updates in place
+        arr = np.array(value, dtype=self.dtype, order="C")  # owned: Adam updates in place
         if arr.shape != self._values[name].shape:
             raise ContractError(
                 f"shape mismatch for {name!r}: have {self._values[name].shape}, "
@@ -71,8 +72,8 @@ class ParameterStore:
         return self._adam_m[name], self._adam_v[name], self._steps[name]
 
     def set_adam_state(self, name: str, m, v, step: int):
-        self._adam_m[name] = np.array(m, dtype=self.dtype)
-        self._adam_v[name] = np.array(v, dtype=self.dtype)
+        self._adam_m[name] = np.array(m, dtype=self.dtype, order="C")
+        self._adam_v[name] = np.array(v, dtype=self.dtype, order="C")
         self._steps[name] = int(step)
 
     def snapshot(self, group: str | None = None) -> dict[str, np.ndarray]:
@@ -88,13 +89,14 @@ def adam_step(params: ParameterStore, grads: dict[str, np.ndarray], group: str,
     Parameters outside the group are untouched even if grads carries entries
     for them (a full-store gradient map is the common case).
 
-    Values and moments are updated in place, with two temporary arrays per
-    parameter, in the binary-op order of
+    Values and moments are updated in place, in the binary-op order of
     m = beta1 m + (1 - beta1) g,  v = beta2 v + (1 - beta2) g^2,
     value -= lr m_hat / (sqrt(v_hat) + eps),
-    so the bytes equal the out-of-place formula's.  A gradient must have the
-    store's dtype: a wider one would round differently, a narrower one would
-    lose precision.
+    so the bytes equal the out-of-place formula's.  The update runs over
+    chunks of ADAM_CHUNK flat elements with two chunk-sized temporaries, so
+    each pass reads cache rather than the whole table.  A gradient must have
+    the store's dtype: a wider one would round differently, a narrower one
+    would lose precision.
     """
     for name, g in grads.items():
         if name not in params:
@@ -105,22 +107,24 @@ def adam_step(params: ParameterStore, grads: dict[str, np.ndarray], group: str,
     for name in params.names(group):
         if name not in grads:
             continue
-        g = grads[name]
         m, v, step = params.adam_state(name)
         step += 1
-        tmp, update = np.empty_like(m), np.empty_like(m)
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=tmp)
-        v *= beta2
-        v += np.multiply(np.multiply(g, g, out=tmp), 1.0 - beta2, out=tmp)
-        np.divide(m, 1.0 - beta1 ** step, out=update)       # m_hat
-        update *= lr
-        np.divide(v, 1.0 - beta2 ** step, out=tmp)          # v_hat
-        np.sqrt(tmp, out=tmp)
-        tmp += eps
-        update /= tmp
-        value = params[name]
-        value -= update
+        flat = [x.reshape(-1) for x in (params[name], m, v, grads[name])]
+        buffers = np.empty((2, min(ADAM_CHUNK, m.size)), m.dtype)
+        for lo in range(0, m.size, ADAM_CHUNK):
+            value, m_c, v_c, g = (x[lo:lo + ADAM_CHUNK] for x in flat)
+            tmp, update = buffers[:, :g.size]
+            m_c *= beta1
+            m_c += np.multiply(g, 1.0 - beta1, out=tmp)
+            v_c *= beta2
+            v_c += np.multiply(np.multiply(g, g, out=tmp), 1.0 - beta2, out=tmp)
+            np.divide(m_c, 1.0 - beta1 ** step, out=update)     # m_hat
+            update *= lr
+            np.divide(v_c, 1.0 - beta2 ** step, out=tmp)        # v_hat
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            update /= tmp
+            value -= update
         params._steps[name] = step
 
 

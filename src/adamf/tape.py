@@ -10,8 +10,10 @@ The kernels are arithmetic (``add``, ``sub``, ``mul``, ``scale``, ``sum``),
 ``matvec``, ``concat``, ``gather`` and ``merge_rows``, the nonlinearities
 ``leaky_relu`` and ``log_sigmoid``, adaptive fusion as ``fusion_weights``
 (the tanh-score softmax alpha) and ``mix`` (the alpha-weighted sum of the
-parts), and ``rotate_distance``, the RotatE score of indexed table rows.
-Each has an analytic backward.
+parts), and ``query_distance``, the RotatE score of candidate table rows
+against rotated query rows (h o r for tails, t o conj(r) for heads), whose
+forward shares ``modulus_sum`` with evaluation.  Each has an analytic
+backward; scatter-adds go through flat element indices (``_scatter``).
 
 Complex-valued quantities are interleaved (re, im) pairs in an even-length
 last axis; phase vectors have half that length.
@@ -77,9 +79,23 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _pairs(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Interleave (B, d) real and imaginary parts into (B, 2d) pairs."""
-    return np.stack((re, im), axis=-1).reshape(re.shape[0], -1)
+def _scatter(ufunc, table: np.ndarray, idx, rows: np.ndarray) -> None:
+    """ufunc.at(table, idx, rows) on a C-contiguous 2-d table, through flat
+    element indices: numpy's 1-d path, with the same operations in the same
+    order, so the same bytes."""
+    width = table.shape[1]
+    flat = np.asarray(idx).reshape(-1, 1) * width + np.arange(width)
+    ufunc.at(table.reshape(-1), flat.reshape(-1), rows.reshape(-1))
+
+
+def modulus_sum(x, y, re, im, a, b, out) -> np.ndarray:
+    """out = sum over the last axis of |(x - re) + i (y - im)|, computed in
+    the buffers a and b (the shape of re), which it overwrites."""
+    np.subtract(x, re, out=a)
+    np.subtract(y, im, out=b)
+    a *= a
+    a += np.square(b, out=b)
+    return np.add.reduce(np.sqrt(a, out=a), axis=-1, out=out)
 
 
 class Tape:
@@ -220,12 +236,12 @@ class Tape:
         out = x.value[idx]
 
         def backward(g):
-            full = np.zeros_like(x.value)
+            full = np.zeros(x.shape, x.value.dtype)
             flat = idx.ravel()
             if np.all(flat[1:] > flat[:-1]):
                 full[idx] = g + 0.0     # unique rows; + 0.0 as np.add.at, so -0.0 -> 0.0
             else:
-                np.add.at(full, idx, g)
+                _scatter(np.add, full, idx, g)
             x.add_grad(full)
 
         return self._emit("gather", out, (x,), backward)
@@ -332,54 +348,75 @@ class Tape:
 
         return self._emit("mix", out, (alpha, *parts), backward)
 
-    def rotate_distance(self, h: Node, h_idx, phase: Node, r_idx, t: Node,
-                        t_idx) -> Node:
-        """RotatE distance sum_k |h_k e^{i theta_k} - t_k| of rows
-        (h[h_idx[i]], phase[r_idx[i]], t[t_idx[i]]), shape (rows,).
+    def query_distance(self, q: Node, q_idx, phase: Node, r_idx, c: Node, c_idx,
+                       head=None) -> Node:
+        """RotatE distances sum_k |x_k - y_k| of candidate rows y = c[c_idx]
+        from rotated query rows x, in the shape of c_idx, (B,) or (B, K).
 
-        h and t are (., 2d) tables, possibly one node; phase is (R, d).  Rows
-        run in fixed-size blocks that the backward recomputes, so no
-        (rows, 2d) array outlives a block.  Adjoints scatter-add into h, t
-        and phase; at |u| = 0 the subgradient is 0.
+        Row b's tail query is q[q_idx[0, b]] o e^{i theta}, theta =
+        phase[r_idx[b]]; with q_idx (2, B) its head query q[q_idx[1, b]] o
+        e^{-i theta} serves the slots where head[b] is set.  q and c are
+        (., 2d) tables, possibly one node.  Slots run in blocks that the
+        backward recomputes, so no (slots, 2d) array outlives a block.  Each
+        query's adjoint sums its slots; only candidates scatter.  At |u| = 0
+        the subgradient is 0.
         """
-        idx = [np.asarray(i, dtype=np.int64) for i in (h_idx, r_idx, t_idx)]
+        q_idx, r_idx, c_idx = (np.asarray(i, dtype=np.int64) for i in (q_idx, r_idx, c_idx))
+        q_idx, slots = np.atleast_2d(q_idx), c_idx[:, None] if c_idx.ndim == 1 else c_idx
+        side = np.zeros(slots.shape, np.int64) if head is None else np.asarray(head, np.int64)
         d = phase.shape[-1]
-        self._require(phase.value.ndim == 2 and h.shape[1:] == t.shape[1:] == (2 * d,)
-                      and idx[0].ndim == 1 and len({i.shape for i in idx}) == 1,
-                      "rotate_distance", h.shape, phase.shape, t.shape, *map(np.shape, idx))
-        n = idx[0].shape[0]
-        step = max(1, (1 << 19) // (np.dtype(self.dtype).itemsize * 2 * d))
+        self._require(phase.value.ndim == 2 and q.shape[1:] == c.shape[1:] == (2 * d,)
+                      and q_idx.ndim == slots.ndim == 2 and q_idx.shape[0] <= 2
+                      and r_idx.shape == q_idx.shape[1:] == slots.shape[:1]
+                      and side.shape == slots.shape and (head is None or len(q_idx) == 2),
+                      "query_distance", q.shape, phase.shape, c.shape,
+                      *map(np.shape, (q_idx, r_idx, c_idx, side)))
+        (n_sides, n), k, dtype = q_idx.shape, slots.shape[1], np.dtype(self.dtype)
+        cdtype = np.result_type(dtype, np.complex64)              # views of (re, im) pairs
+        sign = np.array([1, -1], dtype)[:n_sides, None, None]     # conj(r) for heads
+        query = side * n + np.arange(n)[:, None]                  # slot -> query row
+        step = max(1, (1 << 19) // (dtype.itemsize * 2 * d * k))
 
-        def block(lo):
-            hi, ri, ti = (i[lo:lo + step] for i in idx)
-            c, s = np.cos(phase.value[ri]), np.sin(phase.value[ri])
-            a, b = h.value[hi, 0::2], h.value[hi, 1::2]
-            rot_re, rot_im = a * c - b * s, a * s + b * c
-            return ((hi, ri, ti), c, s, rot_re, rot_im,
-                    rot_re - t.value[ti, 0::2], rot_im - t.value[ti, 1::2])
+        def rotated():      # (sides, B, d) rotations and queries, rebuilt rather than kept
+            theta, rot = phase.value[r_idx], np.empty((n_sides, n, d), cdtype)
+            rot.real, rot.imag = np.cos(theta), np.sin(theta) * sign
+            return rot, q.value[q_idx].view(cdtype) * rot
 
-        out = np.empty(n, dtype=self.dtype)
+        def block(z, lo):   # the queries and candidates of slots [lo, lo + step)
+            queries = z.view(dtype).reshape(-1, 2 * d)
+            return queries[query[lo:lo + step]], c.value[slots[lo:lo + step]]
+
+        z, out = rotated()[1], np.empty(slots.shape, dtype)
+        buffers = np.empty((2, min(step, n), k, d), dtype)
         for lo in range(0, n, step):
-            *_, u_re, u_im = block(lo)
-            out[lo:lo + step] = np.hypot(u_re, u_im).sum(axis=-1)
+            xy, cand = block(z, lo)
+            modulus_sum(xy[..., 0::2], xy[..., 1::2], cand[..., 0::2], cand[..., 1::2],
+                        *buffers[:, :len(xy)], out[lo:lo + step])
 
         def backward(g):
-            grads = {x: np.zeros_like(x.value) for x in (h, t, phase) if x.live}
+            g, (rot, z) = g.reshape(slots.shape), rotated()
+            grads = {v: np.zeros(v.shape, v.value.dtype) for v in (q, c, phase) if v.live}
+            g_z = np.zeros((n, n_sides, 2 * d), dtype)
+            pick = (side[:, None, :] == np.arange(n_sides)[:, None]).astype(dtype)
             for lo in range(0, n, step):
-                (hi, ri, ti), c, s, rot_re, rot_im, u_re, u_im = block(lo)
-                m = np.hypot(u_re, u_im)
-                scale = np.divide(g[lo:lo + step, None], m, out=np.zeros_like(m), where=m > 0)
-                g_re, g_im = scale * u_re, scale * u_im
-                if h.live:
-                    np.add.at(grads[h], hi, _pairs(g_re * c + g_im * s, g_im * c - g_re * s))
-                if t.live:
-                    np.subtract.at(grads[t], ti, _pairs(g_re, g_im))
-                if phase.live:
-                    np.add.at(grads[phase], ri, g_im * rot_re - g_re * rot_im)
-            for x, g_x in grads.items():
-                x.add_grad(g_x)
+                u = np.subtract(*block(z, lo))          # then its adjoint, in place
+                m = np.abs(u.view(cdtype))
+                u.view(cdtype)[...] *= np.divide(g[lo:lo + step, :, None], m, out=m,
+                                                 where=m > 0)
+                if c.live:
+                    _scatter(np.subtract, grads[c], slots[lo:lo + step], u)
+                if q.live or phase.live:
+                    np.matmul(pick[lo:lo + step], u, out=g_z[lo:lo + step])
+            g_z = g_z.view(cdtype).transpose(1, 0, 2)
+            if q.live:
+                _scatter(np.add, grads[q], q_idx, (g_z * rot.conj()).view(dtype))
+            if phase.live:
+                _scatter(np.add, grads[phase], r_idx,
+                         (sign * (g_z * z.conj()).imag).sum(axis=0))
+            for v, g_v in grads.items():
+                v.add_grad(g_v)
 
-        return self._emit("rotate_distance", out, (h, phase, t), backward)
+        return self._emit("query_distance", out.reshape(c_idx.shape), (q, phase, c), backward)
 
     # ---------------------------------------------------------------- backward
 

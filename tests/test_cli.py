@@ -332,18 +332,19 @@ def test_gradcheck_flags_corrupted_kernel(monkeypatch, capsys):
 
 
 def test_gradcheck_fixture_repeats_entities(monkeypatch):
-    # The audit must cover the scatter-add backward of rotate_distance: in
-    # every audited loss, each rotate_distance call repeats some row of one
-    # of its index arrays, and some call repeats an entity-table row.  The
-    # margin loss's union table must be built from inputs with repeats.
+    # The audit must cover the scatter-add backward of query_distance: in
+    # every audited loss, each query_distance call repeats some row of one
+    # of its index arrays, and some call repeats a candidate row of the
+    # entity table.  The margin loss's union table must be built from inputs
+    # with repeats, and its negatives must score head and tail queries.
     audited = []
     build = {"tables": [], "scores": []}  # the self-adversarial weight probe
-    original_rd, original_table = Tape.rotate_distance, Model.entity_table
+    original_qd, original_table = Tape.query_distance, Model.entity_table
 
-    def recording_rd(self, h, h_idx, phase, r_idx, t, t_idx):
-        build["scores"].append((h, np.asarray(h_idx), np.asarray(r_idx), t,
-                                np.asarray(t_idx)))
-        return original_rd(self, h, h_idx, phase, r_idx, t, t_idx)
+    def recording_qd(self, q, q_idx, phase, r_idx, c, c_idx, head=None):
+        build["scores"].append((q, np.asarray(q_idx), np.asarray(r_idx), c,
+                                np.asarray(c_idx), head))
+        return original_qd(self, q, q_idx, phase, r_idx, c, c_idx, head)
 
     def recording_table(self, tape, triples, live):
         table = original_table(self, tape, triples, live)
@@ -357,7 +358,7 @@ def test_gradcheck_fixture_repeats_entities(monkeypatch):
         builder(store)
         audited.append(build)
 
-    monkeypatch.setattr(Tape, "rotate_distance", recording_rd)
+    monkeypatch.setattr(Tape, "query_distance", recording_qd)
     monkeypatch.setattr(Model, "entity_table", recording_table)
     # build each audited loss once instead of running the finite differences
     monkeypatch.setattr(cli, "_checked_at_both_scales", one_build)
@@ -370,14 +371,15 @@ def test_gradcheck_fixture_repeats_entities(monkeypatch):
     for loss in audited:
         [(inputs, joint)] = loss["tables"]  # one union table per loss
         assert loss["scores"]
-        table_repeats = False
-        for h, h_idx, r_idx, t, t_idx in loss["scores"]:
-            assert repeats(h_idx) or repeats(r_idx) or repeats(t_idx)
-            table_repeats |= (h is joint and repeats(h_idx)) or \
-                             (t is joint and repeats(t_idx))
-        assert table_repeats
+        candidate_repeats = False
+        for q, q_idx, r_idx, c, c_idx, _ in loss["scores"]:
+            assert repeats(q_idx) or repeats(r_idx) or repeats(c_idx)
+            candidate_repeats |= c is joint and repeats(c_idx)
+        assert candidate_repeats
     margin_inputs, _ = audited[0]["tables"][0]
     assert repeats(margin_inputs)
+    [head] = [head for *_, head in audited[0]["scores"] if head is not None]
+    assert head.any() and not head.all()
 
 
 # ------------------------------------------------- dump-weights and masking

@@ -17,7 +17,9 @@ from adamf.evaluation import (build_cache, candidate_scores, evaluate,
                               relation_weight_report, write_per_query_tsv,
                               write_rank_report_json, write_weight_csv)
 from adamf.model import FROZEN
+from adamf.rng import SeededRng
 from adamf.tape import Tape
+from adamf.training import sample_negatives
 
 from conftest import line_model, make_dataset, small_model
 
@@ -219,15 +221,26 @@ def test_candidate_scores_span_several_row_blocks():
 @settings(max_examples=40, deadline=None)
 def test_training_distance_equals_eval_candidate_score(seed):
     # One formula: the training kernel's F(h, r, t) over a step's entity
-    # table is eval's tail-candidate score of t, in float64.
+    # table is eval's tail-candidate score of t, in float64.  A negative
+    # that replaces the head is eval's head-candidate score of its
+    # replacement against the positive, one that replaces the tail the tail
+    # score.
     ds, model = random_fixture(seed)
     cache = build_cache(model)
+    negatives = sample_negatives(ds.train, model.n_entities, 8,
+                                 SeededRng(seed, stream="negatives"))
     tape = Tape(model.store)
-    table = model.entity_table(tape, (ds.train,), FROZEN)
+    table = model.entity_table(tape, (ds.train, negatives), FROZEN)
     f = model.distances(tape, table, ds.train, FROZEN).value
-    for triple, value in zip(ds.train, f):
+    f_neg = model.distances(tape, table, ds.train, FROZEN, negatives).value
+    assert f_neg.shape == negatives.shape[:2]
+    for triple, value, corrupted, values in zip(ds.train, f, negatives, f_neg):
         expect = candidate_scores(cache, "tail", triple)[triple[2]]
         assert abs(value - expect) <= 1e-12
+        for negative, neg_value in zip(corrupted, values):
+            side, col = ("head", 0) if negative[0] != triple[0] else ("tail", 2)
+            expect = candidate_scores(cache, side, triple)[negative[col]]
+            assert abs(neg_value - expect) <= 1e-12
 
 
 def test_eval_cache_memory_is_flat_in_relations_queried(monkeypatch):

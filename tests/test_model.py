@@ -259,9 +259,9 @@ def complex_rows(x):
 def score_pair(h, theta, t):
     tape = Tape()
     row = np.zeros(1, dtype=np.int64)
-    out = tape.rotate_distance(tape.const(np.array([h], dtype=float)), row,
-                               tape.const(np.array([theta], dtype=float)), row,
-                               tape.const(np.array([t], dtype=float)), row)
+    out = tape.query_distance(tape.const(np.array([h], dtype=float)), row,
+                              tape.const(np.array([theta], dtype=float)), row,
+                              tape.const(np.array([t], dtype=float)), row)
     return float(out.value[0])
 
 
@@ -316,6 +316,18 @@ def test_triple_scores_match_manual():
         theta = model.store["relation.phase"][r]
         manual = np.abs(z_h * np.exp(1j * theta) - z_t).sum()
         assert abs(scores.value[i] - manual) < 1e-12
+
+
+def test_negative_distances_need_one_corrupted_side():
+    model = small_model()
+    tape = Tape(model.store)
+    batch = np.array([[0, 0, 1], [2, 1, 3]])
+    for bad in ([[[4, 0, 5]], [[2, 1, 3]]],      # both sides replaced
+                [[[0, 1, 5]], [[2, 1, 3]]]):     # relation replaced
+        bad = np.array(bad)
+        table = model.entity_table(tape, (batch, bad), DISC)
+        with pytest.raises(ContractError, match="one side"):
+            model.distances(tape, table, batch, DISC, bad)
 
 
 # --- masked-modality fallback -----------------------------------------------------

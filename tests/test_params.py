@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adamf.errors import ContractError
-from adamf.params import ParameterStore, adam_step, finite_diff_check
+from adamf.params import ADAM_CHUNK, ParameterStore, adam_step, finite_diff_check
 from adamf.tape import Tape
 
 
@@ -60,10 +60,12 @@ def _adam_formula(value, m, v, step, g, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_in_place_adam_equals_out_of_place_formula(dtype):
+    # Sizes below, between and above multiples of the chunk, and a
+    # Fortran-ordered start value, which the store keeps C-ordered.
     gen = np.random.default_rng(7)
-    for shape in ((), (5,), (40, 30)):
+    for shape in ((), (5,), (40, 30), (2 * ADAM_CHUNK + 7,), (3, ADAM_CHUNK // 2 + 5)):
         store = ParameterStore(dtype=dtype)
-        store.add("w", gen.standard_normal(shape), "discriminator")
+        store.add("w", np.asfortranarray(gen.standard_normal(shape)), "discriminator")
         value = store["w"].copy()
         m = v = np.zeros(shape, dtype)
         for step in range(1, 7):

@@ -206,7 +206,8 @@ def rows_of(n):
 
 
 def test_complex_rotate_gradients():
-    # The rotation's adjoints: h and theta live, t a fixed constant.
+    # The rotation's adjoints: query rows and theta live, candidates a fixed
+    # constant.
     def shapes(rng):
         b, d = dims(rng), dims(rng)
         return {"h": (b, 2 * d), "theta": (b, d)}
@@ -214,15 +215,15 @@ def test_complex_rotate_gradients():
     def build(tape, lv):
         b, n = lv["h"].shape
         t = tape.const(2.0 * np.cos(np.arange(b * n)).reshape(b, n))
-        return tape.rotate_distance(lv["h"], rows_of(b), lv["theta"], rows_of(b),
-                                    t, rows_of(b))
+        return tape.query_distance(lv["h"], rows_of(b), lv["theta"], rows_of(b),
+                                   t, rows_of(b))
     check_kernel(shapes, build)
 
 
 def test_complex_modulus_sum_gradients():
-    # With h = 0 the distance is the modulus sum of t.  The modulus is
-    # nonsmooth at the origin; push every complex pair's magnitude above a
-    # floor so the probes stay in the smooth region.
+    # With zero queries the distance is the modulus sum of the candidates.
+    # The modulus is nonsmooth at the origin; push every complex pair's
+    # magnitude above a floor so the probes stay in the smooth region.
     def clear_cone(store):
         x = store["t"]
         pairs = x.reshape(x.shape[0], -1, 2)
@@ -236,86 +237,100 @@ def test_complex_modulus_sum_gradients():
 
     def build(tape, lv):
         b, n = lv["t"].shape
-        return tape.rotate_distance(tape.const(np.zeros((b, n))), rows_of(b),
-                                    tape.const(np.zeros((b, n // 2))), rows_of(b),
-                                    lv["t"], rows_of(b))
+        return tape.query_distance(tape.const(np.zeros((b, n))), rows_of(b),
+                                   tape.const(np.zeros((b, n // 2))), rows_of(b),
+                                   lv["t"], rows_of(b))
     check_kernel(shapes, build, mutate=clear_cone)
 
 
+def mixed_slots(n_q, n_r, n_c, n_rows, k):
+    """Index arrays for `n_rows` rows of `k` slots that repeat query rows,
+    relations and candidates, and mix head and tail slots in every row."""
+    q_idx = np.stack([rows_of(n_rows) * 3 % n_q, rows_of(n_rows) * 5 % n_q])
+    c_idx = (rows_of(n_rows * k) * 7 % n_c).reshape(n_rows, k)
+    head = (rows_of(n_rows * k) % 3 == 1).reshape(n_rows, k)
+    return q_idx, rows_of(n_rows) * 2 % n_r, c_idx, head
+
+
 def test_rotate_then_score_gradients():
-    # The whole score with all three operands live, indexed with repeats so
-    # the backward scatter-adds, under a non-uniform upstream gradient.
+    # The whole score with all three operands live, head and tail queries
+    # mixed, indexed with repeats so the backward scatter-adds, under a
+    # non-uniform upstream gradient.
     def clear(store):
-        for name in ("h", "t"):
+        for name in ("q", "c"):
             store.set(name, store[name] + 0.5 * np.sign(store[name]))
 
     def shapes(rng):
         d = dims(rng, 2, 4)
-        return {"h": (dims(rng, 2, 4), 2 * d), "theta": (dims(rng, 1, 3), d),
-                "t": (dims(rng, 2, 4), 2 * d)}
+        return {"q": (dims(rng, 2, 4), 2 * d), "theta": (dims(rng, 1, 3), d),
+                "c": (dims(rng, 2, 4), 2 * d)}
 
     def build(tape, lv):
-        n_rows = 7
-        idx = [np.arange(n_rows) * (3 + j) % lv[name].shape[0]
-               for j, name in enumerate(("h", "theta", "t"))]
-        return tape.log_sigmoid(tape.rotate_distance(lv["h"], idx[0], lv["theta"],
-                                                     idx[1], lv["t"], idx[2]))
+        q_idx, r_idx, c_idx, head = mixed_slots(lv["q"].shape[0], lv["theta"].shape[0],
+                                                lv["c"].shape[0], 4, 3)
+        return tape.log_sigmoid(tape.query_distance(lv["q"], q_idx, lv["theta"], r_idx,
+                                                    lv["c"], c_idx, head))
     check_kernel(shapes, build, trials=TRIALS // 2, mutate=clear)
 
 
-def complex_reference(h, h_idx, theta, r_idx, t, t_idx, w):
-    """F = sum_k |z_h q - z_t| with q = e^{i theta} in complex128, and the
-    gradients of sum_i w_i F_i, from the complex chain rule."""
-    z_h = (h[:, 0::2] + 1j * h[:, 1::2])[h_idx]
-    z_t = (t[:, 0::2] + 1j * t[:, 1::2])[t_idx]
-    q = np.exp(1j * theta[r_idx])
-    u = z_h * q - z_t
-    n = w[:, None] * u / np.abs(u)
-
-    def scatter(shape, idx, rows):
-        out = np.zeros(shape, dtype=rows.dtype)
-        np.add.at(out, idx, rows)
-        return out
+def triple_reference(q, q_idx, theta, r_idx, c, c_idx, head, w):
+    """Every slot as the triple it scores, in complex128: a tail slot is
+    (q row, r, c row) and a head slot (c row, r, q row), both scored
+    F = sum_k |z_h e^{i theta} - z_t|.  Returns F and the gradients of
+    sum w F for q, theta and c, from the complex chain rule."""
+    z_q, z_c = (x[:, 0::2] + 1j * x[:, 1::2] for x in (q, c))
+    rows = np.broadcast_to(np.arange(r_idx.size)[:, None], c_idx.shape)
+    q_rows = np.where(head, q_idx[-1][rows], q_idx[0][rows])
+    flip = head[..., None]
+    z_h = np.where(flip, z_c[c_idx], z_q[q_rows])
+    z_t = np.where(flip, z_q[q_rows], z_c[c_idx])
+    rot = np.exp(1j * theta[r_idx])[:, None, :]
+    u = z_h * rot - z_t
+    n = w[..., None] * u / np.abs(u)
+    g_h, g_t = n * np.conj(rot), -n
+    g_q, g_c, g_theta = np.zeros_like(z_q), np.zeros_like(z_c), np.zeros(theta.shape)
+    np.add.at(g_q, q_rows, np.where(flip, g_t, g_h))
+    np.add.at(g_c, c_idx, np.where(flip, g_h, g_t))
+    np.add.at(g_theta, r_idx[rows], np.imag(n * np.conj(z_h * rot)))
 
     def interleave(z):
         return np.stack([z.real, z.imag], axis=-1).reshape(z.shape[0], -1)
 
-    return (np.abs(u).sum(axis=1),
-            interleave(scatter((h.shape[0], theta.shape[1]), h_idx, n * np.conj(q))),
-            scatter(theta.shape, r_idx, np.imag(n * np.conj(z_h * q))),
-            interleave(scatter((t.shape[0], theta.shape[1]), t_idx, -n)))
+    return np.abs(u).sum(axis=-1), interleave(g_q), g_theta, interleave(g_c)
 
 
 @pytest.mark.parametrize("shared", [True, False])
 def test_rotate_distance_matches_complex_reference(shared):
-    # float64, repeated indices, and 2000 rows at d = 64 (four 512-row
-    # blocks); `shared` scores one table against itself, as training does.
+    # float64, 300 rows of 8 slots at d = 64 (five blocks), head and tail
+    # slots mixed, query rows, relations and candidates repeated; `shared`
+    # scores one table against itself, as training does.
     rng = SeededRng(5, stream="rotate-reference")
-    d, n_rows, n_h, n_t, n_r = 64, 2000, 37, 23, 5
+    d, n_rows, k, n_q, n_c, n_r = 64, 300, 8, 37, 23, 5
     store = ParameterStore(dtype=np.float64)
-    store.add("h", rng.normals(n_h * 2 * d).reshape(n_h, 2 * d), "discriminator")
-    store.add("t", rng.normals(n_t * 2 * d).reshape(n_t, 2 * d), "discriminator")
+    store.add("q", rng.normals(n_q * 2 * d).reshape(n_q, 2 * d), "discriminator")
+    store.add("c", rng.normals(n_c * 2 * d).reshape(n_c, 2 * d), "discriminator")
     store.add("theta", (rng.uniforms(n_r * d).reshape(n_r, d) * 2 - 1) * math.pi,
               "discriminator")
-    h_idx = rng.randints(np.full(n_rows, n_h))
+    q_idx = rng.randints(np.full(2 * n_rows, n_q)).reshape(2, n_rows)
     r_idx = rng.randints(np.full(n_rows, n_r))
-    t_idx = rng.randints(np.full(n_rows, n_h if shared else n_t))
-    w = rng.normals(n_rows)
+    c_idx = rng.randints(np.full(n_rows * k, n_q if shared else n_c)).reshape(n_rows, k)
+    head = (rng.uniforms(n_rows * k) < 0.5).reshape(n_rows, k)
+    w = rng.normals(n_rows * k).reshape(n_rows, k)
 
     tape = Tape(store)
-    h = tape.param("h")
-    t = h if shared else tape.param("t")
-    out = tape.rotate_distance(h, h_idx, tape.param("theta"), r_idx, t, t_idx)
+    q = tape.param("q")
+    c = q if shared else tape.param("c")
+    out = tape.query_distance(q, q_idx, tape.param("theta"), r_idx, c, c_idx, head)
     grads = tape.backward(tape.sum(tape.mul(out, tape.const(w))))
 
-    t_value = store["h"] if shared else store["t"]
-    f, g_h, g_theta, g_t = complex_reference(store["h"], h_idx, store["theta"], r_idx,
-                                             t_value, t_idx, w)
+    c_value = store["q"] if shared else store["c"]
+    f, g_q, g_theta, g_c = triple_reference(store["q"], q_idx, store["theta"], r_idx,
+                                            c_value, c_idx, head, w)
     if shared:
-        g_h, g_t = g_h + g_t, np.zeros_like(store["t"])
-    assert out.value.dtype == np.float64
-    for got, want in ((out.value, f), (grads["h"], g_h), (grads["theta"], g_theta),
-                      (grads["t"], g_t)):
+        g_q, g_c = g_q + g_c, np.zeros_like(store["c"])
+    assert out.value.dtype == np.float64 and out.shape == (n_rows, k)
+    for got, want in ((out.value, f), (grads["q"], g_q), (grads["theta"], g_theta),
+                      (grads["c"], g_c)):
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -325,7 +340,9 @@ def test_rotate_distance_keeps_tape_dtype():
     store.add("theta", np.full((2, 2), 0.5), "discriminator")
     tape = Tape(store)
     h = tape.param("h")
-    out = tape.rotate_distance(h, [0, 1, 1], tape.param("theta"), [0, 1, 0], h, [2, 2, 0])
+    out = tape.query_distance(h, [[0, 1, 1], [2, 0, 1]], tape.param("theta"), [0, 1, 0],
+                              h, [[2, 1], [2, 0], [0, 0]],
+                              [[False, True], [True, False], [True, True]])
     grads = tape.backward(tape.sum(out))
     assert out.value.dtype == np.float32
     assert grads["h"].dtype == grads["theta"].dtype == np.float32
@@ -350,8 +367,9 @@ def _float32_uses():
         "fusion_weights": lambda t, p: t.fusion_weights([p("a"), p("b")],
                                                         [p("u"), p("v")]),
         "mix": lambda t, p: t.mix(p("alpha"), [p("a"), p("b")]),
-        "rotate_distance": lambda t, p: t.rotate_distance(
-            p("a"), [0, 1, 2], p("phase"), [1, 0, 1], p("b"), [2, 2, 0]),
+        "query_distance": lambda t, p: t.query_distance(
+            p("a"), [[0, 1, 2], [2, 2, 0]], p("phase"), [1, 0, 1], p("b"),
+            [[2, 0], [1, 1], [0, 2]], [[True, False], [False, True], [True, True]]),
     }
 
 
@@ -385,16 +403,18 @@ def test_float32_tape_gradients_stay_float32():
 
 
 def test_rotate_distance_zero_modulus_subgradient():
-    # Identical rows under a zero phase give u = 0 exactly: the distance is
-    # 0 and the subgradient 0, like the modulus at the origin.
+    # Identical rows under a zero phase give u = 0 exactly, for the tail and
+    # the head query: the distance is 0 and the subgradient 0, like the
+    # modulus at the origin.
     store = ParameterStore(dtype=np.float64)
     store.add("h", np.array([[1.5, -2.0, 0.25, 3.0]]), "discriminator")
     store.add("theta", np.zeros((1, 2)), "discriminator")
     tape = Tape(store)
     h = tape.param("h")
-    out = tape.rotate_distance(h, [0], tape.param("theta"), [0], h, [0])
+    out = tape.query_distance(h, [[0], [0]], tape.param("theta"), [0], h, [[0, 0]],
+                              [[False, True]])
     grads = tape.backward(tape.sum(out))
-    assert out.value[0] == 0.0
+    assert np.all(out.value == 0.0)
     assert np.all(grads["h"] == 0.0) and np.all(grads["theta"] == 0.0)
 
 
@@ -547,8 +567,8 @@ def test_identity_rotation_is_exact():
     h = np.array([[1.5, -2.0, 0.25, 3.0], [0.0, 1.0, -4.0, 0.5]])
     t = np.array([[0.5, 2.0, 0.25, -1.0]])
     tape = Tape()
-    out = tape.rotate_distance(tape.const(h), [0, 1], tape.const(np.zeros((1, 2))),
-                               [0, 0], tape.const(t), [0, 0])
+    out = tape.query_distance(tape.const(h), [0, 1], tape.const(np.zeros((1, 2))),
+                              [0, 0], tape.const(t), [0, 0])
     diff = h - t
     assert np.array_equal(out.value, np.hypot(diff[:, 0::2], diff[:, 1::2]).sum(axis=1))
 
@@ -562,8 +582,8 @@ def test_rotation_preserves_norm(x, angle):
     tape = Tape()
     theta = np.full((1, x.shape[1] // 2), angle)
     rows = np.arange(x.shape[0])
-    out = tape.rotate_distance(tape.const(x), rows, tape.const(theta), np.zeros(3, int),
-                               tape.const(np.zeros_like(x)), rows)
+    out = tape.query_distance(tape.const(x), rows, tape.const(theta), np.zeros(3, int),
+                              tape.const(np.zeros_like(x)), rows)
     before = np.hypot(x[:, 0::2], x[:, 1::2]).sum(axis=1)
     assert np.all(np.abs(before - out.value) <= 1e-12 * np.maximum(1.0, before))
 
@@ -684,11 +704,15 @@ def test_complex_rotate_shape_mismatch():
     tape = Tape()
     x = tape.const(np.ones((1, 3)))  # odd length: no complex pairing
     theta = tape.const(np.ones((1, 1)))
-    with pytest.raises(ContractError, match="rotate_distance"):
-        tape.rotate_distance(x, [0], theta, [0], x, [0])
+    with pytest.raises(ContractError, match="query_distance"):
+        tape.query_distance(x, [0], theta, [0], x, [0])
     even = tape.const(np.ones((1, 2)))
-    with pytest.raises(ContractError, match="rotate_distance"):
-        tape.rotate_distance(even, [0, 0], theta, [0], even, [0, 0])
+    for q_idx, c_idx, head in (([0, 0], [0, 0], None),     # queries vs relations
+                               ([0], [[0], [0]], None),    # slot rows vs relations
+                               ([0], [[0]], [[True]]),     # head slot, no head query
+                               ([[0], [0], [0]], [0], None)):
+        with pytest.raises(ContractError, match="query_distance"):
+            tape.query_distance(even, q_idx, theta, [0], even, c_idx, head)
 
 
 def test_concat_shape_mismatch():

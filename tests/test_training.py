@@ -501,7 +501,7 @@ def test_nonfinite_loss_aborts_with_batch_context():
     # double precision: 1e308 embeddings are finite and overflow the
     # per-triple modulus sum, so the kernel is named; NaN embeddings are
     # named by their parameter.  (Merely huge-but-finite values train fine.)
-    for fill, origin in ((1e308, "op 'rotate_distance'"),
+    for fill, origin in ((1e308, "op 'query_distance'"),
                          (np.nan, "parameter 'entity.structural'")):
         model, ds, cfg = toy_train_setup(mat=False, epochs=1)
         store = model.store
