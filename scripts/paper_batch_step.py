@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Training steps at the paper's batch on the DB15K-shaped synthetic graph.
 
-Builds the graph of ``perfbench/synth.py`` (12,842 entities, 279 relations,
-4096/768-wide features with 30% of each modality's rows hidden), the paper's
-model shape (d=200) and runs ``--steps`` batches of B=1024 positives with
-K=64 negatives each, MAT on, the way ``adamf train`` runs a batch: negatives,
-one discriminator step, one generator step.  Prints one JSON line with the
-per-step seconds, the losses and the peak RSS, and exits 1 on a non-finite
-loss.  ``--mem-cap-mb`` caps the address space, so a run over budget fails
-with a MemoryError.
+Builds the inputs of the ``db15k_train`` workload of ``perfbench/`` (the
+12,842-entity graph, its 4096/768-wide features with the same share of rows
+hidden, the same model shape) and runs STEPS batches of B=1024 positives
+with K=64 negatives each on the raw feature rows, MAT on, the way
+``adamf train`` runs a batch: negatives, one discriminator step, one
+generator step.  Prints one JSON line with the per-step seconds, the losses
+and the peak RSS, and exits 1 on a non-finite loss.  ``--mem-cap-mb`` caps
+the address space, so a run over budget fails with a MemoryError.
 
-    python3 scripts/paper_batch_step.py --steps 3 --seed 777
+    python3 scripts/paper_batch_step.py
 """
 
 from __future__ import annotations
@@ -29,40 +29,35 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import numpy as np  # noqa: E402
 
 import synth  # noqa: E402
-from adamf.data import apply_modality_missing  # noqa: E402
-from adamf.model import Model, ModelConfig, init_params  # noqa: E402
+import workloads  # noqa: E402
+from adamf.model import Model, init_params  # noqa: E402
 from adamf.rng import SeededRng  # noqa: E402
 from adamf.training import (TrainConfig, sample_negatives,  # noqa: E402
                             train_step_discriminator, train_step_generator)
 
-BATCH, K, D, MISSING_RATIO = 1024, 64, 200, 0.3
+BATCH, K, STEPS, SEED = 1024, 64, 3, 777
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--steps", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=777)
     ap.add_argument("--mem-cap-mb", type=int, default=4096)
-    args = ap.parse_args()
-    cap = args.mem_cap_mb * 1024 * 1024
+    cap = ap.parse_args().mem_cap_mb * 1024 * 1024
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    rng = np.random.default_rng(args.seed)
-    train = synth.make_triples(rng)["train"]
-    features = {m: apply_modality_missing(table, MISSING_RATIO, args.seed)
-                for m, table in synth.make_features(rng).items()}
-    model_cfg = ModelConfig(d=D, visual_dim=synth.VISUAL_DIM,
-                            textual_dim=synth.TEXTUAL_DIM, noise_dim=64)
+    _, splits, features = workloads._db15k_inputs(SEED)
+    features = workloads._mask_features(features, SEED)
+    model_cfg = workloads._model_config()
     model = Model(model_cfg, init_params(model_cfg, synth.N_ENTITIES,
-                                         synth.N_RELATIONS, args.seed), features)
+                                         synth.N_RELATIONS, SEED), features)
     del features
-    cfg = TrainConfig(k_negatives=K, batch_size=BATCH, mat_enabled=True, seed=args.seed)
-    root = SeededRng(args.seed)
+    train = splits["train"]
+    cfg = TrainConfig(k_negatives=K, batch_size=BATCH, mat_enabled=True, seed=SEED)
+    root = SeededRng(SEED)
     neg_rng, noise_rng = root.substream("negatives"), root.substream("noise")
     perm = root.substream("shuffle").permutation(train.shape[0])
 
     step_s, losses = [], []
-    for i in range(args.steps):
+    for i in range(STEPS):
         batch = train[perm[i * BATCH:(i + 1) * BATCH]]
         start = time.perf_counter()
         negatives = sample_negatives(batch, model.n_entities, K, neg_rng)
@@ -71,7 +66,7 @@ def main() -> int:
         step_s.append(time.perf_counter() - start)
         losses.append([kgc, adv, gen])
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(json.dumps({"batch": BATCH, "k": K, "d": D, "seed": args.seed,
+    print(json.dumps({"batch": BATCH, "k": K, "d": model_cfg.d, "seed": SEED,
                       "step_s": step_s, "step_s_median": float(np.median(step_s)),
                       "losses": losses, "peak_rss_mb": peak}))
     return 0 if all(math.isfinite(v) for row in losses for v in row) else 1

@@ -95,8 +95,9 @@ def adam_step(params: ParameterStore, grads: dict[str, np.ndarray], group: str,
     so the bytes equal the out-of-place formula's.  The update runs over
     chunks of ADAM_CHUNK flat elements with two chunk-sized temporaries, so
     each pass reads cache rather than the whole table.  A gradient must have
-    the store's dtype: a wider one would round differently, a narrower one
-    would lose precision.
+    its parameter's shape, since the flat chunks would apply one of another
+    layout silently, and the store's dtype: a wider one would round
+    differently, a narrower one would lose precision.
     """
     for name, g in grads.items():
         if name not in params:
@@ -104,6 +105,9 @@ def adam_step(params: ParameterStore, grads: dict[str, np.ndarray], group: str,
         if g.dtype != params.dtype:
             raise ContractError(f"gradient for {name!r} is {g.dtype}, "
                                 f"the store is {params.dtype}")
+        if g.shape != params[name].shape:
+            raise ContractError(f"gradient for {name!r} has shape {g.shape}, "
+                                f"the parameter {params[name].shape}")
     for name in params.names(group):
         if name not in grads:
             continue

@@ -26,14 +26,15 @@ kernel forms only the adjoints of its live operands, so constants never
 receive a gradient.  Live parameters see the same adjoints, accumulated in
 the same order, as without pruning.
 
-Subnormal adjoints are flushed in one place: ``matvec``'s backward sets each
-entry of its incoming adjoint below ``np.finfo(dtype).tiny`` to exactly 0
-before its two GEMMs.  Such entries arise where self-adversarial weights and
-sigma(-x) underflow, and already carry fewer than 24 significant bits in
-float32.  Each adds at most tiny * |x| to a GEMM output, below the last bit
-of an output of ordinary size, yet each sends BLAS down a slow path.  Every
-other kernel keeps them, and no normal or non-finite entry is changed, so the
-finite check below sees everything it saw before.
+Subnormal adjoints are flushed in two places: the backwards of ``matvec``
+and ``query_distance`` set each entry of their incoming adjoint below
+``np.finfo(dtype).tiny`` to exactly 0.  Such entries arise where
+self-adversarial weights and sigma(-x) underflow, and already carry fewer
+than 24 significant bits in float32.  Each adds at most tiny * |x| to an
+output, below the last bit of an output of ordinary size, yet each sends
+BLAS and the complex products down a slow path.  Every other kernel keeps
+them, and no normal or non-finite entry is changed, so the finite check
+below sees everything it saw before.
 
 The one finite check runs at the end of ``backward``, on the root value and
 each gradient the sweep produced, before any optimizer sees them.  A failure
@@ -394,6 +395,8 @@ class Tape:
                         *buffers[:, :len(xy)], out[lo:lo + step])
 
         def backward(g):
+            # Subnormal entries become exact zeros (see the module docstring).
+            g = np.where(np.abs(g) < np.finfo(g.dtype).tiny, g.dtype.type(0), g)
             g, (rot, z) = g.reshape(slots.shape), rotated()
             grads = {v: np.zeros(v.shape, v.value.dtype) for v in (q, c, phase) if v.live}
             g_z = np.zeros((n, n_sides, 2 * d), dtype)

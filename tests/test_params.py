@@ -65,7 +65,7 @@ def test_in_place_adam_equals_out_of_place_formula(dtype):
     gen = np.random.default_rng(7)
     for shape in ((), (5,), (40, 30), (2 * ADAM_CHUNK + 7,), (3, ADAM_CHUNK // 2 + 5)):
         store = ParameterStore(dtype=dtype)
-        store.add("w", np.asfortranarray(gen.standard_normal(shape)), "discriminator")
+        store.add("w", np.array(gen.standard_normal(shape), order="F"), "discriminator")
         value = store["w"].copy()
         m = v = np.zeros(shape, dtype)
         for step in range(1, 7):
@@ -90,6 +90,18 @@ def test_adam_rejects_gradient_of_another_dtype():
     grads = {"d": np.ones(3, np.float32), "g": np.ones(3, np.float64)}
     with pytest.raises(ContractError, match="'g' is float64"):
         adam_step(store, grads, "discriminator", lr=0.1)
+    assert (store["d"].tobytes(), [a.tobytes() for a in store.adam_state("d")[:2]]) == before
+    assert store.adam_state("d")[2] == 0
+
+
+def test_adam_rejects_gradient_of_another_shape():
+    # A transposed gradient has the right size; the flat chunks must not
+    # apply it in the wrong layout.
+    store = ParameterStore(dtype=np.float32)
+    store.add("d", np.ones((3, 2)), "discriminator")
+    before = (store["d"].tobytes(), [a.tobytes() for a in store.adam_state("d")[:2]])
+    with pytest.raises(ContractError, match=r"'d' has shape \(2, 3\)"):
+        adam_step(store, {"d": np.ones((2, 3), np.float32)}, "discriminator", lr=0.1)
     assert (store["d"].tobytes(), [a.tobytes() for a in store.adam_state("d")[:2]]) == before
     assert store.adam_state("d")[2] == 0
 
