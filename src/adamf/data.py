@@ -114,8 +114,9 @@ class TripleDataset:
 class FeatureTable:
     """Raw per-entity feature vectors for one modality with a presence mask.
 
-    Rows for absent entities are zero-filled and must be ignored by
-    consumers (the mask, not the values, is authoritative).
+    The mask, not the values, is authoritative: an absent entity's row is
+    zeros as `load_features` returns it, or the hidden values after
+    `apply_modality_missing`, and consumers must ignore it.
     """
 
     modality: str
@@ -241,8 +242,9 @@ def apply_modality_missing(table: FeatureTable, ratio: float, seed: int) -> Feat
     """Mask floor(ratio * n_entities) entities, chosen uniformly by the seed.
 
     The choice depends only on (n_entities, ratio, seed), so applying the
-    same seed to both modalities drops the same entities.  The input table
-    is left unmodified.
+    same seed to both modalities drops the same entities.  The result
+    shares the input's matrix and has a new `present`, so the input table
+    is left unmodified and no feature row is copied.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ContractError(f"missing ratio must be in [0, 1], got {ratio}")
@@ -253,7 +255,7 @@ def apply_modality_missing(table: FeatureTable, ratio: float, seed: int) -> Feat
         rng = SeededRng(seed, stream="masks")
         chosen = rng.choice_without_replacement(n, n_masked)
         present[chosen] = False
-    return replace(table, matrix=table.matrix.copy(), present=present)
+    return replace(table, present=present)
 
 
 def feature_dir_paths(base: str) -> dict[str, str]:

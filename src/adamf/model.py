@@ -35,6 +35,9 @@ DISC = frozenset({"discriminator"})
 GEN = frozenset({"generator"})
 FROZEN = frozenset()
 
+INIT_CHUNK = 1 << 16    # draws per pass of init_params's uniform tables
+FEATURE_BLOCK = 256     # feature rows per pass of Model's dtype conversion
+
 
 def synthetic_sides(patterns: tuple[str, ...]) -> tuple[str, ...]:
     """Sides ("h", "t") whose synthetic entity some pattern uses, in build order."""
@@ -109,9 +112,13 @@ def init_params(cfg: ModelConfig, n_entities: int, n_relations: int,
     two_d = cfg.entity_dim
 
     def uniform(name, shape, bound):
+        # Chunked into the store's dtype: no float64 table, the same values.
         rng = root.substream(f"init/{name}")
-        size = int(np.prod(shape))
-        return (rng.uniforms(size) * 2.0 - 1.0).reshape(shape) * bound
+        out = np.empty(int(np.prod(shape)), cfg.dtype)
+        for lo in range(0, out.size, INIT_CHUNK):
+            chunk = out[lo:lo + INIT_CHUNK]
+            chunk[...] = (rng.uniforms(chunk.size) * 2.0 - 1.0) * bound
+        return out.reshape(shape)
 
     def xavier(name, fan_out, fan_in):
         bound = math.sqrt(6.0 / (fan_in + fan_out))
@@ -170,21 +177,25 @@ class Model:
         self.n_entities = store["entity.structural"].shape[0]
         self.n_relations = store["relation.phase"].shape[0]
         features = features or {}
+        # Only the present feature rows, at the store's dtype; entity -> row or -1.
         self._raw: dict[str, np.ndarray] = {}
-        self._present: dict[str, np.ndarray] = {}
+        self._rows: dict[str, np.ndarray] = {}
         for m in cfg.projected_modalities:
             table = features.get(m)
-            if table is None:   # no row is present, so no raw row is ever read
-                raw = np.zeros((0, cfg.feature_dim(m)))
-                present = np.zeros(self.n_entities, dtype=bool)
-            else:
-                if table.matrix.shape != (self.n_entities, cfg.feature_dim(m)):
-                    raise ContractError(
-                        f"feature table for {m!r} has shape {table.matrix.shape}, "
-                        f"expected {(self.n_entities, cfg.feature_dim(m))}")
-                raw, present = table.matrix, table.present
-            self._raw[m] = np.asarray(raw, dtype=cfg.dtype)
-            self._present[m] = np.asarray(present, dtype=bool)
+            shape = (self.n_entities, cfg.feature_dim(m))
+            present = np.zeros(shape[0], dtype=bool)   # no table: no row is read
+            if table is not None:
+                got = (table.matrix.shape, np.shape(table.present))
+                if got != (shape, shape[:1]):
+                    raise ContractError(f"feature table for {m!r} has matrix and mask "
+                                        f"shapes {got}, expected {(shape, shape[:1])}")
+                present = np.asarray(table.present, dtype=bool)
+            ids = np.flatnonzero(present)
+            self._raw[m] = raw = np.empty((ids.size, shape[1]), cfg.dtype)
+            for lo in range(0, ids.size, FEATURE_BLOCK):
+                raw[lo:lo + FEATURE_BLOCK] = table.matrix[ids[lo:lo + FEATURE_BLOCK]]
+            self._rows[m] = np.full(self.n_entities, -1, dtype=np.int64)
+            self._rows[m][ids] = np.arange(ids.size)
 
     # ------------------------------------------------------------- embeddings
 
@@ -200,12 +211,13 @@ class Model:
             return tape.gather(tape.leaf("entity.structural", live), idx)
         if m not in self.cfg.projected_modalities:
             raise ContractError(f"modality {m!r} not active in this model")
-        present = self._present[m][idx]
+        rows = self._rows[m][idx]
+        present = rows >= 0
         if not present.any():
             return tape.gather(tape.leaf(f"fallback.{m}", live), idx)
         projected = project(tape, tape.leaf(f"proj.{m}.weight", live),
                             tape.leaf(f"proj.{m}.bias", live),
-                            tape.const(self._raw[m][idx[present]]))
+                            tape.const(self._raw[m][rows[present]]))
         if present.all():
             return projected
         fallback = tape.gather(tape.leaf(f"fallback.{m}", live), idx[~present])

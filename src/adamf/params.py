@@ -36,8 +36,9 @@ class ParameterStore:
         arr = np.array(value, dtype=self.dtype, order="C")
         self._values[name] = arr
         self._groups[name] = group
-        self._adam_m[name] = np.zeros_like(arr)
-        self._adam_v[name] = np.zeros_like(arr)
+        # np.zeros, unlike zeros_like, leaves pages unwritten until Adam's first step.
+        self._adam_m[name] = np.zeros(arr.shape, arr.dtype)
+        self._adam_v[name] = np.zeros(arr.shape, arr.dtype)
         self._steps[name] = 0
 
     def __getitem__(self, name: str) -> np.ndarray:

@@ -44,6 +44,14 @@ def random_features(n_entities, dim, modality, rng, absent=()):
     return FeatureTable(modality, dim, matrix, present)
 
 
+def small_features(n_entities=6, seed=0, absent_v=(), absent_t=()):
+    """The feature tables of `small_model` with the same arguments: 4-wide
+    visual and 5-wide textual random rows."""
+    rng = SeededRng(seed, stream="fixture-features")
+    return {"v": random_features(n_entities, 4, "v", rng.substream("v"), absent_v),
+            "t": random_features(n_entities, 5, "t", rng.substream("t"), absent_t)}
+
+
 def small_model(n_entities=6, n_relations=2, d=3, seed=0, absent_v=(),
                 absent_t=(), **cfg_kwargs):
     """Random double-precision model over tiny feature tables."""
@@ -52,15 +60,8 @@ def small_model(n_entities=6, n_relations=2, d=3, seed=0, absent_v=(),
     cfg = ModelConfig(d=d, visual_dim=4, textual_dim=5, noise_dim=3,
                       gamma=4.0, **cfg_kwargs)
     store = init_params(cfg, n_entities, n_relations, seed=seed)
-    rng = SeededRng(seed, stream="fixture-features")
-    features = {}
-    if "v" in cfg.projected_modalities:
-        features["v"] = random_features(n_entities, 4, "v",
-                                        rng.substream("v"), absent_v)
-    if "t" in cfg.projected_modalities:
-        features["t"] = random_features(n_entities, 5, "t",
-                                        rng.substream("t"), absent_t)
-    return Model(cfg, store, features)
+    features = small_features(n_entities, seed, absent_v, absent_t)
+    return Model(cfg, store, {m: features[m] for m in cfg.projected_modalities})
 
 
 def line_model(positions, gamma=4.0, n_relations=1):

@@ -62,6 +62,21 @@ def test_save_load_save_is_byte_identical(tmp_path):
         assert fa.read() == fb.read()
 
 
+def test_fresh_moments_are_zero_and_save_as_written_zeros(tmp_path):
+    # A fresh store's moments are allocated but not yet written; they must
+    # read, and serialize, exactly as zero arrays that were written.
+    store = small_model(precision="single").store
+    save_checkpoint(store, str(tmp_path / "fresh.bin"))
+    for name in store.names():
+        m, v, step = store.adam_state(name)
+        assert m.shape == v.shape == store[name].shape
+        assert m.dtype == v.dtype == store.dtype
+        assert not m.any() and not v.any() and step == 0
+        store.set_adam_state(name, np.full_like(m, 0.0), np.full_like(v, 0.0), 0)
+    save_checkpoint(store, str(tmp_path / "written.bin"))
+    assert (tmp_path / "fresh.bin").read_bytes() == (tmp_path / "written.bin").read_bytes()
+
+
 def test_read_checkpoint_raw_maps(tmp_path):
     model = trained_model()
     path = str(tmp_path / "c.bin")

@@ -205,6 +205,16 @@ def test_mask_ratio_zero_is_identity():
     assert table.present.all()  # input untouched
 
 
+def test_mask_shares_matrix_and_leaves_input_mask():
+    table = random_features(10, 3, "v", SeededRng(5), absent=(2,))
+    before = table.present.copy()
+    masked = apply_modality_missing(table, 0.5, seed=3)
+    assert np.shares_memory(masked.matrix, table.matrix)
+    assert np.array_equal(table.present, before)
+    assert not np.shares_memory(masked.present, table.present)
+    assert not (masked.present & ~before).any() and (~masked.present).sum() >= 5
+
+
 def test_mask_ratio_one_masks_all():
     table = random_features(10, 3, "v", SeededRng(1))
     masked = apply_modality_missing(table, 1.0, seed=5)

@@ -2,18 +2,23 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from adamf import model as model_module
+from adamf.data import apply_modality_missing
 from adamf.errors import ContractError
 from adamf.model import (ALL_PATTERNS, DISC, FROZEN, GEN, MODALITY_ORDER,
                          Model, ModelConfig, init_params)
 from adamf.params import ParameterStore
 from adamf.rng import SeededRng
 from adamf.tape import Tape
+from adamf.training import (TrainConfig, sample_negatives, train_step_discriminator,
+                            train_step_generator)
 
-from conftest import random_features, small_model, synthetic_scores
+from conftest import random_features, small_features, small_model, synthetic_scores
 
 
 # --- configuration ------------------------------------------------------------
@@ -77,6 +82,42 @@ def test_init_name_substreams_independent():
     small = init_params(cfg, 5, 3, seed=9)
     large = init_params(cfg, 50, 3, seed=9)
     assert small["relation.phase"].tobytes() == large["relation.phase"].tobytes()
+
+
+def one_shot_uniform_tables(cfg, n_entities, n_relations, seed):
+    """init_params's uniform tables, each drawn in one call and cast once."""
+    two_d, hidden, b = cfg.entity_dim, cfg.gen_hidden, 6.0 / math.sqrt(cfg.entity_dim)
+    tables = {"entity.structural": ((n_entities, two_d), b),
+              "relation.phase": ((n_relations, cfg.d), math.pi)}
+    for m in cfg.projected_modalities:
+        dim = cfg.feature_dim(m)
+        tables[f"proj.{m}.weight"] = ((two_d, dim), math.sqrt(6.0 / (dim + two_d)))
+        tables[f"fallback.{m}"] = ((n_entities, two_d), b)
+        tables[f"gen.{m}.w1"] = ((hidden, two_d + cfg.noise_dim),
+                                 math.sqrt(6.0 / (two_d + cfg.noise_dim + hidden)))
+        tables[f"gen.{m}.w2"] = ((two_d, hidden), math.sqrt(6.0 / (hidden + two_d)))
+    root = SeededRng(seed)
+    return {name: ((root.substream(f"init/{name}").uniforms(int(np.prod(shape))) * 2 - 1)
+                   .reshape(shape) * bound).astype(cfg.dtype)
+            for name, (shape, bound) in tables.items()}
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("chunk", [1000, None])
+def test_init_chunked_equals_one_shot_formula(monkeypatch, precision, chunk):
+    # 12,001 x 16 = 192,016 draws per entity table: three module-sized
+    # chunks or 193 small ones, the last one partial either way; the
+    # 3 x 8 phase table is one partial chunk.
+    if chunk is None:
+        assert 2 * model_module.INIT_CHUNK < 12_001 * 16 < 3 * model_module.INIT_CHUNK
+    else:
+        monkeypatch.setattr(model_module, "INIT_CHUNK", chunk)
+    cfg = ModelConfig(d=8, visual_dim=7, textual_dim=5, noise_dim=3, precision=precision)
+    store = init_params(cfg, 12_001, 3, seed=4)
+    expected = one_shot_uniform_tables(cfg, 12_001, 3, seed=4)
+    assert set(expected) < set(store.names())
+    for name, want in expected.items():
+        assert store[name].dtype == want.dtype and store[name].tobytes() == want.tobytes(), name
 
 
 # --- projection -----------------------------------------------------------------
@@ -344,12 +385,13 @@ def test_present_entity_uses_projection():
     tape = Tape(model.store)
     emb = model.modal_embedding(tape, "v", np.array([1]), DISC)
     w, b = model.store["proj.v.weight"], model.store["proj.v.bias"]
-    f = model._raw["v"][1]
+    f = small_features(absent_v=(2,))["v"].matrix[1]
     assert np.allclose(emb.value[0], w @ f + b, atol=1e-12)
 
 
 def test_mixed_batch_routes_by_mask():
     model = small_model(absent_t=(0, 4))
+    raw = small_features(absent_t=(0, 4))["t"].matrix
     tape = Tape(model.store)
     idx = np.array([0, 1, 4, 5])
     emb = model.modal_embedding(tape, "t", idx, DISC).value
@@ -358,15 +400,15 @@ def test_mixed_batch_routes_by_mask():
         if i in (0, 4):
             expect = model.store["fallback.t"][i]
         else:
-            expect = w @ model._raw["t"][i] + b
+            expect = w @ raw[i] + b
         assert np.allclose(emb[row], expect, atol=1e-12)
 
 
-def project_then_mix(tape, model, m, idx):
-    """Every row projected, then mixed with the fallback rows by the 0/1
-    presence mask: the form that present-row projection must equal."""
-    mask = model._present[m][idx].astype(np.float64)[:, None]
-    raw = tape.const(model._raw[m][idx])
+def project_then_mix(tape, table, m, idx):
+    """Every row of `table` projected, then mixed with the fallback rows by
+    the 0/1 presence mask: the form that present-row projection must equal."""
+    mask = table.present[idx].astype(np.float64)[:, None]
+    raw = tape.const(table.matrix[idx])
     projected = tape.add(tape.matvec(tape.param(f"proj.{m}.weight"), raw),
                          tape.param(f"proj.{m}.bias"))
     fallback = tape.gather(tape.param(f"fallback.{m}"), idx)
@@ -375,6 +417,7 @@ def project_then_mix(tape, model, m, idx):
 
 def test_present_rows_projection_matches_project_then_mix():
     model = small_model(absent_v=(1, 4), absent_t=(1, 4))
+    tables = small_features(absent_v=(1, 4), absent_t=(1, 4))
     rng = SeededRng(8, stream="present-rows")
     cases = {"all present": [0, 2, 3, 5], "none present": [4, 1], "mixed": [0, 1, 2, 4],
              "repeated ids": [3, 1, 3, 0, 4, 1, 3, 5, 4]}
@@ -386,7 +429,7 @@ def test_present_rows_projection_matches_project_then_mix():
             for form in ("present rows", "project then mix"):
                 tape = Tape(model.store)
                 emb = (model.modal_embedding(tape, m, idx, DISC) if form == "present rows"
-                       else project_then_mix(tape, model, m, idx))
+                       else project_then_mix(tape, tables[m], m, idx))
                 grads = tape.backward(tape.sum(tape.mul(emb, tape.const(coef))))
                 out[form] = emb.value, grads
             (got, got_grads), (ref, ref_grads) = out.values()
@@ -394,6 +437,51 @@ def test_present_rows_projection_matches_project_then_mix():
             for name in (f"proj.{m}.weight", f"proj.{m}.bias", f"fallback.{m}"):
                 assert np.allclose(got_grads[name], ref_grads[name], rtol=0, atol=1e-12), \
                     (m, case, name)
+
+
+def test_model_rejects_feature_table_of_wrong_shape():
+    cfg = ModelConfig(d=3, visual_dim=4, textual_dim=5, noise_dim=3)
+    store = init_params(cfg, 6, 2, seed=0)
+    good = small_features()
+    Model(cfg, store, good)
+    for m, bad in (("v", replace(good["v"], present=good["v"].present[:5])),
+                   ("t", replace(good["t"], present=np.ones((6, 1), dtype=bool))),
+                   ("t", replace(good["t"], present=np.ones(7, dtype=bool))),
+                   ("v", replace(good["v"], matrix=good["v"].matrix[:, :3]))):
+        with pytest.raises(ContractError, match=f"feature table for '{m}'"):
+            Model(cfg, store, {**good, m: bad})
+
+
+def test_masked_model_holds_present_rows_and_never_reads_hidden_ones():
+    # Hidden rows keep their values after masking; overwriting them with NaN
+    # must change no byte of the representations, the losses or one
+    # discriminator and one generator step.
+    n = 12
+    cfg = ModelConfig(d=3, visual_dim=4, textual_dim=5, noise_dim=3, gamma=4.0)
+    masked = {m: apply_modality_missing(table, 0.5, seed=4)
+              for m, table in small_features(n, absent_v=(0,)).items()}
+    poisoned = {m: replace(table, matrix=table.matrix.copy())
+                for m, table in masked.items()}
+    for table in poisoned.values():
+        table.matrix[~table.present] = np.nan
+    batch = np.array([[0, 0, 1], [2, 1, 3], [4, 0, 5], [6, 1, 7], [8, 0, 11]])
+    train_cfg = TrainConfig(k_negatives=4, batch_size=5)
+    runs = []
+    for features in (masked, poisoned):
+        model = Model(cfg, init_params(cfg, n, 2, seed=1), features)
+        for m, table in features.items():
+            assert model._raw[m].shape == (table.present.sum(), table.dim)
+            assert model._raw[m].dtype == np.float32
+        joint, alpha = model.entity_representations()
+        rng = SeededRng(5)
+        negatives = sample_negatives(batch, n, 4, rng.substream("negatives"))
+        noise = rng.substream("noise")
+        losses = (train_step_discriminator(model, batch, negatives, train_cfg, noise),
+                  train_step_generator(model, batch, train_cfg, noise))
+        runs.append((joint.tobytes(), alpha.tobytes(), losses,
+                     [model.store[name].tobytes() for name in model.store.names()]))
+    assert all(math.isfinite(v) for v in runs[0][2][0] + (runs[0][2][1],))
+    assert runs[0] == runs[1]
 
 
 def test_modality_without_features_holds_no_raw_rows():
