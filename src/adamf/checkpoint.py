@@ -94,8 +94,10 @@ def load_checkpoint(store: ParameterStore, path: str):
     """Load values and Adam state into an already-shaped store.
 
     Every tensor must exist in the store with a matching shape (Adam moments
-    too, step counts rank 0); mismatches are contract errors naming the
-    tensor, raised before the store changes.
+    too, step counts rank 0), and a tensor's Adam state is all three of its
+    records or none; every state record must belong to a tensor in the file.
+    Violations are contract errors naming the record, raised before the
+    store changes.
     """
     values, state = read_checkpoint(path)
     records = {**state, **values}
@@ -103,16 +105,24 @@ def load_checkpoint(store: ParameterStore, path: str):
         if name not in store:
             raise ContractError(f"checkpoint tensor {name!r} not in model")
         shape = store[name].shape
-        for key, want in ((name, shape), (f"{name}.adam_m", shape),
-                          (f"{name}.adam_v", shape), (f"{name}.step", ())):
+        keys = (f"{name}.adam_m", f"{name}.adam_v", f"{name}.step")
+        for key, want in zip((name, *keys), (shape, shape, shape, ())):
             if key in records and records[key].shape != want:
                 raise ContractError(f"checkpoint tensor {key!r} has shape "
                                     f"{records[key].shape}, model expects {want}")
+        absent = [key for key in keys if key not in state]
+        if 0 < len(absent) < 3:
+            raise ContractError(f"checkpoint Adam state of {name!r} lacks {absent[0]!r}")
+    owned = {f"{n}.{k}" for n in values for k in ("adam_m", "adam_v", "step")}
+    stray = [key for key in state if key not in owned]
+    if stray:
+        raise ContractError(f"checkpoint state record {stray[0]!r} belongs to no "
+                            f"tensor in the file")
     missing = [n for n in store.names() if n not in values]
     if missing:
         raise ContractError(f"checkpoint missing tensors: {missing}")
     for name, arr in values.items():
         store.set(name, arr)
-        m, v, step = (state.get(f"{name}.{k}") for k in ("adam_m", "adam_v", "step"))
-        if m is not None and v is not None and step is not None:
+        if f"{name}.step" in state:
+            m, v, step = (state[f"{name}.{k}"] for k in ("adam_m", "adam_v", "step"))
             store.set_adam_state(name, m, v, int(step))

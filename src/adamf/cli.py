@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -64,8 +63,6 @@ def _load_run_config(args) -> RunConfig:
             raise ConfigError(f"AMF_SEED must be an integer, got {env_seed!r}")
     if getattr(args, "out", None):
         cfg.out = os.path.abspath(args.out)
-    if getattr(args, "deterministic", False):
-        warnings.warn("--deterministic is deprecated and does nothing", DeprecationWarning)
     return cfg
 
 
@@ -340,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("config", nargs="?", default=None,
                            help="optional config file (defaults used otherwise)")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--deterministic", action="store_true",
-                       help="deprecated no-op (runs are always deterministic)")
 
     p_train = sub.add_parser("train", help="train a model and evaluate it")
     common(p_train)

@@ -9,7 +9,6 @@ out and re-running from the echo reproduces the run.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -170,9 +169,6 @@ def parse_config(path) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: expected `key = value`, "
                                   f"got {line.strip()!r}")
             key, raw = (part.strip() for part in text.split("=", 1))
-            if key == "deterministic":      # a no-op: runs are always deterministic
-                warnings.warn(f"{path}: {key!r} is a deprecated no-op", DeprecationWarning)
-                continue
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in seen:

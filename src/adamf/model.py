@@ -148,11 +148,6 @@ def init_params(cfg: ModelConfig, n_entities: int, n_relations: int,
     return store
 
 
-def project(tape: Tape, weight: Node, bias: Node, features: Node) -> Node:
-    """Affine projection of raw modal features into the embedding space."""
-    return tape.add(tape.matvec(weight, features), bias)
-
-
 class EntityTable(NamedTuple):
     """One step's fused entity rows: entity ids[i] is row i of joint/alpha."""
     ids: np.ndarray    # (U,) sorted unique entity ids
@@ -215,9 +210,9 @@ class Model:
         present = rows >= 0
         if not present.any():
             return tape.gather(tape.leaf(f"fallback.{m}", live), idx)
-        projected = project(tape, tape.leaf(f"proj.{m}.weight", live),
-                            tape.leaf(f"proj.{m}.bias", live),
-                            tape.const(self._raw[m][rows[present]]))
+        projected = tape.matvec(tape.leaf(f"proj.{m}.weight", live),
+                                tape.const(self._raw[m][rows[present]]),
+                                tape.leaf(f"proj.{m}.bias", live))
         if present.all():
             return projected
         fallback = tape.gather(tape.leaf(f"fallback.{m}", live), idx[~present])
@@ -285,10 +280,10 @@ class Model:
         """
         x = tape.const(np.concatenate([e_s_values, z], axis=1))
         hidden = tape.leaky_relu(
-            project(tape, tape.leaf(f"gen.{m}.w1", live), tape.leaf(f"gen.{m}.b1", live), x),
+            tape.matvec(tape.leaf(f"gen.{m}.w1", live), x, tape.leaf(f"gen.{m}.b1", live)),
             self.cfg.leaky_slope)
-        return project(tape, tape.leaf(f"gen.{m}.w2", live), tape.leaf(f"gen.{m}.b2", live),
-                       hidden)
+        return tape.matvec(tape.leaf(f"gen.{m}.w2", live), hidden,
+                           tape.leaf(f"gen.{m}.b2", live))
 
     def draw_noise(self, triples: np.ndarray, n_groups: int,
                    patterns: tuple[str, ...], rng: SeededRng) -> dict:

@@ -6,14 +6,15 @@ the backward pass is a single reverse sweep that accumulates exact adjoints.
 Values are numpy arrays (scalars are 0-d); the last axis is the vector axis
 and an optional leading axis batches independent rows.
 
-The kernels are arithmetic (``add``, ``sub``, ``mul``, ``scale``, ``sum``),
-``matvec``, ``concat``, ``gather`` and ``merge_rows``, the nonlinearities
-``leaky_relu`` and ``log_sigmoid``, adaptive fusion as ``fusion_weights``
-(the tanh-score softmax alpha) and ``mix`` (the alpha-weighted sum of the
-parts), and ``query_distance``, the RotatE score of candidate table rows
-against rotated query rows (h o r for tails, t o conj(r) for heads), whose
-forward shares ``modulus_sum`` with evaluation.  Each has an analytic
-backward; scatter-adds go through flat element indices (``_scatter``).
+The kernels are ``add`` (equal shapes), ``scale``, the affine ``matvec``
+(x @ w.T + b), ``concat``, ``gather``, ``merge_rows``, ``leaky_relu``,
+``log_sigmoid_sum`` (both losses' sigmoid-margin sum of w log sigma(x)),
+adaptive fusion as ``fusion_weights`` (the tanh-score softmax alpha) and
+``mix`` (the alpha-weighted sum of the parts), and ``query_distance``, the
+RotatE score of candidate table rows against rotated query rows (h o r for
+tails, t o conj(r) for heads), whose forward shares ``modulus_sum`` with
+evaluation.  Each has an analytic backward; scatter-adds go through flat
+element indices (``_scatter``).
 
 Complex-valued quantities are interleaved (re, im) pairs in an even-length
 last axis; phase vectors have half that length.
@@ -28,7 +29,8 @@ the same order, as without pruning.
 
 Subnormal adjoints are flushed in two places: the backwards of ``matvec``
 and ``query_distance`` set each entry of their incoming adjoint below
-``np.finfo(dtype).tiny`` to exactly 0.  Such entries arise where
+``np.finfo(dtype).tiny`` to exactly 0 (``matvec``'s bias takes the column
+sums of the adjoint before the flush, unchanged).  Such entries arise where
 self-adversarial weights and sigma(-x) underflow, and already carry fewer
 than 24 significant bits in float32.  Each adds at most tiny * |x| to an
 output, below the last bit of an output of ordinary size, yet each sends
@@ -68,16 +70,6 @@ class Node:
             self.grad = np.array(g, copy=True)
         else:
             self.grad += g
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcasted gradient back to the operand's shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
 
 
 def _scatter(ufunc, table: np.ndarray, idx, rows: np.ndarray) -> None:
@@ -153,54 +145,26 @@ class Tape:
     # ----------------------------------------------------------------- kernels
 
     def add(self, a: Node, b: Node) -> Node:
-        try:
-            out = a.value + b.value
-        except ValueError:
-            self._require(False, "add", a.shape, b.shape)
+        self._require(a.shape == b.shape, "add", a.shape, b.shape)
+        out = a.value + b.value
 
         def backward(g):
             if a.live:
-                a.add_grad(_unbroadcast(g, a.shape))
+                a.add_grad(g)
             if b.live:
-                b.add_grad(_unbroadcast(g, b.shape))
+                b.add_grad(g)
 
         return self._emit("add", out, (a, b), backward)
 
-    def sub(self, a: Node, b: Node) -> Node:
-        try:
-            out = a.value - b.value
-        except ValueError:
-            self._require(False, "sub", a.shape, b.shape)
+    def matvec(self, w: Node, x: Node, b: Node) -> Node:
+        """Affine map of rows: x (B,n) @ w (m,n).T + bias b (m,) -> (B,m)."""
+        self._require(w.value.ndim == 2 and x.value.ndim == 2 and x.shape[1] == w.shape[1]
+                      and b.shape == w.shape[:1], "matvec", w.shape, x.shape, b.shape)
+        out = x.value @ w.value.T + b.value
 
         def backward(g):
-            if a.live:
-                a.add_grad(_unbroadcast(g, a.shape))
             if b.live:
-                b.add_grad(_unbroadcast(-g, b.shape))
-
-        return self._emit("sub", out, (a, b), backward)
-
-    def mul(self, a: Node, b: Node) -> Node:
-        try:
-            out = a.value * b.value
-        except ValueError:
-            self._require(False, "mul", a.shape, b.shape)
-
-        def backward(g):
-            if a.live:
-                a.add_grad(_unbroadcast(g * b.value, a.shape))
-            if b.live:
-                b.add_grad(_unbroadcast(g * a.value, b.shape))
-
-        return self._emit("mul", out, (a, b), backward)
-
-    def matvec(self, w: Node, x: Node) -> Node:
-        """w (m,n) applied row-wise to x (B,n) -> (B,m)."""
-        self._require(w.value.ndim == 2 and x.value.ndim == 2
-                      and x.shape[1] == w.shape[1], "matvec", w.shape, x.shape)
-        out = x.value @ w.value.T
-
-        def backward(g):
+                b.add_grad(g.sum(axis=0))
             # Subnormal entries become exact zeros (see the module docstring).
             g = np.where(np.abs(g) < np.finfo(g.dtype).tiny, g.dtype.type(0), g)
             if w.live:
@@ -208,7 +172,7 @@ class Tape:
             if x.live:
                 x.add_grad(g @ w.value)
 
-        return self._emit("matvec", out, (w, x), backward)
+        return self._emit("matvec", out, (w, x, b), backward)
 
     def concat(self, parts: list[Node]) -> Node:
         self._require(len(parts) > 0, "concat")
@@ -276,15 +240,6 @@ class Tape:
 
         return self._emit("leaky_relu", out, (x,), backward)
 
-    def log_sigmoid(self, x: Node) -> Node:
-        out = -np.logaddexp(0.0, -x.value)
-
-        def backward(g):
-            # d/dx log sigma(x) = sigma(-x)
-            x.add_grad(g * np.exp(-np.logaddexp(0.0, x.value)))
-
-        return self._emit("log_sigmoid", out, (x,), backward)
-
     def scale(self, x: Node, c: float) -> Node:
         out = x.value * c
 
@@ -293,14 +248,26 @@ class Tape:
 
         return self._emit("scale", out, (x,), backward)
 
-    def sum(self, x: Node) -> Node:
-        """Full reduction to a scalar."""
-        out = x.value.sum()
+    def log_sigmoid_sum(self, f: Node, gamma: float, sign: int, weights=None) -> Node:
+        """Sigmoid-margin sum_i w_i log sigma(x_i) over every entry of f, with
+        x = gamma - f (sign +1) or f - gamma (sign -1).  The weights, of f's
+        shape, are a constant; without them every w_i is 1."""
+        self._require(sign in (1, -1) and (weights is None or np.shape(weights) == f.shape),
+                      "log_sigmoid_sum", f.shape, np.shape(weights))
+        gamma = np.asarray(gamma, dtype=self.dtype)
+        x = gamma - f.value if sign == 1 else f.value - gamma
+        out = -np.logaddexp(0.0, -x)
+        if weights is not None:
+            weights = np.asarray(weights, dtype=self.dtype)
+            out = out * weights
 
         def backward(g):
-            x.add_grad(np.broadcast_to(g, x.shape).copy())
+            if weights is not None:
+                g = g * weights
+            g = g * np.exp(-np.logaddexp(0.0, x))      # d/dx log sigma(x) = sigma(-x)
+            f.add_grad(-g if sign == 1 else g)
 
-        return self._emit("sum", out, (x,), backward)
+        return self._emit("log_sigmoid_sum", out.sum(), (f,), backward)
 
     def fusion_weights(self, parts: list[Node], weights: list[Node]) -> Node:
         """Adaptive fusion weights alpha (B, M) of M parts (B, n):

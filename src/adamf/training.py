@@ -124,10 +124,10 @@ def self_adv_weights(neg_scores: np.ndarray, beta: float,
 def positive_parts(model: Model, tape: Tape, triples: tuple, live) -> tuple:
     """A step's shared pieces: the entity table over every head and tail in
     `triples` (the batch first, then any negatives), the batch, and its
-    log sigma(gamma - F_pos)."""
+    sum_b log sigma(gamma - F_pos), which both losses share."""
     table = model.entity_table(tape, triples, live)
     f_pos = model.distances(tape, table, triples[0], live)
-    return table, triples[0], tape.log_sigmoid(tape.sub(tape.const(model.cfg.gamma), f_pos))
+    return table, triples[0], tape.log_sigmoid_sum(f_pos, model.cfg.gamma, 1)
 
 
 def loss_kgc(model: Model, tape: Tape, negatives: np.ndarray, live, pos: tuple,
@@ -135,16 +135,14 @@ def loss_kgc(model: Model, tape: Tape, negatives: np.ndarray, live, pos: tuple,
     """Sigmoid margin loss over positives and self-adversarially weighted
     negatives: mean_b[-log s(g - F_pos) - sum_i p_i log s(F_neg_i - g)].
     `pos` is the step's `positive_parts`, built over the negatives too."""
-    table, batch, pos_term = pos
+    table, batch, pos_sum = pos
     f_neg = model.distances(tape, table, batch, live, negatives)
     if frozen_weights is None:
         weights = self_adv_weights(f_neg.value, model.cfg.beta, model.cfg.selfadv_sign)
     else:
         weights = np.asarray(frozen_weights)
-    neg_term = tape.log_sigmoid(tape.sub(f_neg, tape.const(model.cfg.gamma)))
-    weighted = tape.mul(neg_term, tape.const(weights))
-    loss = tape.scale(tape.add(tape.sum(pos_term), tape.sum(weighted)),
-                      -1.0 / batch.shape[0])
+    neg_sum = tape.log_sigmoid_sum(f_neg, model.cfg.gamma, -1, weights)
+    loss = tape.scale(tape.add(pos_sum, neg_sum), -1.0 / batch.shape[0])
     return loss, {"f_neg": f_neg.value, "weights": weights}
 
 
@@ -157,13 +155,12 @@ def loss_adv(model: Model, tape: Tape, batch: np.ndarray, n_groups: int,
     `generated` holds the synthetic modal embeddings (`Model.generate`) and
     `pos` the step's `positive_parts`."""
     n_batch = batch.shape[0]
-    table, _, pos_term = pos
+    table, _, pos_sum = pos
     f_syn, meta = model.synthetic_triple_scores(
         tape, batch, n_groups, patterns, live, generated, table)
-    syn_term = tape.log_sigmoid(tape.sub(f_syn, tape.const(model.cfg.gamma)))
-    loss = tape.scale(
-        tape.add(tape.sum(pos_term), tape.scale(tape.sum(syn_term), 1.0 / len(meta))),
-        -1.0 / n_batch)
+    syn_sum = tape.log_sigmoid_sum(f_syn, model.cfg.gamma, -1)
+    loss = tape.scale(tape.add(pos_sum, tape.scale(syn_sum, 1.0 / len(meta))),
+                      -1.0 / n_batch)
     return loss, {"f_syn": f_syn.value.reshape(len(meta), n_batch), "meta": meta}
 
 

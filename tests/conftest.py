@@ -9,6 +9,26 @@ from adamf.rng import SeededRng
 from adamf.training import loss_kgc, positive_parts
 
 
+def probe_sum(tape, x, r=None):
+    """Scalar test probe sum(r * x) on the tape, with r a constant of x's
+    shape (sum(x) without one): reduces a kernel's output to a root."""
+    r = None if r is None else np.asarray(r, dtype=tape.dtype)
+    value = x.value.sum() if r is None else (r * x.value).sum()
+
+    def backward(g):
+        x.add_grad(np.broadcast_to(g, x.shape).copy() if r is None else g * r)
+
+    return tape._emit("probe_sum", value, (x,), backward)
+
+
+def probe_square(tape, x):
+    """Scalar test probe sum(x * x) on the tape."""
+    def backward(g):
+        x.add_grad(2.0 * (g * x.value))
+
+    return tape._emit("probe_square", (x.value * x.value).sum(), (x,), backward)
+
+
 def make_dataset(n_entities, triples_by_split, n_relations=1):
     """Hand-built TripleDataset over anonymous entity/relation names."""
     vocab = Vocab()

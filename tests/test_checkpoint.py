@@ -159,6 +159,45 @@ def test_malformed_adam_state_rejected(tmp_path, record, value):
     assert dump(target.store) == before
 
 
+@pytest.mark.parametrize("drop,stray,match", [
+    ("relation.phase.adam_v", None, "relation.phase.adam_v"),
+    ("relation.phase.step", None, "relation.phase.step"),
+    (None, "q.adam_v", "q.adam_v"),
+    ("relation.phase.adam_v", "q.adam_v", "relation.phase.adam_v|q.adam_v")],
+    ids=["no-adam_v", "no-step", "stray", "both"])
+def test_partial_adam_state_rejected(tmp_path, drop, stray, match):
+    # A tensor with only some of its three state records, or a state record
+    # of no tensor in the file, used to load without a word, dropping the
+    # tensor's saved moments and step.  Now it is refused before the store
+    # changes, naming the record.
+    path = str(tmp_path / "partial.bin")
+    save_checkpoint(trained_model().store, path)
+    values, state = read_checkpoint(path)
+    if drop is not None:
+        del state[drop]
+    if stray is not None:
+        state[stray] = np.zeros((1, 3), np.float32)
+    write_raw(path, values, state)
+    target = small_model(n_entities=6, n_relations=1)
+    before = [target.store[n].tobytes() for n in target.store.names()]
+    with pytest.raises(ContractError, match=match):
+        load_checkpoint(target.store, path)
+    assert [target.store[n].tobytes() for n in target.store.names()] == before
+
+
+def test_checkpoint_without_adam_state_loads_values(tmp_path):
+    path = str(tmp_path / "values.bin")
+    model = trained_model()
+    save_checkpoint(model.store, path)
+    values, _ = read_checkpoint(path)
+    write_raw(path, values, {})
+    target = small_model(n_entities=6, n_relations=1)
+    load_checkpoint(target.store, path)
+    for name in model.store.names():
+        assert target.store[name].astype("<f4").tobytes() == values[name].tobytes()
+        assert target.store.adam_state(name)[2] == 0
+
+
 def test_missing_tensor_rejected(tmp_path):
     model = small_model(n_entities=4, n_relations=1, modalities=("s", "v"))
     path = str(tmp_path / "e.bin")

@@ -262,31 +262,29 @@ def test_dump_weights_nonfinite_checkpoint_exits_3_without_outputs(trained, tmp_
     assert not weights_out.exists()  # no weights.csv, not even the directory
 
 
-def test_deterministic_flag_is_a_deprecated_no_op(trained, tmp_path):
+def test_deterministic_flag_is_rejected(trained, tmp_path, capsys):
+    # The flag was a no-op (runs are always deterministic) and is gone:
+    # argparse refuses it with exit status 2 before any output exists.
     out, cfg = trained
-    args = ["eval", cfg, str(out / "checkpoint.bin"), "--out"]
-    assert main(args + [str(tmp_path / "plain")]) == 0
-    with pytest.warns(DeprecationWarning, match="--deterministic"):
-        assert main(args + [str(tmp_path / "flag"), "--deterministic"]) == 0
-    for name in ("rank_report.json", "ranks.tsv"):
-        assert ((tmp_path / "flag" / name).read_bytes()
-                == (tmp_path / "plain" / name).read_bytes())
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", cfg, str(out / "checkpoint.bin"), "--out", str(tmp_path / "flag"),
+              "--deterministic"])
+    assert exc.value.code == 2
+    assert "--deterministic" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists()
 
 
-def test_old_resolved_config_with_deterministic_key_loads(trained, tmp_path):
+def test_deterministic_config_key_is_rejected(trained, tmp_path, capsys):
+    # The key was a no-op too; it is now an unknown key like any other.
     out, _ = trained
     resolved = (out / "config.resolved.cfg").read_text()
     assert "deterministic" not in resolved
     old = tmp_path / "old.cfg"
     old.write_text(resolved + "deterministic = true\n")
     ckpt = str(out / "checkpoint.bin")
-    assert main(["eval", str(out / "config.resolved.cfg"), ckpt,
-                 "--out", str(tmp_path / "new")]) == 0
-    with pytest.warns(DeprecationWarning, match="'deterministic'"):
-        assert main(["eval", str(old), ckpt, "--out", str(tmp_path / "old")]) == 0
-    for name in ("rank_report.json", "ranks.tsv"):
-        assert ((tmp_path / "old" / name).read_bytes()
-                == (tmp_path / "new" / name).read_bytes())
+    assert main(["eval", str(old), ckpt, "--out", str(tmp_path / "old")]) == 2
+    assert "unknown key 'deterministic'" in capsys.readouterr().err
+    assert not (tmp_path / "old").exists()
 
 
 # ---------------------------------------------------------------- gradcheck

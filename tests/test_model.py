@@ -18,7 +18,8 @@ from adamf.tape import Tape
 from adamf.training import (TrainConfig, sample_negatives, train_step_discriminator,
                             train_step_generator)
 
-from conftest import random_features, small_features, small_model, synthetic_scores
+from conftest import (probe_sum, random_features, small_features, small_model,
+                      synthetic_scores)
 
 
 # --- configuration ------------------------------------------------------------
@@ -123,11 +124,10 @@ def test_init_chunked_equals_one_shot_formula(monkeypatch, precision, chunk):
 # --- projection -----------------------------------------------------------------
 
 def project_values(weight, bias, feats):
-    from adamf.model import project
     tape = Tape()
-    out = project(tape, tape.const(np.asarray(weight, dtype=float)),
-                  tape.const(np.asarray(bias, dtype=float)),
-                  tape.const(np.asarray(feats, dtype=float)))
+    out = tape.matvec(tape.const(np.asarray(weight, dtype=float)),
+                      tape.const(np.asarray(feats, dtype=float)),
+                      tape.const(np.asarray(bias, dtype=float)))
     return out.value
 
 
@@ -253,8 +253,8 @@ def test_joint_and_alpha_dedup_matches_row_by_row():
     coef_alpha = rng.normals(idx.size * 3).reshape(idx.size, 3)
 
     def loss(tape, joint, alpha, rows):
-        return tape.add(tape.sum(tape.mul(joint, tape.const(coef_joint[rows]))),
-                        tape.sum(tape.mul(alpha, tape.const(coef_alpha[rows]))))
+        return tape.add(probe_sum(tape, joint, coef_joint[rows]),
+                        probe_sum(tape, alpha, coef_alpha[rows]))
 
     tape = Tape(model.store)
     table = model.entity_table(tape, (batch[:2], batch[2:, None]), DISC)
@@ -409,8 +409,8 @@ def project_then_mix(tape, table, m, idx):
     the 0/1 presence mask: the form that present-row projection must equal."""
     mask = table.present[idx].astype(np.float64)[:, None]
     raw = tape.const(table.matrix[idx])
-    projected = tape.add(tape.matvec(tape.param(f"proj.{m}.weight"), raw),
-                         tape.param(f"proj.{m}.bias"))
+    projected = tape.matvec(tape.param(f"proj.{m}.weight"), raw,
+                            tape.param(f"proj.{m}.bias"))
     fallback = tape.gather(tape.param(f"fallback.{m}"), idx)
     return tape.mix(tape.const(np.hstack([mask, 1.0 - mask])), [projected, fallback])
 
@@ -430,7 +430,7 @@ def test_present_rows_projection_matches_project_then_mix():
                 tape = Tape(model.store)
                 emb = (model.modal_embedding(tape, m, idx, DISC) if form == "present rows"
                        else project_then_mix(tape, tables[m], m, idx))
-                grads = tape.backward(tape.sum(tape.mul(emb, tape.const(coef))))
+                grads = tape.backward(probe_sum(tape, emb, coef))
                 out[form] = emb.value, grads
             (got, got_grads), (ref, ref_grads) = out.values()
             assert np.allclose(got, ref, rtol=0, atol=1e-12), (m, case)

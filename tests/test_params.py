@@ -6,6 +6,7 @@ import pytest
 from adamf.errors import ContractError
 from adamf.params import ADAM_CHUNK, ParameterStore, adam_step, finite_diff_check
 from adamf.tape import Tape
+from conftest import probe_square, probe_sum
 
 
 def make_store(**arrays):
@@ -154,7 +155,7 @@ def test_finite_diff_quadratic_is_exact():
     def builder(params):
         tape = Tape(params)
         p = tape.param("p")
-        return tape, tape.scale(tape.sum(tape.mul(p, p)), 0.5)
+        return tape, tape.scale(probe_square(tape, p), 0.5)
 
     res = finite_diff_check(builder, store, 1e-5)
     assert res.worst < 1e-9
@@ -166,7 +167,7 @@ def test_finite_diff_catches_wrong_gradient():
     def builder(params):
         tape = Tape(params)
         p = tape.param("p")
-        loss = tape.sum(tape.mul(p, p))
+        loss = probe_square(tape, p)
         # Sabotage: report half the true gradient.
         node = tape.scale(loss, 0.5)
         return tape, node
@@ -176,7 +177,7 @@ def test_finite_diff_catches_wrong_gradient():
     def bad_builder(params):
         tape = Tape(params)
         p = tape.param("p")
-        loss = tape.sum(tape.mul(p, p))
+        loss = probe_square(tape, p)
         fn = loss.backward_fn
         loss.backward_fn = lambda g: fn(0.5 * g)
         return tape, loss
@@ -194,7 +195,7 @@ def test_finite_diff_requires_double():
 
     def builder(params):
         tape = Tape(params)
-        return tape, tape.sum(tape.param("p"))
+        return tape, probe_sum(tape, tape.param("p"))
 
     with pytest.raises(ContractError):
         finite_diff_check(builder, store, 1e-5)
@@ -206,7 +207,7 @@ def test_names_filter_restricts_probing():
 
     def builder(params):
         tape = Tape(params)
-        return tape, tape.sum(tape.add(tape.param("a"), tape.param("b")))
+        return tape, probe_sum(tape, tape.add(tape.param("a"), tape.param("b")))
 
     res = finite_diff_check(builder, store, 1e-5, names=["a"])
     assert set(res.per_param) == {"a"}

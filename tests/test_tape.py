@@ -20,6 +20,7 @@ from adamf.errors import ContractError, NumericError
 from adamf.params import ParameterStore, finite_diff_check
 from adamf.rng import SeededRng
 from adamf.tape import Tape
+from conftest import probe_square, probe_sum
 
 TRIALS = 100
 EPSILONS = (1e-6, 2e-5)
@@ -52,7 +53,7 @@ def check_kernel(make_shapes, build, trials=TRIALS, mutate=None):
             tape = Tape(params)
             leaves = {name: tape.param(name) for name in shapes}
             out = build(tape, leaves)
-            root = out if out.value.shape == () else tape.sum(out)
+            root = out if out.value.shape == () else probe_sum(tape, out)
             return tape, tape.scale(root, SCALE)
 
         per_param = {}
@@ -74,22 +75,28 @@ def test_add_gradients():
     check_kernel(lambda rng: {"a": (dims(rng), dims(rng, 2, 5)),
                               "b": (1,)},
                  lambda tape, lv: tape.add(lv["a"], lv["a"]))
-    check_kernel(lambda rng: (lambda b, n: {"a": (b, n), "c": (n,)})(dims(rng), dims(rng)),
+    check_kernel(lambda rng: (lambda b, n: {"a": (b, n), "c": (b, n)})(dims(rng), dims(rng)),
                  lambda tape, lv: tape.add(lv["a"], lv["c"]), trials=TRIALS // 2)
 
 
-def test_sub_gradients():
-    def shapes(rng):
-        b, n = dims(rng), dims(rng)
-        return {"a": (b, n), "b": (b, n)}
-    check_kernel(shapes, lambda tape, lv: tape.sub(lv["a"], lv["b"]))
+def test_add_requires_equal_shapes():
+    tape = Tape()
+    with pytest.raises(ContractError, match="add"):
+        tape.add(tape.const(np.ones((2, 3))), tape.const(np.ones(3)))
 
 
-def test_mul_gradients():
+def test_probe_gradients():
+    # The test probes themselves: sum(r * x), sum(x) and sum(x * x).
+    fixed = {}
+
     def shapes(rng):
         b, n = dims(rng), dims(rng)
-        return {"a": (b, n), "b": (b, n)}
-    check_kernel(shapes, lambda tape, lv: tape.mul(lv["a"], lv["b"]))
+        fixed["r"] = rng.normals(b * n).reshape(b, n)
+        return {"a": (b, n)}
+
+    check_kernel(shapes, lambda tape, lv: probe_sum(tape, lv["a"], fixed["r"]))
+    check_kernel(shapes, lambda tape, lv: probe_sum(tape, lv["a"]))
+    check_kernel(shapes, lambda tape, lv: probe_square(tape, lv["a"]))
 
 
 def test_scale_gradients():
@@ -97,9 +104,78 @@ def test_scale_gradients():
                  lambda tape, lv: tape.scale(lv["a"], -0.37))
 
 
-def test_log_sigmoid_gradients():
-    check_kernel(lambda rng: {"a": (dims(rng), dims(rng))},
-                 lambda tape, lv: tape.log_sigmoid(lv["a"]))
+def margin_fixture(weighted):
+    """Shapes of one (B, K) score leaf f, drawing a gamma that puts the
+    margin inside the scores' range and, if `weighted`, (B, K) weights."""
+    fixed = {}
+
+    def shapes(rng):
+        b, k = dims(rng), dims(rng)
+        fixed["gamma"] = 2.0 * rng.normals(2)[0]
+        fixed["w"] = rng.uniforms(b * k).reshape(b, k) if weighted else None
+        return {"f": (b, k)}
+
+    return fixed, shapes
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_log_sigmoid_sum_gradients(sign):
+    fixed, shapes = margin_fixture(weighted=False)
+    check_kernel(shapes, lambda tape, lv: tape.log_sigmoid_sum(lv["f"], fixed["gamma"],
+                                                               sign))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_log_sigmoid_sum_weighted_gradients(sign):
+    fixed, shapes = margin_fixture(weighted=True)
+    check_kernel(shapes, lambda tape, lv: tape.log_sigmoid_sum(lv["f"], fixed["gamma"],
+                                                               sign, fixed["w"]))
+
+
+def test_log_sigmoid_sum_equals_composed_chain():
+    # The parent form of the discriminator step's margin terms, in numpy:
+    # log_sigmoid(gamma - F_pos) summed once per loss, and the weighted
+    # log_sigmoid(F_neg - gamma), each the sub -> log_sigmoid -> mul -> sum
+    # chain with its backward.  Values and the adjoints of F_pos (which both
+    # losses share) and F_neg must be the same bytes.
+    rng = SeededRng(8, stream="margin-chain")
+    b, k, gamma = 37, 16, 4.0
+    store = ParameterStore(dtype=np.float32)
+    store.add("pos", 4.0 + 2.0 * rng.normals(b), "discriminator")
+    store.add("neg", 4.0 + 3.0 * rng.normals(b * k).reshape(b, k), "discriminator")
+    weights = rng.uniforms(b * k).reshape(b, k)
+    weights /= weights.sum(axis=1, keepdims=True)
+
+    tape = Tape(store)
+    pos = tape.log_sigmoid_sum(tape.param("pos"), gamma, 1)
+    kgc = tape.scale(tape.add(pos, tape.log_sigmoid_sum(tape.param("neg"), gamma, -1,
+                                                        weights)), -1.0 / b)
+    adv = tape.scale(tape.add(pos, tape.const(np.float32(0.25))), -1.0 / b)
+    grads = tape.backward(tape.add(kgc, tape.scale(adv, 0.5)))
+
+    f32, g = np.float32, np.float32(1.0)
+    c = np.asarray(gamma, f32)
+    x_pos, x_neg = c - store["pos"], store["neg"] - c
+    t_pos, t_neg = -np.logaddexp(0.0, -x_pos), -np.logaddexp(0.0, -x_neg)
+    w = np.asarray(weights, f32)
+    weighted = t_neg * w
+    assert pos.value.tobytes() == t_pos.sum().tobytes()
+    assert kgc.value.tobytes() == ((t_pos.sum() + weighted.sum()) * (-1.0 / b)).tobytes()
+    g_kgc, g_adv = g * (-1.0 / b), (g * 0.5) * (-1.0 / b)
+    g_pos = np.full(b, g_adv, f32) + np.full(b, g_kgc, f32)
+    want_pos = -(g_pos * np.exp(-np.logaddexp(0.0, x_pos)))
+    want_neg = (np.full((b, k), g_kgc, f32) * w) * np.exp(-np.logaddexp(0.0, x_neg))
+    assert grads["pos"].tobytes() == want_pos.tobytes()
+    assert grads["neg"].tobytes() == want_neg.tobytes()
+    assert grads["pos"].dtype == grads["neg"].dtype == np.float32
+
+
+def test_log_sigmoid_sum_rejects_bad_sign_and_weights():
+    tape = Tape()
+    f = tape.const(np.ones((2, 3)))
+    for sign, weights in ((0, None), (1, np.ones(3)), (-1, np.ones((3, 2)))):
+        with pytest.raises(ContractError, match="log_sigmoid_sum"):
+            tape.log_sigmoid_sum(f, 1.0, sign, weights)
 
 
 def test_leaky_relu_gradients():
@@ -119,15 +195,15 @@ def test_leaky_relu_gradients():
 def test_matvec_gradients():
     def shapes(rng):
         m, n = dims(rng), dims(rng)
-        return {"w": (m, n), "x": (1, n)}
-    check_kernel(shapes, lambda tape, lv: tape.matvec(lv["w"], lv["x"]))
+        return {"w": (m, n), "x": (1, n), "b": (m,)}
+    check_kernel(shapes, lambda tape, lv: tape.matvec(lv["w"], lv["x"], lv["b"]))
 
 
 def test_matvec_batched_gradients():
     def shapes(rng):
         b, m, n = dims(rng), dims(rng), dims(rng)
-        return {"w": (m, n), "x": (b, n)}
-    check_kernel(shapes, lambda tape, lv: tape.matvec(lv["w"], lv["x"]))
+        return {"w": (m, n), "x": (b, n), "b": (m,)}
+    check_kernel(shapes, lambda tape, lv: tape.matvec(lv["w"], lv["x"], lv["b"]))
 
 
 def test_concat_gradients():
@@ -135,14 +211,15 @@ def test_concat_gradients():
         b = dims(rng)
         return {"a": (b, dims(rng)), "b": (b, dims(rng))}
     check_kernel(shapes,
-                 lambda tape, lv: tape.log_sigmoid(tape.concat([lv["a"], lv["b"]])))
+                 lambda tape, lv: tape.log_sigmoid_sum(tape.concat([lv["a"], lv["b"]]),
+                                                       0.0, -1))
 
 
 def test_gather_gradients():
     # Repeated indices exercise scatter-add accumulation in the backward.
     def build(tape, lv):
         idx = np.array([0, 2, 2, 1, 0])
-        return tape.log_sigmoid(tape.gather(lv["table"], idx))
+        return tape.log_sigmoid_sum(tape.gather(lv["table"], idx), 0.0, -1)
     check_kernel(lambda rng: {"table": (4, dims(rng))}, build)
 
 
@@ -150,7 +227,7 @@ def scatter_add_adjoint(store, idx, coef):
     """Adjoint of table rows `idx` under coefficients `coef`: the gather
     kernel's, and the one np.add.at forms into zeros."""
     tape = Tape(store)
-    root = tape.sum(tape.mul(tape.gather(tape.param("table"), idx), tape.const(coef)))
+    root = probe_sum(tape, tape.gather(tape.param("table"), idx), coef)
     expect = np.zeros_like(store["table"])
     np.add.at(expect, idx, coef)
     return tape.backward(root)["table"], expect
@@ -184,7 +261,7 @@ def test_merge_rows_gradients():
 
     def build(tape, lv):
         out = tape.merge_rows(fixed["mask"], lv["a"], lv["b"])
-        return tape.mul(out, out)
+        return probe_square(tape, out)
     check_kernel(shapes, build)
 
 
@@ -268,8 +345,8 @@ def test_rotate_then_score_gradients():
     def build(tape, lv):
         q_idx, r_idx, c_idx, head = mixed_slots(lv["q"].shape[0], lv["theta"].shape[0],
                                                 lv["c"].shape[0], 4, 3)
-        return tape.log_sigmoid(tape.query_distance(lv["q"], q_idx, lv["theta"], r_idx,
-                                                    lv["c"], c_idx, head))
+        return tape.log_sigmoid_sum(tape.query_distance(lv["q"], q_idx, lv["theta"], r_idx,
+                                                        lv["c"], c_idx, head), 0.0, -1)
     check_kernel(shapes, build, trials=TRIALS // 2, mutate=clear)
 
 
@@ -321,7 +398,7 @@ def test_rotate_distance_matches_complex_reference(shared):
     q = tape.param("q")
     c = q if shared else tape.param("c")
     out = tape.query_distance(q, q_idx, tape.param("theta"), r_idx, c, c_idx, head)
-    grads = tape.backward(tape.sum(tape.mul(out, tape.const(w))))
+    grads = tape.backward(probe_sum(tape, out, w))
 
     c_value = store["q"] if shared else store["c"]
     f, g_q, g_theta, g_c = triple_reference(store["q"], q_idx, store["theta"], r_idx,
@@ -343,7 +420,7 @@ def test_rotate_distance_keeps_tape_dtype():
     out = tape.query_distance(h, [[0, 1, 1], [2, 0, 1]], tape.param("theta"), [0, 1, 0],
                               h, [[2, 1], [2, 0], [0, 0]],
                               [[False, True], [True, False], [True, True]])
-    grads = tape.backward(tape.sum(out))
+    grads = tape.backward(probe_sum(tape, out))
     assert out.value.dtype == np.float32
     assert grads["h"].dtype == grads["theta"].dtype == np.float32
 
@@ -353,17 +430,16 @@ def _float32_uses():
     mask = np.array([True, False, True])
     return {
         "add": lambda t, p: t.add(p("a"), p("b")),
-        "sub": lambda t, p: t.sub(p("a"), p("b")),
-        "mul": lambda t, p: t.mul(p("a"), p("b")),
-        "matvec": lambda t, p: t.matvec(p("w"), p("a")),
+        "matvec": lambda t, p: t.matvec(p("w"), p("a"), p("c")),
         "concat": lambda t, p: t.concat([p("a"), p("b")]),
         "gather": lambda t, p: t.gather(p("a"), np.array([2, 0, 0])),
         "merge_rows": lambda t, p: t.merge_rows(
             mask, t.gather(p("a"), np.array([0, 1])), t.gather(p("b"), np.array([2]))),
         "leaky_relu": lambda t, p: t.leaky_relu(p("a"), 0.01),
-        "log_sigmoid": lambda t, p: t.log_sigmoid(p("a")),
+        "log_sigmoid_sum": lambda t, p: t.add(
+            t.log_sigmoid_sum(p("a"), 0.5, 1),
+            t.log_sigmoid_sum(p("b"), 0.5, -1, np.linspace(0.1, 1.2, 12).reshape(3, 4))),
         "scale": lambda t, p: t.scale(p("a"), 0.3),
-        "sum": lambda t, p: t.sum(p("a")),
         "fusion_weights": lambda t, p: t.fusion_weights([p("a"), p("b")],
                                                         [p("u"), p("v")]),
         "mix": lambda t, p: t.mix(p("alpha"), [p("a"), p("b")]),
@@ -381,7 +457,7 @@ def test_float32_tape_gradients_stay_float32():
                and not n.startswith("_")} - {"param", "const", "leaf", "backward"}
     assert set(uses) == kernels
     rng = SeededRng(3, stream="float32-grads")
-    shapes = {"a": (3, 4), "b": (3, 4), "w": (5, 4), "u": (4,), "v": (4,),
+    shapes = {"a": (3, 4), "b": (3, 4), "w": (5, 4), "c": (5,), "u": (4,), "v": (4,),
               "alpha": (3, 2), "phase": (2, 2), "unused": (2, 2)}
     store = ParameterStore(dtype=np.float32)
     for name, shape in shapes.items():
@@ -396,7 +472,7 @@ def test_float32_tape_gradients_stay_float32():
             return tape.param(name)
 
         out = use(tape, p)
-        grads = tape.backward(tape.sum(tape.mul(out, out)))
+        grads = tape.backward(probe_square(tape, out))
         assert {n: g.dtype for n, g in grads.items()} == dict.fromkeys(shapes, np.float32), op
         assert all(np.any(grads[n] != 0) for n in leaves), op
         assert not np.any(grads["unused"]), op
@@ -413,7 +489,7 @@ def test_rotate_distance_zero_modulus_subgradient():
     h = tape.param("h")
     out = tape.query_distance(h, [[0], [0]], tape.param("theta"), [0], h, [[0, 0]],
                               [[False, True]])
-    grads = tape.backward(tape.sum(out))
+    grads = tape.backward(probe_sum(tape, out))
     assert np.all(out.value == 0.0)
     assert np.all(grads["h"] == 0.0) and np.all(grads["theta"] == 0.0)
 
@@ -438,7 +514,7 @@ def leaves_named(lv, prefix):
 def test_fusion_weights_gradients():
     def build(tape, lv):
         alpha = tape.fusion_weights(leaves_named(lv, "p"), leaves_named(lv, "w"))
-        return tape.mul(alpha, alpha)
+        return probe_square(tape, alpha)
     check_kernel(fusion_shapes, build)
 
 
@@ -450,7 +526,7 @@ def test_softmax_gradients():
     def build(tape, lv):
         parts = [tape.const(p) for p in fixed["parts"]]
         alpha = tape.fusion_weights(parts, leaves_named(lv, "w"))
-        return tape.mul(alpha, alpha)
+        return probe_square(tape, alpha)
     check_kernel(lambda rng: fusion_shapes(rng, fixed), build)
 
 
@@ -467,7 +543,7 @@ def test_tanh_gradients():
     def build(tape, lv):
         weights = [tape.const(w) for w in fixed["w"]]
         alpha = tape.fusion_weights(leaves_named(lv, "p"), weights)
-        return tape.mul(alpha, alpha)
+        return probe_square(tape, alpha)
     check_kernel(shapes, build)
 
 
@@ -481,7 +557,7 @@ def test_sum_axis_gradients():
     def build(tape, lv):
         parts = leaves_named(lv, "p")
         alpha = tape.fusion_weights(parts, [lv["w"]] * len(parts))
-        return tape.mul(alpha, alpha)
+        return probe_square(tape, alpha)
     check_kernel(shapes, build)
 
 
@@ -493,7 +569,7 @@ def mix_shapes(rng):
 def test_mix_gradients():
     def build(tape, lv):
         out = tape.mix(lv["alpha"], leaves_named(lv, "p"))
-        return tape.mul(out, out)
+        return probe_square(tape, out)
     check_kernel(mix_shapes, build)
 
 
@@ -508,7 +584,7 @@ def test_mix_constant_alpha_gradients():
 
     def build(tape, lv):
         out = tape.mix(tape.const(fixed["alpha"]), leaves_named(lv, "p"))
-        return tape.mul(out, out)
+        return probe_square(tape, out)
     check_kernel(shapes, build)
 
 
@@ -522,7 +598,7 @@ def test_stack_gradients():
     def build(tape, lv):
         m = lv["alpha"].value.shape[1]
         out = tape.mix(lv["alpha"], [lv["p"]] * m)
-        return tape.mul(out, out)
+        return probe_square(tape, out)
     check_kernel(shapes, build)
 
 
@@ -531,7 +607,7 @@ def test_fusion_then_mix_gradients():
     def build(tape, lv):
         parts = leaves_named(lv, "p")
         joint = tape.mix(tape.fusion_weights(parts, leaves_named(lv, "w")), parts)
-        return tape.mul(joint, joint)
+        return probe_square(tape, joint)
     check_kernel(fusion_shapes, build, trials=TRIALS // 2)
 
 
@@ -542,7 +618,7 @@ def test_fusion_kernels_form_no_constant_adjoints():
     parts = [tape.const(np.full((2, 3), float(j))) for j in range(2)]
     alpha = tape.fusion_weights(parts, [tape.param("w"), tape.param("w")])
     mean = tape.mix(tape.const(np.full((2, 2), 0.5)), parts)
-    tape.backward(tape.add(tape.sum(tape.mix(alpha, parts)), tape.sum(mean)))
+    tape.backward(tape.add(probe_sum(tape, tape.mix(alpha, parts)), probe_sum(tape, mean)))
     assert alpha.grad is not None
     assert not mean.live and mean.backward_fn is None
     assert all(p.grad is None for p in parts)
@@ -590,8 +666,9 @@ def test_rotation_preserves_norm(x, angle):
 
 def test_log_sigmoid_at_zero():
     tape = Tape()
-    out = tape.log_sigmoid(tape.const(np.array([0.0])))
-    assert abs(out.value[0] + math.log(2.0)) < 1e-15
+    for sign in (1, -1):
+        out = tape.log_sigmoid_sum(tape.const(np.array([3.0])), 3.0, sign)
+        assert abs(out.value + math.log(2.0)) < 1e-15
 
 
 @given(hnp.arrays(np.float64, (3, 4, 5), elements=st.floats(-10, 10)),
@@ -627,7 +704,7 @@ def test_sum_gradient_is_ones():
     store = ParameterStore()
     store.add("p", np.arange(6, dtype=float).reshape(2, 3), group="discriminator")
     tape = Tape(store)
-    grads = tape.backward(tape.sum(tape.param("p")))
+    grads = tape.backward(probe_sum(tape, tape.param("p")))
     assert np.array_equal(grads["p"], np.ones((2, 3)))
 
 
@@ -636,8 +713,7 @@ def test_stationary_point_gradient_zero():
     store.add("w", np.zeros(()), group="discriminator")
     tape = Tape(store)
     w = tape.param("w")
-    loss = tape.mul(w, w)
-    grads = tape.backward(tape.sum(loss))
+    grads = tape.backward(probe_square(tape, w))
     assert grads["w"] == 0.0
 
 
@@ -646,7 +722,7 @@ def test_untouched_param_gets_zero_gradient():
     store.add("used", np.ones(3), group="discriminator")
     store.add("unused", np.ones(4), group="discriminator")
     tape = Tape(store)
-    grads = tape.backward(tape.sum(tape.param("used")))
+    grads = tape.backward(probe_sum(tape, tape.param("used")))
     assert np.array_equal(grads["unused"], np.zeros(4))
 
 
@@ -661,7 +737,7 @@ def test_backward_runs_once():
     store = ParameterStore()
     store.add("p", np.ones(2), group="discriminator")
     tape = Tape(store)
-    root = tape.sum(tape.param("p"))
+    root = probe_sum(tape, tape.param("p"))
     tape.backward(root)
     with pytest.raises(ContractError):
         tape.backward(root)
@@ -673,7 +749,7 @@ def test_check_finite_raises_on_overflow():
     tape = Tape()
     big = tape.const(np.array([1e308]))
     with np.errstate(over="ignore"):
-        root = tape.sum(tape.add(big, big))
+        root = probe_sum(tape, tape.add(big, big))
     with pytest.raises(NumericError, match="op 'add'"):
         tape.backward(root)
 
@@ -684,8 +760,8 @@ def test_finite_loss_with_overflowing_gradient_names_parameter():
     store = ParameterStore(dtype=np.float32)
     store.add("p", np.full(2, 1e-30), group="discriminator")
     tape = Tape(store)
-    c = tape.const(np.full(2, 1e30))
-    root = tape.sum(tape.mul(tape.mul(tape.param("p"), c), c))
+    c = 1e30
+    root = probe_sum(tape, tape.scale(tape.scale(tape.param("p"), c), c))
     assert np.isfinite(root.value)
     with np.errstate(over="ignore"), pytest.raises(
             NumericError, match="gradient of parameter 'p'"):
@@ -695,9 +771,12 @@ def test_finite_loss_with_overflowing_gradient_names_parameter():
 def test_matvec_shape_mismatch_names_op():
     tape = Tape()
     w = tape.const(np.ones((2, 3)))
-    for x in (np.ones((1, 4)), np.ones(3)):  # wrong width; unbatched row
+    for x, b in ((np.ones((1, 4)), np.ones(2)),      # wrong width
+                 (np.ones(3), np.ones(2)),           # unbatched row
+                 (np.ones((1, 3)), np.ones(3)),      # bias of the input width
+                 (np.ones((1, 3)), np.ones((1, 2)))):
         with pytest.raises(ContractError, match="matvec"):
-            tape.matvec(w, tape.const(x))
+            tape.matvec(w, tape.const(x), tape.const(b))
 
 
 def test_complex_rotate_shape_mismatch():
@@ -739,8 +818,8 @@ def test_matvec_flushes_subnormal_adjoint():
     coef[sub] = (np.sign(coef[sub]) * tiny * rng.uniforms(int(sub.sum()))).astype(np.float32)
     assert 0.015 < np.mean((coef != 0) & (np.abs(coef) < tiny)) < 0.025
     tape = Tape(store)
-    root = tape.sum(tape.mul(tape.matvec(tape.param("w"), tape.param("x")),
-                             tape.const(coef)))
+    root = probe_sum(tape, tape.matvec(tape.param("w"), tape.param("x"),
+                                       tape.const(np.zeros(m))), coef)
     grads = tape.backward(root)
     zeroed = np.where(np.abs(coef) < tiny, np.float32(0), coef)
     w, x = store["w"], store["x"]
@@ -753,17 +832,42 @@ def test_matvec_flushes_subnormal_adjoint():
         assert np.allclose(got, ref, rtol=1e-5, atol=1e-6 * np.abs(ref).max())
 
 
+def test_matvec_bias_takes_unflushed_adjoint():
+    # The bias gradient is the column sum of the adjoint as it arrives, so
+    # subnormal entries reach it: column 1 is wholly subnormal and its bias
+    # gradient is their nonzero sum, while the weights see zeros there.
+    rng = SeededRng(22, stream="subnormal-bias")
+    b, m, n = 64, 3, 4
+    store = ParameterStore(dtype=np.float32)
+    store.add("w", rng.normals(m * n).reshape(m, n), group="discriminator")
+    store.add("x", rng.normals(b * n).reshape(b, n), group="discriminator")
+    store.add("b", np.zeros(m), group="discriminator")
+    coef = rng.normals(b * m).reshape(b, m).astype(np.float32)
+    tiny = np.finfo(np.float32).tiny
+    coef[:, 1] = (tiny * rng.uniforms(b)).astype(np.float32)
+    coef[::3, 2] = (-tiny * rng.uniforms(len(coef[::3]))).astype(np.float32)
+    tape = Tape(store)
+    root = probe_sum(tape, tape.matvec(tape.param("w"), tape.param("x"),
+                                       tape.param("b")), coef)
+    grads = tape.backward(root)
+    assert grads["b"].tobytes() == coef.sum(axis=0).tobytes()
+    assert 0 < grads["b"][1] < b * tiny
+    assert not grads["w"][1].any()
+
+
 def test_forward_and_backward_deterministic():
     def run():
         rng = SeededRng(99)
         store = ParameterStore()
         store.add("w", rng.normals(12).reshape(3, 4), group="discriminator")
         store.add("x", rng.normals(4).reshape(1, 4), group="discriminator")
+        store.add("b", rng.normals(4)[:3], group="discriminator")
         tape = Tape(store)
-        y = tape.log_sigmoid(tape.matvec(tape.param("w"), tape.param("x")))
-        root = tape.sum(y)
+        y = tape.matvec(tape.param("w"), tape.param("x"), tape.param("b"))
+        root = tape.log_sigmoid_sum(y, 0.0, -1)
         grads = tape.backward(root)
-        return root.value.tobytes(), grads["w"].tobytes(), grads["x"].tobytes()
+        return (root.value.tobytes(), grads["w"].tobytes(), grads["x"].tobytes(),
+                grads["b"].tobytes())
 
     assert run() == run()
 
@@ -772,22 +876,23 @@ def test_forward_and_backward_deterministic():
 
 def test_constant_subgraph_gets_no_adjoint():
     store = ParameterStore(dtype=np.float64)
-    store.add("p", np.ones(3), group="discriminator")
-    store.add("frozen", np.full(3, 2.0), group="generator")
+    store.add("p", np.ones((1, 3)), group="discriminator")
+    store.add("frozen", np.full((1, 3), 2.0), group="generator")
     tape = Tape(store)
-    c = tape.const(np.arange(3.0))
+    c = tape.const(np.arange(3.0)[None] - 3.0)
     frozen = tape.leaf("frozen", frozenset({"discriminator"}))
-    product = tape.mul(c, frozen)
-    dead = tape.log_sigmoid(product)
-    root = tape.sum(tape.mul(tape.param("p"), dead))
+    total = tape.add(c, frozen)
+    dead = tape.leaky_relu(total, 0.5)
+    bias = tape.const(np.zeros(1))
+    root = probe_sum(tape, tape.matvec(tape.param("p"), dead, bias))
     grads = tape.backward(root)
-    for node in (c, frozen, product, dead):
+    for node in (c, frozen, total, dead, bias):
         assert not node.live
         assert node.backward_fn is None
         assert node.grad is None
     assert root.live
-    assert np.array_equal(grads["p"], -np.logaddexp(0.0, -(np.arange(3.0) * 2.0)))
-    assert np.array_equal(grads["frozen"], np.zeros(3))
+    assert np.array_equal(grads["p"], [[-0.5, 0.0, 1.0]])
+    assert np.array_equal(grads["frozen"], np.zeros((1, 3)))
 
 
 def test_matvec_constant_input_forms_no_input_adjoint():
@@ -799,8 +904,8 @@ def test_matvec_constant_input_forms_no_input_adjoint():
     def run(x_is_param):
         tape = Tape(store)
         x = tape.param("x") if x_is_param else tape.const(store["x"])
-        out = tape.matvec(tape.param("w"), x)
-        grads = tape.backward(tape.sum(tape.mul(out, out)))
+        out = tape.matvec(tape.param("w"), x, tape.const(np.zeros(3)))
+        grads = tape.backward(probe_square(tape, out))
         return grads["w"], x
 
     w_grad, x_param = run(True)
