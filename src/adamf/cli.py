@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .config import (RunConfig, echo_config, grid_warnings, parse_config,
-                     parse_eval_ks)
+                     parse_value)
 from .checkpoint import load_checkpoint
 from .data import (FeatureTable, TripleDataset, apply_modality_missing,
                    load_features, load_triples, save_features)
@@ -31,8 +32,8 @@ from .model import DISC, FROZEN, GEN, Model, ModelConfig, init_params
 from .params import GradCheckResult, finite_diff_check
 from .rng import SeededRng
 from .tape import Tape
-from .training import (TrainConfig, loss_adv, loss_kgc, positive_parts,
-                       sample_negatives, train)
+from .training import (loss_adv, loss_kgc, positive_parts, sample_negatives,
+                       train)
 
 GRADCHECK_TOLERANCE = 1e-5
 # Central differences are truncation-limited at large probe steps and
@@ -58,7 +59,7 @@ def _load_run_config(args) -> RunConfig:
     env_seed = os.environ.get("AMF_SEED")
     if env_seed is not None:
         try:
-            cfg.seed = int(env_seed)
+            cfg.training.seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"AMF_SEED must be an integer, got {env_seed!r}")
     if getattr(args, "out", None):
@@ -83,7 +84,7 @@ def _build_model(cfg: RunConfig, dataset: TripleDataset, checkpoint=None) -> Mod
     """The run's model: feature tables (with the configured missing ratio
     applied), parameters initialised from the seed and, when `checkpoint`
     names a file, overwritten from it."""
-    model_cfg = cfg.model_config()
+    model_cfg, seed = cfg.model, cfg.training.seed
     paths = {"v": cfg.visual_features, "t": cfg.textual_features}
     tables: dict[str, FeatureTable | None] = {}
     for m in model_cfg.projected_modalities:
@@ -91,11 +92,10 @@ def _build_model(cfg: RunConfig, dataset: TripleDataset, checkpoint=None) -> Mod
         if paths[m] is not None:
             table = load_features(paths[m], dataset.vocab, m, model_cfg.feature_dim(m))
             if cfg.modality_missing_ratio > 0:
-                table = apply_modality_missing(table, cfg.modality_missing_ratio,
-                                               cfg.seed)
+                table = apply_modality_missing(table, cfg.modality_missing_ratio, seed)
         tables[m] = table
     store = init_params(model_cfg, dataset.vocab.n_entities,
-                        dataset.vocab.n_relations, cfg.seed)
+                        dataset.vocab.n_relations, seed)
     if checkpoint is not None:
         load_checkpoint(store, checkpoint)
     return Model(model_cfg, store, tables)
@@ -109,12 +109,11 @@ def cmd_train(args) -> int:
         _warn(message)
     # Validate all inputs before touching the output directory.
     dataset = _load_dataset(cfg)
-    train_cfg = cfg.train_config()
     model = _build_model(cfg, dataset)
     out = _require_out(cfg)
     os.makedirs(out, exist_ok=True)
     atomic_write_text(os.path.join(out, "config.resolved.cfg"), echo_config(cfg))
-    history = train(model, dataset, train_cfg,
+    history = train(model, dataset, cfg.training,
                     log_path=os.path.join(out, "train_log.jsonl"),
                     checkpoint_path=os.path.join(out, "checkpoint.bin"),
                     best_path=os.path.join(out, "best.bin"),
@@ -135,7 +134,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     if args.ks is not None:
-        cfg.eval_ks = parse_eval_ks(args.ks)
+        cfg = replace(cfg, eval_ks=parse_value("eval_ks", args.ks))
     dataset = _load_dataset(cfg)
     model = _build_model(cfg, dataset, args.checkpoint)
     report = evaluate(model, dataset, args.split, cfg.eval_ks, cfg.tie_break)
@@ -150,9 +149,8 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _load_run_config(args)
-    result = run_gradcheck(lam=cfg.adv_lambda, seed=cfg.seed, beta=cfg.beta,
-                           selfadv_sign=cfg.selfadv_sign,
-                           leaky_slope=cfg.leaky_slope)
+    result = run_gradcheck(lam=cfg.training.adv_lambda, seed=cfg.training.seed,
+                           beta=cfg.model.beta, selfadv_sign=cfg.model.selfadv_sign)
     failed = None
     for label, check in result:
         if check is None:
@@ -205,7 +203,7 @@ def _checked_at_both_scales(builder, store, names):
 
 
 def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0,
-                  selfadv_sign: str = "negated", leaky_slope: float = 0.01):
+                  selfadv_sign: str = "negated"):
     """Finite-difference audit of both loss gradients on a small fixture.
 
     Builds a 5-entity / 3-relation / d=4 world in double precision with one
@@ -215,8 +213,8 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0,
     """
     model_cfg = ModelConfig(d=4, visual_dim=7, textual_dim=5, noise_dim=4,
                             fusion_mode="adaptive", modalities=("s", "v", "t"),
-                            leaky_slope=leaky_slope, gamma=4.0, beta=beta,
-                            selfadv_sign=selfadv_sign, precision="double")
+                            gamma=4.0, beta=beta, selfadv_sign=selfadv_sign,
+                            precision="double")
     n_entities, n_relations = 5, 3
     root = SeededRng(seed, stream="gradcheck")
     store = init_params(model_cfg, n_entities, n_relations, seed)
@@ -300,10 +298,11 @@ def cmd_dump_weights(args) -> int:
 
 def cmd_mask_modality(args) -> int:
     cfg = _load_run_config(args)
-    ratio = cfg.modality_missing_ratio if args.ratio is None else args.ratio
+    if args.ratio is not None:
+        cfg = replace(cfg, modality_missing_ratio=args.ratio)
     dataset = _load_dataset(cfg)
-    sources = {"v": (cfg.visual_features, cfg.visual_dim, "visual_masked.tsv"),
-               "t": (cfg.textual_features, cfg.textual_dim, "textual_masked.tsv")}
+    sources = {"v": (cfg.visual_features, cfg.model.visual_dim, "visual_masked.tsv"),
+               "t": (cfg.textual_features, cfg.model.textual_dim, "textual_masked.tsv")}
     jobs = [(m, path, dim, name) for m, (path, dim, name) in sources.items()
             if path is not None]
     if not jobs:
@@ -313,7 +312,8 @@ def cmd_mask_modality(args) -> int:
     os.makedirs(out, exist_ok=True)
     for m, path, dim, name in jobs:
         table = load_features(path, dataset.vocab, m, dim)
-        masked = apply_modality_missing(table, ratio, cfg.seed)
+        masked = apply_modality_missing(table, cfg.modality_missing_ratio,
+                                        cfg.training.seed)
         target = os.path.join(out, name)
         save_features(masked, dataset.vocab, target)
         kept = int(masked.present.sum())

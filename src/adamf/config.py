@@ -4,85 +4,66 @@ One pair per line, `#` starts a comment, unknown keys are errors.  Every
 optional key has a documented default; the fully resolved configuration
 (paths absolute, defaults filled in, overrides applied) can be echoed back
 out and re-running from the echo reproduces the run.
+
+The keys are the fields of `RunConfig` and of its `ModelConfig` and
+`TrainConfig` sections in one flat space; the parser only turns strings
+into typed values, and each dataclass validates its own fields.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .evaluation import TIE_BREAKS
-from .model import ALL_PATTERNS, MODALITY_ORDER, ModelConfig
+from .model import ModelConfig
 from .training import TrainConfig
 
-_PATH_KEYS = ("train", "valid", "test", "visual_features", "textual_features",
-              "out")
+_SECTIONS = {"model": ModelConfig, "training": TrainConfig}
+_RENAMED = {"d": "dim"}    # section field -> its config key
 
 
 @dataclass
 class RunConfig:
-    # data
+    """Data, evaluation and run settings around one model and one training
+    configuration.  Every `str | None` field is a path."""
     train: str | None = None
     valid: str | None = None
     test: str | None = None
     visual_features: str | None = None
     textual_features: str | None = None
-    visual_dim: int = 4096
-    textual_dim: int = 768
     modality_missing_ratio: float = 0.0
-    # model
-    dim: int = 200
-    noise_dim: int = 64
-    hidden_dim: int = 0                 # 0 = twice the entity dimension
-    fusion_mode: str = "adaptive"
-    modalities: tuple[str, ...] = ("s", "v", "t")
-    leaky_slope: float = 0.01
-    gamma: float = 12.0
-    beta: float = 1.0
-    selfadv_sign: str = "negated"
-    precision: str = "single"
-    # training
-    k_negatives: int = 64
-    adv_groups: int = 1
-    adv_lambda: float = 0.01
-    adversarial_patterns: tuple[str, ...] = ALL_PATTERNS
-    mat_enabled: bool = True
-    lr_d: float = 1e-4
-    lr_g: float = 1e-4
-    batch_size: int = 1024
-    epochs: int = 1000
-    validate_every: int = 50
-    keep_best: bool = True
-    negative_filtering: bool = False
-    # evaluation
+    model: ModelConfig = field(default_factory=ModelConfig)
+    training: TrainConfig = field(default_factory=TrainConfig)
     eval_ks: tuple[int, ...] = (1, 3, 10)
     tie_break: str = "optimistic"
-    # run
-    seed: int = 0
     out: str | None = None
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            d=self.dim, visual_dim=self.visual_dim, textual_dim=self.textual_dim,
-            noise_dim=self.noise_dim, hidden_dim=self.hidden_dim,
-            fusion_mode=self.fusion_mode, modalities=self.modalities,
-            leaky_slope=self.leaky_slope, gamma=self.gamma, beta=self.beta,
-            selfadv_sign=self.selfadv_sign, precision=self.precision)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            k_negatives=self.k_negatives, adv_groups=self.adv_groups,
-            adv_lambda=self.adv_lambda, lr_d=self.lr_d, lr_g=self.lr_g,
-            batch_size=self.batch_size, epochs=self.epochs,
-            mat_enabled=self.mat_enabled,
-            adversarial_patterns=self.adversarial_patterns,
-            negative_filtering=self.negative_filtering,
-            validate_every=self.validate_every, keep_best=self.keep_best,
-            seed=self.seed)
+    def __post_init__(self):
+        if not 0.0 <= self.modality_missing_ratio <= 1.0:
+            raise ContractError(f"modality_missing_ratio must be in [0, 1], "
+                                f"got {self.modality_missing_ratio}")
+        if not self.eval_ks or any(k < 1 for k in self.eval_ks):
+            raise ContractError(f"eval_ks: cutoffs must be positive, got {self.eval_ks}")
+        if self.tie_break not in TIE_BREAKS:
+            raise ContractError(f"tie_break: expected one of {', '.join(TIE_BREAKS)}, "
+                                f"got {self.tie_break!r}")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+def _key_table() -> dict:
+    """Config key -> (RunConfig section holding it, or None; its field)."""
+    table = {}
+    for f in fields(RunConfig):
+        if f.name in _SECTIONS:
+            for sub in fields(_SECTIONS[f.name]):
+                table[_RENAMED.get(sub.name, sub.name)] = (f.name, sub)
+        else:
+            table[f.name] = (None, f)
+    return table
+
+
+KEYS = _key_table()
 
 
 def _parse_bool(key, raw):
@@ -94,40 +75,20 @@ def _parse_bool(key, raw):
     raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
-def parse_eval_ks(raw: str) -> tuple[int, ...]:
-    """Hit@K cutoffs from comma-separated positive ints (`eval_ks`, `--ks`)."""
-    try:
-        ks = tuple(int(p.strip()) for p in raw.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(f"eval_ks: expected comma-separated ints, got {raw!r}")
-    if not ks or any(k < 1 for k in ks):
-        raise ConfigError(f"eval_ks: cutoffs must be positive, got {raw!r}")
-    return ks
-
-
-def _parse_value(key: str, raw: str):
+def parse_value(key: str, raw: str):
+    """The typed value of config key `key` written as `raw`.  Only splits and
+    converts; names and ranges are checked by the dataclass holding the key."""
     raw = raw.strip()
-    if key in _PATH_KEYS:
+    hint = KEYS[key][1].type
+    if hint == "str | None":
         return raw or None
-    if key == "modalities":
-        letters = [p for chunk in raw.split(",") for p in chunk.strip()]
-        bad = [p for p in letters if p not in MODALITY_ORDER]
-        if bad:
-            raise ConfigError(f"modalities: unknown entries {bad} in {raw!r}")
-        return tuple(m for m in MODALITY_ORDER if m in letters)
-    if key == "adversarial_patterns":
-        tokens = tuple(p.strip() for p in raw.split(",") if p.strip())
-        bad = [p for p in tokens if p not in ALL_PATTERNS]
-        if bad:
-            raise ConfigError(f"adversarial_patterns: unknown entries {bad}")
-        return tuple(p for p in ALL_PATTERNS if p in tokens)
-    if key == "eval_ks":
-        return parse_eval_ks(raw)
-    if key == "tie_break" and raw not in TIE_BREAKS:
-        raise ConfigError(f"tie_break: expected one of {', '.join(TIE_BREAKS)}, "
-                          f"got {raw!r}")
-    hint = _FIELD_TYPES[key]
+    if key == "modalities":    # "s,v,t" or the compact "svt"
+        return tuple(p for chunk in raw.split(",") for p in chunk.strip())
     try:
+        if hint == "tuple[str, ...]":
+            return tuple(p.strip() for p in raw.split(",") if p.strip())
+        if hint == "tuple[int, ...]":
+            return tuple(int(p) for p in raw.split(",") if p.strip())
         if hint == "bool":
             return _parse_bool(key, raw)
         if hint == "int":
@@ -139,16 +100,20 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
-def _format_value(key: str, value) -> str:
+def format_value(value) -> str:
+    """Config-file text of a value, as `parse_value` reads it back."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
+
+
+def _value(cfg: RunConfig, key: str):
+    section, f = KEYS[key]
+    return getattr(getattr(cfg, section) if section else cfg, f.name)
 
 
 def parse_config(path) -> RunConfig:
@@ -158,7 +123,7 @@ def parse_config(path) -> RunConfig:
     directory, so a config travels with its dataset.
     """
     base = os.path.dirname(os.path.abspath(os.fspath(path)))
-    cfg = RunConfig()
+    values: dict = {section: {} for section in (None, *_SECTIONS)}
     seen = set()
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -169,23 +134,26 @@ def parse_config(path) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: expected `key = value`, "
                                   f"got {line.strip()!r}")
             key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in _FIELD_TYPES:
+            if key not in KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in seen:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             seen.add(key)
-            value = _parse_value(key, raw)
-            if key in _PATH_KEYS and value is not None and not os.path.isabs(value):
+            section, f = KEYS[key]
+            value = parse_value(key, raw)
+            if f.type == "str | None" and value is not None and not os.path.isabs(value):
                 value = os.path.normpath(os.path.join(base, value))
-            setattr(cfg, key, value)
-    return cfg
+            values[section][f.name] = value
+    try:
+        sections = {section: cls(**values[section]) for section, cls in _SECTIONS.items()}
+        return RunConfig(**values[None], **sections)
+    except ContractError as err:
+        raise ConfigError(f"{path}: {err}") from err
 
 
 def echo_config(cfg: RunConfig) -> str:
     """Canonical text form of the resolved config, stable key order."""
-    lines = [f"{f.name} = {_format_value(f.name, getattr(cfg, f.name))}"
-             for f in fields(RunConfig)]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {format_value(_value(cfg, key))}\n" for key in KEYS)
 
 
 # The hyperparameter grid the reference experiments searched over.  Values
@@ -207,9 +175,9 @@ GRID_GUIDANCE = {
 def grid_warnings(cfg: RunConfig) -> list[str]:
     warnings = []
     for key, accepted in GRID_GUIDANCE.items():
-        value = getattr(cfg, key)
+        value = _value(cfg, key)
         if value not in accepted:
             shown = ", ".join(str(v) for v in accepted)
-            warnings.append(f"{key} = {_format_value(key, value)} is outside "
+            warnings.append(f"{key} = {format_value(value)} is outside "
                             f"the reference grid {{{shown}}}; proceeding anyway")
     return warnings

@@ -36,6 +36,7 @@ GEN = frozenset({"generator"})
 FROZEN = frozenset()
 
 INIT_CHUNK = 1 << 16    # draws per pass of init_params's uniform tables
+LEAKY_SLOPE = 0.01      # negative slope of the generator's hidden LeakyReLU
 FEATURE_BLOCK = 256     # feature rows per pass of Model's dtype conversion
 
 
@@ -52,10 +53,8 @@ class ModelConfig:
     visual_dim: int = 4096
     textual_dim: int = 768
     noise_dim: int = 64
-    hidden_dim: int = 0            # 0 means 2*d
     fusion_mode: str = "adaptive"
     modalities: tuple[str, ...] = ("s", "v", "t")
-    leaky_slope: float = 0.01
     gamma: float = 12.0
     beta: float = 1.0
     selfadv_sign: str = "negated"
@@ -64,16 +63,16 @@ class ModelConfig:
     def __post_init__(self):
         unknown = set(self.modalities) - set(MODALITY_ORDER)
         if unknown:
-            raise ContractError(f"unknown modalities {sorted(unknown)}")
+            raise ContractError(f"modalities: unknown entries {sorted(unknown)}")
         self.modalities = tuple(m for m in MODALITY_ORDER if m in self.modalities)
         if self.d < 1:
-            raise ContractError("embedding dimension d must be >= 1")
+            raise ContractError("embedding dimension d (key dim) must be >= 1")
         if self.noise_dim < 1:
             raise ContractError("noise_dim must be >= 1")
         if self.gamma <= 0:
             raise ContractError("margin gamma must be positive")
         if not self.modalities:
-            raise ContractError("at least one modality is required")
+            raise ContractError("modalities must name at least one modality")
         if "s" not in self.modalities and self.modalities != ("v", "t"):
             raise ContractError("modalities must contain 's' unless exactly {v,t}")
         if self.fusion_mode not in ("adaptive", "mean"):
@@ -86,10 +85,6 @@ class ModelConfig:
     @property
     def entity_dim(self) -> int:
         return 2 * self.d
-
-    @property
-    def gen_hidden(self) -> int:
-        return self.hidden_dim if self.hidden_dim > 0 else 2 * self.d
 
     @property
     def dtype(self):
@@ -138,12 +133,11 @@ def init_params(cfg: ModelConfig, n_entities: int, n_relations: int,
                   "discriminator")
     for m in cfg.modalities:
         store.add(f"fusion.w.{m}", np.ones(two_d), "discriminator")
-    hidden = cfg.gen_hidden
     for m in cfg.projected_modalities:
-        store.add(f"gen.{m}.w1", xavier(f"gen.{m}.w1", hidden, two_d + cfg.noise_dim),
+        store.add(f"gen.{m}.w1", xavier(f"gen.{m}.w1", two_d, two_d + cfg.noise_dim),
                   "generator")
-        store.add(f"gen.{m}.b1", np.zeros(hidden), "generator")
-        store.add(f"gen.{m}.w2", xavier(f"gen.{m}.w2", two_d, hidden), "generator")
+        store.add(f"gen.{m}.b1", np.zeros(two_d), "generator")
+        store.add(f"gen.{m}.w2", xavier(f"gen.{m}.w2", two_d, two_d), "generator")
         store.add(f"gen.{m}.b2", np.zeros(two_d), "generator")
     return store
 
@@ -275,13 +269,14 @@ class Model:
                          z: np.ndarray) -> Node:
         """Synthetic modal embedding G_m([e_s; z]) for a batch, shape (B, 2d).
 
-        The structural input is always a detached constant: gradients reach
-        the generator weights, never the structural embeddings behind them.
+        G_m is affine -> LeakyReLU -> affine with a hidden width of 2d.  The
+        structural input is always a detached constant: gradients reach the
+        generator weights, never the structural embeddings behind them.
         """
         x = tape.const(np.concatenate([e_s_values, z], axis=1))
         hidden = tape.leaky_relu(
             tape.matvec(tape.leaf(f"gen.{m}.w1", live), x, tape.leaf(f"gen.{m}.b1", live)),
-            self.cfg.leaky_slope)
+            LEAKY_SLOPE)
         return tape.matvec(tape.leaf(f"gen.{m}.w2", live), hidden,
                            tape.leaf(f"gen.{m}.b2", live))
 

@@ -15,6 +15,7 @@ import os
 
 import numpy as np
 
+from .config import format_value
 from .data import (FeatureTable, TripleDataset, Vocab, feature_dir_paths,
                    save_features, save_triples)
 from .errors import ContractError
@@ -99,13 +100,5 @@ def toy_config_text(data_dir: str, out_dir: str, **overrides) -> str:
     }
     values.update(TOY_DEFAULTS)
     values.update(overrides)
-    lines = [f"{key} = {_fmt(value)}" for key, value in values.items()]
+    lines = [f"{key} = {format_value(value)}" for key, value in values.items()]
     return "\n".join(lines) + "\n"
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (tuple, list)):
-        return ",".join(str(v) for v in value)
-    return str(value)

@@ -36,8 +36,7 @@ class TrainConfig:
     adversarial_patterns: tuple[str, ...] = ALL_PATTERNS
     negative_filtering: bool = False
     validate_every: int = 50
-    keep_best: bool = True
-    seed: int = 0
+    seed: int = 0                  # the run seed: parameters, masks, streams
 
     def __post_init__(self):
         if self.k_negatives < 1:
@@ -51,12 +50,12 @@ class TrainConfig:
         if self.epochs < 0:
             raise ContractError("epochs must be >= 0")
         if self.lr_d <= 0 or self.lr_g <= 0:
-            raise ContractError("learning rates must be positive")
+            raise ContractError("learning rates lr_d and lr_g must be positive")
         if self.validate_every < 0:
             raise ContractError("validate_every must be >= 0")
         unknown = set(self.adversarial_patterns) - set(ALL_PATTERNS)
         if unknown:
-            raise ContractError(f"unknown adversarial patterns {sorted(unknown)}")
+            raise ContractError(f"adversarial_patterns: unknown entries {sorted(unknown)}")
         self.adversarial_patterns = tuple(
             p for p in ALL_PATTERNS if p in self.adversarial_patterns)
         if self.mat_enabled and not self.adversarial_patterns:
@@ -262,7 +261,7 @@ def train(model: Model, dataset: TripleDataset, cfg: TrainConfig,
                 entry["val_mrr"] = report.mrr
                 if entry["val_mrr"] > best_mrr:
                     best_mrr = entry["val_mrr"]
-                    if best_path and cfg.keep_best:
+                    if best_path:
                         save_checkpoint(model.store, best_path)
                 if checkpoint_path:
                     save_checkpoint(model.store, checkpoint_path)
@@ -273,9 +272,9 @@ def train(model: Model, dataset: TripleDataset, cfg: TrainConfig,
     finally:
         if log_file:
             log_file.close()
-    if checkpoint_path:
-        save_checkpoint(model.store, checkpoint_path)
-    if best_path and cfg.keep_best and best_mrr < 0:
+    if checkpoint_path and not (history and "val_mrr" in history[-1]):
+        save_checkpoint(model.store, checkpoint_path)  # unless the last epoch saved it
+    if best_path and best_mrr < 0:
         # no validation ever ran; fall back to the final parameters
         save_checkpoint(model.store, best_path)
     return history

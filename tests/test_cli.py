@@ -287,6 +287,18 @@ def test_deterministic_config_key_is_rejected(trained, tmp_path, capsys):
     assert not (tmp_path / "old").exists()
 
 
+@pytest.mark.parametrize("key, value", [("keep_best", "false"), ("hidden_dim", "8"),
+                                        ("leaky_slope", "0.2")])
+def test_fixed_behaviours_are_unknown_keys(corpus, tmp_path, capsys, key, value):
+    # best.bin is always written, the generator's hidden width is 2d and its
+    # LeakyReLU slope 0.01: none of them is a setting.
+    out = tmp_path / key
+    cfg = write_config(corpus, out, name=f"{key}.cfg", **{key: value})
+    assert main(["train", cfg]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- gradcheck
 
 def test_gradcheck_passes_with_defaults(capsys):
@@ -420,6 +432,21 @@ def test_mask_modality_ratio_zero_keeps_everything(trained, tmp_path):
         == N_ENTITIES
 
 
+def test_bad_missing_ratio_fails_before_any_output(trained, corpus, tmp_path, capsys):
+    _, cfg = trained
+    assert main(["mask-modality", cfg, "--ratio", "1.5",
+                 "--out", str(tmp_path / "m1")]) == 2
+    assert "modality_missing_ratio" in capsys.readouterr().err
+    assert not (tmp_path / "m1").exists()
+    # In a config the ratio is refused before the grid warnings print.
+    bad = write_config(corpus, tmp_path / "x", name="ratio.cfg",
+                       modality_missing_ratio=1.5, k_negatives=100)
+    assert main(["train", bad]) == 2
+    err = capsys.readouterr().err
+    assert "modality_missing_ratio" in err and "reference grid" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_mask_modality_requires_feature_paths(corpus, tmp_path):
     path = corpus / "nofeat.cfg"
     path.write_text("train = train.tsv\n")
@@ -433,7 +460,7 @@ def test_toy_config_trains_with_negative_filtering(tmp_path):
     write_toy_kg(str(tmp_path / "data"))
     cfg = tmp_path / "toy.cfg"
     cfg.write_text(toy_config_text("data", "out", epochs=2, negative_filtering=True))
-    assert parse_config(str(cfg)).negative_filtering
+    assert parse_config(str(cfg)).training.negative_filtering
     assert main(["train", str(cfg)]) == 0
     lines = (tmp_path / "out" / "train_log.jsonl").read_text().splitlines()
     assert [json.loads(line)["epoch"] for line in lines] == [1, 2]

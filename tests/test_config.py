@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from adamf.config import (RunConfig, echo_config, grid_warnings, parse_config)
+from adamf.config import (KEYS, RunConfig, echo_config, grid_warnings,
+                          parse_config)
 from adamf.errors import ConfigError
 
 
@@ -16,10 +17,10 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 def test_defaults_without_any_keys(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, "# nothing but a comment\n"))
-    assert cfg.dim == 200
-    assert cfg.gamma == 12.0
-    assert cfg.modalities == ("s", "v", "t")
-    assert cfg.mat_enabled is True
+    assert cfg.model.d == 200
+    assert cfg.model.gamma == 12.0
+    assert cfg.model.modalities == ("s", "v", "t")
+    assert cfg.training.mat_enabled is True
     assert cfg.eval_ks == (1, 3, 10)
     assert cfg.train is None
 
@@ -33,11 +34,11 @@ mat_enabled = false
 epochs = 7
 selfadv_sign = literal
 """))
-    assert cfg.dim == 16
-    assert cfg.gamma == 4.0
-    assert cfg.mat_enabled is False
-    assert cfg.epochs == 7
-    assert cfg.selfadv_sign == "literal"
+    assert cfg.model.d == 16
+    assert cfg.model.gamma == 4.0
+    assert cfg.training.mat_enabled is False
+    assert cfg.training.epochs == 7
+    assert cfg.model.selfadv_sign == "literal"
 
 
 def test_unknown_key_reports_path_and_line(tmp_path):
@@ -68,11 +69,11 @@ def test_bad_int_and_float_and_bool(tmp_path):
 
 
 def test_modalities_comma_and_compact_forms(tmp_path):
-    assert parse_config(write_cfg(tmp_path, "modalities = s,v\n")).modalities \
+    assert parse_config(write_cfg(tmp_path, "modalities = s,v\n")).model.modalities \
         == ("s", "v")
-    assert parse_config(write_cfg(tmp_path, "modalities = vs\n")).modalities \
+    assert parse_config(write_cfg(tmp_path, "modalities = vs\n")).model.modalities \
         == ("s", "v")
-    assert parse_config(write_cfg(tmp_path, "modalities = t, s, v\n")).modalities \
+    assert parse_config(write_cfg(tmp_path, "modalities = t, s, v\n")).model.modalities \
         == ("s", "v", "t")
 
 
@@ -84,7 +85,7 @@ def test_modalities_unknown_letter(tmp_path):
 def test_adversarial_patterns_parsing(tmp_path):
     cfg = parse_config(write_cfg(
         tmp_path, "adversarial_patterns = syn_both, syn_tail\n"))
-    assert cfg.adversarial_patterns == ("syn_tail", "syn_both")
+    assert cfg.training.adversarial_patterns == ("syn_tail", "syn_both")
     with pytest.raises(ConfigError, match="adversarial_patterns"):
         parse_config(write_cfg(tmp_path, "adversarial_patterns = syn_all\n"))
 
@@ -133,6 +134,86 @@ train = data/train.tsv
     assert reparsed == original
 
 
+# Every accepted key: its text in a config file, the field it sets and the
+# value it must reach there, none of them the default.
+ROUND_TRIP = [
+    ("train", "tr.tsv", "train", "tr.tsv"),
+    ("valid", "va.tsv", "valid", "va.tsv"),
+    ("test", "te.tsv", "test", "te.tsv"),
+    ("visual_features", "v.tsv", "visual_features", "v.tsv"),
+    ("textual_features", "t.tsv", "textual_features", "t.tsv"),
+    ("modality_missing_ratio", "0.25", "modality_missing_ratio", 0.25),
+    ("dim", "24", "model.d", 24),
+    ("visual_dim", "7", "model.visual_dim", 7),
+    ("textual_dim", "5", "model.textual_dim", 5),
+    ("noise_dim", "6", "model.noise_dim", 6),
+    ("fusion_mode", "mean", "model.fusion_mode", "mean"),
+    ("modalities", "t, s", "model.modalities", ("s", "t")),
+    ("gamma", "2.5", "model.gamma", 2.5),
+    ("beta", "0.5", "model.beta", 0.5),
+    ("selfadv_sign", "literal", "model.selfadv_sign", "literal"),
+    ("precision", "double", "model.precision", "double"),
+    ("k_negatives", "9", "training.k_negatives", 9),
+    ("adv_groups", "2", "training.adv_groups", 2),
+    ("adv_lambda", "0.1", "training.adv_lambda", 0.1),
+    ("lr_d", "0.003", "training.lr_d", 0.003),
+    ("lr_g", "2e-5", "training.lr_g", 2e-5),
+    ("batch_size", "32", "training.batch_size", 32),
+    ("epochs", "7", "training.epochs", 7),
+    ("mat_enabled", "no", "training.mat_enabled", False),
+    ("adversarial_patterns", "syn_both,syn_head", "training.adversarial_patterns",
+     ("syn_head", "syn_both")),
+    ("negative_filtering", "yes", "training.negative_filtering", True),
+    ("validate_every", "3", "training.validate_every", 3),
+    ("seed", "11", "training.seed", 11),
+    ("eval_ks", "5, 1", "eval_ks", (5, 1)),
+    ("tie_break", "pessimistic", "tie_break", "pessimistic"),
+    ("out", "runs/x", "out", "runs/x"),
+]
+PATH_KEYS = ("train", "valid", "test", "visual_features", "textual_features", "out")
+
+
+def field_value(cfg, attr):
+    for name in attr.split("."):
+        cfg = getattr(cfg, name)
+    return cfg
+
+
+def test_round_trip_table_covers_every_key():
+    assert sorted(key for key, *_ in ROUND_TRIP) == sorted(KEYS)
+
+
+@pytest.mark.parametrize("key, text, attr, value", ROUND_TRIP,
+                         ids=[row[0] for row in ROUND_TRIP])
+def test_every_key_reaches_its_field_and_round_trips(tmp_path, key, text, attr, value):
+    if key in PATH_KEYS:
+        value = str(tmp_path / value)
+    cfg = parse_config(write_cfg(tmp_path, f"{key} = {text}\n"))
+    assert field_value(cfg, attr) == value
+    assert field_value(RunConfig(), attr) != value
+    echoed = echo_config(cfg)
+    changed = set(echoed.splitlines()) - set(echo_config(RunConfig()).splitlines())
+    assert len(changed) == 1 and changed.pop().startswith(f"{key} = ")
+    assert parse_config(write_cfg(tmp_path, echoed, name="echo.cfg")) == cfg
+
+
+def test_all_keys_together_round_trip(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path, "".join(f"{key} = {text}\n"
+                                                  for key, text, _, _ in ROUND_TRIP)))
+    for key, _, attr, value in ROUND_TRIP:
+        want = str(tmp_path / value) if key in PATH_KEYS else value
+        assert field_value(cfg, attr) == want, key
+    assert parse_config(write_cfg(tmp_path, echo_config(cfg), name="echo.cfg")) == cfg
+
+
+def test_bad_values_name_their_key(tmp_path):
+    for text, key in (("dim = 0", "dim"), ("modalities = ", "modalities"),
+                      ("lr_g = 0", "lr_g"), ("modality_missing_ratio = 1.5",
+                                             "modality_missing_ratio")):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(write_cfg(tmp_path, text + "\n"))
+
+
 def test_echo_is_stable_under_double_echo(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, "dim = 8\nlr_d = 0.003\n"))
     once = echo_config(cfg)
@@ -151,17 +232,17 @@ k_negatives = 9
 batch_size = 32
 epochs = 2
 """))
-    mc = cfg.model_config()
+    mc = cfg.model
     assert (mc.d, mc.visual_dim, mc.textual_dim, mc.noise_dim) == (6, 7, 8, 5)
-    tc = cfg.train_config()
+    tc = cfg.training
     assert (tc.k_negatives, tc.batch_size, tc.epochs) == (9, 32, 2)
 
 
 def test_grid_warnings_flag_out_of_grid_values():
     cfg = RunConfig()
     assert grid_warnings(cfg) == []
-    cfg.k_negatives = 100
-    cfg.gamma = 4.0
+    cfg.training.k_negatives = 100
+    cfg.model.gamma = 4.0
     warnings = grid_warnings(cfg)
     assert len(warnings) == 1
     assert "k_negatives = 100" in warnings[0]

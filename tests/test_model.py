@@ -87,7 +87,7 @@ def test_init_name_substreams_independent():
 
 def one_shot_uniform_tables(cfg, n_entities, n_relations, seed):
     """init_params's uniform tables, each drawn in one call and cast once."""
-    two_d, hidden, b = cfg.entity_dim, cfg.gen_hidden, 6.0 / math.sqrt(cfg.entity_dim)
+    two_d, hidden, b = cfg.entity_dim, cfg.entity_dim, 6.0 / math.sqrt(cfg.entity_dim)
     tables = {"entity.structural": ((n_entities, two_d), b),
               "relation.phase": ((n_relations, cfg.d), math.pi)}
     for m in cfg.projected_modalities:

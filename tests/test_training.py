@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from adamf import training
+from adamf.checkpoint import save_checkpoint
 from adamf.errors import ContractError, NumericError
 from adamf.model import ALL_PATTERNS, DISC, FROZEN, GEN, Model
 from adamf.params import adam_step
@@ -484,6 +487,27 @@ def test_train_writes_jsonl_log(tmp_path):
     assert "val_mrr" in lines[1] and "val_mrr" in lines[3]
     assert "val_mrr" not in lines[0]
     assert history[-1]["epoch"] == 4
+
+
+@pytest.mark.parametrize("validate_every, writes", [
+    (50, ["best.bin", "checkpoint.bin"]),    # the last epoch validates and saves
+    (0, ["checkpoint.bin", "best.bin"]),     # no validation: saved after the loop
+])
+def test_train_writes_each_checkpoint_once(tmp_path, monkeypatch, validate_every, writes):
+    model, ds, cfg = toy_train_setup(epochs=2, validate_every=validate_every)
+    calls = []
+
+    def counting_save(store, path):
+        calls.append(os.path.basename(path))
+        save_checkpoint(store, path)
+
+    monkeypatch.setattr(training, "save_checkpoint", counting_save)
+    train(model, ds, cfg, checkpoint_path=str(tmp_path / "checkpoint.bin"),
+          best_path=str(tmp_path / "best.bin"))
+    assert calls == writes
+    save_checkpoint(model.store, str(tmp_path / "final.bin"))
+    assert (tmp_path / "checkpoint.bin").read_bytes() == \
+        (tmp_path / "final.bin").read_bytes()
 
 
 def test_train_deterministic_across_runs():
