@@ -13,7 +13,7 @@ dataset for the CLI:
 import argparse
 import os
 
-from adamf.toykg import build_toy_kg, toy_config_text, write_toy_kg
+from adamf.toykg import build_toy_kg, write_toy_config, write_toy_kg
 
 
 def main() -> None:
@@ -24,10 +24,7 @@ def main() -> None:
 
     data_dir = os.path.join(args.dir, "data")
     write_toy_kg(data_dir, n_entities=args.entities)
-    cfg_path = os.path.join(args.dir, "toy.cfg")
-    with open(cfg_path, "w", encoding="utf-8") as fh:
-        # a config's relative paths resolve against the config's own directory
-        fh.write(toy_config_text("data", "out"))
+    cfg_path = write_toy_config(args.dir, "toy", "out")
 
     dataset, _ = build_toy_kg(args.entities)
     print(f"wrote {data_dir}: {len(dataset.train)} train / "

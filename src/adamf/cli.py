@@ -28,7 +28,7 @@ from .evaluation import (evaluate, relation_weight_report,
                          write_per_query_tsv, write_rank_report_json,
                          write_weight_csv)
 from .ioutil import atomic_write_text
-from .model import DISC, FROZEN, GEN, Model, ModelConfig, init_params
+from .model import ALL_PATTERNS, DISC, FROZEN, GEN, Model, ModelConfig, init_params
 from .params import GradCheckResult, finite_diff_check
 from .rng import SeededRng
 from .tape import Tape
@@ -150,7 +150,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     cfg = _load_run_config(args)
     result = run_gradcheck(lam=cfg.training.adv_lambda, seed=cfg.training.seed,
-                           beta=cfg.model.beta, selfadv_sign=cfg.model.selfadv_sign)
+                           beta=cfg.model.beta)
     failed = None
     for label, check in result:
         if check is None:
@@ -202,8 +202,7 @@ def _checked_at_both_scales(builder, store, names):
     return GradCheckResult(per_param[worst_param], worst_param, per_param)
 
 
-def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0,
-                  selfadv_sign: str = "negated"):
+def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0):
     """Finite-difference audit of both loss gradients on a small fixture.
 
     Builds a 5-entity / 3-relation / d=4 world in double precision with one
@@ -213,8 +212,7 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0,
     """
     model_cfg = ModelConfig(d=4, visual_dim=7, textual_dim=5, noise_dim=4,
                             fusion_mode="adaptive", modalities=("s", "v", "t"),
-                            gamma=4.0, beta=beta, selfadv_sign=selfadv_sign,
-                            precision="double")
+                            gamma=4.0, beta=beta, precision="double")
     n_entities, n_relations = 5, 3
     root = SeededRng(seed, stream="gradcheck")
     store = init_params(model_cfg, n_entities, n_relations, seed)
@@ -239,8 +237,7 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0,
     pos = positive_parts(model, probe, (batch, negatives), FROZEN)
     weights = loss_kgc(model, probe, negatives, FROZEN, pos)[1]["weights"]
 
-    patterns = ("syn_tail", "syn_head", "syn_both")
-    noise = model.draw_noise(batch, 1, patterns, root.substream("noise"))
+    noise = model.draw_noise(batch, 1, ALL_PATTERNS, root.substream("noise"))
     _clear_generator_kinks(model, batch, noise)
     # The discriminator view holds the generated embeddings fixed, since
     # probing entity.structural must not move the generator's input: they
@@ -260,14 +257,14 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0,
         tape = Tape(params)
         pos = positive_parts(model, tape, (batch,), DISC)
         generated = {key: tape.const(value) for key, value in frozen.items()}
-        adv, _ = loss_adv(model, tape, batch, 1, patterns, DISC, generated, pos)
+        adv, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, DISC, generated, pos)
         return tape, tape.scale(adv, lam * GRADCHECK_SCALE)
 
     def adv_gen_builder(params):
         tape = Tape(params)
         pos = positive_parts(model, tape, (batch,), GEN)
         generated = model.generate(tape, batch, noise, GEN)
-        adv, _ = loss_adv(model, tape, batch, 1, patterns, GEN, generated, pos)
+        adv, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, GEN, generated, pos)
         return tape, tape.scale(adv, -lam * GRADCHECK_SCALE)
 
     results = [("margin loss (discriminator)",

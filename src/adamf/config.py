@@ -140,7 +140,10 @@ def parse_config(path) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             seen.add(key)
             section, f = KEYS[key]
-            value = parse_value(key, raw)
+            try:
+                value = parse_value(key, raw)
+            except ConfigError as err:
+                raise ConfigError(f"{path}:{lineno}: {err}") from err
             if f.type == "str | None" and value is not None and not os.path.isabs(value):
                 value = os.path.normpath(os.path.join(base, value))
             values[section][f.name] = value

@@ -57,7 +57,6 @@ class ModelConfig:
     modalities: tuple[str, ...] = ("s", "v", "t")
     gamma: float = 12.0
     beta: float = 1.0
-    selfadv_sign: str = "negated"
     precision: str = "single"
 
     def __post_init__(self):
@@ -77,8 +76,6 @@ class ModelConfig:
             raise ContractError("modalities must contain 's' unless exactly {v,t}")
         if self.fusion_mode not in ("adaptive", "mean"):
             raise ContractError(f"unknown fusion_mode {self.fusion_mode!r}")
-        if self.selfadv_sign not in ("negated", "literal"):
-            raise ContractError(f"unknown selfadv_sign {self.selfadv_sign!r}")
         if self.precision not in ("single", "double"):
             raise ContractError(f"unknown precision {self.precision!r}")
 
@@ -320,13 +317,10 @@ class Model:
         A synthetic entity keeps its own structural embedding and takes its
         other modalities from `generated` (keys as in `draw_noise`); real
         entities are rows of `table`.  Returns a flat (B * len(meta),) score
-        node plus the (group, pattern) block order.
+        node plus the (group, pattern) block order.  `n_groups` >= 1 and
+        `patterns` is a non-empty subset of ALL_PATTERNS in its order, as
+        `TrainConfig` validates them.
         """
-        if n_groups < 1:
-            raise ContractError("synthetic group count must be >= 1")
-        patterns = tuple(p for p in ALL_PATTERNS if p in patterns)
-        if not patterns:
-            raise ContractError("at least one adversarial pattern is required")
         phase = tape.leaf("relation.phase", live)
         entity_idx = {"h": triples[:, 0], "t": triples[:, 2]}
         real = {side: (table.joint, table.rows(idx)) for side, idx in entity_idx.items()}

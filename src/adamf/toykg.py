@@ -6,19 +6,26 @@ relation `skip` connects i -> i+2 (mod N), so `skip` is the composition of
 can solve held-out queries.  Each entity also carries 3-dim "visual" and
 "textual" features derived from its ring angle, giving the modal paths real
 signal to exploit.
+
+`run_toy_grid` trains rows of config overrides x seeds on this graph through
+`adamf train`; `ABLATION_ROWS` is the paper's ablation grid as such rows.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
+from .cli import main as adamf_main
 from .config import format_value
 from .data import (FeatureTable, TripleDataset, Vocab, feature_dir_paths,
                    save_features, save_triples)
-from .errors import ContractError
+from .errors import AdamfError, ContractError
+from .ioutil import atomic_write_text
 
 RELATIONS = (("next", 1, 0), ("skip", 2, 5))  # (name, ring offset, split offset)
 
@@ -102,3 +109,64 @@ def toy_config_text(data_dir: str, out_dir: str, **overrides) -> str:
     values.update(overrides)
     lines = [f"{key} = {format_value(value)}" for key, value in values.items()]
     return "\n".join(lines) + "\n"
+
+
+def write_toy_config(directory: str, name: str, out: str, **overrides) -> str:
+    """Write and return `<directory>/<name>.cfg`, a run on the toy KG in
+    `<directory>/data` into `<directory>/<out>`.  Its paths are relative: a
+    config's relative paths resolve against its own directory."""
+    path = os.path.join(directory, f"{name}.cfg")
+    atomic_write_text(path, toy_config_text("data", out, **overrides))
+    return path
+
+
+# The ablation grid: the full model, mean instead of adaptive fusion, each
+# two-modality subset, each synthetic pattern removed, and the generator off.
+ABLATION_ROWS = (
+    ("full", {}),
+    ("mean_fusion", {"fusion_mode": "mean"}),
+    ("s+v", {"modalities": "s,v"}),
+    ("s+t", {"modalities": "s,t"}),
+    ("v+t", {"modalities": "v,t"}),
+    ("no_syn_tail", {"adversarial_patterns": "syn_head,syn_both"}),
+    ("no_syn_head", {"adversarial_patterns": "syn_tail,syn_both"}),
+    ("no_syn_both", {"adversarial_patterns": "syn_tail,syn_head"}),
+    ("no_mat", {"mat_enabled": False}),
+)
+
+
+@dataclass(frozen=True)
+class ToyRun:
+    """One finished run of a toy grid: its row, seed, output directory and
+    parsed `rank_report.json`."""
+    row: str
+    seed: int
+    out: str
+    report: dict
+
+
+def run_toy_grid(directory: str, rows, seeds=(0,), **common) -> list[ToyRun]:
+    """Train every (row, seed) on the toy KG through `adamf train`, in order.
+
+    `rows` are (name, overrides) pairs.  The graph is written once to
+    `<directory>/data`; each run gets the config `<directory>/<name>-s<seed>.cfg`
+    (TOY_DEFAULTS, then `common`, then the row's overrides, then the seed)
+    and the output directory `<directory>/<name>-s<seed>`.  The first run
+    that exits non-zero stops the grid with an error naming its row, seed
+    and exit code.
+    """
+    write_toy_kg(os.path.join(directory, "data"))
+    runs = []
+    for name, overrides in rows:
+        for seed in seeds:
+            tag = f"{name}-s{seed}"
+            cfg_path = write_toy_config(directory, tag, tag,
+                                        **{**common, **overrides, "seed": seed})
+            print(f"--- {tag}")
+            rc = adamf_main(["train", cfg_path])
+            if rc != 0:
+                raise AdamfError(f"toy run {name!r} seed {seed} exited {rc}")
+            out = os.path.join(directory, tag)
+            with open(os.path.join(out, "rank_report.json"), encoding="utf-8") as fh:
+                runs.append(ToyRun(name, seed, out, json.load(fh)))
+    return runs

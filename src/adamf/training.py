@@ -101,18 +101,13 @@ def sample_negatives(triples: np.ndarray, n_entities: int, k: int,
     return np.where(collides[:, :, None], corrupt(second), negatives)
 
 
-def self_adv_weights(neg_scores: np.ndarray, beta: float,
-                     sign_mode: str = "negated") -> np.ndarray:
+def self_adv_weights(neg_scores: np.ndarray, beta: float) -> np.ndarray:
     """Softmax weights over each row of negative scores.
 
-    Negated mode weights low-distance (hard) negatives higher via
-    softmax(-beta * F); literal mode uses softmax(+beta * F).  Callers treat
-    the result as constants — it never participates in gradients.
+    softmax(-beta * F) weights low-distance (hard) negatives higher.  Callers
+    treat the result as constants — it never participates in gradients.
     """
-    if sign_mode not in ("negated", "literal"):
-        raise ContractError(f"unknown selfadv_sign {sign_mode!r}")
-    scores = np.asarray(neg_scores, dtype=np.float64)
-    logits = beta * scores if sign_mode == "literal" else -beta * scores
+    logits = -beta * np.asarray(neg_scores, dtype=np.float64)
     logits = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(logits)
     return e / e.sum(axis=-1, keepdims=True)
@@ -137,7 +132,7 @@ def loss_kgc(model: Model, tape: Tape, negatives: np.ndarray, live, pos: tuple,
     table, batch, pos_sum = pos
     f_neg = model.distances(tape, table, batch, live, negatives)
     if frozen_weights is None:
-        weights = self_adv_weights(f_neg.value, model.cfg.beta, model.cfg.selfadv_sign)
+        weights = self_adv_weights(f_neg.value, model.cfg.beta)
     else:
         weights = np.asarray(frozen_weights)
     neg_sum = tape.log_sigmoid_sum(f_neg, model.cfg.gamma, -1, weights)

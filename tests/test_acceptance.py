@@ -7,14 +7,15 @@ release decision, not a test fix.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 
-from adamf.cli import GRADCHECK_TOLERANCE, main, run_gradcheck
+from adamf.cli import GRADCHECK_TOLERANCE, run_gradcheck
 from adamf.model import ALL_PATTERNS, DISC, GEN
 from adamf.rng import SeededRng
 from adamf.tape import Tape
-from adamf.toykg import TOY_DEFAULTS, toy_config_text, write_toy_kg
+from adamf.toykg import ABLATION_ROWS, run_toy_grid
 from adamf.training import (TrainConfig, sample_negatives,
                             train_step_discriminator, train_step_generator)
 
@@ -23,31 +24,16 @@ from test_evaluation import oracle_rank, random_fixture
 
 from adamf.evaluation import build_cache, evaluate, rank_query
 
+ROWS = dict(ABLATION_ROWS)
+
 
 def _ok(label, detail):
     print(f"PASS {label}: {detail}")
 
 
-def _toy_run(tmp_path, tag, **overrides):
-    """Train on the standard toy graph via the CLI; returns the out dir."""
-    data_dir = tmp_path / "data"
-    if not data_dir.exists():
-        write_toy_kg(str(data_dir))
-    out = tmp_path / tag
-    cfg_path = tmp_path / f"{tag}.cfg"
-    cfg_path.write_text(toy_config_text(str(data_dir), str(out), **overrides))
-    rc = main(["train", str(cfg_path)])
-    assert rc == 0, f"toy run {tag} exited {rc}"
-    return out
-
-
-def _read_mrr(out):
-    return json.loads((out / "rank_report.json").read_text())["mrr"]
-
-
 def _log_losses(out):
     entries = [json.loads(line)
-               for line in (out / "train_log.jsonl").read_text().splitlines()]
+               for line in Path(out, "train_log.jsonl").read_text().splitlines()]
     return [(e["loss_kgc"], e["loss_adv"]) for e in entries]
 
 
@@ -133,9 +119,9 @@ def test_metric_formulas():
 
 def test_toy_kg_learning(tmp_path):
     start = time.monotonic()
-    out = _toy_run(tmp_path, "plain", mat_enabled=False)
+    [run] = run_toy_grid(str(tmp_path), [("no_mat", ROWS["no_mat"])])
     elapsed = time.monotonic() - start
-    mrr = _read_mrr(out)
+    mrr = run.report["mrr"]
     # Random guessing on this graph scores around 0.09; the contract floor
     # is 5x that (0.45).  Observed headroom across five seeds was >= 0.88,
     # so the gate holds a tightened 0.60.
@@ -146,17 +132,13 @@ def test_toy_kg_learning(tmp_path):
 
 
 def test_mat_benefit_under_missing_modalities(tmp_path):
-    seeds = range(5)
-    mrr = {True: [], False: []}
-    for mat in (True, False):
-        for seed in seeds:
-            out = _toy_run(tmp_path, f"mat{int(mat)}-s{seed}",
-                           modality_missing_ratio=0.8, mat_enabled=mat,
-                           seed=seed)
-            mrr[mat].append(_read_mrr(out))
-            losses = np.array(_log_losses(out))
-            assert np.all(np.isfinite(losses)), (mat, seed)
-    mean_on, mean_off = float(np.mean(mrr[True])), float(np.mean(mrr[False]))
+    mrr = {"full": [], "no_mat": []}
+    for run in run_toy_grid(str(tmp_path), [(name, ROWS[name]) for name in mrr],
+                            range(5), modality_missing_ratio=0.8):
+        mrr[run.row].append(run.report["mrr"])
+        losses = np.array(_log_losses(run.out))
+        assert np.all(np.isfinite(losses)), (run.row, run.seed)
+    mean_on, mean_off = float(np.mean(mrr["full"])), float(np.mean(mrr["no_mat"]))
     assert mean_on >= mean_off - 0.02, (mean_on, mean_off)
     _ok("adversarial-generation benefit",
         f"80% features hidden, 5 seeds: mean MRR {mean_on:.4f} with the "
@@ -164,33 +146,22 @@ def test_mat_benefit_under_missing_modalities(tmp_path):
         "all losses finite")
 
 
-ABLATION_ROWS = [
-    ("mean_fusion", {"fusion_mode": "mean"}),
-    ("s+v", {"modalities": "s,v"}),
-    ("s+t", {"modalities": "s,t"}),
-    ("v+t", {"modalities": "v,t"}),
-    ("no_syn_tail", {"adversarial_patterns": "syn_head,syn_both"}),
-    ("no_syn_head", {"adversarial_patterns": "syn_tail,syn_both"}),
-    ("no_syn_both", {"adversarial_patterns": "syn_tail,syn_head"}),
-]
-
-
 def test_ablation_rows_run_from_config_alone(tmp_path):
-    for tag, overrides in ABLATION_ROWS:
-        out = _toy_run(tmp_path, tag, epochs=10, validate_every=0, **overrides)
-        report = json.loads((out / "rank_report.json").read_text())
-        assert set(report) == {"mrr", "hits", "n_test", "per_relation"}, tag
-        assert set(report["hits"]) == {"1", "3", "10"}, tag
-        assert report["n_test"] > 0 and report["per_relation"], tag
+    runs = run_toy_grid(str(tmp_path), ABLATION_ROWS, epochs=10, validate_every=0)
+    assert [run.row for run in runs] == [name for name, _ in ABLATION_ROWS]
+    for run in runs:
+        report = run.report
+        assert set(report) == {"mrr", "hits", "n_test", "per_relation"}, run.row
+        assert set(report["hits"]) == {"1", "3", "10"}, run.row
+        assert report["n_test"] > 0 and report["per_relation"], run.row
     _ok("ablation machinery", f"{len(ABLATION_ROWS)} configuration rows "
         "ran to completion with full rank reports, no code changes")
 
 
 def test_determinism(tmp_path):
     blobs = []
-    for tag in ("first", "second"):
-        out = _toy_run(tmp_path, tag, epochs=30)
-        blobs.append({name: (out / name).read_bytes()
+    for run in run_toy_grid(str(tmp_path), [("first", {}), ("second", {})], epochs=30):
+        blobs.append({name: Path(run.out, name).read_bytes()
                       for name in ("checkpoint.bin", "best.bin",
                                    "rank_report.json", "ranks.tsv",
                                    "train_log.jsonl")})

@@ -12,10 +12,10 @@ from adamf import cli
 from adamf.cli import main
 from adamf.checkpoint import save_checkpoint
 from adamf.config import parse_config
-from adamf.errors import NumericError
+from adamf.errors import AdamfError, NumericError
 from adamf.model import Model
 from adamf.tape import Tape
-from adamf.toykg import toy_config_text, write_toy_kg
+from adamf.toykg import run_toy_grid
 
 N_ENTITIES = 8
 
@@ -288,10 +288,12 @@ def test_deterministic_config_key_is_rejected(trained, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("keep_best", "false"), ("hidden_dim", "8"),
-                                        ("leaky_slope", "0.2")])
+                                        ("leaky_slope", "0.2"),
+                                        ("selfadv_sign", "literal")])
 def test_fixed_behaviours_are_unknown_keys(corpus, tmp_path, capsys, key, value):
-    # best.bin is always written, the generator's hidden width is 2d and its
-    # LeakyReLU slope 0.01: none of them is a setting.
+    # best.bin is always written, the generator's hidden width is 2d, its
+    # LeakyReLU slope 0.01 and the negatives' weights softmax(-beta * F):
+    # none of them is a setting.
     out = tmp_path / key
     cfg = write_config(corpus, out, name=f"{key}.cfg", **{key: value})
     assert main(["train", cfg]) == 2
@@ -454,17 +456,22 @@ def test_mask_modality_requires_feature_paths(corpus, tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
-# ------------------------------------------------------------- toy-graph script
+# ---------------------------------------------------- toy-graph runner and script
 
 def test_toy_config_trains_with_negative_filtering(tmp_path):
-    write_toy_kg(str(tmp_path / "data"))
-    cfg = tmp_path / "toy.cfg"
-    cfg.write_text(toy_config_text("data", "out", epochs=2, negative_filtering=True))
-    assert parse_config(str(cfg)).training.negative_filtering
-    assert main(["train", str(cfg)]) == 0
-    lines = (tmp_path / "out" / "train_log.jsonl").read_text().splitlines()
+    [run] = run_toy_grid(str(tmp_path), [("filtered", {"negative_filtering": True})],
+                         epochs=2)
+    assert parse_config(str(tmp_path / "filtered-s0.cfg")).training.negative_filtering
+    lines = Path(run.out, "train_log.jsonl").read_text().splitlines()
     assert [json.loads(line)["epoch"] for line in lines] == [1, 2]
-    assert (tmp_path / "out" / "rank_report.json").exists()
+
+
+def test_toy_grid_stops_at_the_first_failed_run(tmp_path):
+    rows = [("ok", {}), ("bad", {"dim": 0}), ("after", {})]
+    with pytest.raises(AdamfError, match="'bad' seed 3 exited 2"):
+        run_toy_grid(str(tmp_path), rows, seeds=(3,), epochs=1)
+    assert (tmp_path / "ok-s3" / "rank_report.json").exists()
+    assert not (tmp_path / "after-s3.cfg").exists()
 
 
 def test_make_toy_kg_config_resolves_against_its_directory(tmp_path, monkeypatch):

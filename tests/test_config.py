@@ -32,13 +32,11 @@ dim = 16          # small embedding
 gamma = 4.0
 mat_enabled = false
 epochs = 7
-selfadv_sign = literal
 """))
     assert cfg.model.d == 16
     assert cfg.model.gamma == 4.0
     assert cfg.training.mat_enabled is False
     assert cfg.training.epochs == 7
-    assert cfg.model.selfadv_sign == "literal"
 
 
 def test_unknown_key_reports_path_and_line(tmp_path):
@@ -151,7 +149,6 @@ ROUND_TRIP = [
     ("modalities", "t, s", "model.modalities", ("s", "t")),
     ("gamma", "2.5", "model.gamma", 2.5),
     ("beta", "0.5", "model.beta", 0.5),
-    ("selfadv_sign", "literal", "model.selfadv_sign", "literal"),
     ("precision", "double", "model.precision", "double"),
     ("k_negatives", "9", "training.k_negatives", 9),
     ("adv_groups", "2", "training.adv_groups", 2),
@@ -212,6 +209,11 @@ def test_bad_values_name_their_key(tmp_path):
                                              "modality_missing_ratio")):
         with pytest.raises(ConfigError, match=key):
             parse_config(write_cfg(tmp_path, text + "\n"))
+    # a value that does not convert also gets its file and line
+    for text, key in (("dim = twelve", "dim"), ("mat_enabled = maybe", "mat_enabled"),
+                      ("eval_ks = 1,x", "eval_ks")):
+        with pytest.raises(ConfigError, match=rf"run\.cfg:2: {key}: expected"):
+            parse_config(write_cfg(tmp_path, "# bad value\n" + text + "\n"))
 
 
 def test_echo_is_stable_under_double_echo(tmp_path):

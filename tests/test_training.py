@@ -47,9 +47,8 @@ def test_train_config_validation():
 # --- self-adversarial weights --------------------------------------------------
 
 def test_weights_equal_scores_split_evenly():
-    for mode in ("negated", "literal"):
-        w = self_adv_weights(np.array([[1.3, 1.3]]), beta=2.0, sign_mode=mode)
-        assert np.allclose(w, 0.5, atol=1e-15)
+    w = self_adv_weights(np.array([[1.3, 1.3]]), beta=2.0)
+    assert np.allclose(w, 0.5, atol=1e-15)
 
 
 def test_weights_beta_zero_uniform():
@@ -59,15 +58,8 @@ def test_weights_beta_zero_uniform():
 
 def test_weights_negated_hand_case():
     # scores (0, ln 3): exp(0)=1 vs exp(-ln 3)=1/3 -> (3/4, 1/4)
-    w = self_adv_weights(np.array([[0.0, math.log(3.0)]]), beta=1.0,
-                         sign_mode="negated")
+    w = self_adv_weights(np.array([[0.0, math.log(3.0)]]), beta=1.0)
     assert np.allclose(w, [0.75, 0.25], atol=1e-12)
-
-
-def test_weights_literal_hand_case():
-    w = self_adv_weights(np.array([[0.0, math.log(3.0)]]), beta=1.0,
-                         sign_mode="literal")
-    assert np.allclose(w, [0.25, 0.75], atol=1e-12)
 
 
 def test_weights_single_negative():
