@@ -13,7 +13,7 @@ dataset for the CLI:
 import argparse
 import os
 
-from adamf.toykg import build_toy_kg, write_toy_config, write_toy_kg
+from adamf.toykg import write_toy_config, write_toy_kg
 
 
 def main() -> None:
@@ -23,10 +23,8 @@ def main() -> None:
     args = ap.parse_args()
 
     data_dir = os.path.join(args.dir, "data")
-    write_toy_kg(data_dir, n_entities=args.entities)
+    dataset = write_toy_kg(data_dir, n_entities=args.entities)
     cfg_path = write_toy_config(args.dir, "toy", "out")
-
-    dataset, _ = build_toy_kg(args.entities)
     print(f"wrote {data_dir}: {len(dataset.train)} train / "
           f"{len(dataset.valid)} valid / {len(dataset.test)} test triples")
     print(f"wrote {cfg_path}")

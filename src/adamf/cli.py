@@ -29,7 +29,7 @@ from .evaluation import (evaluate, relation_weight_report,
                          write_weight_csv)
 from .ioutil import atomic_write_text
 from .model import ALL_PATTERNS, DISC, FROZEN, GEN, Model, ModelConfig, init_params
-from .params import GradCheckResult, finite_diff_check
+from .params import finite_diff_check
 from .rng import SeededRng
 from .tape import Tape
 from .training import (loss_adv, loss_kgc, positive_parts, sample_negatives,
@@ -192,16 +192,6 @@ def _clear_generator_kinks(model, batch, noise, margin=5e-4) -> None:
             store.set(f"gen.{m}.b1", b1)
 
 
-def _checked_at_both_scales(builder, store, names):
-    """finite_diff_check at each probe scale, keeping per-param minima."""
-    results = [finite_diff_check(builder, store, eps, names=names)
-               for eps in GRADCHECK_EPSILONS]
-    per_param = {name: min(r.per_param[name] for r in results)
-                 for name in results[0].per_param}
-    worst_param = max(per_param, key=per_param.get)
-    return GradCheckResult(per_param[worst_param], worst_param, per_param)
-
-
 def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0):
     """Finite-difference audit of both loss gradients on a small fixture.
 
@@ -233,9 +223,9 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0):
     negatives = sample_negatives(batch, n_entities, 4, root.substream("negatives"))
 
     # The margin loss's self-adversarial weights, held fixed while probing.
-    probe = Tape(store)
-    pos = positive_parts(model, probe, (batch, negatives), FROZEN)
-    weights = loss_kgc(model, probe, negatives, FROZEN, pos)[1]["weights"]
+    probe = Tape(store, FROZEN)
+    pos = positive_parts(model, probe, (batch, negatives))
+    weights = loss_kgc(model, probe, negatives, pos)[1]["weights"]
 
     noise = model.draw_noise(batch, 1, ALL_PATTERNS, root.substream("noise"))
     _clear_generator_kinks(model, batch, noise)
@@ -243,41 +233,35 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0):
     # probing entity.structural must not move the generator's input: they
     # are computed once here and enter each rebuilt tape as constants.
     frozen = {key: node.value for key, node in
-              model.generate(Tape(store), batch, noise, FROZEN).items()}
-    disc_names = store.names("discriminator")
-    gen_names = store.names("generator")
+              model.generate(Tape(store, FROZEN), batch, noise).items()}
 
     def kgc_builder(params):
-        tape = Tape(params)
-        pos = positive_parts(model, tape, (batch, negatives), DISC)
-        loss, _ = loss_kgc(model, tape, negatives, DISC, pos, frozen_weights=weights)
+        tape = Tape(params, DISC)
+        pos = positive_parts(model, tape, (batch, negatives))
+        loss, _ = loss_kgc(model, tape, negatives, pos, frozen_weights=weights)
         return tape, tape.scale(loss, GRADCHECK_SCALE)
 
     def adv_disc_builder(params):
-        tape = Tape(params)
-        pos = positive_parts(model, tape, (batch,), DISC)
+        tape = Tape(params, DISC)
+        pos = positive_parts(model, tape, (batch,))
         generated = {key: tape.const(value) for key, value in frozen.items()}
-        adv, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, DISC, generated, pos)
+        adv, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, generated, pos)
         return tape, tape.scale(adv, lam * GRADCHECK_SCALE)
 
     def adv_gen_builder(params):
-        tape = Tape(params)
-        pos = positive_parts(model, tape, (batch,), GEN)
-        generated = model.generate(tape, batch, noise, GEN)
-        adv, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, GEN, generated, pos)
+        tape = Tape(params, GEN)
+        pos = positive_parts(model, tape, (batch,))
+        generated = model.generate(tape, batch, noise)
+        adv, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, generated, pos)
         return tape, tape.scale(adv, -lam * GRADCHECK_SCALE)
 
-    results = [("margin loss (discriminator)",
-                _checked_at_both_scales(kgc_builder, store, disc_names)),
-               ("adversarial loss (discriminator)",
-                _checked_at_both_scales(adv_disc_builder, store, disc_names))]
-    if lam == 0:
-        results.append(("adversarial objective (generator)", None))
-    else:
-        results.append(("adversarial objective (generator)",
-                        _checked_at_both_scales(adv_gen_builder, store,
-                                                gen_names)))
-    return results
+    def check(builder, group):
+        return finite_diff_check(builder, store, GRADCHECK_EPSILONS, store.names(group))
+
+    return [("margin loss (discriminator)", check(kgc_builder, "discriminator")),
+            ("adversarial loss (discriminator)", check(adv_disc_builder, "discriminator")),
+            ("adversarial objective (generator)",
+             None if lam == 0 else check(adv_gen_builder, "generator"))]
 
 
 def cmd_dump_weights(args) -> int:

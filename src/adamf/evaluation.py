@@ -175,6 +175,19 @@ def _aggregate(head_ranks: np.ndarray, tail_ranks: np.ndarray,
     return mrr, hits
 
 
+def _per_relation(dataset: TripleDataset, triples: np.ndarray, summary) -> list[dict]:
+    """One row per relation in `triples`: its name, its triple count and the
+    entries of `summary(idx)` over the indices of its triples; sorted by
+    count descending, then name."""
+    rows = []
+    for r in sorted(set(int(v) for v in triples[:, 1])):
+        idx = np.flatnonzero(triples[:, 1] == r)
+        rows.append({"relation": dataset.vocab.relation_names[r],
+                     "count": int(idx.shape[0]), **summary(idx)})
+    rows.sort(key=lambda row: (-row["count"], row["relation"]))
+    return rows
+
+
 def evaluate(model: Model, dataset: TripleDataset, split: str = "test",
              ks=(1, 3, 10), tie_break: str = "optimistic") -> RankReport:
     """Filtered ranking of every query in the split, both directions.
@@ -203,17 +216,12 @@ def evaluate(model: Model, dataset: TripleDataset, split: str = "test",
     for done in slices:     # in slice order: the serial loop's first error
         done.result()
     mrr, hits = _aggregate(head_ranks, tail_ranks, ks)
-    per_relation = []
-    for r in sorted(set(int(v) for v in triples[:, 1])):
-        idx = np.flatnonzero(triples[:, 1] == r)
+
+    def summary(idx):
         r_mrr, r_hits = _aggregate(head_ranks[idx], tail_ranks[idx], ks)
-        per_relation.append({
-            "relation": dataset.vocab.relation_names[r],
-            "count": int(idx.shape[0]),
-            "mrr": r_mrr,
-            "hits": {str(k): v for k, v in sorted(r_hits.items())},
-        })
-    per_relation.sort(key=lambda row: (-row["count"], row["relation"]))
+        return {"mrr": r_mrr, "hits": {str(k): v for k, v in sorted(r_hits.items())}}
+
+    per_relation = _per_relation(dataset, triples, summary)
     return RankReport(mrr=mrr, hits=hits, n_test=n, triples=triples,
                       head_ranks=head_ranks, tail_ranks=tail_ranks,
                       per_relation=per_relation)
@@ -239,18 +247,13 @@ def relation_weight_report(model: Model, dataset: TripleDataset,
     alpha = np.asarray(alpha, dtype=np.float64)
     if not np.isfinite(alpha).all():
         raise NumericError("non-finite fusion weights; cannot summarize")
-    rows = []
-    for r in sorted(set(int(v) for v in triples[:, 1])):
-        idx = np.flatnonzero(triples[:, 1] == r)
+
+    def summary(idx):
         stacked = np.concatenate([alpha[triples[idx, 0]], alpha[triples[idx, 2]]])
         means = dict(zip(model.cfg.modalities, stacked.mean(axis=0)))
-        rows.append({
-            "relation": dataset.vocab.relation_names[r],
-            "count": int(idx.shape[0]),
-            **{f"alpha_{m}": float(means.get(m, 0.0)) for m in MODALITY_ORDER},
-        })
-    rows.sort(key=lambda row: (-row["count"], row["relation"]))
-    return rows
+        return {f"alpha_{m}": float(means.get(m, 0.0)) for m in MODALITY_ORDER}
+
+    return _per_relation(dataset, triples, summary)
 
 
 # ------------------------------------------------------------------- writers

@@ -2,9 +2,9 @@
 rotation scoring, and the modality-adversarial generator.
 
 All builders operate on row batches: entity index arrays of shape (B,) map
-to embedding nodes of shape (B, 2d).  Gradient flow is controlled by the
-``live`` group set: leaves for parameters in a live group are differentiable,
-everything else enters the tape as a detached constant.
+to embedding nodes of shape (B, 2d).  Gradient flow is the tape's: builders
+take every parameter through ``Tape.leaf``, which is differentiable for the
+groups the tape was made to train and a detached constant otherwise.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ class Model:
 
     # ------------------------------------------------------------- embeddings
 
-    def modal_embedding(self, tape: Tape, m: str, idx: np.ndarray, live) -> Node:
+    def modal_embedding(self, tape: Tape, m: str, idx: np.ndarray) -> Node:
         """Entity embedding for one modality, shape (B, 2d).
 
         Projected modalities take the affine projection of the raw features
@@ -194,22 +194,22 @@ class Model:
         """
         idx = np.asarray(idx, dtype=np.int64)
         if m == "s":
-            return tape.gather(tape.leaf("entity.structural", live), idx)
+            return tape.gather(tape.leaf("entity.structural"), idx)
         if m not in self.cfg.projected_modalities:
             raise ContractError(f"modality {m!r} not active in this model")
         rows = self._rows[m][idx]
         present = rows >= 0
         if not present.any():
-            return tape.gather(tape.leaf(f"fallback.{m}", live), idx)
-        projected = tape.matvec(tape.leaf(f"proj.{m}.weight", live),
+            return tape.gather(tape.leaf(f"fallback.{m}"), idx)
+        projected = tape.matvec(tape.leaf(f"proj.{m}.weight"),
                                 tape.const(self._raw[m][rows[present]]),
-                                tape.leaf(f"proj.{m}.bias", live))
+                                tape.leaf(f"proj.{m}.bias"))
         if present.all():
             return projected
-        fallback = tape.gather(tape.leaf(f"fallback.{m}", live), idx[~present])
+        fallback = tape.gather(tape.leaf(f"fallback.{m}"), idx[~present])
         return tape.merge_rows(present, projected, fallback)
 
-    def fuse(self, tape: Tape, parts: dict[str, Node], live) -> tuple[Node, Node]:
+    def fuse(self, tape: Tape, parts: dict[str, Node]) -> tuple[Node, Node]:
         """Combine per-modality embeddings into (joint (B,2d), alpha (B,M)).
 
         Adaptive mode scores each modality by the inner product of its
@@ -225,31 +225,30 @@ class Model:
         if self.cfg.fusion_mode == "mean":
             alpha = tape.const(np.full((xs[0].shape[0], len(xs)), 1.0 / len(xs)))
         else:
-            alpha = tape.fusion_weights(
-                xs, [tape.leaf(f"fusion.w.{m}", live) for m in order])
+            alpha = tape.fusion_weights(xs, [tape.leaf(f"fusion.w.{m}") for m in order])
         return tape.mix(alpha, xs), alpha
 
-    def joint_and_alpha(self, tape: Tape, idx: np.ndarray, live) -> tuple[Node, Node]:
+    def joint_and_alpha(self, tape: Tape, idx: np.ndarray) -> tuple[Node, Node]:
         """Joint embeddings (B, 2d) and fusion weights (B, M) of entities idx."""
-        parts = {m: self.modal_embedding(tape, m, idx, live) for m in self.cfg.modalities}
-        return self.fuse(tape, parts, live)
+        parts = {m: self.modal_embedding(tape, m, idx) for m in self.cfg.modalities}
+        return self.fuse(tape, parts)
 
-    def entity_table(self, tape: Tape, triples, live) -> EntityTable:
+    def entity_table(self, tape: Tape, triples) -> EntityTable:
         """Fused rows of every entity named as a head or tail in `triples`
         (a sequence of (..., 3) arrays), each entity built once."""
         ids = np.unique(np.concatenate([np.asarray(x)[..., 0::2].ravel() for x in triples]))
-        return EntityTable(ids, *self.joint_and_alpha(tape, ids, live))
+        return EntityTable(ids, *self.joint_and_alpha(tape, ids))
 
     # ---------------------------------------------------------------- scoring
 
-    def distances(self, tape: Tape, table: EntityTable, triples: np.ndarray, live,
+    def distances(self, tape: Tape, table: EntityTable, triples: np.ndarray,
                   negatives: np.ndarray | None = None) -> Node:
         """Rotation distance F(h,r,t) of (B, 3) triples over `table`, (B,); or,
         given (B, K, 3) `negatives` that each replace one side of their
         triple, F of those, (B, K), from one query row per triple and side:
         |h o r - t'| and |h' - t o conj(r)| (a rotation keeps the modulus)."""
         h, r, t = table.rows(triples[:, 0]), triples[:, 1], table.rows(triples[:, 2])
-        phase = tape.leaf("relation.phase", live)
+        phase = tape.leaf("relation.phase")
         if negatives is None:
             return tape.query_distance(table.joint, h, phase, r, table.joint, t)
         head = negatives[..., 0] != triples[:, None, 0]
@@ -262,7 +261,7 @@ class Model:
 
     # -------------------------------------------------------------- generator
 
-    def generator_output(self, tape: Tape, m: str, e_s_values: np.ndarray, live,
+    def generator_output(self, tape: Tape, m: str, e_s_values: np.ndarray,
                          z: np.ndarray) -> Node:
         """Synthetic modal embedding G_m([e_s; z]) for a batch, shape (B, 2d).
 
@@ -272,10 +271,8 @@ class Model:
         """
         x = tape.const(np.concatenate([e_s_values, z], axis=1))
         hidden = tape.leaky_relu(
-            tape.matvec(tape.leaf(f"gen.{m}.w1", live), x, tape.leaf(f"gen.{m}.b1", live)),
-            LEAKY_SLOPE)
-        return tape.matvec(tape.leaf(f"gen.{m}.w2", live), hidden,
-                           tape.leaf(f"gen.{m}.b2", live))
+            tape.matvec(tape.leaf(f"gen.{m}.w1"), x, tape.leaf(f"gen.{m}.b1")), LEAKY_SLOPE)
+        return tape.matvec(tape.leaf(f"gen.{m}.w2"), hidden, tape.leaf(f"gen.{m}.b2"))
 
     def draw_noise(self, triples: np.ndarray, n_groups: int,
                    patterns: tuple[str, ...], rng: SeededRng) -> dict:
@@ -294,7 +291,7 @@ class Model:
         return {key: z[i].reshape(rows, self.cfg.noise_dim)
                 for i, key in enumerate(keys)}
 
-    def generate(self, tape: Tape, triples: np.ndarray, noise: dict, live) -> dict:
+    def generate(self, tape: Tape, triples: np.ndarray, noise: dict) -> dict:
         """Generated modal embeddings, one node per `noise` key, in key order.
 
         Key (group, side, modality) runs G_m on the structural embeddings of
@@ -302,12 +299,11 @@ class Model:
         """
         e_s = {side: np.asarray(self.store["entity.structural"][triples[:, col]])
                for side, col in (("h", 0), ("t", 2))}
-        return {(g, side, m): self.generator_output(tape, m, e_s[side], live, z)
+        return {(g, side, m): self.generator_output(tape, m, e_s[side], z)
                 for (g, side, m), z in noise.items()}
 
     def synthetic_triple_scores(self, tape: Tape, triples: np.ndarray,
-                                n_groups: int, patterns: tuple[str, ...],
-                                live, generated: dict,
+                                n_groups: int, patterns: tuple[str, ...], generated: dict,
                                 table: EntityTable) -> tuple[Node, list[tuple[int, str]]]:
         """Scores of L groups of synthetic triples for a batch of positives.
 
@@ -321,7 +317,7 @@ class Model:
         `patterns` is a non-empty subset of ALL_PATTERNS in its order, as
         `TrainConfig` validates them.
         """
-        phase = tape.leaf("relation.phase", live)
+        phase = tape.leaf("relation.phase")
         entity_idx = {"h": triples[:, 0], "t": triples[:, 2]}
         real = {side: (table.joint, table.rows(idx)) for side, idx in entity_idx.items()}
         blocks, meta = [], []
@@ -329,9 +325,9 @@ class Model:
             star = {}
             for side in synthetic_sides(patterns):
                 parts = {m: generated[(g, side, m)] if m != "s" else
-                         self.modal_embedding(tape, "s", entity_idx[side], live)
+                         self.modal_embedding(tape, "s", entity_idx[side])
                          for m in self.cfg.modalities}
-                star[side] = (self.fuse(tape, parts, live)[0], np.arange(len(triples)))
+                star[side] = (self.fuse(tape, parts)[0], np.arange(len(triples)))
             for pattern in patterns:
                 h = star["h"] if pattern in (SYN_HEAD, SYN_BOTH) else real["h"]
                 t = star["t"] if pattern in (SYN_TAIL, SYN_BOTH) else real["t"]
@@ -344,8 +340,8 @@ class Model:
 
     def entity_representations(self) -> tuple[np.ndarray, np.ndarray]:
         """Joint embeddings and fusion weights of every entity, as arrays."""
-        tape = Tape(self.store)
-        joint, alpha = self.joint_and_alpha(tape, np.arange(self.n_entities), FROZEN)
+        tape = Tape(self.store, FROZEN)
+        joint, alpha = self.joint_and_alpha(tape, np.arange(self.n_entities))
         return joint.value, alpha.value
 
     def relation_phases(self) -> np.ndarray:

@@ -140,19 +140,22 @@ class GradCheckResult:
     per_param: dict[str, float]
 
 
-def finite_diff_check(loss_builder, params: ParameterStore, epsilon: float,
+def finite_diff_check(loss_builder, params: ParameterStore, epsilons,
                       names: list[str] | None = None) -> GradCheckResult:
     """Compare analytic gradients against central finite differences.
 
     loss_builder(params) must deterministically rebuild the loss tape from
     the store's current values and return (tape, root).  For each checked
-    scalar component the relative error is |a-n| / max(1e-8, |a|+|n|); the
-    worst one is reported.  Detached quantities inside the loss (e.g. frozen
-    sampling weights) must be fixed by the builder so analytic and numeric
-    sides differentiate the same function.
+    scalar component the relative error is |a-n| / max(1e-8, |a|+|n|).  A
+    parameter's error is its worst component at the probe step that serves
+    it best: the minimum over `epsilons` of the maximum over components.
+    The worst parameter is reported.  Detached quantities inside the loss
+    (e.g. frozen sampling weights) must be fixed by the builder so analytic
+    and numeric sides differentiate the same function.
     """
-    if epsilon <= 0:
-        raise ContractError("epsilon must be positive")
+    epsilons = tuple(epsilons)
+    if not epsilons or min(epsilons) <= 0:
+        raise ContractError("finite_diff_check needs positive probe steps")
     if params.dtype != np.float64:
         raise ContractError("finite_diff_check requires a double-precision store")
     tape, root = loss_builder(params)
@@ -162,9 +165,7 @@ def finite_diff_check(loss_builder, params: ParameterStore, epsilon: float,
         _, node = loss_builder(params)
         return float(node.value)
 
-    checked = params.names() if names is None else list(names)
-    per_param: dict[str, float] = {}
-    for name in checked:
+    def worst_component(name, epsilon):
         value = params[name]
         gflat = analytic[name].reshape(-1)
         err = 0.0
@@ -181,6 +182,10 @@ def finite_diff_check(loss_builder, params: ParameterStore, epsilon: float,
             a = float(gflat[i])
             rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
             err = max(err, rel)
-        per_param[name] = err
+        return err
+
+    checked = params.names() if names is None else list(names)
+    per_param = {name: min(worst_component(name, eps) for eps in epsilons)
+                 for name in checked}
     worst_param = max(per_param, key=per_param.get, default="")
     return GradCheckResult(per_param.get(worst_param, 0.0), worst_param, per_param)

@@ -19,13 +19,15 @@ element indices (``_scatter``).
 Complex-valued quantities are interleaved (re, im) pairs in an even-length
 last axis; phase vectors have half that length.
 
-Dead adjoints are pruned: a node is *live* when some parameter leaf lies
-upstream of it.  ``param`` leaves are live; ``const`` leaves (and ``leaf`` on
-a group outside the live set) are not; an emitted node is live iff any
-parent is.  A node that is not live gets no ``backward_fn``, and every
-kernel forms only the adjoints of its live operands, so constants never
-receive a gradient.  Live parameters see the same adjoints, accumulated in
-the same order, as without pruning.
+A tape is made for the parameter groups it trains (``Tape(store, live)``,
+every group by default).  ``leaf(name)`` on a parameter of a live group is
+the differentiable leaf, one node per tape; on any other group it is a fresh
+constant that keeps the parameter's name.  Dead adjoints are pruned: a node
+is *live* when some live leaf lies upstream of it, so an emitted node is live
+iff any parent is.  A node that is not live gets no ``backward_fn``, and
+every kernel forms only the adjoints of its live operands, so constants and
+frozen groups never receive a gradient.  Live parameters see the same
+adjoints, accumulated in the same order, as without pruning.
 
 Subnormal adjoints are flushed in two places: the backwards of ``matvec``
 and ``query_distance`` set each entry of their incoming adjoint below
@@ -48,6 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, NumericError
+from .params import GROUPS
 
 
 class Node:
@@ -94,8 +97,9 @@ def modulus_sum(x, y, re, im, a, b, out) -> np.ndarray:
 class Tape:
     """Append-only computation record yielding gradients of a scalar root."""
 
-    def __init__(self, store=None):
+    def __init__(self, store=None, live=GROUPS):
         self.store = store
+        self.live = frozenset(live)
         self.nodes: list[Node] = []
         self._param_nodes: dict[str, Node] = {}
         self.consumed = False
@@ -103,29 +107,25 @@ class Tape:
 
     # ------------------------------------------------------------------ leaves
 
-    def param(self, name: str) -> Node:
-        """Leaf bound to a named trainable tensor; memoized per tape."""
-        if name in self._param_nodes:
-            return self._param_nodes[name]
+    def leaf(self, name: str) -> Node:
+        """Leaf bound to a named store parameter: differentiable and memoized
+        per tape if its group is live, otherwise a fresh constant that keeps
+        the parameter's name."""
         if self.store is None:
-            raise ContractError("param leaves require a ParameterStore")
-        node = Node(self.store[name], name=name, live=True)
-        self._param_nodes[name] = node
-        self.nodes.append(node)
+            raise ContractError("parameter leaves require a ParameterStore")
+        if self.store.group_of(name) not in self.live:
+            node = self.const(self.store[name])
+            node.name = name
+            return node
+        node = self._param_nodes.get(name)
+        if node is None:
+            node = self._param_nodes[name] = Node(self.store[name], name=name, live=True)
+            self.nodes.append(node)
         return node
 
     def const(self, value) -> Node:
         node = Node(np.asarray(value, dtype=self.dtype))
         self.nodes.append(node)
-        return node
-
-    def leaf(self, name: str, live_groups) -> Node:
-        """Parameter leaf if its group is live, otherwise a detached constant
-        that keeps the parameter's name."""
-        if self.store.group_of(name) in live_groups:
-            return self.param(name)
-        node = self.const(self.store[name])
-        node.name = name
         return node
 
     # ------------------------------------------------------------- op plumbing

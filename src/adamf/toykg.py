@@ -65,15 +65,15 @@ def build_toy_kg(n_entities: int = 50) -> tuple[TripleDataset, dict[str, Feature
     return dataset, tables
 
 
-def write_toy_kg(directory: str, n_entities: int = 50) -> dict[str, str]:
-    """Materialize the toy KG as TSV files; returns the path map."""
+def write_toy_kg(directory: str, n_entities: int = 50) -> TripleDataset:
+    """Materialize the toy KG as TSV files; returns the dataset written."""
     os.makedirs(directory, exist_ok=True)
     dataset, tables = build_toy_kg(n_entities)
     paths = feature_dir_paths(directory)
     save_triples(dataset, paths["train"], paths["valid"], paths["test"])
     save_features(tables["v"], dataset.vocab, paths["visual"])
     save_features(tables["t"], dataset.vocab, paths["textual"])
-    return paths
+    return dataset
 
 
 TOY_DEFAULTS = {

@@ -115,22 +115,22 @@ def self_adv_weights(neg_scores: np.ndarray, beta: float) -> np.ndarray:
 
 # -------------------------------------------------------------------- losses
 
-def positive_parts(model: Model, tape: Tape, triples: tuple, live) -> tuple:
+def positive_parts(model: Model, tape: Tape, triples: tuple) -> tuple:
     """A step's shared pieces: the entity table over every head and tail in
     `triples` (the batch first, then any negatives), the batch, and its
     sum_b log sigma(gamma - F_pos), which both losses share."""
-    table = model.entity_table(tape, triples, live)
-    f_pos = model.distances(tape, table, triples[0], live)
+    table = model.entity_table(tape, triples)
+    f_pos = model.distances(tape, table, triples[0])
     return table, triples[0], tape.log_sigmoid_sum(f_pos, model.cfg.gamma, 1)
 
 
-def loss_kgc(model: Model, tape: Tape, negatives: np.ndarray, live, pos: tuple,
+def loss_kgc(model: Model, tape: Tape, negatives: np.ndarray, pos: tuple,
              frozen_weights: np.ndarray | None = None) -> tuple[Node, dict]:
     """Sigmoid margin loss over positives and self-adversarially weighted
     negatives: mean_b[-log s(g - F_pos) - sum_i p_i log s(F_neg_i - g)].
     `pos` is the step's `positive_parts`, built over the negatives too."""
     table, batch, pos_sum = pos
-    f_neg = model.distances(tape, table, batch, live, negatives)
+    f_neg = model.distances(tape, table, batch, negatives)
     if frozen_weights is None:
         weights = self_adv_weights(f_neg.value, model.cfg.beta)
     else:
@@ -141,8 +141,7 @@ def loss_kgc(model: Model, tape: Tape, negatives: np.ndarray, live, pos: tuple,
 
 
 def loss_adv(model: Model, tape: Tape, batch: np.ndarray, n_groups: int,
-             patterns: tuple[str, ...], live, generated: dict,
-             pos: tuple) -> tuple[Node, dict]:
+             patterns: tuple[str, ...], generated: dict, pos: tuple) -> tuple[Node, dict]:
     """Adversarial contrast loss: mean_b[-log s(g - F_pos)
     - (1/|S|) sum_{s in S} log s(F_syn_s - g)] over synthetic triples S.
 
@@ -151,7 +150,7 @@ def loss_adv(model: Model, tape: Tape, batch: np.ndarray, n_groups: int,
     n_batch = batch.shape[0]
     table, _, pos_sum = pos
     f_syn, meta = model.synthetic_triple_scores(
-        tape, batch, n_groups, patterns, live, generated, table)
+        tape, batch, n_groups, patterns, generated, table)
     syn_sum = tape.log_sigmoid_sum(f_syn, model.cfg.gamma, -1)
     loss = tape.scale(tape.add(pos_sum, tape.scale(syn_sum, 1.0 / len(meta))),
                       -1.0 / n_batch)
@@ -168,16 +167,16 @@ def train_step_discriminator(model: Model, batch: np.ndarray,
     Generator outputs enter the tape as constants, so no gradient reaches
     the generator group nor flows through it into the structural embeddings.
     """
-    tape = Tape(model.store)
-    pos = positive_parts(model, tape, (batch, negatives), DISC)
-    kgc, _ = loss_kgc(model, tape, negatives, DISC, pos)
+    tape = Tape(model.store, DISC)
+    pos = positive_parts(model, tape, (batch, negatives))
+    kgc, _ = loss_kgc(model, tape, negatives, pos)
     adv_value = 0.0
     total = kgc
     if cfg.mat_enabled:
         noise = model.draw_noise(batch, cfg.adv_groups, cfg.adversarial_patterns, noise_rng)
-        generated = model.generate(tape, batch, noise, DISC)
+        generated = model.generate(tape, batch, noise)
         adv, _ = loss_adv(model, tape, batch, cfg.adv_groups, cfg.adversarial_patterns,
-                          DISC, generated, pos)
+                          generated, pos)
         adv_value = float(adv.value)
         total = tape.add(kgc, tape.scale(adv, cfg.adv_lambda))
     grads = tape.backward(total)
@@ -191,12 +190,12 @@ def train_step_generator(model: Model, batch: np.ndarray, cfg: TrainConfig,
     with fresh noise; the scoring parameters are constants here."""
     if not cfg.mat_enabled:
         raise ContractError("generator step requires mat_enabled")
-    tape = Tape(model.store)
-    pos = positive_parts(model, tape, (batch,), GEN)
+    tape = Tape(model.store, GEN)
+    pos = positive_parts(model, tape, (batch,))
     noise = model.draw_noise(batch, cfg.adv_groups, cfg.adversarial_patterns, noise_rng)
-    generated = model.generate(tape, batch, noise, GEN)
+    generated = model.generate(tape, batch, noise)
     adv, _ = loss_adv(model, tape, batch, cfg.adv_groups, cfg.adversarial_patterns,
-                      GEN, generated, pos)
+                      generated, pos)
     objective = tape.scale(adv, -cfg.adv_lambda)
     grads = tape.backward(objective)
     adam_step(model.store, grads, "generator", cfg.lr_g)

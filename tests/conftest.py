@@ -40,20 +40,18 @@ def make_dataset(n_entities, triples_by_split, n_relations=1):
         vocab, *(triples_by_split.get(split, []) for split in ("train", "valid", "test")))
 
 
-def synthetic_scores(model, tape, batch, n_groups, patterns, live, noise):
+def synthetic_scores(model, tape, batch, n_groups, patterns, noise):
     """`Model.synthetic_triple_scores` against the batch's own positives,
     with the synthetic modal embeddings generated from `noise`."""
-    generated = model.generate(tape, batch, noise, live)
-    table = model.entity_table(tape, (batch,), live)
-    return model.synthetic_triple_scores(tape, batch, n_groups, patterns, live,
-                                         generated, table)
+    generated = model.generate(tape, batch, noise)
+    table = model.entity_table(tape, (batch,))
+    return model.synthetic_triple_scores(tape, batch, n_groups, patterns, generated, table)
 
 
-def margin_loss(model, tape, batch, negatives, live):
+def margin_loss(model, tape, batch, negatives):
     """`loss_kgc` as the discriminator step builds it, with `positive_parts`
     over the batch and its negatives."""
-    pos = positive_parts(model, tape, (batch, negatives), live)
-    return loss_kgc(model, tape, negatives, live, pos)
+    return loss_kgc(model, tape, negatives, positive_parts(model, tape, (batch, negatives)))
 
 
 def random_features(n_entities, dim, modality, rng, absent=()):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from adamf.cli import GRADCHECK_TOLERANCE, run_gradcheck
-from adamf.model import ALL_PATTERNS, DISC, GEN
+from adamf.model import ALL_PATTERNS, GEN
 from adamf.rng import SeededRng
 from adamf.tape import Tape
 from adamf.toykg import ABLATION_ROWS, run_toy_grid
@@ -198,8 +198,8 @@ def test_generator_pressure():
                              SeededRng(123, stream="probe"))
 
     def mean_distance():
-        tape = Tape(model.store)
-        scores, _ = synthetic_scores(model, tape, batch, 1, ALL_PATTERNS, GEN, probe)
+        tape = Tape(model.store, GEN)
+        scores, _ = synthetic_scores(model, tape, batch, 1, ALL_PATTERNS, probe)
         return float(scores.value.mean())
 
     start = mean_distance()

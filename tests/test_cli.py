@@ -12,10 +12,11 @@ from adamf import cli
 from adamf.cli import main
 from adamf.checkpoint import save_checkpoint
 from adamf.config import parse_config
+from adamf.data import feature_dir_paths, load_triples
 from adamf.errors import AdamfError, NumericError
 from adamf.model import Model
 from adamf.tape import Tape
-from adamf.toykg import run_toy_grid
+from adamf.toykg import run_toy_grid, write_toy_kg
 
 N_ENTITIES = 8
 
@@ -358,13 +359,13 @@ def test_gradcheck_fixture_repeats_entities(monkeypatch):
                                 np.asarray(c_idx), head))
         return original_qd(self, q, q_idx, phase, r_idx, c, c_idx, head)
 
-    def recording_table(self, tape, triples, live):
-        table = original_table(self, tape, triples, live)
+    def recording_table(self, tape, triples):
+        table = original_table(self, tape, triples)
         inputs = np.concatenate([np.asarray(x)[..., 0::2].ravel() for x in triples])
         build["tables"].append((inputs, table.joint))
         return table
 
-    def one_build(builder, store, names):
+    def one_build(builder, store, epsilons, names):
         nonlocal build
         build = {"tables": [], "scores": []}
         builder(store)
@@ -373,7 +374,7 @@ def test_gradcheck_fixture_repeats_entities(monkeypatch):
     monkeypatch.setattr(Tape, "query_distance", recording_qd)
     monkeypatch.setattr(Model, "entity_table", recording_table)
     # build each audited loss once instead of running the finite differences
-    monkeypatch.setattr(cli, "_checked_at_both_scales", one_build)
+    monkeypatch.setattr(cli, "finite_diff_check", one_build)
     cli.run_gradcheck()
     assert len(audited) == 3  # margin, adversarial (discriminator), generator
 
@@ -472,6 +473,23 @@ def test_toy_grid_stops_at_the_first_failed_run(tmp_path):
         run_toy_grid(str(tmp_path), rows, seeds=(3,), epochs=1)
     assert (tmp_path / "ok-s3" / "rank_report.json").exists()
     assert not (tmp_path / "after-s3.cfg").exists()
+
+
+def test_write_toy_kg_returns_the_dataset_it_wrote(tmp_path):
+    # Reading the files back renumbers entities in order of appearance, so
+    # the splits are compared by name.
+    written = write_toy_kg(str(tmp_path), n_entities=20)
+    paths = feature_dir_paths(str(tmp_path))
+    read = load_triples(paths["train"], paths["valid"], paths["test"])
+
+    def named(dataset, split):
+        v = dataset.vocab
+        return [(v.entity_names[h], v.relation_names[r], v.entity_names[t])
+                for h, r, t in dataset.split(split)]
+
+    for split in ("train", "valid", "test"):
+        assert named(written, split) == named(read, split)
+    assert (len(written.train), len(written.valid), len(written.test)) == (32, 4, 4)
 
 
 def test_make_toy_kg_config_resolves_against_its_directory(tmp_path, monkeypatch):

@@ -229,10 +229,10 @@ def test_training_distance_equals_eval_candidate_score(seed):
     cache = build_cache(model)
     negatives = sample_negatives(ds.train, model.n_entities, 8,
                                  SeededRng(seed, stream="negatives"))
-    tape = Tape(model.store)
-    table = model.entity_table(tape, (ds.train, negatives), FROZEN)
-    f = model.distances(tape, table, ds.train, FROZEN).value
-    f_neg = model.distances(tape, table, ds.train, FROZEN, negatives).value
+    tape = Tape(model.store, FROZEN)
+    table = model.entity_table(tape, (ds.train, negatives))
+    f = model.distances(tape, table, ds.train).value
+    f_neg = model.distances(tape, table, ds.train, negatives).value
     assert f_neg.shape == negatives.shape[:2]
     for triple, value, corrupted, values in zip(ds.train, f, negatives, f_neg):
         expect = candidate_scores(cache, "tail", triple)[triple[2]]

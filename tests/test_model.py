@@ -149,10 +149,10 @@ def fuse_scalar_case(e_values, w_values):
     store = ParameterStore(dtype=np.float64)
     for m, w in zip(MODALITY_ORDER, w_values):
         store.add(f"fusion.w.{m}", np.array([w], dtype=float), "discriminator")
-    tape = Tape(store)
+    tape = Tape(store, DISC)
     parts = [tape.const(np.array([[e]], dtype=float)) for e in e_values]
     alpha = tape.fusion_weights(
-        parts, [tape.leaf(f"fusion.w.{m}", DISC) for m in MODALITY_ORDER])
+        parts, [tape.leaf(f"fusion.w.{m}") for m in MODALITY_ORDER])
     return alpha.value[0]
 
 
@@ -165,19 +165,19 @@ def test_fusion_alpha_hand_case():
 
 def test_fusion_symmetry_exactly_uniform():
     model = small_model()
-    tape = Tape(model.store)
+    tape = Tape(model.store, DISC)
     e = tape.const(np.full((2, 6), 0.37))
     parts = {m: e for m in MODALITY_ORDER}
     # identical w vectors are guaranteed by init (all ones)
-    _, alpha = model.fuse(tape, parts, DISC)
+    _, alpha = model.fuse(tape, parts)
     assert np.all(alpha.value == alpha.value[:, :1])
     assert np.allclose(alpha.value.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_fusion_mean_mode():
     model = small_model(fusion_mode="mean", modalities=("s", "v"))
-    tape = Tape(model.store)
-    joint, alpha = model.joint_and_alpha(tape, np.array([0, 1, 2]), DISC)
+    tape = Tape(model.store, DISC)
+    joint, alpha = model.joint_and_alpha(tape, np.array([0, 1, 2]))
     assert np.all(alpha.value == 0.5)
     assert joint.value.shape == (3, 6)
 
@@ -185,9 +185,9 @@ def test_fusion_mean_mode():
 def test_fusion_simplex_over_random_models():
     for seed in range(40):
         model = small_model(seed=seed)
-        tape = Tape(model.store)
+        tape = Tape(model.store, DISC)
         idx = np.arange(model.n_entities)
-        _, alpha = model.joint_and_alpha(tape, idx, DISC)
+        _, alpha = model.joint_and_alpha(tape, idx)
         a = alpha.value
         assert np.all(a > 0.0)
         assert np.all(np.abs(a.sum(axis=1) - 1.0) <= 1e-12)
@@ -205,11 +205,11 @@ def test_fuse_is_two_nodes():
     # mean: a constant alpha + mix.
     for mode in ("adaptive", "mean"):
         model = small_model(fusion_mode=mode)
-        tape = Tape(model.store)
+        tape = Tape(model.store, DISC)
         parts = {m: tape.const(np.full((2, 6), 0.1 * j))
                  for j, m in enumerate(MODALITY_ORDER)}
         before = len(tape.nodes)
-        joint, alpha = model.fuse(tape, parts, DISC)
+        joint, alpha = model.fuse(tape, parts)
         added = tape.nodes[before:]
         emitted = [node for node in added if node.parents]
         assert emitted[-1] is joint and joint.parents[0] is alpha
@@ -223,19 +223,19 @@ def test_fuse_is_two_nodes():
 
 def test_fuse_rejects_wrong_parts():
     model = small_model()
-    tape = Tape(model.store)
+    tape = Tape(model.store, DISC)
     e = tape.const(np.zeros((1, 6)))
     with pytest.raises(ContractError):
-        model.fuse(tape, {"s": e, "v": e}, DISC)  # missing t
+        model.fuse(tape, {"s": e, "v": e})  # missing t
 
 
 def test_joint_equals_convex_combination():
     model = small_model()
-    tape = Tape(model.store)
+    tape = Tape(model.store, DISC)
     idx = np.array([0, 3, 5])
-    parts = {m: model.modal_embedding(tape, m, idx, DISC)
+    parts = {m: model.modal_embedding(tape, m, idx)
              for m in MODALITY_ORDER}
-    joint, alpha = model.fuse(tape, parts, DISC)
+    joint, alpha = model.fuse(tape, parts)
     manual = sum(alpha.value[:, j:j + 1] * parts[m].value
                  for j, m in enumerate(MODALITY_ORDER))
     assert np.allclose(joint.value, manual, atol=1e-12)
@@ -256,18 +256,18 @@ def test_joint_and_alpha_dedup_matches_row_by_row():
         return tape.add(probe_sum(tape, joint, coef_joint[rows]),
                         probe_sum(tape, alpha, coef_alpha[rows]))
 
-    tape = Tape(model.store)
-    table = model.entity_table(tape, (batch[:2], batch[2:, None]), DISC)
+    tape = Tape(model.store, DISC)
+    table = model.entity_table(tape, (batch[:2], batch[2:, None]))
     assert np.array_equal(table.ids, np.unique(idx))
     assert table.joint.shape[0] == table.alpha.shape[0] == np.unique(idx).size
     rows = table.rows(idx)
     joint, alpha = tape.gather(table.joint, rows), tape.gather(table.alpha, rows)
     grads = tape.backward(loss(tape, joint, alpha, slice(None)))
 
-    ref = Tape(model.store)
+    ref = Tape(model.store, DISC)
     total, ref_joint, ref_alpha = None, [], []
     for i in range(idx.size):
-        j, a = model.joint_and_alpha(ref, idx[i:i + 1], DISC)
+        j, a = model.joint_and_alpha(ref, idx[i:i + 1])
         ref_joint.append(j.value[0])
         ref_alpha.append(a.value[0])
         term = loss(ref, j, a, slice(i, i + 1))
@@ -282,7 +282,7 @@ def test_joint_and_alpha_dedup_matches_row_by_row():
 
 def test_entity_table_rejects_entity_outside_it():
     model = small_model()
-    table = model.entity_table(Tape(model.store), (np.array([[0, 0, 2]]),), DISC)
+    table = model.entity_table(Tape(model.store, DISC), (np.array([[0, 0, 2]]),))
     assert np.array_equal(table.rows(np.array([2, 0, 2])), [1, 0, 1])
     for outside in ([1], [5]):
         with pytest.raises(ContractError, match="entity table"):
@@ -348,10 +348,10 @@ def test_score_rotation_invariance():
 
 def test_triple_scores_match_manual():
     model = small_model()
-    tape = Tape(model.store)
+    tape = Tape(model.store, DISC)
     batch = np.array([[0, 0, 1], [2, 1, 3]])
-    table = model.entity_table(tape, (batch,), DISC)
-    scores = model.distances(tape, table, batch, DISC)
+    table = model.entity_table(tape, (batch,))
+    scores = model.distances(tape, table, batch)
     for i, (h, r, t) in enumerate(batch):
         z_h, z_t = complex_rows(table.joint.value[table.rows([h, t])])
         theta = model.store["relation.phase"][r]
@@ -361,29 +361,29 @@ def test_triple_scores_match_manual():
 
 def test_negative_distances_need_one_corrupted_side():
     model = small_model()
-    tape = Tape(model.store)
+    tape = Tape(model.store, DISC)
     batch = np.array([[0, 0, 1], [2, 1, 3]])
     for bad in ([[[4, 0, 5]], [[2, 1, 3]]],      # both sides replaced
                 [[[0, 1, 5]], [[2, 1, 3]]]):     # relation replaced
         bad = np.array(bad)
-        table = model.entity_table(tape, (batch, bad), DISC)
+        table = model.entity_table(tape, (batch, bad))
         with pytest.raises(ContractError, match="one side"):
-            model.distances(tape, table, batch, DISC, bad)
+            model.distances(tape, table, batch, bad)
 
 
 # --- masked-modality fallback -----------------------------------------------------
 
 def test_absent_entity_uses_fallback_row():
     model = small_model(absent_v=(2,))
-    tape = Tape(model.store)
-    emb = model.modal_embedding(tape, "v", np.array([2]), DISC)
+    tape = Tape(model.store, DISC)
+    emb = model.modal_embedding(tape, "v", np.array([2]))
     assert np.allclose(emb.value[0], model.store["fallback.v"][2], atol=1e-12)
 
 
 def test_present_entity_uses_projection():
     model = small_model(absent_v=(2,))
-    tape = Tape(model.store)
-    emb = model.modal_embedding(tape, "v", np.array([1]), DISC)
+    tape = Tape(model.store, DISC)
+    emb = model.modal_embedding(tape, "v", np.array([1]))
     w, b = model.store["proj.v.weight"], model.store["proj.v.bias"]
     f = small_features(absent_v=(2,))["v"].matrix[1]
     assert np.allclose(emb.value[0], w @ f + b, atol=1e-12)
@@ -392,9 +392,9 @@ def test_present_entity_uses_projection():
 def test_mixed_batch_routes_by_mask():
     model = small_model(absent_t=(0, 4))
     raw = small_features(absent_t=(0, 4))["t"].matrix
-    tape = Tape(model.store)
+    tape = Tape(model.store, DISC)
     idx = np.array([0, 1, 4, 5])
-    emb = model.modal_embedding(tape, "t", idx, DISC).value
+    emb = model.modal_embedding(tape, "t", idx).value
     w, b = model.store["proj.t.weight"], model.store["proj.t.bias"]
     for row, i in enumerate(idx):
         if i in (0, 4):
@@ -409,9 +409,8 @@ def project_then_mix(tape, table, m, idx):
     the 0/1 presence mask: the form that present-row projection must equal."""
     mask = table.present[idx].astype(np.float64)[:, None]
     raw = tape.const(table.matrix[idx])
-    projected = tape.matvec(tape.param(f"proj.{m}.weight"), raw,
-                            tape.param(f"proj.{m}.bias"))
-    fallback = tape.gather(tape.param(f"fallback.{m}"), idx)
+    projected = tape.matvec(tape.leaf(f"proj.{m}.weight"), raw, tape.leaf(f"proj.{m}.bias"))
+    fallback = tape.gather(tape.leaf(f"fallback.{m}"), idx)
     return tape.mix(tape.const(np.hstack([mask, 1.0 - mask])), [projected, fallback])
 
 
@@ -427,8 +426,8 @@ def test_present_rows_projection_matches_project_then_mix():
             coef = rng.normals(idx.size * 6).reshape(idx.size, 6)
             out = {}
             for form in ("present rows", "project then mix"):
-                tape = Tape(model.store)
-                emb = (model.modal_embedding(tape, m, idx, DISC) if form == "present rows"
+                tape = Tape(model.store, DISC)
+                emb = (model.modal_embedding(tape, m, idx) if form == "present rows"
                        else project_then_mix(tape, tables[m], m, idx))
                 grads = tape.backward(probe_sum(tape, emb, coef))
                 out[form] = emb.value, grads
@@ -501,7 +500,7 @@ def test_modality_without_features_holds_no_raw_rows():
               for a in value.values() if isinstance(a, np.ndarray)]
     assert arrays and not any(a.shape[0] == 2000 and a.ndim == 2 for a in arrays)
     idx = np.array([0, 7, 1999])
-    emb = model.modal_embedding(Tape(store), "v", idx, DISC)
+    emb = model.modal_embedding(Tape(store, DISC), "v", idx)
     assert np.array_equal(emb.value, store["fallback.v"][idx])
 
 
@@ -511,8 +510,8 @@ def test_generator_zero_weights_zero_output():
     model = small_model()
     for name in ("gen.v.w1", "gen.v.b1", "gen.v.w2", "gen.v.b2"):
         model.store.set(name, np.zeros_like(model.store[name]))
-    tape = Tape(model.store)
-    out = model.generator_output(tape, "v", np.ones((3, 6)), GEN,
+    tape = Tape(model.store, GEN)
+    out = model.generator_output(tape, "v", np.ones((3, 6)),
                                  z=SeededRng(0).normals(3 * 3).reshape(3, 3))
     assert np.all(out.value == 0.0)
 
@@ -522,8 +521,8 @@ def test_generator_bias_passthrough():
     model.store.set("gen.t.w2", np.zeros_like(model.store["gen.t.w2"]))
     c = np.linspace(-1.0, 1.0, 6)
     model.store.set("gen.t.b2", c)
-    tape = Tape(model.store)
-    out = model.generator_output(tape, "t", np.zeros((2, 6)), GEN,
+    tape = Tape(model.store, GEN)
+    out = model.generator_output(tape, "t", np.zeros((2, 6)),
                                  z=SeededRng(1).normals(2 * 3).reshape(2, 3))
     assert np.allclose(out.value, c, atol=1e-15)
 
@@ -538,9 +537,9 @@ def test_generator_io_widths():
 def test_generator_output_varies_with_noise():
     model = small_model()
     rng = SeededRng(42, stream="noise")
-    tape = Tape(model.store)
+    tape = Tape(model.store, GEN)
     e_s = np.ones((1, 6))
-    outputs = {model.generator_output(tape, "v", e_s, GEN,
+    outputs = {model.generator_output(tape, "v", e_s,
                                       z=rng.normals(3).reshape(1, 3)).value.tobytes()
                for _ in range(100)}
     assert len(outputs) == 100
@@ -549,9 +548,9 @@ def test_generator_output_varies_with_noise():
 def test_generator_given_noise_is_deterministic():
     model = small_model()
     z = SeededRng(9).normals(2 * model.cfg.noise_dim).reshape(2, -1)
-    tape = Tape(model.store)
-    a = model.generator_output(tape, "v", np.ones((2, 6)), GEN, z=z)
-    b = model.generator_output(tape, "v", np.ones((2, 6)), GEN, z=z)
+    tape = Tape(model.store, GEN)
+    a = model.generator_output(tape, "v", np.ones((2, 6)), z=z)
+    b = model.generator_output(tape, "v", np.ones((2, 6)), z=z)
     assert a.value.tobytes() == b.value.tobytes()
 
 
@@ -560,9 +559,9 @@ def test_generator_given_noise_is_deterministic():
 def test_synthetic_set_size_and_patterns():
     model = small_model()
     batch = np.array([[0, 0, 1], [2, 1, 3]])
-    tape = Tape(model.store)
+    tape = Tape(model.store, DISC)
     noise = model.draw_noise(batch, 1, ALL_PATTERNS, SeededRng(0, stream="noise"))
-    scores, meta = synthetic_scores(model, tape, batch, 1, ALL_PATTERNS, DISC, noise)
+    scores, meta = synthetic_scores(model, tape, batch, 1, ALL_PATTERNS, noise)
     assert scores.value.shape == (2 * 3,)
     assert meta == [(0, "syn_tail"), (0, "syn_head"), (0, "syn_both")]
 
@@ -570,9 +569,9 @@ def test_synthetic_set_size_and_patterns():
 def test_synthetic_set_three_groups():
     model = small_model()
     batch = np.array([[0, 0, 1]])
-    tape = Tape(model.store)
+    tape = Tape(model.store, DISC)
     noise = model.draw_noise(batch, 3, ALL_PATTERNS, SeededRng(0, stream="noise"))
-    scores, meta = synthetic_scores(model, tape, batch, 3, ALL_PATTERNS, DISC, noise)
+    scores, meta = synthetic_scores(model, tape, batch, 3, ALL_PATTERNS, noise)
     assert scores.value.shape == (9,)
     assert [g for g, _ in meta] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
@@ -615,7 +614,7 @@ def test_starred_entity_shared_within_group():
     model = small_model()
     batch = np.array([[0, 0, 1], [1, 1, 2]])
     noise = model.draw_noise(batch, 1, ALL_PATTERNS, SeededRng(7, stream="noise"))
-    generated = model.generate(Tape(model.store), batch, noise, FROZEN)
+    generated = model.generate(Tape(model.store, FROZEN), batch, noise)
     assert set(generated.keys()) == {(0, "h", "v"), (0, "h", "t"),
                                      (0, "t", "v"), (0, "t", "t")}
     assert generated[(0, "h", "v")].shape == (2, 6)
@@ -627,9 +626,9 @@ def test_zero_generator_still_builds_full_set():
         for p in ("w1", "b1", "w2", "b2"):
             model.store.set(f"gen.{m}.{p}", np.zeros_like(model.store[f"gen.{m}.{p}"]))
     batch = np.array([[0, 0, 1]])
-    tape = Tape(model.store)
+    tape = Tape(model.store, DISC)
     noise = model.draw_noise(batch, 2, ALL_PATTERNS, SeededRng(1, stream="noise"))
-    scores, meta = synthetic_scores(model, tape, batch, 2, ALL_PATTERNS, DISC, noise)
+    scores, meta = synthetic_scores(model, tape, batch, 2, ALL_PATTERNS, noise)
     assert len(meta) == 6
     assert np.all(np.isfinite(scores.value))
 

@@ -154,10 +154,10 @@ def test_finite_diff_quadratic_is_exact():
 
     def builder(params):
         tape = Tape(params)
-        p = tape.param("p")
+        p = tape.leaf("p")
         return tape, tape.scale(probe_square(tape, p), 0.5)
 
-    res = finite_diff_check(builder, store, 1e-5)
+    res = finite_diff_check(builder, store, (1e-5,))
     assert res.worst < 1e-9
 
 
@@ -166,7 +166,7 @@ def test_finite_diff_catches_wrong_gradient():
 
     def builder(params):
         tape = Tape(params)
-        p = tape.param("p")
+        p = tape.leaf("p")
         loss = probe_square(tape, p)
         # Sabotage: report half the true gradient.
         node = tape.scale(loss, 0.5)
@@ -176,15 +176,15 @@ def test_finite_diff_catches_wrong_gradient():
     # by post-editing the backward closure.
     def bad_builder(params):
         tape = Tape(params)
-        p = tape.param("p")
+        p = tape.leaf("p")
         loss = probe_square(tape, p)
         fn = loss.backward_fn
         loss.backward_fn = lambda g: fn(0.5 * g)
         return tape, loss
 
-    ok = finite_diff_check(builder, store, 1e-5)
+    ok = finite_diff_check(builder, store, (1e-5,))
     assert ok.worst < 1e-9
-    bad = finite_diff_check(bad_builder, store, 1e-5)
+    bad = finite_diff_check(bad_builder, store, (1e-5,))
     assert bad.worst > 0.3
     assert bad.worst_param == "p"
 
@@ -195,10 +195,22 @@ def test_finite_diff_requires_double():
 
     def builder(params):
         tape = Tape(params)
-        return tape, probe_sum(tape, tape.param("p"))
+        return tape, probe_sum(tape, tape.leaf("p"))
 
     with pytest.raises(ContractError):
-        finite_diff_check(builder, store, 1e-5)
+        finite_diff_check(builder, store, (1e-5,))
+
+
+def test_finite_diff_requires_positive_steps():
+    store = make_store(p=(np.ones(2), "discriminator"))
+
+    def builder(params):
+        tape = Tape(params)
+        return tape, probe_sum(tape, tape.leaf("p"))
+
+    for epsilons in ((), (1e-5, 0.0), (-1e-5,)):
+        with pytest.raises(ContractError, match="positive"):
+            finite_diff_check(builder, store, epsilons)
 
 
 def test_names_filter_restricts_probing():
@@ -207,7 +219,7 @@ def test_names_filter_restricts_probing():
 
     def builder(params):
         tape = Tape(params)
-        return tape, probe_sum(tape, tape.add(tape.param("a"), tape.param("b")))
+        return tape, probe_sum(tape, tape.add(tape.leaf("a"), tape.leaf("b")))
 
-    res = finite_diff_check(builder, store, 1e-5, names=["a"])
+    res = finite_diff_check(builder, store, (1e-5,), names=["a"])
     assert set(res.per_param) == {"a"}

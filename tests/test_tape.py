@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from adamf.errors import ContractError, NumericError
+from adamf.model import DISC, FROZEN, GEN
 from adamf.params import ParameterStore, finite_diff_check
 from adamf.rng import SeededRng
 from adamf.tape import Tape
@@ -51,18 +52,13 @@ def check_kernel(make_shapes, build, trials=TRIALS, mutate=None):
 
         def builder(params):
             tape = Tape(params)
-            leaves = {name: tape.param(name) for name in shapes}
+            leaves = {name: tape.leaf(name) for name in shapes}
             out = build(tape, leaves)
             root = out if out.value.shape == () else probe_sum(tape, out)
             return tape, tape.scale(root, SCALE)
 
-        per_param = {}
-        for eps in EPSILONS:
-            res = finite_diff_check(builder, store, eps)
-            for name, err in res.per_param.items():
-                per_param[name] = min(per_param.get(name, math.inf), err)
-        worst = max(per_param.values())
-        assert worst < TOL, f"trial {trial}: worst {worst:.3e} in {per_param}"
+        res = finite_diff_check(builder, store, EPSILONS)
+        assert res.worst < TOL, f"trial {trial}: worst {res.worst:.3e} in {res.per_param}"
 
 
 def dims(rng, lo=1, hi=6):
@@ -147,8 +143,8 @@ def test_log_sigmoid_sum_equals_composed_chain():
     weights /= weights.sum(axis=1, keepdims=True)
 
     tape = Tape(store)
-    pos = tape.log_sigmoid_sum(tape.param("pos"), gamma, 1)
-    kgc = tape.scale(tape.add(pos, tape.log_sigmoid_sum(tape.param("neg"), gamma, -1,
+    pos = tape.log_sigmoid_sum(tape.leaf("pos"), gamma, 1)
+    kgc = tape.scale(tape.add(pos, tape.log_sigmoid_sum(tape.leaf("neg"), gamma, -1,
                                                         weights)), -1.0 / b)
     adv = tape.scale(tape.add(pos, tape.const(np.float32(0.25))), -1.0 / b)
     grads = tape.backward(tape.add(kgc, tape.scale(adv, 0.5)))
@@ -227,7 +223,7 @@ def scatter_add_adjoint(store, idx, coef):
     """Adjoint of table rows `idx` under coefficients `coef`: the gather
     kernel's, and the one np.add.at forms into zeros."""
     tape = Tape(store)
-    root = probe_sum(tape, tape.gather(tape.param("table"), idx), coef)
+    root = probe_sum(tape, tape.gather(tape.leaf("table"), idx), coef)
     expect = np.zeros_like(store["table"])
     np.add.at(expect, idx, coef)
     return tape.backward(root)["table"], expect
@@ -395,9 +391,9 @@ def test_rotate_distance_matches_complex_reference(shared):
     w = rng.normals(n_rows * k).reshape(n_rows, k)
 
     tape = Tape(store)
-    q = tape.param("q")
-    c = q if shared else tape.param("c")
-    out = tape.query_distance(q, q_idx, tape.param("theta"), r_idx, c, c_idx, head)
+    q = tape.leaf("q")
+    c = q if shared else tape.leaf("c")
+    out = tape.query_distance(q, q_idx, tape.leaf("theta"), r_idx, c, c_idx, head)
     grads = tape.backward(probe_sum(tape, out, w))
 
     c_value = store["q"] if shared else store["c"]
@@ -416,8 +412,8 @@ def test_rotate_distance_keeps_tape_dtype():
     store.add("h", np.ones((3, 4)), "discriminator")
     store.add("theta", np.full((2, 2), 0.5), "discriminator")
     tape = Tape(store)
-    h = tape.param("h")
-    out = tape.query_distance(h, [[0, 1, 1], [2, 0, 1]], tape.param("theta"), [0, 1, 0],
+    h = tape.leaf("h")
+    out = tape.query_distance(h, [[0, 1, 1], [2, 0, 1]], tape.leaf("theta"), [0, 1, 0],
                               h, [[2, 1], [2, 0], [0, 0]],
                               [[False, True], [True, False], [True, True]])
     grads = tape.backward(probe_sum(tape, out))
@@ -454,7 +450,7 @@ def test_float32_tape_gradients_stay_float32():
     # dtypes in Adam.  Every kernel is listed, so a new one must join here.
     uses = _float32_uses()
     kernels = {n for n, v in vars(Tape).items() if inspect.isfunction(v)
-               and not n.startswith("_")} - {"param", "const", "leaf", "backward"}
+               and not n.startswith("_")} - {"const", "leaf", "backward"}
     assert set(uses) == kernels
     rng = SeededRng(3, stream="float32-grads")
     shapes = {"a": (3, 4), "b": (3, 4), "w": (5, 4), "c": (5,), "u": (4,), "v": (4,),
@@ -469,7 +465,7 @@ def test_float32_tape_gradients_stay_float32():
 
         def p(name):
             leaves.append(name)
-            return tape.param(name)
+            return tape.leaf(name)
 
         out = use(tape, p)
         grads = tape.backward(probe_square(tape, out))
@@ -486,8 +482,8 @@ def test_rotate_distance_zero_modulus_subgradient():
     store.add("h", np.array([[1.5, -2.0, 0.25, 3.0]]), "discriminator")
     store.add("theta", np.zeros((1, 2)), "discriminator")
     tape = Tape(store)
-    h = tape.param("h")
-    out = tape.query_distance(h, [[0], [0]], tape.param("theta"), [0], h, [[0, 0]],
+    h = tape.leaf("h")
+    out = tape.query_distance(h, [[0], [0]], tape.leaf("theta"), [0], h, [[0, 0]],
                               [[False, True]])
     grads = tape.backward(probe_sum(tape, out))
     assert np.all(out.value == 0.0)
@@ -616,7 +612,7 @@ def test_fusion_kernels_form_no_constant_adjoints():
     store.add("w", np.full(3, 0.5), group="discriminator")
     tape = Tape(store)
     parts = [tape.const(np.full((2, 3), float(j))) for j in range(2)]
-    alpha = tape.fusion_weights(parts, [tape.param("w"), tape.param("w")])
+    alpha = tape.fusion_weights(parts, [tape.leaf("w"), tape.leaf("w")])
     mean = tape.mix(tape.const(np.full((2, 2), 0.5)), parts)
     tape.backward(tape.add(probe_sum(tape, tape.mix(alpha, parts)), probe_sum(tape, mean)))
     assert alpha.grad is not None
@@ -704,7 +700,7 @@ def test_sum_gradient_is_ones():
     store = ParameterStore()
     store.add("p", np.arange(6, dtype=float).reshape(2, 3), group="discriminator")
     tape = Tape(store)
-    grads = tape.backward(probe_sum(tape, tape.param("p")))
+    grads = tape.backward(probe_sum(tape, tape.leaf("p")))
     assert np.array_equal(grads["p"], np.ones((2, 3)))
 
 
@@ -712,7 +708,7 @@ def test_stationary_point_gradient_zero():
     store = ParameterStore()
     store.add("w", np.zeros(()), group="discriminator")
     tape = Tape(store)
-    w = tape.param("w")
+    w = tape.leaf("w")
     grads = tape.backward(probe_square(tape, w))
     assert grads["w"] == 0.0
 
@@ -722,7 +718,7 @@ def test_untouched_param_gets_zero_gradient():
     store.add("used", np.ones(3), group="discriminator")
     store.add("unused", np.ones(4), group="discriminator")
     tape = Tape(store)
-    grads = tape.backward(probe_sum(tape, tape.param("used")))
+    grads = tape.backward(probe_sum(tape, tape.leaf("used")))
     assert np.array_equal(grads["unused"], np.zeros(4))
 
 
@@ -737,7 +733,7 @@ def test_backward_runs_once():
     store = ParameterStore()
     store.add("p", np.ones(2), group="discriminator")
     tape = Tape(store)
-    root = probe_sum(tape, tape.param("p"))
+    root = probe_sum(tape, tape.leaf("p"))
     tape.backward(root)
     with pytest.raises(ContractError):
         tape.backward(root)
@@ -761,7 +757,7 @@ def test_finite_loss_with_overflowing_gradient_names_parameter():
     store.add("p", np.full(2, 1e-30), group="discriminator")
     tape = Tape(store)
     c = 1e30
-    root = probe_sum(tape, tape.scale(tape.scale(tape.param("p"), c), c))
+    root = probe_sum(tape, tape.scale(tape.scale(tape.leaf("p"), c), c))
     assert np.isfinite(root.value)
     with np.errstate(over="ignore"), pytest.raises(
             NumericError, match="gradient of parameter 'p'"):
@@ -818,7 +814,7 @@ def test_matvec_flushes_subnormal_adjoint():
     coef[sub] = (np.sign(coef[sub]) * tiny * rng.uniforms(int(sub.sum()))).astype(np.float32)
     assert 0.015 < np.mean((coef != 0) & (np.abs(coef) < tiny)) < 0.025
     tape = Tape(store)
-    root = probe_sum(tape, tape.matvec(tape.param("w"), tape.param("x"),
+    root = probe_sum(tape, tape.matvec(tape.leaf("w"), tape.leaf("x"),
                                        tape.const(np.zeros(m))), coef)
     grads = tape.backward(root)
     zeroed = np.where(np.abs(coef) < tiny, np.float32(0), coef)
@@ -847,8 +843,8 @@ def test_matvec_bias_takes_unflushed_adjoint():
     coef[:, 1] = (tiny * rng.uniforms(b)).astype(np.float32)
     coef[::3, 2] = (-tiny * rng.uniforms(len(coef[::3]))).astype(np.float32)
     tape = Tape(store)
-    root = probe_sum(tape, tape.matvec(tape.param("w"), tape.param("x"),
-                                       tape.param("b")), coef)
+    root = probe_sum(tape, tape.matvec(tape.leaf("w"), tape.leaf("x"),
+                                       tape.leaf("b")), coef)
     grads = tape.backward(root)
     assert grads["b"].tobytes() == coef.sum(axis=0).tobytes()
     assert 0 < grads["b"][1] < b * tiny
@@ -863,7 +859,7 @@ def test_forward_and_backward_deterministic():
         store.add("x", rng.normals(4).reshape(1, 4), group="discriminator")
         store.add("b", rng.normals(4)[:3], group="discriminator")
         tape = Tape(store)
-        y = tape.matvec(tape.param("w"), tape.param("x"), tape.param("b"))
+        y = tape.matvec(tape.leaf("w"), tape.leaf("x"), tape.leaf("b"))
         root = tape.log_sigmoid_sum(y, 0.0, -1)
         grads = tape.backward(root)
         return (root.value.tobytes(), grads["w"].tobytes(), grads["x"].tobytes(),
@@ -878,13 +874,13 @@ def test_constant_subgraph_gets_no_adjoint():
     store = ParameterStore(dtype=np.float64)
     store.add("p", np.ones((1, 3)), group="discriminator")
     store.add("frozen", np.full((1, 3), 2.0), group="generator")
-    tape = Tape(store)
+    tape = Tape(store, DISC)
     c = tape.const(np.arange(3.0)[None] - 3.0)
-    frozen = tape.leaf("frozen", frozenset({"discriminator"}))
+    frozen = tape.leaf("frozen")
     total = tape.add(c, frozen)
     dead = tape.leaky_relu(total, 0.5)
     bias = tape.const(np.zeros(1))
-    root = probe_sum(tape, tape.matvec(tape.param("p"), dead, bias))
+    root = probe_sum(tape, tape.matvec(tape.leaf("p"), dead, bias))
     grads = tape.backward(root)
     for node in (c, frozen, total, dead, bias):
         assert not node.live
@@ -893,6 +889,26 @@ def test_constant_subgraph_gets_no_adjoint():
     assert root.live
     assert np.array_equal(grads["p"], [[-0.5, 0.0, 1.0]])
     assert np.array_equal(grads["frozen"], np.zeros((1, 3)))
+    # The tape's live groups decide every leaf: a live one is one node per
+    # tape, a frozen one a fresh constant that keeps its name, and backward
+    # still returns zeros for each parameter the root does not reach.
+    for live in (DISC, GEN, FROZEN):
+        tape = Tape(store, live)
+        for name in ("p", "frozen"):
+            first, second = tape.leaf(name), tape.leaf(name)
+            if store.group_of(name) in live:
+                assert second is first and first.live
+            else:
+                assert second is not first
+                for node in (first, second):
+                    assert node.name == name and not node.live and node.backward_fn is None
+                    assert node.value.tobytes() == store[name].tobytes()
+        grads = tape.backward(probe_sum(tape, tape.add(tape.leaf("p"), tape.leaf("frozen"))))
+        for name in ("p", "frozen"):
+            reached = store.group_of(name) in live
+            assert np.array_equal(grads[name], np.full((1, 3), float(reached))), (live, name)
+    with pytest.raises(ContractError, match="ParameterStore"):
+        Tape().leaf("x")
 
 
 def test_matvec_constant_input_forms_no_input_adjoint():
@@ -903,8 +919,8 @@ def test_matvec_constant_input_forms_no_input_adjoint():
 
     def run(x_is_param):
         tape = Tape(store)
-        x = tape.param("x") if x_is_param else tape.const(store["x"])
-        out = tape.matvec(tape.param("w"), x, tape.const(np.zeros(3)))
+        x = tape.leaf("x") if x_is_param else tape.const(store["x"])
+        out = tape.matvec(tape.leaf("w"), x, tape.const(np.zeros(3)))
         grads = tape.backward(probe_square(tape, out))
         return grads["w"], x
 

@@ -212,8 +212,8 @@ def test_loss_kgc_all_scores_at_margin():
     model = line_model([0.0, gamma, gamma], gamma=gamma)
     batch = np.array([[1, 0, 0]])        # F = gamma
     negatives = np.array([[[2, 0, 0]]])  # F = gamma
-    tape = Tape(model.store)
-    loss, _ = margin_loss(model, tape, batch, negatives, DISC)
+    tape = Tape(model.store, DISC)
+    loss, _ = margin_loss(model, tape, batch, negatives)
     assert abs(loss.value - 2.0 * math.log(2.0)) < 1e-12
 
 
@@ -223,8 +223,8 @@ def test_loss_kgc_wide_margin_hand_value():
     model = line_model([0.0, 0.0, 24.0], gamma=12.0)
     batch = np.array([[0, 0, 1]])
     negatives = np.array([[[0, 0, 2]]])
-    tape = Tape(model.store)
-    loss, _ = margin_loss(model, tape, batch, negatives, DISC)
+    tape = Tape(model.store, DISC)
+    loss, _ = margin_loss(model, tape, batch, negatives)
     expect = 2.0 * math.log1p(math.exp(-12.0))
     assert abs(loss.value - expect) < 1e-12
     assert abs(loss.value - 1.229e-5) < 1e-8
@@ -238,8 +238,8 @@ def test_loss_kgc_batch_mean():
            np.array([[[2, 0, 0]], [[2, 0, 0]]]))
     losses = []
     for batch, negs in (one, two):
-        tape = Tape(model.store)
-        loss, _ = margin_loss(model, tape, batch, negs, DISC)
+        tape = Tape(model.store, DISC)
+        loss, _ = margin_loss(model, tape, batch, negs)
         losses.append(float(loss.value))
     assert abs(losses[0] - losses[1]) < 1e-12
 
@@ -250,14 +250,14 @@ def test_loss_adv_all_scores_at_margin():
     gamma = 4.0
     model = line_model([0.0, gamma], gamma=gamma)
     batch = np.array([[1, 0, 0]])  # F(pos) = gamma
-    tape = Tape(model.store)
+    tape = Tape(model.store, DISC)
     # syn scores: tail pattern F(1,0*)=gamma... all entities sit at their
     # real positions, so every pattern scores gamma as well.
     noise = model.draw_noise(batch, 1, ALL_PATTERNS, SeededRng(0, stream="noise"))
     assert noise == {}  # no projected modality, nothing to generate
-    loss, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, DISC,
-                       model.generate(tape, batch, noise, DISC),
-                       positive_parts(model, tape, (batch,), DISC))
+    loss, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS,
+                       model.generate(tape, batch, noise),
+                       positive_parts(model, tape, (batch,)))
     assert abs(loss.value - 2.0 * math.log(2.0)) < 1e-12
 
 
@@ -267,13 +267,13 @@ def test_loss_positive_on_random_fixtures():
         rng = SeededRng(seed, stream="negatives")
         batch = np.array([[0, 0, 1], [2, 1, 3]])
         negs = sample_negatives(batch, model.n_entities, 4, rng)
-        tape = Tape(model.store)
-        kgc, _ = margin_loss(model, tape, batch, negs, DISC)
+        tape = Tape(model.store, DISC)
+        kgc, _ = margin_loss(model, tape, batch, negs)
         noise = model.draw_noise(batch, 2, ALL_PATTERNS,
                                  SeededRng(seed, stream="noise"))
-        adv, _ = loss_adv(model, tape, batch, 2, ALL_PATTERNS, DISC,
-                          model.generate(tape, batch, noise, DISC),
-                          positive_parts(model, tape, (batch,), DISC))
+        adv, _ = loss_adv(model, tape, batch, 2, ALL_PATTERNS,
+                          model.generate(tape, batch, noise),
+                          positive_parts(model, tape, (batch,)))
         assert kgc.value > 0.0
         assert adv.value > 0.0
 
@@ -281,9 +281,9 @@ def test_loss_positive_on_random_fixtures():
 def test_restricted_patterns_shrink_synthetic_set():
     model = small_model()
     batch = np.array([[0, 0, 1]])
-    tape = Tape(model.store)
+    tape = Tape(model.store, DISC)
     noise = model.draw_noise(batch, 1, ("syn_head",), SeededRng(0, stream="noise"))
-    scores, meta = synthetic_scores(model, tape, batch, 1, ("syn_head",), DISC, noise)
+    scores, meta = synthetic_scores(model, tape, batch, 1, ("syn_head",), noise)
     assert meta == [(0, "syn_head")]
 
 
@@ -294,11 +294,11 @@ def test_discriminator_view_gives_zero_generator_gradient():
     batch = np.array([[0, 0, 1], [2, 1, 3]])
     noise_rng = SeededRng(0, stream="noise")
     noise = model.draw_noise(batch, 1, ALL_PATTERNS, noise_rng)
-    frozen = model.generate(Tape(model.store), batch, noise, FROZEN)
-    tape = Tape(model.store)
+    frozen = model.generate(Tape(model.store, FROZEN), batch, noise)
+    tape = Tape(model.store, DISC)
     generated = {key: tape.const(node.value) for key, node in frozen.items()}
-    loss, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, DISC, generated,
-                       positive_parts(model, tape, (batch,), DISC))
+    loss, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, generated,
+                       positive_parts(model, tape, (batch,)))
     grads = tape.backward(loss)
     for name in model.store.names("generator"):
         assert np.all(grads[name] == 0.0), name
@@ -310,10 +310,10 @@ def test_generator_view_gives_zero_discriminator_gradient():
     batch = np.array([[0, 0, 1], [2, 1, 3]])
     noise = model.draw_noise(batch, 1, ALL_PATTERNS,
                              SeededRng(0, stream="noise"))
-    tape = Tape(model.store)
-    loss, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, GEN,
-                       model.generate(tape, batch, noise, GEN),
-                       positive_parts(model, tape, (batch,), GEN))
+    tape = Tape(model.store, GEN)
+    loss, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS,
+                       model.generate(tape, batch, noise),
+                       positive_parts(model, tape, (batch,)))
     grads = tape.backward(loss)
     for name in model.store.names("discriminator"):
         assert np.all(grads[name] == 0.0), name
@@ -373,8 +373,8 @@ def test_d_step_descends_for_small_lr():
                             SeededRng(0, stream="negatives"))
 
     def loss_now():
-        tape = Tape(model.store)
-        loss, _ = margin_loss(model, tape, batch, negs, DISC)
+        tape = Tape(model.store, DISC)
+        loss, _ = margin_loss(model, tape, batch, negs)
         return float(loss.value)
 
     before = loss_now()
@@ -393,9 +393,9 @@ def test_each_step_fuses_one_union_table(monkeypatch):
     seen = []
     original = Model.joint_and_alpha
 
-    def recording(self, tape, idx, live):
+    def recording(self, tape, idx):
         seen.append(np.asarray(idx).copy())
-        return original(self, tape, idx, live)
+        return original(self, tape, idx)
 
     monkeypatch.setattr(Model, "joint_and_alpha", recording)
     noise_rng = SeededRng(0, stream="noise")
@@ -458,8 +458,8 @@ def test_mat_disabled_matches_handwritten_kgc_loop():
         for start in range(0, len(shuffled), 4):
             batch = shuffled[start:start + 4]
             negs = sample_negatives(batch, 8, cfg.k_negatives, neg_rng)
-            tape = Tape(manual.store)
-            loss, _ = margin_loss(manual, tape, batch, negs, DISC)
+            tape = Tape(manual.store, DISC)
+            loss, _ = margin_loss(manual, tape, batch, negs)
             grads = tape.backward(loss)
             adam_step(manual.store, grads, "discriminator", lr=cfg.lr_d)
 
@@ -563,8 +563,8 @@ def test_monotone_descent_rate_on_tiny_fixture():
                           mat_enabled=False, seed=seed)
 
         def loss_now():
-            tape = Tape(model.store)
-            loss, _ = margin_loss(model, tape, batch, negs, DISC)
+            tape = Tape(model.store, DISC)
+            loss, _ = margin_loss(model, tape, batch, negs)
             return float(loss.value)
 
         ok = True
@@ -589,9 +589,8 @@ def test_generator_pressure_reduces_synthetic_distance():
                                    SeededRng(123, stream="probe"))
 
     def mean_synthetic_f():
-        tape = Tape(model.store)
-        scores, _ = synthetic_scores(model, tape, batch, 1, ALL_PATTERNS, GEN,
-                                     probe_noise)
+        tape = Tape(model.store, GEN)
+        scores, _ = synthetic_scores(model, tape, batch, 1, ALL_PATTERNS, probe_noise)
         return float(scores.value.mean())
 
     start = mean_synthetic_f()
