@@ -94,10 +94,11 @@ def load_checkpoint(store: ParameterStore, path: str):
     """Load values and Adam state into an already-shaped store.
 
     Every tensor must exist in the store with a matching shape (Adam moments
-    too, step counts rank 0), and a tensor's Adam state is all three of its
-    records or none; every state record must belong to a tensor in the file.
-    Violations are contract errors naming the record, raised before the
-    store changes.
+    too, step counts rank 0).  A tensor's Adam state is all three of its
+    records or none, the tensors of a group carry it all with one step or
+    none, and every state record must belong to a tensor in the file.
+    Violations are contract errors naming the record or the group, raised
+    before the store changes.
     """
     values, state = read_checkpoint(path)
     records = {**state, **values}
@@ -121,6 +122,12 @@ def load_checkpoint(store: ParameterStore, path: str):
     missing = [n for n in store.names() if n not in values]
     if missing:
         raise ContractError(f"checkpoint missing tensors: {missing}")
+    for group in store.steps:
+        steps = {float(state[f"{n}.step"]) if f"{n}.step" in state else None
+                 for n in store.names(group)}
+        if len(steps) > 1:
+            raise ContractError(f"checkpoint tensors of group {group!r} do not all "
+                                f"carry Adam state with one step")
     for name, arr in values.items():
         store.set(name, arr)
         if f"{name}.step" in state:

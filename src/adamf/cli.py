@@ -38,9 +38,9 @@ from .training import (loss_adv, loss_kgc, positive_parts, sample_negatives,
 GRADCHECK_TOLERANCE = 1e-5
 # Central differences are truncation-limited at large probe steps and
 # roundoff-limited at small ones, and which regime binds varies per
-# component.  Each check therefore probes at two scales and a component
-# passes if either scale certifies it; a wrong analytic gradient fails at
-# both scales, so no real defect slips through.
+# component.  Each check therefore probes at two scales; a parameter's error
+# is the minimum over the scales of its worst component, so one scale must
+# certify all of its components.  A wrong analytic gradient fails at both.
 GRADCHECK_EPSILONS = (1e-6, 2e-5)
 # The checked objectives carry a fixed conditioning scale.  The relative
 # error's absolute floor then forgives pure finite-difference noise on

@@ -117,25 +117,22 @@ def init_params(cfg: ModelConfig, n_entities: int, n_relations: int,
         return uniform(name, (fan_out, fan_in), bound)
 
     b = 6.0 / math.sqrt(two_d)
-    store.add("entity.structural", uniform("entity.structural", (n_entities, two_d), b),
-              "discriminator")
-    store.add("relation.phase", uniform("relation.phase", (n_relations, cfg.d), math.pi),
-              "discriminator")
+    disc = {"entity.structural": uniform("entity.structural", (n_entities, two_d), b),
+            "relation.phase": uniform("relation.phase", (n_relations, cfg.d), math.pi)}
+    gen = {}
     for m in cfg.projected_modalities:
-        dim = cfg.feature_dim(m)
-        store.add(f"proj.{m}.weight", xavier(f"proj.{m}.weight", two_d, dim),
-                  "discriminator")
-        store.add(f"proj.{m}.bias", np.zeros(two_d), "discriminator")
-        store.add(f"fallback.{m}", uniform(f"fallback.{m}", (n_entities, two_d), b),
-                  "discriminator")
+        disc[f"proj.{m}.weight"] = xavier(f"proj.{m}.weight", two_d, cfg.feature_dim(m))
+        disc[f"proj.{m}.bias"] = np.zeros(two_d)
+        disc[f"fallback.{m}"] = uniform(f"fallback.{m}", (n_entities, two_d), b)
     for m in cfg.modalities:
-        store.add(f"fusion.w.{m}", np.ones(two_d), "discriminator")
+        disc[f"fusion.w.{m}"] = np.ones(two_d)
     for m in cfg.projected_modalities:
-        store.add(f"gen.{m}.w1", xavier(f"gen.{m}.w1", two_d, two_d + cfg.noise_dim),
-                  "generator")
-        store.add(f"gen.{m}.b1", np.zeros(two_d), "generator")
-        store.add(f"gen.{m}.w2", xavier(f"gen.{m}.w2", two_d, two_d), "generator")
-        store.add(f"gen.{m}.b2", np.zeros(two_d), "generator")
+        gen[f"gen.{m}.w1"] = xavier(f"gen.{m}.w1", two_d, two_d + cfg.noise_dim)
+        gen[f"gen.{m}.b1"] = np.zeros(two_d)
+        gen[f"gen.{m}.w2"] = xavier(f"gen.{m}.w2", two_d, two_d)
+        gen[f"gen.{m}.b2"] = np.zeros(two_d)
+    store.extend("discriminator", disc)
+    store.extend("generator", gen)
     return store
 
 

@@ -1,4 +1,5 @@
-"""Named trainable tensors with group tags and Adam state."""
+"""Named trainable tensors as views of one flat buffer per group, with
+Adam state."""
 
 from __future__ import annotations
 
@@ -15,122 +16,126 @@ ADAM_CHUNK = 1 << 15    # flat elements per pass of adam_step
 class ParameterStore:
     """All trainable tensors, partitioned into discriminator/generator groups.
 
-    Values are numpy arrays of a single dtype.  Adam first/second moments and
-    per-parameter step counts live alongside the values so a checkpoint can
-    resume optimization exactly.
+    Each group keeps its values in one flat buffer of a single dtype, and
+    every named parameter is a view into it (FSDP's ``FlatParameter``
+    layout).  Adam's two moments, a (2, size) array per group made with
+    ``np.zeros`` on first use, and one step count per group live alongside
+    the values, so a checkpoint can resume optimization exactly.
     """
 
     def __init__(self, dtype=np.float32):
         self.dtype = np.dtype(dtype)
-        self._values: dict[str, np.ndarray] = {}
-        self._groups: dict[str, str] = {}
-        self._adam_m: dict[str, np.ndarray] = {}
-        self._adam_v: dict[str, np.ndarray] = {}
-        self._steps: dict[str, int] = {}
+        self._slots: dict[str, tuple[str, slice, tuple]] = {}  # name -> (group, span, shape)
+        self.values = {g: np.empty(0, self.dtype) for g in GROUPS}
+        self._moments: dict[str, np.ndarray] = {}
+        self.steps = dict.fromkeys(GROUPS, 0)
 
-    def add(self, name: str, value, group: str):
-        if name in self._values:
-            raise ContractError(f"parameter {name!r} registered twice")
+    def extend(self, group: str, named_values: dict):
+        """Register parameters of one group with one copy into its buffer."""
         if group not in GROUPS:
             raise ContractError(f"unknown parameter group {group!r}")
-        arr = np.array(value, dtype=self.dtype, order="C")
-        self._values[name] = arr
-        self._groups[name] = group
-        # np.zeros, unlike zeros_like, leaves pages unwritten until Adam's first step.
-        self._adam_m[name] = np.zeros(arr.shape, arr.dtype)
-        self._adam_v[name] = np.zeros(arr.shape, arr.dtype)
-        self._steps[name] = 0
+        if group in self._moments:
+            raise ContractError(f"group {group!r} already has Adam state")
+        arrays = {n: np.asarray(v, dtype=self.dtype) for n, v in named_values.items()}
+        twice = [n for n in arrays if n in self._slots]
+        if twice:
+            raise ContractError(f"parameter {twice[0]!r} registered twice")
+        offset = self.values[group].size
+        for name, arr in arrays.items():
+            self._slots[name] = (group, slice(offset, offset + arr.size), arr.shape)
+            offset += arr.size
+        self.values[group] = np.concatenate(
+            [self.values[group], *(arr.reshape(-1) for arr in arrays.values())])
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        try:
-            return self._values[name]
-        except KeyError:
-            raise ContractError(f"unknown parameter {name!r}") from None
+    def add(self, name: str, value, group: str):
+        self.extend(group, {name: value})
+
+    def view(self, name: str, buffers=None) -> np.ndarray:
+        """The parameter's view into its group's buffer in `buffers` (the
+        values by default), whose last axis is the group's flat axis."""
+        flat = (self.values if buffers is None else buffers)[self.group_of(name)]
+        _, span, shape = self._slots[name]
+        return flat[..., span].reshape(flat.shape[:-1] + shape)
+
+    __getitem__ = view
 
     def __contains__(self, name: str) -> bool:
-        return name in self._values
+        return name in self._slots
 
-    def set(self, name: str, value):
-        arr = np.array(value, dtype=self.dtype, order="C")  # owned: Adam updates in place
-        if arr.shape != self._values[name].shape:
-            raise ContractError(
-                f"shape mismatch for {name!r}: have {self._values[name].shape}, "
-                f"got {arr.shape}")
-        self._values[name] = arr
+    def set(self, name: str, value, buffers=None):
+        """Copy `value` into the parameter's view (as `view` picks it)."""
+        view = self.view(name, buffers)
+        arr = np.asarray(value, dtype=self.dtype)
+        if arr.shape != view.shape:
+            raise ContractError(f"shape mismatch for {name!r}: have {view.shape}, "
+                                f"got {arr.shape}")
+        view[...] = arr
 
     def group_of(self, name: str) -> str:
-        try:
-            return self._groups[name]
-        except KeyError:
-            raise ContractError(f"unknown parameter {name!r}") from None
+        if name not in self._slots:
+            raise ContractError(f"unknown parameter {name!r}")
+        return self._slots[name][0]
 
     def names(self, group: str | None = None) -> list[str]:
-        if group is None:
-            return list(self._values)
-        return [n for n, g in self._groups.items() if g == group]
+        return [n for n, (g, _, _) in self._slots.items() if group in (None, g)]
+
+    def moments(self, group: str) -> np.ndarray:
+        """The group's (2, size) Adam moments; no parameter joins it after."""
+        if group not in self._moments:
+            # np.zeros, unlike zeros_like, leaves pages unwritten until Adam's first step.
+            self._moments[group] = np.zeros((2, self.values[group].size), self.dtype)
+        return self._moments[group]
 
     def adam_state(self, name: str):
-        return self._adam_m[name], self._adam_v[name], self._steps[name]
+        group = self.group_of(name)
+        m, v = self.view(name, {group: self.moments(group)})
+        return m, v, self.steps[group]
 
     def set_adam_state(self, name: str, m, v, step: int):
-        self._adam_m[name] = np.array(m, dtype=self.dtype, order="C")
-        self._adam_v[name] = np.array(v, dtype=self.dtype, order="C")
-        self._steps[name] = int(step)
-
-    def snapshot(self, group: str | None = None) -> dict[str, np.ndarray]:
-        """Copies of current values, for bitwise comparisons in tests."""
-        return {n: self._values[n].copy() for n in self.names(group)}
+        """Copy one parameter's moments in; `step` becomes its group's."""
+        group = self.group_of(name)
+        for row, value in zip(self.moments(group), (m, v)):
+            self.set(name, value, {group: row})
+        self.steps[group] = int(step)
 
 
-def adam_step(params: ParameterStore, grads: dict[str, np.ndarray], group: str,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8):
-    """One bias-corrected Adam update restricted to the named group.
-
-    Parameters outside the group are untouched even if grads carries entries
-    for them (a full-store gradient map is the common case).
+def adam_step(params: ParameterStore, group: str, grad: np.ndarray, lr: float,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    """One bias-corrected Adam update of a group from its flat gradient.
 
     Values and moments are updated in place, in the binary-op order of
     m = beta1 m + (1 - beta1) g,  v = beta2 v + (1 - beta2) g^2,
     value -= lr m_hat / (sqrt(v_hat) + eps),
     so the bytes equal the out-of-place formula's.  The update runs over
     chunks of ADAM_CHUNK flat elements with two chunk-sized temporaries, so
-    each pass reads cache rather than the whole table.  A gradient must have
-    its parameter's shape, since the flat chunks would apply one of another
-    layout silently, and the store's dtype: a wider one would round
+    each pass reads cache rather than the whole table.  The gradient must
+    have the group's size and the store's dtype: a wider one would round
     differently, a narrower one would lose precision.
     """
-    for name, g in grads.items():
-        if name not in params:
-            raise ContractError(f"gradient for unknown parameter {name!r}")
-        if g.dtype != params.dtype:
-            raise ContractError(f"gradient for {name!r} is {g.dtype}, "
-                                f"the store is {params.dtype}")
-        if g.shape != params[name].shape:
-            raise ContractError(f"gradient for {name!r} has shape {g.shape}, "
-                                f"the parameter {params[name].shape}")
-    for name in params.names(group):
-        if name not in grads:
-            continue
-        m, v, step = params.adam_state(name)
-        step += 1
-        flat = [x.reshape(-1) for x in (params[name], m, v, grads[name])]
-        buffers = np.empty((2, min(ADAM_CHUNK, m.size)), m.dtype)
-        for lo in range(0, m.size, ADAM_CHUNK):
-            value, m_c, v_c, g = (x[lo:lo + ADAM_CHUNK] for x in flat)
-            tmp, update = buffers[:, :g.size]
-            m_c *= beta1
-            m_c += np.multiply(g, 1.0 - beta1, out=tmp)
-            v_c *= beta2
-            v_c += np.multiply(np.multiply(g, g, out=tmp), 1.0 - beta2, out=tmp)
-            np.divide(m_c, 1.0 - beta1 ** step, out=update)     # m_hat
-            update *= lr
-            np.divide(v_c, 1.0 - beta2 ** step, out=tmp)        # v_hat
-            np.sqrt(tmp, out=tmp)
-            tmp += eps
-            update /= tmp
-            value -= update
-        params._steps[name] = step
+    values = params.values[group]
+    if grad.dtype != params.dtype:
+        raise ContractError(f"gradient of group {group!r} is {grad.dtype}, "
+                            f"the store is {params.dtype}")
+    if grad.shape != values.shape:
+        raise ContractError(f"gradient of group {group!r} has shape {grad.shape}, "
+                            f"the group {values.shape}")
+    m, v = params.moments(group)
+    step = params.steps[group] = params.steps[group] + 1
+    buffers = np.empty((2, min(ADAM_CHUNK, values.size)), params.dtype)
+    for lo in range(0, values.size, ADAM_CHUNK):
+        value, m_c, v_c, g = (x[lo:lo + ADAM_CHUNK] for x in (values, m, v, grad))
+        tmp, update = buffers[:, :g.size]
+        m_c *= beta1
+        m_c += np.multiply(g, 1.0 - beta1, out=tmp)
+        v_c *= beta2
+        v_c += np.multiply(np.multiply(g, g, out=tmp), 1.0 - beta2, out=tmp)
+        np.divide(m_c, 1.0 - beta1 ** step, out=update)     # m_hat
+        update *= lr
+        np.divide(v_c, 1.0 - beta2 ** step, out=tmp)        # v_hat
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        update /= tmp
+        value -= update
 
 
 @dataclass

@@ -41,7 +41,7 @@ them, and no normal or non-finite entry is changed, so the finite check
 below sees everything it saw before.
 
 The one finite check runs at the end of ``backward``, on the root value and
-each gradient the sweep produced, before any optimizer sees them.  A failure
+each live group's flat gradient, before any optimizer sees them.  A failure
 rescans the tape once to name the first non-finite node or gradient.
 """
 
@@ -69,6 +69,9 @@ class Node:
         return self.value.shape
 
     def add_grad(self, g):
+        if g.shape != self.value.shape or g.dtype != self.value.dtype:
+            raise ContractError(f"adjoint of node {self.name!r} is {g.dtype} {g.shape}, "
+                                f"the node {self.value.dtype} {self.value.shape}")
         if self.grad is None:
             self.grad = np.array(g, copy=True)
         else:
@@ -102,6 +105,7 @@ class Tape:
         self.live = frozenset(live)
         self.nodes: list[Node] = []
         self._param_nodes: dict[str, Node] = {}
+        self.grads: dict[str, np.ndarray] = {}     # per group, made by backward
         self.consumed = False
         self.dtype = store.dtype if store is not None else np.float64
 
@@ -391,10 +395,10 @@ class Tape:
     # ---------------------------------------------------------------- backward
 
     def backward(self, root: Node) -> dict[str, np.ndarray]:
-        """Gradients of the scalar root for every registered parameter.
-
-        Parameters the root does not depend on get zero gradients.  A tape
-        can run backward once.  A non-finite root or gradient raises
+        """Gradients of the scalar root for every registered parameter: views
+        of ``grads[group]``, one zeroed flat buffer per group into which the
+        parameter leaves accumulate, so unreached and frozen ones read zero.
+        A tape can run backward once; a non-finite root or gradient raises
         `NumericError` naming where it arose.
         """
         if self.consumed:
@@ -402,18 +406,20 @@ class Tape:
         if np.asarray(root.value).ndim != 0:
             raise ContractError(f"backward root must be scalar, got shape {root.shape}")
         self.consumed = True
-        root.grad = np.asarray(1.0, dtype=self.dtype)
+        grads = {}
+        if self.store is not None:
+            self.grads = {g: np.zeros(self.store.values[g].shape, self.dtype) for g in GROUPS}
+            grads = {n: self.store.view(n, self.grads) for n in self.store.names()}
+        for name, node in self._param_nodes.items():
+            node.grad = grads[name]
+        root.add_grad(np.asarray(1.0, dtype=self.dtype))
         for node in reversed(self.nodes):
             if node.grad is not None and node.backward_fn is not None:
                 node.backward_fn(node.grad)
-        reached = {name: node.grad for name, node in self._param_nodes.items()
-                   if node.grad is not None}
-        if not (np.isfinite(root.value)
-                and all(np.isfinite(g).all() for g in reached.values())):
-            raise NumericError(_first_nonfinite(self.nodes, reached))
-        names = self.store.names() if self.store is not None else ()
-        return {n: reached[n] if n in reached
-                else np.zeros(self.store[n].shape, self.store.dtype) for n in names}
+        if not (np.isfinite(root.value) and all(
+                np.isfinite(g).all() for group, g in self.grads.items() if group in self.live)):
+            raise NumericError(_first_nonfinite(self.nodes, grads))
+        return grads
 
 
 def _first_nonfinite(nodes: list[Node], grads: dict[str, np.ndarray]) -> str:

@@ -179,8 +179,8 @@ def train_step_discriminator(model: Model, batch: np.ndarray,
                           generated, pos)
         adv_value = float(adv.value)
         total = tape.add(kgc, tape.scale(adv, cfg.adv_lambda))
-    grads = tape.backward(total)
-    adam_step(model.store, grads, "discriminator", cfg.lr_d)
+    tape.backward(total)
+    adam_step(model.store, "discriminator", tape.grads["discriminator"], cfg.lr_d)
     return float(kgc.value), adv_value
 
 
@@ -197,8 +197,8 @@ def train_step_generator(model: Model, batch: np.ndarray, cfg: TrainConfig,
     adv, _ = loss_adv(model, tape, batch, cfg.adv_groups, cfg.adversarial_patterns,
                       generated, pos)
     objective = tape.scale(adv, -cfg.adv_lambda)
-    grads = tape.backward(objective)
-    adam_step(model.store, grads, "generator", cfg.lr_g)
+    tape.backward(objective)
+    adam_step(model.store, "generator", tape.grads["generator"], cfg.lr_g)
     return float(adv.value)
 
 

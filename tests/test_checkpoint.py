@@ -159,24 +159,32 @@ def test_malformed_adam_state_rejected(tmp_path, record, value):
     assert dump(target.store) == before
 
 
-@pytest.mark.parametrize("drop,stray,match", [
-    ("relation.phase.adam_v", None, "relation.phase.adam_v"),
-    ("relation.phase.step", None, "relation.phase.step"),
-    (None, "q.adam_v", "q.adam_v"),
-    ("relation.phase.adam_v", "q.adam_v", "relation.phase.adam_v|q.adam_v")],
-    ids=["no-adam_v", "no-step", "stray", "both"])
-def test_partial_adam_state_rejected(tmp_path, drop, stray, match):
-    # A tensor with only some of its three state records, or a state record
-    # of no tensor in the file, used to load without a word, dropping the
-    # tensor's saved moments and step.  Now it is refused before the store
-    # changes, naming the record.
+PHASE_STATE = ("relation.phase.adam_m", "relation.phase.adam_v", "relation.phase.step")
+ONE_STEP = "'discriminator' do not all carry Adam state with one step"
+
+
+@pytest.mark.parametrize("drop,put,match", [
+    (("relation.phase.adam_v",), {}, "relation.phase.adam_v"),
+    (("relation.phase.step",), {}, "relation.phase.step"),
+    ((), {"q.adam_v": np.zeros((1, 3), np.float32)}, "q.adam_v"),
+    (("relation.phase.adam_v",), {"q.adam_v": np.zeros((1, 3), np.float32)},
+     "relation.phase.adam_v|q.adam_v"),
+    ((), {"relation.phase.step": np.float32(1.0)}, ONE_STEP),
+    (PHASE_STATE, {}, ONE_STEP)],
+    ids=["no-adam_v", "no-step", "stray", "both", "steps-disagree", "group-part"])
+def test_partial_adam_state_rejected(tmp_path, drop, put, match):
+    # A tensor with only some of its three state records, a state record of
+    # no tensor in the file, a group whose tensors disagree on the step, or
+    # a group of which only some tensors carry state, used to load without
+    # a word: a group has one step count.  Now each is refused before the
+    # store changes, naming the record or the group.
     path = str(tmp_path / "partial.bin")
     save_checkpoint(trained_model().store, path)
     values, state = read_checkpoint(path)
-    if drop is not None:
-        del state[drop]
-    if stray is not None:
-        state[stray] = np.zeros((1, 3), np.float32)
+    assert state["relation.phase.step"] == state["entity.structural.step"] != 1.0
+    for key in drop:
+        del state[key]
+    state.update({key: np.asarray(arr) for key, arr in put.items()})
     write_raw(path, values, state)
     target = small_model(n_entities=6, n_relations=1)
     before = [target.store[n].tobytes() for n in target.store.names()]

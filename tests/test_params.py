@@ -20,20 +20,20 @@ def test_first_adam_step_hand_derived():
     # g=1, lr=0.1: m_hat = v_hat = 1 after bias correction, so the update
     # is lr * 1 / (1 + eps) = 0.1 up to the eps denominator.
     store = make_store(w=(np.array(2.0), "discriminator"))
-    adam_step(store, {"w": np.array(1.0)}, "discriminator", lr=0.1)
+    adam_step(store, "discriminator", np.array([1.0]), lr=0.1)
     assert abs((2.0 - store["w"]) - 0.1) < 1e-8
 
 
 def test_adam_descends_along_gradient_sign():
     store = make_store(w=(np.array([1.0, -1.0]), "discriminator"))
-    adam_step(store, {"w": np.array([0.5, -0.5])}, "discriminator", lr=0.01)
+    adam_step(store, "discriminator", np.array([0.5, -0.5]), lr=0.01)
     assert store["w"][0] < 1.0
     assert store["w"][1] > -1.0
 
 
 def test_zero_gradient_leaves_values():
     store = make_store(w=(np.arange(3.0), "discriminator"))
-    adam_step(store, {"w": np.zeros(3)}, "discriminator", lr=0.1)
+    adam_step(store, "discriminator", np.zeros(3), lr=0.1)
     assert np.array_equal(store["w"], np.arange(3.0))
     _, _, step = store.adam_state("w")
     assert step == 1
@@ -42,11 +42,10 @@ def test_zero_gradient_leaves_values():
 def test_group_isolation_bitwise():
     store = make_store(d=(np.ones(4), "discriminator"),
                        g=(np.ones(4), "generator"))
-    before = store.snapshot("generator")
-    adam_step(store, {"d": np.full(4, 0.3), "g": np.full(4, 0.3)},
-              "discriminator", lr=0.1)
-    after = store.snapshot("generator")
-    assert before["g"].tobytes() == after["g"].tobytes()
+    before = store.values["generator"].copy()
+    adam_step(store, "discriminator", np.full(4, 0.3), lr=0.1)
+    assert store.values["generator"].tobytes() == before.tobytes()
+    assert store.steps == {"discriminator": 1, "generator": 0}
     assert not np.array_equal(store["d"], np.ones(4))
 
 
@@ -61,50 +60,62 @@ def _adam_formula(value, m, v, step, g, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_in_place_adam_equals_out_of_place_formula(dtype):
-    # Sizes below, between and above multiples of the chunk, and a
-    # Fortran-ordered start value, which the store keeps C-ordered.
+    # One group of parameters whose sizes fall below, between and above
+    # multiples of the chunk, so chunks span two parameters, and
+    # Fortran-ordered start values, which the store keeps C-ordered.  Each
+    # parameter must follow its own out-of-place formula.
     gen = np.random.default_rng(7)
-    for shape in ((), (5,), (40, 30), (2 * ADAM_CHUNK + 7,), (3, ADAM_CHUNK // 2 + 5)):
-        store = ParameterStore(dtype=dtype)
-        store.add("w", np.array(gen.standard_normal(shape), order="F"), "discriminator")
-        value = store["w"].copy()
-        m = v = np.zeros(shape, dtype)
-        for step in range(1, 7):
-            scale = 10.0 ** gen.integers(-8, 3)
-            g = np.array(scale * gen.standard_normal(shape), dtype=dtype)
-            if step == 3:
-                g[...] = 0
-            adam_step(store, {"w": g}, "discriminator", lr=3e-3)
-            value, m, v = _adam_formula(value, m, v, step, g, lr=3e-3)
-            got_m, got_v, got_step = store.adam_state("w")
-            assert store["w"].dtype == got_m.dtype == got_v.dtype == dtype
-            assert store["w"].tobytes() == value.tobytes(), (shape, step)
+    shapes = {"s": (), "a": (5,), "b": (40, 30), "c": (2 * ADAM_CHUNK + 7,),
+              "d": (3, ADAM_CHUNK // 2 + 5)}
+    store = ParameterStore(dtype=dtype)
+    store.extend("discriminator", {n: np.array(gen.standard_normal(shape), order="F")
+                                   for n, shape in shapes.items()})
+    assert store.values["discriminator"].size > 3 * ADAM_CHUNK
+    state = {n: (store[n].copy(), np.zeros(shape, dtype), np.zeros(shape, dtype))
+             for n, shape in shapes.items()}
+    for step in range(1, 7):
+        grads = {n: np.array(10.0 ** gen.integers(-8, 3) * gen.standard_normal(shape),
+                             dtype=dtype) for n, shape in shapes.items()}
+        if step == 3:
+            grads = {n: np.zeros_like(g) for n, g in grads.items()}
+        adam_step(store, "discriminator",
+                  np.concatenate([g.reshape(-1) for g in grads.values()]), lr=3e-3)
+        for name, g in grads.items():
+            value, m, v = state[name] = _adam_formula(*state[name], step, g, lr=3e-3)
+            got_m, got_v, got_step = store.adam_state(name)
+            assert store[name].dtype == got_m.dtype == got_v.dtype == dtype
+            assert store[name].tobytes() == value.tobytes(), (name, step)
             assert got_m.tobytes() == m.tobytes() and got_v.tobytes() == v.tobytes()
             assert got_step == step
+
+
+def _group_state(store, group):
+    return store.values[group].tobytes(), store.moments(group).tobytes(), store.steps[group]
 
 
 def test_adam_rejects_gradient_of_another_dtype():
     store = ParameterStore(dtype=np.float32)
     store.add("d", np.ones(3), "discriminator")
     store.add("g", np.ones(3), "generator")
-    before = (store["d"].tobytes(), [a.tobytes() for a in store.adam_state("d")[:2]])
-    grads = {"d": np.ones(3, np.float32), "g": np.ones(3, np.float64)}
-    with pytest.raises(ContractError, match="'g' is float64"):
-        adam_step(store, grads, "discriminator", lr=0.1)
-    assert (store["d"].tobytes(), [a.tobytes() for a in store.adam_state("d")[:2]]) == before
-    assert store.adam_state("d")[2] == 0
+    before = _group_state(store, "discriminator")
+    with pytest.raises(ContractError, match="'discriminator' is float64"):
+        adam_step(store, "discriminator", np.ones(3, np.float64), lr=0.1)
+    assert _group_state(store, "discriminator") == before
+    assert before[2] == 0
 
 
 def test_adam_rejects_gradient_of_another_shape():
-    # A transposed gradient has the right size; the flat chunks must not
-    # apply it in the wrong layout.
+    # The gradient is the group's flat buffer: one of another size, or one
+    # in a parameter's own shape, is refused before anything changes.
     store = ParameterStore(dtype=np.float32)
     store.add("d", np.ones((3, 2)), "discriminator")
-    before = (store["d"].tobytes(), [a.tobytes() for a in store.adam_state("d")[:2]])
-    with pytest.raises(ContractError, match=r"'d' has shape \(2, 3\)"):
-        adam_step(store, {"d": np.ones((2, 3), np.float32)}, "discriminator", lr=0.1)
-    assert (store["d"].tobytes(), [a.tobytes() for a in store.adam_state("d")[:2]]) == before
-    assert store.adam_state("d")[2] == 0
+    store.add("e", np.ones(2), "discriminator")
+    before = _group_state(store, "discriminator")
+    for shape in ((6,), (3, 2), (9,)):
+        with pytest.raises(ContractError, match=rf"has shape \({shape[0]},"):
+            adam_step(store, "discriminator", np.ones(shape, np.float32), lr=0.1)
+    assert _group_state(store, "discriminator") == before
+    assert before[2] == 0
 
 
 def test_store_owns_set_values():
@@ -113,15 +124,34 @@ def test_store_owns_set_values():
     store = make_store(w=(np.zeros(3), "discriminator"))
     loaded = np.frombuffer(np.arange(3.0).tobytes())
     store.set("w", loaded)
-    adam_step(store, {"w": np.ones(3)}, "discriminator", lr=0.1)
+    adam_step(store, "discriminator", np.ones(3), lr=0.1)
     assert loaded.tolist() == [0.0, 1.0, 2.0]
     assert np.all(store["w"] < loaded)
 
 
-def test_unknown_gradient_name_rejected():
+def test_parameters_are_views_of_their_group_buffer():
+    store = make_store(a=(np.arange(6.0).reshape(2, 3), "discriminator"),
+                       g=(np.ones(2), "generator"), s=(np.array(7.0), "discriminator"))
+    assert store.values["discriminator"].tolist() == [0, 1, 2, 3, 4, 5, 7]
+    assert store.names() == ["a", "g", "s"] and store.names("discriminator") == ["a", "s"]
+    store.set("s", 8.0)
+    store["a"][1, 2] = -1.0
+    assert store.values["discriminator"].tolist() == [0, 1, 2, 3, 4, -1, 8]
+    m, v, _ = store.adam_state("a")
+    assert np.shares_memory(m, store.moments("discriminator")) and m.shape == (2, 3)
+    store.set_adam_state("a", np.ones((2, 3)), np.full((2, 3), 2.0), 5)
+    assert store.moments("discriminator")[:, :6].tolist() == [[1.0] * 6, [2.0] * 6]
+    assert store.steps == {"discriminator": 5, "generator": 0}
+
+
+def test_registration_after_adam_state_rejected():
     store = make_store(w=(np.ones(2), "discriminator"))
-    with pytest.raises(ContractError):
-        adam_step(store, {"nope": np.ones(2)}, "discriminator", lr=0.1)
+    adam_step(store, "discriminator", np.ones(2), lr=0.1)
+    with pytest.raises(ContractError, match="'discriminator' already has Adam state"):
+        store.add("x", np.ones(2), "discriminator")
+    assert "x" not in store and store.values["discriminator"].size == 2
+    store.add("g", np.ones(2), "generator")
+    assert store.names() == ["w", "g"]
 
 
 def test_duplicate_registration_rejected():
@@ -138,8 +168,8 @@ def test_set_checks_shape():
 
 def test_moments_accumulate_across_steps():
     store = make_store(w=(np.array(0.0), "discriminator"))
-    adam_step(store, {"w": np.array(1.0)}, "discriminator", lr=0.1)
-    adam_step(store, {"w": np.array(1.0)}, "discriminator", lr=0.1)
+    adam_step(store, "discriminator", np.array([1.0]), lr=0.1)
+    adam_step(store, "discriminator", np.array([1.0]), lr=0.1)
     m, v, step = store.adam_state("w")
     assert step == 2
     # m = 0.1*1 + 0.9*0.1*... i.e. 1 - 0.9^2 before correction

@@ -722,6 +722,40 @@ def test_untouched_param_gets_zero_gradient():
     assert np.array_equal(grads["unused"], np.zeros(4))
 
 
+def test_backward_returns_views_of_the_group_gradients():
+    # One zeroed flat gradient per group; every parameter's gradient is its
+    # view of it, reached, unreached and frozen alike.
+    store = ParameterStore(dtype=np.float32)
+    store.add("a", np.ones((2, 3)), "discriminator")
+    store.add("g", np.ones(4), "generator")
+    store.add("b", np.ones(2), "discriminator")
+    tape = Tape(store, DISC)
+    grads = tape.backward(probe_sum(tape, tape.add(tape.leaf("a"), tape.leaf("a"))))
+    for name in store.names():
+        group = store.group_of(name)
+        assert tape.grads[group].shape == store.values[group].shape
+        assert np.shares_memory(grads[name], tape.grads[group]), name
+        assert grads[name].shape == store[name].shape and grads[name].dtype == np.float32
+    assert tape.grads["discriminator"].tolist() == [2.0] * 6 + [0.0] * 2
+    assert not tape.grads["generator"].any()
+
+
+@pytest.mark.parametrize("wrong", [lambda g: g[:1], lambda g: g.astype(np.float64)],
+                         ids=["shape", "dtype"])
+def test_adjoint_of_another_shape_or_dtype_names_the_node(wrong):
+    # A leaf accumulates into its view of the group gradient, where a (1, n)
+    # adjoint would broadcast into an (m, n) leaf, and a float64 one round
+    # into float32, without a word.
+    store = ParameterStore(dtype=np.float32)
+    store.add("w", np.ones((3, 2)), "discriminator")
+    tape = Tape(store)
+    w = tape.leaf("w")
+    out = tape.scale(w, 2.0)
+    out.backward_fn = lambda g: w.add_grad(wrong(g) * 2.0)
+    with pytest.raises(ContractError, match="adjoint of node 'w'"):
+        tape.backward(probe_sum(tape, out))
+
+
 def test_backward_requires_scalar_root():
     tape = Tape()
     vec = tape.const(np.ones(3))
