@@ -93,7 +93,7 @@ class TripleDataset:
         return getattr(self, name)
 
     def is_known(self, triples: np.ndarray) -> np.ndarray:
-        """Whether each (h, r, t) row of `triples` is a triple of some split."""
+        """Whether each (h, r, t) row of `triples` is in the filter index."""
         dims, keys = self._known_keys
         inside = (triples < dims).all(axis=1)
         flat = np.ravel_multi_index(np.where(inside[:, None], triples, 0).T, dims)
@@ -101,10 +101,11 @@ class TripleDataset:
 
     @cached_property
     def _known_keys(self) -> tuple:
-        """Per-column bounds and the sorted `ravel_multi_index` keys of every
-        split's triples under them, then one key past the last, so that
-        `searchsorted` always lands inside the array."""
-        known = np.concatenate([self.train, self.valid, self.test])
+        """Per-column bounds and the sorted `ravel_multi_index` keys of the
+        filter index's triples under them, then one key past the last, so
+        that `searchsorted` always lands inside the array."""
+        known = np.array([(h, r, t) for (h, r), tails in self.filter_tails.items()
+                          for t in tails], dtype=np.int64).reshape(-1, 3)
         dims = tuple(known.max(axis=0, initial=0) + 1)
         keys = np.unique(np.ravel_multi_index(known.T, dims))
         return dims, np.append(keys, np.prod(dims))

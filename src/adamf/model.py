@@ -4,7 +4,7 @@ rotation scoring, and the modality-adversarial generator.
 All builders operate on row batches: entity index arrays of shape (B,) map
 to embedding nodes of shape (B, 2d).  Gradient flow is the tape's: builders
 take every parameter through ``Tape.leaf``, which is differentiable for the
-groups the tape was made to train and a detached constant otherwise.
+groups the tape was made to train and a frozen leaf otherwise.
 """
 
 from __future__ import annotations
@@ -103,36 +103,36 @@ def init_params(cfg: ModelConfig, n_entities: int, n_relations: int,
     root = SeededRng(seed)
     two_d = cfg.entity_dim
 
-    def uniform(name, shape, bound):
-        # Chunked into the store's dtype: no float64 table, the same values.
-        rng = root.substream(f"init/{name}")
-        out = np.empty(int(np.prod(shape)), cfg.dtype)
-        for lo in range(0, out.size, INIT_CHUNK):
-            chunk = out[lo:lo + INIT_CHUNK]
-            chunk[...] = (rng.uniforms(chunk.size) * 2.0 - 1.0) * bound
-        return out.reshape(shape)
-
-    def xavier(name, fan_out, fan_in):
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-        return uniform(name, (fan_out, fan_in), bound)
+    def xavier(fan_out, fan_in):
+        return (fan_out, fan_in), math.sqrt(6.0 / (fan_in + fan_out))
 
     b = 6.0 / math.sqrt(two_d)
-    disc = {"entity.structural": uniform("entity.structural", (n_entities, two_d), b),
-            "relation.phase": uniform("relation.phase", (n_relations, cfg.d), math.pi)}
+    # name -> (shape, uniform bound); a bound of 0 draws nothing.
+    disc = {"entity.structural": ((n_entities, two_d), b),
+            "relation.phase": ((n_relations, cfg.d), math.pi)}
     gen = {}
     for m in cfg.projected_modalities:
-        disc[f"proj.{m}.weight"] = xavier(f"proj.{m}.weight", two_d, cfg.feature_dim(m))
-        disc[f"proj.{m}.bias"] = np.zeros(two_d)
-        disc[f"fallback.{m}"] = uniform(f"fallback.{m}", (n_entities, two_d), b)
+        disc[f"proj.{m}.weight"] = xavier(two_d, cfg.feature_dim(m))
+        disc[f"proj.{m}.bias"] = (two_d,), 0.0
+        disc[f"fallback.{m}"] = (n_entities, two_d), b
     for m in cfg.modalities:
-        disc[f"fusion.w.{m}"] = np.ones(two_d)
+        disc[f"fusion.w.{m}"] = (two_d,), 0.0
     for m in cfg.projected_modalities:
-        gen[f"gen.{m}.w1"] = xavier(f"gen.{m}.w1", two_d, two_d + cfg.noise_dim)
-        gen[f"gen.{m}.b1"] = np.zeros(two_d)
-        gen[f"gen.{m}.w2"] = xavier(f"gen.{m}.w2", two_d, two_d)
-        gen[f"gen.{m}.b2"] = np.zeros(two_d)
-    store.extend("discriminator", disc)
-    store.extend("generator", gen)
+        gen[f"gen.{m}.w1"] = xavier(two_d, two_d + cfg.noise_dim)
+        gen[f"gen.{m}.b1"] = (two_d,), 0.0
+        gen[f"gen.{m}.w2"] = xavier(two_d, two_d)
+        gen[f"gen.{m}.b2"] = (two_d,), 0.0
+    for group, tables in (("discriminator", disc), ("generator", gen)):
+        # Unwritten zeros in the store's dtype, so each group is resident once.
+        store.extend(group, {n: np.zeros(shape, cfg.dtype) for n, (shape, _) in tables.items()})
+        for name, (_, bound) in tables.items():
+            if bound:
+                out, rng = store[name].reshape(-1), root.substream(f"init/{name}")
+                for lo in range(0, out.size, INIT_CHUNK):
+                    chunk = out[lo:lo + INIT_CHUNK]
+                    chunk[...] = (rng.uniforms(chunk.size) * 2.0 - 1.0) * bound
+    for m in cfg.modalities:
+        store[f"fusion.w.{m}"][...] = 1.0
     return store
 
 

@@ -13,32 +13,35 @@ adaptive fusion as ``fusion_weights`` (the tanh-score softmax alpha) and
 ``mix`` (the alpha-weighted sum of the parts), and ``query_distance``, the
 RotatE score of candidate table rows against rotated query rows (h o r for
 tails, t o conj(r) for heads), whose forward shares ``modulus_sum`` with
-evaluation.  Each has an analytic backward; scatter-adds go through flat
-element indices (``_scatter``).
+evaluation.  Each has an analytic backward that adds or scatters (through
+flat element indices, ``_scatter``) straight into its operands' one
+accumulator each (``Node.adjoint``): zeros on first use, or a live leaf's
+view of its group's flat gradient.  No backward makes an operand-sized
+table.  Float addition is not associative, so a row two kernels reach gets
+(acc + g1) + g2.
 
 Complex-valued quantities are interleaved (re, im) pairs in an even-length
 last axis; phase vectors have half that length.
 
 A tape is made for the parameter groups it trains (``Tape(store, live)``,
-every group by default).  ``leaf(name)`` on a parameter of a live group is
-the differentiable leaf, one node per tape; on any other group it is a fresh
-constant that keeps the parameter's name.  Dead adjoints are pruned: a node
-is *live* when some live leaf lies upstream of it, so an emitted node is live
-iff any parent is.  A node that is not live gets no ``backward_fn``, and
-every kernel forms only the adjoints of its live operands, so constants and
-frozen groups never receive a gradient.  Live parameters see the same
-adjoints, accumulated in the same order, as without pruning.
+every group by default).  ``leaf(name)`` is a parameter's one node per tape,
+live iff its group is.  Dead adjoints are pruned: a node is *live* when some
+live leaf lies upstream of it, so an emitted node is live iff any parent is.
+A node that is not live gets no ``backward_fn``, and every kernel forms only
+the adjoints of its live operands, so constants and frozen leaves never
+receive a gradient.  Live parameters see the same adjoints, accumulated in
+the same order, as without pruning.
 
-Subnormal adjoints are flushed in two places: the backwards of ``matvec``
-and ``query_distance`` set each entry of their incoming adjoint below
-``np.finfo(dtype).tiny`` to exactly 0 (``matvec``'s bias takes the column
-sums of the adjoint before the flush, unchanged).  Such entries arise where
-self-adversarial weights and sigma(-x) underflow, and already carry fewer
-than 24 significant bits in float32.  Each adds at most tiny * |x| to an
-output, below the last bit of an output of ordinary size, yet each sends
-BLAS and the complex products down a slow path.  Every other kernel keeps
-them, and no normal or non-finite entry is changed, so the finite check
-below sees everything it saw before.
+Subnormal adjoints are flushed in two places (``_flush_subnormals``): the
+backwards of ``matvec`` and ``query_distance`` set each entry of their
+incoming adjoint below ``np.finfo(dtype).tiny`` to exactly 0 (``matvec``'s
+bias takes the column sums of the adjoint before the flush, unchanged).
+Such entries arise where self-adversarial weights and sigma(-x) underflow,
+and already carry fewer than 24 significant bits in float32.  Each adds at
+most tiny * |x| to an output, below the last bit of an output of ordinary
+size, yet each sends BLAS and the complex products down a slow path.  Every
+other kernel keeps them, and no normal or non-finite entry is changed, so
+the finite check below sees everything it saw before.
 
 The one finite check runs at the end of ``backward``, on the root value and
 each live group's flat gradient, before any optimizer sees them.  A failure
@@ -68,20 +71,31 @@ class Node:
     def shape(self):
         return self.value.shape
 
+    def adjoint(self) -> np.ndarray:
+        """The node's one gradient accumulator, zeros until first used."""
+        if self.grad is None:
+            self.grad = np.zeros(self.value.shape, self.value.dtype)
+        return self.grad
+
     def add_grad(self, g):
         if g.shape != self.value.shape or g.dtype != self.value.dtype:
             raise ContractError(f"adjoint of node {self.name!r} is {g.dtype} {g.shape}, "
                                 f"the node {self.value.dtype} {self.value.shape}")
-        if self.grad is None:
-            self.grad = np.array(g, copy=True)
-        else:
-            self.grad += g
+        acc = self.adjoint()
+        acc += g
+
+
+def _flush_subnormals(g: np.ndarray) -> np.ndarray:
+    """g with each entry below np.finfo(dtype).tiny in magnitude set to 0."""
+    return np.where(np.abs(g) < np.finfo(g.dtype).tiny, g.dtype.type(0), g)
 
 
 def _scatter(ufunc, table: np.ndarray, idx, rows: np.ndarray) -> None:
     """ufunc.at(table, idx, rows) on a C-contiguous 2-d table, through flat
     element indices: numpy's 1-d path, with the same operations in the same
     order, so the same bytes."""
+    if not table.flags.c_contiguous:    # reshape(-1) would copy and lose the scatter
+        raise ContractError(f"scatter into a table that is not C-contiguous, {table.shape}")
     width = table.shape[1]
     flat = np.asarray(idx).reshape(-1, 1) * width + np.arange(width)
     ufunc.at(table.reshape(-1), flat.reshape(-1), rows.reshape(-1))
@@ -112,18 +126,13 @@ class Tape:
     # ------------------------------------------------------------------ leaves
 
     def leaf(self, name: str) -> Node:
-        """Leaf bound to a named store parameter: differentiable and memoized
-        per tape if its group is live, otherwise a fresh constant that keeps
-        the parameter's name."""
+        """The parameter's one node on this tape, live iff its group is."""
         if self.store is None:
             raise ContractError("parameter leaves require a ParameterStore")
-        if self.store.group_of(name) not in self.live:
-            node = self.const(self.store[name])
-            node.name = name
-            return node
         node = self._param_nodes.get(name)
         if node is None:
-            node = self._param_nodes[name] = Node(self.store[name], name=name, live=True)
+            live = self.store.group_of(name) in self.live
+            node = self._param_nodes[name] = Node(self.store[name], name=name, live=live)
             self.nodes.append(node)
         return node
 
@@ -169,8 +178,7 @@ class Tape:
         def backward(g):
             if b.live:
                 b.add_grad(g.sum(axis=0))
-            # Subnormal entries become exact zeros (see the module docstring).
-            g = np.where(np.abs(g) < np.finfo(g.dtype).tiny, g.dtype.type(0), g)
+            g = _flush_subnormals(g)
             if w.live:
                 w.add_grad(g.T @ x.value)
             if x.live:
@@ -198,20 +206,18 @@ class Tape:
 
     def gather(self, x: Node, idx: np.ndarray) -> Node:
         """Rows of a 2-d node selected by an integer index array.  The adjoint
-        is assigned when the indices strictly increase (unique rows, as a
-        table's sorted ids), else scatter-added."""
+        is added in one fancy-index add when the indices strictly increase
+        (unique rows, as a table's sorted ids), else scattered."""
         self._require(x.value.ndim == 2, "gather", x.shape)
         idx = np.asarray(idx, dtype=np.int64)
         out = x.value[idx]
 
         def backward(g):
-            full = np.zeros(x.shape, x.value.dtype)
             flat = idx.ravel()
             if np.all(flat[1:] > flat[:-1]):
-                full[idx] = g + 0.0     # unique rows; + 0.0 as np.add.at, so -0.0 -> 0.0
+                x.adjoint()[idx] += g       # np.add.at's sums, faster on unique rows
             else:
-                _scatter(np.add, full, idx, g)
-            x.add_grad(full)
+                _scatter(np.add, x.adjoint(), idx, g)
 
         return self._emit("gather", out, (x,), backward)
 
@@ -310,10 +316,8 @@ class Tape:
 
         def backward(g):
             if alpha.live:
-                g_alpha = np.empty_like(alpha.value)
                 for j, p in enumerate(parts):
-                    g_alpha[:, j] = (g * p.value).sum(axis=-1)
-                alpha.add_grad(g_alpha)
+                    alpha.adjoint()[:, j] += (g * p.value).sum(axis=-1)
             for j, p in enumerate(parts):
                 if p.live:
                     p.add_grad(g * alpha.value[:, j:j + 1])
@@ -366,10 +370,7 @@ class Tape:
                         *buffers[:, :len(xy)], out[lo:lo + step])
 
         def backward(g):
-            # Subnormal entries become exact zeros (see the module docstring).
-            g = np.where(np.abs(g) < np.finfo(g.dtype).tiny, g.dtype.type(0), g)
-            g, (rot, z) = g.reshape(slots.shape), rotated()
-            grads = {v: np.zeros(v.shape, v.value.dtype) for v in (q, c, phase) if v.live}
+            g, (rot, z) = _flush_subnormals(g).reshape(slots.shape), rotated()
             g_z = np.zeros((n, n_sides, 2 * d), dtype)
             pick = (side[:, None, :] == np.arange(n_sides)[:, None]).astype(dtype)
             for lo in range(0, n, step):
@@ -378,17 +379,15 @@ class Tape:
                 u.view(cdtype)[...] *= np.divide(g[lo:lo + step, :, None], m, out=m,
                                                  where=m > 0)
                 if c.live:
-                    _scatter(np.subtract, grads[c], slots[lo:lo + step], u)
+                    _scatter(np.subtract, c.adjoint(), slots[lo:lo + step], u)
                 if q.live or phase.live:
                     np.matmul(pick[lo:lo + step], u, out=g_z[lo:lo + step])
             g_z = g_z.view(cdtype).transpose(1, 0, 2)
             if q.live:
-                _scatter(np.add, grads[q], q_idx, (g_z * rot.conj()).view(dtype))
+                _scatter(np.add, q.adjoint(), q_idx, (g_z * rot.conj()).view(dtype))
             if phase.live:
-                _scatter(np.add, grads[phase], r_idx,
+                _scatter(np.add, phase.adjoint(), r_idx,
                          (sign * (g_z * z.conj()).imag).sum(axis=0))
-            for v, g_v in grads.items():
-                v.add_grad(g_v)
 
         return self._emit("query_distance", out.reshape(c_idx.shape), (q, phase, c), backward)
 
@@ -396,8 +395,8 @@ class Tape:
 
     def backward(self, root: Node) -> dict[str, np.ndarray]:
         """Gradients of the scalar root for every registered parameter: views
-        of ``grads[group]``, one zeroed flat buffer per group into which the
-        parameter leaves accumulate, so unreached and frozen ones read zero.
+        of ``grads[group]``, one zeroed flat buffer per group that holds the
+        live leaves' accumulators, so unreached and frozen ones read zero.
         A tape can run backward once; a non-finite root or gradient raises
         `NumericError` naming where it arose.
         """
@@ -410,8 +409,8 @@ class Tape:
         if self.store is not None:
             self.grads = {g: np.zeros(self.store.values[g].shape, self.dtype) for g in GROUPS}
             grads = {n: self.store.view(n, self.grads) for n in self.store.names()}
-        for name, node in self._param_nodes.items():
-            node.grad = grads[name]
+        for node in self._param_nodes.values():
+            node.grad = grads[node.name] if node.live else None
         root.add_grad(np.asarray(1.0, dtype=self.dtype))
         for node in reversed(self.nodes):
             if node.grad is not None and node.backward_fn is not None:

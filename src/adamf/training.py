@@ -72,7 +72,7 @@ def sample_negatives(triples: np.ndarray, n_entities: int, k: int,
 
     Per slot: corrupt head or tail with probability 1/2, replacement uniform
     over entities.  A replacement that collides (reconstructs the positive,
-    or with `dataset` given any triple of its three splits) is replaced by a
+    or with `dataset` given any triple of its filter index) is replaced by a
     second pick, which is accepted unconditionally.
 
     Draws are made in bulk: B*K coins, then B*K first picks, then B*K

@@ -1,5 +1,6 @@
 """Triple/feature file loading, filter index, and modality masking."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -106,6 +107,16 @@ def test_filter_index_completeness():
         for (r, t), heads in ds.filter_heads.items():
             for h in heads:
                 assert (h, r, t) in all_triples
+
+
+def test_is_known_reads_the_filter_index():
+    # Negative filtering and filtered eval must exclude one set of triples,
+    # also when a split array no longer holds one the filter index does (a
+    # test split replaced after the index was built).
+    ds = make_dataset(4, {"train": [(0, 0, 1)], "test": [(2, 0, 3)]})
+    ds = dataclasses.replace(ds, test=np.empty((0, 3), np.int64))
+    triples = np.array([[0, 0, 1], [2, 0, 3], [1, 0, 2], [3, 0, 2]])
+    assert ds.is_known(triples).tolist() == [True, True, False, False]
 
 
 # --- features ----------------------------------------------------------------

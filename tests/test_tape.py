@@ -9,6 +9,7 @@ per-parameter minimum over both.
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from adamf.errors import ContractError, NumericError
 from adamf.model import DISC, FROZEN, GEN
 from adamf.params import ParameterStore, finite_diff_check
 from adamf.rng import SeededRng
-from adamf.tape import Tape
+from adamf.tape import Tape, _scatter
 from conftest import probe_square, probe_sum
 
 TRIALS = 100
@@ -230,8 +231,9 @@ def scatter_add_adjoint(store, idx, coef):
 
 
 def test_unique_gather_adjoint_equals_scatter_add():
-    # Strictly increasing indices (sorted table ids) assign their adjoint;
-    # the bytes must be np.add.at's, -0.0 (which 0.0 + -0.0 makes 0.0) too.
+    # Strictly increasing indices (sorted table ids) add their rows in one
+    # fancy-index add; the bytes must be np.add.at's, -0.0 (which 0.0 + -0.0
+    # makes 0.0) too.
     store = ParameterStore(dtype=np.float32)
     store.add("table", np.ones((8, 3)), group="discriminator")
     rng = SeededRng(5, stream="unique-gather")
@@ -243,6 +245,62 @@ def test_unique_gather_adjoint_equals_scatter_add():
         got, expect = scatter_add_adjoint(store, idx, coef)
         assert got.dtype == np.float32
         assert got.tobytes() == expect.tobytes(), idx.tolist()
+
+
+def test_two_gathers_of_one_parameter_add_into_its_one_view():
+    # Both kernels scatter repeated rows into the leaf's one accumulator,
+    # its view of the group gradient; integer coefficients keep every sum
+    # exact whatever the order.
+    store = ParameterStore(dtype=np.float32)
+    store.add("table", np.ones((5, 2)), group="discriminator")
+    tape = Tape(store)
+    table = tape.leaf("table")
+    idx_a, idx_b = np.array([1, 1, 3]), np.array([[3, 0], [3, 3]])
+    coef_a, coef_b = np.arange(1.0, 7.0).reshape(3, 2), np.arange(-4.0, 4.0).reshape(2, 2, 2)
+    grads = tape.backward(tape.add(probe_sum(tape, tape.gather(table, idx_a), coef_a),
+                                   probe_sum(tape, tape.gather(table, idx_b), coef_b)))
+    expect = np.zeros((5, 2), np.float32)
+    np.add.at(expect, idx_a, coef_a)
+    np.add.at(expect, idx_b, coef_b)
+    assert table.grad is grads["table"]
+    assert np.shares_memory(table.grad, tape.grads["discriminator"])
+    assert np.array_equal(grads["table"], expect)
+
+
+@pytest.mark.parametrize("use", ["unique", "repeated", "query_distance"])
+def test_scatter_backward_makes_no_operand_sized_table(use):
+    # Kernels that read a few rows of a large leaf scatter their adjoint into
+    # the leaf's view of the group gradient, allocating only row-sized
+    # temporaries beside that buffer.
+    n, d = 20_000, 32
+    store = ParameterStore(dtype=np.float32)
+    store.add("table", np.ones((n, 2 * d)), "discriminator")
+    store.add("phase", np.full((3, d), 0.5), "discriminator")
+    tape = Tape(store)
+    table = tape.leaf("table")
+    if use == "query_distance":
+        out = tape.query_distance(table, [[0, 7, 9]], tape.leaf("phase"), [0, 2, 1],
+                                  table, [[1, 2], [3, 4], [5, 6]])
+    else:
+        out = tape.gather(table, np.array([2, 5, 900] if use == "unique" else [5, 2, 5]))
+    root = probe_sum(tape, out)
+    tracemalloc.start()
+    try:
+        grads = tape.backward(root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grads["table"].any()
+    assert peak < 1.5 * store.values["discriminator"].nbytes
+
+
+def test_scatter_refuses_a_table_that_is_not_c_contiguous():
+    # Its reshape(-1) would be a copy, which would take the scatter with it.
+    table = np.zeros((4, 6))
+    for bad in (table[:, ::2], table.T, np.asfortranarray(table)):
+        with pytest.raises(ContractError, match="C-contiguous"):
+            _scatter(np.add, bad, np.array([0, 1]), np.ones((2, bad.shape[1])))
+    assert not table.any()
 
 
 def test_merge_rows_gradients():
@@ -923,23 +981,21 @@ def test_constant_subgraph_gets_no_adjoint():
     assert root.live
     assert np.array_equal(grads["p"], [[-0.5, 0.0, 1.0]])
     assert np.array_equal(grads["frozen"], np.zeros((1, 3)))
-    # The tape's live groups decide every leaf: a live one is one node per
-    # tape, a frozen one a fresh constant that keeps its name, and backward
-    # still returns zeros for each parameter the root does not reach.
+    # Every parameter is one node per tape, on the store's own array, live
+    # iff the tape's live groups hold it; a frozen leaf never gets an
+    # accumulator, and backward still returns zeros for each parameter the
+    # root does not reach.
     for live in (DISC, GEN, FROZEN):
         tape = Tape(store, live)
-        for name in ("p", "frozen"):
-            first, second = tape.leaf(name), tape.leaf(name)
-            if store.group_of(name) in live:
-                assert second is first and first.live
-            else:
-                assert second is not first
-                for node in (first, second):
-                    assert node.name == name and not node.live and node.backward_fn is None
-                    assert node.value.tobytes() == store[name].tobytes()
+        leaves = {name: tape.leaf(name) for name in ("p", "frozen")}
+        for name, node in leaves.items():
+            assert tape.leaf(name) is node and node.name == name
+            assert node.live == (store.group_of(name) in live) and node.backward_fn is None
+            assert np.shares_memory(node.value, store[name])
         grads = tape.backward(probe_sum(tape, tape.add(tape.leaf("p"), tape.leaf("frozen"))))
-        for name in ("p", "frozen"):
+        for name, node in leaves.items():
             reached = store.group_of(name) in live
+            assert (node.grad is not None) == reached, (live, name)
             assert np.array_equal(grads[name], np.full((1, 3), float(reached))), (live, name)
     with pytest.raises(ContractError, match="ParameterStore"):
         Tape().leaf("x")
