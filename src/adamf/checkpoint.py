@@ -1,135 +1,120 @@
-"""Binary checkpoint serialization.
+"""Binary checkpoint serialization: one record per parameter group.
 
-Layout (all integers little-endian u32, payloads little-endian float32):
+    magic "AMF2" | header length (u64) | header (UTF-8 JSON) | payload
 
-    magic "AMF1" | version | n_params  | record*  | n_state | record*
-
-where each record is
-
-    name_len | name (UTF-8) | rank | dims (u32 * rank) | payload (f4 * prod)
-
-The first section holds parameter values; the parallel second section holds
-Adam state under the names ``<param>.adam_m``, ``<param>.adam_v`` and
-``<param>.step`` (step stored as a rank-0 float payload).  Payloads are
-float32 regardless of the compute precision in use.
+The header holds the payload dtype, the store's own ("<f4" or "<f8"), and
+for each group in GROUPS order its Adam step and its parameters'
+[name, shape] in buffer order.  The payload is, for each group, its flat
+values, then Adam m, then Adam v, little-endian: the store, laid out as it
+is, so a double-precision store round-trips bit for bit.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import struct
 
 import numpy as np
 
 from .errors import ContractError, DataError
 from .ioutil import atomic_open
-from .params import ParameterStore
+from .params import ADAM_CHUNK, GROUPS, ParameterStore
 
-MAGIC = b"AMF1"
-VERSION = 1
-
-
-def _write_record(fh, name: str, arr: np.ndarray):
-    encoded = name.encode("utf-8")
-    fh.write(struct.pack("<I", len(encoded)))
-    fh.write(encoded)
-    fh.write(struct.pack("<I", arr.ndim))
-    for dim in arr.shape:
-        fh.write(struct.pack("<I", dim))
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+MAGIC = b"AMF2"
+DTYPES = ("<f4", "<f8")
 
 
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise DataError("truncated checkpoint file")
-    return data
-
-
-def _read_record(fh) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-    name = _read_exact(fh, name_len).decode("utf-8")
-    (rank,) = struct.unpack("<I", _read_exact(fh, 4))
-    dims = [struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(rank)]
-    count = 1
-    for dim in dims:
-        count *= dim
-    payload = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4")
-    return name, payload.reshape(dims)
+def _layout(store: ParameterStore, group: str) -> list:
+    return [[name, list(store[name].shape)] for name in store.names(group)]
 
 
 def save_checkpoint(store: ParameterStore, path: str):
     """Write atomically: a temp file in the same directory, then rename; a
     failed write leaves any previous file at `path` untouched."""
-    names = store.names()
+    dtype = store.dtype.newbyteorder("<")
+    header = json.dumps({"dtype": dtype.str, "groups": {
+        g: {"step": store.steps[g], "params": _layout(store, g)} for g in GROUPS}}
+    ).encode("utf-8")
     with atomic_open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            _write_record(fh, name, store[name])
-        fh.write(struct.pack("<I", 3 * len(names)))
-        for name in names:
-            m, v, step = store.adam_state(name)
-            _write_record(fh, f"{name}.adam_m", m)
-            _write_record(fh, f"{name}.adam_v", v)
-            _write_record(fh, f"{name}.step", np.asarray(float(step)))
+        fh.write(MAGIC + struct.pack("<Q", len(header)) + header)
+        for group in GROUPS:
+            fh.write(store.values[group].astype(dtype, copy=False))
+            fh.write(store.moments(group).astype(dtype, copy=False))
 
 
-def read_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Raw (values, state) maps, without interpreting against a store."""
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != MAGIC:
-            raise DataError(f"{path}: bad checkpoint magic")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {version}")
-        (n_params,) = struct.unpack("<I", _read_exact(fh, 4))
-        values = dict(_read_record(fh) for _ in range(n_params))
-        (n_state,) = struct.unpack("<I", _read_exact(fh, 4))
-        state = dict(_read_record(fh) for _ in range(n_state))
-    return values, state
+def _read_header(fh, path: str, size: int) -> dict:
+    prefix = fh.read(12)
+    if prefix[:4] == b"AMF1":
+        raise DataError(f"{path}: AMF1 checkpoint, a format this release no longer reads")
+    if prefix[:4] != MAGIC:
+        raise DataError(f"{path}: bad checkpoint magic")
+    if len(prefix) < 12:
+        raise DataError(f"{path}: truncated checkpoint file")
+    (length,) = struct.unpack("<Q", prefix[4:])
+    if length > size - 12:
+        raise DataError(f"{path}: checkpoint header of {length} bytes overruns the file")
+    try:
+        header = json.loads(fh.read(length))
+        if header["dtype"] in DTYPES and all(
+                type(spec["step"]) is int and spec["step"] >= 0 and all(
+                    type(name) is str and all(type(d) is int and d >= 0 for d in shape)
+                    for name, shape in spec["params"])
+                for spec in (header["groups"][g] for g in GROUPS)):
+            return header
+    except (ValueError, KeyError, TypeError):
+        pass
+    raise DataError(f"{path}: malformed checkpoint header")
+
+
+def _check_layout(store: ParameterStore, groups: dict):
+    """Refuse a file whose groups do not lay out the store's, naming the
+    first unknown, missing, misplaced or wrongly shaped tensor."""
+    listed = [name for g in GROUPS for name, _ in groups[g]["params"]]
+    unknown = [name for name in listed if name not in store]
+    if unknown:
+        raise ContractError(f"checkpoint tensor {unknown[0]!r} not in model")
+    missing = [name for name in store.names() if name not in listed]
+    if missing:
+        raise ContractError(f"checkpoint missing tensors: {missing}")
+    for group in GROUPS:
+        want = _layout(store, group)
+        for i, (name, shape) in enumerate(groups[group]["params"]):
+            if i >= len(want) or want[i][0] != name:
+                raise ContractError(f"checkpoint tensor {name!r} is at place {i} of group "
+                                    f"{group!r}, not where the model keeps it")
+            if want[i][1] != shape:
+                raise ContractError(f"checkpoint tensor {name!r} has shape {shape}, "
+                                    f"model expects {want[i][1]}")
 
 
 def load_checkpoint(store: ParameterStore, path: str):
-    """Load values and Adam state into an already-shaped store.
+    """Load values, Adam moments and steps into an already-shaped store.
 
-    Every tensor must exist in the store with a matching shape (Adam moments
-    too, step counts rank 0).  A tensor's Adam state is all three of its
-    records or none, the tensors of a group carry it all with one step or
-    none, and every state record must belong to a tensor in the file.
-    Violations are contract errors naming the record or the group, raised
-    before the store changes.
+    Every check runs before the store changes: the file's dtype must cast
+    safely to the store's (widening is allowed, narrowing is a contract
+    error), each group must list the store's tensors in order and shape,
+    and the file must end where its payload does.  The payload is then read
+    ADAM_CHUNK elements at a time straight into the group buffers.
     """
-    values, state = read_checkpoint(path)
-    records = {**state, **values}
-    for name in values:
-        if name not in store:
-            raise ContractError(f"checkpoint tensor {name!r} not in model")
-        shape = store[name].shape
-        keys = (f"{name}.adam_m", f"{name}.adam_v", f"{name}.step")
-        for key, want in zip((name, *keys), (shape, shape, shape, ())):
-            if key in records and records[key].shape != want:
-                raise ContractError(f"checkpoint tensor {key!r} has shape "
-                                    f"{records[key].shape}, model expects {want}")
-        absent = [key for key in keys if key not in state]
-        if 0 < len(absent) < 3:
-            raise ContractError(f"checkpoint Adam state of {name!r} lacks {absent[0]!r}")
-    owned = {f"{n}.{k}" for n in values for k in ("adam_m", "adam_v", "step")}
-    stray = [key for key in state if key not in owned]
-    if stray:
-        raise ContractError(f"checkpoint state record {stray[0]!r} belongs to no "
-                            f"tensor in the file")
-    missing = [n for n in store.names() if n not in values]
-    if missing:
-        raise ContractError(f"checkpoint missing tensors: {missing}")
-    for group in store.steps:
-        steps = {float(state[f"{n}.step"]) if f"{n}.step" in state else None
-                 for n in store.names(group)}
-        if len(steps) > 1:
-            raise ContractError(f"checkpoint tensors of group {group!r} do not all "
-                                f"carry Adam state with one step")
-    for name, arr in values.items():
-        store.set(name, arr)
-        if f"{name}.step" in state:
-            m, v, step = (state[f"{name}.{k}"] for k in ("adam_m", "adam_v", "step"))
-            store.set_adam_state(name, m, v, int(step))
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = _read_header(fh, path, size)
+        dtype = np.dtype(header["dtype"])
+        if not np.can_cast(dtype, store.dtype):
+            raise ContractError(f"{path}: checkpoint holds {dtype.name} values, which "
+                                f"the {store.dtype.name} model would narrow")
+        _check_layout(store, header["groups"])
+        end = fh.tell() + 3 * sum(store.values[g].size for g in GROUPS) * dtype.itemsize
+        if size != end:
+            raise DataError(f"{path}: checkpoint file is {size} bytes, its header "
+                            f"describes {end}")
+        chunk = np.empty(ADAM_CHUNK, dtype)
+        for group in GROUPS:
+            for flat in (store.values[group], *store.moments(group)):
+                for lo in range(0, flat.size, ADAM_CHUNK):
+                    part = chunk[:flat.size - lo]
+                    if fh.readinto(part) != part.nbytes:
+                        raise DataError(f"{path}: truncated checkpoint file")
+                    flat[lo:lo + part.size] = part
+            store.steps[group] = header["groups"][group]["step"]

@@ -44,8 +44,9 @@ other kernel keeps them, and no normal or non-finite entry is changed, so
 the finite check below sees everything it saw before.
 
 The one finite check runs at the end of ``backward``, on the root value and
-each live group's flat gradient, before any optimizer sees them.  A failure
-rescans the tape once to name the first non-finite node or gradient.
+each live group's flat gradient in ADAM_CHUNK slices, before any optimizer
+sees them.  A failure rescans the tape once to name the first non-finite
+node or gradient.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, NumericError
-from .params import GROUPS
+from .params import ADAM_CHUNK, GROUPS
 
 
 class Node:
@@ -415,8 +416,10 @@ class Tape:
         for node in reversed(self.nodes):
             if node.grad is not None and node.backward_fn is not None:
                 node.backward_fn(node.grad)
-        if not (np.isfinite(root.value) and all(
-                np.isfinite(g).all() for group, g in self.grads.items() if group in self.live)):
+        flats = [g for group, g in self.grads.items() if group in self.live]
+        if not (np.isfinite(root.value) and all(    # by chunks: no buffer-sized mask
+                np.isfinite(g[lo:lo + ADAM_CHUNK]).all()
+                for g in flats for lo in range(0, g.size, ADAM_CHUNK))):
             raise NumericError(_first_nonfinite(self.nodes, grads))
         return grads
 

@@ -1,52 +1,95 @@
 """Binary checkpoint format: round trips, atomicity, and rejection paths."""
 
+import json
 import os
 import stat
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from adamf import checkpoint
-from adamf.checkpoint import (MAGIC, load_checkpoint, read_checkpoint,
-                              save_checkpoint)
+from adamf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from adamf.errors import ContractError, DataError
 from adamf.ioutil import atomic_write_text
 from adamf.model import init_params
+from adamf.params import GROUPS, ParameterStore
 from adamf.training import TrainConfig, train
 
 from conftest import make_dataset, small_model
 
 
-def trained_model(seed=0):
+def trained_model(seed=0, precision="double"):
     n = 6
     triples = [(i, 0, (i + 1) % n) for i in range(n)]
     ds = make_dataset(n, {"train": triples[:4], "valid": [triples[4]],
                           "test": [triples[5]]})
-    model = small_model(n_entities=n, n_relations=1, seed=seed)
+    model = small_model(n_entities=n, n_relations=1, seed=seed, precision=precision)
     cfg = TrainConfig(k_negatives=2, batch_size=4, epochs=2,
                       validate_every=0, seed=seed)
     train(model, ds, cfg)
     return model
 
 
+def snapshot(store):
+    """Every byte the checkpoint holds of `store`: values, moments, steps."""
+    return [(store.values[g].tobytes(), store.moments(g).tobytes(), store.steps[g])
+            for g in GROUPS]
+
+
+def rewrite_header(path, edit):
+    """Apply `edit` to the JSON header of the checkpoint at `path`."""
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<Q", blob[4:12])
+    header = json.loads(blob[12:12 + length])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<Q", len(raw)) + raw + blob[12 + length:])
+
+
 def test_round_trip_restores_values_and_state(tmp_path):
-    model = trained_model()
+    # A float32 run's values, moments and steps load exactly.
+    model = trained_model(precision="single")
     path = str(tmp_path / "checkpoint.bin")
     save_checkpoint(model.store, path)
 
-    fresh = small_model(n_entities=6, n_relations=1, seed=99)
+    fresh = small_model(n_entities=6, n_relations=1, seed=99, precision="single")
     load_checkpoint(fresh.store, path)
-    for name in model.store.names():
-        want = np.asarray(model.store[name], dtype="<f4")
-        assert fresh.store[name].astype("<f4").tobytes() == want.tobytes(), name
-        m0, v0, s0 = model.store.adam_state(name)
-        m1, v1, s1 = fresh.store.adam_state(name)
-        assert s0 == s1
-        assert np.asarray(m1, dtype="<f4").tobytes() == \
-            np.asarray(m0, dtype="<f4").tobytes()
-        assert np.asarray(v1, dtype="<f4").tobytes() == \
-            np.asarray(v0, dtype="<f4").tobytes()
+    assert all(model.store.steps[g] > 0 for g in GROUPS)
+    assert snapshot(fresh.store) == snapshot(model.store)
+
+
+def test_double_store_round_trips_bit_for_bit(tmp_path):
+    model = trained_model(precision="double")
+    path = str(tmp_path / "double.bin")
+    save_checkpoint(model.store, path)
+    fresh = small_model(n_entities=6, n_relations=1, seed=99)
+    assert fresh.store.dtype == np.float64
+    load_checkpoint(fresh.store, path)
+    assert snapshot(fresh.store) == snapshot(model.store)
+
+
+def test_single_file_widens_into_a_double_store(tmp_path):
+    model = trained_model(precision="single")
+    path = str(tmp_path / "single.bin")
+    save_checkpoint(model.store, path)
+    wide = small_model(n_entities=6, n_relations=1, seed=99)
+    load_checkpoint(wide.store, path)
+    for group in GROUPS:
+        assert np.array_equal(wide.store.values[group], model.store.values[group])
+        assert np.array_equal(wide.store.moments(group), model.store.moments(group))
+        assert wide.store.steps[group] == model.store.steps[group]
+
+
+def test_double_file_into_single_store_is_refused(tmp_path):
+    path = str(tmp_path / "double.bin")
+    save_checkpoint(trained_model(precision="double").store, path)
+    narrow = small_model(n_entities=6, n_relations=1, precision="single")
+    before = snapshot(narrow.store)
+    with pytest.raises(ContractError, match="float64.*float32"):
+        load_checkpoint(narrow.store, path)
+    assert snapshot(narrow.store) == before
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
@@ -77,29 +120,19 @@ def test_fresh_moments_are_zero_and_save_as_written_zeros(tmp_path):
     assert (tmp_path / "fresh.bin").read_bytes() == (tmp_path / "written.bin").read_bytes()
 
 
-def test_read_checkpoint_raw_maps(tmp_path):
-    model = trained_model()
-    path = str(tmp_path / "c.bin")
-    save_checkpoint(model.store, path)
-    values, state = read_checkpoint(path)
-    assert set(values) == set(model.store.names())
-    assert values["entity.structural"].shape == (6, 6)
-    assert state["entity.structural.step"].shape == ()
-    assert state["entity.structural.step"] > 0
-
-
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(DataError, match="magic"):
-        read_checkpoint(str(path))
+        load_checkpoint(small_model().store, str(path))
 
 
 def test_unsupported_version_rejected(tmp_path):
-    path = tmp_path / "v9.bin"
-    path.write_bytes(MAGIC + struct.pack("<I", 9) + struct.pack("<I", 0))
-    with pytest.raises(DataError, match="version"):
-        read_checkpoint(str(path))
+    # The per-tensor AMF1 format is refused by name, not read.
+    path = tmp_path / "v1.bin"
+    path.write_bytes(b"AMF1" + struct.pack("<II", 1, 0) + struct.pack("<I", 0))
+    with pytest.raises(DataError, match="AMF1"):
+        load_checkpoint(small_model().store, str(path))
 
 
 def test_truncated_file_rejected(tmp_path):
@@ -107,11 +140,57 @@ def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "full.bin"
     save_checkpoint(model.store, str(path))
     blob = path.read_bytes()
-    for cut in (2, 9, len(blob) // 2, len(blob) - 3):
-        stub = tmp_path / f"cut{cut}.bin"
-        stub.write_bytes(blob[:cut])
+    target = small_model(n_entities=6, n_relations=1)
+    before = snapshot(target.store)
+    stubs = {f"cut{cut}": blob[:cut] for cut in (2, 9, 40, len(blob) // 2, len(blob) - 3)}
+    stubs["extra"] = blob + b"\x00"
+    for name, data in stubs.items():
+        stub = tmp_path / f"{name}.bin"
+        stub.write_bytes(data)
         with pytest.raises(DataError):
-            read_checkpoint(str(stub))
+            load_checkpoint(target.store, str(stub))
+        assert snapshot(target.store) == before, name
+
+
+@pytest.mark.parametrize("length", [2**63, 2**64 - 1, 10**6], ids=["2^63", "2^64-1", "1e6"])
+def test_corrupt_header_length_is_a_data_error(tmp_path, length):
+    path = tmp_path / "long.bin"
+    save_checkpoint(small_model().store, str(path))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + struct.pack("<Q", length) + blob[12:])
+    with pytest.raises(DataError, match="header"):
+        load_checkpoint(small_model().store, str(path))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(dtype="<f2"),
+    lambda h: h.update(dtype=">f8"),
+    lambda h: h.update(dtype=["<f8"]),
+    lambda h: h.pop("dtype"),
+    lambda h: h["groups"].pop("generator"),
+    lambda h: h["groups"]["discriminator"].update(step=-1),
+    lambda h: h["groups"]["discriminator"].update(step=2.5),
+    lambda h: h["groups"]["discriminator"]["params"].append("x"),
+    lambda h: h["groups"]["discriminator"]["params"][0].__setitem__(1, [6, "6"]),
+    lambda h: h["groups"]["generator"]["params"][0].__setitem__(0, ["gen.v.w1"]),
+], ids=["dtype-f2", "dtype-big-endian", "dtype-list", "no-dtype", "no-group",
+        "negative-step", "float-step", "bare-param", "string-dim", "list-name"])
+def test_malformed_header_is_a_data_error(tmp_path, edit):
+    path = tmp_path / "odd.bin"
+    save_checkpoint(small_model().store, str(path))
+    rewrite_header(path, edit)
+    target = small_model(seed=3)
+    before = snapshot(target.store)
+    with pytest.raises(DataError, match="malformed checkpoint header"):
+        load_checkpoint(target.store, str(path))
+    assert snapshot(target.store) == before
+
+
+def test_header_that_is_not_json_is_a_data_error(tmp_path):
+    path = tmp_path / "junk.bin"
+    path.write_bytes(MAGIC + struct.pack("<Q", 3) + b"\xff{[")
+    with pytest.raises(DataError, match="malformed checkpoint header"):
+        load_checkpoint(small_model().store, str(path))
 
 
 def test_shape_mismatch_names_the_tensor(tmp_path):
@@ -121,89 +200,6 @@ def test_shape_mismatch_names_the_tensor(tmp_path):
     other = small_model(n_entities=9, n_relations=1)
     with pytest.raises(ContractError, match="entity.structural"):
         load_checkpoint(other.store, path)
-
-
-def write_raw(path, values, state):
-    """An AMF1 file holding exactly the given value and state records."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<II", checkpoint.VERSION, len(values)))
-        for name, arr in values.items():
-            checkpoint._write_record(fh, name, arr)
-        fh.write(struct.pack("<I", len(state)))
-        for name, arr in state.items():
-            checkpoint._write_record(fh, name, arr)
-
-
-@pytest.mark.parametrize("record,value", [("adam_m", np.float32(0.5)),
-                                          ("adam_v", np.zeros((2, 1))),
-                                          ("step", np.array([3.0]))])
-def test_malformed_adam_state_rejected(tmp_path, record, value):
-    # A rank-0 moment would broadcast silently in a later Adam step, and a
-    # step count must be rank 0: either is refused before anything loads.
-    path = str(tmp_path / "good.bin")
-    save_checkpoint(trained_model().store, path)
-    values, state = read_checkpoint(path)
-    state[f"relation.phase.{record}"] = np.asarray(value)
-    write_raw(path, values, state)
-
-    target = small_model(n_entities=6, n_relations=1)
-
-    def dump(store):
-        return [store[n].tobytes() + b"".join(np.asarray(x).tobytes()
-                                               for x in store.adam_state(n))
-                for n in store.names()]
-
-    before = dump(target.store)
-    with pytest.raises(ContractError, match=f"relation.phase.{record}"):
-        load_checkpoint(target.store, path)
-    assert dump(target.store) == before
-
-
-PHASE_STATE = ("relation.phase.adam_m", "relation.phase.adam_v", "relation.phase.step")
-ONE_STEP = "'discriminator' do not all carry Adam state with one step"
-
-
-@pytest.mark.parametrize("drop,put,match", [
-    (("relation.phase.adam_v",), {}, "relation.phase.adam_v"),
-    (("relation.phase.step",), {}, "relation.phase.step"),
-    ((), {"q.adam_v": np.zeros((1, 3), np.float32)}, "q.adam_v"),
-    (("relation.phase.adam_v",), {"q.adam_v": np.zeros((1, 3), np.float32)},
-     "relation.phase.adam_v|q.adam_v"),
-    ((), {"relation.phase.step": np.float32(1.0)}, ONE_STEP),
-    (PHASE_STATE, {}, ONE_STEP)],
-    ids=["no-adam_v", "no-step", "stray", "both", "steps-disagree", "group-part"])
-def test_partial_adam_state_rejected(tmp_path, drop, put, match):
-    # A tensor with only some of its three state records, a state record of
-    # no tensor in the file, a group whose tensors disagree on the step, or
-    # a group of which only some tensors carry state, used to load without
-    # a word: a group has one step count.  Now each is refused before the
-    # store changes, naming the record or the group.
-    path = str(tmp_path / "partial.bin")
-    save_checkpoint(trained_model().store, path)
-    values, state = read_checkpoint(path)
-    assert state["relation.phase.step"] == state["entity.structural.step"] != 1.0
-    for key in drop:
-        del state[key]
-    state.update({key: np.asarray(arr) for key, arr in put.items()})
-    write_raw(path, values, state)
-    target = small_model(n_entities=6, n_relations=1)
-    before = [target.store[n].tobytes() for n in target.store.names()]
-    with pytest.raises(ContractError, match=match):
-        load_checkpoint(target.store, path)
-    assert [target.store[n].tobytes() for n in target.store.names()] == before
-
-
-def test_checkpoint_without_adam_state_loads_values(tmp_path):
-    path = str(tmp_path / "values.bin")
-    model = trained_model()
-    save_checkpoint(model.store, path)
-    values, _ = read_checkpoint(path)
-    write_raw(path, values, {})
-    target = small_model(n_entities=6, n_relations=1)
-    load_checkpoint(target.store, path)
-    for name in model.store.names():
-        assert target.store[name].astype("<f4").tobytes() == values[name].tobytes()
-        assert target.store.adam_state(name)[2] == 0
 
 
 def test_missing_tensor_rejected(tmp_path):
@@ -225,6 +221,26 @@ def test_unknown_tensor_rejected(tmp_path):
         load_checkpoint(slim.store, path)
 
 
+@pytest.mark.parametrize("file_layout,match", [
+    ({"discriminator": ("y", "x")}, "'y' is at place 0 of group 'discriminator'"),
+    ({"discriminator": ("x",), "generator": ("y",)}, "'y' is at place 0 of group 'generator'"),
+], ids=["reordered", "other-group"])
+def test_misplaced_tensor_named(tmp_path, file_layout, match):
+    def store_of(layout):
+        store = ParameterStore()
+        for group, names in layout.items():
+            store.extend(group, {n: np.full(2, 1.0) for n in names})
+        return store
+
+    path = str(tmp_path / "m.bin")
+    save_checkpoint(store_of(file_layout), path)
+    target = store_of({"discriminator": ("x", "y")})
+    before = snapshot(target)
+    with pytest.raises(ContractError, match=match):
+        load_checkpoint(target, path)
+    assert snapshot(target) == before
+
+
 def test_no_temp_litter_after_save(tmp_path):
     model = trained_model()
     save_checkpoint(model.store, str(tmp_path / "g.bin"))
@@ -237,20 +253,33 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "h.bin"
     save_checkpoint(model.store, str(path))
     before = path.read_bytes()
+    model.store.values["discriminator"] *= 2
+    real_open = checkpoint.atomic_open
+    writes = []
 
-    real_write = checkpoint._write_record
-    calls = []
+    class DiskFills:
+        """Writes half of the third buffer (the first group's moments),
+        then fails."""
 
-    def failing_write(fh, name, arr):
-        calls.append(name)
-        if len(calls) == 3:
-            raise OSError("simulated disk full")
-        real_write(fh, name, arr * 2)
+        def __init__(self, fh):
+            self.fh = fh
 
-    monkeypatch.setattr(checkpoint, "_write_record", failing_write)
+        def write(self, data):
+            writes.append(len(memoryview(data).cast("B")))
+            if len(writes) == 3:
+                self.fh.write(memoryview(data).cast("B")[:writes[-1] // 2])
+                raise OSError("simulated disk full")
+            return self.fh.write(data)
+
+    @contextmanager
+    def failing_open(target, mode):
+        with real_open(target, mode) as fh:
+            yield DiskFills(fh)
+
+    monkeypatch.setattr(checkpoint, "atomic_open", failing_open)
     with pytest.raises(OSError, match="simulated"):
         save_checkpoint(model.store, str(path))
-    assert len(calls) == 3
+    assert len(writes) == 3 and writes[2] > 0
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["h.bin"]
 
