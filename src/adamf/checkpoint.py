@@ -11,6 +11,7 @@ is, so a double-precision store round-trips bit for bit.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -88,16 +89,37 @@ def _check_layout(store: ParameterStore, groups: dict):
                                     f"model expects {want[i][1]}")
 
 
+def _read_into(fh, path: str, offset: int, dtype: np.dtype, flats):
+    """Fill each flat array of `flats` in turn from the file's payload at
+    byte `offset`, ADAM_CHUNK elements at a time, widening each chunk into
+    place."""
+    fh.seek(offset)
+    chunk = np.empty(ADAM_CHUNK, dtype)
+    for flat in flats:
+        for lo in range(0, flat.size, ADAM_CHUNK):
+            part = chunk[:flat.size - lo]
+            if fh.readinto(part) != part.nbytes:
+                raise DataError(f"{path}: truncated checkpoint file")
+            flat[lo:lo + part.size] = part
+
+
 def load_checkpoint(store: ParameterStore, path: str):
-    """Load values, Adam moments and steps into an already-shaped store.
+    """Load values and steps into an already-shaped store, and the Adam
+    moments on first use.
 
     Every check runs before the store changes: the file's dtype must cast
     safely to the store's (widening is allowed, narrowing is a contract
     error), each group must list the store's tensors in order and shape,
-    and the file must end where its payload does.  The payload is then read
-    ADAM_CHUNK elements at a time straight into the group buffers.
+    and the file must end where its payload does.  Each group's values are
+    then read straight into its buffer.  Its moments are not read: the
+    store reads them through this load's open handle when they are first
+    asked for (``ParameterStore.defer_moments``), so evaluation never makes
+    them resident.  The handle keeps the loaded file, so a later save over
+    `path` does not change them; a file cut short since raises `DataError`
+    then.
     """
-    with open(path, "rb") as fh:
+    fh = open(path, "rb")
+    try:
         size = os.fstat(fh.fileno()).st_size
         header = _read_header(fh, path, size)
         dtype = np.dtype(header["dtype"])
@@ -105,16 +127,19 @@ def load_checkpoint(store: ParameterStore, path: str):
             raise ContractError(f"{path}: checkpoint holds {dtype.name} values, which "
                                 f"the {store.dtype.name} model would narrow")
         _check_layout(store, header["groups"])
-        end = fh.tell() + 3 * sum(store.values[g].size for g in GROUPS) * dtype.itemsize
+        offset = fh.tell()
+        end = offset + 3 * sum(store.values[g].size for g in GROUPS) * dtype.itemsize
         if size != end:
             raise DataError(f"{path}: checkpoint file is {size} bytes, its header "
                             f"describes {end}")
-        chunk = np.empty(ADAM_CHUNK, dtype)
+        reads = {}
         for group in GROUPS:
-            for flat in (store.values[group], *store.moments(group)):
-                for lo in range(0, flat.size, ADAM_CHUNK):
-                    part = chunk[:flat.size - lo]
-                    if fh.readinto(part) != part.nbytes:
-                        raise DataError(f"{path}: truncated checkpoint file")
-                    flat[lo:lo + part.size] = part
+            nbytes = store.values[group].size * dtype.itemsize
+            _read_into(fh, path, offset, dtype, [store.values[group]])
+            reads[group] = functools.partial(_read_into, fh, path, offset + nbytes, dtype)
             store.steps[group] = header["groups"][group]["step"]
+            offset += 3 * nbytes
+    except BaseException:
+        fh.close()
+        raise
+    store.defer_moments(reads, fh)

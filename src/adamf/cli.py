@@ -28,7 +28,8 @@ from .evaluation import (evaluate, relation_weight_report,
                          write_per_query_tsv, write_rank_report_json,
                          write_weight_csv)
 from .ioutil import atomic_write_text
-from .model import ALL_PATTERNS, DISC, FROZEN, GEN, Model, ModelConfig, init_params
+from .model import (ALL_PATTERNS, DISC, FROZEN, GEN, Model, ModelConfig, init_params,
+                    zero_params)
 from .params import finite_diff_check
 from .rng import SeededRng
 from .tape import Tape
@@ -82,8 +83,8 @@ def _load_dataset(cfg: RunConfig) -> TripleDataset:
 
 def _build_model(cfg: RunConfig, dataset: TripleDataset, checkpoint=None) -> Model:
     """The run's model: feature tables (with the configured missing ratio
-    applied), parameters initialised from the seed and, when `checkpoint`
-    names a file, overwritten from it."""
+    applied) and parameters initialised from the seed or, when `checkpoint`
+    names a file, loaded from it."""
     model_cfg, seed = cfg.model, cfg.training.seed
     paths = {"v": cfg.visual_features, "t": cfg.textual_features}
     tables: dict[str, FeatureTable | None] = {}
@@ -94,9 +95,11 @@ def _build_model(cfg: RunConfig, dataset: TripleDataset, checkpoint=None) -> Mod
             if cfg.modality_missing_ratio > 0:
                 table = apply_modality_missing(table, cfg.modality_missing_ratio, seed)
         tables[m] = table
-    store = init_params(model_cfg, dataset.vocab.n_entities,
-                        dataset.vocab.n_relations, seed)
-    if checkpoint is not None:
+    counts = dataset.vocab.n_entities, dataset.vocab.n_relations
+    if checkpoint is None:
+        store = init_params(model_cfg, *counts, seed)
+    else:   # the load checks that it writes every parameter
+        store = zero_params(model_cfg, *counts)
         load_checkpoint(store, checkpoint)
     return Model(model_cfg, store, tables)
 

@@ -95,19 +95,14 @@ class ModelConfig:
         return self.visual_dim if m == "v" else self.textual_dim
 
 
-def init_params(cfg: ModelConfig, n_entities: int, n_relations: int,
-                seed: int) -> ParameterStore:
-    """Deterministic initialization; every tensor draws from its own
-    sub-stream so adding/removing parameters never shifts the others."""
-    store = ParameterStore(dtype=cfg.dtype)
-    root = SeededRng(seed)
+def _param_tables(cfg: ModelConfig, n_entities: int, n_relations: int) -> dict:
+    """group -> {name: (shape, uniform bound)}; a bound of 0 draws nothing."""
     two_d = cfg.entity_dim
 
     def xavier(fan_out, fan_in):
         return (fan_out, fan_in), math.sqrt(6.0 / (fan_in + fan_out))
 
     b = 6.0 / math.sqrt(two_d)
-    # name -> (shape, uniform bound); a bound of 0 draws nothing.
     disc = {"entity.structural": ((n_entities, two_d), b),
             "relation.phase": ((n_relations, cfg.d), math.pi)}
     gen = {}
@@ -122,9 +117,26 @@ def init_params(cfg: ModelConfig, n_entities: int, n_relations: int,
         gen[f"gen.{m}.b1"] = (two_d,), 0.0
         gen[f"gen.{m}.w2"] = xavier(two_d, two_d)
         gen[f"gen.{m}.b2"] = (two_d,), 0.0
-    for group, tables in (("discriminator", disc), ("generator", gen)):
+    return {"discriminator": disc, "generator": gen}
+
+
+def zero_params(cfg: ModelConfig, n_entities: int, n_relations: int) -> ParameterStore:
+    """The model's store with every parameter zero: the layout a checkpoint
+    is loaded into, and the one init_params draws into."""
+    store = ParameterStore(dtype=cfg.dtype)
+    for group, tables in _param_tables(cfg, n_entities, n_relations).items():
         # Unwritten zeros in the store's dtype, so each group is resident once.
         store.extend(group, {n: np.zeros(shape, cfg.dtype) for n, (shape, _) in tables.items()})
+    return store
+
+
+def init_params(cfg: ModelConfig, n_entities: int, n_relations: int,
+                seed: int) -> ParameterStore:
+    """Deterministic initialization; every tensor draws from its own
+    sub-stream so adding/removing parameters never shifts the others."""
+    store = zero_params(cfg, n_entities, n_relations)
+    root = SeededRng(seed)
+    for tables in _param_tables(cfg, n_entities, n_relations).values():
         for name, (_, bound) in tables.items():
             if bound:
                 out, rng = store[name].reshape(-1), root.substream(f"init/{name}")

@@ -3,6 +3,7 @@ Adam state."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,9 @@ class ParameterStore:
     Each group keeps its values in one flat buffer of a single dtype, and
     every named parameter is a view into it (FSDP's ``FlatParameter``
     layout).  Adam's two moments, a (2, size) array per group made with
-    ``np.zeros`` on first use, and one step count per group live alongside
-    the values, so a checkpoint can resume optimization exactly.
+    ``np.zeros`` on first use, or read on first use where a checkpoint load
+    deferred them (``defer_moments``), and one step count per group live
+    alongside the values, so a checkpoint can resume optimization exactly.
     """
 
     def __init__(self, dtype=np.float32):
@@ -28,13 +30,14 @@ class ParameterStore:
         self._slots: dict[str, tuple[str, slice, tuple]] = {}  # name -> (group, span, shape)
         self.values = {g: np.empty(0, self.dtype) for g in GROUPS}
         self._moments: dict[str, np.ndarray] = {}
+        self._reads: dict[str, object] = {}    # group -> deferred read of its moments
         self.steps = dict.fromkeys(GROUPS, 0)
 
     def extend(self, group: str, named_values: dict):
         """Register parameters of one group with one copy into its buffer."""
         if group not in GROUPS:
             raise ContractError(f"unknown parameter group {group!r}")
-        if group in self._moments:
+        if group in self._moments or group in self._reads:
             raise ContractError(f"group {group!r} already has Adam state")
         arrays = {n: np.asarray(v, dtype=self.dtype) for n, v in named_values.items()}
         twice = [n for n in arrays if n in self._slots]
@@ -80,11 +83,31 @@ class ParameterStore:
         return [n for n, (g, _, _) in self._slots.items() if group in (None, g)]
 
     def moments(self, group: str) -> np.ndarray:
-        """The group's (2, size) Adam moments; no parameter joins it after."""
-        if group not in self._moments:
+        """The group's (2, size) Adam moments; no parameter joins it after.
+        Deferred moments are read here, on first use; a failed read stays
+        pending, so the next call raises again rather than giving zeros."""
+        if group in self._reads:
+            moments = np.empty((2, self.values[group].size), self.dtype)
+            self._reads[group](moments)
+            del self._reads[group]
+            self._moments[group] = moments
+            if not self._reads:
+                self._close()
+        elif group not in self._moments:
             # np.zeros, unlike zeros_like, leaves pages unwritten until Adam's first step.
             self._moments[group] = np.zeros((2, self.values[group].size), self.dtype)
         return self._moments[group]
+
+    def defer_moments(self, reads: dict, handle):
+        """Replace every group's moments, and any earlier deferral, by a read
+        on first use: ``reads[group](out)`` fills a (2, size) array.  The
+        reads use the open file `handle`, closed once all are done, or with
+        the store."""
+        if self._reads:
+            self._close()
+        self._moments.clear()
+        self._reads = {g: reads[g] for g in GROUPS}
+        self._close = weakref.finalize(self, handle.close)
 
     def adam_state(self, name: str):
         group = self.group_of(name)

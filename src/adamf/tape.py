@@ -15,8 +15,9 @@ RotatE score of candidate table rows against rotated query rows (h o r for
 tails, t o conj(r) for heads), whose forward shares ``modulus_sum`` with
 evaluation.  Each has an analytic backward that adds or scatters (through
 flat element indices, ``_scatter``) straight into its operands' one
-accumulator each (``Node.adjoint``): zeros on first use, or a live leaf's
-view of its group's flat gradient.  No backward makes an operand-sized
+accumulator each: a live leaf's view of its group's flat gradient, else
+made on first use, as zeros for a scatter (``Node.adjoint``) and as an owned
+zeros + g for an add (``Node.add_grad``).  No backward makes an operand-sized
 table.  Float addition is not associative, so a row two kernels reach gets
 (acc + g1) + g2.
 
@@ -82,8 +83,10 @@ class Node:
         if g.shape != self.value.shape or g.dtype != self.value.dtype:
             raise ContractError(f"adjoint of node {self.name!r} is {g.dtype} {g.shape}, "
                                 f"the node {self.value.dtype} {self.value.shape}")
-        acc = self.adjoint()
-        acc += g
+        if self.grad is None:   # an owned zeros + g, -0.0 made +0.0, 0-d kept an array
+            self.grad = np.add(g, 0.0, out=np.empty(g.shape, g.dtype))
+        else:
+            self.grad += g
 
 
 def _flush_subnormals(g: np.ndarray) -> np.ndarray:
@@ -333,8 +336,9 @@ class Tape:
         Row b's tail query is q[q_idx[0, b]] o e^{i theta}, theta =
         phase[r_idx[b]]; with q_idx (2, B) its head query q[q_idx[1, b]] o
         e^{-i theta} serves the slots where head[b] is set.  q and c are
-        (., 2d) tables, possibly one node.  Slots run in blocks that the
-        backward recomputes, so no (slots, 2d) array outlives a block.  Each
+        (., 2d) tables, possibly one node.  The backward keeps the forward's
+        (sides, B, d) rotations and rotated queries; slots run in blocks that
+        it recomputes, so no (slots, 2d) array outlives a block.  Each
         query's adjoint sums its slots; only candidates scatter.  At |u| = 0
         the subgradient is 0.
         """
@@ -354,28 +358,27 @@ class Tape:
         query = side * n + np.arange(n)[:, None]                  # slot -> query row
         step = max(1, (1 << 19) // (dtype.itemsize * 2 * d * k))
 
-        def rotated():      # (sides, B, d) rotations and queries, rebuilt rather than kept
-            theta, rot = phase.value[r_idx], np.empty((n_sides, n, d), cdtype)
-            rot.real, rot.imag = np.cos(theta), np.sin(theta) * sign
-            return rot, q.value[q_idx].view(cdtype) * rot
+        theta, rot = phase.value[r_idx], np.empty((n_sides, n, d), cdtype)
+        rot.real, rot.imag = np.cos(theta), np.sin(theta) * sign
+        z = q.value[q_idx].view(cdtype) * rot   # (sides, B, d) queries, kept for backward
+        queries = z.view(dtype).reshape(-1, 2 * d)
 
-        def block(z, lo):   # the queries and candidates of slots [lo, lo + step)
-            queries = z.view(dtype).reshape(-1, 2 * d)
+        def block(lo):      # the queries and candidates of slots [lo, lo + step)
             return queries[query[lo:lo + step]], c.value[slots[lo:lo + step]]
 
-        z, out = rotated()[1], np.empty(slots.shape, dtype)
+        out = np.empty(slots.shape, dtype)
         buffers = np.empty((2, min(step, n), k, d), dtype)
         for lo in range(0, n, step):
-            xy, cand = block(z, lo)
+            xy, cand = block(lo)
             modulus_sum(xy[..., 0::2], xy[..., 1::2], cand[..., 0::2], cand[..., 1::2],
                         *buffers[:, :len(xy)], out[lo:lo + step])
 
         def backward(g):
-            g, (rot, z) = _flush_subnormals(g).reshape(slots.shape), rotated()
+            g = _flush_subnormals(g).reshape(slots.shape)
             g_z = np.zeros((n, n_sides, 2 * d), dtype)
             pick = (side[:, None, :] == np.arange(n_sides)[:, None]).astype(dtype)
             for lo in range(0, n, step):
-                u = np.subtract(*block(z, lo))          # then its adjoint, in place
+                u = np.subtract(*block(lo))     # then its adjoint, in place
                 m = np.abs(u.view(cdtype))
                 u.view(cdtype)[...] *= np.divide(g[lo:lo + step, :, None], m, out=m,
                                                  where=m > 0)

@@ -1,9 +1,13 @@
 """Binary checkpoint format: round trips, atomicity, and rejection paths."""
 
+import gc
 import json
 import os
+import re
 import stat
 import struct
+import tracemalloc
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -14,7 +18,7 @@ from adamf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from adamf.errors import ContractError, DataError
 from adamf.ioutil import atomic_write_text
 from adamf.model import init_params
-from adamf.params import GROUPS, ParameterStore
+from adamf.params import GROUPS, ParameterStore, adam_step
 from adamf.training import TrainConfig, train
 
 from conftest import make_dataset, small_model
@@ -118,6 +122,114 @@ def test_fresh_moments_are_zero_and_save_as_written_zeros(tmp_path):
         store.set_adam_state(name, np.full_like(m, 0.0), np.full_like(v, 0.0), 0)
     save_checkpoint(store, str(tmp_path / "written.bin"))
     assert (tmp_path / "fresh.bin").read_bytes() == (tmp_path / "written.bin").read_bytes()
+
+
+def moment_bytes(store):
+    return [store.moments(g).tobytes() for g in GROUPS]
+
+
+@pytest.mark.parametrize("precision", ["single", "double"], ids=["float32", "widened"])
+def test_moments_read_later_are_those_loaded_after_a_save_over_the_file(tmp_path,
+                                                                         precision):
+    # The load's handle keeps the file it loaded: an atomic save over the
+    # path (a new file) does not change the moments read on first use.
+    model = trained_model(precision="single")
+    path = str(tmp_path / "ckpt.bin")
+    save_checkpoint(model.store, path)
+    target = small_model(n_entities=6, n_relations=1, seed=99, precision=precision)
+    load_checkpoint(target.store, path)
+    save_checkpoint(trained_model(seed=1, precision="single").store, path)
+    expected = [model.store.moments(g).astype(target.store.dtype).tobytes() for g in GROUPS]
+    assert moment_bytes(target.store) == expected
+
+
+def test_loaded_store_steps_as_the_saved_one(tmp_path):
+    # Moments are read once: Adam's updates to them are kept, not read again.
+    model = trained_model()
+    path = str(tmp_path / "z.bin")
+    save_checkpoint(model.store, path)
+    target = small_model(n_entities=6, n_relations=1, seed=99)
+    load_checkpoint(target.store, path)
+    for store in (model.store, target.store):
+        for group in GROUPS:
+            for _ in range(2):
+                adam_step(store, group, np.full_like(store.values[group], 0.5), 0.1)
+    assert snapshot(target.store) == snapshot(model.store)
+
+
+def test_file_cut_short_after_load_fails_on_first_moments_read(tmp_path):
+    model = trained_model()
+    path = tmp_path / "cut.bin"
+    save_checkpoint(model.store, str(path))
+    target = small_model(n_entities=6, n_relations=1, seed=99)
+    load_checkpoint(target.store, str(path))
+    (length,) = struct.unpack("<Q", path.read_bytes()[4:12])
+    first = model.store.values["discriminator"]
+    os.truncate(path, 12 + length + first.nbytes + 5)    # into the first group's moments
+    for g in GROUPS:
+        assert np.array_equal(target.store.values[g], model.store.values[g])
+        assert target.store.steps[g] == model.store.steps[g]
+    for _ in range(2):      # a failed read stays pending: never zeros
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            target.store.moments("discriminator")
+
+
+def test_second_load_moments_win(tmp_path):
+    first, second = (str(tmp_path / f"{name}.bin") for name in ("first", "second"))
+    save_checkpoint(trained_model(seed=0).store, first)
+    donor = trained_model(seed=1).store
+    save_checkpoint(donor, second)
+    target = small_model(n_entities=6, n_relations=1, seed=99)
+    load_checkpoint(target.store, first)
+    target.store.moments("discriminator")       # one group read, one pending
+    load_checkpoint(target.store, second)
+    assert moment_bytes(target.store) == moment_bytes(donor)
+
+
+def test_extend_refuses_a_group_with_pending_moments(tmp_path):
+    path = str(tmp_path / "x.bin")
+    save_checkpoint(trained_model().store, path)
+    target = small_model(n_entities=6, n_relations=1)
+    load_checkpoint(target.store, path)
+    with pytest.raises(ContractError, match="Adam state"):
+        target.store.extend("generator", {"extra": np.zeros(2)})
+
+
+def test_load_allocates_less_than_one_moments_buffer(tmp_path):
+    def store_of(value):
+        store = ParameterStore()
+        store.extend("discriminator", {"w": np.full(1 << 20, value)})
+        store.extend("generator", {"g": np.full(3, value)})
+        return store
+
+    source = store_of(1.5)
+    source.moments("discriminator")[...] = 2.5
+    path = str(tmp_path / "big.bin")
+    save_checkpoint(source, path)
+    target = store_of(0.0)
+    tracemalloc.start()
+    try:
+        load_checkpoint(target, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < source.moments("discriminator").nbytes
+    assert snapshot(target) == snapshot(source)
+
+
+def test_dropping_a_loaded_store_closes_its_file(tmp_path):
+    path = str(tmp_path / "y.bin")
+    save_checkpoint(trained_model().store, path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for reads in (0, 1):        # both groups pending, then one
+            target = small_model(n_entities=6, n_relations=1)
+            load_checkpoint(target.store, path)
+            if reads:
+                target.store.moments("generator")
+            del target
+            gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_bad_magic_rejected(tmp_path):

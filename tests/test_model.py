@@ -11,8 +11,8 @@ from adamf import model as model_module
 from adamf.data import apply_modality_missing
 from adamf.errors import ContractError
 from adamf.model import (ALL_PATTERNS, DISC, FROZEN, GEN, MODALITY_ORDER,
-                         Model, ModelConfig, init_params)
-from adamf.params import ParameterStore
+                         Model, ModelConfig, init_params, zero_params)
+from adamf.params import GROUPS, ParameterStore
 from adamf.rng import SeededRng
 from adamf.tape import Tape
 from adamf.training import (TrainConfig, sample_negatives, train_step_discriminator,
@@ -55,6 +55,17 @@ def test_init_deterministic():
         assert a[name].tobytes() == b[name].tobytes(), name
     c = init_params(cfg, 10, 3, seed=6)
     assert any(a[name].tobytes() != c[name].tobytes() for name in a.names())
+
+
+def test_zero_params_is_init_params_layout_undrawn():
+    # The store a checkpoint loads into: init_params's groups, names, shapes
+    # and dtype, with every value zero and nothing drawn.
+    cfg = ModelConfig(d=8, visual_dim=6, textual_dim=5, noise_dim=4, precision="double")
+    drawn, blank = init_params(cfg, 10, 3, seed=5), zero_params(cfg, 10, 3)
+    for group in GROUPS:
+        assert blank.names(group) == drawn.names(group)
+        assert blank.values[group].shape == drawn.values[group].shape
+        assert blank.values[group].dtype == np.float64 and not blank.values[group].any()
 
 
 def test_init_shapes_and_ranges():

@@ -76,6 +76,23 @@ def test_add_gradients():
                  lambda tape, lv: tape.add(lv["a"], lv["c"]), trials=TRIALS // 2)
 
 
+def test_first_adjoint_is_an_owned_zeros_plus_g():
+    # add passes one array to both operands: the first adjoint each takes
+    # must be a copy, or a later add into one would reach the other.  Its
+    # bytes are zeros + g's: -0.0 becomes +0.0, and a 0-d root stays an array.
+    store = ParameterStore(dtype=np.float64)
+    store.add("x", np.arange(4.0), group="discriminator")
+    tape = Tape(store)
+    x = tape.leaf("x")
+    u, v = tape.scale(x, 1.0), tape.scale(x, 1.0)
+    t = tape.add(tape.add(u, v), u)
+    root = probe_sum(tape, t, np.array([-0.0, 1.0, 2.0, 3.0]))
+    grads = tape.backward(root)
+    assert grads["x"].tolist() == [0.0, 3.0, 6.0, 9.0]
+    assert t.grad.tolist() == [0.0, 1.0, 2.0, 3.0] and not np.signbit(t.grad).any()
+    assert isinstance(root.grad, np.ndarray) and root.grad.shape == ()
+
+
 def test_add_requires_equal_shapes():
     tape = Tape()
     with pytest.raises(ContractError, match="add"):
