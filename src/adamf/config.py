@@ -116,15 +116,24 @@ def _value(cfg: RunConfig, key: str):
     return getattr(getattr(cfg, section) if section else cfg, f.name)
 
 
+def _build(values: dict) -> RunConfig:
+    """The RunConfig of {section: {field: value}}; its dataclasses validate."""
+    sections = {section: cls(**values[section]) for section, cls in _SECTIONS.items()}
+    return RunConfig(**values[None], **sections)
+
+
 def parse_config(path) -> RunConfig:
     """Read a flat key = value file into a RunConfig.
 
     Relative data/output paths are resolved against the config file's own
-    directory, so a config travels with its dataset.
+    directory, so a config travels with its dataset.  A value its dataclass
+    rejects is reported at the line of the first key, in file order, that
+    fails with every other key at its default; a failure no single key
+    causes names the file only.
     """
     base = os.path.dirname(os.path.abspath(os.fspath(path)))
     values: dict = {section: {} for section in (None, *_SECTIONS)}
-    seen = set()
+    lines: dict[str, int] = {}     # key -> its line, in file order
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.split("#", 1)[0].strip()
@@ -136,9 +145,9 @@ def parse_config(path) -> RunConfig:
             key, raw = (part.strip() for part in text.split("=", 1))
             if key not in KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in seen:
+            if key in lines:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            seen.add(key)
+            lines[key] = lineno
             section, f = KEYS[key]
             try:
                 value = parse_value(key, raw)
@@ -148,9 +157,14 @@ def parse_config(path) -> RunConfig:
                 value = os.path.normpath(os.path.join(base, value))
             values[section][f.name] = value
     try:
-        sections = {section: cls(**values[section]) for section, cls in _SECTIONS.items()}
-        return RunConfig(**values[None], **sections)
+        return _build(values)
     except ContractError as err:
+        for key, lineno in lines.items():
+            section, f = KEYS[key]
+            try:
+                _build({**dict.fromkeys(values, {}), section: {f.name: values[section][f.name]}})
+            except ContractError as alone:
+                raise ConfigError(f"{path}:{lineno}: {alone}") from err
         raise ConfigError(f"{path}: {err}") from err
 
 

@@ -2,7 +2,7 @@
 
 File formats (UTF-8, LF, no headers):
   triples:   head<TAB>relation<TAB>tail
-  features:  entity<TAB>c1,c2,...,cdim
+  features:  entity<TAB>c1,c2,...,cdim, at most one row per entity
 """
 
 from __future__ import annotations
@@ -126,28 +126,32 @@ class FeatureTable:
     present: np.ndarray
 
 
-def _parse_triple_file(path: str, split: str, vocab: Vocab) -> list[tuple[int, int, int]]:
-    triples = []
-    seen = set()
-    duplicates = 0
+def _tsv_rows(path: str, n_fields: int, form: str):
+    """(lineno, fields) of each non-empty line of a tab-separated file; a
+    line without `n_fields` fields raises DataError naming `form`."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
             fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, "
-                    f"got {len(fields)}")
-            h, r, t = fields
-            key = (h, r, t)
-            if key in seen:
-                duplicates += 1
-                continue
-            seen.add(key)
-            triples.append((vocab.add_entity(h), vocab.add_relation(r),
-                            vocab.add_entity(t)))
+            if len(fields) != n_fields:
+                raise DataError(f"{path}:{lineno}: expected {form}, got {len(fields)} fields")
+            yield lineno, fields
+
+
+def _parse_triple_file(path: str, split: str, vocab: Vocab) -> list[tuple[int, int, int]]:
+    triples = []
+    seen = set()
+    duplicates = 0
+    for _, fields in _tsv_rows(path, 3, "3 tab-separated fields"):
+        key = tuple(fields)
+        if key in seen:
+            duplicates += 1
+            continue
+        seen.add(key)
+        h, r, t = key
+        triples.append((vocab.add_entity(h), vocab.add_relation(r), vocab.add_entity(t)))
     if duplicates:
         log.warning("%s: dropped %d duplicate triples in %s split",
                     path, duplicates, split)
@@ -190,41 +194,33 @@ def load_features(path: str, vocab: Vocab, modality: str, dim: int) -> FeatureTa
     """Load one modality's feature file against an existing vocab.
 
     Entities missing from the file get present=False; entities in the file
-    but not in the vocab are skipped with a warning.
+    but not in the vocab are skipped with a warning.  An entity may have one
+    row only.
     """
     if dim < 1:
         raise ContractError(f"feature dim must be positive, got {dim}")
     matrix = np.zeros((vocab.n_entities, dim), dtype=np.float64)
     present = np.zeros(vocab.n_entities, dtype=bool)
     unknown = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise DataError(
-                    f"{path}:{lineno}: expected `entity<TAB>floats`, "
-                    f"got {len(fields)} fields")
-            name, values = fields
-            idx = vocab.entity_index.get(name)
-            if idx is None:
-                unknown += 1
-                continue
-            components = values.split(",")
-            if len(components) != dim:
-                raise DataError(
-                    f"{path}:{lineno}: expected {dim} components, "
-                    f"got {len(components)}")
-            try:
-                row = np.array([float(c) for c in components], dtype=np.float64)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if not np.all(np.isfinite(row)):
-                raise DataError(f"{path}:{lineno}: non-finite feature value")
-            matrix[idx] = row
-            present[idx] = True
+    for lineno, (name, values) in _tsv_rows(path, 2, "`entity<TAB>floats`"):
+        idx = vocab.entity_index.get(name)
+        if idx is None:
+            unknown += 1
+            continue
+        if present[idx]:
+            raise DataError(f"{path}:{lineno}: second row for entity {name!r}")
+        components = values.split(",")
+        if len(components) != dim:
+            raise DataError(
+                f"{path}:{lineno}: expected {dim} components, got {len(components)}")
+        try:
+            row = np.array([float(c) for c in components], dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if not np.all(np.isfinite(row)):
+            raise DataError(f"{path}:{lineno}: non-finite feature value")
+        matrix[idx] = row
+        present[idx] = True
     if unknown:
         log.warning("%s: skipped %d rows for entities not in vocab", path, unknown)
     return FeatureTable(modality, dim, matrix, present)

@@ -208,8 +208,6 @@ class Model:
             raise ContractError(f"modality {m!r} not active in this model")
         rows = self._rows[m][idx]
         present = rows >= 0
-        if not present.any():
-            return tape.gather(tape.leaf(f"fallback.{m}"), idx)
         projected = tape.matvec(tape.leaf(f"proj.{m}.weight"),
                                 tape.const(self._raw[m][rows[present]]),
                                 tape.leaf(f"proj.{m}.bias"))

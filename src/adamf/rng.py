@@ -35,13 +35,6 @@ def _fnv1a64(label: str) -> int:
     return h
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64's finalizer on a Python int."""
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     """SplitMix64's finalizer, in place on a uint64 array (wrapping)."""
     z ^= z >> np.uint64(30)
@@ -56,25 +49,19 @@ class SeededRng:
     """Counter-based SplitMix64 generator with labeled sub-stream derivation.
 
     Identical (seed, stream) always yields the identical draw sequence.
-    Scalar and bulk methods share the counter: n calls of ``uniform()`` see
-    the same values as one ``uniforms(n)``.
+    Draws are made in bulk, n at a time, from one shared counter.
     """
-
-    algorithm = "splitmix64-counter"
 
     def __init__(self, seed: int, stream: str = "root"):
         self.seed = seed & _MASK64
         self.stream = stream
-        self.key = _mix64(self.seed ^ _fnv1a64(stream))
+        key = np.array([self.seed ^ _fnv1a64(stream)], dtype=np.uint64)
+        self.key = int(_mix64_array(key)[0])
         self.counter = 0  # draws consumed so far
 
     def substream(self, label: str) -> "SeededRng":
         """Derive an independent generator for a named purpose."""
         return SeededRng(self.seed, stream=f"{self.stream}/{label}")
-
-    def next_uint64(self) -> int:
-        self.counter += 1
-        return _mix64((self.key + self.counter * _GOLDEN) & _MASK64)
 
     def _raw(self, n: int) -> np.ndarray:
         """The next n draws as a uint64 array."""
@@ -85,15 +72,9 @@ class SeededRng:
         z += np.uint64(start)
         return _mix64_array(z)
 
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) with 53 significant bits."""
-        return (self.next_uint64() >> 11) * 2.0 ** -53
-
     def uniforms(self, n: int) -> np.ndarray:
+        """n uniform doubles in [0, 1) with 53 significant bits."""
         return (self._raw(n) >> np.uint64(11)) * 2.0 ** -53
-
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
 
     def normals(self, n: int) -> np.ndarray:
         """Standard normals via Box-Muller; two draws per pair of normals.
@@ -108,10 +89,6 @@ class SeededRng:
         radius = np.sqrt(-2.0 * np.log(u1))
         return np.stack([radius * np.cos(theta), radius * np.sin(theta)],
                         axis=1).reshape(-1)[:n]
-
-    def randint(self, bound: int) -> int:
-        """Unbiased uniform integer in [0, bound) by rejection."""
-        return int(self.randints([bound])[0])
 
     def randints(self, bounds) -> np.ndarray:
         """Unbiased integers in [0, bounds[i]) for each i, by rejection.

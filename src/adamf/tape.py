@@ -24,14 +24,15 @@ table.  Float addition is not associative, so a row two kernels reach gets
 Complex-valued quantities are interleaved (re, im) pairs in an even-length
 last axis; phase vectors have half that length.
 
-A tape is made for the parameter groups it trains (``Tape(store, live)``,
-every group by default).  ``leaf(name)`` is a parameter's one node per tape,
-live iff its group is.  Dead adjoints are pruned: a node is *live* when some
-live leaf lies upstream of it, so an emitted node is live iff any parent is.
-A node that is not live gets no ``backward_fn``, and every kernel forms only
-the adjoints of its live operands, so constants and frozen leaves never
-receive a gradient.  Live parameters see the same adjoints, accumulated in
-the same order, as without pruning.
+A tape is made for one ParameterStore and the parameter groups it trains
+(``Tape(store, live)``, every group by default).  ``leaf(name)`` is a
+parameter's one node per tape, live iff its group is.  Dead adjoints are
+pruned: a node is *live* when some live leaf lies upstream of it, so an
+emitted node is live iff any parent is.  A node that is not live gets no
+``backward_fn``, and every kernel forms only the adjoints of its live
+operands, so constants and frozen leaves never receive a gradient.  Live
+parameters see the same adjoints, accumulated in the same order, as without
+pruning.
 
 Subnormal adjoints are flushed in two places (``_flush_subnormals``): the
 backwards of ``matvec`` and ``query_distance`` set each entry of their
@@ -105,6 +106,12 @@ def _scatter(ufunc, table: np.ndarray, idx, rows: np.ndarray) -> None:
     ufunc.at(table.reshape(-1), flat.reshape(-1), rows.reshape(-1))
 
 
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by each row's max."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def modulus_sum(x, y, re, im, a, b, out) -> np.ndarray:
     """out = sum over the last axis of |(x - re) + i (y - im)|, computed in
     the buffers a and b (the shape of re), which it overwrites."""
@@ -118,21 +125,19 @@ def modulus_sum(x, y, re, im, a, b, out) -> np.ndarray:
 class Tape:
     """Append-only computation record yielding gradients of a scalar root."""
 
-    def __init__(self, store=None, live=GROUPS):
+    def __init__(self, store, live=GROUPS):
         self.store = store
         self.live = frozenset(live)
         self.nodes: list[Node] = []
         self._param_nodes: dict[str, Node] = {}
         self.grads: dict[str, np.ndarray] = {}     # per group, made by backward
         self.consumed = False
-        self.dtype = store.dtype if store is not None else np.float64
+        self.dtype = store.dtype
 
     # ------------------------------------------------------------------ leaves
 
     def leaf(self, name: str) -> Node:
         """The parameter's one node on this tape, live iff its group is."""
-        if self.store is None:
-            raise ContractError("parameter leaves require a ParameterStore")
         node = self._param_nodes.get(name)
         if node is None:
             live = self.store.group_of(name) in self.live
@@ -292,10 +297,8 @@ class Tape:
                       and all(w.shape == shape[1:] for w in weights),
                       "fusion_weights", *[x.shape for x in (*parts, *weights)])
         t = [np.tanh(p.value) for p in parts]
-        scores = np.stack([(tj * w.value).sum(axis=-1) for tj, w in zip(t, weights)],
-                          axis=-1)
-        e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-        out = e / e.sum(axis=-1, keepdims=True)
+        out = softmax(np.stack([(tj * w.value).sum(axis=-1) for tj, w in zip(t, weights)],
+                               axis=-1))
 
         def backward(g):
             g_scores = out * (g - (g * out).sum(axis=-1, keepdims=True))
@@ -409,10 +412,8 @@ class Tape:
         if np.asarray(root.value).ndim != 0:
             raise ContractError(f"backward root must be scalar, got shape {root.shape}")
         self.consumed = True
-        grads = {}
-        if self.store is not None:
-            self.grads = {g: np.zeros(self.store.values[g].shape, self.dtype) for g in GROUPS}
-            grads = {n: self.store.view(n, self.grads) for n in self.store.names()}
+        self.grads = {g: np.zeros(self.store.values[g].shape, self.dtype) for g in GROUPS}
+        grads = {n: self.store.view(n, self.grads) for n in self.store.names()}
         for node in self._param_nodes.values():
             node.grad = grads[node.name] if node.live else None
         root.add_grad(np.asarray(1.0, dtype=self.dtype))

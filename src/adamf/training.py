@@ -20,7 +20,7 @@ from .errors import ContractError, NumericError
 from .model import ALL_PATTERNS, DISC, GEN, Model
 from .params import adam_step
 from .rng import SeededRng
-from .tape import Node, Tape
+from .tape import Node, Tape, softmax
 
 
 @dataclass
@@ -107,10 +107,7 @@ def self_adv_weights(neg_scores: np.ndarray, beta: float) -> np.ndarray:
     softmax(-beta * F) weights low-distance (hard) negatives higher.  Callers
     treat the result as constants — it never participates in gradients.
     """
-    logits = -beta * np.asarray(neg_scores, dtype=np.float64)
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=-1, keepdims=True)
+    return softmax(-beta * np.asarray(neg_scores, dtype=np.float64))
 
 
 # -------------------------------------------------------------------- losses

@@ -162,6 +162,16 @@ def test_train_missing_data_file(corpus, tmp_path):
     assert main(["train", cfg]) == 4
 
 
+def test_train_second_feature_row_for_an_entity_exits_4(corpus, tmp_path, capsys):
+    rows = (corpus / "visual.tsv").read_text()
+    (corpus / "visual_twice.tsv").write_text(rows + "n0\t9,9,9\n")
+    cfg = write_config(corpus, tmp_path / "x", name="twice.cfg",
+                       visual_features="visual_twice.tsv")
+    assert main(["train", cfg]) == 4
+    assert f"visual_twice.tsv:{N_ENTITIES + 1}: second row for entity 'n0'" in \
+        capsys.readouterr().err
+
+
 def test_train_bad_tie_break_fails_before_output(corpus, tmp_path, capsys):
     cfg = write_config(corpus, tmp_path / "x", name="tie.cfg",
                        tie_break="pesimistic")

@@ -1,12 +1,15 @@
 """Run-configuration parsing, echoing, and guidance warnings."""
 
+import dataclasses
 import os
 
 import pytest
 
+from adamf import config as config_module
 from adamf.config import (KEYS, RunConfig, echo_config, grid_warnings,
                           parse_config)
-from adamf.errors import ConfigError
+from adamf.errors import ConfigError, ContractError
+from adamf.training import TrainConfig
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -214,6 +217,39 @@ def test_bad_values_name_their_key(tmp_path):
                       ("eval_ks = 1,x", "eval_ks")):
         with pytest.raises(ConfigError, match=rf"run\.cfg:2: {key}: expected"):
             parse_config(write_cfg(tmp_path, "# bad value\n" + text + "\n"))
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("gamma = 4\n# d\ndim = 0\n", 3, r"embedding dimension d \(key dim\) must be >= 1"),
+    ("adversarial_patterns =\n", 1, "adversarial_patterns must be non-empty"),
+    ("mat_enabled = true\n\nadversarial_patterns =\n", 3,
+     "adversarial_patterns must be non-empty"),
+    ("dim = 8\ntie_break = median\n", 2, "tie_break: expected one of"),
+    # both fail alone: the first in file order is named, not the first checked
+    ("gamma = -1\ndim = 0\n", 1, "margin gamma must be positive"),
+])
+def test_rejected_values_name_their_line(tmp_path, text, line, message):
+    with pytest.raises(ConfigError, match=rf"run\.cfg:{line}: {message}"):
+        parse_config(write_cfg(tmp_path, text))
+
+
+def test_failure_of_two_keys_together_names_the_file_only(tmp_path, monkeypatch):
+    # No shipped check needs two keys, so add one: lr_g at most 10 * lr_d.
+    # Each value passes beside the other's default; the pair fails.
+    @dataclasses.dataclass
+    class Bounded(TrainConfig):
+        def __post_init__(self):
+            super().__post_init__()
+            if self.lr_g > 10 * self.lr_d:
+                raise ContractError("lr_g exceeds 10 * lr_d")
+
+    monkeypatch.setitem(config_module._SECTIONS, "training", Bounded)
+    path = write_cfg(tmp_path, "lr_d = 2e-5\nlr_g = 5e-4\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value) == f"{path}: lr_g exceeds 10 * lr_d"
+    assert parse_config(write_cfg(tmp_path, "lr_g = 5e-4\n")).training.lr_g == 5e-4
+    assert parse_config(write_cfg(tmp_path, "lr_d = 2e-5\n")).training.lr_d == 2e-5
 
 
 def test_echo_is_stable_under_double_echo(tmp_path):

@@ -74,6 +74,19 @@ def test_malformed_line_reports_lineno(tmp_path):
         load_triples(train)
 
 
+def test_both_readers_name_path_and_line_of_a_short_row(tmp_path):
+    # Blank lines are skipped but counted, in triple and feature files alike.
+    vocab = vocab3(tmp_path)
+    bad = write(tmp_path / "bad.tsv", ["a\tr\tb", "", "a\tr"])
+    with pytest.raises(DataError, match=r"bad\.tsv:3: expected 3 tab-separated fields, "
+                                        r"got 2"):
+        load_triples(bad)
+    feats = write(tmp_path / "feat.tsv", ["", "a\t1.0,2.0\tx"])
+    with pytest.raises(DataError, match=r"feat\.tsv:2: expected `entity<TAB>floats`, "
+                                        r"got 3 fields"):
+        load_features(feats, vocab, "v", 2)
+
+
 def test_empty_train_rejected(tmp_path):
     train = write(tmp_path / "train.tsv", [])
     with pytest.raises(DataError):
@@ -89,10 +102,13 @@ def test_transductive_entities_admitted(tmp_path):
 
 def test_filter_index_completeness():
     rng = SeededRng(0)
+
+    def randint(bound):
+        return int(rng.randints([bound])[0])
+
     for trial in range(20):
-        n = 5 + int(rng.randint(10))
-        rows = sorted({(int(rng.randint(n)), int(rng.randint(2)), int(rng.randint(n)))
-                       for _ in range(15)})
+        n = 5 + randint(10)
+        rows = sorted({(randint(n), randint(2), randint(n)) for _ in range(15)})
         ds = make_dataset(n, {"train": rows[:-4] or rows, "valid": rows[-4:-2],
                               "test": rows[-2:]}, n_relations=2)
         all_triples = [tuple(map(int, row))
@@ -158,6 +174,14 @@ def test_feature_wrong_width_reports_lineno(tmp_path):
     vocab = vocab3(tmp_path)
     path = write(tmp_path / "feat.tsv", ["a\t1.0,2.0,3.0"])
     with pytest.raises(DataError, match="1"):
+        load_features(path, vocab, "v", 2)
+
+
+def test_feature_second_row_for_an_entity_rejected(tmp_path):
+    # A later row must not silently replace an earlier one.
+    vocab = vocab3(tmp_path)
+    path = write(tmp_path / "feat.tsv", ["a\t1.0,2.0", "b\t3.0,4.0", "a\t9.0,9.0"])
+    with pytest.raises(DataError, match=r"feat\.tsv:3: second row for entity 'a'"):
         load_features(path, vocab, "v", 2)
 
 

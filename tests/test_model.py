@@ -135,7 +135,7 @@ def test_init_chunked_equals_one_shot_formula(monkeypatch, precision, chunk):
 # --- projection -----------------------------------------------------------------
 
 def project_values(weight, bias, feats):
-    tape = Tape()
+    tape = Tape(ParameterStore(np.float64))
     out = tape.matvec(tape.const(np.asarray(weight, dtype=float)),
                       tape.const(np.asarray(feats, dtype=float)),
                       tape.const(np.asarray(bias, dtype=float)))
@@ -309,7 +309,7 @@ def complex_rows(x):
 
 
 def score_pair(h, theta, t):
-    tape = Tape()
+    tape = Tape(ParameterStore(np.float64))
     row = np.zeros(1, dtype=np.int64)
     out = tape.query_distance(tape.const(np.array([h], dtype=float)), row,
                               tape.const(np.array([theta], dtype=float)), row,
@@ -413,6 +413,33 @@ def test_mixed_batch_routes_by_mask():
         else:
             expect = w @ raw[i] + b
         assert np.allclose(emb[row], expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("with_table", [True, False])
+def test_no_present_rows_equal_the_fallback_gather(precision, with_table):
+    # A batch of absent entities takes the mixed path with zero projected
+    # rows: its value and fallback gradient are a plain gather's, bit for
+    # bit, and the projection's gradients are exactly +0.0.
+    model = small_model(absent_v=(0, 2, 5), precision=precision)
+    if not with_table:
+        model = Model(model.cfg, model.store, {})
+    idx = np.array([5, 0, 2, 0])    # a repeat: the gather's scatter path
+    r = SeededRng(3, "probe").normals(idx.size * 6).reshape(idx.size, 6)
+    r[0, :2] = -0.0
+
+    def run(embed):
+        tape = Tape(model.store, DISC)
+        emb = embed(tape)
+        return emb.value, tape.backward(probe_sum(tape, emb, r))
+
+    value, grads = run(lambda tape: model.modal_embedding(tape, "v", idx))
+    want, want_grads = run(lambda tape: tape.gather(tape.leaf("fallback.v"), idx))
+    assert value.dtype == want.dtype and value.tobytes() == want.tobytes()
+    assert grads["fallback.v"].tobytes() == want_grads["fallback.v"].tobytes()
+    assert np.abs(grads["fallback.v"]).sum() > 0
+    for name in ("proj.v.weight", "proj.v.bias"):
+        assert not grads[name].any() and not np.signbit(grads[name]).any(), name
 
 
 def project_then_mix(tape, table, m, idx):

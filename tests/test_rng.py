@@ -14,7 +14,7 @@ from adamf.rng import SeededRng
 def test_same_seed_same_stream():
     a = SeededRng(42)
     b = SeededRng(42)
-    assert [a.next_uint64() for _ in range(64)] == [b.next_uint64() for _ in range(64)]
+    assert a.randints([2**40] * 64).tolist() == b.randints([2**40] * 64).tolist()
     assert a.uniforms(100).tolist() == b.uniforms(100).tolist()
     assert a.normals(100).tolist() == b.normals(100).tolist()
 
@@ -70,8 +70,8 @@ def test_normal_moments():
 @settings(max_examples=100)
 def test_randint_bounds(n, seed):
     rng = SeededRng(seed)
-    draws = [rng.randint(n) for _ in range(50)]
-    assert all(0 <= d < n for d in draws)
+    draws = rng.randints([n] * 50)
+    assert np.all((draws >= 0) & (draws < n))
 
 
 @given(st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=2**32))
@@ -94,8 +94,7 @@ def test_choice_without_replacement(seed):
 
 def test_randint_covers_support():
     rng = SeededRng(5)
-    seen = {rng.randint(4) for _ in range(400)}
-    assert seen == {0, 1, 2, 3}
+    assert set(rng.randints([4] * 400).tolist()) == {0, 1, 2, 3}
 
 
 # --- stream contract -----------------------------------------------------------
@@ -115,11 +114,26 @@ def textbook_splitmix64(state: int, n: int) -> list[int]:
     return out
 
 
+def textbook_randints(raw: list[int], bounds) -> tuple[list[int], int]:
+    """The documented rejection rule over raw draws, one slot at a time: one
+    draw per slot, then rejected slots redrawn in slot order from the
+    following draws until none is rejected.  Returns (values, draws used)."""
+    bounds = [int(b) for b in bounds]
+    limits = [2**64 - 2**64 % b for b in bounds]
+    want, pos = raw[:len(bounds)], len(bounds)
+    pending = [i for i in range(len(bounds)) if want[i] >= limits[i]]
+    while pending:
+        for i in pending:
+            want[i], pos = raw[pos], pos + 1
+        pending = [i for i in pending if want[i] >= limits[i]]
+    return [v % b for v, b in zip(want, bounds)], pos
+
+
 def test_golden_vector():
     # Pinned stream: a change here changes every seeded run, so make it
     # deliberately and say so in the changelog.
     rng = SeededRng(20240225, stream="golden")
-    assert [rng.next_uint64() for _ in range(8)] == [
+    assert rng._raw(8).tolist() == [
         0x77D5AD69423B644F, 0xF3474DE91AB75B6E, 0xD11F2493CC42DBC7,
         0x66715E75BE4F9CF2, 0x54F7DF0490E160C3, 0x335F9C0ED39CBECE,
         0xEFF821793C3D47A6, 0xF5278370C38E7E5A]
@@ -131,18 +145,14 @@ def test_golden_vector():
 
 def test_stream_is_textbook_splitmix64_from_key():
     rng = SeededRng(99, stream="root/negatives")
-    want = textbook_splitmix64(rng.key, 40)
-    assert [rng.next_uint64() for _ in range(20)] == want[:20]
-    assert (rng.uniforms(20) == [(v >> 11) * 2.0 ** -53 for v in want[20:]]).all()
-
-
-@pytest.mark.parametrize("n", [0, 1, 7, 64])
-def test_scalar_draws_equal_one_bulk_draw(n):
-    scalar, bulk = SeededRng(4, "eq"), SeededRng(4, "eq")
-    assert [scalar.uniform() for _ in range(n)] == bulk.uniforms(n).tolist()
-    assert [scalar.randint(1000) for _ in range(n)] == \
-        bulk.randints([1000] * n).tolist()
-    assert scalar.counter == bulk.counter == 2 * n
+    want = textbook_splitmix64(rng.key, 60)
+    assert rng._raw(20).tolist() == want[:20]
+    # the top 53 bits of a draw make a uniform, and a bound of 2**63 keeps
+    # the low 63 (it divides 2**64, so nothing is rejected)
+    assert (rng.uniforms(20) == [(v >> 11) * 2.0 ** -53 for v in want[20:40]]).all()
+    assert rng.randints(np.full(20, 2**63, dtype=np.uint64)).tolist() == \
+        [v % 2**63 for v in want[40:]]
+    assert rng.counter == 60
 
 
 def test_normals_pairs_and_odd_counts():
@@ -165,44 +175,39 @@ def test_randints_per_element_bounds():
     assert bulk.dtype == np.int64 and bulk.shape == bounds.shape
     assert np.all((bulk >= 0) & (bulk < bounds))
     assert np.all(bulk[bounds == 1] == 0)
-    scalar = SeededRng(6, "bounds")
-    assert bulk.tolist() == [scalar.randint(int(b)) for b in bounds]
+    rng = SeededRng(6, "bounds")
+    want, used = textbook_randints(textbook_splitmix64(rng.key, 400), bounds)
+    assert bulk.tolist() == want and used == bounds.size
 
 
 def test_randints_rejects_nonpositive_bounds():
     with pytest.raises(ValueError):
         SeededRng(0).randints([3, 0])
     with pytest.raises(ValueError):
-        SeededRng(0).randint(0)
+        SeededRng(0).randints([-1])
+    with pytest.raises(ValueError):
+        SeededRng(0).randints([2.5])
 
 
 def test_exact_rejection_near_two_to_the_63():
     # 2**64 mod 3*2**62 == 2**62: raw draws in [3*2**62, 2**64) are
     # rejected (a quarter of them), the accepted ones are returned as is.
     bound = 3 * 2**62
-    raw_rng = SeededRng(13, "reject")
-    raw = [raw_rng.next_uint64() for _ in range(400)]
+    raw = textbook_splitmix64(SeededRng(13, "reject").key, 400)
     assert sum(v >= bound for v in raw[:40]) >= 5
 
-    scalar = SeededRng(13, "reject")
+    # one slot per call: each call draws until it accepts one
+    single = SeededRng(13, "reject")
     accepted = [v for v in raw if v < bound]
-    got = [scalar.randint(bound) for _ in range(40)]
-    assert got == accepted[:40]
-    assert scalar.counter == raw.index(accepted[39]) + 1
+    assert [int(single.randints([bound])[0]) for _ in range(40)] == accepted[:40]
+    assert single.counter == raw.index(accepted[39]) + 1
 
-    # bulk: one draw per slot, rejected slots refilled in slot order from the
-    # following draws until none is rejected
-    n = 40
-    want, pos = raw[:n], n
-    pending = [i for i in range(n) if want[i] >= bound]
-    while pending:
-        for i in pending:
-            want[i], pos = raw[pos], pos + 1
-        pending = [i for i in pending if want[i] >= bound]
+    # one call for 40 slots
+    want, used = textbook_randints(raw, [bound] * 40)
     bulk_rng = SeededRng(13, "reject")
-    bulk = bulk_rng.randints(np.array([bound] * n, dtype=np.uint64))
+    bulk = bulk_rng.randints(np.array([bound] * 40, dtype=np.uint64))
     assert bulk.tolist() == want
-    assert bulk_rng.counter == pos
+    assert bulk_rng.counter == used
 
 
 def test_every_method_runs_without_overflow_warnings():
@@ -210,13 +215,10 @@ def test_every_method_runs_without_overflow_warnings():
         warnings.simplefilter("error")
         for seed in (0, 1, 2**63, MASK64):
             rng = SeededRng(seed, "warn").substream("child")
-            rng.next_uint64()
-            rng.uniform()
             rng.uniforms(1000)
-            rng.normal()
             rng.normals(1001)
-            rng.randint(7)
-            rng.randint(3 * 2**62)
+            rng.randints([7])
+            rng.randints([3 * 2**62])
             rng.randints([5, 2**40, 1])
             rng.randints(np.array([3 * 2**62, 2**63], dtype=np.uint64))
             rng.permutation(100)
