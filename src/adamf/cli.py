@@ -24,8 +24,7 @@ from .data import (FeatureTable, TripleDataset, apply_modality_missing,
                    load_features, load_triples, save_features)
 from .errors import (ConfigError, ContractError, DataError, GradCheckError,
                      NumericError)
-from .evaluation import (evaluate, relation_weight_report,
-                         write_per_query_tsv, write_rank_report_json,
+from .evaluation import (evaluate, relation_weight_report, write_rank_report,
                          write_weight_csv)
 from .ioutil import atomic_write_text
 from .model import (ALL_PATTERNS, DISC, FROZEN, GEN, Model, ModelConfig, init_params,
@@ -68,10 +67,12 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _require_out(cfg: RunConfig) -> str:
+def _out_dir(cfg: RunConfig) -> str:
+    """The run's output directory, created if it does not exist."""
     if not cfg.out:
         raise ConfigError("an output directory is required (config key `out` "
                           "or flag --out)")
+    os.makedirs(cfg.out, exist_ok=True)
     return cfg.out
 
 
@@ -113,22 +114,16 @@ def cmd_train(args) -> int:
     # Validate all inputs before touching the output directory.
     dataset = _load_dataset(cfg)
     model = _build_model(cfg, dataset)
-    out = _require_out(cfg)
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(cfg)
     atomic_write_text(os.path.join(out, "config.resolved.cfg"), echo_config(cfg))
-    history = train(model, dataset, cfg.training,
-                    log_path=os.path.join(out, "train_log.jsonl"),
-                    checkpoint_path=os.path.join(out, "checkpoint.bin"),
-                    best_path=os.path.join(out, "best.bin"),
-                    eval_ks=cfg.eval_ks)
+    history = train(model, dataset, cfg.training, out, cfg.tie_break)
     if history:
         last = history[-1]
         print(f"trained {len(history)} epochs; "
               f"final loss_kgc {last['loss_kgc']:.6f} loss_adv {last['loss_adv']:.6f}")
     if dataset.test.shape[0] > 0:
         report = evaluate(model, dataset, "test", cfg.eval_ks, cfg.tie_break)
-        write_rank_report_json(report, os.path.join(out, "rank_report.json"))
-        write_per_query_tsv(report, dataset, os.path.join(out, "ranks.tsv"))
+        write_rank_report(report, dataset, out)
         hits = " ".join(f"hit@{k} {v:.4f}" for k, v in sorted(report.hits.items()))
         print(f"test mrr {report.mrr:.4f} {hits} ({report.n_test} triples)")
     return 0
@@ -141,10 +136,7 @@ def cmd_eval(args) -> int:
     dataset = _load_dataset(cfg)
     model = _build_model(cfg, dataset, args.checkpoint)
     report = evaluate(model, dataset, args.split, cfg.eval_ks, cfg.tie_break)
-    out = _require_out(cfg)
-    os.makedirs(out, exist_ok=True)
-    write_rank_report_json(report, os.path.join(out, "rank_report.json"))
-    write_per_query_tsv(report, dataset, os.path.join(out, "ranks.tsv"))
+    write_rank_report(report, dataset, _out_dir(cfg))
     hits = " ".join(f"hit@{k} {v:.4f}" for k, v in sorted(report.hits.items()))
     print(f"{args.split} mrr {report.mrr:.6f} {hits} ({report.n_test} triples)")
     return 0
@@ -272,9 +264,7 @@ def cmd_dump_weights(args) -> int:
     dataset = _load_dataset(cfg)
     model = _build_model(cfg, dataset, args.checkpoint)
     rows = relation_weight_report(model, dataset, "test")
-    out = _require_out(cfg)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "weights.csv")
+    path = os.path.join(_out_dir(cfg), "weights.csv")
     write_weight_csv(rows, path)
     print(f"wrote {len(rows)} relation rows to {path}")
     return 0
@@ -292,8 +282,7 @@ def cmd_mask_modality(args) -> int:
     if not jobs:
         raise ConfigError("mask-modality needs visual_features and/or "
                           "textual_features in the config")
-    out = _require_out(cfg)
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(cfg)
     for m, path, dim, name in jobs:
         table = load_features(path, dataset.vocab, m, dim)
         masked = apply_modality_missing(table, cfg.modality_missing_ratio,

@@ -12,6 +12,7 @@ into typed values, and each dataclass validates its own fields.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -77,7 +78,8 @@ def _parse_bool(key, raw):
 
 def parse_value(key: str, raw: str):
     """The typed value of config key `key` written as `raw`.  Only splits and
-    converts; names and ranges are checked by the dataclass holding the key."""
+    converts, refusing a float that is not finite; names and ranges are
+    checked by the dataclass holding the key."""
     raw = raw.strip()
     hint = KEYS[key][1].type
     if hint == "str | None":
@@ -94,7 +96,10 @@ def parse_value(key: str, raw: str):
         if hint == "int":
             return int(raw)
         if hint == "float":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+            return value
     except ValueError:
         raise ConfigError(f"{key}: expected {hint}, got {raw!r}")
     return raw

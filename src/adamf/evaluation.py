@@ -258,19 +258,18 @@ def relation_weight_report(model: Model, dataset: TripleDataset,
 
 # ------------------------------------------------------------------- writers
 
-def write_rank_report_json(report: RankReport, path) -> None:
-    atomic_write_text(path, json.dumps(report.to_json_dict(), indent=2) + "\n")
-
-
-def write_per_query_tsv(report: RankReport, dataset: TripleDataset, path) -> None:
-    """One audit line per query: the triple by name, then both ranks."""
+def write_rank_report(report: RankReport, dataset: TripleDataset, out) -> None:
+    """`out/rank_report.json`, the aggregates, and `out/ranks.tsv`, one audit
+    line per query: the triple by name, then both ranks."""
+    atomic_write_text(os.path.join(out, "rank_report.json"),
+                      json.dumps(report.to_json_dict(), indent=2) + "\n")
     vocab = dataset.vocab
     lines = []
     for (h, r, t), rh, rt in zip(report.triples, report.head_ranks,
                                  report.tail_ranks):
         lines.append("\t".join((vocab.entity_names[h], vocab.relation_names[r],
                                 vocab.entity_names[t], str(int(rh)), str(int(rt)))))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(os.path.join(out, "ranks.tsv"), "\n".join(lines) + "\n")
 
 
 def write_weight_csv(rows: list[dict], path) -> None:

@@ -66,10 +66,13 @@ class ModelConfig:
         self.modalities = tuple(m for m in MODALITY_ORDER if m in self.modalities)
         if self.d < 1:
             raise ContractError("embedding dimension d (key dim) must be >= 1")
-        if self.noise_dim < 1:
-            raise ContractError("noise_dim must be >= 1")
+        for key in ("visual_dim", "textual_dim", "noise_dim"):
+            if getattr(self, key) < 1:
+                raise ContractError(f"{key} must be >= 1")
         if self.gamma <= 0:
             raise ContractError("margin gamma must be positive")
+        if self.beta < 0:
+            raise ContractError("negative-weight temperature beta must be >= 0")
         if not self.modalities:
             raise ContractError("modalities must name at least one modality")
         if "s" not in self.modalities and self.modalities != ("v", "t"):

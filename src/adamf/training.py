@@ -10,6 +10,7 @@ lambda * L_adv with the scoring parameters held constant).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,15 +202,16 @@ def train_step_generator(model: Model, batch: np.ndarray, cfg: TrainConfig,
 
 # ---------------------------------------------------------------------- loop
 
-def train(model: Model, dataset: TripleDataset, cfg: TrainConfig,
-          log_path=None, checkpoint_path=None, best_path=None,
-          eval_ks: tuple[int, ...] = (1, 3, 10)) -> list[dict]:
-    """Full training loop; returns the per-epoch log as a list of dicts.
+def train(model: Model, dataset: TripleDataset, cfg: TrainConfig, out,
+          tie_break: str = "optimistic") -> list[dict]:
+    """Full training loop in the run directory `out`; returns the per-epoch
+    log as a list of dicts.
 
     Each entry carries epoch number and mean batch losses, plus validation
-    MRR on validation epochs (every `validate_every` epochs and always on
-    the last).  The best-MRR parameters go to `best_path`, the final ones to
-    `checkpoint_path`; the JSON-lines log streams to `log_path`.
+    MRR (ranked with `tie_break`) on validation epochs: every
+    `validate_every` epochs and always on the last.  The entries stream to
+    `out/train_log.jsonl`, the best-MRR parameters go to `out/best.bin` and
+    the final ones to `out/checkpoint.bin`.
     """
     from .evaluation import evaluate  # deferred: evaluation builds on model only
 
@@ -219,10 +221,11 @@ def train(model: Model, dataset: TripleDataset, cfg: TrainConfig,
     shuffle_rng = root.substream("shuffle")
     filter_set = dataset if cfg.negative_filtering else None
     n_train = dataset.train.shape[0]
+    checkpoint_path = os.path.join(out, "checkpoint.bin")
+    best_path = os.path.join(out, "best.bin")
     history: list[dict] = []
     best_mrr = -1.0
-    log_file = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
+    with open(os.path.join(out, "train_log.jsonl"), "w", encoding="utf-8") as log_file:
         for epoch in range(1, cfg.epochs + 1):
             perm = shuffle_rng.permutation(n_train)
             kgc_sum = adv_sum = 0.0
@@ -248,24 +251,18 @@ def train(model: Model, dataset: TripleDataset, cfg: TrainConfig,
             validate = (dataset.valid.shape[0] > 0 and cfg.validate_every > 0
                         and (epoch % cfg.validate_every == 0 or epoch == cfg.epochs))
             if validate:
-                report = evaluate(model, dataset, split="valid", ks=eval_ks)
-                entry["val_mrr"] = report.mrr
+                entry["val_mrr"] = evaluate(model, dataset, "valid",
+                                            tie_break=tie_break).mrr
                 if entry["val_mrr"] > best_mrr:
                     best_mrr = entry["val_mrr"]
-                    if best_path:
-                        save_checkpoint(model.store, best_path)
-                if checkpoint_path:
-                    save_checkpoint(model.store, checkpoint_path)
+                    save_checkpoint(model.store, best_path)
+                save_checkpoint(model.store, checkpoint_path)
             history.append(entry)
-            if log_file:
-                log_file.write(json.dumps(entry) + "\n")
-                log_file.flush()
-    finally:
-        if log_file:
-            log_file.close()
-    if checkpoint_path and not (history and "val_mrr" in history[-1]):
+            log_file.write(json.dumps(entry) + "\n")
+            log_file.flush()
+    if not (history and "val_mrr" in history[-1]):
         save_checkpoint(model.store, checkpoint_path)  # unless the last epoch saved it
-    if best_path and best_mrr < 0:
+    if best_mrr < 0:
         # no validation ever ran; fall back to the final parameters
         save_checkpoint(model.store, best_path)
     return history

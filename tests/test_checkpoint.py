@@ -6,6 +6,7 @@ import os
 import re
 import stat
 import struct
+import tempfile
 import tracemalloc
 import warnings
 from contextlib import contextmanager
@@ -32,7 +33,8 @@ def trained_model(seed=0, precision="double"):
     model = small_model(n_entities=n, n_relations=1, seed=seed, precision=precision)
     cfg = TrainConfig(k_negatives=2, batch_size=4, epochs=2,
                       validate_every=0, seed=seed)
-    train(model, ds, cfg)
+    with tempfile.TemporaryDirectory() as out:   # only the store is kept
+        train(model, ds, cfg, out)
     return model
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: artifacts, exit codes, determinism."""
 
 import json
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import adamf.evaluation
 from adamf import cli
 from adamf.cli import main
 from adamf.checkpoint import save_checkpoint
@@ -178,6 +180,37 @@ def test_train_bad_tie_break_fails_before_output(corpus, tmp_path, capsys):
     assert main(["train", cfg]) == 2
     assert "tie_break" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("textual_dim", -3, "textual_dim must be >= 1"),
+    ("gamma", "nan", "gamma: expected a finite number, got 'nan'"),
+])
+def test_train_rejected_value_exits_2_before_output(corpus, tmp_path, capsys,
+                                                     key, value, message):
+    cfg = write_config(corpus, tmp_path / "x", name="rejected.cfg",
+                       textual_features=None, **{key: value})
+    assert main(["train", cfg]) == 2
+    assert re.search(rf"rejected\.cfg:\d+: {message}", capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_ranks_validation_and_test_with_the_configured_tie_break(
+        corpus, tmp_path, monkeypatch):
+    real_evaluate = adamf.evaluation.evaluate
+    seen = []
+
+    def recording_evaluate(model, dataset, split="test", ks=(1, 3, 10),
+                           tie_break="optimistic"):
+        seen.append((split, tie_break))
+        return real_evaluate(model, dataset, split, ks, tie_break)
+
+    monkeypatch.setattr(adamf.evaluation, "evaluate", recording_evaluate)
+    monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+    cfg = write_config(corpus, tmp_path / "x", name="pessimistic.cfg",
+                       tie_break="pessimistic")
+    assert main(["train", cfg]) == 0
+    assert seen == [("valid", "pessimistic")] * 2 + [("test", "pessimistic")]
 
 
 def test_unknown_config_key(corpus, tmp_path):

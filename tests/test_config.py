@@ -227,6 +227,13 @@ def test_bad_values_name_their_key(tmp_path):
     ("dim = 8\ntie_break = median\n", 2, "tie_break: expected one of"),
     # both fail alone: the first in file order is named, not the first checked
     ("gamma = -1\ndim = 0\n", 1, "margin gamma must be positive"),
+    ("visual_dim = 0\n", 1, "visual_dim must be >= 1"),
+    ("dim = 8\ntextual_dim = -3\n", 2, "textual_dim must be >= 1"),
+    ("beta = -1\n", 1, "negative-weight temperature beta must be >= 0"),
+    # a float key refuses a value that is not finite before any dataclass
+    ("gamma = nan\n", 1, "gamma: expected a finite number, got 'nan'"),
+    ("dim = 8\nlr_d = inf\n", 2, "lr_d: expected a finite number, got 'inf'"),
+    ("adv_lambda = -Infinity\n", 1, "adv_lambda: expected a finite number"),
 ])
 def test_rejected_values_name_their_line(tmp_path, text, line, message):
     with pytest.raises(ConfigError, match=rf"run\.cfg:{line}: {message}"):

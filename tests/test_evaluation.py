@@ -14,8 +14,8 @@ import adamf.evaluation
 from adamf.errors import ContractError, NumericError
 from adamf.evaluation import (build_cache, candidate_scores, evaluate,
                               rank_from_scores, rank_query,
-                              relation_weight_report, write_per_query_tsv,
-                              write_rank_report_json, write_weight_csv)
+                              relation_weight_report, write_rank_report,
+                              write_weight_csv)
 from adamf.model import FROZEN
 from adamf.rng import SeededRng
 from adamf.tape import Tape
@@ -533,9 +533,8 @@ def test_weight_report_absent_modality_reports_zero():
 def test_rank_report_json_round_trip(tmp_path):
     ds, model = random_fixture(21)
     report = evaluate(model, ds, ks=(1, 3, 10))
-    path = tmp_path / "rank_report.json"
-    write_rank_report_json(report, path)
-    loaded = json.loads(path.read_text())
+    write_rank_report(report, ds, tmp_path)
+    loaded = json.loads((tmp_path / "rank_report.json").read_text())
     assert loaded["mrr"] == report.mrr
     assert loaded["n_test"] == report.n_test
     assert set(loaded["hits"]) == {"1", "3", "10"}
@@ -546,9 +545,8 @@ def test_per_query_tsv_names_and_ranks(tmp_path):
     model = line_model([0.0, 2.0, 3.0])
     ds = make_dataset(3, {"train": [(0, 0, 2)], "test": [(0, 0, 1)]})
     report = evaluate(model, ds)
-    path = tmp_path / "ranks.tsv"
-    write_per_query_tsv(report, ds, path)
-    lines = path.read_text().splitlines()
+    write_rank_report(report, ds, tmp_path)
+    lines = (tmp_path / "ranks.tsv").read_text().splitlines()
     assert lines == ["e0\tr0\te1\t3\t2"]
 
 

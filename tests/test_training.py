@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import adamf.evaluation
 from adamf import training
 from adamf.checkpoint import save_checkpoint
 from adamf.errors import ContractError, NumericError
@@ -420,29 +421,29 @@ def toy_train_setup(mat=True, n=8, seed=0, **kwargs):
     return model, ds, cfg
 
 
-def test_single_batch_single_epoch_counts():
+def test_single_batch_single_epoch_counts(tmp_path):
     model, ds, cfg = toy_train_setup(epochs=1, batch_size=1024)
-    train(model, ds, cfg)
+    train(model, ds, cfg, tmp_path)
     _, _, d_steps = model.store.adam_state("entity.structural")
     _, _, g_steps = model.store.adam_state("gen.v.w1")
     assert d_steps == 1
     assert g_steps == 1
 
 
-def test_mat_disabled_never_touches_generator():
+def test_mat_disabled_never_touches_generator(tmp_path):
     model, ds, cfg = toy_train_setup(mat=False, epochs=3)
     before = model.store.values["generator"].copy()
-    train(model, ds, cfg)
+    train(model, ds, cfg, tmp_path)
     assert model.store.values["generator"].tobytes() == before.tobytes()
     _, _, g_steps = model.store.adam_state("gen.v.w1")
     assert g_steps == 0
 
 
-def test_mat_disabled_matches_handwritten_kgc_loop():
+def test_mat_disabled_matches_handwritten_kgc_loop(tmp_path):
     # A loop with the adversarial path physically absent must reproduce the
     # mat_enabled=false trajectory bit for bit.
     model, ds, cfg = toy_train_setup(mat=False, epochs=3, batch_size=4)
-    train(model, ds, cfg)
+    train(model, ds, cfg, tmp_path)
 
     manual = small_model(n_entities=8, n_relations=1, seed=0)
     root = SeededRng(cfg.seed)
@@ -465,8 +466,8 @@ def test_mat_disabled_matches_handwritten_kgc_loop():
 
 def test_train_writes_jsonl_log(tmp_path):
     model, ds, cfg = toy_train_setup(epochs=4, validate_every=2)
-    log_path = tmp_path / "log.jsonl"
-    history = train(model, ds, cfg, log_path=str(log_path))
+    history = train(model, ds, cfg, tmp_path)
+    log_path = tmp_path / "train_log.jsonl"
     lines = [json.loads(line) for line in log_path.read_text().splitlines()]
     assert len(lines) == 4
     assert [line["epoch"] for line in lines] == [1, 2, 3, 4]
@@ -490,24 +491,41 @@ def test_train_writes_each_checkpoint_once(tmp_path, monkeypatch, validate_every
         save_checkpoint(store, path)
 
     monkeypatch.setattr(training, "save_checkpoint", counting_save)
-    train(model, ds, cfg, checkpoint_path=str(tmp_path / "checkpoint.bin"),
-          best_path=str(tmp_path / "best.bin"))
+    train(model, ds, cfg, tmp_path)
     assert calls == writes
     save_checkpoint(model.store, str(tmp_path / "final.bin"))
     assert (tmp_path / "checkpoint.bin").read_bytes() == \
         (tmp_path / "final.bin").read_bytes()
 
 
-def test_train_deterministic_across_runs():
+@pytest.mark.parametrize("tie_break", ["optimistic", "pessimistic"])
+def test_validation_ranks_with_the_run_tie_break(tmp_path, monkeypatch, tie_break):
+    model, ds, cfg = toy_train_setup(epochs=4, validate_every=2)
+    real_evaluate = adamf.evaluation.evaluate
+    seen = []
+
+    def recording_evaluate(model, dataset, split="test", ks=(1, 3, 10),
+                           tie_break="optimistic"):
+        seen.append((split, tie_break))
+        return real_evaluate(model, dataset, split, ks, tie_break)
+
+    monkeypatch.setattr(adamf.evaluation, "evaluate", recording_evaluate)
+    history = train(model, ds, cfg, tmp_path, tie_break)
+    assert seen == [("valid", tie_break)] * 2
+    assert history[-1]["val_mrr"] == real_evaluate(model, ds, "valid",
+                                                   tie_break=tie_break).mrr
+
+
+def test_train_deterministic_across_runs(tmp_path):
     outs = []
     for _ in range(2):
         model, ds, cfg = toy_train_setup(epochs=3)
-        train(model, ds, cfg)
+        train(model, ds, cfg, tmp_path)
         outs.append({n: model.store[n].tobytes() for n in model.store.names()})
     assert outs[0] == outs[1]
 
 
-def test_nonfinite_loss_aborts_with_batch_context():
+def test_nonfinite_loss_aborts_with_batch_context(tmp_path):
     # The loop must surface a non-finite step with its epoch, batch and
     # origin, and refuse it before Adam moves anything.  The fixture is
     # double precision: 1e308 embeddings are finite and overflow the
@@ -521,7 +539,7 @@ def test_nonfinite_loss_aborts_with_batch_context():
         before = _store_state(store)
         with pytest.raises(NumericError, match=f"epoch 1 batch 0: .*{origin}"):
             with np.errstate(all="ignore"):
-                train(model, ds, cfg)
+                train(model, ds, cfg, tmp_path)
         assert _store_state(store) == before
 
 
