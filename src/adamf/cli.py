@@ -282,15 +282,18 @@ def cmd_mask_modality(args) -> int:
     if not jobs:
         raise ConfigError("mask-modality needs visual_features and/or "
                           "textual_features in the config")
-    out = _out_dir(cfg)
+    # Every table is read and masked before the first write: all or nothing.
+    results = []
     for m, path, dim, name in jobs:
         table = load_features(path, dataset.vocab, m, dim)
         masked = apply_modality_missing(table, cfg.modality_missing_ratio,
                                         cfg.training.seed)
+        results.append((m, name, int(table.present.sum()), masked))
+    out = _out_dir(cfg)
+    for m, name, present, masked in results:
         target = os.path.join(out, name)
         save_features(masked, dataset.vocab, target)
-        kept = int(masked.present.sum())
-        print(f"{m}: kept {kept}/{table.present.sum()} present rows -> {target}")
+        print(f"{m}: kept {int(masked.present.sum())}/{present} present rows -> {target}")
     return 0
 
 

@@ -5,10 +5,15 @@ Scores are distances (lower is more plausible), so ranking sorts ascending.
 The filtered protocol removes every candidate completion that forms a known
 true triple in train/valid/test, except the query's own target.
 
-Scoring is planar float64 (exact ranks): `build_cache` splits the joint
+Ranks are those of planar float64 scores: `build_cache` splits the joint
 embeddings once into (N, d) `re`, `im`, plus cos/sin of the (R, d) phases, and
 keeps nothing per relation.  Rotations have unit modulus, so |h o r - t| =
 |h - t o conj(r)|: a tail query scores (h o r) - e, a head one e - (t o conj(r)).
+`candidate_scores` is that float64 score of every entity.  `rank_query` gets
+the same rank for about half the arithmetic: it scores every entity from
+float32 copies of the cache, decides each candidate whose float32 score lies
+further from the target's float64 score than a proven error bound, and
+re-scores only the rest in float64 (see `_screen`).
 
 `evaluate` ranks contiguous slices of the split on one thread per CPU the
 process may use (numpy releases the GIL inside the blocked `_distances`).
@@ -22,7 +27,7 @@ import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,11 +43,22 @@ TIE_BREAKS = ("optimistic", "pessimistic")
 
 @dataclass
 class EvalCache:
-    """Frozen planar entity embeddings and relation rotations for scoring."""
+    """Frozen planar entity embeddings and relation rotations for scoring,
+    plus what the float32 screen reads: float32 copies of `re` and `im`, and
+    each entity's L1 norm sum_k |re_ek| + |im_ek|."""
     re: np.ndarray     # (N, d)
     im: np.ndarray     # (N, d)
     cos: np.ndarray    # (R, d)
     sin: np.ndarray    # (R, d)
+    re32: np.ndarray = field(init=False)    # (N, d)
+    im32: np.ndarray = field(init=False)    # (N, d)
+    l1: np.ndarray = field(init=False)      # (N,)
+
+    def __post_init__(self):
+        with np.errstate(over="ignore"):    # beyond float32: inf, re-scored
+            self.re32 = self.re.astype(np.float32)
+            self.im32 = self.im.astype(np.float32)
+        self.l1 = np.abs(self.re).sum(axis=1) + np.abs(self.im).sum(axis=1)
 
 
 def build_cache(model: Model) -> EvalCache:
@@ -67,59 +83,143 @@ def _block_rows(d: int) -> int:
 _per_thread = threading.local()
 
 
-def _blocks(rows: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's two (rows, d) block buffers, reused from query to query."""
+def _blocks(d: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two (`_block_rows(d)`, d) block buffers of the dtype,
+    reused from query to query whatever the number of rows scored."""
     blocks = getattr(_per_thread, "blocks", None)
-    if blocks is None or blocks[0].shape != (rows, d):
-        blocks = _per_thread.blocks = (np.empty((rows, d)), np.empty((rows, d)))
-    return blocks
+    if blocks is None:
+        blocks = _per_thread.blocks = {}
+    shape = (_block_rows(d), d)
+    pair = blocks.get(dtype)
+    if pair is None or pair[0].shape != shape:
+        pair = blocks[dtype] = (np.empty(shape, dtype), np.empty(shape, dtype))
+    return pair
 
 
-def _distances(cache: EvalCache, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_k sqrt((x_k - re_jk)^2 + (y_k - im_jk)^2) for every entity j."""
-    n, d = cache.re.shape
-    out = np.empty(n)
+def _distances(re: np.ndarray, im: np.ndarray, x: np.ndarray,
+               y: np.ndarray) -> np.ndarray:
+    """sum_k sqrt((x_k - re_jk)^2 + (y_k - im_jk)^2) for every row j, in the
+    dtype of `re`.  A row's sum depends on that row alone, so scoring a subset
+    of rows gives each row the bytes it has in the full pass."""
+    n, d = re.shape
+    out = np.empty(n, dtype=re.dtype)
     step = _block_rows(d)
-    a_block, b_block = _blocks(min(step, n), d)
+    a_block, b_block = _blocks(d, re.dtype)
     for lo in range(0, n, step):
-        modulus_sum(x, y, cache.re[lo:lo + step], cache.im[lo:lo + step],
+        modulus_sum(x, y, re[lo:lo + step], im[lo:lo + step],
                     a_block[:n - lo], b_block[:n - lo], out[lo:lo + step])
     return out
 
 
-def candidate_scores(cache: EvalCache, side: str, triple) -> np.ndarray:
-    """Distance of every entity as the `side` completion of the triple."""
+def _query(cache: EvalCache, side: str, triple) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 point (x, y) every candidate of the `side` is measured from."""
     h, r, t = (int(v) for v in triple)
     c, s = cache.cos[r], cache.sin[r]
     if side == "head":      # |e - t o conj(r)|
         a, b = cache.re[t], cache.im[t]
-        return _distances(cache, a * c + b * s, b * c - a * s)
+        return a * c + b * s, b * c - a * s
     if side == "tail":      # |h o r - e|
         a, b = cache.re[h], cache.im[h]
-        return _distances(cache, a * c - b * s, a * s + b * c)
+        return a * c - b * s, a * s + b * c
     raise ContractError(f"side must be 'head' or 'tail', got {side!r}")
 
 
-def rank_from_scores(scores: np.ndarray, target: int, excluded,
-                     tie_break: str = "optimistic") -> int:
-    """Rank of the target among non-excluded candidates, ascending scores.
+def candidate_scores(cache: EvalCache, side: str, triple) -> np.ndarray:
+    """Float64 distance of every entity as the `side` completion of the triple."""
+    return _distances(cache.re, cache.im, *_query(cache, side, triple))
 
-    Optimistic ties count only strictly better candidates; pessimistic also
-    counts equal ones.
+
+_U32 = 2.0 ** -24           # float32 unit roundoff
+_MAX_SCREEN_DIM = 1 << 17   # the bound below holds for d up to this
+
+
+def _screen(cache: EvalCache, x: np.ndarray, y: np.ndarray,
+            f: float) -> tuple[np.ndarray, np.ndarray]:
+    """(better, decided) over every entity, from its float32 score s32: a
+    decided entity's float64 score s64 lies strictly on the same side of the
+    target's float64 score f as s32, so it is better under either tie-break
+    iff s32 < f.  An entity is decided iff s32 is finite and |s32 - f| > B,
+
+        B(e) = 2^-24 (10 (L1(q) + L1(e)) + 2.1 d s32(e)) + d 2^-73,
+
+    with L1(q) = sum_k |x_k| + |y_k|.  B is not finite for d > 2^17, nor
+    wherever s32 is not, so no such entity is decided.
+
+    Proof that |s32 - s64| <= B/2.06.  Let u = 2^-24, v = 2^-53, eta = 2^-149
+    (the least float32 subnormal), a_k = |x_k| + |re_k| + |y_k| + |im_k|, so
+    L = L1(q) + L1(e) = sum_k a_k, and S = sum_k m_k, m_k = |p_k + i q_k|,
+    p = x - re and q = y - im exactly.  Any overflow in the float32 pass
+    makes s32 inf or NaN (its terms are non-negative), hence undecided; below
+    that, rounding a real z gives z(1 + e) + a with |e| <= u, |a| <= eta/2,
+    and a = 0 for add, subtract and sqrt, whose results never lose bits to
+    underflow.  (This is IEEE gradual underflow; a process that flushes
+    subnormals to zero is outside this proof.)
+    - Casting x and re to float32 moves each by at most u|.| + eta/2, and the
+      subtract adds u|x' - re'|; so the float32 p' has |p' - p| <=
+      (2u + u^2)(|x| + |re|) + (1 + u) eta, and likewise q', giving
+      m^ = |p' + i q'| within (2u + u^2) a_k + 2(1 + u) eta of m_k, with
+      m^ <= (1 + u)^2 a_k + 2(1 + u) eta.
+    - The squares and their sum give z = (m^^2 (1 + t) + a)(1 + e), |t| <= u,
+      |a| <= eta (a square below 2^-126 keeps only absolute accuracy).  Since
+      |sqrt z - sqrt w| <= sqrt|z - w|, sqrt z is within u m^ +
+      sqrt((1 + u) eta) of m^, and rounding the root adds u sqrt z: the
+      float32 modulus m'_k is within (2u + u^2) m^ + 0.70711 * 2^-74 of m^
+      (sqrt eta = 2^-74.5).  So |m'_k - m_k| <= 4.0001 u a_k + 0.7072 * 2^-74.
+    - Any order of summing d non-negative terms errs by at most
+      g = (d - 1)u / (1 - (d - 1)u) times their exact sum T' (Higham,
+      Accuracy and Stability of Numerical Algorithms, 2nd ed., §4.2), so
+      numpy's pairwise blocking does not matter: T' <= s32 / (1 - g) and
+      |s32 - T'| <= 1.016 (d - 1) u s32 for d <= 2^17.  Hence
+      |s32 - S| <= 1.016 (d - 1) u s32 + 4.0001 u L + 0.7072 d 2^-74.
+    - The same steps in float64 (v for u, 2^-1074 for eta, no cast) give
+      |s64 - S| <= 3.0001 v L + d 2^-537 + 1.0001 (d - 1) v T64, which with
+      v = 2^-29 u is below 10^-4 (u L + (d - 1) u s32 + d 2^-74).
+    Together |s32 - s64| <= 1.0161 (d - 1) u s32 + 4.0002 u L +
+    0.7073 d 2^-74, and B exceeds each term at least 2.06-fold.  The margin
+    also covers computing B, L1 and |s32 - f| in float64 (relative error a
+    few times 2^-53), so a computed |s32 - f| > B implies a real gap over
+    the bound.  Entities left undecided, the target among them, are
+    re-scored in float64 by the caller.
     """
+    d = cache.re.shape[1]
+    sum_coef = 2.1 * d if d <= _MAX_SCREEN_DIM else np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        s32 = _distances(cache.re32, cache.im32,
+                         x.astype(np.float32), y.astype(np.float32))
+        s = s32.astype(np.float64)
+        l1q = np.abs(x).sum() + np.abs(y).sum()
+        bound = _U32 * (10.0 * (l1q + cache.l1) + sum_coef * s) + d * 2.0 ** -73
+        decided = np.abs(s - f) > bound     # False where s or B is inf or NaN
+    return decided & (s < f), decided
+
+
+def _beats(scores: np.ndarray, f: float, tie_break: str) -> np.ndarray:
+    """Which scores rank above a target scoring f: optimistic ties count only
+    strictly better candidates; pessimistic also counts equal ones."""
     if tie_break not in TIE_BREAKS:
         raise ContractError(f"unknown tie_break {tie_break!r}")
-    f = scores[target]
-    better = scores < f if tie_break == "optimistic" else scores <= f
+    return scores < f if tie_break == "optimistic" else scores <= f
+
+
+def _filtered_rank(better: np.ndarray, target: int, excluded) -> int:
+    """1 + the better candidates that are neither excluded nor the target."""
     if len(excluded):
         better[np.fromiter(excluded, dtype=np.int64)] = False
     better[target] = False
     return 1 + int(better.sum())
 
 
+def rank_from_scores(scores: np.ndarray, target: int, excluded,
+                     tie_break: str = "optimistic") -> int:
+    """Rank of the target among non-excluded candidates, ascending scores."""
+    return _filtered_rank(_beats(scores, scores[target], tie_break), target, excluded)
+
+
 def rank_query(cache: EvalCache, dataset: TripleDataset, side: str, triple,
                tie_break: str = "optimistic") -> int:
-    """Filtered rank of the triple's own entity as the `side` completion."""
+    """Filtered rank of the triple's own entity as the `side` completion:
+    `rank_from_scores` of `candidate_scores`, with the float64 scores
+    computed only for the target and the entities `_screen` leaves open."""
     h, r, t = (int(v) for v in triple)
     if side == "head":
         target, known = h, dataset.filter_heads.get((r, t), ())
@@ -127,8 +227,13 @@ def rank_query(cache: EvalCache, dataset: TripleDataset, side: str, triple,
         target, known = t, dataset.filter_tails.get((h, r), ())
     if not 0 <= target < cache.re.shape[0]:
         raise ContractError(f"target entity {target} outside vocabulary")
-    scores = candidate_scores(cache, side, triple)
-    return rank_from_scores(scores, target, known, tie_break)
+    x, y = _query(cache, side, triple)
+    f = _distances(cache.re[target:target + 1], cache.im[target:target + 1], x, y)[0]
+    better, decided = _screen(cache, x, y, f)
+    open_rows = np.flatnonzero(~decided)
+    better[open_rows] = _beats(
+        _distances(cache.re[open_rows], cache.im[open_rows], x, y), f, tie_break)
+    return _filtered_rank(better, target, known)
 
 
 def _rank_workers(n_queries: int, n_entities: int, d: int) -> int:

@@ -493,6 +493,19 @@ def test_bad_missing_ratio_fails_before_any_output(trained, corpus, tmp_path, ca
     assert not (tmp_path / "x").exists()
 
 
+def test_mask_modality_bad_second_table_writes_nothing(corpus, tmp_path, capsys):
+    # The visual table loads; the textual one has a bad row.  Neither masked
+    # table is written, nor the output directory made.
+    rows = (corpus / "textual.tsv").read_text()
+    (corpus / "textual_bad.tsv").write_text(rows + "n0\t1,2\n")
+    cfg = write_config(corpus, None, name="maskbad.cfg",
+                       textual_features="textual_bad.tsv")
+    out = tmp_path / "masked"
+    assert main(["mask-modality", cfg, "--out", str(out)]) == 4
+    assert f"textual_bad.tsv:{N_ENTITIES + 1}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mask_modality_requires_feature_paths(corpus, tmp_path):
     path = corpus / "nofeat.cfg"
     path.write_text("train = train.tsv\n")

@@ -1,5 +1,6 @@
 """Filtered ranking against a brute-force oracle, plus metric arithmetic."""
 
+import itertools
 import json
 import os
 import time
@@ -110,6 +111,105 @@ def test_evaluate_matches_oracle_end_to_end():
         assert report.tail_ranks[i] == rt
         inv_sum += 1.0 / rh + 1.0 / rt
     assert abs(report.mrr - inv_sum / (2 * len(ds.test))) < 1e-12
+
+
+# ------------------------------------------------------- float32 screen
+
+# Magnitudes of the entity rows: ordinary, with float32 squares that fall to
+# subnormals or to zero, and with float32 squares near or past overflow.
+# A float64 store also reaches past float32's range.
+SCREEN_SCALES = {"single": (1.0, 3e-3, 1e-19, 1e-21, 1e-23, 1e-30, 1e-40,
+                            1e-44, 1e18, 1e19, 3e19, 1e37),
+                 "double": (1.0, 1e-21, 1e-23, 1e-40, 1e-46, 1e-60, 1e19,
+                            1e39, 1e150, 1e154, 1e300)}
+
+
+def _near_tie_cache(gen, n, d, scale, offset, precision, side, triple):
+    """An `EvalCache` whose entities crowd the target's score: copies of the
+    target, copies 1 ulp off in one coordinate, and mirror images through
+    the query point (equal distance in exact arithmetic, different rows).
+    Every row is moved by `offset` times the scale, which the identity
+    rotation (half the draws) turns into cancellation.  Rows of a single
+    store are float32 values."""
+    dtype = np.float32 if precision == "single" else np.float64
+    re, im = ((gen.standard_normal((n, d)) + offset) * scale for _ in range(2))
+    if precision == "single":
+        with np.errstate(over="ignore"):
+            re, im = (np.clip(a, -3e38, 3e38).astype(np.float32).astype(np.float64)
+                      for a in (re, im))
+    phases = gen.uniform(-np.pi, np.pi, (2, d)) * gen.integers(0, 2)
+    target = triple[0] if side == "head" else triple[2]
+    anchor = triple[2] if side == "head" else triple[0]
+    others = [e for e in range(n) if e not in (target, anchor)]
+    gen.shuffle(others)
+
+    def cache():
+        return adamf.evaluation.EvalCache(re=re.copy(), im=im.copy(),
+                                          cos=np.cos(phases), sin=np.sin(phases))
+
+    x, y = adamf.evaluation._query(cache(), side, triple)
+    for e in others:          # a quarter of the rows keep their random draw
+        kind = int(gen.integers(0, 4))
+        if kind == 0:           # a copy of the target
+            re[e], im[e] = re[target], im[target]
+        elif kind == 1:         # 1 ulp off the target in one coordinate
+            re[e], im[e] = re[target], im[target]
+            k, plane = int(gen.integers(0, d)), (re, im)[int(gen.integers(0, 2))]
+            toward = np.inf if gen.integers(0, 2) else -np.inf
+            plane[e, k] = np.nextafter(dtype(plane[e, k]), dtype(toward))
+        elif kind == 2:         # the target mirrored through the query point
+            with np.errstate(over="ignore", invalid="ignore"):
+                mirror = (2 * x - re[target], 2 * y - im[target])
+            if precision == "single":
+                with np.errstate(over="ignore"):
+                    mirror = tuple(m.astype(np.float32).astype(np.float64)
+                                   for m in mirror)
+            if np.isfinite(mirror).all():
+                re[e], im[e] = mirror
+    return cache()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_rank_query_equals_float64_ranks_on_near_ties(data):
+    # rank_query decides most candidates from float32 scores; its ranks must
+    # be those of the float64 scores of every entity, ties included.
+    precision = data.draw(st.sampled_from(("single", "double")))
+    scale = data.draw(st.sampled_from(SCREEN_SCALES[precision]))
+    offset = data.draw(st.sampled_from((0.0, 1e3, 1e6)))
+    n, d = data.draw(st.integers(3, 40)), data.draw(st.integers(1, 6))
+    gen = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    h, t = (int(v) for v in gen.choice(n, 2, replace=False))
+    triple = (h, int(gen.integers(0, 2)), t)
+    known = [(int(e), triple[1], t) for e in gen.choice(n, 3)] + \
+            [(h, triple[1], int(e)) for e in gen.choice(n, 3)]
+    ds = make_dataset(n, {"train": known, "test": [triple]}, n_relations=2)
+    for side in ("head", "tail"):
+        cache = _near_tie_cache(gen, n, d, scale, offset, precision, side, triple)
+        target = h if side == "head" else t
+        excluded = (ds.filter_heads.get((triple[1], t), ()) if side == "head"
+                    else ds.filter_tails.get((h, triple[1]), ()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = candidate_scores(cache, side, triple)
+            for tie in ("optimistic", "pessimistic"):
+                want = rank_from_scores(scores, target, excluded, tie)
+                assert rank_query(cache, ds, side, triple, tie) == want, (side, tie)
+
+
+def test_screen_decides_nothing_beyond_its_proven_width():
+    # The float32 error bound is proven for d <= 2^17; wider, every entity
+    # is re-scored in float64.
+    gen = np.random.default_rng(5)
+    n, d = 4, (1 << 17) + 1
+    cache = adamf.evaluation.EvalCache(
+        re=gen.standard_normal((n, d)), im=gen.standard_normal((n, d)),
+        cos=np.ones((1, d)), sin=np.zeros((1, d)))
+    x, y = adamf.evaluation._query(cache, "tail", (0, 0, 1))
+    scores = candidate_scores(cache, "tail", (0, 0, 1))
+    _, decided = adamf.evaluation._screen(cache, x, y, scores[1])
+    assert not decided.any()
+    ds = make_dataset(n, {"test": [(0, 0, 1)]})
+    assert rank_query(cache, ds, "tail", (0, 0, 1)) == rank_from_scores(scores, 1, ())
 
 
 # ----------------------------------------------------------- rank mechanics
@@ -262,7 +362,8 @@ def test_eval_cache_memory_is_flat_in_relations_queried(monkeypatch):
     evaluate(model, ds)
     [(cache, before)] = built
     assert all(isinstance(v, np.ndarray) for v in vars(cache).values())
-    assert before == 8 * 2 * d * (n + n_rel)   # planar re/im plus cos/sin
+    # planar float64 re/im plus cos/sin, float32 re/im and the per-entity L1
+    assert before == 8 * 2 * d * (n + n_rel) + 4 * 2 * d * n + 8 * n
     assert nbytes(cache) == before
 
 
@@ -404,14 +505,31 @@ def test_parallel_evaluate_raises_first_serial_error(monkeypatch):
         evaluate(model, ds)
 
 
-def _fresh_distances(cache, x, y):
+def test_evaluate_ranks_through_the_module_global_rank_query(monkeypatch):
+    # Benchmarks and tracers time queries by rebinding
+    # `adamf.evaluation.rank_query`: `evaluate` must look it up there, once
+    # per direction of every query, from every ranking thread.
+    model, ds = _tied_block_fixture()
+    _affinity(monkeypatch, 3)
+    real, sides = adamf.evaluation.rank_query, []
+
+    def counted(cache, dataset, side, triple, tie_break="optimistic"):
+        sides.append(side)
+        return real(cache, dataset, side, triple, tie_break)
+
+    monkeypatch.setattr(adamf.evaluation, "rank_query", counted)
+    evaluate(model, ds)
+    assert sorted(sides) == ["head"] * len(ds.test) + ["tail"] * len(ds.test)
+
+
+def _fresh_distances(re, im, x, y):
     """`_distances` with two new arrays per block, as it was written before
     the block buffers were reused."""
-    n, d = cache.re.shape
-    out = np.empty(n)
+    n, d = re.shape
+    out = np.empty(n, dtype=re.dtype)
     step = max(1, (1 << 19) // (8 * d))
     for lo in range(0, n, step):
-        a, b = x - cache.re[lo:lo + step], y - cache.im[lo:lo + step]
+        a, b = x - re[lo:lo + step], y - im[lo:lo + step]
         a *= a
         a += np.square(b, out=b)
         out[lo:lo + step] = np.sqrt(a, out=a).sum(axis=1)
@@ -419,15 +537,20 @@ def _fresh_distances(cache, x, y):
 
 
 def test_distances_with_reused_blocks_equal_fresh_arrays():
+    # In either dtype.  Each row's sum is its own, so scoring a subset of
+    # rows (as the float64 re-score does) gives every row its full-pass bytes.
     gen = np.random.default_rng(11)
-    for n, d in ((1300, 128), (2000, 200), (40, 3), (70000, 1)):
-        cache = adamf.evaluation.EvalCache(
-            re=gen.standard_normal((n, d)), im=gen.standard_normal((n, d)),
-            cos=np.ones((1, d)), sin=np.zeros((1, d)))
+    for (n, d), dtype in itertools.product(
+            ((1300, 128), (2000, 200), (40, 3), (70000, 1)), (np.float64, np.float32)):
+        re, im = (gen.standard_normal((n, d)).astype(dtype) for _ in range(2))
         for _ in range(3):      # later calls reuse this thread's blocks
-            x, y = gen.standard_normal(d), gen.standard_normal(d)
-            got = adamf.evaluation._distances(cache, x, y)
-            assert got.tobytes() == _fresh_distances(cache, x, y).tobytes(), (n, d)
+            x, y = (gen.standard_normal(d).astype(dtype) for _ in range(2))
+            got = adamf.evaluation._distances(re, im, x, y)
+            assert got.dtype == dtype
+            assert got.tobytes() == _fresh_distances(re, im, x, y).tobytes(), (n, d)
+            rows = np.sort(gen.choice(n, size=min(n, 7), replace=False))
+            subset = adamf.evaluation._distances(re[rows], im[rows], x, y)
+            assert subset.tobytes() == got[rows].tobytes(), (n, d)
 
 
 def test_evaluate_rejects_empty_split():
