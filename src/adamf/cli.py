@@ -48,6 +48,7 @@ GRADCHECK_EPSILONS = (1e-6, 2e-5)
 # certify 1e-5 relative agreement), while a wrong gradient formula still
 # fails scale-invariantly.
 GRADCHECK_SCALE = 1e-3
+KINK_MARGIN = 5e-4      # see _clear_generator_kinks
 
 
 def _warn(message: str) -> None:
@@ -82,27 +83,34 @@ def _load_dataset(cfg: RunConfig) -> TripleDataset:
     return load_triples(cfg.train, cfg.valid, cfg.test)
 
 
+_FEATURE_FILES = {"v": "visual", "t": "textual"}    # config keys <name>_features
+
+
+def _feature_tables(cfg: RunConfig, dataset: TripleDataset,
+                    modalities) -> dict[str, tuple[FeatureTable, FeatureTable]]:
+    """{m: (loaded, masked)} for each of the `modalities` whose feature file the
+    config names, masked with the configured missing ratio and seed."""
+    tables = {}
+    for m in modalities:
+        path = getattr(cfg, f"{_FEATURE_FILES[m]}_features")
+        if path is not None:
+            table = load_features(path, dataset.vocab, m, cfg.model.feature_dim(m))
+            tables[m] = table, apply_modality_missing(
+                table, cfg.modality_missing_ratio, cfg.training.seed)
+    return tables
+
+
 def _build_model(cfg: RunConfig, dataset: TripleDataset, checkpoint=None) -> Model:
-    """The run's model: feature tables (with the configured missing ratio
-    applied) and parameters initialised from the seed or, when `checkpoint`
-    names a file, loaded from it."""
-    model_cfg, seed = cfg.model, cfg.training.seed
-    paths = {"v": cfg.visual_features, "t": cfg.textual_features}
-    tables: dict[str, FeatureTable | None] = {}
-    for m in model_cfg.projected_modalities:
-        table = None
-        if paths[m] is not None:
-            table = load_features(paths[m], dataset.vocab, m, model_cfg.feature_dim(m))
-            if cfg.modality_missing_ratio > 0:
-                table = apply_modality_missing(table, cfg.modality_missing_ratio, seed)
-        tables[m] = table
+    """The run's model: the masked `_feature_tables` and parameters drawn from
+    the seed or, when `checkpoint` names a file, loaded from it."""
+    tables = _feature_tables(cfg, dataset, cfg.model.projected_modalities)
     counts = dataset.vocab.n_entities, dataset.vocab.n_relations
     if checkpoint is None:
-        store = init_params(model_cfg, *counts, seed)
+        store = init_params(cfg.model, *counts, cfg.training.seed)
     else:   # the load checks that it writes every parameter
-        store = zero_params(model_cfg, *counts)
+        store = zero_params(cfg.model, *counts)
         load_checkpoint(store, checkpoint)
-    return Model(model_cfg, store, tables)
+    return Model(cfg.model, store, {m: masked for m, (_, masked) in tables.items()})
 
 
 # ------------------------------------------------------------------ commands
@@ -164,9 +172,9 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _clear_generator_kinks(model, batch, noise, margin=5e-4) -> None:
+def _clear_generator_kinks(model, batch, noise) -> None:
     """Nudge generator first-layer biases until no hidden pre-activation sits
-    within `margin` of the leaky-relu kink for the fixture's inputs.
+    within KINK_MARGIN of the leaky-relu kink for the fixture's inputs.
 
     A finite-difference probe that crosses the kink averages two slopes and
     spuriously disagrees with the analytic one-sided derivative, so the
@@ -180,10 +188,10 @@ def _clear_generator_kinks(model, batch, noise, margin=5e-4) -> None:
         b1 = store[f"gen.{m}.b1"]
         for _ in range(100):
             pre = x @ store[f"gen.{m}.w1"].T + b1
-            offending = np.abs(pre).min(axis=0) < margin
+            offending = np.abs(pre).min(axis=0) < KINK_MARGIN
             if not offending.any():
                 break
-            b1 = b1 + np.where(offending, 2.6 * margin, 0.0)
+            b1 = b1 + np.where(offending, 2.6 * KINK_MARGIN, 0.0)
             store.set(f"gen.{m}.b1", b1)
 
 
@@ -275,25 +283,16 @@ def cmd_mask_modality(args) -> int:
     if args.ratio is not None:
         cfg = replace(cfg, modality_missing_ratio=args.ratio)
     dataset = _load_dataset(cfg)
-    sources = {"v": (cfg.visual_features, cfg.model.visual_dim, "visual_masked.tsv"),
-               "t": (cfg.textual_features, cfg.model.textual_dim, "textual_masked.tsv")}
-    jobs = [(m, path, dim, name) for m, (path, dim, name) in sources.items()
-            if path is not None]
-    if not jobs:
+    # Every table is read and masked before the first write: all or nothing.
+    tables = _feature_tables(cfg, dataset, _FEATURE_FILES)
+    if not tables:
         raise ConfigError("mask-modality needs visual_features and/or "
                           "textual_features in the config")
-    # Every table is read and masked before the first write: all or nothing.
-    results = []
-    for m, path, dim, name in jobs:
-        table = load_features(path, dataset.vocab, m, dim)
-        masked = apply_modality_missing(table, cfg.modality_missing_ratio,
-                                        cfg.training.seed)
-        results.append((m, name, int(table.present.sum()), masked))
     out = _out_dir(cfg)
-    for m, name, present, masked in results:
-        target = os.path.join(out, name)
+    for m, (table, masked) in tables.items():
+        target = os.path.join(out, f"{_FEATURE_FILES[m]}_masked.tsv")
         save_features(masked, dataset.vocab, target)
-        print(f"{m}: kept {int(masked.present.sum())}/{present} present rows -> {target}")
+        print(f"{m}: kept {masked.present.sum()}/{table.present.sum()} present rows -> {target}")
     return 0
 
 

@@ -128,7 +128,8 @@ def _build(values: dict) -> RunConfig:
 
 
 def parse_config(path) -> RunConfig:
-    """Read a flat key = value file into a RunConfig.
+    """Read a flat key = value file (UTF-8, a leading byte-order mark
+    dropped) into a RunConfig.
 
     Relative data/output paths are resolved against the config file's own
     directory, so a config travels with its dataset.  A value its dataclass
@@ -139,7 +140,7 @@ def parse_config(path) -> RunConfig:
     base = os.path.dirname(os.path.abspath(os.fspath(path)))
     values: dict = {section: {} for section in (None, *_SECTIONS)}
     lines: dict[str, int] = {}     # key -> its line, in file order
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

@@ -1,8 +1,9 @@
 """Triple and multi-modal feature loading.
 
-File formats (UTF-8, LF, no headers):
+File formats (UTF-8, LF, no headers; a leading byte-order mark is dropped):
   triples:   head<TAB>relation<TAB>tail
   features:  entity<TAB>c1,c2,...,cdim, at most one row per entity
+No entity or relation name may be empty.
 """
 
 from __future__ import annotations
@@ -126,10 +127,11 @@ class FeatureTable:
     present: np.ndarray
 
 
-def _tsv_rows(path: str, n_fields: int, form: str):
+def _tsv_rows(path: str, n_fields: int, form: str, names: tuple[str, ...]):
     """(lineno, fields) of each non-empty line of a tab-separated file; a
-    line without `n_fields` fields raises DataError naming `form`."""
-    with open(path, encoding="utf-8") as fh:
+    line without `n_fields` fields raises DataError naming `form`, as does
+    an empty field among the leading ones that `names` labels."""
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
@@ -137,6 +139,8 @@ def _tsv_rows(path: str, n_fields: int, form: str):
             fields = line.split("\t")
             if len(fields) != n_fields:
                 raise DataError(f"{path}:{lineno}: expected {form}, got {len(fields)} fields")
+            if "" in fields[:len(names)]:
+                raise DataError(f"{path}:{lineno}: empty {names[fields.index('')]} name")
             yield lineno, fields
 
 
@@ -144,7 +148,8 @@ def _parse_triple_file(path: str, split: str, vocab: Vocab) -> list[tuple[int, i
     triples = []
     seen = set()
     duplicates = 0
-    for _, fields in _tsv_rows(path, 3, "3 tab-separated fields"):
+    for _, fields in _tsv_rows(path, 3, "3 tab-separated fields",
+                               ("head", "relation", "tail")):
         key = tuple(fields)
         if key in seen:
             duplicates += 1
@@ -202,7 +207,8 @@ def load_features(path: str, vocab: Vocab, modality: str, dim: int) -> FeatureTa
     matrix = np.zeros((vocab.n_entities, dim), dtype=np.float64)
     present = np.zeros(vocab.n_entities, dtype=bool)
     unknown = 0
-    for lineno, (name, values) in _tsv_rows(path, 2, "`entity<TAB>floats`"):
+    for lineno, (name, values) in _tsv_rows(path, 2, "`entity<TAB>floats`",
+                                            ("entity",)):
         idx = vocab.entity_index.get(name)
         if idx is None:
             unknown += 1

@@ -23,9 +23,9 @@ not depend on the thread count.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import TripleDataset
 from .errors import ContractError, NumericError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_open, atomic_write_text
 from .model import MODALITY_ORDER, Model
 from .tape import modulus_sum
 
@@ -80,22 +80,6 @@ def _block_rows(d: int) -> int:
     return max(1, (1 << 19) // (8 * d))
 
 
-_per_thread = threading.local()
-
-
-def _blocks(d: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's two (`_block_rows(d)`, d) block buffers of the dtype,
-    reused from query to query whatever the number of rows scored."""
-    blocks = getattr(_per_thread, "blocks", None)
-    if blocks is None:
-        blocks = _per_thread.blocks = {}
-    shape = (_block_rows(d), d)
-    pair = blocks.get(dtype)
-    if pair is None or pair[0].shape != shape:
-        pair = blocks[dtype] = (np.empty(shape, dtype), np.empty(shape, dtype))
-    return pair
-
-
 def _distances(re: np.ndarray, im: np.ndarray, x: np.ndarray,
                y: np.ndarray) -> np.ndarray:
     """sum_k sqrt((x_k - re_jk)^2 + (y_k - im_jk)^2) for every row j, in the
@@ -104,7 +88,7 @@ def _distances(re: np.ndarray, im: np.ndarray, x: np.ndarray,
     n, d = re.shape
     out = np.empty(n, dtype=re.dtype)
     step = _block_rows(d)
-    a_block, b_block = _blocks(d, re.dtype)
+    a_block, b_block = np.empty((2, min(step, n), d), re.dtype)
     for lo in range(0, n, step):
         modulus_sum(x, y, re[lo:lo + step], im[lo:lo + step],
                     a_block[:n - lo], b_block[:n - lo], out[lo:lo + step])
@@ -378,9 +362,10 @@ def write_rank_report(report: RankReport, dataset: TripleDataset, out) -> None:
 
 
 def write_weight_csv(rows: list[dict], path) -> None:
-    lines = ["relation,count,alpha_s,alpha_v,alpha_t"]
-    for row in rows:
-        lines.append("%s,%d,%.17g,%.17g,%.17g" % (
-            row["relation"], row["count"],
-            row["alpha_s"], row["alpha_v"], row["alpha_t"]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """CSV of each relation's name, count and mean weight per modality."""
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["relation", "count", *(f"alpha_{m}" for m in MODALITY_ORDER)])
+        for row in rows:
+            writer.writerow([row["relation"], "%d" % row["count"],
+                             *("%.17g" % row[f"alpha_{m}"] for m in MODALITY_ORDER)])

@@ -343,8 +343,7 @@ class Model:
                 t = star["t"] if pattern in (SYN_TAIL, SYN_BOTH) else real["t"]
                 blocks.append(tape.query_distance(*h, phase, triples[:, 1], *t))
                 meta.append((g, pattern))
-        flat = blocks[0] if len(blocks) == 1 else tape.concat(blocks)
-        return flat, meta
+        return tape.concat(blocks), meta
 
     # ------------------------------------------------------------- evaluation
 

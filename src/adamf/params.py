@@ -12,6 +12,7 @@ from .errors import ContractError, NumericError
 
 GROUPS = ("discriminator", "generator")
 ADAM_CHUNK = 1 << 15    # flat elements per pass of adam_step
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class ParameterStore:
@@ -122,13 +123,13 @@ class ParameterStore:
         self.steps[group] = int(step)
 
 
-def adam_step(params: ParameterStore, group: str, grad: np.ndarray, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(params: ParameterStore, group: str, grad: np.ndarray, lr: float):
     """One bias-corrected Adam update of a group from its flat gradient.
 
     Values and moments are updated in place, in the binary-op order of
     m = beta1 m + (1 - beta1) g,  v = beta2 v + (1 - beta2) g^2,
-    value -= lr m_hat / (sqrt(v_hat) + eps),
+    value -= lr m_hat / (sqrt(v_hat) + eps), with the constants beta1 =
+    ADAM_BETA1 (0.9), beta2 = ADAM_BETA2 (0.999) and eps = ADAM_EPS (1e-8),
     so the bytes equal the out-of-place formula's.  The update runs over
     chunks of ADAM_CHUNK flat elements with two chunk-sized temporaries, so
     each pass reads cache rather than the whole table.  The gradient must
@@ -148,15 +149,15 @@ def adam_step(params: ParameterStore, group: str, grad: np.ndarray, lr: float,
     for lo in range(0, values.size, ADAM_CHUNK):
         value, m_c, v_c, g = (x[lo:lo + ADAM_CHUNK] for x in (values, m, v, grad))
         tmp, update = buffers[:, :g.size]
-        m_c *= beta1
-        m_c += np.multiply(g, 1.0 - beta1, out=tmp)
-        v_c *= beta2
-        v_c += np.multiply(np.multiply(g, g, out=tmp), 1.0 - beta2, out=tmp)
-        np.divide(m_c, 1.0 - beta1 ** step, out=update)     # m_hat
+        m_c *= ADAM_BETA1
+        m_c += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        v_c *= ADAM_BETA2
+        v_c += np.multiply(np.multiply(g, g, out=tmp), 1.0 - ADAM_BETA2, out=tmp)
+        np.divide(m_c, 1.0 - ADAM_BETA1 ** step, out=update)     # m_hat
         update *= lr
-        np.divide(v_c, 1.0 - beta2 ** step, out=tmp)        # v_hat
+        np.divide(v_c, 1.0 - ADAM_BETA2 ** step, out=tmp)        # v_hat
         np.sqrt(tmp, out=tmp)
-        tmp += eps
+        tmp += ADAM_EPS
         update /= tmp
         value -= update
 

@@ -260,9 +260,8 @@ def train(model: Model, dataset: TripleDataset, cfg: TrainConfig, out,
             history.append(entry)
             log_file.write(json.dumps(entry) + "\n")
             log_file.flush()
-    if not (history and "val_mrr" in history[-1]):
-        save_checkpoint(model.store, checkpoint_path)  # unless the last epoch saved it
     if best_mrr < 0:
-        # no validation ever ran; fall back to the final parameters
+        # no epoch validated (a run that validates at all validates its last)
+        save_checkpoint(model.store, checkpoint_path)
         save_checkpoint(model.store, best_path)
     return history

@@ -42,6 +42,13 @@ epochs = 7
     assert cfg.training.epochs == 7
 
 
+def test_byte_order_mark_is_not_part_of_the_first_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xef\xbb\xbfdim = 16\nepochs = 7\n")
+    cfg = parse_config(str(path))
+    assert (cfg.model.d, cfg.training.epochs) == (16, 7)
+
+
 def test_unknown_key_reports_path_and_line(tmp_path):
     path = write_cfg(tmp_path, "dim = 16\nlearningrate = 3\n")
     with pytest.raises(ConfigError, match=r"run\.cfg:2.*learningrate"):

@@ -87,6 +87,30 @@ def test_both_readers_name_path_and_line_of_a_short_row(tmp_path):
         load_features(feats, vocab, "v", 2)
 
 
+def test_byte_order_mark_is_not_part_of_the_first_name(tmp_path):
+    bom = b"\xef\xbb\xbf"
+    train = tmp_path / "train.tsv"
+    train.write_bytes(bom + "a\tr\tb\nb\tr\ta\n".encode())
+    ds = load_triples(str(train))
+    assert ds.vocab.entity_names == ["a", "b"]
+    feats = tmp_path / "feat.tsv"
+    feats.write_bytes(bom + "a\t1.0,2.0\n".encode())
+    table = load_features(str(feats), ds.vocab, "v", 2)
+    assert table.present.tolist() == [True, False]
+    assert table.matrix[0].tolist() == [1.0, 2.0]
+
+
+def test_both_readers_refuse_an_empty_name(tmp_path):
+    for line, field in (("\tr\tc", "head"), ("a\t\tb", "relation"), ("a\tr\t", "tail")):
+        bad = write(tmp_path / "bad.tsv", ["a\tr\tb", line])
+        with pytest.raises(DataError, match=rf"bad\.tsv:2: empty {field} name"):
+            load_triples(bad)
+    vocab = vocab3(tmp_path)
+    feats = write(tmp_path / "feat.tsv", ["a\t1.0,2.0", "\t3.0,4.0"])
+    with pytest.raises(DataError, match=r"feat\.tsv:2: empty entity name"):
+        load_features(feats, vocab, "v", 2)
+
+
 def test_empty_train_rejected(tmp_path):
     train = write(tmp_path / "train.tsv", [])
     with pytest.raises(DataError):

@@ -1,5 +1,6 @@
 """Filtered ranking against a brute-force oracle, plus metric arithmetic."""
 
+import csv
 import itertools
 import json
 import os
@@ -543,7 +544,7 @@ def test_distances_with_reused_blocks_equal_fresh_arrays():
     for (n, d), dtype in itertools.product(
             ((1300, 128), (2000, 200), (40, 3), (70000, 1)), (np.float64, np.float32)):
         re, im = (gen.standard_normal((n, d)).astype(dtype) for _ in range(2))
-        for _ in range(3):      # later calls reuse this thread's blocks
+        for _ in range(3):      # several queries against the same rows
             x, y = (gen.standard_normal(d).astype(dtype) for _ in range(2))
             got = adamf.evaluation._distances(re, im, x, y)
             assert got.dtype == dtype
@@ -685,3 +686,15 @@ def test_weight_csv_format(tmp_path):
     assert first[0] == rows[0]["relation"]
     assert int(first[1]) == rows[0]["count"]
     assert float(first[2]) == rows[0]["alpha_s"]
+
+
+def test_weight_csv_quotes_a_relation_name_with_a_comma(tmp_path):
+    rows = [{"relation": name, "count": 3, "alpha_s": 0.5, "alpha_v": 0.25, "alpha_t": 0.25}
+            for name in ("born in, city", 'said "hi"', "plain")]
+    path = tmp_path / "weights.csv"
+    write_weight_csv(rows, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        read = list(csv.reader(fh))
+    assert read[0] == ["relation", "count", "alpha_s", "alpha_v", "alpha_t"]
+    assert read[1:] == [[row["relation"], "3", "0.5", "0.25", "0.25"] for row in rows]
+    assert path.read_text().splitlines()[3] == "plain,3,0.5,0.25,0.25"

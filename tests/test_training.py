@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 import adamf.evaluation
 from adamf import training
 from adamf.checkpoint import save_checkpoint
+from adamf.data import TripleDataset
 from adamf.errors import ContractError, NumericError
 from adamf.model import ALL_PATTERNS, DISC, FROZEN, GEN, Model
 from adamf.params import adam_step
@@ -478,12 +479,18 @@ def test_train_writes_jsonl_log(tmp_path):
     assert history[-1]["epoch"] == 4
 
 
-@pytest.mark.parametrize("validate_every, writes", [
-    (50, ["best.bin", "checkpoint.bin"]),    # the last epoch validates and saves
-    (0, ["checkpoint.bin", "best.bin"]),     # no validation: saved after the loop
-])
-def test_train_writes_each_checkpoint_once(tmp_path, monkeypatch, validate_every, writes):
-    model, ds, cfg = toy_train_setup(epochs=2, validate_every=validate_every)
+@pytest.mark.parametrize("epochs, validate_every, has_valid, writes", [
+    (2, 50, True, ["best.bin", "checkpoint.bin"]),  # the last epoch validates and saves
+    # never validated: both saved after the loop
+    (2, 0, True, ["checkpoint.bin", "best.bin"]),
+    (0, 50, True, ["checkpoint.bin", "best.bin"]),
+    (2, 50, False, ["checkpoint.bin", "best.bin"]),
+], ids=["50-writes0", "0-writes1", "no-epochs", "empty-valid"])
+def test_train_writes_each_checkpoint_once(tmp_path, monkeypatch, epochs, validate_every,
+                                           has_valid, writes):
+    model, ds, cfg = toy_train_setup(epochs=epochs, validate_every=validate_every)
+    if not has_valid:
+        ds = TripleDataset.from_splits(ds.vocab, ds.train, [], ds.test)
     calls = []
 
     def counting_save(store, path):
