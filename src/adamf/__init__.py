@@ -8,7 +8,7 @@ from .data import (FeatureTable, TripleDataset, Vocab, apply_modality_missing,
                    load_features, load_triples)
 from .errors import (AdamfError, ConfigError, ContractError, DataError,
                      GradCheckError, NumericError)
-from .evaluation import RankReport, evaluate, rank_query, relation_weight_report
+from .evaluation import RankReport, evaluate, rank_query
 from .model import Model, ModelConfig, init_params
 from .params import ParameterStore, adam_step, finite_diff_check
 from .rng import SeededRng
@@ -25,6 +25,5 @@ __all__ = [
     "TrainConfig", "TripleDataset", "Vocab", "adam_step",
     "apply_modality_missing", "evaluate", "finite_diff_check", "init_params",
     "load_features", "load_triples", "loss_adv", "loss_kgc", "parse_config",
-    "rank_query", "relation_weight_report", "sample_negatives",
-    "self_adv_weights", "train",
+    "rank_query", "sample_negatives", "self_adv_weights", "train",
 ]

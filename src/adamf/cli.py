@@ -1,5 +1,5 @@
-"""Command-line front end: train, eval, gradcheck, dump-weights,
-mask-modality.
+"""Command-line front end: train, eval, gradcheck, mask-modality.  The rank
+report that train and eval write gives each relation's mean fusion weights.
 
 Exit codes: 0 success, 2 configuration/contract problem, 3 numeric failure,
 4 I/O or data problem, 5 gradient check over tolerance.  AMF_SEED in the
@@ -24,8 +24,7 @@ from .data import (FeatureTable, TripleDataset, apply_modality_missing,
                    load_features, load_triples, save_features)
 from .errors import (ConfigError, ContractError, DataError, GradCheckError,
                      NumericError)
-from .evaluation import (evaluate, relation_weight_report, write_rank_report,
-                         write_weight_csv)
+from .evaluation import evaluate, write_rank_report
 from .ioutil import atomic_write_text
 from .model import (ALL_PATTERNS, DISC, FROZEN, GEN, Model, ModelConfig, init_params,
                     zero_params)
@@ -267,17 +266,6 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0):
              None if lam == 0 else check(adv_gen_builder, "generator"))]
 
 
-def cmd_dump_weights(args) -> int:
-    cfg = _load_run_config(args)
-    dataset = _load_dataset(cfg)
-    model = _build_model(cfg, dataset, args.checkpoint)
-    rows = relation_weight_report(model, dataset, "test")
-    path = os.path.join(_out_dir(cfg), "weights.csv")
-    write_weight_csv(rows, path)
-    print(f"wrote {len(rows)} relation rows to {path}")
-    return 0
-
-
 def cmd_mask_modality(args) -> int:
     cfg = _load_run_config(args)
     if args.ratio is not None:
@@ -329,12 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="finite-difference audit of the gradients")
     common(p_grad, config_required=False)
     p_grad.set_defaults(func=cmd_gradcheck)
-
-    p_dump = sub.add_parser("dump-weights",
-                            help="per-relation fusion weight CSV")
-    common(p_dump)
-    p_dump.add_argument("checkpoint", help="checkpoint file to read")
-    p_dump.set_defaults(func=cmd_dump_weights)
 
     p_mask = sub.add_parser("mask-modality",
                             help="write feature files with a missing ratio applied")

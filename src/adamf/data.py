@@ -3,7 +3,7 @@
 File formats (UTF-8, LF, no headers; a leading byte-order mark is dropped):
   triples:   head<TAB>relation<TAB>tail
   features:  entity<TAB>c1,c2,...,cdim, at most one row per entity
-No entity or relation name may be empty.
+No entity or relation name may be empty or start or end with whitespace.
 """
 
 from __future__ import annotations
@@ -130,7 +130,8 @@ class FeatureTable:
 def _tsv_rows(path: str, n_fields: int, form: str, names: tuple[str, ...]):
     """(lineno, fields) of each non-empty line of a tab-separated file; a
     line without `n_fields` fields raises DataError naming `form`, as does
-    an empty field among the leading ones that `names` labels."""
+    an empty field, or one with leading or trailing whitespace, among the
+    leading ones that `names` labels."""
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -139,8 +140,12 @@ def _tsv_rows(path: str, n_fields: int, form: str, names: tuple[str, ...]):
             fields = line.split("\t")
             if len(fields) != n_fields:
                 raise DataError(f"{path}:{lineno}: expected {form}, got {len(fields)} fields")
-            if "" in fields[:len(names)]:
-                raise DataError(f"{path}:{lineno}: empty {names[fields.index('')]} name")
+            for name, value in zip(names, fields):
+                if not value:
+                    raise DataError(f"{path}:{lineno}: empty {name} name")
+                if value.strip() != value:
+                    raise DataError(f"{path}:{lineno}: {name} name {value!r} has "
+                                    f"leading or trailing whitespace")
             yield lineno, fields
 
 

@@ -1,5 +1,5 @@
-"""Filtered link-prediction evaluation: ranks, MRR/Hit@K, and per-relation
-fusion-weight summaries.
+"""Filtered link-prediction evaluation: ranks and MRR/Hit@K, overall and
+per relation, with each relation's mean fusion weights.
 
 Scores are distances (lower is more plausible), so ranking sorts ascending.
 The filtered protocol removes every candidate completion that forms a known
@@ -23,7 +23,6 @@ not depend on the thread count.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +32,7 @@ import numpy as np
 
 from .data import TripleDataset
 from .errors import ContractError, NumericError
-from .ioutil import atomic_open, atomic_write_text
+from .ioutil import atomic_write_text
 from .model import MODALITY_ORDER, Model
 from .tape import modulus_sum
 
@@ -45,11 +44,13 @@ TIE_BREAKS = ("optimistic", "pessimistic")
 class EvalCache:
     """Frozen planar entity embeddings and relation rotations for scoring,
     plus what the float32 screen reads: float32 copies of `re` and `im`, and
-    each entity's L1 norm sum_k |re_ek| + |im_ek|."""
+    each entity's L1 norm sum_k |re_ek| + |im_ek|.  `alpha` holds each
+    entity's fusion weights, one column per modality the model uses."""
     re: np.ndarray     # (N, d)
     im: np.ndarray     # (N, d)
     cos: np.ndarray    # (R, d)
     sin: np.ndarray    # (R, d)
+    alpha: np.ndarray  # (N, M)
     re32: np.ndarray = field(init=False)    # (N, d)
     im32: np.ndarray = field(init=False)    # (N, d)
     l1: np.ndarray = field(init=False)      # (N,)
@@ -63,16 +64,18 @@ class EvalCache:
 
 def build_cache(model: Model) -> EvalCache:
     """Raises `NumericError` on a non-finite embedding or phase, which no
-    ranking can order (NaN never compares below a target)."""
-    joint, _ = model.entity_representations()
-    joint = np.asarray(joint, dtype=np.float64)
+    ranking can order (NaN never compares below a target), or on a
+    non-finite fusion weight, which the report would carry."""
+    joint, alpha = (np.asarray(a, dtype=np.float64)
+                    for a in model.entity_representations())
     phases = np.asarray(model.relation_phases(), dtype=np.float64)
-    for what, values in (("entity embeddings", joint), ("relation phases", phases)):
+    for what, values in (("entity embeddings", joint), ("relation phases", phases),
+                         ("fusion weights", alpha)):
         if not np.isfinite(values).all():
             raise NumericError(f"non-finite {what}; cannot rank")
     return EvalCache(re=np.ascontiguousarray(joint[:, 0::2]),
                      im=np.ascontiguousarray(joint[:, 1::2]),
-                     cos=np.cos(phases), sin=np.sin(phases))
+                     cos=np.cos(phases), sin=np.sin(phases), alpha=alpha)
 
 
 def _block_rows(d: int) -> int:
@@ -264,26 +267,15 @@ def _aggregate(head_ranks: np.ndarray, tail_ranks: np.ndarray,
     return mrr, hits
 
 
-def _per_relation(dataset: TripleDataset, triples: np.ndarray, summary) -> list[dict]:
-    """One row per relation in `triples`: its name, its triple count and the
-    entries of `summary(idx)` over the indices of its triples; sorted by
-    count descending, then name."""
-    rows = []
-    for r in sorted(set(int(v) for v in triples[:, 1])):
-        idx = np.flatnonzero(triples[:, 1] == r)
-        rows.append({"relation": dataset.vocab.relation_names[r],
-                     "count": int(idx.shape[0]), **summary(idx)})
-    rows.sort(key=lambda row: (-row["count"], row["relation"]))
-    return rows
-
-
 def evaluate(model: Model, dataset: TripleDataset, split: str = "test",
              ks=(1, 3, 10), tie_break: str = "optimistic") -> RankReport:
     """Filtered ranking of every query in the split, both directions.
 
     MRR = (1/(2|T|)) * sum_i (1/r_head_i + 1/r_tail_i); Hit@K counts both
-    directions the same way.  Per-relation rows aggregate the same formulas
-    over each relation's triples, in descending triple-count order.
+    directions the same way.  Per-relation rows, sorted by triple count
+    descending, then name, aggregate the same formulas over each relation's
+    triples, and give `alpha_<m>`, the mean fusion weight of modality m over
+    their head and tail entities (0 for a modality the model does not use).
     """
     triples = dataset.split(split)
     if triples.shape[0] == 0:
@@ -305,44 +297,20 @@ def evaluate(model: Model, dataset: TripleDataset, split: str = "test",
     for done in slices:     # in slice order: the serial loop's first error
         done.result()
     mrr, hits = _aggregate(head_ranks, tail_ranks, ks)
-
-    def summary(idx):
+    per_relation = []
+    for r in sorted(set(int(v) for v in triples[:, 1])):
+        idx = np.flatnonzero(triples[:, 1] == r)
         r_mrr, r_hits = _aggregate(head_ranks[idx], tail_ranks[idx], ks)
-        return {"mrr": r_mrr, "hits": {str(k): v for k, v in sorted(r_hits.items())}}
-
-    per_relation = _per_relation(dataset, triples, summary)
+        ends = np.concatenate([cache.alpha[triples[idx, 0]], cache.alpha[triples[idx, 2]]])
+        means = dict(zip(model.cfg.modalities, ends.mean(axis=0)))
+        per_relation.append({
+            "relation": dataset.vocab.relation_names[r], "count": int(idx.shape[0]),
+            "mrr": r_mrr, "hits": {str(k): v for k, v in sorted(r_hits.items())},
+            **{f"alpha_{m}": float(means.get(m, 0.0)) for m in MODALITY_ORDER}})
+    per_relation.sort(key=lambda row: (-row["count"], row["relation"]))
     return RankReport(mrr=mrr, hits=hits, n_test=n, triples=triples,
                       head_ranks=head_ranks, tail_ranks=tail_ranks,
                       per_relation=per_relation)
-
-
-# ------------------------------------------------------------ weight summary
-
-def relation_weight_report(model: Model, dataset: TripleDataset,
-                           split: str = "test") -> list[dict]:
-    """Mean fusion weights per relation over its triples' head and tail
-    entities, sorted by triple count descending.
-
-    Only meaningful for adaptive fusion; inactive modalities report 0.
-    Raises `NumericError` on non-finite fusion weights, as `build_cache` does
-    on non-finite embeddings.
-    """
-    if model.cfg.fusion_mode != "adaptive":
-        raise ContractError("modality-weight report requires adaptive fusion")
-    triples = dataset.split(split)
-    if triples.shape[0] == 0:
-        raise ContractError(f"cannot summarize an empty {split!r} split")
-    _, alpha = model.entity_representations()
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if not np.isfinite(alpha).all():
-        raise NumericError("non-finite fusion weights; cannot summarize")
-
-    def summary(idx):
-        stacked = np.concatenate([alpha[triples[idx, 0]], alpha[triples[idx, 2]]])
-        means = dict(zip(model.cfg.modalities, stacked.mean(axis=0)))
-        return {f"alpha_{m}": float(means.get(m, 0.0)) for m in MODALITY_ORDER}
-
-    return _per_relation(dataset, triples, summary)
 
 
 # ------------------------------------------------------------------- writers
@@ -359,13 +327,3 @@ def write_rank_report(report: RankReport, dataset: TripleDataset, out) -> None:
         lines.append("\t".join((vocab.entity_names[h], vocab.relation_names[r],
                                 vocab.entity_names[t], str(int(rh)), str(int(rt)))))
     atomic_write_text(os.path.join(out, "ranks.tsv"), "\n".join(lines) + "\n")
-
-
-def write_weight_csv(rows: list[dict], path) -> None:
-    """CSV of each relation's name, count and mean weight per modality."""
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["relation", "count", *(f"alpha_{m}" for m in MODALITY_ORDER)])
-        for row in rows:
-            writer.writerow([row["relation"], "%d" % row["count"],
-                             *("%.17g" % row[f"alpha_{m}"] for m in MODALITY_ORDER)])

@@ -114,6 +114,9 @@ def test_rank_report_contents(trained):
     assert set(report["hits"]) == {"1", "3"}
     assert 0.0 < report["mrr"] <= 1.0
     assert len((out / "ranks.tsv").read_text().splitlines()) == 2
+    assert len(report["per_relation"]) == 2
+    for row in report["per_relation"]:
+        assert abs(row["alpha_s"] + row["alpha_v"] + row["alpha_t"] - 1.0) < 1e-6
 
 
 def test_train_deterministic_byte_identical(corpus, tmp_path):
@@ -290,22 +293,6 @@ def test_eval_nonfinite_checkpoint_exits_3_without_outputs(trained, tmp_path, ca
     assert not eval_out.exists()  # no rank_report.json, not even the directory
 
 
-def test_dump_weights_nonfinite_checkpoint_exits_3_without_outputs(trained, tmp_path,
-                                                                  capsys):
-    _, cfg = trained
-    run = parse_config(cfg)
-    store = cli._build_model(run, cli._load_dataset(run)).store
-    store.set("entity.structural", np.full_like(store["entity.structural"], np.nan))
-    save_checkpoint(store, str(tmp_path / "nan.bin"))
-    weights_out = tmp_path / "weights"
-    with np.errstate(invalid="ignore"):
-        rc = main(["dump-weights", cfg, str(tmp_path / "nan.bin"),
-                   "--out", str(weights_out)])
-    assert rc == 3
-    assert "fusion weights" in capsys.readouterr().err
-    assert not weights_out.exists()  # no weights.csv, not even the directory
-
-
 def test_deterministic_flag_is_rejected(trained, tmp_path, capsys):
     # The flag was a no-op (runs are always deterministic) and is gone:
     # argparse refuses it with exit status 2 before any output exists.
@@ -438,22 +425,7 @@ def test_gradcheck_fixture_repeats_entities(monkeypatch):
     assert head.any() and not head.all()
 
 
-# ------------------------------------------------- dump-weights and masking
-
-def test_dump_weights_csv(trained, tmp_path):
-    out, cfg = trained
-    dump_out = tmp_path / "dump"
-    rc = main(["dump-weights", cfg, str(out / "checkpoint.bin"),
-               "--out", str(dump_out)])
-    assert rc == 0
-    lines = (dump_out / "weights.csv").read_text().splitlines()
-    assert lines[0] == "relation,count,alpha_s,alpha_v,alpha_t"
-    assert len(lines) == 3  # one row per relation in the test split
-    for line in lines[1:]:
-        cells = line.split(",")
-        total = sum(float(c) for c in cells[2:])
-        assert abs(total - 1.0) < 1e-6
-
+# ----------------------------------------------------------------- masking
 
 def test_mask_modality_writes_reduced_tables(trained, corpus, tmp_path):
     _, cfg = trained

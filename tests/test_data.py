@@ -111,6 +111,19 @@ def test_both_readers_refuse_an_empty_name(tmp_path):
         load_features(feats, vocab, "v", 2)
 
 
+def test_both_readers_refuse_a_name_with_surrounding_whitespace(tmp_path):
+    # " " as a relation and "a " beside "a" would each get an embedding.
+    for line, field in ((" a\tr\tb", "head"), ("a\t \tb", "relation"),
+                        ("b\tr\ta ", "tail")):
+        bad = write(tmp_path / "bad.tsv", ["a\tr\tb", line])
+        with pytest.raises(DataError, match=rf"bad\.tsv:2: {field} name .* whitespace"):
+            load_triples(bad)
+    vocab = vocab3(tmp_path)
+    feats = write(tmp_path / "feat.tsv", ["a\t1.0,2.0", "b \t3.0,4.0"])
+    with pytest.raises(DataError, match=r"feat\.tsv:2: entity name 'b ' has leading"):
+        load_features(feats, vocab, "v", 2)
+
+
 def test_empty_train_rejected(tmp_path):
     train = write(tmp_path / "train.tsv", [])
     with pytest.raises(DataError):

@@ -1,6 +1,5 @@
 """Filtered ranking against a brute-force oracle, plus metric arithmetic."""
 
-import csv
 import itertools
 import json
 import os
@@ -15,9 +14,7 @@ from hypothesis import strategies as st
 import adamf.evaluation
 from adamf.errors import ContractError, NumericError
 from adamf.evaluation import (build_cache, candidate_scores, evaluate,
-                              rank_from_scores, rank_query,
-                              relation_weight_report, write_rank_report,
-                              write_weight_csv)
+                              rank_from_scores, rank_query, write_rank_report)
 from adamf.model import FROZEN
 from adamf.rng import SeededRng
 from adamf.tape import Tape
@@ -146,7 +143,8 @@ def _near_tie_cache(gen, n, d, scale, offset, precision, side, triple):
 
     def cache():
         return adamf.evaluation.EvalCache(re=re.copy(), im=im.copy(),
-                                          cos=np.cos(phases), sin=np.sin(phases))
+                                          cos=np.cos(phases), sin=np.sin(phases),
+                                          alpha=np.ones((n, 1)))
 
     x, y = adamf.evaluation._query(cache(), side, triple)
     for e in others:          # a quarter of the rows keep their random draw
@@ -204,7 +202,7 @@ def test_screen_decides_nothing_beyond_its_proven_width():
     n, d = 4, (1 << 17) + 1
     cache = adamf.evaluation.EvalCache(
         re=gen.standard_normal((n, d)), im=gen.standard_normal((n, d)),
-        cos=np.ones((1, d)), sin=np.zeros((1, d)))
+        cos=np.ones((1, d)), sin=np.zeros((1, d)), alpha=np.ones((n, 1)))
     x, y = adamf.evaluation._query(cache, "tail", (0, 0, 1))
     scores = candidate_scores(cache, "tail", (0, 0, 1))
     _, decided = adamf.evaluation._screen(cache, x, y, scores[1])
@@ -363,8 +361,10 @@ def test_eval_cache_memory_is_flat_in_relations_queried(monkeypatch):
     evaluate(model, ds)
     [(cache, before)] = built
     assert all(isinstance(v, np.ndarray) for v in vars(cache).values())
-    # planar float64 re/im plus cos/sin, float32 re/im and the per-entity L1
-    assert before == 8 * 2 * d * (n + n_rel) + 4 * 2 * d * n + 8 * n
+    # planar float64 re/im plus cos/sin, float32 re/im, the per-entity L1
+    # and the float64 fusion weights of the M modalities
+    m = len(model.cfg.modalities)
+    assert before == 8 * 2 * d * (n + n_rel) + 4 * 2 * d * n + 8 * n + 8 * n * m
     assert nbytes(cache) == before
 
 
@@ -595,7 +595,7 @@ def test_random_models_hit_rate_near_chance():
 
 def test_weight_report_rows_on_simplex():
     ds, model = random_fixture(8)
-    rows = relation_weight_report(model, ds, split="train")
+    rows = evaluate(model, ds, split="train").per_relation
     assert rows
     for row in rows:
         total = row["alpha_s"] + row["alpha_v"] + row["alpha_t"]
@@ -608,7 +608,7 @@ def test_weight_report_uniform_when_signals_identical():
                  "proj.t.weight", "proj.t.bias", "fallback.v", "fallback.t"):
         model.store.set(name, np.zeros_like(model.store[name]))
     ds = make_dataset(4, {"test": [(0, 0, 1), (2, 0, 3)]})
-    rows = relation_weight_report(model, ds)
+    rows = evaluate(model, ds).per_relation
     assert len(rows) == 1
     for m in ("s", "v", "t"):
         assert abs(rows[0][f"alpha_{m}"] - 1.0 / 3.0) < 1e-12
@@ -619,7 +619,7 @@ def test_weight_report_single_triple_averages_its_endpoints():
     ds = make_dataset(model.n_entities, {"test": [(0, 0, 1)]},
                       n_relations=model.n_relations)
     _, alpha = model.entity_representations()
-    rows = relation_weight_report(model, ds)
+    rows = evaluate(model, ds).per_relation
     want = (np.asarray(alpha[0]) + np.asarray(alpha[1])) / 2.0
     got = [rows[0][f"alpha_{m}"] for m in model.cfg.modalities]
     assert np.allclose(got, want, atol=1e-12)
@@ -630,24 +630,27 @@ def test_weight_report_sorted_by_count():
     triples = [(0, 1, 1), (0, 0, 1), (1, 0, 2), (2, 0, 0)]
     ds = make_dataset(model.n_entities, {"test": triples},
                       n_relations=model.n_relations)
-    rows = relation_weight_report(model, ds)
+    rows = evaluate(model, ds).per_relation
     assert rows[0]["relation"] == "r0" and rows[0]["count"] == 3
     assert rows[1]["relation"] == "r1" and rows[1]["count"] == 1
 
 
-def test_weight_report_requires_adaptive_fusion():
-    model = small_model(fusion_mode="mean")
-    ds = make_dataset(model.n_entities, {"test": [(0, 0, 1)]},
-                      n_relations=model.n_relations)
-    with pytest.raises(ContractError, match="adaptive"):
-        relation_weight_report(model, ds)
+def test_weight_report_under_mean_fusion_gives_the_weights_it_mixes_with():
+    for modalities in (("s", "v", "t"), ("s", "t")):
+        model = small_model(fusion_mode="mean", modalities=modalities)
+        ds = make_dataset(model.n_entities, {"test": [(0, 0, 1), (2, 1, 3)]},
+                          n_relations=model.n_relations)
+        for row in evaluate(model, ds).per_relation:
+            for m in ("s", "v", "t"):
+                want = 1.0 / len(modalities) if m in modalities else 0.0
+                assert row[f"alpha_{m}"] == pytest.approx(want, abs=1e-15), (modalities, m)
 
 
 def test_weight_report_absent_modality_reports_zero():
     model = small_model(modalities=("s", "v"))
     ds = make_dataset(model.n_entities, {"test": [(0, 0, 1)]},
                       n_relations=model.n_relations)
-    rows = relation_weight_report(model, ds)
+    rows = evaluate(model, ds).per_relation
     assert rows[0]["alpha_t"] == 0.0
     assert abs(rows[0]["alpha_s"] + rows[0]["alpha_v"] - 1.0) < 1e-9
 
@@ -672,29 +675,3 @@ def test_per_query_tsv_names_and_ranks(tmp_path):
     write_rank_report(report, ds, tmp_path)
     lines = (tmp_path / "ranks.tsv").read_text().splitlines()
     assert lines == ["e0\tr0\te1\t3\t2"]
-
-
-def test_weight_csv_format(tmp_path):
-    ds, model = random_fixture(8)
-    rows = relation_weight_report(model, ds, split="train")
-    path = tmp_path / "weights.csv"
-    write_weight_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "relation,count,alpha_s,alpha_v,alpha_t"
-    assert len(lines) == len(rows) + 1
-    first = lines[1].split(",")
-    assert first[0] == rows[0]["relation"]
-    assert int(first[1]) == rows[0]["count"]
-    assert float(first[2]) == rows[0]["alpha_s"]
-
-
-def test_weight_csv_quotes_a_relation_name_with_a_comma(tmp_path):
-    rows = [{"relation": name, "count": 3, "alpha_s": 0.5, "alpha_v": 0.25, "alpha_t": 0.25}
-            for name in ("born in, city", 'said "hi"', "plain")]
-    path = tmp_path / "weights.csv"
-    write_weight_csv(rows, path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        read = list(csv.reader(fh))
-    assert read[0] == ["relation", "count", "alpha_s", "alpha_v", "alpha_t"]
-    assert read[1:] == [[row["relation"], "3", "0.5", "0.25", "0.25"] for row in rows]
-    assert path.read_text().splitlines()[3] == "plain,3,0.5,0.25,0.25"
