@@ -20,14 +20,14 @@ import numpy as np
 from .config import (RunConfig, echo_config, grid_warnings, parse_config,
                      parse_value)
 from .checkpoint import load_checkpoint
-from .data import (FeatureTable, TripleDataset, apply_modality_missing,
+from .data import (FEATURE_NAMES, FeatureTable, TripleDataset, apply_modality_missing,
                    load_features, load_triples, save_features)
 from .errors import (ConfigError, ContractError, DataError, GradCheckError,
                      NumericError)
 from .evaluation import evaluate, write_rank_report
 from .ioutil import atomic_write_text
-from .model import (ALL_PATTERNS, DISC, FROZEN, GEN, Model, ModelConfig, init_params,
-                    zero_params)
+from .model import (ALL_PATTERNS, DISC, FROZEN, GEN, SIDE_COLUMN, Model, ModelConfig,
+                    init_params, zero_params)
 from .params import finite_diff_check
 from .rng import SeededRng
 from .tape import Tape
@@ -82,16 +82,13 @@ def _load_dataset(cfg: RunConfig) -> TripleDataset:
     return load_triples(cfg.train, cfg.valid, cfg.test)
 
 
-_FEATURE_FILES = {"v": "visual", "t": "textual"}    # config keys <name>_features
-
-
 def _feature_tables(cfg: RunConfig, dataset: TripleDataset,
                     modalities) -> dict[str, tuple[FeatureTable, FeatureTable]]:
     """{m: (loaded, masked)} for each of the `modalities` whose feature file the
     config names, masked with the configured missing ratio and seed."""
     tables = {}
     for m in modalities:
-        path = getattr(cfg, f"{_FEATURE_FILES[m]}_features")
+        path = getattr(cfg, f"{FEATURE_NAMES[m]}_features")
         if path is not None:
             table = load_features(path, dataset.vocab, m, cfg.model.feature_dim(m))
             tables[m] = table, apply_modality_missing(
@@ -182,7 +179,7 @@ def _clear_generator_kinks(model, batch, noise) -> None:
     """
     store = model.store
     for (_, side, m), z in noise.items():
-        idx = batch[:, 0] if side == "h" else batch[:, 2]
+        idx = batch[:, SIDE_COLUMN[side]]
         x = np.concatenate([store["entity.structural"][idx], z], axis=1)
         b1 = store[f"gen.{m}.b1"]
         for _ in range(100):
@@ -272,13 +269,13 @@ def cmd_mask_modality(args) -> int:
         cfg = replace(cfg, modality_missing_ratio=args.ratio)
     dataset = _load_dataset(cfg)
     # Every table is read and masked before the first write: all or nothing.
-    tables = _feature_tables(cfg, dataset, _FEATURE_FILES)
+    tables = _feature_tables(cfg, dataset, FEATURE_NAMES)
     if not tables:
         raise ConfigError("mask-modality needs visual_features and/or "
                           "textual_features in the config")
     out = _out_dir(cfg)
     for m, (table, masked) in tables.items():
-        target = os.path.join(out, f"{_FEATURE_FILES[m]}_masked.tsv")
+        target = os.path.join(out, f"{FEATURE_NAMES[m]}_masked.tsv")
         save_features(masked, dataset.vocab, target)
         print(f"{m}: kept {masked.present.sum()}/{table.present.sum()} present rows -> {target}")
     return 0

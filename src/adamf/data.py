@@ -22,6 +22,7 @@ from .rng import SeededRng
 log = logging.getLogger(__name__)
 
 SPLITS = ("train", "valid", "test")
+FEATURE_NAMES = {"v": "visual", "t": "textual"}     # <name>.tsv, <name>_features, <name>_dim
 
 
 @dataclass
@@ -268,10 +269,5 @@ def apply_modality_missing(table: FeatureTable, ratio: float, seed: int) -> Feat
 
 def feature_dir_paths(base: str) -> dict[str, str]:
     """Conventional layout used by the toy-KG writer and scripts."""
-    return {
-        "train": os.path.join(base, "train.tsv"),
-        "valid": os.path.join(base, "valid.tsv"),
-        "test": os.path.join(base, "test.tsv"),
-        "visual": os.path.join(base, "visual.tsv"),
-        "textual": os.path.join(base, "textual.tsv"),
-    }
+    return {name: os.path.join(base, f"{name}.tsv")
+            for name in (*SPLITS, *FEATURE_NAMES.values())}

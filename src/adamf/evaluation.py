@@ -17,8 +17,10 @@ re-scores only the rest in float64 (see `_screen`).
 
 `evaluate` ranks contiguous slices of the split on one thread per CPU the
 process may use (numpy releases the GIL inside the blocked `_distances`).
-Every query is scored by the same code whatever the slicing, so the ranks do
-not depend on the thread count.
+Each slice returns its ranks through the executor's ordered map, which
+yields them in split order and raises the error a serial loop would meet
+first.  Every query is scored by the same code whatever the slicing, so
+the ranks do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -99,16 +101,19 @@ def _distances(re: np.ndarray, im: np.ndarray, x: np.ndarray,
 
 
 def _query(cache: EvalCache, side: str, triple) -> tuple[np.ndarray, np.ndarray]:
-    """The float64 point (x, y) every candidate of the `side` is measured from."""
+    """The float64 point (x, y) every candidate of the `side` is measured from;
+    both of the triple's entities must be in the vocabulary."""
     h, r, t = (int(v) for v in triple)
-    c, s = cache.cos[r], cache.sin[r]
+    if side not in ("head", "tail"):
+        raise ContractError(f"side must be 'head' or 'tail', got {side!r}")
+    target, other = (h, t) if side == "head" else (t, h)
+    for role, e in (("target", target), ("query", other)):
+        if not 0 <= e < cache.re.shape[0]:
+            raise ContractError(f"{role} entity {e} outside vocabulary")
+    a, b, c, s = cache.re[other], cache.im[other], cache.cos[r], cache.sin[r]
     if side == "head":      # |e - t o conj(r)|
-        a, b = cache.re[t], cache.im[t]
         return a * c + b * s, b * c - a * s
-    if side == "tail":      # |h o r - e|
-        a, b = cache.re[h], cache.im[h]
-        return a * c - b * s, a * s + b * c
-    raise ContractError(f"side must be 'head' or 'tail', got {side!r}")
+    return a * c - b * s, a * s + b * c     # |h o r - e|
 
 
 def candidate_scores(cache: EvalCache, side: str, triple) -> np.ndarray:
@@ -212,8 +217,6 @@ def rank_query(cache: EvalCache, dataset: TripleDataset, side: str, triple,
         target, known = h, dataset.filter_heads.get((r, t), ())
     else:
         target, known = t, dataset.filter_tails.get((h, r), ())
-    if not 0 <= target < cache.re.shape[0]:
-        raise ContractError(f"target entity {target} outside vocabulary")
     x, y = _query(cache, side, triple)
     f = _distances(cache.re[target:target + 1], cache.im[target:target + 1], x, y)[0]
     better, decided = _screen(cache, x, y, f)
@@ -282,20 +285,18 @@ def evaluate(model: Model, dataset: TripleDataset, split: str = "test",
         raise ContractError(f"cannot evaluate an empty {split!r} split")
     cache = build_cache(model)
     n = triples.shape[0]
-    head_ranks = np.empty(n, dtype=np.int64)
-    tail_ranks = np.empty(n, dtype=np.int64)
 
-    def rank_slice(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            head_ranks[i] = rank_query(cache, dataset, "head", triples[i], tie_break)
-            tail_ranks[i] = rank_query(cache, dataset, "tail", triples[i], tie_break)
+    def rank_slice(lo: int, hi: int) -> list[tuple[int, int]]:
+        return [(rank_query(cache, dataset, "head", triple, tie_break),
+                 rank_query(cache, dataset, "tail", triple, tie_break))
+                for triple in triples[lo:hi]]
 
     workers = _rank_workers(n, *cache.re.shape)
     bounds = [n * k // workers for k in range(workers + 1)]
-    with ThreadPoolExecutor(workers) as pool:
-        slices = [pool.submit(rank_slice, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    for done in slices:     # in slice order: the serial loop's first error
-        done.result()
+    with ThreadPoolExecutor(workers) as pool:   # map keeps slice order: the serial loop's first error
+        ranks = np.array([pair for ranked in pool.map(rank_slice, bounds, bounds[1:])
+                          for pair in ranked], dtype=np.int64)
+    head_ranks, tail_ranks = ranks.T
     mrr, hits = _aggregate(head_ranks, tail_ranks, ks)
     per_relation = []
     for r in sorted(set(int(v) for v in triples[:, 1])):

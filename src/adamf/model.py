@@ -15,21 +15,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import FeatureTable
+from .data import FEATURE_NAMES, FeatureTable
 from .errors import ContractError
 from .params import ParameterStore
 from .rng import SeededRng
 from .tape import Node, Tape
 
 MODALITY_ORDER = ("s", "v", "t")
-PROJECTED = ("v", "t")
+PROJECTED = tuple(FEATURE_NAMES)
 
 # Synthetic-triple patterns: which side of (h, r, t) gets generated modal
 # embeddings.  Canonical order is fixed so noise draws are reproducible.
 SYN_TAIL = "syn_tail"    # (h, r, t*)
 SYN_HEAD = "syn_head"    # (h*, r, t)
 SYN_BOTH = "syn_both"    # (h*, r, t*)
-ALL_PATTERNS = (SYN_TAIL, SYN_HEAD, SYN_BOTH)
+PATTERN_SIDES = {SYN_TAIL: ("t",), SYN_HEAD: ("h",), SYN_BOTH: ("h", "t")}
+ALL_PATTERNS = tuple(PATTERN_SIDES)
+SIDE_COLUMN = {"h": 0, "t": 2}     # a side's column in (h, r, t), in build order
 
 DISC = frozenset({"discriminator"})
 GEN = frozenset({"generator"})
@@ -42,9 +44,8 @@ FEATURE_BLOCK = 256     # feature rows per pass of Model's dtype conversion
 
 def synthetic_sides(patterns: tuple[str, ...]) -> tuple[str, ...]:
     """Sides ("h", "t") whose synthetic entity some pattern uses, in build order."""
-    return tuple(side for side, users in (("h", (SYN_HEAD, SYN_BOTH)),
-                                          ("t", (SYN_TAIL, SYN_BOTH)))
-                 if any(p in patterns for p in users))
+    return tuple(side for side in SIDE_COLUMN
+                 if any(side in PATTERN_SIDES[p] for p in patterns))
 
 
 @dataclass
@@ -95,7 +96,7 @@ class ModelConfig:
         return tuple(m for m in self.modalities if m in PROJECTED)
 
     def feature_dim(self, m: str) -> int:
-        return self.visual_dim if m == "v" else self.textual_dim
+        return getattr(self, f"{FEATURE_NAMES[m]}_dim")
 
 
 def _param_tables(cfg: ModelConfig, n_entities: int, n_relations: int) -> dict:
@@ -308,7 +309,7 @@ class Model:
         the batch's heads (side "h") or tails (side "t") and that key's z.
         """
         e_s = {side: np.asarray(self.store["entity.structural"][triples[:, col]])
-               for side, col in (("h", 0), ("t", 2))}
+               for side, col in SIDE_COLUMN.items()}
         return {(g, side, m): self.generator_output(tape, m, e_s[side], z)
                 for (g, side, m), z in noise.items()}
 
@@ -328,7 +329,7 @@ class Model:
         `TrainConfig` validates them.
         """
         phase = tape.leaf("relation.phase")
-        entity_idx = {"h": triples[:, 0], "t": triples[:, 2]}
+        entity_idx = {side: triples[:, col] for side, col in SIDE_COLUMN.items()}
         real = {side: (table.joint, table.rows(idx)) for side, idx in entity_idx.items()}
         blocks, meta = [], []
         for g in range(n_groups):
@@ -339,8 +340,8 @@ class Model:
                          for m in self.cfg.modalities}
                 star[side] = (self.fuse(tape, parts)[0], np.arange(len(triples)))
             for pattern in patterns:
-                h = star["h"] if pattern in (SYN_HEAD, SYN_BOTH) else real["h"]
-                t = star["t"] if pattern in (SYN_TAIL, SYN_BOTH) else real["t"]
+                h, t = (star[side] if side in PATTERN_SIDES[pattern] else real[side]
+                        for side in SIDE_COLUMN)
                 blocks.append(tape.query_distance(*h, phase, triples[:, 1], *t))
                 meta.append((g, pattern))
         return tape.concat(blocks), meta

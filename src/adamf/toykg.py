@@ -22,8 +22,8 @@ import numpy as np
 
 from .cli import main as adamf_main
 from .config import format_value
-from .data import (FeatureTable, TripleDataset, Vocab, feature_dir_paths,
-                   save_features, save_triples)
+from .data import (FEATURE_NAMES, SPLITS, FeatureTable, TripleDataset, Vocab,
+                   feature_dir_paths, save_features, save_triples)
 from .errors import AdamfError, ContractError
 from .ioutil import atomic_write_text
 
@@ -71,8 +71,8 @@ def write_toy_kg(directory: str, n_entities: int = 50) -> TripleDataset:
     dataset, tables = build_toy_kg(n_entities)
     paths = feature_dir_paths(directory)
     save_triples(dataset, paths["train"], paths["valid"], paths["test"])
-    save_features(tables["v"], dataset.vocab, paths["visual"])
-    save_features(tables["t"], dataset.vocab, paths["textual"])
+    for m, name in FEATURE_NAMES.items():
+        save_features(tables[m], dataset.vocab, paths[name])
     return dataset
 
 
@@ -97,14 +97,9 @@ TOY_DEFAULTS = {
 def toy_config_text(data_dir: str, out_dir: str, **overrides) -> str:
     """Config file body for a toy-KG run; overrides win over TOY_DEFAULTS."""
     paths = feature_dir_paths(data_dir)
-    values = {
-        "train": paths["train"],
-        "valid": paths["valid"],
-        "test": paths["test"],
-        "visual_features": paths["visual"],
-        "textual_features": paths["textual"],
-        "out": out_dir,
-    }
+    values = {split: paths[split] for split in SPLITS}
+    values.update({f"{name}_features": paths[name] for name in FEATURE_NAMES.values()})
+    values["out"] = out_dir
     values.update(TOY_DEFAULTS)
     values.update(overrides)
     lines = [f"{key} = {format_value(value)}" for key, value in values.items()]

@@ -213,8 +213,12 @@ def train(model: Model, dataset: TripleDataset, cfg: TrainConfig, out,
     `out/train_log.jsonl`, the best-MRR parameters go to `out/best.bin` and
     the final ones to `out/checkpoint.bin`.
     """
-    from .evaluation import evaluate  # deferred: evaluation builds on model only
+    # Imported per call, so a caller that rebinds adamf.evaluation.evaluate
+    # (a tracer, a test) sees the validation calls.
+    from .evaluation import evaluate
 
+    if dataset.train.shape[0] == 0:
+        raise ContractError("cannot train on an empty train split")
     root = SeededRng(cfg.seed)
     neg_rng = root.substream("negatives")
     noise_rng = root.substream("noise")

@@ -506,6 +506,23 @@ def test_parallel_evaluate_raises_first_serial_error(monkeypatch):
         evaluate(model, ds)
 
 
+def test_query_entity_outside_the_model_is_refused():
+    # A query's other entity is checked as its target is: past the model's
+    # last entity it would raise a bare IndexError, and a negative index
+    # would wrap round to the last entity and be ranked against silently.
+    model = small_model(n_entities=6)
+    ds = make_dataset(8, {"train": [(0, 0, 1)], "test": [(0, 0, 7)]})
+    with pytest.raises(ContractError, match="query entity 7 outside vocabulary"):
+        evaluate(model, ds)
+    cache = build_cache(model)
+    with pytest.raises(ContractError, match="query entity -1 outside vocabulary"):
+        rank_query(cache, ds, "head", (0, 0, -1))
+    with pytest.raises(ContractError, match="query entity -1 outside vocabulary"):
+        candidate_scores(cache, "tail", (-1, 0, 0))
+    with pytest.raises(ContractError, match="target entity -1 outside vocabulary"):
+        rank_query(cache, ds, "tail", (0, 0, -1))
+
+
 def test_evaluate_ranks_through_the_module_global_rank_query(monkeypatch):
     # Benchmarks and tracers time queries by rebinding
     # `adamf.evaluation.rank_query`: `evaluate` must look it up there, once

@@ -505,6 +505,15 @@ def test_train_writes_each_checkpoint_once(tmp_path, monkeypatch, epochs, valida
         (tmp_path / "final.bin").read_bytes()
 
 
+def test_train_refuses_an_empty_train_split(tmp_path):
+    # Refused before the log is opened, as evaluate refuses an empty split.
+    model, ds, cfg = toy_train_setup(epochs=1)
+    ds = TripleDataset.from_splits(ds.vocab, [], ds.valid, ds.test)
+    with pytest.raises(ContractError, match="cannot train on an empty train split"):
+        train(model, ds, cfg, tmp_path)
+    assert not (tmp_path / "train_log.jsonl").exists()
+
+
 @pytest.mark.parametrize("tie_break", ["optimistic", "pessimistic"])
 def test_validation_ranks_with_the_run_tie_break(tmp_path, monkeypatch, tie_break):
     model, ds, cfg = toy_train_setup(epochs=4, validate_every=2)
