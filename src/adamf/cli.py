@@ -1,5 +1,5 @@
-"""Command-line front end: train, eval, gradcheck, mask-modality.  The rank
-report that train and eval write gives each relation's mean fusion weights.
+"""Command-line front end: train, eval, gradcheck.  The rank report that
+train and eval write gives each relation's mean fusion weights.
 
 Exit codes: 0 success, 2 configuration/contract problem, 3 numeric failure,
 4 I/O or data problem, 5 gradient check over tolerance.  AMF_SEED in the
@@ -17,11 +17,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import (RunConfig, echo_config, grid_warnings, parse_config,
-                     parse_value)
+from .config import RunConfig, echo_config, parse_config, parse_value
 from .checkpoint import load_checkpoint
 from .data import (FEATURE_NAMES, FeatureTable, TripleDataset, apply_modality_missing,
-                   load_features, load_triples, save_features)
+                   load_features, load_triples)
 from .errors import (ConfigError, ContractError, DataError, GradCheckError,
                      NumericError)
 from .evaluation import evaluate, write_rank_report
@@ -48,10 +47,6 @@ GRADCHECK_EPSILONS = (1e-6, 2e-5)
 # fails scale-invariantly.
 GRADCHECK_SCALE = 1e-3
 KINK_MARGIN = 5e-4      # see _clear_generator_kinks
-
-
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
 
 
 def _load_run_config(args) -> RunConfig:
@@ -82,44 +77,37 @@ def _load_dataset(cfg: RunConfig) -> TripleDataset:
     return load_triples(cfg.train, cfg.valid, cfg.test)
 
 
-def _feature_tables(cfg: RunConfig, dataset: TripleDataset,
-                    modalities) -> dict[str, tuple[FeatureTable, FeatureTable]]:
-    """{m: (loaded, masked)} for each of the `modalities` whose feature file the
-    config names, masked with the configured missing ratio and seed."""
+def _build_model(cfg: RunConfig, dataset: TripleDataset, checkpoint=None) -> Model:
+    """The run's model: the feature table of each projected modality whose file
+    the config names, masked with the configured missing ratio and seed, and
+    parameters drawn from the seed or, when `checkpoint` names a file, loaded
+    from it."""
     tables = {}
-    for m in modalities:
+    for m in cfg.model.projected_modalities:
         path = getattr(cfg, f"{FEATURE_NAMES[m]}_features")
         if path is not None:
             table = load_features(path, dataset.vocab, m, cfg.model.feature_dim(m))
-            tables[m] = table, apply_modality_missing(
-                table, cfg.modality_missing_ratio, cfg.training.seed)
-    return tables
-
-
-def _build_model(cfg: RunConfig, dataset: TripleDataset, checkpoint=None) -> Model:
-    """The run's model: the masked `_feature_tables` and parameters drawn from
-    the seed or, when `checkpoint` names a file, loaded from it."""
-    tables = _feature_tables(cfg, dataset, cfg.model.projected_modalities)
+            tables[m] = apply_modality_missing(table, cfg.modality_missing_ratio,
+                                               cfg.training.seed)
     counts = dataset.vocab.n_entities, dataset.vocab.n_relations
     if checkpoint is None:
         store = init_params(cfg.model, *counts, cfg.training.seed)
     else:   # the load checks that it writes every parameter
         store = zero_params(cfg.model, *counts)
         load_checkpoint(store, checkpoint)
-    return Model(cfg.model, store, {m: masked for m, (_, masked) in tables.items()})
+    return Model(cfg.model, store, tables)
 
 
 # ------------------------------------------------------------------ commands
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    for message in grid_warnings(cfg):
-        _warn(message)
     # Validate all inputs before touching the output directory.
+    echo = echo_config(cfg)
     dataset = _load_dataset(cfg)
     model = _build_model(cfg, dataset)
     out = _out_dir(cfg)
-    atomic_write_text(os.path.join(out, "config.resolved.cfg"), echo_config(cfg))
+    atomic_write_text(os.path.join(out, "config.resolved.cfg"), echo)
     history = train(model, dataset, cfg.training, out, cfg.tie_break)
     if history:
         last = history[-1]
@@ -263,24 +251,6 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0):
              None if lam == 0 else check(adv_gen_builder, "generator"))]
 
 
-def cmd_mask_modality(args) -> int:
-    cfg = _load_run_config(args)
-    if args.ratio is not None:
-        cfg = replace(cfg, modality_missing_ratio=args.ratio)
-    dataset = _load_dataset(cfg)
-    # Every table is read and masked before the first write: all or nothing.
-    tables = _feature_tables(cfg, dataset, FEATURE_NAMES)
-    if not tables:
-        raise ConfigError("mask-modality needs visual_features and/or "
-                          "textual_features in the config")
-    out = _out_dir(cfg)
-    for m, (table, masked) in tables.items():
-        target = os.path.join(out, f"{FEATURE_NAMES[m]}_masked.tsv")
-        save_features(masked, dataset.vocab, target)
-        print(f"{m}: kept {masked.present.sum()}/{table.present.sum()} present rows -> {target}")
-    return 0
-
-
 # --------------------------------------------------------------------- wiring
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,13 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="finite-difference audit of the gradients")
     common(p_grad, config_required=False)
     p_grad.set_defaults(func=cmd_gradcheck)
-
-    p_mask = sub.add_parser("mask-modality",
-                            help="write feature files with a missing ratio applied")
-    common(p_mask)
-    p_mask.add_argument("--ratio", type=float, default=None,
-                        help="override modality_missing_ratio")
-    p_mask.set_defaults(func=cmd_mask_modality)
     return parser
 
 

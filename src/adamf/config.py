@@ -175,32 +175,11 @@ def parse_config(path) -> RunConfig:
 
 
 def echo_config(cfg: RunConfig) -> str:
-    """Canonical text form of the resolved config, stable key order."""
-    return "".join(f"{key} = {format_value(_value(cfg, key))}\n" for key in KEYS)
-
-
-# The hyperparameter grid the reference experiments searched over.  Values
-# outside it are accepted — these drive advisory warnings only.
-GRID_GUIDANCE = {
-    "dim": (200,),
-    "batch_size": (1024,),
-    "noise_dim": (64,),
-    "adv_groups": (1,),
-    "k_negatives": (32, 64, 128),
-    "gamma": (1.0, 2.0, 4.0, 8.0, 12.0),
-    "beta": (0.5, 1.0, 2.0),
-    "lr_d": (1e-3, 1e-4, 1e-5),
-    "lr_g": (1e-3, 1e-4, 1e-5),
-    "adv_lambda": (0.1, 0.01, 0.001),
-}
-
-
-def grid_warnings(cfg: RunConfig) -> list[str]:
-    warnings = []
-    for key, accepted in GRID_GUIDANCE.items():
-        value = _value(cfg, key)
-        if value not in accepted:
-            shown = ", ".join(str(v) for v in accepted)
-            warnings.append(f"{key} = {format_value(value)} is outside "
-                            f"the reference grid {{{shown}}}; proceeding anyway")
-    return warnings
+    """Canonical text form of the resolved config, stable key order.  A value
+    holding `#` is refused: read back, it would end at the comment."""
+    lines = {key: format_value(_value(cfg, key)) for key in KEYS}
+    for key, text in lines.items():
+        if "#" in text:
+            raise ConfigError(f"{key}: {text!r} holds '#', which a config file "
+                              f"reads as the start of a comment")
+    return "".join(f"{key} = {text}\n" for key, text in lines.items())

@@ -102,7 +102,7 @@ def _distances(re: np.ndarray, im: np.ndarray, x: np.ndarray,
 
 def _query(cache: EvalCache, side: str, triple) -> tuple[np.ndarray, np.ndarray]:
     """The float64 point (x, y) every candidate of the `side` is measured from;
-    both of the triple's entities must be in the vocabulary."""
+    the triple's entities and relation must be in the vocabulary."""
     h, r, t = (int(v) for v in triple)
     if side not in ("head", "tail"):
         raise ContractError(f"side must be 'head' or 'tail', got {side!r}")
@@ -110,6 +110,8 @@ def _query(cache: EvalCache, side: str, triple) -> tuple[np.ndarray, np.ndarray]
     for role, e in (("target", target), ("query", other)):
         if not 0 <= e < cache.re.shape[0]:
             raise ContractError(f"{role} entity {e} outside vocabulary")
+    if not 0 <= r < cache.cos.shape[0]:
+        raise ContractError(f"relation {r} outside vocabulary")
     a, b, c, s = cache.re[other], cache.im[other], cache.cos[r], cache.sin[r]
     if side == "head":      # |e - t o conj(r)|
         return a * c + b * s, b * c - a * s

@@ -146,15 +146,6 @@ def test_seed_env_invalid(corpus, tmp_path, monkeypatch):
     assert main(["train", cfg]) == 2
 
 
-def test_grid_warning_emitted(corpus, tmp_path, capsys):
-    cfg = write_config(corpus, tmp_path / "k100", name="k100.cfg",
-                       epochs=1, k_negatives=100)
-    assert main(["train", cfg]) == 0
-    err = capsys.readouterr().err
-    assert "k_negatives = 100" in err
-    assert "outside the reference grid" in err
-
-
 def test_train_missing_out(corpus, capsys):
     cfg = write_config(corpus, None, name="noout.cfg")
     assert main(["train", cfg]) == 2
@@ -425,64 +416,37 @@ def test_gradcheck_fixture_repeats_entities(monkeypatch):
     assert head.any() and not head.all()
 
 
-# ----------------------------------------------------------------- masking
+# ------------------------------------------------ inputs refused before output
 
-def test_mask_modality_writes_reduced_tables(trained, corpus, tmp_path):
-    _, cfg = trained
-    mask_out = tmp_path / "masked"
-    rc = main(["mask-modality", cfg, "--ratio", "0.5", "--out", str(mask_out)])
-    assert rc == 0
-    visual = (mask_out / "visual_masked.tsv").read_text().splitlines()
-    textual = (mask_out / "textual_masked.tsv").read_text().splitlines()
-    assert len(visual) == N_ENTITIES // 2
-    assert len(textual) == N_ENTITIES // 2
-    # masking depends only on the seed, so both modalities drop the same rows
-    assert [l.split("\t")[0] for l in visual] == \
-        [l.split("\t")[0] for l in textual]
-
-
-def test_mask_modality_ratio_zero_keeps_everything(trained, tmp_path):
-    _, cfg = trained
-    mask_out = tmp_path / "masked0"
-    assert main(["mask-modality", cfg, "--ratio", "0.0",
-                 "--out", str(mask_out)]) == 0
-    assert len((mask_out / "visual_masked.tsv").read_text().splitlines()) \
-        == N_ENTITIES
-
-
-def test_bad_missing_ratio_fails_before_any_output(trained, corpus, tmp_path, capsys):
-    _, cfg = trained
-    assert main(["mask-modality", cfg, "--ratio", "1.5",
-                 "--out", str(tmp_path / "m1")]) == 2
-    assert "modality_missing_ratio" in capsys.readouterr().err
-    assert not (tmp_path / "m1").exists()
-    # In a config the ratio is refused before the grid warnings print.
+def test_bad_missing_ratio_fails_before_any_output(corpus, tmp_path, capsys):
     bad = write_config(corpus, tmp_path / "x", name="ratio.cfg",
-                       modality_missing_ratio=1.5, k_negatives=100)
+                       modality_missing_ratio=1.5)
     assert main(["train", bad]) == 2
-    err = capsys.readouterr().err
-    assert "modality_missing_ratio" in err and "reference grid" not in err
+    assert "modality_missing_ratio" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
-def test_mask_modality_bad_second_table_writes_nothing(corpus, tmp_path, capsys):
-    # The visual table loads; the textual one has a bad row.  Neither masked
-    # table is written, nor the output directory made.
+def test_train_bad_second_feature_table_writes_nothing(corpus, tmp_path, capsys):
+    # The visual table loads; the textual one has a bad row.  The run stops
+    # before the output directory is made.
     rows = (corpus / "textual.tsv").read_text()
     (corpus / "textual_bad.tsv").write_text(rows + "n0\t1,2\n")
-    cfg = write_config(corpus, None, name="maskbad.cfg",
+    out = tmp_path / "bad"
+    cfg = write_config(corpus, out, name="featbad.cfg",
                        textual_features="textual_bad.tsv")
-    out = tmp_path / "masked"
-    assert main(["mask-modality", cfg, "--out", str(out)]) == 4
+    assert main(["train", cfg]) == 4
     assert f"textual_bad.tsv:{N_ENTITIES + 1}: " in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_mask_modality_requires_feature_paths(corpus, tmp_path):
-    path = corpus / "nofeat.cfg"
-    path.write_text("train = train.tsv\n")
-    assert main(["mask-modality", str(path),
-                 "--out", str(tmp_path / "x")]) == 2
+def test_train_refuses_a_path_its_echo_cannot_hold(corpus, tmp_path, capsys):
+    # A config file reads `#` as the start of a comment, so an echo holding
+    # `out = .../h#1` would re-run into `.../h`.
+    out = tmp_path / "h#1"
+    cfg = write_config(corpus, None, name="hash.cfg")
+    assert main(["train", cfg, "--out", str(out)]) == 2
+    assert "out: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------- toy-graph runner and script

@@ -1,4 +1,4 @@
-"""Run-configuration parsing, echoing, and guidance warnings."""
+"""Run-configuration parsing and echoing."""
 
 import dataclasses
 import os
@@ -6,8 +6,7 @@ import os
 import pytest
 
 from adamf import config as config_module
-from adamf.config import (KEYS, RunConfig, echo_config, grid_warnings,
-                          parse_config)
+from adamf.config import KEYS, RunConfig, echo_config, parse_config
 from adamf.errors import ConfigError, ContractError
 from adamf.training import TrainConfig
 
@@ -288,14 +287,3 @@ epochs = 2
     assert (mc.d, mc.visual_dim, mc.textual_dim, mc.noise_dim) == (6, 7, 8, 5)
     tc = cfg.training
     assert (tc.k_negatives, tc.batch_size, tc.epochs) == (9, 32, 2)
-
-
-def test_grid_warnings_flag_out_of_grid_values():
-    cfg = RunConfig()
-    assert grid_warnings(cfg) == []
-    cfg.training.k_negatives = 100
-    cfg.model.gamma = 4.0
-    warnings = grid_warnings(cfg)
-    assert len(warnings) == 1
-    assert "k_negatives = 100" in warnings[0]
-    assert "proceeding anyway" in warnings[0]

@@ -523,6 +523,21 @@ def test_query_entity_outside_the_model_is_refused():
         rank_query(cache, ds, "tail", (0, 0, -1))
 
 
+def test_query_relation_outside_the_model_is_refused():
+    # Relation 2 of a 2-relation model would raise a bare IndexError, and
+    # relation -1 would wrap round to the last relation and be ranked
+    # against silently.
+    model = small_model(n_relations=2)
+    ds = make_dataset(6, {"train": [(0, 0, 1)], "test": [(0, 2, 1)]}, n_relations=3)
+    with pytest.raises(ContractError, match="relation 2 outside vocabulary"):
+        evaluate(model, ds)
+    cache = build_cache(model)
+    with pytest.raises(ContractError, match="relation -1 outside vocabulary"):
+        rank_query(cache, ds, "head", (0, -1, 1))
+    with pytest.raises(ContractError, match="relation 2 outside vocabulary"):
+        candidate_scores(cache, "tail", (0, 2, 1))
+
+
 def test_evaluate_ranks_through_the_module_global_rank_query(monkeypatch):
     # Benchmarks and tracers time queries by rebinding
     # `adamf.evaluation.rank_query`: `evaluate` must look it up there, once
