@@ -4,11 +4,12 @@
 Builds the inputs of the ``db15k_train`` workload of ``perfbench/`` (the
 12,842-entity graph, its 4096/768-wide features with the same share of rows
 hidden, the same model shape) and runs STEPS batches of B=1024 positives
-with K=64 negatives each on the raw feature rows, MAT on, the way
-``adamf train`` runs a batch: negatives, one discriminator step, one
-generator step.  Prints one JSON line with the per-step seconds, the losses
-and the peak RSS, and exits 1 on a non-finite loss.  ``--mem-cap-mb`` caps
-the address space, so a run over budget fails with a MemoryError.
+with K=64 negatives each on the raw feature rows, MAT on, through
+``adamf train``'s own ``train_batch``: negatives, one discriminator step,
+one generator step.  Prints one JSON line with the per-step seconds, the
+losses and the peak RSS, and exits 1 on a non-finite loss.
+``--mem-cap-mb`` caps the address space, so a run over budget fails with a
+MemoryError.
 
     python3 scripts/paper_batch_step.py
 """
@@ -31,9 +32,7 @@ import numpy as np  # noqa: E402
 import synth  # noqa: E402
 import workloads  # noqa: E402
 from adamf.model import Model, init_params  # noqa: E402
-from adamf.rng import SeededRng  # noqa: E402
-from adamf.training import (TrainConfig, sample_negatives,  # noqa: E402
-                            train_step_discriminator, train_step_generator)
+from adamf.training import TrainConfig, TrainState, train_batch  # noqa: E402
 
 BATCH, K, STEPS, SEED = 1024, 64, 3, 777
 
@@ -52,19 +51,15 @@ def main() -> int:
     del features
     train = splits["train"]
     cfg = TrainConfig(k_negatives=K, batch_size=BATCH, mat_enabled=True, seed=SEED)
-    root = SeededRng(SEED)
-    neg_rng, noise_rng = root.substream("negatives"), root.substream("noise")
-    perm = root.substream("shuffle").permutation(train.shape[0])
+    state = TrainState.from_seed(SEED)
+    perm = state.shuffle.permutation(train.shape[0])
 
     step_s, losses = [], []
     for i in range(STEPS):
         batch = train[perm[i * BATCH:(i + 1) * BATCH]]
         start = time.perf_counter()
-        negatives = sample_negatives(batch, model.n_entities, K, neg_rng)
-        kgc, adv = train_step_discriminator(model, batch, negatives, cfg, noise_rng)
-        gen = train_step_generator(model, batch, cfg, noise_rng)
+        losses.append(list(train_batch(model, batch, cfg, state)))
         step_s.append(time.perf_counter() - start)
-        losses.append([kgc, adv, gen])
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps({"batch": BATCH, "k": K, "d": model_cfg.d, "seed": SEED,
                       "step_s": step_s, "step_s_median": float(np.median(step_s)),

@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +64,6 @@ class TripleDataset:
 
     filter_tails[(h, r)] is the set of all tails t with (h, r, t) known true
     in any split; filter_heads[(r, t)] mirrors it for head queries.
-    Immutable after construction, so `is_known` builds its keys once.
     """
 
     vocab: Vocab
@@ -93,24 +91,6 @@ class TripleDataset:
         if name not in SPLITS:
             raise ContractError(f"unknown split {name!r}")
         return getattr(self, name)
-
-    def is_known(self, triples: np.ndarray) -> np.ndarray:
-        """Whether each (h, r, t) row of `triples` is in the filter index."""
-        dims, keys = self._known_keys
-        inside = (triples < dims).all(axis=1)
-        flat = np.ravel_multi_index(np.where(inside[:, None], triples, 0).T, dims)
-        return inside & (keys[np.searchsorted(keys, flat)] == flat)
-
-    @cached_property
-    def _known_keys(self) -> tuple:
-        """Per-column bounds and the sorted `ravel_multi_index` keys of the
-        filter index's triples under them, then one key past the last, so
-        that `searchsorted` always lands inside the array."""
-        known = np.array([(h, r, t) for (h, r), tails in self.filter_tails.items()
-                          for t in tails], dtype=np.int64).reshape(-1, 3)
-        dims = tuple(known.max(axis=0, initial=0) + 1)
-        keys = np.unique(np.ravel_multi_index(known.T, dims))
-        return dims, np.append(keys, np.prod(dims))
 
 
 @dataclass

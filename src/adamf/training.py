@@ -1,10 +1,10 @@
 """Alternating discriminator/generator training with self-adversarial
 negative sampling.
 
-Each batch runs one Adam step on the scoring parameters (minimizing
-L_kgc + lambda * L_adv with generator outputs held constant) and, when the
-adversarial path is enabled, one Adam step on the generator (ascending
-lambda * L_adv with the scoring parameters held constant).
+Each batch (`train_batch`) draws its negatives, runs one Adam step on the
+scoring parameters (minimizing L_kgc + lambda * L_adv, generator outputs
+constant) and, with the adversarial path enabled, one Adam step on the
+generator (ascending lambda * L_adv, the scoring parameters constant).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class TrainConfig:
     epochs: int = 1000
     mat_enabled: bool = True
     adversarial_patterns: tuple[str, ...] = ALL_PATTERNS
-    negative_filtering: bool = False
     validate_every: int = 50
     seed: int = 0                  # the run seed: parameters, masks, streams
 
@@ -67,14 +66,12 @@ class TrainConfig:
 # ----------------------------------------------------------------- negatives
 
 def sample_negatives(triples: np.ndarray, n_entities: int, k: int,
-                     rng: SeededRng,
-                     dataset: TripleDataset | None = None) -> np.ndarray:
+                     rng: SeededRng) -> np.ndarray:
     """K single-slot corruptions per positive, shape (B, K, 3).
 
     Per slot: corrupt head or tail with probability 1/2, replacement uniform
-    over entities.  A replacement that collides (reconstructs the positive,
-    or with `dataset` given any triple of its filter index) is replaced by a
-    second pick, which is accepted unconditionally.
+    over entities.  A replacement that reconstructs the positive is replaced
+    by a second pick, which is accepted unconditionally.
 
     Draws are made in bulk: B*K coins, then B*K first picks, then B*K
     second picks, whether or not they are used, so the stream position after
@@ -95,10 +92,7 @@ def sample_negatives(triples: np.ndarray, n_entities: int, k: int,
         return out
 
     negatives = corrupt(first)
-    if dataset is None:
-        collides = (negatives == triples[:, None, :]).all(axis=-1)
-    else:
-        collides = dataset.is_known(negatives.reshape(-1, 3)).reshape(-1, k)
+    collides = (negatives == triples[:, None, :]).all(axis=-1)
     return np.where(collides[:, :, None], corrupt(second), negatives)
 
 
@@ -202,6 +196,29 @@ def train_step_generator(model: Model, batch: np.ndarray, cfg: TrainConfig,
 
 # ---------------------------------------------------------------------- loop
 
+@dataclass
+class TrainState:
+    """The run's draw streams: substreams of its seed named as the fields."""
+    negatives: SeededRng
+    noise: SeededRng
+    shuffle: SeededRng
+
+    @classmethod
+    def from_seed(cls, seed: int) -> TrainState:
+        return cls(*map(SeededRng(seed).substream, ("negatives", "noise", "shuffle")))
+
+
+def train_batch(model: Model, batch: np.ndarray, cfg: TrainConfig,
+                state: TrainState) -> tuple[float, float, float]:
+    """One batch: negatives, the scorer's step and, with MAT on, the generator's
+    step, each a module global that a batch clock can rebind.  Returns L_kgc,
+    L_adv and the generator's L_adv; both adversarial ones are 0.0 with MAT off."""
+    negatives = sample_negatives(batch, model.n_entities, cfg.k_negatives, state.negatives)
+    kgc, adv = train_step_discriminator(model, batch, negatives, cfg, state.noise)
+    gen = train_step_generator(model, batch, cfg, state.noise) if cfg.mat_enabled else 0.0
+    return kgc, adv, gen
+
+
 def train(model: Model, dataset: TripleDataset, cfg: TrainConfig, out,
           tie_break: str = "optimistic") -> list[dict]:
     """Full training loop in the run directory `out`; returns the per-epoch
@@ -219,11 +236,7 @@ def train(model: Model, dataset: TripleDataset, cfg: TrainConfig, out,
 
     if dataset.train.shape[0] == 0:
         raise ContractError("cannot train on an empty train split")
-    root = SeededRng(cfg.seed)
-    neg_rng = root.substream("negatives")
-    noise_rng = root.substream("noise")
-    shuffle_rng = root.substream("shuffle")
-    filter_set = dataset if cfg.negative_filtering else None
+    state = TrainState.from_seed(cfg.seed)
     n_train = dataset.train.shape[0]
     checkpoint_path = os.path.join(out, "checkpoint.bin")
     best_path = os.path.join(out, "best.bin")
@@ -231,27 +244,19 @@ def train(model: Model, dataset: TripleDataset, cfg: TrainConfig, out,
     best_mrr = -1.0
     with open(os.path.join(out, "train_log.jsonl"), "w", encoding="utf-8") as log_file:
         for epoch in range(1, cfg.epochs + 1):
-            perm = shuffle_rng.permutation(n_train)
+            perm = state.shuffle.permutation(n_train)
             kgc_sum = adv_sum = 0.0
-            n_batches = 0
-            for start in range(0, n_train, cfg.batch_size):
+            starts = range(0, n_train, cfg.batch_size)
+            for n, start in enumerate(starts):
                 batch = dataset.train[perm[start:start + cfg.batch_size]]
-                negatives = sample_negatives(batch, model.n_entities,
-                                             cfg.k_negatives, neg_rng, filter_set)
                 try:
-                    kgc_value, adv_value = train_step_discriminator(
-                        model, batch, negatives, cfg, noise_rng)
-                    if cfg.mat_enabled:
-                        train_step_generator(model, batch, cfg, noise_rng)
+                    kgc, adv, _ = train_batch(model, batch, cfg, state)
                 except NumericError as err:
-                    raise NumericError(
-                        f"epoch {epoch} batch {n_batches}: {err}") from err
-                kgc_sum += kgc_value
-                adv_sum += adv_value
-                n_batches += 1
-            entry = {"epoch": epoch,
-                     "loss_kgc": kgc_sum / n_batches,
-                     "loss_adv": adv_sum / n_batches}
+                    raise NumericError(f"epoch {epoch} batch {n}: {err}") from err
+                kgc_sum += kgc
+                adv_sum += adv
+            entry = {"epoch": epoch, "loss_kgc": kgc_sum / len(starts),
+                     "loss_adv": adv_sum / len(starts)}
             validate = (dataset.valid.shape[0] > 0 and cfg.validate_every > 0
                         and (epoch % cfg.validate_every == 0 or epoch == cfg.epochs))
             if validate:

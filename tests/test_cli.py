@@ -311,11 +311,13 @@ def test_deterministic_config_key_is_rejected(trained, tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [("keep_best", "false"), ("hidden_dim", "8"),
                                         ("leaky_slope", "0.2"),
-                                        ("selfadv_sign", "literal")])
+                                        ("selfadv_sign", "literal"),
+                                        ("negative_filtering", "true")])
 def test_fixed_behaviours_are_unknown_keys(corpus, tmp_path, capsys, key, value):
     # best.bin is always written, the generator's hidden width is 2d, its
-    # LeakyReLU slope 0.01 and the negatives' weights softmax(-beta * F):
-    # none of them is a setting.
+    # LeakyReLU slope 0.01, the negatives' weights softmax(-beta * F) and a
+    # negative redrawn only when it rebuilds its positive: none of them is a
+    # setting.
     out = tmp_path / key
     cfg = write_config(corpus, out, name=f"{key}.cfg", **{key: value})
     assert main(["train", cfg]) == 2
@@ -450,14 +452,6 @@ def test_train_refuses_a_path_its_echo_cannot_hold(corpus, tmp_path, capsys):
 
 
 # ---------------------------------------------------- toy-graph runner and script
-
-def test_toy_config_trains_with_negative_filtering(tmp_path):
-    [run] = run_toy_grid(str(tmp_path), [("filtered", {"negative_filtering": True})],
-                         epochs=2)
-    assert parse_config(str(tmp_path / "filtered-s0.cfg")).training.negative_filtering
-    lines = Path(run.out, "train_log.jsonl").read_text().splitlines()
-    assert [json.loads(line)["epoch"] for line in lines] == [1, 2]
-
 
 def test_toy_grid_stops_at_the_first_failed_run(tmp_path):
     rows = [("ok", {}), ("bad", {"dim": 0}), ("after", {})]

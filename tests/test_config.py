@@ -169,7 +169,6 @@ ROUND_TRIP = [
     ("mat_enabled", "no", "training.mat_enabled", False),
     ("adversarial_patterns", "syn_both,syn_head", "training.adversarial_patterns",
      ("syn_head", "syn_both")),
-    ("negative_filtering", "yes", "training.negative_filtering", True),
     ("validate_every", "3", "training.validate_every", 3),
     ("seed", "11", "training.seed", 11),
     ("eval_ks", "5, 1", "eval_ks", (5, 1)),

@@ -20,8 +20,8 @@ from adamf.model import ALL_PATTERNS, DISC, FROZEN, GEN, Model
 from adamf.params import adam_step
 from adamf.rng import SeededRng
 from adamf.tape import Tape
-from adamf.training import (TrainConfig, loss_adv, positive_parts,
-                            sample_negatives, self_adv_weights, train,
+from adamf.training import (TrainConfig, TrainState, loss_adv, positive_parts,
+                            sample_negatives, self_adv_weights, train, train_batch,
                             train_step_discriminator, train_step_generator)
 
 from conftest import (line_model, make_dataset, margin_loss, small_model,
@@ -119,7 +119,7 @@ def test_negatives_redraw_once_accepts_collision():
     assert np.all(negs[:, :, [0, 2]] == 0)
 
 
-def reference_negatives(triples, n_entities, k, rng, dataset=None):
+def reference_negatives(triples, n_entities, k, rng):
     """Slot-by-slot statement of the sampling rule, over the same bulk draws:
     B*K coins, B*K first picks, B*K second picks."""
     n = triples.shape[0] * k
@@ -132,26 +132,18 @@ def reference_negatives(triples, n_entities, k, rng, dataset=None):
         h, r, t = (int(v) for v in triples[b])
         head = coins[slot] < 0.5
         e = int(first[slot])
-        if dataset is None:
-            collides = e == (h if head else t)
-        elif head:
-            collides = e in dataset.filter_heads.get((r, t), ())
-        else:
-            collides = e in dataset.filter_tails.get((h, r), ())
+        collides = e == (h if head else t)
         out[b, j, 0 if head else 2] = int(second[slot]) if collides else e
     return out, first.reshape(-1, k), second.reshape(-1, k)
 
 
-@pytest.mark.parametrize("filtered", [False, True])
-def test_vectorised_negatives_match_slot_rule(filtered):
+def test_vectorised_negatives_match_slot_rule():
     # Three entities, so a first pick collides often and the second pick
-    # (which may differ from it) must be the one kept.  The second dataset
-    # has two relations and known triples in every split, and each true
-    # (h, t) pair is true under one relation only, so a collision test that
-    # ignored the relation or a split would keep the wrong picks.  The third
-    # draws over four entities, and entity 3 is in no known triple (a
-    # corruption to it must not be read as the known (0, 0, 0)).  Each
-    # dataset is drawn from twice, so the second call reuses its known keys.
+    # (which may differ from it) must be the one kept.  The second batch
+    # has two relations, and a collision is a rebuilt positive under its own
+    # relation only.  The third draws over four entities, and its batch
+    # holds (0, 0, 0), whose two sides are one entity.  Each batch is drawn
+    # from twice, under two seeds.
     datasets = ((3, make_dataset(3, {"train": [(0, 0, 1), (0, 0, 2), (2, 0, 1)]})),
                 (3, make_dataset(3, {"train": [(0, 0, 1), (2, 1, 0), (1, 1, 2)],
                                      "valid": [(2, 0, 1)], "test": [(1, 1, 0)]},
@@ -160,16 +152,15 @@ def test_vectorised_negatives_match_slot_rule(filtered):
     for (n, ds), call in itertools.product(datasets, (1, 2)):
         batch = ds.train
         k = 40
-        dataset = ds if filtered else None
         rng = SeededRng(21 + call, stream="negatives")
         rng.uniforms(5)  # start mid-stream
         start = rng.counter
-        negs = sample_negatives(batch, n, k, rng, dataset=dataset)
+        negs = sample_negatives(batch, n, k, rng)
         assert rng.counter - start == 3 * batch.shape[0] * k
 
         ref_rng = SeededRng(21 + call, stream="negatives")
         ref_rng.uniforms(5)
-        want, first, second = reference_negatives(batch, n, k, ref_rng, dataset)
+        want, first, second = reference_negatives(batch, n, k, ref_rng)
         assert negs.tobytes() == want.tobytes()
         assert ref_rng.counter == rng.counter
 
@@ -191,18 +182,6 @@ def test_negatives_stream_position_ignores_collisions():
         rng = SeededRng(2, stream="negatives")
         sample_negatives(batch, n_entities, 7, rng)
         assert rng.counter == 3 * 2 * 7
-
-
-def test_negatives_filtering_avoids_known_truths():
-    # With filtering on, corruptions that form known triples are redrawn
-    # once; verify the second draw is used when the first collides.
-    ds = make_dataset(4, {"train": [(0, 0, 1), (0, 0, 2), (0, 0, 3)]})
-    batch = ds.train[:1]
-    unfiltered = sample_negatives(batch, 4, 64,
-                                  SeededRng(5, stream="negatives"))
-    filtered = sample_negatives(batch, 4, 64,
-                                SeededRng(5, stream="negatives"), dataset=ds)
-    assert unfiltered.tobytes() != filtered.tobytes()
 
 
 # --- loss arithmetic ---------------------------------------------------------------
@@ -463,6 +442,62 @@ def test_mat_disabled_matches_handwritten_kgc_loop(tmp_path):
 
     for name in model.store.names():
         assert model.store[name].tobytes() == manual.store[name].tobytes(), name
+
+
+@pytest.mark.parametrize("mat", [True, False], ids=["mat", "no-mat"])
+def test_train_batches_through_the_module_global_steps(tmp_path, monkeypatch, mat):
+    # Benchmarks time a batch by rebinding `adamf.training.sample_negatives`
+    # (its start) and `adamf.training.train_step_generator` (its end): each
+    # batch must call both there, the generator step last, and with MAT off
+    # never the generator step.
+    model, ds, cfg = toy_train_setup(mat=mat, epochs=2)
+    events = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(training, "sample_negatives",
+                        recording("start", training.sample_negatives))
+    monkeypatch.setattr(training, "train_step_generator",
+                        recording("end", training.train_step_generator))
+    train(model, ds, cfg, tmp_path)
+    n_batches = 2 * math.ceil(len(ds.train) / cfg.batch_size)
+    assert events == (["start", "end"] if mat else ["start"]) * n_batches
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_train_state_draws_the_run_seed_substreams(seed):
+    state = TrainState.from_seed(seed)
+    for label in ("negatives", "noise", "shuffle"):
+        want = SeededRng(seed).substream(label).uniforms(16)
+        assert getattr(state, label).uniforms(16).tobytes() == want.tobytes(), label
+
+
+def test_train_batch_without_mat_draws_no_noise():
+    model, ds, cfg = toy_train_setup(mat=False)
+    state = TrainState.from_seed(cfg.seed)
+    kgc, adv, gen = train_batch(model, ds.train[:4], cfg, state)
+    assert kgc > 0 and (adv, gen) == (0.0, 0.0)
+    assert state.noise.counter == 0
+    assert state.negatives.counter == 3 * 4 * cfg.k_negatives
+
+
+def test_train_batch_loop_matches_train(tmp_path):
+    # train() is the epoch loop around train_batch: the same batches in the
+    # same order leave the same parameters and Adam moments.
+    model, ds, cfg = toy_train_setup(epochs=3)
+    train(model, ds, cfg, tmp_path)
+
+    manual = small_model(n_entities=8, n_relations=1, seed=0)
+    state = TrainState.from_seed(cfg.seed)
+    for _ in range(cfg.epochs):
+        shuffled = ds.train[state.shuffle.permutation(len(ds.train))]
+        for start in range(0, len(shuffled), cfg.batch_size):
+            train_batch(manual, shuffled[start:start + cfg.batch_size], cfg, state)
+    assert _store_state(manual.store) == _store_state(model.store)
 
 
 def test_train_writes_jsonl_log(tmp_path):
