@@ -2,22 +2,23 @@
 train and eval write gives each relation's mean fusion weights.
 
 Exit codes: 0 success, 2 configuration/contract problem, 3 numeric failure,
-4 I/O or data problem, 5 gradient check over tolerance.  AMF_SEED in the
-environment overrides the config seed; --out overrides the output
-directory.  Output files except the streamed train_log.jsonl go through
-temp-then-rename, so a failed run leaves no half-written artifact.
+4 I/O or data problem, 5 gradient check over tolerance.  Every setting comes
+from the config file; --out overrides only the output directory.  Output
+files except the streamed train_log.jsonl go through temp-then-rename, so a
+failed run leaves no half-written artifact, and train first deletes the
+previous run's checkpoints and rank report from its directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .config import RunConfig, echo_config, parse_config, parse_value
+from .config import RunConfig, echo_config, parse_config
 from .checkpoint import load_checkpoint
 from .data import (FEATURE_NAMES, FeatureTable, TripleDataset, apply_modality_missing,
                    load_features, load_triples)
@@ -51,13 +52,7 @@ KINK_MARGIN = 5e-4      # see _clear_generator_kinks
 
 def _load_run_config(args) -> RunConfig:
     cfg = parse_config(args.config) if args.config else RunConfig()
-    env_seed = os.environ.get("AMF_SEED")
-    if env_seed is not None:
-        try:
-            cfg.training.seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"AMF_SEED must be an integer, got {env_seed!r}")
-    if getattr(args, "out", None):
+    if args.out:
         cfg.out = os.path.abspath(args.out)
     return cfg
 
@@ -107,6 +102,10 @@ def cmd_train(args) -> int:
     dataset = _load_dataset(cfg)
     model = _build_model(cfg, dataset)
     out = _out_dir(cfg)
+    # A rerun into the same directory must not leave the last run's results.
+    for name in ("checkpoint.bin", "best.bin", "rank_report.json", "ranks.tsv"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out, name))
     atomic_write_text(os.path.join(out, "config.resolved.cfg"), echo)
     history = train(model, dataset, cfg.training, out, cfg.tie_break)
     if history:
@@ -123,8 +122,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
-    if args.ks is not None:
-        cfg = replace(cfg, eval_ks=parse_value("eval_ks", args.ks))
     dataset = _load_dataset(cfg)
     model = _build_model(cfg, dataset, args.checkpoint)
     report = evaluate(model, dataset, args.split, cfg.eval_ks, cfg.tie_break)
@@ -277,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("checkpoint", help="checkpoint file to evaluate")
     p_eval.add_argument("--split", choices=("test", "valid", "train"),
                         default="test")
-    p_eval.add_argument("--ks", help="comma-separated Hit@K cutoffs")
     p_eval.set_defaults(func=cmd_eval)
 
     p_grad = sub.add_parser("gradcheck",

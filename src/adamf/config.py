@@ -2,7 +2,7 @@
 
 One pair per line, `#` starts a comment, unknown keys are errors.  Every
 optional key has a documented default; the fully resolved configuration
-(paths absolute, defaults filled in, overrides applied) can be echoed back
+(paths absolute, defaults filled in, --out applied) can be echoed back
 out and re-running from the echo reproduces the run.
 
 The keys are the fields of `RunConfig` and of its `ModelConfig` and
@@ -67,32 +67,21 @@ def _key_table() -> dict:
 KEYS = _key_table()
 
 
-def _parse_bool(key, raw):
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-
-
 def parse_value(key: str, raw: str):
-    """The typed value of config key `key` written as `raw`.  Only splits and
-    converts, refusing a float that is not finite; names and ranges are
-    checked by the dataclass holding the key."""
+    """The typed value of config key `key` written as `raw` in the form
+    `format_value` writes.  Only splits and converts, refusing a float that is
+    not finite; names and ranges are checked by the dataclass holding the key."""
     raw = raw.strip()
     hint = KEYS[key][1].type
     if hint == "str | None":
         return raw or None
-    if key == "modalities":    # "s,v,t" or the compact "svt"
-        return tuple(p for chunk in raw.split(",") for p in chunk.strip())
     try:
         if hint == "tuple[str, ...]":
             return tuple(p.strip() for p in raw.split(",") if p.strip())
         if hint == "tuple[int, ...]":
             return tuple(int(p) for p in raw.split(",") if p.strip())
         if hint == "bool":
-            return _parse_bool(key, raw)
+            return {"true": True, "false": False}[raw]
         if hint == "int":
             return int(raw)
         if hint == "float":
@@ -100,7 +89,7 @@ def parse_value(key: str, raw: str):
             if not math.isfinite(value):
                 raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
             return value
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(f"{key}: expected {hint}, got {raw!r}")
     return raw
 
@@ -176,10 +165,12 @@ def parse_config(path) -> RunConfig:
 
 def echo_config(cfg: RunConfig) -> str:
     """Canonical text form of the resolved config, stable key order.  A value
-    holding `#` is refused: read back, it would end at the comment."""
+    that would not read back is refused: one holding `#`, which starts a
+    comment, or a line break, or with whitespace at either end, which the
+    parser strips."""
     lines = {key: format_value(_value(cfg, key)) for key in KEYS}
     for key, text in lines.items():
-        if "#" in text:
-            raise ConfigError(f"{key}: {text!r} holds '#', which a config file "
-                              f"reads as the start of a comment")
+        if "#" in text or "\n" in text or "\r" in text or text != text.strip():
+            raise ConfigError(f"{key}: {text!r} would not read back: a config file "
+                              f"ends a value at '#' or a line break and strips its ends")
     return "".join(f"{key} = {text}\n" for key, text in lines.items())

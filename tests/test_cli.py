@@ -132,18 +132,36 @@ def test_train_deterministic_byte_identical(corpus, tmp_path):
     assert (a / "train_log.jsonl").read_text() == (b / "train_log.jsonl").read_text()
 
 
-def test_seed_env_override(corpus, tmp_path, monkeypatch):
-    out = tmp_path / "seeded"
-    cfg = write_config(corpus, out, name="seeded.cfg", epochs=1)
-    monkeypatch.setenv("AMF_SEED", "7")
-    assert main(["train", cfg]) == 0
-    assert "seed = 7" in (out / "config.resolved.cfg").read_text()
+def test_amf_seed_in_environment_is_not_read(corpus, tmp_path, monkeypatch):
+    # The seed comes from the config's `seed` key alone: an exported AMF_SEED
+    # changes neither the echo nor the trained parameters.
+    outs = []
+    for sub, env in (("plain", None), ("env", "7")):
+        if env is not None:
+            monkeypatch.setenv("AMF_SEED", env)
+        out = tmp_path / sub
+        assert main(["train", write_config(corpus, out, name=f"{sub}.cfg", epochs=1)]) == 0
+        assert "seed = 0\n" in (out / "config.resolved.cfg").read_text()
+        outs.append((out / "checkpoint.bin").read_bytes())
+    assert outs[0] == outs[1]
 
 
-def test_seed_env_invalid(corpus, tmp_path, monkeypatch):
-    cfg = write_config(corpus, tmp_path / "x", name="badseed.cfg", epochs=1)
-    monkeypatch.setenv("AMF_SEED", "lucky")
-    assert main(["train", cfg]) == 2
+def test_rerun_deletes_the_previous_runs_results(corpus, tmp_path):
+    # A rerun into the same directory that fails, or that has no test split
+    # to rank, must not leave the first run's checkpoints and report beside
+    # its own config echo.
+    results = ("checkpoint.bin", "best.bin", "rank_report.json", "ranks.tsv")
+    for name, overrides, code in (("blowup", {"lr_d": 1e38}, 3),
+                                  ("notest", {"test": None}, 0)):
+        out = tmp_path / name
+        assert main(["train", write_config(corpus, out, name=f"{name}-1.cfg")]) == 0
+        assert all((out / f).exists() for f in results)
+        cfg = write_config(corpus, out, name=f"{name}-2.cfg", **overrides)
+        with np.errstate(all="ignore"):
+            assert main(["train", cfg]) == code
+        assert parse_config(out / "config.resolved.cfg") == parse_config(cfg)
+        left = [f for f in results if (out / f).exists()]
+        assert left == ([] if code else ["checkpoint.bin", "best.bin"])
 
 
 def test_train_missing_out(corpus, capsys):
@@ -235,24 +253,38 @@ def test_eval_reproduces_final_validation_mrr(trained, tmp_path):
     assert report["mrr"] == pytest.approx(logged, abs=1e-12)
 
 
-def test_eval_custom_ks(trained, tmp_path):
-    out, cfg = trained
+def test_eval_custom_ks(trained, corpus, tmp_path):
+    out, _ = trained
+    cfg = write_config(corpus, None, name="ks25.cfg", eval_ks="2,5")
     eval_out = tmp_path / "eval"
-    rc = main(["eval", cfg, str(out / "checkpoint.bin"),
-               "--ks", "2,5", "--out", str(eval_out)])
+    rc = main(["eval", cfg, str(out / "checkpoint.bin"), "--out", str(eval_out)])
     assert rc == 0
     report = json.loads((eval_out / "rank_report.json").read_text())
     assert set(report["hits"]) == {"2", "5"}
 
 
-def test_eval_bad_ks(trained, tmp_path):
-    # --ks goes through the eval_ks parser: non-integers and cutoffs below 1
-    # are both rejected before anything is written.
-    out, cfg = trained
+def test_eval_bad_ks(trained, corpus, tmp_path):
+    # eval takes its cutoffs from the config's eval_ks: non-integers and
+    # cutoffs below 1 are both rejected before anything is written.
+    out, _ = trained
     for ks in ("one", "0,-3"):
+        cfg = write_config(corpus, None, name="badks.cfg", eval_ks=ks)
         assert main(["eval", cfg, str(out / "checkpoint.bin"),
-                     "--ks", ks, "--out", str(tmp_path / "x")]) == 2
+                     "--out", str(tmp_path / "x")]) == 2
         assert not (tmp_path / "x").exists()
+
+
+def test_eval_rebuilds_the_training_masks(corpus, tmp_path):
+    # Half the feature rows are hidden by the run seed, so eval ranks like
+    # the training run only if it masks the same rows from the same config.
+    cfg = write_config(corpus, tmp_path / "train", name="masked.cfg",
+                       modality_missing_ratio=0.5, seed=7)
+    assert main(["train", cfg]) == 0
+    assert main(["eval", cfg, str(tmp_path / "train" / "checkpoint.bin"),
+                 "--out", str(tmp_path / "eval")]) == 0
+    for name in ("rank_report.json", "ranks.tsv"):
+        assert (tmp_path / "eval" / name).read_bytes() == \
+            (tmp_path / "train" / name).read_bytes()
 
 
 def test_eval_missing_checkpoint(trained, tmp_path):
@@ -442,13 +474,15 @@ def test_train_bad_second_feature_table_writes_nothing(corpus, tmp_path, capsys)
 
 
 def test_train_refuses_a_path_its_echo_cannot_hold(corpus, tmp_path, capsys):
-    # A config file reads `#` as the start of a comment, so an echo holding
-    # `out = .../h#1` would re-run into `.../h`.
-    out = tmp_path / "h#1"
+    # A config file reads `#` as the start of a comment, ends a value at a
+    # line break and strips its ends, so an echo holding `out = .../h#1`
+    # would re-run into `.../h`, and one holding `.../h\n1` would not parse.
     cfg = write_config(corpus, None, name="hash.cfg")
-    assert main(["train", cfg, "--out", str(out)]) == 2
-    assert "out: " in capsys.readouterr().err
-    assert not out.exists()
+    for name in ("h#1", "h ", "h\n1", "h\r1"):
+        out = tmp_path / name
+        assert main(["train", cfg, "--out", str(out)]) == 2, repr(name)
+        assert "out: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------- toy-graph runner and script

@@ -71,15 +71,18 @@ def test_bad_int_and_float_and_bool(tmp_path):
         parse_config(write_cfg(tmp_path, "dim = twelve\n"))
     with pytest.raises(ConfigError, match="gamma"):
         parse_config(write_cfg(tmp_path, "gamma = big\n"))
-    with pytest.raises(ConfigError, match="boolean"):
-        parse_config(write_cfg(tmp_path, "mat_enabled = maybe\n"))
+    # a boolean is written `true` or `false` and read in no other spelling
+    for text in ("maybe", "yes", "1", "True"):
+        with pytest.raises(ConfigError, match=rf":1: mat_enabled: expected bool, got '{text}'"):
+            parse_config(write_cfg(tmp_path, f"mat_enabled = {text}\n"))
 
 
 def test_modalities_comma_and_compact_forms(tmp_path):
     assert parse_config(write_cfg(tmp_path, "modalities = s,v\n")).model.modalities \
         == ("s", "v")
-    assert parse_config(write_cfg(tmp_path, "modalities = vs\n")).model.modalities \
-        == ("s", "v")
+    # the list is comma-separated; a run of letters is one unknown entry
+    with pytest.raises(ConfigError, match=r"run\.cfg:1: modalities: unknown entries \['vs'\]"):
+        parse_config(write_cfg(tmp_path, "modalities = vs\n"))
     assert parse_config(write_cfg(tmp_path, "modalities = t, s, v\n")).model.modalities \
         == ("s", "v", "t")
 
@@ -166,7 +169,7 @@ ROUND_TRIP = [
     ("lr_g", "2e-5", "training.lr_g", 2e-5),
     ("batch_size", "32", "training.batch_size", 32),
     ("epochs", "7", "training.epochs", 7),
-    ("mat_enabled", "no", "training.mat_enabled", False),
+    ("mat_enabled", "false", "training.mat_enabled", False),
     ("adversarial_patterns", "syn_both,syn_head", "training.adversarial_patterns",
      ("syn_head", "syn_both")),
     ("validate_every", "3", "training.validate_every", 3),
