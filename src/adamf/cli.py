@@ -163,7 +163,7 @@ def _clear_generator_kinks(model, batch, noise) -> None:
     fixture stays a perfectly valid random test point.
     """
     store = model.store
-    for (_, side, m), z in noise.items():
+    for (side, m), z in noise.items():
         idx = batch[:, SIDE_COLUMN[side]]
         x = np.concatenate([store["entity.structural"][idx], z], axis=1)
         b1 = store[f"gen.{m}.b1"]
@@ -211,7 +211,7 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0):
     pos = positive_parts(model, probe, (batch, negatives))
     weights = loss_kgc(model, probe, negatives, pos)[1]["weights"]
 
-    noise = model.draw_noise(batch, 1, ALL_PATTERNS, root.substream("noise"))
+    noise = model.draw_noise(batch, ALL_PATTERNS, root.substream("noise"))
     _clear_generator_kinks(model, batch, noise)
     # The discriminator view holds the generated embeddings fixed, since
     # probing entity.structural must not move the generator's input: they
@@ -229,14 +229,14 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0):
         tape = Tape(params, DISC)
         pos = positive_parts(model, tape, (batch,))
         generated = {key: tape.const(value) for key, value in frozen.items()}
-        adv, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, generated, pos)
+        adv, _ = loss_adv(model, tape, ALL_PATTERNS, generated, pos)
         return tape, tape.scale(adv, lam * GRADCHECK_SCALE)
 
     def adv_gen_builder(params):
         tape = Tape(params, GEN)
         pos = positive_parts(model, tape, (batch,))
         generated = model.generate(tape, batch, noise)
-        adv, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, generated, pos)
+        adv, _ = loss_adv(model, tape, ALL_PATTERNS, generated, pos)
         return tape, tape.scale(adv, -lam * GRADCHECK_SCALE)
 
     def check(builder, group):

@@ -69,17 +69,24 @@ KEYS = _key_table()
 
 def parse_value(key: str, raw: str):
     """The typed value of config key `key` written as `raw` in the form
-    `format_value` writes.  Only splits and converts, refusing a float that is
-    not finite; names and ranges are checked by the dataclass holding the key."""
+    `format_value` writes.  Only splits and converts, refusing number text
+    that form never has (not ASCII, `_` or a leading `+`), an empty or repeated
+    list entry and a float that is not finite; names and ranges are checked
+    by the dataclass holding the key."""
     raw = raw.strip()
     hint = KEYS[key][1].type
     if hint == "str | None":
         return raw or None
+    items = tuple(p.strip() for p in raw.split(",")) if raw else ()
     try:
-        if hint == "tuple[str, ...]":
-            return tuple(p.strip() for p in raw.split(",") if p.strip())
-        if hint == "tuple[int, ...]":
-            return tuple(int(p) for p in raw.split(",") if p.strip())
+        if hint in ("int", "float", "tuple[int, ...]") and any(
+                not p.isascii() or "_" in p or p.startswith("+") for p in items):
+            raise ValueError(raw)
+        if hint.startswith("tuple["):
+            values = items if hint == "tuple[str, ...]" else tuple(int(p) for p in items if p)
+            if "" in items or len(set(values)) < len(values):
+                raise ConfigError(f"{key}: expected distinct, non-empty entries, got {raw!r}")
+            return values
         if hint == "bool":
             return {"true": True, "false": False}[raw]
         if hint == "int":

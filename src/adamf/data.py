@@ -241,9 +241,7 @@ def apply_modality_missing(table: FeatureTable, ratio: float, seed: int) -> Feat
     n_masked = int(ratio * n)
     present = table.present.copy()
     if n_masked > 0:
-        rng = SeededRng(seed, stream="masks")
-        chosen = rng.choice_without_replacement(n, n_masked)
-        present[chosen] = False
+        present[SeededRng(seed, stream="masks").permutation(n)[:n_masked]] = False
     return replace(table, present=present)
 
 

@@ -285,15 +285,15 @@ class Model:
             tape.matvec(tape.leaf(f"gen.{m}.w1"), x, tape.leaf(f"gen.{m}.b1")), LEAKY_SLOPE)
         return tape.matvec(tape.leaf(f"gen.{m}.w2"), hidden, tape.leaf(f"gen.{m}.b2"))
 
-    def draw_noise(self, triples: np.ndarray, n_groups: int,
-                   patterns: tuple[str, ...], rng: SeededRng) -> dict:
+    def draw_noise(self, triples: np.ndarray, patterns: tuple[str, ...],
+                   rng: SeededRng) -> dict:
         """Every noise vector a synthetic build consumes, in one draw.
 
-        Keys are (group, side, modality) in construction order.  The draw is
-        one `rng.normals` call split into blocks; each block is padded to an
+        Keys are (side, modality) in construction order.  The draw is one
+        `rng.normals` call split into blocks; each block is padded to an
         even length, so the values equal those of one call per block.
         """
-        keys = [(g, side, m) for g in range(n_groups) for side in synthetic_sides(patterns)
+        keys = [(side, m) for side in synthetic_sides(patterns)
                 for m in self.cfg.projected_modalities]
         rows = triples.shape[0]
         size = rows * self.cfg.noise_dim
@@ -305,46 +305,44 @@ class Model:
     def generate(self, tape: Tape, triples: np.ndarray, noise: dict) -> dict:
         """Generated modal embeddings, one node per `noise` key, in key order.
 
-        Key (group, side, modality) runs G_m on the structural embeddings of
-        the batch's heads (side "h") or tails (side "t") and that key's z.
+        Key (side, modality) runs G_m on the structural embeddings of the
+        batch's heads (side "h") or tails (side "t") and that key's z.
         """
         e_s = {side: np.asarray(self.store["entity.structural"][triples[:, col]])
                for side, col in SIDE_COLUMN.items()}
-        return {(g, side, m): self.generator_output(tape, m, e_s[side], z)
-                for (g, side, m), z in noise.items()}
+        return {(side, m): self.generator_output(tape, m, e_s[side], z)
+                for (side, m), z in noise.items()}
 
     def synthetic_triple_scores(self, tape: Tape, triples: np.ndarray,
-                                n_groups: int, patterns: tuple[str, ...], generated: dict,
-                                table: EntityTable) -> tuple[Node, list[tuple[int, str]]]:
-        """Scores of L groups of synthetic triples for a batch of positives.
+                                patterns: tuple[str, ...], generated: dict,
+                                table: EntityTable) -> Node:
+        """Scores of the synthetic triples of a batch of positives.
 
-        Per group one synthetic head and one synthetic tail are built (when
-        a requested pattern needs them) and shared across that group's
-        patterns, mirroring the construction of the adversarial example set.
-        A synthetic entity keeps its own structural embedding and takes its
+        One synthetic head and one synthetic tail are built (when a
+        requested pattern needs them) and shared across the patterns,
+        mirroring the construction of the adversarial example set.  A
+        synthetic entity keeps its own structural embedding and takes its
         other modalities from `generated` (keys as in `draw_noise`); real
-        entities are rows of `table`.  Returns a flat (B * len(meta),) score
-        node plus the (group, pattern) block order.  `n_groups` >= 1 and
+        entities are rows of `table`.  Returns a flat (B * len(patterns),)
+        score node, one block of B per pattern in `patterns` order.
         `patterns` is a non-empty subset of ALL_PATTERNS in its order, as
-        `TrainConfig` validates them.
+        `TrainConfig` validates it.
         """
         phase = tape.leaf("relation.phase")
         entity_idx = {side: triples[:, col] for side, col in SIDE_COLUMN.items()}
         real = {side: (table.joint, table.rows(idx)) for side, idx in entity_idx.items()}
-        blocks, meta = [], []
-        for g in range(n_groups):
-            star = {}
-            for side in synthetic_sides(patterns):
-                parts = {m: generated[(g, side, m)] if m != "s" else
-                         self.modal_embedding(tape, "s", entity_idx[side])
-                         for m in self.cfg.modalities}
-                star[side] = (self.fuse(tape, parts)[0], np.arange(len(triples)))
-            for pattern in patterns:
-                h, t = (star[side] if side in PATTERN_SIDES[pattern] else real[side]
-                        for side in SIDE_COLUMN)
-                blocks.append(tape.query_distance(*h, phase, triples[:, 1], *t))
-                meta.append((g, pattern))
-        return tape.concat(blocks), meta
+        star = {}
+        for side in synthetic_sides(patterns):
+            parts = {m: generated[(side, m)] if m != "s" else
+                     self.modal_embedding(tape, "s", entity_idx[side])
+                     for m in self.cfg.modalities}
+            star[side] = (self.fuse(tape, parts)[0], np.arange(len(triples)))
+        blocks = []
+        for pattern in patterns:
+            h, t = (star[side] if side in PATTERN_SIDES[pattern] else real[side]
+                    for side in SIDE_COLUMN)
+            blocks.append(tape.query_distance(*h, phase, triples[:, 1], *t))
+        return tape.concat(blocks)
 
     # ------------------------------------------------------------- evaluation
 

@@ -116,9 +116,3 @@ class SeededRng:
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n): argsort of n drawn keys."""
         return np.argsort(self._raw(n), kind="stable")
-
-    def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices from range(n): the first k of ``permutation(n)``."""
-        if not 0 <= k <= n:
-            raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-        return np.argsort(self._raw(n), kind="stable")[:k].copy()

@@ -27,7 +27,6 @@ from .tape import Node, Tape, softmax
 @dataclass
 class TrainConfig:
     k_negatives: int = 64          # negatives per positive
-    adv_groups: int = 1            # synthetic groups per positive (L)
     adv_lambda: float = 0.01       # adversarial loss coefficient
     lr_d: float = 1e-4
     lr_g: float = 1e-4
@@ -41,8 +40,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.k_negatives < 1:
             raise ContractError("k_negatives must be >= 1")
-        if self.adv_groups < 1:
-            raise ContractError("adv_groups must be >= 1")
         if self.adv_lambda < 0:
             raise ContractError("adv_lambda must be >= 0")
         if self.batch_size < 1:
@@ -132,21 +129,20 @@ def loss_kgc(model: Model, tape: Tape, negatives: np.ndarray, pos: tuple,
     return loss, {"f_neg": f_neg.value, "weights": weights}
 
 
-def loss_adv(model: Model, tape: Tape, batch: np.ndarray, n_groups: int,
-             patterns: tuple[str, ...], generated: dict, pos: tuple) -> tuple[Node, dict]:
+def loss_adv(model: Model, tape: Tape, patterns: tuple[str, ...], generated: dict,
+             pos: tuple) -> tuple[Node, dict]:
     """Adversarial contrast loss: mean_b[-log s(g - F_pos)
-    - (1/|S|) sum_{s in S} log s(F_syn_s - g)] over synthetic triples S.
+    - (1/|S|) sum_{s in S} log s(F_syn_s - g)] over the synthetic triples S,
+    one per pattern.
 
     `generated` holds the synthetic modal embeddings (`Model.generate`) and
     `pos` the step's `positive_parts`."""
-    n_batch = batch.shape[0]
-    table, _, pos_sum = pos
-    f_syn, meta = model.synthetic_triple_scores(
-        tape, batch, n_groups, patterns, generated, table)
+    table, batch, pos_sum = pos
+    f_syn = model.synthetic_triple_scores(tape, batch, patterns, generated, table)
     syn_sum = tape.log_sigmoid_sum(f_syn, model.cfg.gamma, -1)
-    loss = tape.scale(tape.add(pos_sum, tape.scale(syn_sum, 1.0 / len(meta))),
-                      -1.0 / n_batch)
-    return loss, {"f_syn": f_syn.value.reshape(len(meta), n_batch), "meta": meta}
+    loss = tape.scale(tape.add(pos_sum, tape.scale(syn_sum, 1.0 / len(patterns))),
+                      -1.0 / batch.shape[0])
+    return loss, {"f_syn": f_syn.value.reshape(len(patterns), batch.shape[0])}
 
 
 # --------------------------------------------------------------------- steps
@@ -165,10 +161,9 @@ def train_step_discriminator(model: Model, batch: np.ndarray,
     adv_value = 0.0
     total = kgc
     if cfg.mat_enabled:
-        noise = model.draw_noise(batch, cfg.adv_groups, cfg.adversarial_patterns, noise_rng)
+        noise = model.draw_noise(batch, cfg.adversarial_patterns, noise_rng)
         generated = model.generate(tape, batch, noise)
-        adv, _ = loss_adv(model, tape, batch, cfg.adv_groups, cfg.adversarial_patterns,
-                          generated, pos)
+        adv, _ = loss_adv(model, tape, cfg.adversarial_patterns, generated, pos)
         adv_value = float(adv.value)
         total = tape.add(kgc, tape.scale(adv, cfg.adv_lambda))
     tape.backward(total)
@@ -184,10 +179,9 @@ def train_step_generator(model: Model, batch: np.ndarray, cfg: TrainConfig,
         raise ContractError("generator step requires mat_enabled")
     tape = Tape(model.store, GEN)
     pos = positive_parts(model, tape, (batch,))
-    noise = model.draw_noise(batch, cfg.adv_groups, cfg.adversarial_patterns, noise_rng)
+    noise = model.draw_noise(batch, cfg.adversarial_patterns, noise_rng)
     generated = model.generate(tape, batch, noise)
-    adv, _ = loss_adv(model, tape, batch, cfg.adv_groups, cfg.adversarial_patterns,
-                      generated, pos)
+    adv, _ = loss_adv(model, tape, cfg.adversarial_patterns, generated, pos)
     objective = tape.scale(adv, -cfg.adv_lambda)
     tape.backward(objective)
     adam_step(model.store, "generator", tape.grads["generator"], cfg.lr_g)

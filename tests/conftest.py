@@ -40,12 +40,12 @@ def make_dataset(n_entities, triples_by_split, n_relations=1):
         vocab, *(triples_by_split.get(split, []) for split in ("train", "valid", "test")))
 
 
-def synthetic_scores(model, tape, batch, n_groups, patterns, noise):
+def synthetic_scores(model, tape, batch, patterns, noise):
     """`Model.synthetic_triple_scores` against the batch's own positives,
     with the synthetic modal embeddings generated from `noise`."""
     generated = model.generate(tape, batch, noise)
     table = model.entity_table(tape, (batch,))
-    return model.synthetic_triple_scores(tape, batch, n_groups, patterns, generated, table)
+    return model.synthetic_triple_scores(tape, batch, patterns, generated, table)
 
 
 def margin_loss(model, tape, batch, negatives):

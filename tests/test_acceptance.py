@@ -192,12 +192,12 @@ def test_generator_pressure():
     model = small_model(seed=1)
     batch = np.array([[0, 0, 1], [2, 1, 3], [4, 0, 5]])
     cfg = TrainConfig(k_negatives=4, batch_size=4, lr_g=1e-2, seed=0)
-    probe = model.draw_noise(batch, 1, ALL_PATTERNS,
+    probe = model.draw_noise(batch, ALL_PATTERNS,
                              SeededRng(123, stream="probe"))
 
     def mean_distance():
         tape = Tape(model.store, GEN)
-        scores, _ = synthetic_scores(model, tape, batch, 1, ALL_PATTERNS, probe)
+        scores = synthetic_scores(model, tape, batch, ALL_PATTERNS, probe)
         return float(scores.value.mean())
 
     start = mean_distance()

@@ -344,12 +344,13 @@ def test_deterministic_config_key_is_rejected(trained, tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [("keep_best", "false"), ("hidden_dim", "8"),
                                         ("leaky_slope", "0.2"),
                                         ("selfadv_sign", "literal"),
-                                        ("negative_filtering", "true")])
+                                        ("negative_filtering", "true"),
+                                        ("adv_groups", "1")])
 def test_fixed_behaviours_are_unknown_keys(corpus, tmp_path, capsys, key, value):
     # best.bin is always written, the generator's hidden width is 2d, its
-    # LeakyReLU slope 0.01, the negatives' weights softmax(-beta * F) and a
-    # negative redrawn only when it rebuilds its positive: none of them is a
-    # setting.
+    # LeakyReLU slope 0.01, the negatives' weights softmax(-beta * F), a
+    # negative redrawn only when it rebuilds its positive and one synthetic
+    # head and tail built per positive: none of them is a setting.
     out = tmp_path / key
     cfg = write_config(corpus, out, name=f"{key}.cfg", **{key: value})
     assert main(["train", cfg]) == 2

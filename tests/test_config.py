@@ -13,7 +13,7 @@ from adamf.training import TrainConfig
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -163,7 +163,6 @@ ROUND_TRIP = [
     ("beta", "0.5", "model.beta", 0.5),
     ("precision", "double", "model.precision", "double"),
     ("k_negatives", "9", "training.k_negatives", 9),
-    ("adv_groups", "2", "training.adv_groups", 2),
     ("adv_lambda", "0.1", "training.adv_lambda", 0.1),
     ("lr_d", "0.003", "training.lr_d", 0.003),
     ("lr_g", "2e-5", "training.lr_g", 2e-5),
@@ -222,7 +221,12 @@ def test_bad_values_name_their_key(tmp_path):
             parse_config(write_cfg(tmp_path, text + "\n"))
     # a value that does not convert also gets its file and line
     for text, key in (("dim = twelve", "dim"), ("mat_enabled = maybe", "mat_enabled"),
-                      ("eval_ks = 1,x", "eval_ks")):
+                      ("eval_ks = 1,x", "eval_ks"),
+                      # spellings the echo never writes
+                      ("dim = 1_6", "dim"), ("dim = +16", "dim"), ("dim = １６", "dim"),
+                      ("gamma = 1_2.5", "gamma"), ("eval_ks = 1,,3,", "eval_ks"),
+                      ("eval_ks = 3,3", "eval_ks"),
+                      ("adversarial_patterns = syn_head,,", "adversarial_patterns")):
         with pytest.raises(ConfigError, match=rf"run\.cfg:2: {key}: expected"):
             parse_config(write_cfg(tmp_path, "# bad value\n" + text + "\n"))
 

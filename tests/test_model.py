@@ -598,39 +598,39 @@ def test_synthetic_set_size_and_patterns():
     model = small_model()
     batch = np.array([[0, 0, 1], [2, 1, 3]])
     tape = Tape(model.store, DISC)
-    noise = model.draw_noise(batch, 1, ALL_PATTERNS, SeededRng(0, stream="noise"))
-    scores, meta = synthetic_scores(model, tape, batch, 1, ALL_PATTERNS, noise)
-    assert scores.value.shape == (2 * 3,)
-    assert meta == [(0, "syn_tail"), (0, "syn_head"), (0, "syn_both")]
+    noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(0, stream="noise"))
+    scores = synthetic_scores(model, tape, batch, ALL_PATTERNS, noise)
+    assert scores.value.shape == (2 * len(ALL_PATTERNS),)
 
 
-def test_synthetic_set_three_groups():
+def test_synthetic_blocks_follow_pattern_order():
+    # Each pattern scored alone gives its own block of the all-patterns
+    # scores made with the same noise: the blocks run in ALL_PATTERNS order.
     model = small_model()
-    batch = np.array([[0, 0, 1]])
-    tape = Tape(model.store, DISC)
-    noise = model.draw_noise(batch, 3, ALL_PATTERNS, SeededRng(0, stream="noise"))
-    scores, meta = synthetic_scores(model, tape, batch, 3, ALL_PATTERNS, noise)
-    assert scores.value.shape == (9,)
-    assert [g for g, _ in meta] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    batch = np.array([[0, 0, 1], [2, 1, 3]])
+    noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(0, stream="noise"))
+    tape = Tape(model.store, FROZEN)
+    blocks = synthetic_scores(model, tape, batch, ALL_PATTERNS, noise).value.reshape(
+        len(ALL_PATTERNS), len(batch))
+    for i, pattern in enumerate(ALL_PATTERNS):
+        alone = synthetic_scores(model, tape, batch, (pattern,), noise)
+        assert alone.value.tobytes() == blocks[i].tobytes(), pattern
 
 
 def test_noise_draw_order_is_canonical():
     model = small_model()
     batch = np.array([[0, 0, 1]])
-    noise = model.draw_noise(batch, 2, ALL_PATTERNS, SeededRng(5, stream="noise"))
-    assert list(noise.keys()) == [(0, "h", "v"), (0, "h", "t"),
-                                  (0, "t", "v"), (0, "t", "t"),
-                                  (1, "h", "v"), (1, "h", "t"),
-                                  (1, "t", "v"), (1, "t", "t")]
+    noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(5, stream="noise"))
+    assert list(noise.keys()) == [("h", "v"), ("h", "t"), ("t", "v"), ("t", "t")]
 
 
 def test_noise_one_draw_equals_one_draw_per_block():
     # One bulk draw, split into blocks, must reproduce one normals() call per
-    # (group, side, modality) block, also when a block's size is odd.
+    # (side, modality) block, also when a block's size is odd.
     model = small_model()  # noise_dim 3
     for batch in (np.array([[0, 0, 1]]), np.array([[0, 0, 1], [2, 1, 3]])):
         bulk = SeededRng(5, stream="noise")
-        noise = model.draw_noise(batch, 2, ALL_PATTERNS, bulk)
+        noise = model.draw_noise(batch, ALL_PATTERNS, bulk)
         per_block = SeededRng(5, stream="noise")
         for key, z in noise.items():
             ref = per_block.normals(z.size).reshape(z.shape)
@@ -638,24 +638,15 @@ def test_noise_one_draw_equals_one_draw_per_block():
         assert bulk.counter == per_block.counter
 
 
-def test_groups_use_distinct_noise():
-    model = small_model()
-    batch = np.array([[0, 0, 1]])
-    noise = model.draw_noise(batch, 2, ALL_PATTERNS, SeededRng(5, stream="noise"))
-    assert noise[(0, "t", "v")].tobytes() != noise[(1, "t", "v")].tobytes()
-
-
 def test_starred_entity_shared_within_group():
-    # Within a group one h* and one t* serve all patterns, so generation
-    # builds exactly one generator output per (group, side, modality) —
-    # not one per pattern.
+    # One h* and one t* serve all patterns, so generation builds exactly
+    # one generator output per (side, modality), not one per pattern.
     model = small_model()
     batch = np.array([[0, 0, 1], [1, 1, 2]])
-    noise = model.draw_noise(batch, 1, ALL_PATTERNS, SeededRng(7, stream="noise"))
+    noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(7, stream="noise"))
     generated = model.generate(Tape(model.store, FROZEN), batch, noise)
-    assert set(generated.keys()) == {(0, "h", "v"), (0, "h", "t"),
-                                     (0, "t", "v"), (0, "t", "t")}
-    assert generated[(0, "h", "v")].shape == (2, 6)
+    assert set(generated.keys()) == {("h", "v"), ("h", "t"), ("t", "v"), ("t", "t")}
+    assert generated[("h", "v")].shape == (2, 6)
 
 
 def test_zero_generator_still_builds_full_set():
@@ -665,9 +656,9 @@ def test_zero_generator_still_builds_full_set():
             model.store.set(f"gen.{m}.{p}", np.zeros_like(model.store[f"gen.{m}.{p}"]))
     batch = np.array([[0, 0, 1]])
     tape = Tape(model.store, DISC)
-    noise = model.draw_noise(batch, 2, ALL_PATTERNS, SeededRng(1, stream="noise"))
-    scores, meta = synthetic_scores(model, tape, batch, 2, ALL_PATTERNS, noise)
-    assert len(meta) == 6
+    noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(1, stream="noise"))
+    scores = synthetic_scores(model, tape, batch, ALL_PATTERNS, noise)
+    assert scores.value.shape == (len(ALL_PATTERNS),)
     assert np.all(np.isfinite(scores.value))
 
 

@@ -83,10 +83,10 @@ def test_permutation_is_bijection(n, seed):
 
 @given(st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=50)
-def test_choice_without_replacement(seed):
-    rng = SeededRng(seed)
+def test_permutation_prefix_is_a_choice_without_replacement(seed):
+    # apply_modality_missing masks the first k entries of a permutation
     n, k = 30, 12
-    chosen = rng.choice_without_replacement(n, k)
+    chosen = SeededRng(seed).permutation(n)[:k]
     assert len(chosen) == k
     assert len(set(chosen.tolist())) == k
     assert all(0 <= c < n for c in chosen)
@@ -222,4 +222,3 @@ def test_every_method_runs_without_overflow_warnings():
             rng.randints([5, 2**40, 1])
             rng.randints(np.array([3 * 2**62, 2**63], dtype=np.uint64))
             rng.permutation(100)
-            rng.choice_without_replacement(100, 10)

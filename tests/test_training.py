@@ -34,8 +34,6 @@ def test_train_config_validation():
     with pytest.raises(ContractError):
         TrainConfig(k_negatives=0)
     with pytest.raises(ContractError):
-        TrainConfig(adv_groups=0)
-    with pytest.raises(ContractError):
         TrainConfig(adv_lambda=-0.1)
     with pytest.raises(ContractError):
         TrainConfig(batch_size=0)
@@ -234,10 +232,9 @@ def test_loss_adv_all_scores_at_margin():
     tape = Tape(model.store, DISC)
     # syn scores: tail pattern F(1,0*)=gamma... all entities sit at their
     # real positions, so every pattern scores gamma as well.
-    noise = model.draw_noise(batch, 1, ALL_PATTERNS, SeededRng(0, stream="noise"))
+    noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(0, stream="noise"))
     assert noise == {}  # no projected modality, nothing to generate
-    loss, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS,
-                       model.generate(tape, batch, noise),
+    loss, _ = loss_adv(model, tape, ALL_PATTERNS, model.generate(tape, batch, noise),
                        positive_parts(model, tape, (batch,)))
     assert abs(loss.value - 2.0 * math.log(2.0)) < 1e-12
 
@@ -250,10 +247,8 @@ def test_loss_positive_on_random_fixtures():
         negs = sample_negatives(batch, model.n_entities, 4, rng)
         tape = Tape(model.store, DISC)
         kgc, _ = margin_loss(model, tape, batch, negs)
-        noise = model.draw_noise(batch, 2, ALL_PATTERNS,
-                                 SeededRng(seed, stream="noise"))
-        adv, _ = loss_adv(model, tape, batch, 2, ALL_PATTERNS,
-                          model.generate(tape, batch, noise),
+        noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(seed, stream="noise"))
+        adv, _ = loss_adv(model, tape, ALL_PATTERNS, model.generate(tape, batch, noise),
                           positive_parts(model, tape, (batch,)))
         assert kgc.value > 0.0
         assert adv.value > 0.0
@@ -263,9 +258,9 @@ def test_restricted_patterns_shrink_synthetic_set():
     model = small_model()
     batch = np.array([[0, 0, 1]])
     tape = Tape(model.store, DISC)
-    noise = model.draw_noise(batch, 1, ("syn_head",), SeededRng(0, stream="noise"))
-    scores, meta = synthetic_scores(model, tape, batch, 1, ("syn_head",), noise)
-    assert meta == [(0, "syn_head")]
+    noise = model.draw_noise(batch, ("syn_head",), SeededRng(0, stream="noise"))
+    scores = synthetic_scores(model, tape, batch, ("syn_head",), noise)
+    assert scores.value.shape == (1,)
 
 
 # --- gradient routing ---------------------------------------------------------------
@@ -274,11 +269,11 @@ def test_discriminator_view_gives_zero_generator_gradient():
     model = small_model()
     batch = np.array([[0, 0, 1], [2, 1, 3]])
     noise_rng = SeededRng(0, stream="noise")
-    noise = model.draw_noise(batch, 1, ALL_PATTERNS, noise_rng)
+    noise = model.draw_noise(batch, ALL_PATTERNS, noise_rng)
     frozen = model.generate(Tape(model.store, FROZEN), batch, noise)
     tape = Tape(model.store, DISC)
     generated = {key: tape.const(node.value) for key, node in frozen.items()}
-    loss, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS, generated,
+    loss, _ = loss_adv(model, tape, ALL_PATTERNS, generated,
                        positive_parts(model, tape, (batch,)))
     grads = tape.backward(loss)
     for name in model.store.names("generator"):
@@ -289,11 +284,9 @@ def test_discriminator_view_gives_zero_generator_gradient():
 def test_generator_view_gives_zero_discriminator_gradient():
     model = small_model()
     batch = np.array([[0, 0, 1], [2, 1, 3]])
-    noise = model.draw_noise(batch, 1, ALL_PATTERNS,
-                             SeededRng(0, stream="noise"))
+    noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(0, stream="noise"))
     tape = Tape(model.store, GEN)
-    loss, _ = loss_adv(model, tape, batch, 1, ALL_PATTERNS,
-                       model.generate(tape, batch, noise),
+    loss, _ = loss_adv(model, tape, ALL_PATTERNS, model.generate(tape, batch, noise),
                        positive_parts(model, tape, (batch,)))
     grads = tape.backward(loss)
     for name in model.store.names("discriminator"):
@@ -650,12 +643,11 @@ def test_generator_pressure_reduces_synthetic_distance():
     model = small_model(seed=1)
     batch = np.array([[0, 0, 1], [2, 1, 3], [4, 0, 5]])
     cfg = TrainConfig(k_negatives=4, batch_size=4, lr_g=1e-2, seed=0)
-    probe_noise = model.draw_noise(batch, 1, ALL_PATTERNS,
-                                   SeededRng(123, stream="probe"))
+    probe_noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(123, stream="probe"))
 
     def mean_synthetic_f():
         tape = Tape(model.store, GEN)
-        scores, _ = synthetic_scores(model, tape, batch, 1, ALL_PATTERNS, probe_noise)
+        scores = synthetic_scores(model, tape, batch, ALL_PATTERNS, probe_noise)
         return float(scores.value.mean())
 
     start = mean_synthetic_f()
