@@ -67,30 +67,39 @@ def _key_table() -> dict:
 KEYS = _key_table()
 
 
+def _int(text: str) -> int:
+    """The int written as `text` in the one form `format_value` writes it
+    (`str` of the int): no leading zero or `+`, `_` or non-ASCII digit."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(text)
+    return value
+
+
 def parse_value(key: str, raw: str):
     """The typed value of config key `key` written as `raw` in the form
     `format_value` writes.  Only splits and converts, refusing number text
-    that form never has (not ASCII, `_` or a leading `+`), an empty or repeated
-    list entry and a float that is not finite; names and ranges are checked
-    by the dataclass holding the key."""
+    that form never has (an int other than `str` of its value, a float not
+    ASCII or with `_` or a leading `+`), an empty or repeated list entry and
+    a float that is not finite; names and ranges are checked by the
+    dataclass holding the key."""
     raw = raw.strip()
     hint = KEYS[key][1].type
     if hint == "str | None":
         return raw or None
     items = tuple(p.strip() for p in raw.split(",")) if raw else ()
     try:
-        if hint in ("int", "float", "tuple[int, ...]") and any(
-                not p.isascii() or "_" in p or p.startswith("+") for p in items):
+        if hint == "float" and (not raw.isascii() or "_" in raw or raw.startswith("+")):
             raise ValueError(raw)
         if hint.startswith("tuple["):
-            values = items if hint == "tuple[str, ...]" else tuple(int(p) for p in items if p)
+            values = items if hint == "tuple[str, ...]" else tuple(_int(p) for p in items if p)
             if "" in items or len(set(values)) < len(values):
                 raise ConfigError(f"{key}: expected distinct, non-empty entries, got {raw!r}")
             return values
         if hint == "bool":
             return {"true": True, "false": False}[raw]
         if hint == "int":
-            return int(raw)
+            return _int(raw)
         if hint == "float":
             value = float(raw)
             if not math.isfinite(value):

@@ -228,17 +228,21 @@ def rank_query(cache: EvalCache, dataset: TripleDataset, side: str, triple,
     return _filtered_rank(better, target, known)
 
 
-def _rank_workers(n_queries: int, n_entities: int, d: int) -> int:
-    """One ranking thread per CPU the process may use, at most one per query;
-    a single thread when every entity fits in one `_distances` block, where
-    the per-query Python overhead would outweigh the parallel numpy."""
-    if n_entities <= _block_rows(d):
-        return 1
+def pool_size(tasks: int) -> int:
+    """Workers for `tasks` independent tasks: one per CPU this process may
+    run on, at most one per task, and at least one."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:      # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, n_queries)
+    return max(1, min(cpus, tasks))
+
+
+def _rank_workers(n_queries: int, n_entities: int, d: int) -> int:
+    """One ranking thread per CPU the process may use, at most one per query;
+    a single thread when every entity fits in one `_distances` block, where
+    the per-query Python overhead would outweigh the parallel numpy."""
+    return 1 if n_entities <= _block_rows(d) else pool_size(n_queries)
 
 
 # ---------------------------------------------------------------- aggregates

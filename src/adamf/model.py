@@ -160,8 +160,8 @@ class EntityTable(NamedTuple):
 
     def rows(self, entities: np.ndarray) -> np.ndarray:
         """Row of each entity; every one must be in the table."""
-        rows = np.searchsorted(self.ids, entities)
-        if not np.array_equal(self.ids[np.minimum(rows, self.ids.size - 1)], entities):
+        rows = self.ids.searchsorted(entities)
+        if (self.ids.take(rows, mode="clip") != entities).any():
             raise ContractError("entity outside this step's entity table")
         return rows
 
@@ -208,12 +208,12 @@ class Model:
         idx = np.asarray(idx, dtype=np.int64)
         if m == "s":
             return tape.gather(tape.leaf("entity.structural"), idx)
-        if m not in self.cfg.projected_modalities:
+        if m not in self._rows:
             raise ContractError(f"modality {m!r} not active in this model")
-        rows = self._rows[m][idx]
+        rows = self._rows[m].take(idx)
         present = rows >= 0
         projected = tape.matvec(tape.leaf(f"proj.{m}.weight"),
-                                tape.const(self._raw[m][rows[present]]),
+                                tape.const(self._raw[m].take(rows[present], axis=0)),
                                 tape.leaf(f"proj.{m}.bias"))
         if present.all():
             return projected
@@ -247,7 +247,10 @@ class Model:
     def entity_table(self, tape: Tape, triples) -> EntityTable:
         """Fused rows of every entity named as a head or tail in `triples`
         (a sequence of (..., 3) arrays), each entity built once."""
-        ids = np.unique(np.concatenate([np.asarray(x)[..., 0::2].ravel() for x in triples]))
+        named = np.zeros(self.n_entities, dtype=bool)
+        for x in triples:
+            named[np.asarray(x)[..., 0::2]] = True
+        ids = named.nonzero()[0]
         return EntityTable(ids, *self.joint_and_alpha(tape, ids))
 
     # ---------------------------------------------------------------- scoring
@@ -266,7 +269,7 @@ class Model:
         if not ((head <= (negatives[..., 2] == triples[:, None, 2]))
                 & (negatives[..., 1] == triples[:, None, 1])).all():
             raise ContractError("a negative must replace one side of its triple")
-        return tape.query_distance(table.joint, np.stack((h, t)), phase, r, table.joint,
+        return tape.query_distance(table.joint, np.array((h, t)), phase, r, table.joint,
                                    table.rows(np.where(head, negatives[..., 0],
                                                        negatives[..., 2])), head)
 
@@ -308,7 +311,7 @@ class Model:
         Key (side, modality) runs G_m on the structural embeddings of the
         batch's heads (side "h") or tails (side "t") and that key's z.
         """
-        e_s = {side: np.asarray(self.store["entity.structural"][triples[:, col]])
+        e_s = {side: self.store["entity.structural"].take(triples[:, col], axis=0)
                for side, col in SIDE_COLUMN.items()}
         return {(side, m): self.generator_output(tape, m, e_s[side], z)
                 for (side, m), z in noise.items()}

@@ -30,6 +30,7 @@ class ParameterStore:
         self.dtype = np.dtype(dtype)
         self._slots: dict[str, tuple[str, slice, tuple]] = {}  # name -> (group, span, shape)
         self.values = {g: np.empty(0, self.dtype) for g in GROUPS}
+        self._views: dict[str, np.ndarray] = {}    # name -> its view of `values`, made once
         self._moments: dict[str, np.ndarray] = {}
         self._reads: dict[str, object] = {}    # group -> deferred read of its moments
         self.steps = dict.fromkeys(GROUPS, 0)
@@ -50,14 +51,21 @@ class ParameterStore:
             offset += arr.size
         self.values[group] = np.concatenate(
             [self.values[group], *(arr.reshape(-1) for arr in arrays.values())])
+        self._views.clear()     # views of the replaced buffer
 
     def add(self, name: str, value, group: str):
         self.extend(group, {name: value})
 
     def view(self, name: str, buffers=None) -> np.ndarray:
-        """The parameter's view into its group's buffer in `buffers` (the
-        values by default), whose last axis is the group's flat axis."""
-        flat = (self.values if buffers is None else buffers)[self.group_of(name)]
+        """The parameter's view into its group's buffer in `buffers`, whose
+        last axis is the group's flat axis.  The default, the values, gives
+        one view per name, kept until `extend` replaces the group's buffer."""
+        if buffers is None:
+            view = self._views.get(name)
+            if view is None:
+                view = self._views[name] = self.view(name, self.values)
+            return view
+        flat = buffers[self.group_of(name)]
         _, span, shape = self._slots[name]
         return flat[..., span].reshape(flat.shape[:-1] + shape)
 

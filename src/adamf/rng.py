@@ -35,13 +35,18 @@ def _fnv1a64(label: str) -> int:
     return h
 
 
+# The uint64 operands of the array arithmetic, made once.
+_GOLDEN_U, _MIX1_U, _MIX2_U = (np.uint64(c) for c in (_GOLDEN, _MIX1, _MIX2))
+_ONE, _SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = (np.uint64(c) for c in (1, 11, 27, 30, 31))
+
+
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     """SplitMix64's finalizer, in place on a uint64 array (wrapping)."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    z ^= z >> _SHIFT30
+    z *= _MIX1_U
+    z ^= z >> _SHIFT27
+    z *= _MIX2_U
+    z ^= z >> _SHIFT31
     return z
 
 
@@ -68,13 +73,13 @@ class SeededRng:
         start = (self.key + (self.counter + 1) * _GOLDEN) & _MASK64
         self.counter += n
         z = np.arange(n, dtype=np.uint64)
-        z *= np.uint64(_GOLDEN)
+        z *= _GOLDEN_U
         z += np.uint64(start)
         return _mix64_array(z)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform doubles in [0, 1) with 53 significant bits."""
-        return (self._raw(n) >> np.uint64(11)) * 2.0 ** -53
+        return (self._raw(n) >> _SHIFT11) * 2.0 ** -53
 
     def normals(self, n: int) -> np.ndarray:
         """Standard normals via Box-Muller; two draws per pair of normals.
@@ -83,12 +88,14 @@ class SeededRng:
         odd n discards the last pair's second normal.
         """
         pairs = (n + 1) // 2
-        raw = (self._raw(2 * pairs) >> np.uint64(11)).reshape(pairs, 2)
-        u1 = (raw[:, 0] + np.uint64(1)) * 2.0 ** -53
+        raw = (self._raw(2 * pairs) >> _SHIFT11).reshape(pairs, 2)
+        u1 = (raw[:, 0] + _ONE) * 2.0 ** -53
         theta = raw[:, 1] * (2.0 ** -53 * 2.0 * np.pi)
         radius = np.sqrt(-2.0 * np.log(u1))
-        return np.stack([radius * np.cos(theta), radius * np.sin(theta)],
-                        axis=1).reshape(-1)[:n]
+        out = np.empty((pairs, 2))
+        np.multiply(radius, np.cos(theta), out=out[:, 0])
+        np.multiply(radius, np.sin(theta), out=out[:, 1])
+        return out.reshape(-1)[:n]
 
     def randints(self, bounds) -> np.ndarray:
         """Unbiased integers in [0, bounds[i]) for each i, by rejection.
@@ -101,13 +108,13 @@ class SeededRng:
         bounds = np.asarray(bounds).reshape(-1)
         if bounds.size == 0:
             return np.zeros(0, dtype=np.int64)
-        if bounds.dtype.kind not in "iu" or np.any(bounds <= 0):
+        if bounds.dtype.kind not in "iu" or np.minimum.reduce(bounds) <= 0:
             raise ValueError(f"bounds must be positive integers below 2**64, got {bounds}")
         ubounds = bounds.astype(np.uint64)
         zero = np.uint64(0)
         limit = zero - (zero - ubounds) % ubounds  # wraps to 0 when bound divides 2**64
         v = self._raw(bounds.size)
-        pending = np.flatnonzero((limit != 0) & (v >= limit))
+        pending = ((limit != 0) & (v >= limit)).nonzero()[0]
         while pending.size:
             v[pending] = self._raw(pending.size)
             pending = pending[v[pending] >= limit[pending]]

@@ -19,7 +19,9 @@ accumulator each: a live leaf's view of its group's flat gradient, else
 made on first use, as zeros for a scatter (``Node.adjoint``) and as an owned
 zeros + g for an add (``Node.add_grad``).  No backward makes an operand-sized
 table.  Float addition is not associative, so a row two kernels reach gets
-(acc + g1) + g2.
+(acc + g1) + g2.  A kernel checks its operands' shapes before it computes
+and raises `ContractError` naming itself and the shapes (``_mismatch``, the
+only place the shape list is built).
 
 Complex-valued quantities are interleaved (re, im) pairs in an even-length
 last axis; phase vectors have half that length.
@@ -91,8 +93,17 @@ class Node:
 
 
 def _flush_subnormals(g: np.ndarray) -> np.ndarray:
-    """g with each entry below np.finfo(dtype).tiny in magnitude set to 0."""
-    return np.where(np.abs(g) < np.finfo(g.dtype).tiny, g.dtype.type(0), g)
+    """Set each entry of g below np.finfo(dtype).tiny in magnitude to 0, in
+    place (g is the adjoint its node owns); returns g."""
+    g[np.abs(g) < np.finfo(g.dtype).tiny] = 0
+    return g
+
+
+def _mismatch(op: str, *operands) -> ContractError:
+    """The error of a kernel given operands (nodes or arrays) whose shapes do
+    not fit; the shape list is built only here, once a check has failed."""
+    shapes = [tuple(np.shape(x.value if isinstance(x, Node) else x)) for x in operands]
+    return ContractError(f"{op}: incompatible shapes {shapes}")
 
 
 def _scatter(ufunc, table: np.ndarray, idx, rows: np.ndarray) -> None:
@@ -108,8 +119,9 @@ def _scatter(ufunc, table: np.ndarray, idx, rows: np.ndarray) -> None:
 
 def softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by each row's max."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def modulus_sum(x, y, re, im, a, b, out) -> np.ndarray:
@@ -133,6 +145,8 @@ class Tape:
         self.grads: dict[str, np.ndarray] = {}     # per group, made by backward
         self.consumed = False
         self.dtype = store.dtype
+        self._cdtype = np.result_type(self.dtype, np.complex64)    # views of (re, im) pairs
+        self._sign = np.array([1, -1], self.dtype)[:, None, None]  # conj(r) for heads
 
     # ------------------------------------------------------------------ leaves
 
@@ -153,21 +167,21 @@ class Tape:
     # ------------------------------------------------------------- op plumbing
 
     def _emit(self, op, value, parents, backward_fn) -> Node:
-        live = any(p.live for p in parents)
+        live = False
+        for p in parents:
+            if p.live:
+                live = True
+                break
         node = Node(np.asarray(value), parents, backward_fn if live else None,
                     name=op, live=live)
         self.nodes.append(node)
         return node
 
-    @staticmethod
-    def _require(cond, op, *shapes):
-        if not cond:
-            raise ContractError(f"{op}: incompatible shapes {[tuple(s) for s in shapes]}")
-
     # ----------------------------------------------------------------- kernels
 
     def add(self, a: Node, b: Node) -> Node:
-        self._require(a.shape == b.shape, "add", a.shape, b.shape)
+        if a.value.shape != b.value.shape:
+            raise _mismatch("add", a, b)
         out = a.value + b.value
 
         def backward(g):
@@ -180,29 +194,30 @@ class Tape:
 
     def matvec(self, w: Node, x: Node, b: Node) -> Node:
         """Affine map of rows: x (B,n) @ w (m,n).T + bias b (m,) -> (B,m)."""
-        self._require(w.value.ndim == 2 and x.value.ndim == 2 and x.shape[1] == w.shape[1]
-                      and b.shape == w.shape[:1], "matvec", w.shape, x.shape, b.shape)
-        out = x.value @ w.value.T + b.value
+        wv, xv = w.value, x.value
+        if not (wv.ndim == 2 and xv.ndim == 2 and xv.shape[1] == wv.shape[1]
+                and b.value.shape == wv.shape[:1]):
+            raise _mismatch("matvec", w, x, b)
+        out = xv @ wv.T + b.value
 
         def backward(g):
             if b.live:
-                b.add_grad(g.sum(axis=0))
+                b.add_grad(np.add.reduce(g, axis=0))
             g = _flush_subnormals(g)
             if w.live:
-                w.add_grad(g.T @ x.value)
+                w.add_grad(g.T @ xv)
             if x.live:
-                x.add_grad(g @ w.value)
+                x.add_grad(g @ wv)
 
         return self._emit("matvec", out, (w, x, b), backward)
 
     def concat(self, parts: list[Node]) -> Node:
-        self._require(len(parts) > 0, "concat")
-        lead = parts[0].shape[:-1]
-        self._require(all(p.value.ndim == len(lead) + 1 and p.shape[:-1] == lead
-                          for p in parts),
-                      "concat", *[p.shape for p in parts])
+        lead = parts[0].value.shape[:-1] if parts else None
+        if not (parts and all(p.value.ndim == len(lead) + 1 and p.value.shape[:-1] == lead
+                              for p in parts)):
+            raise _mismatch("concat", *parts)
         out = np.concatenate([p.value for p in parts], axis=-1)
-        widths = [p.shape[-1] for p in parts]
+        widths = [p.value.shape[-1] for p in parts]
 
         def backward(g):
             offset = 0
@@ -217,13 +232,14 @@ class Tape:
         """Rows of a 2-d node selected by an integer index array.  The adjoint
         is added in one fancy-index add when the indices strictly increase
         (unique rows, as a table's sorted ids), else scattered."""
-        self._require(x.value.ndim == 2, "gather", x.shape)
+        if x.value.ndim != 2:
+            raise _mismatch("gather", x)
         idx = np.asarray(idx, dtype=np.int64)
-        out = x.value[idx]
+        out = x.value.take(idx, axis=0)
 
         def backward(g):
             flat = idx.ravel()
-            if np.all(flat[1:] > flat[:-1]):
+            if (flat[1:] > flat[:-1]).all():
                 x.adjoint()[idx] += g       # np.add.at's sums, faster on unique rows
             else:
                 _scatter(np.add, x.adjoint(), idx, g)
@@ -234,13 +250,14 @@ class Tape:
         """Rows of a where the 1-d bool mask is set and rows of b elsewhere,
         each in order: a (P, n), b (B - P, n) -> (B, n)."""
         mask = np.asarray(mask, dtype=bool)
-        p = int(mask.sum())
-        self._require(mask.ndim == 1 and a.value.ndim == 2 and b.value.ndim == 2
-                      and a.shape == (p, b.shape[1]) and b.shape[0] == mask.size - p,
-                      "merge_rows", mask.shape, a.shape, b.shape)
-        out = np.empty((mask.size, a.shape[1]), dtype=np.result_type(a.value, b.value))
-        out[mask] = a.value
-        out[~mask] = b.value
+        av, bv = a.value, b.value
+        p = int(np.count_nonzero(mask))
+        if not (mask.ndim == 1 and av.ndim == 2 and bv.ndim == 2
+                and av.shape == (p, bv.shape[1]) and bv.shape[0] == mask.size - p):
+            raise _mismatch("merge_rows", mask, a, b)
+        out = np.empty((mask.size, av.shape[1]), dtype=np.result_type(av, bv))
+        out[mask] = av
+        out[~mask] = bv
 
         def backward(g):
             if a.live:
@@ -271,14 +288,14 @@ class Tape:
         """Sigmoid-margin sum_i w_i log sigma(x_i) over every entry of f, with
         x = gamma - f (sign +1) or f - gamma (sign -1).  The weights, of f's
         shape, are a constant; without them every w_i is 1."""
-        self._require(sign in (1, -1) and (weights is None or np.shape(weights) == f.shape),
-                      "log_sigmoid_sum", f.shape, np.shape(weights))
+        if not (sign in (1, -1) and (weights is None or np.shape(weights) == f.value.shape)):
+            raise _mismatch("log_sigmoid_sum", f, weights)
         gamma = np.asarray(gamma, dtype=self.dtype)
         x = gamma - f.value if sign == 1 else f.value - gamma
         out = -np.logaddexp(0.0, -x)
         if weights is not None:
             weights = np.asarray(weights, dtype=self.dtype)
-            out = out * weights
+            out *= weights
 
         def backward(g):
             if weights is not None:
@@ -286,26 +303,28 @@ class Tape:
             g = g * np.exp(-np.logaddexp(0.0, x))      # d/dx log sigma(x) = sigma(-x)
             f.add_grad(-g if sign == 1 else g)
 
-        return self._emit("log_sigmoid_sum", out.sum(), (f,), backward)
+        return self._emit("log_sigmoid_sum", np.add.reduce(out, axis=None), (f,), backward)
 
     def fusion_weights(self, parts: list[Node], weights: list[Node]) -> Node:
         """Adaptive fusion weights alpha (B, M) of M parts (B, n):
         alpha[:, j] = softmax_j(tanh(parts[j]) . weights[j]), max-shifted."""
-        shape = parts[0].shape if parts else ()
-        self._require(len(shape) == 2 and len(weights) == len(parts)
-                      and all(p.shape == shape for p in parts)
-                      and all(w.shape == shape[1:] for w in weights),
-                      "fusion_weights", *[x.shape for x in (*parts, *weights)])
+        shape = parts[0].value.shape if parts else ()
+        if not (len(shape) == 2 and len(weights) == len(parts)
+                and all(p.value.shape == shape for p in parts)
+                and all(w.value.shape == shape[1:] for w in weights)):
+            raise _mismatch("fusion_weights", *parts, *weights)
         t = [np.tanh(p.value) for p in parts]
-        out = softmax(np.stack([(tj * w.value).sum(axis=-1) for tj, w in zip(t, weights)],
-                               axis=-1))
+        scores = np.empty((shape[0], len(parts)), self.dtype)
+        for j, (tj, w) in enumerate(zip(t, weights)):
+            np.add.reduce(tj * w.value, axis=-1, out=scores[:, j])
+        out = softmax(scores)
 
         def backward(g):
-            g_scores = out * (g - (g * out).sum(axis=-1, keepdims=True))
+            g_scores = out * (g - np.add.reduce(g * out, axis=-1, keepdims=True))
             for j, (p, w) in enumerate(zip(parts, weights)):
                 g_b = g_scores[:, j:j + 1]
                 if w.live:
-                    w.add_grad((g_b * t[j]).sum(axis=0))
+                    w.add_grad(np.add.reduce(g_b * t[j], axis=0))
                 if p.live:
                     p.add_grad((g_b * w.value) * (1.0 - t[j] * t[j]))
 
@@ -313,21 +332,22 @@ class Tape:
 
     def mix(self, alpha: Node, parts: list[Node]) -> Node:
         """Row-wise weighted sum of M parts (B, n) by alpha (B, M) -> (B, n)."""
-        shape = parts[0].shape if parts else ()
-        self._require(len(shape) == 2 and all(p.shape == shape for p in parts)
-                      and alpha.shape == (shape[0], len(parts)),
-                      "mix", alpha.shape, *[p.shape for p in parts])
-        out = alpha.value[:, 0:1] * parts[0].value
+        shape = parts[0].value.shape if parts else ()
+        a = alpha.value
+        if not (len(shape) == 2 and all(p.value.shape == shape for p in parts)
+                and a.shape == (shape[0], len(parts))):
+            raise _mismatch("mix", alpha, *parts)
+        out = a[:, 0:1] * parts[0].value
         for j in range(1, len(parts)):
-            out += alpha.value[:, j:j + 1] * parts[j].value
+            out += a[:, j:j + 1] * parts[j].value
 
         def backward(g):
             if alpha.live:
                 for j, p in enumerate(parts):
-                    alpha.adjoint()[:, j] += (g * p.value).sum(axis=-1)
+                    alpha.adjoint()[:, j] += np.add.reduce(g * p.value, axis=-1)
             for j, p in enumerate(parts):
                 if p.live:
-                    p.add_grad(g * alpha.value[:, j:j + 1])
+                    p.add_grad(g * a[:, j:j + 1])
 
         return self._emit("mix", out, (alpha, *parts), backward)
 
@@ -337,37 +357,44 @@ class Tape:
         from rotated query rows x, in the shape of c_idx, (B,) or (B, K).
 
         Row b's tail query is q[q_idx[0, b]] o e^{i theta}, theta =
-        phase[r_idx[b]]; with q_idx (2, B) its head query q[q_idx[1, b]] o
-        e^{-i theta} serves the slots where head[b] is set.  q and c are
-        (., 2d) tables, possibly one node.  The backward keeps the forward's
+        phase[r_idx[b]], and serves the row's slots.  Given the (B, K) bool
+        `head` (and only then), q_idx is (2, B), and the head query
+        q[q_idx[1, b]] o e^{-i theta} serves the slots where head is set
+        instead.  q and c are (., 2d) tables, possibly one node, whose rows
+        are read with `take`.  The backward keeps the forward's
         (sides, B, d) rotations and rotated queries; slots run in blocks that
         it recomputes, so no (slots, 2d) array outlives a block.  Each
         query's adjoint sums its slots; only candidates scatter.  At |u| = 0
         the subgradient is 0.
         """
-        q_idx, r_idx, c_idx = (np.asarray(i, dtype=np.int64) for i in (q_idx, r_idx, c_idx))
-        q_idx, slots = np.atleast_2d(q_idx), c_idx[:, None] if c_idx.ndim == 1 else c_idx
-        side = np.zeros(slots.shape, np.int64) if head is None else np.asarray(head, np.int64)
-        d = phase.shape[-1]
-        self._require(phase.value.ndim == 2 and q.shape[1:] == c.shape[1:] == (2 * d,)
-                      and q_idx.ndim == slots.ndim == 2 and q_idx.shape[0] <= 2
-                      and r_idx.shape == q_idx.shape[1:] == slots.shape[:1]
-                      and side.shape == slots.shape and (head is None or len(q_idx) == 2),
-                      "query_distance", q.shape, phase.shape, c.shape,
-                      *map(np.shape, (q_idx, r_idx, c_idx, side)))
-        (n_sides, n), k, dtype = q_idx.shape, slots.shape[1], np.dtype(self.dtype)
-        cdtype = np.result_type(dtype, np.complex64)              # views of (re, im) pairs
-        sign = np.array([1, -1], dtype)[:n_sides, None, None]     # conj(r) for heads
-        query = side * n + np.arange(n)[:, None]                  # slot -> query row
+        q_idx = np.asarray(q_idx, dtype=np.int64)
+        r_idx = np.asarray(r_idx, dtype=np.int64)
+        c_idx = np.asarray(c_idx, dtype=np.int64)
+        q_idx = q_idx[None] if q_idx.ndim == 1 else q_idx
+        slots = c_idx[:, None] if c_idx.ndim == 1 else c_idx
+        side = None if head is None else np.asarray(head, dtype=np.int64)
+        pv, d = phase.value, phase.value.shape[-1]
+        if not (pv.ndim == 2 and q.value.shape[1:] == c.value.shape[1:] == (2 * d,)
+                and q_idx.ndim == slots.ndim == 2 and len(q_idx) == (1 if side is None else 2)
+                and r_idx.shape == q_idx.shape[1:] == slots.shape[:1]
+                and (side is None or side.shape == slots.shape)):
+            raise _mismatch("query_distance", q, phase, c, q_idx, r_idx, c_idx, head)
+        (n_sides, n), k, dtype, cdtype = q_idx.shape, slots.shape[1], self.dtype, self._cdtype
+        sign = self._sign[:n_sides]
+        # slot -> row of `queries`; without head slots, row b's slots all read row b
+        query = None if side is None else side * n + np.arange(n)[:, None]
         step = max(1, (1 << 19) // (dtype.itemsize * 2 * d * k))
 
-        theta, rot = phase.value[r_idx], np.empty((n_sides, n, d), cdtype)
-        rot.real, rot.imag = np.cos(theta), np.sin(theta) * sign
-        z = q.value[q_idx].view(cdtype) * rot   # (sides, B, d) queries, kept for backward
+        theta, rot = pv.take(r_idx, axis=0), np.empty((n_sides, n, d), cdtype)
+        rot.real = np.cos(theta)
+        np.multiply(np.sin(theta), sign, out=rot.imag)
+        z = q.value.take(q_idx, axis=0).view(cdtype) * rot  # (sides, B, d), kept for backward
         queries = z.view(dtype).reshape(-1, 2 * d)
 
         def block(lo):      # the queries and candidates of slots [lo, lo + step)
-            return queries[query[lo:lo + step]], c.value[slots[lo:lo + step]]
+            x = (queries[lo:lo + step, None] if query is None else
+                 queries.take(query[lo:lo + step], axis=0))
+            return x, c.value.take(slots[lo:lo + step], axis=0)
 
         out = np.empty(slots.shape, dtype)
         buffers = np.empty((2, min(step, n), k, d), dtype)
@@ -378,13 +405,15 @@ class Tape:
 
         def backward(g):
             g = _flush_subnormals(g).reshape(slots.shape)
-            g_z = np.zeros((n, n_sides, 2 * d), dtype)
-            pick = (side[:, None, :] == np.arange(n_sides)[:, None]).astype(dtype)
+            g_z = np.empty((n, n_sides, 2 * d), dtype)
+            pick = (np.ones((n, 1, k), dtype) if side is None else    # the query each slot adds to
+                    (side[:, None, :] == np.arange(2)[:, None]).astype(dtype))
             for lo in range(0, n, step):
                 u = np.subtract(*block(lo))     # then its adjoint, in place
-                m = np.abs(u.view(cdtype))
-                u.view(cdtype)[...] *= np.divide(g[lo:lo + step, :, None], m, out=m,
-                                                 where=m > 0)
+                uc = u.view(cdtype)
+                m = np.abs(uc)
+                np.multiply(uc, np.divide(g[lo:lo + step, :, None], m, out=m, where=m > 0),
+                            out=uc)
                 if c.live:
                     _scatter(np.subtract, c.adjoint(), slots[lo:lo + step], u)
                 if q.live or phase.live:
@@ -394,7 +423,7 @@ class Tape:
                 _scatter(np.add, q.adjoint(), q_idx, (g_z * rot.conj()).view(dtype))
             if phase.live:
                 _scatter(np.add, phase.adjoint(), r_idx,
-                         (sign * (g_z * z.conj()).imag).sum(axis=0))
+                         np.add.reduce(sign * (g_z * z.conj()).imag, axis=0))
 
         return self._emit("query_distance", out.reshape(c_idx.shape), (q, phase, c), backward)
 

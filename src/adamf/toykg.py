@@ -8,14 +8,21 @@ can solve held-out queries.  Each entity also carries 3-dim "visual" and
 signal to exploit.
 
 `run_toy_grid` trains rows of config overrides x seeds on this graph through
-`adamf train`; `ABLATION_ROWS` is the paper's ablation grid as such rows.
+`adamf train`, on every CPU; `ABLATION_ROWS` is the paper's ablation grid as
+such rows.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import io
 import json
 import math
+import multiprocessing
 import os
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +32,7 @@ from .config import format_value
 from .data import (FEATURE_NAMES, SPLITS, FeatureTable, TripleDataset, Vocab,
                    feature_dir_paths, save_features, save_triples)
 from .errors import AdamfError, ContractError
+from .evaluation import pool_size
 from .ioutil import atomic_write_text
 
 RELATIONS = (("next", 1, 0), ("skip", 2, 5))  # (name, ring offset, split offset)
@@ -140,28 +148,57 @@ class ToyRun:
     report: dict
 
 
+def _train(cfg_path: str) -> tuple[int, str, str]:
+    """`adamf train cfg_path` in a grid worker: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = adamf_main(["train", cfg_path])
+    return code, out.getvalue(), err.getvalue()
+
+
 def run_toy_grid(directory: str, rows, seeds=(0,), **common) -> list[ToyRun]:
-    """Train every (row, seed) on the toy KG through `adamf train`, in order.
+    """Train every (row, seed) on the toy KG through `adamf train`; returns
+    the runs in (row, seed) order.
 
     `rows` are (name, overrides) pairs.  The graph is written once to
     `<directory>/data`; each run gets the config `<directory>/<name>-s<seed>.cfg`
     (TOY_DEFAULTS, then `common`, then the row's overrides, then the seed)
-    and the output directory `<directory>/<name>-s<seed>`.  The first run
-    that exits non-zero stops the grid with an error naming its row, seed
-    and exit code.
+    and the output directory `<directory>/<name>-s<seed>`.
+
+    The runs go to `pool_size` spawned worker processes, so a calling script
+    needs the `if __name__ == "__main__"` guard; one CPU gives a pool of
+    one.  Run i starts once run i - workers has passed, and each run's
+    output is printed after a `--- <name>-s<seed>` line, both in grid order.
+    A run that exits non-zero stops the grid: no later run starts, the
+    started ones finish, and the error names the first failing run's row,
+    seed and exit code.
     """
     write_toy_kg(os.path.join(directory, "data"))
-    runs = []
-    for name, overrides in rows:
-        for seed in seeds:
+    grid = [(name, overrides, seed) for name, overrides in rows for seed in seeds]
+    workers = pool_size(len(grid))
+    runs: list[ToyRun] = []
+    started = collections.deque()   # (name, seed, future), in grid order
+
+    def finish() -> None:
+        name, seed, future = started.popleft()
+        code, out, err = future.result()
+        print(f"--- {name}-s{seed}")
+        sys.stdout.write(out)
+        sys.stderr.write(err)
+        if code != 0:
+            raise AdamfError(f"toy run {name!r} seed {seed} exited {code}")
+        path = os.path.join(directory, f"{name}-s{seed}")
+        with open(os.path.join(path, "rank_report.json"), encoding="utf-8") as fh:
+            runs.append(ToyRun(name, seed, path, json.load(fh)))
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        for name, overrides, seed in grid:
+            if len(started) == workers:
+                finish()
             tag = f"{name}-s{seed}"
             cfg_path = write_toy_config(directory, tag, tag,
                                         **{**common, **overrides, "seed": seed})
-            print(f"--- {tag}")
-            rc = adamf_main(["train", cfg_path])
-            if rc != 0:
-                raise AdamfError(f"toy run {name!r} seed {seed} exited {rc}")
-            out = os.path.join(directory, tag)
-            with open(os.path.join(out, "rank_report.json"), encoding="utf-8") as fh:
-                runs.append(ToyRun(name, seed, out, json.load(fh)))
+            started.append((name, seed, pool.submit(_train, cfg_path)))
+        while started:
+            finish()
     return runs

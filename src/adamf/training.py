@@ -81,16 +81,13 @@ def sample_negatives(triples: np.ndarray, n_entities: int, k: int,
     bounds = np.full(n_slots, n_entities)
     first = rng.randints(bounds).reshape(-1, k)
     second = rng.randints(bounds).reshape(-1, k)
-
-    def corrupt(picks):
-        out = np.repeat(triples[:, None, :], k, axis=1)
-        out[:, :, 0] = np.where(corrupt_head, picks, out[:, :, 0])
-        out[:, :, 2] = np.where(corrupt_head, out[:, :, 2], picks)
-        return out
-
-    negatives = corrupt(first)
-    collides = (negatives == triples[:, None, :]).all(axis=-1)
-    return np.where(collides[:, :, None], corrupt(second), negatives)
+    heads, tails = triples[:, None, 0], triples[:, None, 2]
+    # A pick collides when it equals the entity it replaces.
+    picks = np.where(first == np.where(corrupt_head, heads, tails), second, first)
+    out = np.repeat(triples[:, None, :], k, axis=1)
+    out[:, :, 0] = np.where(corrupt_head, picks, heads)
+    out[:, :, 2] = np.where(corrupt_head, tails, picks)
+    return out
 
 
 def self_adv_weights(neg_scores: np.ndarray, beta: float) -> np.ndarray:

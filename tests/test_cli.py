@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: artifacts, exit codes, determinism."""
 
 import json
+import os
 import re
 import runpy
 import sys
@@ -488,12 +489,39 @@ def test_train_refuses_a_path_its_echo_cannot_hold(corpus, tmp_path, capsys):
 
 # ---------------------------------------------------- toy-graph runner and script
 
-def test_toy_grid_stops_at_the_first_failed_run(tmp_path):
+def _affinity(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+def test_toy_grid_stops_at_the_first_failed_run(tmp_path, monkeypatch):
+    # On one CPU the pool has one worker, so a run starts only after the one
+    # before it has passed.
+    _affinity(monkeypatch, 1)
     rows = [("ok", {}), ("bad", {"dim": 0}), ("after", {})]
     with pytest.raises(AdamfError, match="'bad' seed 3 exited 2"):
         run_toy_grid(str(tmp_path), rows, seeds=(3,), epochs=1)
     assert (tmp_path / "ok-s3" / "rank_report.json").exists()
     assert not (tmp_path / "after-s3.cfg").exists()
+
+
+def test_toy_grid_on_a_pool_keeps_grid_order(tmp_path, monkeypatch, capsys):
+    # Three workers run the first three runs at once.  The failure named is
+    # the first in grid order, and the run two workers behind it never starts.
+    _affinity(monkeypatch, 3)
+    rows = [("ok", {}), ("bad", {"dim": 0}), ("worse", {"k_negatives": 0}),
+            ("after", {}), ("last", {})]
+    with pytest.raises(AdamfError, match="'bad' seed 3 exited 2"):
+        run_toy_grid(str(tmp_path), rows, seeds=(3,), epochs=1)
+    assert capsys.readouterr().out.startswith("--- ok-s3\n")
+    assert (tmp_path / "ok-s3" / "rank_report.json").exists()
+    assert not (tmp_path / "last-s3.cfg").exists()
+    # A grid that passes returns its runs in (row, seed) order.
+    runs = run_toy_grid(str(tmp_path), [("a", {}), ("b", {})], seeds=(1, 0), epochs=1)
+    assert [(r.row, r.seed) for r in runs] == [("a", 1), ("a", 0), ("b", 1), ("b", 0)]
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("---")] == [
+        "--- a-s1", "--- a-s0", "--- b-s1", "--- b-s0"]
 
 
 def test_write_toy_kg_returns_the_dataset_it_wrote(tmp_path):

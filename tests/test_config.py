@@ -224,6 +224,8 @@ def test_bad_values_name_their_key(tmp_path):
                       ("eval_ks = 1,x", "eval_ks"),
                       # spellings the echo never writes
                       ("dim = 1_6", "dim"), ("dim = +16", "dim"), ("dim = １６", "dim"),
+                      ("dim = 016", "dim"), ("dim = -0", "dim"), ("seed = 00", "seed"),
+                      ("eval_ks = 1,03", "eval_ks"),
                       ("gamma = 1_2.5", "gamma"), ("eval_ks = 1,,3,", "eval_ks"),
                       ("eval_ks = 3,3", "eval_ks"),
                       ("adversarial_patterns = syn_head,,", "adversarial_patterns")):

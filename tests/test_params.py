@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from adamf.checkpoint import load_checkpoint, save_checkpoint
 from adamf.errors import ContractError
 from adamf.params import ADAM_CHUNK, ParameterStore, adam_step, finite_diff_check
 from adamf.tape import Tape
@@ -253,3 +254,24 @@ def test_names_filter_restricts_probing():
 
     res = finite_diff_check(builder, store, (1e-5,), names=["a"])
     assert set(res.per_param) == {"a"}
+
+
+def test_named_views_follow_extend_and_load(tmp_path):
+    # store[name] is made once per buffer: extend replaces the group's
+    # buffer, so the name must then read the new one; a checkpoint load
+    # writes into the buffer, so the same view must read the loaded values.
+    store = make_store(a=(np.ones((2, 3)), "discriminator"))
+    assert store["a"] is store["a"]
+    store.extend("discriminator", {"b": np.arange(4.0)})
+    assert np.shares_memory(store["a"], store.values["discriminator"])
+    store["a"][...] = 5.0
+    assert store.values["discriminator"].tolist() == [5.0] * 6 + [0.0, 1.0, 2.0, 3.0]
+    assert store["b"].tolist() == [0.0, 1.0, 2.0, 3.0]
+    saved = make_store(a=(np.full((2, 3), 7.0), "discriminator"),
+                       b=(np.full(4, 8.0), "discriminator"))
+    path = str(tmp_path / "saved.bin")
+    save_checkpoint(saved, path)
+    view = store["a"]
+    load_checkpoint(store, path)
+    assert store["a"] is view and view.tolist() == [[7.0] * 3] * 2
+    assert store["b"].tolist() == [8.0] * 4

@@ -9,6 +9,7 @@ per-parameter minimum over both.
 
 import inspect
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -911,9 +912,40 @@ def test_complex_rotate_shape_mismatch():
     for q_idx, c_idx, head in (([0, 0], [0, 0], None),     # queries vs relations
                                ([0], [[0], [0]], None),    # slot rows vs relations
                                ([0], [[0]], [[True]]),     # head slot, no head query
+                               ([[0], [0]], [[0]], None),  # head query, no head slot
                                ([[0], [0], [0]], [0], None)):
         with pytest.raises(ContractError, match="query_distance"):
             tape.query_distance(even, q_idx, theta, [0], even, c_idx, head)
+
+
+def _ones(tape, *shape):
+    return tape.const(np.ones(shape))
+
+
+@pytest.mark.parametrize("op, use, shapes", [
+    ("add", lambda t: t.add(_ones(t, 2, 3), _ones(t, 3)), [(2, 3), (3,)]),
+    ("matvec", lambda t: t.matvec(_ones(t, 2, 3), _ones(t, 1, 4), _ones(t, 2)),
+     [(2, 3), (1, 4), (2,)]),
+    ("concat", lambda t: t.concat([_ones(t, 2, 3), _ones(t, 3, 3)]), [(2, 3), (3, 3)]),
+    ("gather", lambda t: t.gather(_ones(t, 4), np.array([0])), [(4,)]),
+    ("merge_rows", lambda t: t.merge_rows([True, False], _ones(t, 1, 3), _ones(t, 2, 3)),
+     [(2,), (1, 3), (2, 3)]),
+    ("log_sigmoid_sum", lambda t: t.log_sigmoid_sum(_ones(t, 2, 3), 1.0, 1, np.ones(3)),
+     [(2, 3), (3,)]),
+    ("fusion_weights", lambda t: t.fusion_weights([_ones(t, 2, 3), _ones(t, 3, 3)],
+                                                  [_ones(t, 3), _ones(t, 3)]),
+     [(2, 3), (3, 3), (3,), (3,)]),
+    ("mix", lambda t: t.mix(_ones(t, 2, 3), [_ones(t, 2, 3), _ones(t, 2, 3)]),
+     [(2, 3), (2, 3), (2, 3)]),
+    ("query_distance", lambda t: t.query_distance(_ones(t, 1, 4), [0], _ones(t, 1, 2), [0],
+                                                  _ones(t, 1, 4), [[0]], [[True]]),
+     [(1, 4), (1, 2), (1, 4), (1, 1), (1,), (1, 1), (1, 1)]),
+])
+def test_mismatched_shapes_name_the_op_and_the_shapes(op, use, shapes):
+    # Each kernel checks its operands before it computes; the shapes are
+    # listed only once a check has failed.
+    with pytest.raises(ContractError, match=re.escape(f"{op}: incompatible shapes {shapes}")):
+        use(Tape(ParameterStore(np.float64)))
 
 
 def test_concat_shape_mismatch():
