@@ -26,8 +26,8 @@ from .errors import (ConfigError, ContractError, DataError, GradCheckError,
                      NumericError)
 from .evaluation import evaluate, write_rank_report
 from .ioutil import atomic_write_text
-from .model import (ALL_PATTERNS, DISC, FROZEN, GEN, SIDE_COLUMN, Model, ModelConfig,
-                    init_params, zero_params)
+from .model import (ALL_PATTERNS, DISC, FROZEN, GEN, Model, ModelConfig,
+                    init_params, side_entities, zero_params)
 from .params import finite_diff_check
 from .rng import SeededRng
 from .tape import Tape
@@ -163,9 +163,10 @@ def _clear_generator_kinks(model, batch, noise) -> None:
     fixture stays a perfectly valid random test point.
     """
     store = model.store
-    for (side, m), z in noise.items():
-        idx = batch[:, SIDE_COLUMN[side]]
-        x = np.concatenate([store["entity.structural"][idx], z], axis=1)
+    sides = tuple(dict.fromkeys(side for side, _ in noise))
+    e_s = store["entity.structural"][side_entities(batch, sides)]     # generate's rows
+    for m in model.cfg.projected_modalities:
+        x = np.concatenate([e_s, np.concatenate([noise[side, m] for side in sides])], axis=1)
         b1 = store[f"gen.{m}.b1"]
         for _ in range(100):
             pre = x @ store[f"gen.{m}.w1"].T + b1
@@ -216,7 +217,7 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0):
     # The discriminator view holds the generated embeddings fixed, since
     # probing entity.structural must not move the generator's input: they
     # are computed once here and enter each rebuilt tape as constants.
-    frozen = {key: node.value for key, node in
+    frozen = {m: node.value for m, node in
               model.generate(Tape(store, FROZEN), batch, noise).items()}
 
     def kgc_builder(params):
@@ -228,7 +229,7 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0):
     def adv_disc_builder(params):
         tape = Tape(params, DISC)
         pos = positive_parts(model, tape, (batch,))
-        generated = {key: tape.const(value) for key, value in frozen.items()}
+        generated = {m: tape.const(value) for m, value in frozen.items()}
         adv, _ = loss_adv(model, tape, ALL_PATTERNS, generated, pos)
         return tape, tape.scale(adv, lam * GRADCHECK_SCALE)
 

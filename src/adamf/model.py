@@ -48,6 +48,11 @@ def synthetic_sides(patterns: tuple[str, ...]) -> tuple[str, ...]:
                  if any(side in PATTERN_SIDES[p] for p in patterns))
 
 
+def side_entities(triples: np.ndarray, sides: tuple[str, ...]) -> np.ndarray:
+    """Each triple's entity on each of `sides`, stacked: row s * B + b."""
+    return triples[:, [SIDE_COLUMN[side] for side in sides]].T.reshape(-1)
+
+
 @dataclass
 class ModelConfig:
     d: int = 200
@@ -306,15 +311,16 @@ class Model:
                 for i, key in enumerate(keys)}
 
     def generate(self, tape: Tape, triples: np.ndarray, noise: dict) -> dict:
-        """Generated modal embeddings, one node per `noise` key, in key order.
-
-        Key (side, modality) runs G_m on the structural embeddings of the
-        batch's heads (side "h") or tails (side "t") and that key's z.
+        """Generated modal embeddings, modality m -> one (S * B, 2d) node from
+        one G_m pass over the S sides of `noise`'s keys, in their order: row
+        s * B + b takes the structural embedding of `side_entities` row
+        s * B + b and row b of the z of key (side s, m).
         """
-        e_s = {side: self.store["entity.structural"].take(triples[:, col], axis=0)
-               for side, col in SIDE_COLUMN.items()}
-        return {(side, m): self.generator_output(tape, m, e_s[side], z)
-                for (side, m), z in noise.items()}
+        sides = tuple(dict.fromkeys(side for side, _ in noise))
+        e_s = self.store["entity.structural"].take(side_entities(triples, sides), axis=0)
+        return {m: self.generator_output(tape, m, e_s,
+                                         np.concatenate([noise[side, m] for side in sides]))
+                for m in dict.fromkeys(m for _, m in noise)}
 
     def synthetic_triple_scores(self, tape: Tape, triples: np.ndarray,
                                 patterns: tuple[str, ...], generated: dict,
@@ -325,27 +331,24 @@ class Model:
         requested pattern needs them) and shared across the patterns,
         mirroring the construction of the adversarial example set.  A
         synthetic entity keeps its own structural embedding and takes its
-        other modalities from `generated` (keys as in `draw_noise`); real
-        entities are rows of `table`.  Returns a flat (B * len(patterns),)
-        score node, one block of B per pattern in `patterns` order.
-        `patterns` is a non-empty subset of ALL_PATTERNS in its order, as
-        `TrainConfig` validates it.
+        other modalities from `generated` (`generate`'s rows); all of them
+        are fused in one pass and joined below the rows of `table`, which
+        hold the real entities, so one `query_distance` call scores every
+        pattern.  Returns a flat (B * len(patterns),) score node, one block
+        of B per pattern in `patterns` order.  `patterns` is a non-empty
+        subset of ALL_PATTERNS in its order, as `TrainConfig` validates it.
         """
-        phase = tape.leaf("relation.phase")
-        entity_idx = {side: triples[:, col] for side, col in SIDE_COLUMN.items()}
-        real = {side: (table.joint, table.rows(idx)) for side, idx in entity_idx.items()}
-        star = {}
-        for side in synthetic_sides(patterns):
-            parts = {m: generated[(side, m)] if m != "s" else
-                     self.modal_embedding(tape, "s", entity_idx[side])
-                     for m in self.cfg.modalities}
-            star[side] = (self.fuse(tape, parts)[0], np.arange(len(triples)))
-        blocks = []
-        for pattern in patterns:
-            h, t = (star[side] if side in PATTERN_SIDES[pattern] else real[side]
-                    for side in SIDE_COLUMN)
-            blocks.append(tape.query_distance(*h, phase, triples[:, 1], *t))
-        return tape.concat(blocks)
+        sides, n = synthetic_sides(patterns), len(triples)
+        parts = {m: generated[m] if m != "s" else
+                 self.modal_embedding(tape, "s", side_entities(triples, sides))
+                 for m in self.cfg.modalities}
+        rows = tape.concat([table.joint, self.fuse(tape, parts)[0]])
+        real = {side: table.rows(triples[:, col]) for side, col in SIDE_COLUMN.items()}
+        star = {side: len(table.ids) + i * n + np.arange(n) for i, side in enumerate(sides)}
+        h, t = (np.concatenate([star[side] if side in PATTERN_SIDES[p] else real[side]
+                                for p in patterns]) for side in SIDE_COLUMN)
+        return tape.query_distance(rows, h, tape.leaf("relation.phase"),
+                                   np.tile(triples[:, 1], len(patterns)), rows, t)
 
     # ------------------------------------------------------------- evaluation
 

@@ -196,7 +196,7 @@ def finite_diff_check(loss_builder, params: ParameterStore, epsilons,
     if params.dtype != np.float64:
         raise ContractError("finite_diff_check requires a double-precision store")
     tape, root = loss_builder(params)
-    analytic = tape.backward(root)
+    grads = tape.backward(root)
 
     def loss_value():
         _, node = loss_builder(params)
@@ -204,7 +204,7 @@ def finite_diff_check(loss_builder, params: ParameterStore, epsilons,
 
     def worst_component(name, epsilon):
         value = params[name]
-        gflat = analytic[name].reshape(-1)
+        gflat = params.view(name, grads).reshape(-1)
         err = 0.0
         for i in range(value.size):
             orig = value.flat[i]

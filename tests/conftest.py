@@ -21,6 +21,13 @@ def probe_sum(tape, x, r=None):
     return tape._emit("probe_sum", value, (x,), backward)
 
 
+def backward_views(tape, root):
+    """`Tape.backward` of `root`, then every parameter's view of the flat
+    gradients it filled; unreached and frozen parameters read zero."""
+    grads = tape.backward(root)
+    return {name: tape.store.view(name, grads) for name in tape.store.names()}
+
+
 def probe_square(tape, x):
     """Scalar test probe sum(x * x) on the tape."""
     def backward(g):

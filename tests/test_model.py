@@ -1,5 +1,6 @@
 """Projection, fusion, rotation scoring, and the synthetic-embedding path."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -10,16 +11,16 @@ import pytest
 from adamf import model as model_module
 from adamf.data import apply_modality_missing
 from adamf.errors import ContractError
-from adamf.model import (ALL_PATTERNS, DISC, FROZEN, GEN, MODALITY_ORDER,
-                         Model, ModelConfig, init_params, zero_params)
+from adamf.model import (ALL_PATTERNS, DISC, FROZEN, GEN, MODALITY_ORDER, PATTERN_SIDES,
+                         Model, ModelConfig, init_params, synthetic_sides, zero_params)
 from adamf.params import GROUPS, ParameterStore
 from adamf.rng import SeededRng
 from adamf.tape import Tape
 from adamf.training import (TrainConfig, sample_negatives, train_step_discriminator,
                             train_step_generator)
 
-from conftest import (probe_sum, random_features, small_features, small_model,
-                      synthetic_scores)
+from conftest import (backward_views, probe_sum, random_features, small_features,
+                      small_model, synthetic_scores)
 
 
 # --- configuration ------------------------------------------------------------
@@ -273,7 +274,7 @@ def test_joint_and_alpha_dedup_matches_row_by_row():
     assert table.joint.shape[0] == table.alpha.shape[0] == np.unique(idx).size
     rows = table.rows(idx)
     joint, alpha = tape.gather(table.joint, rows), tape.gather(table.alpha, rows)
-    grads = tape.backward(loss(tape, joint, alpha, slice(None)))
+    grads = backward_views(tape, loss(tape, joint, alpha, slice(None)))
 
     ref = Tape(model.store, DISC)
     total, ref_joint, ref_alpha = None, [], []
@@ -283,7 +284,7 @@ def test_joint_and_alpha_dedup_matches_row_by_row():
         ref_alpha.append(a.value[0])
         term = loss(ref, j, a, slice(i, i + 1))
         total = term if total is None else ref.add(total, term)
-    ref_grads = ref.backward(total)
+    ref_grads = backward_views(ref, total)
 
     assert np.allclose(joint.value, np.stack(ref_joint), rtol=0, atol=1e-12)
     assert np.allclose(alpha.value, np.stack(ref_alpha), rtol=0, atol=1e-12)
@@ -431,7 +432,7 @@ def test_no_present_rows_equal_the_fallback_gather(precision, with_table):
     def run(embed):
         tape = Tape(model.store, DISC)
         emb = embed(tape)
-        return emb.value, tape.backward(probe_sum(tape, emb, r))
+        return emb.value, backward_views(tape, probe_sum(tape, emb, r))
 
     value, grads = run(lambda tape: model.modal_embedding(tape, "v", idx))
     want, want_grads = run(lambda tape: tape.gather(tape.leaf("fallback.v"), idx))
@@ -467,7 +468,7 @@ def test_present_rows_projection_matches_project_then_mix():
                 tape = Tape(model.store, DISC)
                 emb = (model.modal_embedding(tape, m, idx) if form == "present rows"
                        else project_then_mix(tape, tables[m], m, idx))
-                grads = tape.backward(probe_sum(tape, emb, coef))
+                grads = backward_views(tape, probe_sum(tape, emb, coef))
                 out[form] = emb.value, grads
             (got, got_grads), (ref, ref_grads) = out.values()
             assert np.allclose(got, ref, rtol=0, atol=1e-12), (m, case)
@@ -613,7 +614,9 @@ def test_synthetic_blocks_follow_pattern_order():
     blocks = synthetic_scores(model, tape, batch, ALL_PATTERNS, noise).value.reshape(
         len(ALL_PATTERNS), len(batch))
     for i, pattern in enumerate(ALL_PATTERNS):
-        alone = synthetic_scores(model, tape, batch, (pattern,), noise)
+        sides = synthetic_sides((pattern,))
+        own = {key: z for key, z in noise.items() if key[0] in sides}
+        alone = synthetic_scores(model, tape, batch, (pattern,), own)
         assert alone.value.tobytes() == blocks[i].tobytes(), pattern
 
 
@@ -638,15 +641,73 @@ def test_noise_one_draw_equals_one_draw_per_block():
         assert bulk.counter == per_block.counter
 
 
+def generator_by_hand(store, m, e_s, z):
+    """G_m([e_s; z]) of one row in plain numpy: affine, LeakyReLU, affine."""
+    pre = store[f"gen.{m}.w1"] @ np.concatenate([e_s, z]) + store[f"gen.{m}.b1"]
+    return store[f"gen.{m}.w2"] @ np.where(pre >= 0, pre, 0.01 * pre) + store[f"gen.{m}.b2"]
+
+
 def test_starred_entity_shared_within_group():
-    # One h* and one t* serve all patterns, so generation builds exactly
-    # one generator output per (side, modality), not one per pattern.
+    # One h* and one t* serve all patterns, so generation runs G_m once per
+    # projected modality over the stacked sides the patterns use: row
+    # s * B + b is G_m of side s's entity of triple b and its (side, m) z.
     model = small_model()
+    store = model.store
     batch = np.array([[0, 0, 1], [1, 1, 2]])
-    noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(7, stream="noise"))
-    generated = model.generate(Tape(model.store, FROZEN), batch, noise)
-    assert set(generated.keys()) == {("h", "v"), ("h", "t"), ("t", "v"), ("t", "t")}
-    assert generated[("h", "v")].shape == (2, 6)
+    for patterns, sides in ((ALL_PATTERNS, "ht"), (("syn_head",), "h"),
+                            (("syn_tail",), "t"), (("syn_tail", "syn_head"), "ht")):
+        noise = model.draw_noise(batch, patterns, SeededRng(7, stream="noise"))
+        generated = model.generate(Tape(store, FROZEN), batch, noise)
+        assert list(generated) == ["v", "t"], patterns
+        for m, node in generated.items():
+            assert node.shape == (2 * len(sides), 6), (patterns, m)
+            for s, side in enumerate(sides):
+                for b, entity in enumerate(batch[:, 0 if side == "h" else 2]):
+                    want = generator_by_hand(store, m, store["entity.structural"][entity],
+                                             noise[side, m][b])
+                    assert np.allclose(node.value[s * 2 + b], want, rtol=0, atol=1e-12), (
+                        patterns, m, side, b)
+
+
+def fused_by_hand(model, parts):
+    """Adaptive fusion of one entity's modal rows {m: (2d,)} in plain numpy."""
+    order = model.cfg.modalities
+    scores = np.array([np.tanh(parts[m]) @ model.store[f"fusion.w.{m}"] for m in order])
+    alpha = np.exp(scores - scores.max())
+    alpha /= alpha.sum()
+    return sum(a * parts[m] for a, m in zip(alpha, order))
+
+
+def rotate_distance(h, phase, t):
+    """|h o e^{i phase} - t| summed over the complex dims of (re, im) rows."""
+    hc, tc = h[0::2] + 1j * h[1::2], t[0::2] + 1j * t[1::2]
+    return np.abs(hc * np.exp(1j * phase) - tc).sum()
+
+
+@pytest.mark.parametrize("patterns", [
+    tuple(p for p in ALL_PATTERNS if p in subset)
+    for k in (1, 2, 3) for subset in itertools.combinations(ALL_PATTERNS, k)])
+def test_synthetic_scores_equal_rotate_distance_by_hand(patterns):
+    # Each pattern's block scores h o r - t with its synthetic sides fused by
+    # hand from G_m's rows and the entity's structural row, the rest real.
+    model = small_model(absent_v=(3,))
+    store = model.store
+    batch = np.array([[0, 0, 1], [3, 1, 2], [4, 1, 4]])
+    noise = model.draw_noise(batch, patterns, SeededRng(11, stream="noise"))
+    scores = synthetic_scores(model, Tape(store, FROZEN), batch, patterns, noise)
+    real, _ = model.entity_representations()
+    assert scores.shape == (len(patterns) * len(batch),)
+    for p, pattern in enumerate(patterns):
+        for b, (h, r, t) in enumerate(batch):
+            rows = {}
+            for side, entity in (("h", h), ("t", t)):
+                e_s = store["entity.structural"][entity]
+                rows[side] = real[entity] if side not in PATTERN_SIDES[pattern] else (
+                    fused_by_hand(model, {"s": e_s, **{
+                        m: generator_by_hand(store, m, e_s, noise[side, m][b])
+                        for m in ("v", "t")}}))
+            want = rotate_distance(rows["h"], store["relation.phase"][r], rows["t"])
+            assert abs(scores.value[p * len(batch) + b] - want) < 1e-10, (pattern, b)
 
 
 def test_zero_generator_still_builds_full_set():

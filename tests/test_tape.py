@@ -23,7 +23,7 @@ from adamf.model import DISC, FROZEN, GEN
 from adamf.params import ADAM_CHUNK, ParameterStore, finite_diff_check
 from adamf.rng import SeededRng
 from adamf.tape import Tape, _scatter
-from conftest import probe_square, probe_sum
+from conftest import backward_views, probe_square, probe_sum
 
 TRIALS = 100
 EPSILONS = (1e-6, 2e-5)
@@ -88,7 +88,7 @@ def test_first_adjoint_is_an_owned_zeros_plus_g():
     u, v = tape.scale(x, 1.0), tape.scale(x, 1.0)
     t = tape.add(tape.add(u, v), u)
     root = probe_sum(tape, t, np.array([-0.0, 1.0, 2.0, 3.0]))
-    grads = tape.backward(root)
+    grads = backward_views(tape, root)
     assert grads["x"].tolist() == [0.0, 3.0, 6.0, 9.0]
     assert t.grad.tolist() == [0.0, 1.0, 2.0, 3.0] and not np.signbit(t.grad).any()
     assert isinstance(root.grad, np.ndarray) and root.grad.shape == ()
@@ -166,7 +166,7 @@ def test_log_sigmoid_sum_equals_composed_chain():
     kgc = tape.scale(tape.add(pos, tape.log_sigmoid_sum(tape.leaf("neg"), gamma, -1,
                                                         weights)), -1.0 / b)
     adv = tape.scale(tape.add(pos, tape.const(np.float32(0.25))), -1.0 / b)
-    grads = tape.backward(tape.add(kgc, tape.scale(adv, 0.5)))
+    grads = backward_views(tape, tape.add(kgc, tape.scale(adv, 0.5)))
 
     f32, g = np.float32, np.float32(1.0)
     c = np.asarray(gamma, f32)
@@ -222,12 +222,13 @@ def test_matvec_batched_gradients():
 
 
 def test_concat_gradients():
+    # A row join: parts of one width and any row counts, one part used twice.
     def shapes(rng):
-        b = dims(rng)
-        return {"a": (b, dims(rng)), "b": (b, dims(rng))}
+        n = dims(rng)
+        return {"a": (dims(rng), n), "b": (dims(rng), n)}
     check_kernel(shapes,
-                 lambda tape, lv: tape.log_sigmoid_sum(tape.concat([lv["a"], lv["b"]]),
-                                                       0.0, -1))
+                 lambda tape, lv: tape.log_sigmoid_sum(
+                     tape.concat([lv["a"], lv["b"], lv["a"]]), 0.0, -1))
 
 
 def test_gather_gradients():
@@ -245,7 +246,7 @@ def scatter_add_adjoint(store, idx, coef):
     root = probe_sum(tape, tape.gather(tape.leaf("table"), idx), coef)
     expect = np.zeros_like(store["table"])
     np.add.at(expect, idx, coef)
-    return tape.backward(root)["table"], expect
+    return backward_views(tape, root)["table"], expect
 
 
 def test_unique_gather_adjoint_equals_scatter_add():
@@ -275,12 +276,12 @@ def test_two_gathers_of_one_parameter_add_into_its_one_view():
     table = tape.leaf("table")
     idx_a, idx_b = np.array([1, 1, 3]), np.array([[3, 0], [3, 3]])
     coef_a, coef_b = np.arange(1.0, 7.0).reshape(3, 2), np.arange(-4.0, 4.0).reshape(2, 2, 2)
-    grads = tape.backward(tape.add(probe_sum(tape, tape.gather(table, idx_a), coef_a),
-                                   probe_sum(tape, tape.gather(table, idx_b), coef_b)))
+    grads = backward_views(tape, tape.add(probe_sum(tape, tape.gather(table, idx_a), coef_a),
+                                          probe_sum(tape, tape.gather(table, idx_b), coef_b)))
     expect = np.zeros((5, 2), np.float32)
     np.add.at(expect, idx_a, coef_a)
     np.add.at(expect, idx_b, coef_b)
-    assert table.grad is grads["table"]
+    assert (table.grad.ctypes.data, table.grad.shape) == (grads["table"].ctypes.data, (5, 2))
     assert np.shares_memory(table.grad, tape.grads["discriminator"])
     assert np.array_equal(grads["table"], expect)
 
@@ -305,7 +306,7 @@ def test_scatter_backward_makes_no_operand_sized_table(use):
     root = probe_sum(tape, out)
     tracemalloc.start()
     try:
-        grads = tape.backward(root)
+        grads = backward_views(tape, root)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -471,7 +472,7 @@ def test_rotate_distance_matches_complex_reference(shared):
     q = tape.leaf("q")
     c = q if shared else tape.leaf("c")
     out = tape.query_distance(q, q_idx, tape.leaf("theta"), r_idx, c, c_idx, head)
-    grads = tape.backward(probe_sum(tape, out, w))
+    grads = backward_views(tape, probe_sum(tape, out, w))
 
     c_value = store["q"] if shared else store["c"]
     f, g_q, g_theta, g_c = triple_reference(store["q"], q_idx, store["theta"], r_idx,
@@ -493,7 +494,7 @@ def test_rotate_distance_keeps_tape_dtype():
     out = tape.query_distance(h, [[0, 1, 1], [2, 0, 1]], tape.leaf("theta"), [0, 1, 0],
                               h, [[2, 1], [2, 0], [0, 0]],
                               [[False, True], [True, False], [True, True]])
-    grads = tape.backward(probe_sum(tape, out))
+    grads = backward_views(tape, probe_sum(tape, out))
     assert out.value.dtype == np.float32
     assert grads["h"].dtype == grads["theta"].dtype == np.float32
 
@@ -545,7 +546,7 @@ def test_float32_tape_gradients_stay_float32():
             return tape.leaf(name)
 
         out = use(tape, p)
-        grads = tape.backward(probe_square(tape, out))
+        grads = backward_views(tape, probe_square(tape, out))
         assert {n: g.dtype for n, g in grads.items()} == dict.fromkeys(shapes, np.float32), op
         assert all(np.any(grads[n] != 0) for n in leaves), op
         assert not np.any(grads["unused"]), op
@@ -562,7 +563,7 @@ def test_rotate_distance_zero_modulus_subgradient():
     h = tape.leaf("h")
     out = tape.query_distance(h, [[0], [0]], tape.leaf("theta"), [0], h, [[0, 0]],
                               [[False, True]])
-    grads = tape.backward(probe_sum(tape, out))
+    grads = backward_views(tape, probe_sum(tape, out))
     assert np.all(out.value == 0.0)
     assert np.all(grads["h"] == 0.0) and np.all(grads["theta"] == 0.0)
 
@@ -777,7 +778,7 @@ def test_sum_gradient_is_ones():
     store = ParameterStore()
     store.add("p", np.arange(6, dtype=float).reshape(2, 3), group="discriminator")
     tape = Tape(store)
-    grads = tape.backward(probe_sum(tape, tape.leaf("p")))
+    grads = backward_views(tape, probe_sum(tape, tape.leaf("p")))
     assert np.array_equal(grads["p"], np.ones((2, 3)))
 
 
@@ -786,7 +787,7 @@ def test_stationary_point_gradient_zero():
     store.add("w", np.zeros(()), group="discriminator")
     tape = Tape(store)
     w = tape.leaf("w")
-    grads = tape.backward(probe_square(tape, w))
+    grads = backward_views(tape, probe_square(tape, w))
     assert grads["w"] == 0.0
 
 
@@ -795,7 +796,7 @@ def test_untouched_param_gets_zero_gradient():
     store.add("used", np.ones(3), group="discriminator")
     store.add("unused", np.ones(4), group="discriminator")
     tape = Tape(store)
-    grads = tape.backward(probe_sum(tape, tape.leaf("used")))
+    grads = backward_views(tape, probe_sum(tape, tape.leaf("used")))
     assert np.array_equal(grads["unused"], np.zeros(4))
 
 
@@ -807,7 +808,7 @@ def test_backward_returns_views_of_the_group_gradients():
     store.add("g", np.ones(4), "generator")
     store.add("b", np.ones(2), "discriminator")
     tape = Tape(store, DISC)
-    grads = tape.backward(probe_sum(tape, tape.add(tape.leaf("a"), tape.leaf("a"))))
+    grads = backward_views(tape, probe_sum(tape, tape.add(tape.leaf("a"), tape.leaf("a"))))
     for name in store.names():
         group = store.group_of(name)
         assert tape.grads[group].shape == store.values[group].shape
@@ -926,7 +927,7 @@ def _ones(tape, *shape):
     ("add", lambda t: t.add(_ones(t, 2, 3), _ones(t, 3)), [(2, 3), (3,)]),
     ("matvec", lambda t: t.matvec(_ones(t, 2, 3), _ones(t, 1, 4), _ones(t, 2)),
      [(2, 3), (1, 4), (2,)]),
-    ("concat", lambda t: t.concat([_ones(t, 2, 3), _ones(t, 3, 3)]), [(2, 3), (3, 3)]),
+    ("concat", lambda t: t.concat([_ones(t, 2, 3), _ones(t, 2, 4)]), [(2, 3), (2, 4)]),
     ("gather", lambda t: t.gather(_ones(t, 4), np.array([0])), [(4,)]),
     ("merge_rows", lambda t: t.merge_rows([True, False], _ones(t, 1, 3), _ones(t, 2, 3)),
      [(2,), (1, 3), (2, 3)]),
@@ -949,11 +950,14 @@ def test_mismatched_shapes_name_the_op_and_the_shapes(op, use, shapes):
 
 
 def test_concat_shape_mismatch():
+    # Rows join only at one width; parts must be 2-d, and there must be one.
     tape = Tape(ParameterStore(np.float64))
     a = tape.const(np.ones((2, 3)))
-    b = tape.const(np.ones((3, 3)))
-    with pytest.raises(ContractError):
-        tape.concat([a, b])
+    assert tape.concat([a, tape.const(np.ones((4, 3)))]).shape == (6, 3)
+    for parts in ([a, tape.const(np.ones((2, 4)))], [a, tape.const(np.ones(3))],
+                  [tape.const(np.ones((2, 3, 1)))], []):
+        with pytest.raises(ContractError, match="concat"):
+            tape.concat(parts)
 
 
 def test_matvec_flushes_subnormal_adjoint():
@@ -974,7 +978,7 @@ def test_matvec_flushes_subnormal_adjoint():
     tape = Tape(store)
     root = probe_sum(tape, tape.matvec(tape.leaf("w"), tape.leaf("x"),
                                        tape.const(np.zeros(m))), coef)
-    grads = tape.backward(root)
+    grads = backward_views(tape, root)
     zeroed = np.where(np.abs(coef) < tiny, np.float32(0), coef)
     w, x = store["w"], store["x"]
     assert grads["w"].tobytes() == (zeroed.T @ x).tobytes()
@@ -1003,7 +1007,7 @@ def test_matvec_bias_takes_unflushed_adjoint():
     tape = Tape(store)
     root = probe_sum(tape, tape.matvec(tape.leaf("w"), tape.leaf("x"),
                                        tape.leaf("b")), coef)
-    grads = tape.backward(root)
+    grads = backward_views(tape, root)
     assert grads["b"].tobytes() == coef.sum(axis=0).tobytes()
     assert 0 < grads["b"][1] < b * tiny
     assert not grads["w"][1].any()
@@ -1019,7 +1023,7 @@ def test_forward_and_backward_deterministic():
         tape = Tape(store)
         y = tape.matvec(tape.leaf("w"), tape.leaf("x"), tape.leaf("b"))
         root = tape.log_sigmoid_sum(y, 0.0, -1)
-        grads = tape.backward(root)
+        grads = backward_views(tape, root)
         return (root.value.tobytes(), grads["w"].tobytes(), grads["x"].tobytes(),
                 grads["b"].tobytes())
 
@@ -1039,7 +1043,7 @@ def test_constant_subgraph_gets_no_adjoint():
     dead = tape.leaky_relu(total, 0.5)
     bias = tape.const(np.zeros(1))
     root = probe_sum(tape, tape.matvec(tape.leaf("p"), dead, bias))
-    grads = tape.backward(root)
+    grads = backward_views(tape, root)
     for node in (c, frozen, total, dead, bias):
         assert not node.live
         assert node.backward_fn is None
@@ -1058,7 +1062,8 @@ def test_constant_subgraph_gets_no_adjoint():
             assert tape.leaf(name) is node and node.name == name
             assert node.live == (store.group_of(name) in live) and node.backward_fn is None
             assert np.shares_memory(node.value, store[name])
-        grads = tape.backward(probe_sum(tape, tape.add(tape.leaf("p"), tape.leaf("frozen"))))
+        root = probe_sum(tape, tape.add(tape.leaf("p"), tape.leaf("frozen")))
+        grads = backward_views(tape, root)
         for name, node in leaves.items():
             reached = store.group_of(name) in live
             assert (node.grad is not None) == reached, (live, name)
@@ -1075,7 +1080,7 @@ def test_matvec_constant_input_forms_no_input_adjoint():
         tape = Tape(store)
         x = tape.leaf("x") if x_is_param else tape.const(store["x"])
         out = tape.matvec(tape.leaf("w"), x, tape.const(np.zeros(3)))
-        grads = tape.backward(probe_square(tape, out))
+        grads = backward_views(tape, probe_square(tape, out))
         return grads["w"], x
 
     w_grad, x_param = run(True)

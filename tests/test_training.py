@@ -1,5 +1,6 @@
 """Negative sampling, loss arithmetic, and the alternating optimization."""
 
+import collections
 import itertools
 import json
 import math
@@ -12,19 +13,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import adamf.evaluation
-from adamf import training
+from adamf import cli, training
 from adamf.checkpoint import save_checkpoint
 from adamf.data import TripleDataset
 from adamf.errors import ContractError, NumericError
-from adamf.model import ALL_PATTERNS, DISC, FROZEN, GEN, Model
-from adamf.params import adam_step
+from adamf.model import ALL_PATTERNS, DISC, FROZEN, GEN, Model, ModelConfig, init_params
+from adamf.params import adam_step, finite_diff_check
 from adamf.rng import SeededRng
 from adamf.tape import Tape
+from adamf.toykg import build_toy_kg
 from adamf.training import (TrainConfig, TrainState, loss_adv, positive_parts,
                             sample_negatives, self_adv_weights, train, train_batch,
                             train_step_discriminator, train_step_generator)
 
-from conftest import (line_model, make_dataset, margin_loss, small_model,
+from conftest import (backward_views, line_model, make_dataset, margin_loss, small_model,
                       synthetic_scores)
 
 
@@ -275,7 +277,7 @@ def test_discriminator_view_gives_zero_generator_gradient():
     generated = {key: tape.const(node.value) for key, node in frozen.items()}
     loss, _ = loss_adv(model, tape, ALL_PATTERNS, generated,
                        positive_parts(model, tape, (batch,)))
-    grads = tape.backward(loss)
+    grads = backward_views(tape, loss)
     for name in model.store.names("generator"):
         assert np.all(grads[name] == 0.0), name
     assert np.any(grads["entity.structural"] != 0.0)
@@ -288,11 +290,84 @@ def test_generator_view_gives_zero_discriminator_gradient():
     tape = Tape(model.store, GEN)
     loss, _ = loss_adv(model, tape, ALL_PATTERNS, model.generate(tape, batch, noise),
                        positive_parts(model, tape, (batch,)))
-    grads = tape.backward(loss)
+    grads = backward_views(tape, loss)
     for name in model.store.names("discriminator"):
         assert np.all(grads[name] == 0.0), name
     assert any(np.any(grads[name] != 0.0)
                for name in model.store.names("generator"))
+
+
+@pytest.mark.parametrize("modalities", [("s",), ("v", "t")])
+def test_mat_steps_run_without_structural_or_projected_modalities(modalities):
+    # Structural-only: there is nothing to generate, every synthetic entity
+    # is its real one, so each pattern scores the positive itself.  v+t: the
+    # synthetic entities are wholly generated.  Both steps run either way.
+    model = small_model(modalities=modalities)
+    cfg = TrainConfig(k_negatives=4, batch_size=4, seed=0)
+    batch = np.array([[0, 0, 1], [2, 1, 3], [4, 0, 4]])
+    negs = sample_negatives(batch, model.n_entities, 4, SeededRng(0, stream="negatives"))
+    tape = Tape(model.store, FROZEN)
+    pos = positive_parts(model, tape, (batch,))
+    noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(0, stream="noise"))
+    _, info = loss_adv(model, tape, ALL_PATTERNS, model.generate(tape, batch, noise), pos)
+    f_pos = model.distances(tape, pos[0], batch).value
+    assert (info["f_syn"] == f_pos).all() == (modalities == ("s",))
+    disc, gen = (model.store.values[g].copy() for g in ("discriminator", "generator"))
+    noise_rng = SeededRng(1, stream="noise")
+    kgc, adv = train_step_discriminator(model, batch, negs, cfg, noise_rng)
+    adv_gen = train_step_generator(model, batch, cfg, noise_rng)
+    assert all(np.isfinite((kgc, adv, adv_gen))) and adv > 0 and adv_gen > 0
+    assert (model.store.values["discriminator"] != disc).any()
+    assert (gen.size == 0) == (modalities == ("s",))
+    assert gen.size == 0 or (model.store.values["generator"] != gen).any()
+
+
+def test_generator_objective_gradcheck_on_one_side():
+    # ("syn_head",) builds only h*: the generator's stacked pass has B rows.
+    model = small_model(seed=3)
+    batch = np.array([[0, 0, 1], [2, 1, 3], [5, 0, 2]])
+    noise = model.draw_noise(batch, ("syn_head",), SeededRng(3, stream="noise"))
+    assert list(noise) == [("h", "v"), ("h", "t")]
+    cli._clear_generator_kinks(model, batch, noise)
+
+    def builder(params):
+        tape = Tape(params, GEN)
+        adv, _ = loss_adv(model, tape, ("syn_head",), model.generate(tape, batch, noise),
+                          positive_parts(model, tape, (batch,)))
+        return tape, tape.scale(adv, -0.01 * cli.GRADCHECK_SCALE)
+
+    check = finite_diff_check(builder, model.store, cli.GRADCHECK_EPSILONS,
+                              model.store.names("generator"))
+    assert check.worst < cli.GRADCHECK_TOLERANCE, check.per_param
+
+
+def test_mat_on_toy_batch_call_counts(monkeypatch):
+    # One generator pass per projected modality (2 matvecs) on each step's
+    # tape, and one query_distance for all synthetic patterns: the scorer's
+    # tape scores positives, negatives and synthetic triples, the generator's
+    # positives and synthetic triples.  The host's speed moves none of this.
+    dataset, tables = build_toy_kg()
+    cfg = ModelConfig(d=16, visual_dim=3, textual_dim=3, noise_dim=8, gamma=4.0)
+    vocab = dataset.vocab
+    model = Model(cfg, init_params(cfg, vocab.n_entities, vocab.n_relations, 0), tables)
+    counts = []
+    backward = Tape.backward
+
+    def counting(tape, root):
+        ops = collections.Counter(n.name for n in tape.nodes if n.parents)
+        gen = sum(n.name == "matvec" and n.parents[0].name.startswith("gen.")
+                  for n in tape.nodes)
+        counts.append((tape.live, ops["query_distance"], gen, len(tape.nodes)))
+        return backward(tape, root)
+
+    monkeypatch.setattr(Tape, "backward", counting)
+    train_batch(model, dataset.train[:16], TrainConfig(k_negatives=16, batch_size=16),
+                TrainState.from_seed(0))
+    (disc, disc_qd, disc_gen, disc_nodes), (gen, gen_qd, gen_gen, gen_nodes) = counts
+    assert (disc, gen) == (DISC, GEN)
+    assert (disc_qd, gen_qd) == (3, 2)
+    assert disc_gen == gen_gen == 2 * len(cfg.projected_modalities)
+    assert disc_nodes + gen_nodes <= 93     # 119 with one scoring call per pattern
 
 
 def test_d_step_keeps_generator_bitwise():
