@@ -161,7 +161,7 @@ class EntityTable(NamedTuple):
     """One step's fused entity rows: entity ids[i] is row i of joint/alpha."""
     ids: np.ndarray    # (U,) sorted unique entity ids
     joint: Node        # (U, 2d)
-    alpha: Node        # (U, M)
+    alpha: np.ndarray  # (U, M)
 
     def rows(self, entities: np.ndarray) -> np.ndarray:
         """Row of each entity; every one must be in the table."""
@@ -208,11 +208,12 @@ class Model:
 
         Projected modalities take the affine projection of the raw features
         of entities whose features are present, and the trainable fallback
-        row of the others; only present rows are projected.
+        row of the others, joined in one `take`; only present rows are
+        projected.
         """
         idx = np.asarray(idx, dtype=np.int64)
         if m == "s":
-            return tape.gather(tape.leaf("entity.structural"), idx)
+            return tape.take([tape.leaf("entity.structural")], idx)
         if m not in self._rows:
             raise ContractError(f"modality {m!r} not active in this model")
         rows = self._rows[m].take(idx)
@@ -222,29 +223,27 @@ class Model:
                                 tape.leaf(f"proj.{m}.bias"))
         if present.all():
             return projected
-        fallback = tape.gather(tape.leaf(f"fallback.{m}"), idx[~present])
-        return tape.merge_rows(present, projected, fallback)
+        # a present entity reads its projected row, in order; an absent one its fallback row
+        return tape.take([projected, tape.leaf(f"fallback.{m}")],
+                         np.where(present, present.cumsum() - 1, idx), ~present)
 
-    def fuse(self, tape: Tape, parts: dict[str, Node]) -> tuple[Node, Node]:
+    def fuse(self, tape: Tape, parts: dict[str, Node]) -> tuple[Node, np.ndarray]:
         """Combine per-modality embeddings into (joint (B,2d), alpha (B,M)).
 
         Adaptive mode scores each modality by the inner product of its
         fusion vector with tanh(embedding) and softmaxes the scores; mean
         mode weights every available modality equally.  Both modes build
-        joint as the alpha-weighted sum of the parts.
+        joint as the alpha-weighted sum of the parts (`Tape.fuse`).
         """
         order = self.cfg.modalities
         if set(parts) != set(order):
             raise ContractError(
                 f"fusion expects modalities {order}, got {tuple(parts)}")
-        xs = [parts[m] for m in order]
-        if self.cfg.fusion_mode == "mean":
-            alpha = tape.const(np.full((xs[0].shape[0], len(xs)), 1.0 / len(xs)))
-        else:
-            alpha = tape.fusion_weights(xs, [tape.leaf(f"fusion.w.{m}") for m in order])
-        return tape.mix(alpha, xs), alpha
+        weights = (None if self.cfg.fusion_mode == "mean" else
+                   [tape.leaf(f"fusion.w.{m}") for m in order])
+        return tape.fuse([parts[m] for m in order], weights)
 
-    def joint_and_alpha(self, tape: Tape, idx: np.ndarray) -> tuple[Node, Node]:
+    def joint_and_alpha(self, tape: Tape, idx: np.ndarray) -> tuple[Node, np.ndarray]:
         """Joint embeddings (B, 2d) and fusion weights (B, M) of entities idx."""
         parts = {m: self.modal_embedding(tape, m, idx) for m in self.cfg.modalities}
         return self.fuse(tape, parts)
@@ -332,20 +331,30 @@ class Model:
         mirroring the construction of the adversarial example set.  A
         synthetic entity keeps its own structural embedding and takes its
         other modalities from `generated` (`generate`'s rows); all of them
-        are fused in one pass and joined below the rows of `table`, which
-        hold the real entities, so one `query_distance` call scores every
-        pattern.  Returns a flat (B * len(patterns),) score node, one block
-        of B per pattern in `patterns` order.  `patterns` is a non-empty
-        subset of ALL_PATTERNS in its order, as `TrainConfig` validates it.
+        are fused in one pass and joined, in one `take`, below the rows of
+        `table` that some pattern reads as a real head or tail, so one
+        `query_distance` call scores every pattern.  Returns a flat
+        (B * len(patterns),) score node, one block of B per pattern in
+        `patterns` order.  `patterns` is a non-empty subset of ALL_PATTERNS
+        in its order, as `TrainConfig` validates it.
         """
         sides, n = synthetic_sides(patterns), len(triples)
         parts = {m: generated[m] if m != "s" else
                  self.modal_embedding(tape, "s", side_entities(triples, sides))
                  for m in self.cfg.modalities}
-        rows = tape.concat([table.joint, self.fuse(tape, parts)[0]])
+        synthetic = self.fuse(tape, parts)[0]
         real = {side: table.rows(triples[:, col]) for side, col in SIDE_COLUMN.items()}
-        star = {side: len(table.ids) + i * n + np.arange(n) for i, side in enumerate(sides)}
-        h, t = (np.concatenate([star[side] if side in PATTERN_SIDES[p] else real[side]
+        read = np.zeros(len(table.ids), dtype=bool)
+        for p in patterns:
+            for side in SIDE_COLUMN:
+                if side not in PATTERN_SIDES[p]:
+                    read[real[side]] = True
+        kept, joined = read.nonzero()[0], read.cumsum() - 1     # table row -> join row
+        n_syn = len(synthetic.value)
+        rows = tape.take([table.joint, synthetic], np.concatenate([kept, np.arange(n_syn)]),
+                         np.arange(len(kept) + n_syn) >= len(kept))   # True: a synthetic row
+        star = {side: len(kept) + i * n + np.arange(n) for i, side in enumerate(sides)}
+        h, t = (np.concatenate([star[side] if side in PATTERN_SIDES[p] else joined[real[side]]
                                 for p in patterns]) for side in SIDE_COLUMN)
         return tape.query_distance(rows, h, tape.leaf("relation.phase"),
                                    np.tile(triples[:, 1], len(patterns)), rows, t)
@@ -356,7 +365,7 @@ class Model:
         """Joint embeddings and fusion weights of every entity, as arrays."""
         tape = Tape(self.store, FROZEN)
         joint, alpha = self.joint_and_alpha(tape, np.arange(self.n_entities))
-        return joint.value, alpha.value
+        return joint.value, alpha
 
     def relation_phases(self) -> np.ndarray:
         return np.asarray(self.store["relation.phase"])

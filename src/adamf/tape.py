@@ -6,19 +6,23 @@ the backward pass is a single reverse sweep that accumulates exact adjoints.
 Values are numpy arrays (scalars are 0-d); the last axis is the vector axis
 and an optional leading axis batches independent rows.
 
-The kernels are ``add`` (equal shapes), ``scale``, the affine ``matvec``
-(x @ w.T + b), ``concat`` (rows), ``gather``, ``merge_rows``, ``leaky_relu``,
-``log_sigmoid_sum`` (both losses' sigmoid-margin sum of w log sigma(x)),
-adaptive fusion as ``fusion_weights`` (the tanh-score softmax alpha) and
-``mix`` (the alpha-weighted sum of the parts), and ``query_distance``, the
+The eight kernels are ``add`` (equal shapes), ``scale``, the affine
+``matvec`` (x @ w.T + b), ``take`` (rows of one or more parts: output row i
+is row index[i] of parts[owner[i]]), ``leaky_relu``, ``log_sigmoid_sum``
+(both losses' sigmoid-margin sum of w log sigma(x)), ``fuse`` (the joint
+rows sum_m alpha_m e_m, with alpha the tanh-score softmax or mean fusion's
+1/M, returned as an array that no loss reads), and ``query_distance``, the
 RotatE score of candidate table rows against rotated query rows (h o r for
 tails, t o conj(r) for heads), whose forward shares ``modulus_sum`` with
 evaluation.  Each has an analytic backward that adds or scatters (through
 flat element indices, ``_scatter``) straight into its operands' one
 accumulator each: a live leaf's view of its group's flat gradient, else
 made on first use, as zeros for a scatter (``Node.adjoint``) and as an owned
-zeros + g for an add (``Node.add_grad``).  No backward makes an operand-sized
-table.  Float addition is not associative, so a row two kernels reach gets
+zeros + g for an add (``Node.add_grad``).  ``take`` picks one of three rules
+per part: a part whose rows are all taken, in order, gets ``add_grad``;
+strictly increasing indices get one fancy-index add; any other indices go
+through ``_scatter``.  No backward makes an operand-sized table.  Float
+addition is not associative, so a row two kernels reach gets
 (acc + g1) + g2.  A kernel checks its operands' shapes before it computes
 and raises `ContractError` naming itself and the shapes (``_mismatch``, the
 only place the shape list is built).
@@ -51,10 +55,13 @@ stays at tiny, as a higher one would change values.  Every other kernel
 keeps them, and no normal or non-finite entry is changed, so the finite
 check below sees everything it saw before.
 
-The one finite check runs at the end of ``backward``, on the root value and
-each live group's flat gradient in ADAM_CHUNK slices, before any optimizer
-sees them.  A failure rescans the tape once to name the first non-finite
-node or gradient.
+``backward`` drops each emitted node's adjoint once that node's backward
+has run, so a step does not hold every adjoint until it ends; a live leaf's
+accumulator, its view of the group gradient, stays.  The one finite check
+runs at the end of ``backward``, on the root value and each live group's
+flat gradient in ADAM_CHUNK slices, before any optimizer sees them.  A
+failure rescans the tape once to name the first non-finite node or
+gradient.
 """
 
 from __future__ import annotations
@@ -215,61 +222,44 @@ class Tape:
 
         return self._emit("matvec", out, (w, x, b), backward)
 
-    def concat(self, parts: list[Node]) -> Node:
-        """Row join of 2-d parts of one width: (N_i, n) -> (sum N_i, n)."""
+    def take(self, parts: list[Node], index, owner=None) -> Node:
+        """Rows of 2-d parts of one width: output row i is row index[i] of
+        parts[owner[i]], or of parts[0] when owner is omitted; owner has
+        index's shape, which the output extends by the width.  A part's
+        adjoint is added whole when its rows are all taken in order, in one
+        fancy-index add when its indices strictly increase, else scattered."""
+        index = np.asarray(index, dtype=np.int64)
         width = parts[0].value.shape[1:] if parts else None
-        if not (parts and all(p.value.ndim == 2 and p.value.shape[1:] == width
-                              for p in parts)):
-            raise _mismatch("concat", *parts)
-        out = np.concatenate([p.value for p in parts])
+        owner = None if owner is None else np.asarray(owner)
+        if not (parts and all(p.value.ndim == 2 and p.value.shape[1:] == width for p in parts)
+                and (len(parts) == 1 if owner is None else (
+                    owner.shape == index.shape and (not owner.size or (
+                        0 <= np.minimum.reduce(owner, axis=None)
+                        and np.maximum.reduce(owner, axis=None) < len(parts)))))):
+            raise _mismatch("take", *parts, index, owner)
+        if owner is None:
+            masks = (None,)
+            out = parts[0].value.take(index, axis=0)
+        else:
+            masks = [owner == j for j in range(len(parts))]
+            out = np.empty(index.shape + width, np.result_type(*[p.value for p in parts]))
+            for p, mask in zip(parts, masks):
+                out[mask] = p.value.take(index[mask], axis=0)
 
         def backward(g):
-            offset = 0
-            for p in parts:
-                if p.live:
-                    p.add_grad(g[offset:offset + len(p.value)])
-                offset += len(p.value)
+            for p, mask in zip(parts, masks):
+                if not p.live:
+                    continue
+                rows, g_rows = (index, g) if mask is None else (index[mask], g[mask])
+                flat = rows.ravel()
+                if flat.size == len(p.value) and (flat == np.arange(flat.size)).all():
+                    p.add_grad(g_rows.reshape(p.value.shape))
+                elif (flat[1:] > flat[:-1]).all():
+                    p.adjoint()[rows] += g_rows     # np.add.at's sums, faster on unique rows
+                else:
+                    _scatter(np.add, p.adjoint(), rows, g_rows)
 
-        return self._emit("concat", out, tuple(parts), backward)
-
-    def gather(self, x: Node, idx: np.ndarray) -> Node:
-        """Rows of a 2-d node selected by an integer index array.  The adjoint
-        is added in one fancy-index add when the indices strictly increase
-        (unique rows, as a table's sorted ids), else scattered."""
-        if x.value.ndim != 2:
-            raise _mismatch("gather", x)
-        idx = np.asarray(idx, dtype=np.int64)
-        out = x.value.take(idx, axis=0)
-
-        def backward(g):
-            flat = idx.ravel()
-            if (flat[1:] > flat[:-1]).all():
-                x.adjoint()[idx] += g       # np.add.at's sums, faster on unique rows
-            else:
-                _scatter(np.add, x.adjoint(), idx, g)
-
-        return self._emit("gather", out, (x,), backward)
-
-    def merge_rows(self, mask, a: Node, b: Node) -> Node:
-        """Rows of a where the 1-d bool mask is set and rows of b elsewhere,
-        each in order: a (P, n), b (B - P, n) -> (B, n)."""
-        mask = np.asarray(mask, dtype=bool)
-        av, bv = a.value, b.value
-        p = int(np.count_nonzero(mask))
-        if not (mask.ndim == 1 and av.ndim == 2 and bv.ndim == 2
-                and av.shape == (p, bv.shape[1]) and bv.shape[0] == mask.size - p):
-            raise _mismatch("merge_rows", mask, a, b)
-        out = np.empty((mask.size, av.shape[1]), dtype=np.result_type(av, bv))
-        out[mask] = av
-        out[~mask] = bv
-
-        def backward(g):
-            if a.live:
-                a.add_grad(g[mask])
-            if b.live:
-                b.add_grad(g[~mask])
-
-        return self._emit("merge_rows", out, (a, b), backward)
+        return self._emit("take", out, tuple(parts), backward)
 
     def leaky_relu(self, x: Node, slope: float) -> Node:
         positive = x.value >= 0
@@ -309,22 +299,39 @@ class Tape:
 
         return self._emit("log_sigmoid_sum", np.add.reduce(out, axis=None), (f,), backward)
 
-    def fusion_weights(self, parts: list[Node], weights: list[Node]) -> Node:
-        """Adaptive fusion weights alpha (B, M) of M parts (B, n):
-        alpha[:, j] = softmax_j(tanh(parts[j]) . weights[j]), max-shifted."""
+    def fuse(self, parts: list[Node], weights: list[Node] | None = None
+             ) -> tuple[Node, np.ndarray]:
+        """Fusion of M parts (B, n) into the joint rows sum_j alpha[:, j]
+        parts[j], (B, n), with alpha[:, j] = softmax_j(tanh(parts[j]) .
+        weights[j]), max-shifted, or 1/M without weights.  Returns the
+        joint node and alpha (B, M) as an array, since no loss reads it."""
         shape = parts[0].value.shape if parts else ()
-        if not (len(shape) == 2 and len(weights) == len(parts)
-                and all(p.value.shape == shape for p in parts)
-                and all(w.value.shape == shape[1:] for w in weights)):
-            raise _mismatch("fusion_weights", *parts, *weights)
-        t = [np.tanh(p.value) for p in parts]
-        scores = np.empty((shape[0], len(parts)), self.dtype)
-        for j, (tj, w) in enumerate(zip(t, weights)):
-            np.add.reduce(tj * w.value, axis=-1, out=scores[:, j])
-        out = softmax(scores)
+        if not (len(shape) == 2 and all(p.value.shape == shape for p in parts)
+                and (weights is None or (len(weights) == len(parts) and all(
+                    w.value.shape == shape[1:] for w in weights)))):
+            raise _mismatch("fuse", *parts, *(weights or ()))
+        if weights is None:
+            alpha = np.full((shape[0], len(parts)), 1.0 / len(parts), self.dtype)
+        else:
+            t = [np.tanh(p.value) for p in parts]
+            scores = np.empty((shape[0], len(parts)), self.dtype)
+            for j, (tj, w) in enumerate(zip(t, weights)):
+                np.add.reduce(tj * w.value, axis=-1, out=scores[:, j])
+            alpha = softmax(scores)
+        out = alpha[:, 0:1] * parts[0].value
+        for j in range(1, len(parts)):
+            out += alpha[:, j:j + 1] * parts[j].value
 
         def backward(g):
-            g_scores = out * (g - np.add.reduce(g * out, axis=-1, keepdims=True))
+            for j, p in enumerate(parts):
+                if p.live:
+                    p.add_grad(g * alpha[:, j:j + 1])
+            if weights is None:
+                return
+            g_alpha = np.zeros(alpha.shape, alpha.dtype)    # zeros + each sum, as an accumulator
+            for j, p in enumerate(parts):
+                g_alpha[:, j] += np.add.reduce(g * p.value, axis=-1)
+            g_scores = alpha * (g_alpha - np.add.reduce(g_alpha * alpha, axis=-1, keepdims=True))
             for j, (p, w) in enumerate(zip(parts, weights)):
                 g_b = g_scores[:, j:j + 1]
                 if w.live:
@@ -332,28 +339,7 @@ class Tape:
                 if p.live:
                     p.add_grad((g_b * w.value) * (1.0 - t[j] * t[j]))
 
-        return self._emit("fusion_weights", out, (*parts, *weights), backward)
-
-    def mix(self, alpha: Node, parts: list[Node]) -> Node:
-        """Row-wise weighted sum of M parts (B, n) by alpha (B, M) -> (B, n)."""
-        shape = parts[0].value.shape if parts else ()
-        a = alpha.value
-        if not (len(shape) == 2 and all(p.value.shape == shape for p in parts)
-                and a.shape == (shape[0], len(parts))):
-            raise _mismatch("mix", alpha, *parts)
-        out = a[:, 0:1] * parts[0].value
-        for j in range(1, len(parts)):
-            out += a[:, j:j + 1] * parts[j].value
-
-        def backward(g):
-            if alpha.live:
-                for j, p in enumerate(parts):
-                    alpha.adjoint()[:, j] += np.add.reduce(g * p.value, axis=-1)
-            for j, p in enumerate(parts):
-                if p.live:
-                    p.add_grad(g * a[:, j:j + 1])
-
-        return self._emit("mix", out, (alpha, *parts), backward)
+        return self._emit("fuse", out, (*parts, *(weights or ())), backward), alpha
 
     def query_distance(self, q: Node, q_idx, phase: Node, r_idx, c: Node, c_idx,
                        head=None) -> Node:
@@ -452,6 +438,7 @@ class Tape:
         for node in reversed(self.nodes):
             if node.grad is not None and node.backward_fn is not None:
                 node.backward_fn(node.grad)
+                node.grad = None    # used up; a leaf keeps its view
         flats = [g for group, g in self.grads.items() if group in self.live]
         if not (np.isfinite(root.value) and all(    # by chunks: no buffer-sized mask
                 np.isfinite(g[lo:lo + ADAM_CHUNK]).all()

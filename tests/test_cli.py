@@ -379,13 +379,13 @@ def test_gradcheck_skips_generator_at_zero_coefficient(corpus, tmp_path, capsys)
 
 
 def test_gradcheck_flags_corrupted_kernel(monkeypatch, capsys):
-    true_kernel = Tape.fusion_weights
+    true_kernel = Tape.fuse
 
-    def crooked(self, parts, weights):
-        node = true_kernel(self, parts, weights)
+    def crooked(self, parts, weights=None):
+        node, alpha = true_kernel(self, parts, weights)
         inner = node.backward_fn
-        if inner is None:
-            return node
+        if inner is None or weights is None:
+            return node, alpha
 
         def corrupted(grad):
             inner(grad)
@@ -394,9 +394,9 @@ def test_gradcheck_flags_corrupted_kernel(monkeypatch, capsys):
                 first.add_grad(0.001 * grad.sum() * np.tanh(first.value))
 
         node.backward_fn = corrupted
-        return node
+        return node, alpha
 
-    monkeypatch.setattr(Tape, "fusion_weights", crooked)
+    monkeypatch.setattr(Tape, "fuse", crooked)
     assert main(["gradcheck"]) == 5
     assert "exceeds" in capsys.readouterr().err
 

@@ -12,7 +12,8 @@ from adamf import model as model_module
 from adamf.data import apply_modality_missing
 from adamf.errors import ContractError
 from adamf.model import (ALL_PATTERNS, DISC, FROZEN, GEN, MODALITY_ORDER, PATTERN_SIDES,
-                         Model, ModelConfig, init_params, synthetic_sides, zero_params)
+                         SIDE_COLUMN, Model, ModelConfig, init_params, synthetic_sides,
+                         zero_params)
 from adamf.params import GROUPS, ParameterStore
 from adamf.rng import SeededRng
 from adamf.tape import Tape
@@ -163,9 +164,8 @@ def fuse_scalar_case(e_values, w_values):
         store.add(f"fusion.w.{m}", np.array([w], dtype=float), "discriminator")
     tape = Tape(store, DISC)
     parts = [tape.const(np.array([[e]], dtype=float)) for e in e_values]
-    alpha = tape.fusion_weights(
-        parts, [tape.leaf(f"fusion.w.{m}") for m in MODALITY_ORDER])
-    return alpha.value[0]
+    _, alpha = tape.fuse(parts, [tape.leaf(f"fusion.w.{m}") for m in MODALITY_ORDER])
+    return alpha[0]
 
 
 def test_fusion_alpha_hand_case():
@@ -182,15 +182,15 @@ def test_fusion_symmetry_exactly_uniform():
     parts = {m: e for m in MODALITY_ORDER}
     # identical w vectors are guaranteed by init (all ones)
     _, alpha = model.fuse(tape, parts)
-    assert np.all(alpha.value == alpha.value[:, :1])
-    assert np.allclose(alpha.value.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(alpha == alpha[:, :1])
+    assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_fusion_mean_mode():
     model = small_model(fusion_mode="mean", modalities=("s", "v"))
     tape = Tape(model.store, DISC)
     joint, alpha = model.joint_and_alpha(tape, np.array([0, 1, 2]))
-    assert np.all(alpha.value == 0.5)
+    assert np.all(alpha == 0.5)
     assert joint.value.shape == (3, 6)
 
 
@@ -199,8 +199,7 @@ def test_fusion_simplex_over_random_models():
         model = small_model(seed=seed)
         tape = Tape(model.store, DISC)
         idx = np.arange(model.n_entities)
-        _, alpha = model.joint_and_alpha(tape, idx)
-        a = alpha.value
+        _, a = model.joint_and_alpha(tape, idx)
         assert np.all(a > 0.0)
         assert np.all(np.abs(a.sum(axis=1) - 1.0) <= 1e-12)
 
@@ -213,8 +212,8 @@ def test_fusion_permutation_equivariance():
 
 
 def test_fuse_is_two_nodes():
-    # Adaptive: fusion_weights + mix beside the fusion-vector leaves;
-    # mean: a constant alpha + mix.
+    # One fuse node, whose alpha is an array: adaptive mode adds it beside
+    # the fusion-vector leaves, mean mode alone.
     for mode in ("adaptive", "mean"):
         model = small_model(fusion_mode=mode)
         tape = Tape(model.store, DISC)
@@ -223,14 +222,15 @@ def test_fuse_is_two_nodes():
         before = len(tape.nodes)
         joint, alpha = model.fuse(tape, parts)
         added = tape.nodes[before:]
-        emitted = [node for node in added if node.parents]
-        assert emitted[-1] is joint and joint.parents[0] is alpha
+        assert added[-1] is joint and joint.name == "fuse"
+        assert isinstance(alpha, np.ndarray) and alpha.shape == (2, 3)
+        assert joint.parents[:3] == tuple(parts[m] for m in MODALITY_ORDER)
         if mode == "adaptive":
-            assert len(emitted) == 2 and emitted[0] is alpha
-            assert [node.name for node in added if not node.parents] == [
+            assert [node.name for node in added[:-1]] == [
                 f"fusion.w.{m}" for m in MODALITY_ORDER]
+            assert joint.parents[3:] == tuple(added[:-1])
         else:
-            assert added == [alpha, joint] and not alpha.parents
+            assert added == [joint] and len(joint.parents) == 3
 
 
 def test_fuse_rejects_wrong_parts():
@@ -248,7 +248,7 @@ def test_joint_equals_convex_combination():
     parts = {m: model.modal_embedding(tape, m, idx)
              for m in MODALITY_ORDER}
     joint, alpha = model.fuse(tape, parts)
-    manual = sum(alpha.value[:, j:j + 1] * parts[m].value
+    manual = sum(alpha[:, j:j + 1] * parts[m].value
                  for j, m in enumerate(MODALITY_ORDER))
     assert np.allclose(joint.value, manual, atol=1e-12)
 
@@ -256,38 +256,37 @@ def test_joint_equals_convex_combination():
 def test_joint_and_alpha_dedup_matches_row_by_row():
     # The union-table builder fuses every entity of its triple arrays once;
     # reading rows back must match building every requested row on its own,
-    # gradients included.
+    # gradients included (alpha is an array that no loss reads, so only its
+    # values are compared).
     model = small_model(absent_v=(1,), absent_t=(4,))
     idx = np.array([3, 1, 3, 0, 4, 1, 3, 5])
     batch = np.stack([idx[:4], np.zeros(4, dtype=np.int64), idx[4:]], axis=1)
     rng = SeededRng(11, stream="dedup")
     coef_joint = rng.normals(idx.size * 6).reshape(idx.size, 6)
-    coef_alpha = rng.normals(idx.size * 3).reshape(idx.size, 3)
 
-    def loss(tape, joint, alpha, rows):
-        return tape.add(probe_sum(tape, joint, coef_joint[rows]),
-                        probe_sum(tape, alpha, coef_alpha[rows]))
+    def loss(tape, joint, rows):
+        return probe_sum(tape, joint, coef_joint[rows])
 
     tape = Tape(model.store, DISC)
     table = model.entity_table(tape, (batch[:2], batch[2:, None]))
     assert np.array_equal(table.ids, np.unique(idx))
     assert table.joint.shape[0] == table.alpha.shape[0] == np.unique(idx).size
     rows = table.rows(idx)
-    joint, alpha = tape.gather(table.joint, rows), tape.gather(table.alpha, rows)
-    grads = backward_views(tape, loss(tape, joint, alpha, slice(None)))
+    joint, alpha = tape.take([table.joint], rows), table.alpha[rows]
+    grads = backward_views(tape, loss(tape, joint, slice(None)))
 
     ref = Tape(model.store, DISC)
     total, ref_joint, ref_alpha = None, [], []
     for i in range(idx.size):
         j, a = model.joint_and_alpha(ref, idx[i:i + 1])
         ref_joint.append(j.value[0])
-        ref_alpha.append(a.value[0])
-        term = loss(ref, j, a, slice(i, i + 1))
+        ref_alpha.append(a[0])
+        term = loss(ref, j, slice(i, i + 1))
         total = term if total is None else ref.add(total, term)
     ref_grads = backward_views(ref, total)
 
     assert np.allclose(joint.value, np.stack(ref_joint), rtol=0, atol=1e-12)
-    assert np.allclose(alpha.value, np.stack(ref_alpha), rtol=0, atol=1e-12)
+    assert np.allclose(alpha, np.stack(ref_alpha), rtol=0, atol=1e-12)
     for name in model.store.names("discriminator"):
         assert np.allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12), name
 
@@ -420,12 +419,12 @@ def test_mixed_batch_routes_by_mask():
 @pytest.mark.parametrize("with_table", [True, False])
 def test_no_present_rows_equal_the_fallback_gather(precision, with_table):
     # A batch of absent entities takes the mixed path with zero projected
-    # rows: its value and fallback gradient are a plain gather's, bit for
+    # rows: its value and fallback gradient are a one-part take's, bit for
     # bit, and the projection's gradients are exactly +0.0.
     model = small_model(absent_v=(0, 2, 5), precision=precision)
     if not with_table:
         model = Model(model.cfg, model.store, {})
-    idx = np.array([5, 0, 2, 0])    # a repeat: the gather's scatter path
+    idx = np.array([5, 0, 2, 0])    # a repeat: take's scatter path
     r = SeededRng(3, "probe").normals(idx.size * 6).reshape(idx.size, 6)
     r[0, :2] = -0.0
 
@@ -435,7 +434,7 @@ def test_no_present_rows_equal_the_fallback_gather(precision, with_table):
         return emb.value, backward_views(tape, probe_sum(tape, emb, r))
 
     value, grads = run(lambda tape: model.modal_embedding(tape, "v", idx))
-    want, want_grads = run(lambda tape: tape.gather(tape.leaf("fallback.v"), idx))
+    want, want_grads = run(lambda tape: tape.take([tape.leaf("fallback.v")], idx))
     assert value.dtype == want.dtype and value.tobytes() == want.tobytes()
     assert grads["fallback.v"].tobytes() == want_grads["fallback.v"].tobytes()
     assert np.abs(grads["fallback.v"]).sum() > 0
@@ -444,13 +443,13 @@ def test_no_present_rows_equal_the_fallback_gather(precision, with_table):
 
 
 def project_then_mix(tape, table, m, idx):
-    """Every row of `table` projected, then mixed with the fallback rows by
-    the 0/1 presence mask: the form that present-row projection must equal."""
-    mask = table.present[idx].astype(np.float64)[:, None]
+    """Every row of `table` projected, then each output row taken from the
+    projection or the fallback rows by the presence mask: the form that
+    present-row projection must equal."""
     raw = tape.const(table.matrix[idx])
     projected = tape.matvec(tape.leaf(f"proj.{m}.weight"), raw, tape.leaf(f"proj.{m}.bias"))
-    fallback = tape.gather(tape.leaf(f"fallback.{m}"), idx)
-    return tape.mix(tape.const(np.hstack([mask, 1.0 - mask])), [projected, fallback])
+    fallback = tape.take([tape.leaf(f"fallback.{m}")], idx)
+    return tape.take([projected, fallback], np.arange(idx.size), ~table.present[idx])
 
 
 def test_present_rows_projection_matches_project_then_mix():
@@ -602,6 +601,31 @@ def test_synthetic_set_size_and_patterns():
     noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(0, stream="noise"))
     scores = synthetic_scores(model, tape, batch, ALL_PATTERNS, noise)
     assert scores.value.shape == (2 * len(ALL_PATTERNS),)
+
+
+def test_synthetic_join_holds_only_the_rows_it_reads():
+    # Below the synthetic rows, the scores' one join holds only the real
+    # heads and tails that some pattern keeps, not every row of the step's
+    # entity table (whose negatives no synthetic triple reads), and the
+    # scores do not depend on what else the table holds.
+    model = small_model(n_entities=10)
+    batch = np.array([[0, 0, 1], [3, 1, 2], [0, 1, 4]])
+    negatives = sample_negatives(batch, model.n_entities, 4, SeededRng(2, stream="negatives"))
+    for patterns in (ALL_PATTERNS, ("syn_tail",), ("syn_head",), ("syn_both",)):
+        noise = model.draw_noise(batch, patterns, SeededRng(3, stream="noise"))
+        read = {int(e) for p in patterns for side, col in SIDE_COLUMN.items()
+                if side not in PATTERN_SIDES[p] for e in batch[:, col]}
+        scores = []
+        for triples in ((batch,), (batch, negatives)):
+            tape = Tape(model.store, DISC)
+            table = model.entity_table(tape, triples)
+            out = model.synthetic_triple_scores(tape, batch, patterns,
+                                                model.generate(tape, batch, noise), table)
+            join = out.parents[0]
+            assert join.name == "take" and out.parents[2] is join
+            assert join.shape[0] <= len(read) + len(synthetic_sides(patterns)) * len(batch)
+            scores.append(out.value)
+        assert np.allclose(*scores, rtol=0, atol=1e-12), patterns
 
 
 def test_synthetic_blocks_follow_pattern_order():

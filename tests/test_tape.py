@@ -77,6 +77,18 @@ def test_add_gradients():
                  lambda tape, lv: tape.add(lv["a"], lv["c"]), trials=TRIALS // 2)
 
 
+def adjoints_seen(*nodes):
+    """node -> the adjoint its backward is given, filled as backward runs
+    (which then frees the node's own reference to it)."""
+    seen = {}
+    for node in nodes:
+        def record(g, node=node, inner=node.backward_fn):
+            seen[node] = g
+            inner(g)
+        node.backward_fn = record
+    return seen
+
+
 def test_first_adjoint_is_an_owned_zeros_plus_g():
     # add passes one array to both operands: the first adjoint each takes
     # must be a copy, or a later add into one would reach the other.  Its
@@ -88,10 +100,29 @@ def test_first_adjoint_is_an_owned_zeros_plus_g():
     u, v = tape.scale(x, 1.0), tape.scale(x, 1.0)
     t = tape.add(tape.add(u, v), u)
     root = probe_sum(tape, t, np.array([-0.0, 1.0, 2.0, 3.0]))
+    seen = adjoints_seen(t, root)
     grads = backward_views(tape, root)
     assert grads["x"].tolist() == [0.0, 3.0, 6.0, 9.0]
-    assert t.grad.tolist() == [0.0, 1.0, 2.0, 3.0] and not np.signbit(t.grad).any()
-    assert isinstance(root.grad, np.ndarray) and root.grad.shape == ()
+    assert seen[t].tolist() == [0.0, 1.0, 2.0, 3.0] and not np.signbit(seen[t]).any()
+    assert isinstance(seen[root], np.ndarray) and seen[root].shape == ()
+
+
+def test_backward_frees_each_adjoint_after_use():
+    # An emitted node's adjoint is dropped once its backward has run, so a
+    # step never holds every adjoint at once; a live leaf keeps its view of
+    # the group gradient.
+    store = ParameterStore(dtype=np.float64)
+    store.add("x", np.arange(6.0).reshape(3, 2), group="discriminator")
+    tape = Tape(store)
+    x = tape.leaf("x")
+    rows = tape.take([x], np.array([2, 0, 2]))
+    root = probe_sum(tape, tape.scale(rows, 2.0))
+    seen = adjoints_seen(rows)
+    grads = backward_views(tape, root)
+    assert seen[rows].shape == (3, 2)
+    assert all(node.grad is None for node in tape.nodes if node.parents)
+    assert np.shares_memory(x.grad, tape.grads["discriminator"])
+    assert grads["x"].tolist() == [[2.0, 2.0], [0.0, 0.0], [4.0, 4.0]]
 
 
 def test_add_requires_equal_shapes():
@@ -221,29 +252,40 @@ def test_matvec_batched_gradients():
     check_kernel(shapes, lambda tape, lv: tape.matvec(lv["w"], lv["x"], lv["b"]))
 
 
+def join(parts):
+    """`take`'s index and owner that stack whole parts, in list order."""
+    sizes = [len(p.value) for p in parts]
+    return (np.concatenate([np.arange(n) for n in sizes]),
+            np.repeat(np.arange(len(parts)), sizes))
+
+
 def test_concat_gradients():
-    # A row join: parts of one width and any row counts, one part used twice.
+    # A row join through take: parts of one width and any row counts, one
+    # part used twice, each whole and in order.
     def shapes(rng):
         n = dims(rng)
         return {"a": (dims(rng), n), "b": (dims(rng), n)}
-    check_kernel(shapes,
-                 lambda tape, lv: tape.log_sigmoid_sum(
-                     tape.concat([lv["a"], lv["b"], lv["a"]]), 0.0, -1))
+
+    def build(tape, lv):
+        parts = [lv["a"], lv["b"], lv["a"]]
+        return tape.log_sigmoid_sum(tape.take(parts, *join(parts)), 0.0, -1)
+    check_kernel(shapes, build)
 
 
 def test_gather_gradients():
-    # Repeated indices exercise scatter-add accumulation in the backward.
+    # One part and no owner; repeated indices exercise scatter-add
+    # accumulation in the backward.
     def build(tape, lv):
         idx = np.array([0, 2, 2, 1, 0])
-        return tape.log_sigmoid_sum(tape.gather(lv["table"], idx), 0.0, -1)
+        return tape.log_sigmoid_sum(tape.take([lv["table"]], idx), 0.0, -1)
     check_kernel(lambda rng: {"table": (4, dims(rng))}, build)
 
 
 def scatter_add_adjoint(store, idx, coef):
-    """Adjoint of table rows `idx` under coefficients `coef`: the gather
+    """Adjoint of table rows `idx` under coefficients `coef`: the take
     kernel's, and the one np.add.at forms into zeros."""
     tape = Tape(store)
-    root = probe_sum(tape, tape.gather(tape.leaf("table"), idx), coef)
+    root = probe_sum(tape, tape.take([tape.leaf("table")], idx), coef)
     expect = np.zeros_like(store["table"])
     np.add.at(expect, idx, coef)
     return backward_views(tape, root)["table"], expect
@@ -251,13 +293,13 @@ def scatter_add_adjoint(store, idx, coef):
 
 def test_unique_gather_adjoint_equals_scatter_add():
     # Strictly increasing indices (sorted table ids) add their rows in one
-    # fancy-index add; the bytes must be np.add.at's, -0.0 (which 0.0 + -0.0
-    # makes 0.0) too.
+    # fancy-index add, and every row in order is added whole; the bytes must
+    # be np.add.at's, -0.0 (which 0.0 + -0.0 makes 0.0) too.
     store = ParameterStore(dtype=np.float32)
     store.add("table", np.ones((8, 3)), group="discriminator")
     rng = SeededRng(5, stream="unique-gather")
     for idx in ([0, 2, 3, 7], [[0, 1], [4, 6]], [5], [3, 1, 6], [0, 2, 2, 5],
-                [[0, 3], [1, 4]], [[0, 1], [1, 2]]):
+                [[0, 3], [1, 4]], [[0, 1], [1, 2]], list(range(8)), [[0, 1, 2, 3], [4, 5, 6, 7]]):
         idx = np.array(idx)
         coef = rng.normals(idx.size * 3).reshape(*idx.shape, 3).astype(np.float32)
         coef.reshape(-1)[::4] = -0.0
@@ -276,8 +318,8 @@ def test_two_gathers_of_one_parameter_add_into_its_one_view():
     table = tape.leaf("table")
     idx_a, idx_b = np.array([1, 1, 3]), np.array([[3, 0], [3, 3]])
     coef_a, coef_b = np.arange(1.0, 7.0).reshape(3, 2), np.arange(-4.0, 4.0).reshape(2, 2, 2)
-    grads = backward_views(tape, tape.add(probe_sum(tape, tape.gather(table, idx_a), coef_a),
-                                          probe_sum(tape, tape.gather(table, idx_b), coef_b)))
+    grads = backward_views(tape, tape.add(probe_sum(tape, tape.take([table], idx_a), coef_a),
+                                          probe_sum(tape, tape.take([table], idx_b), coef_b)))
     expect = np.zeros((5, 2), np.float32)
     np.add.at(expect, idx_a, coef_a)
     np.add.at(expect, idx_b, coef_b)
@@ -302,7 +344,7 @@ def test_scatter_backward_makes_no_operand_sized_table(use):
         out = tape.query_distance(table, [[0, 7, 9]], tape.leaf("phase"), [0, 2, 1],
                                   table, [[1, 2], [3, 4], [5, 6]])
     else:
-        out = tape.gather(table, np.array([2, 5, 900] if use == "unique" else [5, 2, 5]))
+        out = tape.take([table], np.array([2, 5, 900] if use == "unique" else [5, 2, 5]))
     root = probe_sum(tape, out)
     tracemalloc.start()
     try:
@@ -323,7 +365,14 @@ def test_scatter_refuses_a_table_that_is_not_c_contiguous():
     assert not table.any()
 
 
+def merge(mask):
+    """`take`'s index and owner that interleave two parts by a bool mask:
+    the first part's rows in order where it is set, the second's elsewhere."""
+    return np.where(mask, mask.cumsum() - 1, (~mask).cumsum() - 1), (~mask).astype(int)
+
+
 def test_merge_rows_gradients():
+    # Two parts interleaved by a mask, each taken whole and in order.
     fixed = {}
 
     def shapes(rng):
@@ -334,8 +383,23 @@ def test_merge_rows_gradients():
         return {"a": (int(mask.sum()), n), "b": (b - int(mask.sum()), n)}
 
     def build(tape, lv):
-        out = tape.merge_rows(fixed["mask"], lv["a"], lv["b"])
+        out = tape.take([lv["a"], lv["b"]], *merge(fixed["mask"]))
         return probe_square(tape, out)
+    check_kernel(shapes, build)
+
+
+def test_take_mixes_the_three_adjoint_rules():
+    # One call whose parts take each rule: all rows in order (a), strictly
+    # increasing rows (b), repeated rows (c), and a constant part.
+    def shapes(rng):
+        n = dims(rng)
+        return {"a": (2, n), "b": (5, n), "c": (3, n)}
+
+    def build(tape, lv):
+        parts = [lv["a"], lv["b"], lv["c"], tape.const(np.ones((4, lv["a"].shape[1])))]
+        index = np.array([1, 4, 2, 0, 2, 0, 3, 1, 1])
+        owner = np.array([1, 1, 2, 0, 2, 3, 3, 0, 2])
+        return probe_square(tape, tape.take(parts, index, owner))
     check_kernel(shapes, build)
 
 
@@ -343,11 +407,12 @@ def test_merge_rows_routes_rows_in_order():
     tape = Tape(ParameterStore(np.float64))
     a = tape.const(np.array([[1.0], [2.0]]))
     b = tape.const(np.array([[-1.0], [-2.0], [-3.0]]))
-    out = tape.merge_rows(np.array([False, True, False, True, False]), a, b)
+    out = tape.take([a, b], *merge(np.array([False, True, False, True, False])))
     assert out.value.ravel().tolist() == [-1.0, 1.0, -2.0, 2.0, -3.0]
-    for mask in ([True, True, False], [True, True, False, False, False, True], [[True]]):
-        with pytest.raises(ContractError, match="merge_rows"):
-            tape.merge_rows(np.array(mask), a, b)
+    for index, owner in (([0, 1, 0], [0, 0]), ([0, 1], [[0, 1]]), ([0, 1], [0, 2]),
+                         ([0, 1], [-1, 0]), ([0, 1], None)):
+        with pytest.raises(ContractError, match="take"):
+            tape.take([a, b], np.array(index), None if owner is None else np.array(owner))
 
 
 # --- rotation distance --------------------------------------------------------
@@ -501,22 +566,19 @@ def test_rotate_distance_keeps_tape_dtype():
 
 def _float32_uses():
     """One use of every kernel on float32 parameter leaves; `p` makes a leaf."""
-    mask = np.array([True, False, True])
     return {
         "add": lambda t, p: t.add(p("a"), p("b")),
         "matvec": lambda t, p: t.matvec(p("w"), p("a"), p("c")),
-        "concat": lambda t, p: t.concat([p("a"), p("b")]),
-        "gather": lambda t, p: t.gather(p("a"), np.array([2, 0, 0])),
-        "merge_rows": lambda t, p: t.merge_rows(
-            mask, t.gather(p("a"), np.array([0, 1])), t.gather(p("b"), np.array([2]))),
+        "take": lambda t, p: t.add(   # a join, a repeated row, and all three rules at once
+            t.take([p("a"), p("b")], [0, 1, 2, 0, 1, 2], [0, 0, 0, 1, 1, 1]),
+            t.take([t.take([p("a")], [2, 0, 0]), p("b")], [1, 0, 0, 2, 1, 0], [0, 1, 0, 1, 0, 0])),
         "leaky_relu": lambda t, p: t.leaky_relu(p("a"), 0.01),
         "log_sigmoid_sum": lambda t, p: t.add(
             t.log_sigmoid_sum(p("a"), 0.5, 1),
             t.log_sigmoid_sum(p("b"), 0.5, -1, np.linspace(0.1, 1.2, 12).reshape(3, 4))),
         "scale": lambda t, p: t.scale(p("a"), 0.3),
-        "fusion_weights": lambda t, p: t.fusion_weights([p("a"), p("b")],
-                                                        [p("u"), p("v")]),
-        "mix": lambda t, p: t.mix(p("alpha"), [p("a"), p("b")]),
+        "fuse": lambda t, p: t.add(t.fuse([p("a"), p("b")], [p("u"), p("v")])[0],
+                                   t.fuse([p("a"), p("b")])[0]),
         "query_distance": lambda t, p: t.query_distance(
             p("a"), [[0, 1, 2], [2, 2, 0]], p("phase"), [1, 0, 1], p("b"),
             [[2, 0], [1, 1], [0, 2]], [[True, False], [False, True], [True, True]]),
@@ -532,7 +594,7 @@ def test_float32_tape_gradients_stay_float32():
     assert set(uses) == kernels
     rng = SeededRng(3, stream="float32-grads")
     shapes = {"a": (3, 4), "b": (3, 4), "w": (5, 4), "c": (5,), "u": (4,), "v": (4,),
-              "alpha": (3, 2), "phase": (2, 2), "unused": (2, 2)}
+              "phase": (2, 2), "unused": (2, 2)}
     store = ParameterStore(dtype=np.float32)
     for name, shape in shapes.items():
         store.add(name, rng.normals(int(np.prod(shape))).reshape(shape), "discriminator")
@@ -586,26 +648,28 @@ def leaves_named(lv, prefix):
 
 
 def test_fusion_weights_gradients():
+    # Adaptive fusion with every part and weight live.
     def build(tape, lv):
-        alpha = tape.fusion_weights(leaves_named(lv, "p"), leaves_named(lv, "w"))
-        return probe_square(tape, alpha)
+        joint, _ = tape.fuse(leaves_named(lv, "p"), leaves_named(lv, "w"))
+        return probe_square(tape, joint)
     check_kernel(fusion_shapes, build)
 
 
 def test_softmax_gradients():
     # Constant parts fix tanh(e_m), so the scores are linear in the weights
-    # and the check isolates the shifted softmax's backward.
+    # and the weights' adjoint is the shifted softmax's backward alone.
     fixed = {}
 
     def build(tape, lv):
         parts = [tape.const(p) for p in fixed["parts"]]
-        alpha = tape.fusion_weights(parts, leaves_named(lv, "w"))
-        return probe_square(tape, alpha)
+        joint, _ = tape.fuse(parts, leaves_named(lv, "w"))
+        return probe_square(tape, joint)
     check_kernel(lambda rng: fusion_shapes(rng, fixed), build)
 
 
 def test_tanh_gradients():
-    # Constant weights leave only the parts adjoint (g*w)*(1-t*t).
+    # Constant weights leave only the parts adjoint: alpha_j g plus
+    # (g_score * w) * (1 - t * t).
     fixed = {}
 
     def shapes(rng):
@@ -616,8 +680,8 @@ def test_tanh_gradients():
 
     def build(tape, lv):
         weights = [tape.const(w) for w in fixed["w"]]
-        alpha = tape.fusion_weights(leaves_named(lv, "p"), weights)
-        return probe_square(tape, alpha)
+        joint, _ = tape.fuse(leaves_named(lv, "p"), weights)
+        return probe_square(tape, joint)
     check_kernel(shapes, build)
 
 
@@ -630,59 +694,69 @@ def test_sum_axis_gradients():
 
     def build(tape, lv):
         parts = leaves_named(lv, "p")
-        alpha = tape.fusion_weights(parts, [lv["w"]] * len(parts))
-        return probe_square(tape, alpha)
+        joint, _ = tape.fuse(parts, [lv["w"]] * len(parts))
+        return probe_square(tape, joint)
     check_kernel(shapes, build)
 
 
 def mix_shapes(rng):
     b, n, m = dims(rng), dims(rng), dims(rng, 1, 4)
-    return {"alpha": (b, m), **{f"p{j}": (b, n) for j in range(m)}}
+    return {f"p{j}": (b, n) for j in range(m)}
 
 
 def test_mix_gradients():
+    # Mean mode: no weights, alpha 1/M.
     def build(tape, lv):
-        out = tape.mix(lv["alpha"], leaves_named(lv, "p"))
-        return probe_square(tape, out)
+        joint, _ = tape.fuse(leaves_named(lv, "p"))
+        return probe_square(tape, joint)
     check_kernel(mix_shapes, build)
 
 
 def test_mix_constant_alpha_gradients():
-    fixed = {}
-
-    def shapes(rng):
-        out = mix_shapes(rng)
-        alpha_shape = out.pop("alpha")
-        fixed["alpha"] = rng.uniforms(int(np.prod(alpha_shape))).reshape(alpha_shape)
-        return out
-
+    # Constant zero weights score every modality 0, so alpha is 1/M as in
+    # mean mode, through the adaptive backward.
     def build(tape, lv):
-        out = tape.mix(tape.const(fixed["alpha"]), leaves_named(lv, "p"))
-        return probe_square(tape, out)
-    check_kernel(shapes, build)
+        parts = leaves_named(lv, "p")
+        joint, alpha = tape.fuse(parts, [tape.const(np.zeros(parts[0].shape[1]))] * len(parts))
+        assert np.all(alpha == 1.0 / len(parts))
+        return probe_square(tape, joint)
+    check_kernel(mix_shapes, build)
 
 
 def test_stack_gradients():
     # One part leaf in every modality slot: its adjoint accumulates over
-    # the stacked modality axis.
+    # the modalities, in adaptive and mean mode.  The weights are constants:
+    # with equal parts the joint rows are the part's, whatever alpha is.
+    fixed = {}
+
     def shapes(rng):
         b, n, m = dims(rng), dims(rng), dims(rng, 2, 4)
-        return {"alpha": (b, m), "p": (b, n)}
+        fixed["w"] = rng.normals(m * n).reshape(m, n)
+        return {"p": (b, n)}
 
     def build(tape, lv):
-        m = lv["alpha"].value.shape[1]
-        out = tape.mix(lv["alpha"], [lv["p"]] * m)
-        return probe_square(tape, out)
+        weights = [tape.const(w) for w in fixed["w"]]
+        parts = [lv["p"]] * len(weights)
+        return tape.add(probe_square(tape, tape.fuse(parts, weights)[0]),
+                        probe_square(tape, tape.fuse(parts)[0]))
     check_kernel(shapes, build)
 
 
 def test_fusion_then_mix_gradients():
-    # Composition mirroring Model.fuse: the parts feed both kernels.
+    # Composition as Model.fuse builds it: the parts feed both the scores
+    # and the weighted sum, under a non-uniform upstream gradient.
+    fixed = {}
+
+    def shapes(rng):
+        out = fusion_shapes(rng)
+        b, n = out["p0"]
+        fixed["r"] = rng.normals(b * n).reshape(b, n)
+        return out
+
     def build(tape, lv):
-        parts = leaves_named(lv, "p")
-        joint = tape.mix(tape.fusion_weights(parts, leaves_named(lv, "w")), parts)
-        return probe_square(tape, joint)
-    check_kernel(fusion_shapes, build, trials=TRIALS // 2)
+        joint, _ = tape.fuse(leaves_named(lv, "p"), leaves_named(lv, "w"))
+        return probe_sum(tape, joint, fixed["r"])
+    check_kernel(shapes, build, trials=TRIALS // 2)
 
 
 def test_fusion_kernels_form_no_constant_adjoints():
@@ -690,10 +764,11 @@ def test_fusion_kernels_form_no_constant_adjoints():
     store.add("w", np.full(3, 0.5), group="discriminator")
     tape = Tape(store)
     parts = [tape.const(np.full((2, 3), float(j))) for j in range(2)]
-    alpha = tape.fusion_weights(parts, [tape.leaf("w"), tape.leaf("w")])
-    mean = tape.mix(tape.const(np.full((2, 2), 0.5)), parts)
-    tape.backward(tape.add(probe_sum(tape, tape.mix(alpha, parts)), probe_sum(tape, mean)))
-    assert alpha.grad is not None
+    joint, _ = tape.fuse(parts, [tape.leaf("w"), tape.leaf("w")])
+    mean, _ = tape.fuse(parts)
+    seen = adjoints_seen(joint)
+    tape.backward(tape.add(probe_sum(tape, joint), probe_sum(tape, mean)))
+    assert seen.get(joint) is not None
     assert not mean.live and mean.backward_fn is None
     assert all(p.grad is None for p in parts)
 
@@ -702,12 +777,15 @@ def test_fusion_kernels_shape_mismatch():
     tape = Tape(ParameterStore(np.float64))
     a = tape.const(np.ones((2, 3)))
     b = tape.const(np.ones((3, 3)))
-    with pytest.raises(ContractError, match="fusion_weights"):
-        tape.fusion_weights([a, b], [tape.const(np.ones(3))] * 2)
-    with pytest.raises(ContractError, match="fusion_weights"):
-        tape.fusion_weights([a], [tape.const(np.ones(2))])
-    with pytest.raises(ContractError, match="mix"):
-        tape.mix(tape.const(np.ones((2, 3))), [a, a])
+    with pytest.raises(ContractError, match="fuse"):
+        tape.fuse([a, b], [tape.const(np.ones(3))] * 2)
+    with pytest.raises(ContractError, match="fuse"):
+        tape.fuse([a], [tape.const(np.ones(2))])
+    with pytest.raises(ContractError, match="fuse"):
+        tape.fuse([a, a], [tape.const(np.ones(3))])
+    for parts in ([a, b], [tape.const(np.ones(3))], []):
+        with pytest.raises(ContractError, match="fuse"):
+            tape.fuse(parts)
 
 
 # --- exact values -----------------------------------------------------------
@@ -754,8 +832,8 @@ def test_log_sigmoid_at_zero():
 def test_softmax_simplex(parts, w, scale):
     # Scores reach scale * 5 >> 709, where an unshifted exp overflows.
     tape = Tape(ParameterStore(np.float64))
-    out = tape.fusion_weights([tape.const(p) for p in parts],
-                              [tape.const(scale * row) for row in w]).value
+    _, out = tape.fuse([tape.const(p) for p in parts],
+                       [tape.const(scale * row) for row in w])
     assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
     assert np.all(np.abs(out.sum(axis=-1) - 1.0) <= 1e-12)
 
@@ -765,10 +843,10 @@ def test_softmax_of_zeros_is_uniform():
     tape = Tape(ParameterStore(np.float64))
     zeros = [tape.const(np.zeros((2, 4))) for _ in range(3)]
     weights = [tape.const(np.array([1e300, -2.0, 0.5, 3.0])) for _ in range(3)]
-    out = tape.fusion_weights(zeros, weights).value
+    _, out = tape.fuse(zeros, weights)
     assert np.array_equal(out, np.full((2, 3), 1.0 / 3.0))
     parts = [tape.const(np.full((2, 4), float(j + 1))) for j in range(3)]
-    out = tape.fusion_weights(parts, [tape.const(np.zeros(4))] * 3).value
+    _, out = tape.fuse(parts, [tape.const(np.zeros(4))] * 3)
     assert np.array_equal(out, np.full((2, 3), 1.0 / 3.0))
 
 
@@ -927,17 +1005,17 @@ def _ones(tape, *shape):
     ("add", lambda t: t.add(_ones(t, 2, 3), _ones(t, 3)), [(2, 3), (3,)]),
     ("matvec", lambda t: t.matvec(_ones(t, 2, 3), _ones(t, 1, 4), _ones(t, 2)),
      [(2, 3), (1, 4), (2,)]),
-    ("concat", lambda t: t.concat([_ones(t, 2, 3), _ones(t, 2, 4)]), [(2, 3), (2, 4)]),
-    ("gather", lambda t: t.gather(_ones(t, 4), np.array([0])), [(4,)]),
-    ("merge_rows", lambda t: t.merge_rows([True, False], _ones(t, 1, 3), _ones(t, 2, 3)),
-     [(2,), (1, 3), (2, 3)]),
+    ("take", lambda t: t.take([_ones(t, 2, 3), _ones(t, 2, 4)], [0, 0], [0, 1]),
+     [(2, 3), (2, 4), (2,), (2,)]),
+    ("take", lambda t: t.take([_ones(t, 4)], np.array([0])), [(4,), (1,), ()]),
+    ("take", lambda t: t.take([_ones(t, 1, 3), _ones(t, 2, 3)], [0, 0, 1], [0, 1]),
+     [(1, 3), (2, 3), (3,), (2,)]),
     ("log_sigmoid_sum", lambda t: t.log_sigmoid_sum(_ones(t, 2, 3), 1.0, 1, np.ones(3)),
      [(2, 3), (3,)]),
-    ("fusion_weights", lambda t: t.fusion_weights([_ones(t, 2, 3), _ones(t, 3, 3)],
-                                                  [_ones(t, 3), _ones(t, 3)]),
+    ("fuse", lambda t: t.fuse([_ones(t, 2, 3), _ones(t, 3, 3)], [_ones(t, 3), _ones(t, 3)]),
      [(2, 3), (3, 3), (3,), (3,)]),
-    ("mix", lambda t: t.mix(_ones(t, 2, 3), [_ones(t, 2, 3), _ones(t, 2, 3)]),
-     [(2, 3), (2, 3), (2, 3)]),
+    ("fuse", lambda t: t.fuse([_ones(t, 2, 3), _ones(t, 2, 3)], [_ones(t, 3)]),
+     [(2, 3), (2, 3), (3,)]),
     ("query_distance", lambda t: t.query_distance(_ones(t, 1, 4), [0], _ones(t, 1, 2), [0],
                                                   _ones(t, 1, 4), [[0]], [[True]]),
      [(1, 4), (1, 2), (1, 4), (1, 1), (1,), (1, 1), (1, 1)]),
@@ -953,11 +1031,12 @@ def test_concat_shape_mismatch():
     # Rows join only at one width; parts must be 2-d, and there must be one.
     tape = Tape(ParameterStore(np.float64))
     a = tape.const(np.ones((2, 3)))
-    assert tape.concat([a, tape.const(np.ones((4, 3)))]).shape == (6, 3)
+    parts = [a, tape.const(np.ones((4, 3)))]
+    assert tape.take(parts, *join(parts)).shape == (6, 3)
     for parts in ([a, tape.const(np.ones((2, 4)))], [a, tape.const(np.ones(3))],
                   [tape.const(np.ones((2, 3, 1)))], []):
-        with pytest.raises(ContractError, match="concat"):
-            tape.concat(parts)
+        with pytest.raises(ContractError, match="take"):
+            tape.take(parts, np.zeros(2, int), np.zeros(2, int))
 
 
 def test_matvec_flushes_subnormal_adjoint():

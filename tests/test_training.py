@@ -341,11 +341,16 @@ def test_generator_objective_gradcheck_on_one_side():
     assert check.worst < cli.GRADCHECK_TOLERANCE, check.per_param
 
 
+KERNELS = {"add", "scale", "matvec", "take", "leaky_relu", "log_sigmoid_sum", "fuse",
+           "query_distance"}
+
+
 def test_mat_on_toy_batch_call_counts(monkeypatch):
     # One generator pass per projected modality (2 matvecs) on each step's
     # tape, and one query_distance for all synthetic patterns: the scorer's
     # tape scores positives, negatives and synthetic triples, the generator's
-    # positives and synthetic triples.  The host's speed moves none of this.
+    # positives and synthetic triples, each through the tape's 8 kernels.
+    # The host's speed moves none of this.
     dataset, tables = build_toy_kg()
     cfg = ModelConfig(d=16, visual_dim=3, textual_dim=3, noise_dim=8, gamma=4.0)
     vocab = dataset.vocab
@@ -357,17 +362,19 @@ def test_mat_on_toy_batch_call_counts(monkeypatch):
         ops = collections.Counter(n.name for n in tape.nodes if n.parents)
         gen = sum(n.name == "matvec" and n.parents[0].name.startswith("gen.")
                   for n in tape.nodes)
-        counts.append((tape.live, ops["query_distance"], gen, len(tape.nodes)))
+        counts.append((tape.live, ops["query_distance"], gen, len(tape.nodes), ops))
         return backward(tape, root)
 
     monkeypatch.setattr(Tape, "backward", counting)
     train_batch(model, dataset.train[:16], TrainConfig(k_negatives=16, batch_size=16),
                 TrainState.from_seed(0))
-    (disc, disc_qd, disc_gen, disc_nodes), (gen, gen_qd, gen_gen, gen_nodes) = counts
+    (disc, disc_qd, disc_gen, disc_nodes, disc_ops), (gen, gen_qd, gen_gen, gen_nodes,
+                                                      gen_ops) = counts
     assert (disc, gen) == (DISC, GEN)
     assert (disc_qd, gen_qd) == (3, 2)
     assert disc_gen == gen_gen == 2 * len(cfg.projected_modalities)
-    assert disc_nodes + gen_nodes <= 93     # 119 with one scoring call per pattern
+    assert disc_nodes + gen_nodes <= 89     # 119 with one scoring call per pattern
+    assert set(disc_ops) | set(gen_ops) <= KERNELS
 
 
 def test_d_step_keeps_generator_bitwise():
