@@ -27,7 +27,7 @@ from .errors import (ConfigError, ContractError, DataError, GradCheckError,
 from .evaluation import evaluate, write_rank_report
 from .ioutil import atomic_write_text
 from .model import (ALL_PATTERNS, DISC, FROZEN, GEN, Model, ModelConfig,
-                    init_params, side_entities, zero_params)
+                    init_params, zero_params)
 from .params import finite_diff_check
 from .rng import SeededRng
 from .tape import Tape
@@ -153,9 +153,10 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _clear_generator_kinks(model, batch, noise) -> None:
+def _clear_generator_kinks(model, inputs) -> None:
     """Nudge generator first-layer biases until no hidden pre-activation sits
-    within KINK_MARGIN of the leaky-relu kink for the fixture's inputs.
+    within KINK_MARGIN of the leaky-relu kink for the fixture's generator
+    inputs (`Model.generator_inputs`).
 
     A finite-difference probe that crosses the kink averages two slopes and
     spuriously disagrees with the analytic one-sided derivative, so the
@@ -163,10 +164,7 @@ def _clear_generator_kinks(model, batch, noise) -> None:
     fixture stays a perfectly valid random test point.
     """
     store = model.store
-    sides = tuple(dict.fromkeys(side for side, _ in noise))
-    e_s = store["entity.structural"][side_entities(batch, sides)]     # generate's rows
-    for m in model.cfg.projected_modalities:
-        x = np.concatenate([e_s, np.concatenate([noise[side, m] for side in sides])], axis=1)
+    for m, x in inputs.items():
         b1 = store[f"gen.{m}.b1"]
         for _ in range(100):
             pre = x @ store[f"gen.{m}.w1"].T + b1
@@ -212,13 +210,10 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0):
     pos = positive_parts(model, probe, (batch, negatives))
     weights = loss_kgc(model, probe, negatives, pos)[1]["weights"]
 
-    noise = model.draw_noise(batch, ALL_PATTERNS, root.substream("noise"))
-    _clear_generator_kinks(model, batch, noise)
-    # The discriminator view holds the generated embeddings fixed, since
-    # probing entity.structural must not move the generator's input: they
-    # are computed once here and enter each rebuilt tape as constants.
-    frozen = {m: node.value for m, node in
-              model.generate(Tape(store, FROZEN), batch, noise).items()}
+    # Drawn once, so probing entity.structural does not move the generator's
+    # input; on a discriminator tape the generator's weights are frozen too.
+    inputs = model.generator_inputs(batch, ALL_PATTERNS, root.substream("noise"))
+    _clear_generator_kinks(model, inputs)
 
     def kgc_builder(params):
         tape = Tape(params, DISC)
@@ -229,15 +224,13 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0):
     def adv_disc_builder(params):
         tape = Tape(params, DISC)
         pos = positive_parts(model, tape, (batch,))
-        generated = {m: tape.const(value) for m, value in frozen.items()}
-        adv, _ = loss_adv(model, tape, ALL_PATTERNS, generated, pos)
+        adv, _ = loss_adv(model, tape, ALL_PATTERNS, inputs, pos)
         return tape, tape.scale(adv, lam * GRADCHECK_SCALE)
 
     def adv_gen_builder(params):
         tape = Tape(params, GEN)
         pos = positive_parts(model, tape, (batch,))
-        generated = model.generate(tape, batch, noise)
-        adv, _ = loss_adv(model, tape, ALL_PATTERNS, generated, pos)
+        adv, _ = loss_adv(model, tape, ALL_PATTERNS, inputs, pos)
         return tape, tape.scale(adv, -lam * GRADCHECK_SCALE)
 
     def check(builder, group):

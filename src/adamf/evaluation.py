@@ -36,7 +36,7 @@ from .data import TripleDataset
 from .errors import ContractError, NumericError
 from .ioutil import atomic_write_text
 from .model import MODALITY_ORDER, Model
-from .tape import modulus_sum
+from .tape import BLOCK_BYTES, modulus_sum
 
 TIE_BREAKS = ("optimistic", "pessimistic")
 
@@ -81,8 +81,8 @@ def build_cache(model: Model) -> EvalCache:
 
 
 def _block_rows(d: int) -> int:
-    """Entity rows per `_distances` block: 512 KiB of float64 stays in cache."""
-    return max(1, (1 << 19) // (8 * d))
+    """Entity rows per `_distances` block: BLOCK_BYTES of float64."""
+    return max(1, BLOCK_BYTES // (8 * d))
 
 
 def _distances(re: np.ndarray, im: np.ndarray, x: np.ndarray,

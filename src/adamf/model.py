@@ -279,47 +279,41 @@ class Model:
 
     # -------------------------------------------------------------- generator
 
-    def generator_output(self, tape: Tape, m: str, e_s_values: np.ndarray,
-                         z: np.ndarray) -> Node:
-        """Synthetic modal embedding G_m([e_s; z]) for a batch, shape (B, 2d).
+    def generator_inputs(self, triples: np.ndarray, patterns: tuple[str, ...],
+                         rng: SeededRng) -> dict[str, np.ndarray]:
+        """Each projected modality's generator input [e_s; z], one (S * B,
+        2d + noise_dim) array in the store's dtype over the S sides that
+        `patterns` generate: row s * B + b is the structural row of
+        `side_entities` row s * B + b followed by its noise.
 
-        G_m is affine -> LeakyReLU -> affine with a hidden width of 2d.  The
-        structural input is always a detached constant: gradients reach the
-        generator weights, never the structural embeddings behind them.
+        The noise is one `rng.normals` call split into (side, modality)
+        blocks, in that order; each block is padded to an even length, so
+        the values equal those of one call per block.
         """
-        x = tape.const(np.concatenate([e_s_values, z], axis=1))
-        hidden = tape.leaky_relu(
-            tape.matvec(tape.leaf(f"gen.{m}.w1"), x, tape.leaf(f"gen.{m}.b1")), LEAKY_SLOPE)
-        return tape.matvec(tape.leaf(f"gen.{m}.w2"), hidden, tape.leaf(f"gen.{m}.b2"))
-
-    def draw_noise(self, triples: np.ndarray, patterns: tuple[str, ...],
-                   rng: SeededRng) -> dict:
-        """Every noise vector a synthetic build consumes, in one draw.
-
-        Keys are (side, modality) in construction order.  The draw is one
-        `rng.normals` call split into blocks; each block is padded to an
-        even length, so the values equal those of one call per block.
-        """
-        keys = [(side, m) for side in synthetic_sides(patterns)
-                for m in self.cfg.projected_modalities]
-        rows = triples.shape[0]
-        size = rows * self.cfg.noise_dim
-        padded = size + size % 2
-        z = rng.normals(len(keys) * padded).reshape(len(keys), padded)[:, :size]
-        return {key: z[i].reshape(rows, self.cfg.noise_dim)
-                for i, key in enumerate(keys)}
-
-    def generate(self, tape: Tape, triples: np.ndarray, noise: dict) -> dict:
-        """Generated modal embeddings, modality m -> one (S * B, 2d) node from
-        one G_m pass over the S sides of `noise`'s keys, in their order: row
-        s * B + b takes the structural embedding of `side_entities` row
-        s * B + b and row b of the z of key (side s, m).
-        """
-        sides = tuple(dict.fromkeys(side for side, _ in noise))
+        sides, modalities = synthetic_sides(patterns), self.cfg.projected_modalities
         e_s = self.store["entity.structural"].take(side_entities(triples, sides), axis=0)
-        return {m: self.generator_output(tape, m, e_s,
-                                         np.concatenate([noise[side, m] for side in sides]))
-                for m in dict.fromkeys(m for _, m in noise)}
+        size = len(triples) * self.cfg.noise_dim
+        padded = size + size % 2
+        z = rng.normals(len(sides) * len(modalities) * padded).reshape(
+            len(sides), len(modalities), padded)[..., :size]
+        return {m: np.concatenate([e_s, z[:, j].reshape(len(e_s), -1)], axis=1,
+                                  dtype=self.store.dtype) for j, m in enumerate(modalities)}
+
+    def generate(self, tape: Tape, inputs: dict[str, np.ndarray]) -> dict[str, Node]:
+        """Synthetic modal embeddings G_m(x), modality m -> one node of x's
+        rows and width 2d, from each of `generator_inputs`'s arrays x.
+
+        G_m is affine -> LeakyReLU -> affine with a hidden width of 2d.  Its
+        input is a constant: gradients reach the generator weights, never
+        the structural embeddings behind them.
+        """
+        out = {}
+        for m, x in inputs.items():
+            x = tape.const(x)
+            hidden = tape.leaky_relu(
+                tape.matvec(tape.leaf(f"gen.{m}.w1"), x, tape.leaf(f"gen.{m}.b1")), LEAKY_SLOPE)
+            out[m] = tape.matvec(tape.leaf(f"gen.{m}.w2"), hidden, tape.leaf(f"gen.{m}.b2"))
+        return out
 
     def synthetic_triple_scores(self, tape: Tape, triples: np.ndarray,
                                 patterns: tuple[str, ...], generated: dict,

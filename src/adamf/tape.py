@@ -135,6 +135,9 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e
 
 
+BLOCK_BYTES = 1 << 19   # bytes per block of modulus_sum's callers: 512 KiB stays in cache
+
+
 def modulus_sum(x, y, re, im, a, b, out) -> np.ndarray:
     """out = sum over the last axis of |(x - re) + i (y - im)|, computed in
     the buffers a and b (the shape of re), which it overwrites."""
@@ -373,7 +376,7 @@ class Tape:
         sign = self._sign[:n_sides]
         # slot -> row of `queries`; without head slots, row b's slots all read row b
         query = None if side is None else side * n + np.arange(n)[:, None]
-        step = max(1, (1 << 19) // (dtype.itemsize * 2 * d * k))
+        step = max(1, BLOCK_BYTES // (dtype.itemsize * 2 * d * k))
 
         theta, rot = pv.take(r_idx, axis=0), np.empty((n_sides, n, d), cdtype)
         rot.real = np.cos(theta)

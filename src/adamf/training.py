@@ -2,8 +2,8 @@
 negative sampling.
 
 Each batch (`train_batch`) draws its negatives, runs one Adam step on the
-scoring parameters (minimizing L_kgc + lambda * L_adv, generator outputs
-constant) and, with the adversarial path enabled, one Adam step on the
+scoring parameters (minimizing L_kgc + lambda * L_adv, the generator
+frozen) and, with the adversarial path enabled, one Adam step on the
 generator (ascending lambda * L_adv, the scoring parameters constant).
 """
 
@@ -126,16 +126,18 @@ def loss_kgc(model: Model, tape: Tape, negatives: np.ndarray, pos: tuple,
     return loss, {"f_neg": f_neg.value, "weights": weights}
 
 
-def loss_adv(model: Model, tape: Tape, patterns: tuple[str, ...], generated: dict,
+def loss_adv(model: Model, tape: Tape, patterns: tuple[str, ...], inputs: dict,
              pos: tuple) -> tuple[Node, dict]:
     """Adversarial contrast loss: mean_b[-log s(g - F_pos)
     - (1/|S|) sum_{s in S} log s(F_syn_s - g)] over the synthetic triples S,
     one per pattern.
 
-    `generated` holds the synthetic modal embeddings (`Model.generate`) and
-    `pos` the step's `positive_parts`."""
+    `inputs` are the generators' inputs (`Model.generator_inputs`), whose
+    synthetic modal embeddings `Model.generate` builds on the tape, and `pos`
+    is the step's `positive_parts`."""
     table, batch, pos_sum = pos
-    f_syn = model.synthetic_triple_scores(tape, batch, patterns, generated, table)
+    f_syn = model.synthetic_triple_scores(tape, batch, patterns,
+                                          model.generate(tape, inputs), table)
     syn_sum = tape.log_sigmoid_sum(f_syn, model.cfg.gamma, -1)
     loss = tape.scale(tape.add(pos_sum, tape.scale(syn_sum, 1.0 / len(patterns))),
                       -1.0 / batch.shape[0])
@@ -149,8 +151,9 @@ def train_step_discriminator(model: Model, batch: np.ndarray,
                              noise_rng: SeededRng) -> tuple[float, float]:
     """One Adam step on the scoring parameters; returns (L_kgc, L_adv) values.
 
-    Generator outputs enter the tape as constants, so no gradient reaches
-    the generator group nor flows through it into the structural embeddings.
+    The generator runs on this tape as frozen weights over constant inputs
+    (`Model.generator_inputs`), so no gradient reaches the generator group
+    nor flows through it into the structural embeddings.
     """
     tape = Tape(model.store, DISC)
     pos = positive_parts(model, tape, (batch, negatives))
@@ -158,9 +161,8 @@ def train_step_discriminator(model: Model, batch: np.ndarray,
     adv_value = 0.0
     total = kgc
     if cfg.mat_enabled:
-        noise = model.draw_noise(batch, cfg.adversarial_patterns, noise_rng)
-        generated = model.generate(tape, batch, noise)
-        adv, _ = loss_adv(model, tape, cfg.adversarial_patterns, generated, pos)
+        inputs = model.generator_inputs(batch, cfg.adversarial_patterns, noise_rng)
+        adv, _ = loss_adv(model, tape, cfg.adversarial_patterns, inputs, pos)
         adv_value = float(adv.value)
         total = tape.add(kgc, tape.scale(adv, cfg.adv_lambda))
     tape.backward(total)
@@ -171,14 +173,14 @@ def train_step_discriminator(model: Model, batch: np.ndarray,
 def train_step_generator(model: Model, batch: np.ndarray, cfg: TrainConfig,
                          noise_rng: SeededRng) -> float:
     """One Adam ascent step of lambda * L_adv on the generator parameters,
-    with fresh noise; the scoring parameters are constants here."""
+    over fresh generator inputs (new noise); the scoring parameters are
+    constants here."""
     if not cfg.mat_enabled:
         raise ContractError("generator step requires mat_enabled")
     tape = Tape(model.store, GEN)
     pos = positive_parts(model, tape, (batch,))
-    noise = model.draw_noise(batch, cfg.adversarial_patterns, noise_rng)
-    generated = model.generate(tape, batch, noise)
-    adv, _ = loss_adv(model, tape, cfg.adversarial_patterns, generated, pos)
+    inputs = model.generator_inputs(batch, cfg.adversarial_patterns, noise_rng)
+    adv, _ = loss_adv(model, tape, cfg.adversarial_patterns, inputs, pos)
     objective = tape.scale(adv, -cfg.adv_lambda)
     tape.backward(objective)
     adam_step(model.store, "generator", tape.grads["generator"], cfg.lr_g)

@@ -47,10 +47,11 @@ def make_dataset(n_entities, triples_by_split, n_relations=1):
         vocab, *(triples_by_split.get(split, []) for split in ("train", "valid", "test")))
 
 
-def synthetic_scores(model, tape, batch, patterns, noise):
+def synthetic_scores(model, tape, batch, patterns, inputs):
     """`Model.synthetic_triple_scores` against the batch's own positives,
-    with the synthetic modal embeddings generated from `noise`."""
-    generated = model.generate(tape, batch, noise)
+    with the synthetic modal embeddings generated from `inputs`
+    (`Model.generator_inputs`)."""
+    generated = model.generate(tape, inputs)
     table = model.entity_table(tape, (batch,))
     return model.synthetic_triple_scores(tape, batch, patterns, generated, table)
 

@@ -192,8 +192,7 @@ def test_generator_pressure():
     model = small_model(seed=1)
     batch = np.array([[0, 0, 1], [2, 1, 3], [4, 0, 5]])
     cfg = TrainConfig(k_negatives=4, batch_size=4, lr_g=1e-2, seed=0)
-    probe = model.draw_noise(batch, ALL_PATTERNS,
-                             SeededRng(123, stream="probe"))
+    probe = model.generator_inputs(batch, ALL_PATTERNS, SeededRng(123, stream="probe"))
 
     def mean_distance():
         tape = Tape(model.store, GEN)

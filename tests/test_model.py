@@ -549,8 +549,8 @@ def test_generator_zero_weights_zero_output():
     for name in ("gen.v.w1", "gen.v.b1", "gen.v.w2", "gen.v.b2"):
         model.store.set(name, np.zeros_like(model.store[name]))
     tape = Tape(model.store, GEN)
-    out = model.generator_output(tape, "v", np.ones((3, 6)),
-                                 z=SeededRng(0).normals(3 * 3).reshape(3, 3))
+    x = np.concatenate([np.ones((3, 6)), SeededRng(0).normals(3 * 3).reshape(3, 3)], axis=1)
+    out = model.generate(tape, {"v": x})["v"]
     assert np.all(out.value == 0.0)
 
 
@@ -560,8 +560,8 @@ def test_generator_bias_passthrough():
     c = np.linspace(-1.0, 1.0, 6)
     model.store.set("gen.t.b2", c)
     tape = Tape(model.store, GEN)
-    out = model.generator_output(tape, "t", np.zeros((2, 6)),
-                                 z=SeededRng(1).normals(2 * 3).reshape(2, 3))
+    x = np.concatenate([np.zeros((2, 6)), SeededRng(1).normals(2 * 3).reshape(2, 3)], axis=1)
+    out = model.generate(tape, {"t": x})["t"]
     assert np.allclose(out.value, c, atol=1e-15)
 
 
@@ -577,8 +577,8 @@ def test_generator_output_varies_with_noise():
     rng = SeededRng(42, stream="noise")
     tape = Tape(model.store, GEN)
     e_s = np.ones((1, 6))
-    outputs = {model.generator_output(tape, "v", e_s,
-                                      z=rng.normals(3).reshape(1, 3)).value.tobytes()
+    outputs = {model.generate(tape, {"v": np.concatenate([e_s, rng.normals(3).reshape(1, 3)],
+                                                         axis=1)})["v"].value.tobytes()
                for _ in range(100)}
     assert len(outputs) == 100
 
@@ -587,8 +587,9 @@ def test_generator_given_noise_is_deterministic():
     model = small_model()
     z = SeededRng(9).normals(2 * model.cfg.noise_dim).reshape(2, -1)
     tape = Tape(model.store, GEN)
-    a = model.generator_output(tape, "v", np.ones((2, 6)), z=z)
-    b = model.generator_output(tape, "v", np.ones((2, 6)), z=z)
+    x = np.concatenate([np.ones((2, 6)), z], axis=1)
+    a = model.generate(tape, {"v": x})["v"]
+    b = model.generate(tape, {"v": x})["v"]
     assert a.value.tobytes() == b.value.tobytes()
 
 
@@ -598,8 +599,8 @@ def test_synthetic_set_size_and_patterns():
     model = small_model()
     batch = np.array([[0, 0, 1], [2, 1, 3]])
     tape = Tape(model.store, DISC)
-    noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(0, stream="noise"))
-    scores = synthetic_scores(model, tape, batch, ALL_PATTERNS, noise)
+    inputs = model.generator_inputs(batch, ALL_PATTERNS, SeededRng(0, stream="noise"))
+    scores = synthetic_scores(model, tape, batch, ALL_PATTERNS, inputs)
     assert scores.value.shape == (2 * len(ALL_PATTERNS),)
 
 
@@ -612,7 +613,7 @@ def test_synthetic_join_holds_only_the_rows_it_reads():
     batch = np.array([[0, 0, 1], [3, 1, 2], [0, 1, 4]])
     negatives = sample_negatives(batch, model.n_entities, 4, SeededRng(2, stream="negatives"))
     for patterns in (ALL_PATTERNS, ("syn_tail",), ("syn_head",), ("syn_both",)):
-        noise = model.draw_noise(batch, patterns, SeededRng(3, stream="noise"))
+        inputs = model.generator_inputs(batch, patterns, SeededRng(3, stream="noise"))
         read = {int(e) for p in patterns for side, col in SIDE_COLUMN.items()
                 if side not in PATTERN_SIDES[p] for e in batch[:, col]}
         scores = []
@@ -620,7 +621,7 @@ def test_synthetic_join_holds_only_the_rows_it_reads():
             tape = Tape(model.store, DISC)
             table = model.entity_table(tape, triples)
             out = model.synthetic_triple_scores(tape, batch, patterns,
-                                                model.generate(tape, batch, noise), table)
+                                                model.generate(tape, inputs), table)
             join = out.parents[0]
             assert join.name == "take" and out.parents[2] is join
             assert join.shape[0] <= len(read) + len(synthetic_sides(patterns)) * len(batch)
@@ -630,25 +631,32 @@ def test_synthetic_join_holds_only_the_rows_it_reads():
 
 def test_synthetic_blocks_follow_pattern_order():
     # Each pattern scored alone gives its own block of the all-patterns
-    # scores made with the same noise: the blocks run in ALL_PATTERNS order.
+    # scores made with the same inputs: the blocks run in ALL_PATTERNS order.
     model = small_model()
     batch = np.array([[0, 0, 1], [2, 1, 3]])
-    noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(0, stream="noise"))
+    inputs = model.generator_inputs(batch, ALL_PATTERNS, SeededRng(0, stream="noise"))
     tape = Tape(model.store, FROZEN)
-    blocks = synthetic_scores(model, tape, batch, ALL_PATTERNS, noise).value.reshape(
+    blocks = synthetic_scores(model, tape, batch, ALL_PATTERNS, inputs).value.reshape(
         len(ALL_PATTERNS), len(batch))
+    row_side = np.repeat(synthetic_sides(ALL_PATTERNS), len(batch))
     for i, pattern in enumerate(ALL_PATTERNS):
-        sides = synthetic_sides((pattern,))
-        own = {key: z for key, z in noise.items() if key[0] in sides}
+        own_rows = np.isin(row_side, synthetic_sides((pattern,)))
+        own = {m: x[own_rows] for m, x in inputs.items()}
         alone = synthetic_scores(model, tape, batch, (pattern,), own)
         assert alone.value.tobytes() == blocks[i].tobytes(), pattern
 
 
 def test_noise_draw_order_is_canonical():
-    model = small_model()
+    # The noise columns hold the blocks of one draw in (side, modality)
+    # order: (h, v), (h, t), (t, v), (t, t), each padded to an even length.
+    model = small_model()  # 2d 6, noise_dim 3
     batch = np.array([[0, 0, 1]])
-    noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(5, stream="noise"))
-    assert list(noise.keys()) == [("h", "v"), ("h", "t"), ("t", "v"), ("t", "t")]
+    inputs = model.generator_inputs(batch, ALL_PATTERNS, SeededRng(5, stream="noise"))
+    assert list(inputs) == ["v", "t"]
+    blocks = SeededRng(5, stream="noise").normals(4 * 4).reshape(4, 4)[:, :3]
+    for i, (side, m) in enumerate([("h", "v"), ("h", "t"), ("t", "v"), ("t", "t")]):
+        assert inputs[m][synthetic_sides(ALL_PATTERNS).index(side), 6:].tobytes() == (
+            blocks[i].tobytes()), (side, m)
 
 
 def test_noise_one_draw_equals_one_draw_per_block():
@@ -657,11 +665,14 @@ def test_noise_one_draw_equals_one_draw_per_block():
     model = small_model()  # noise_dim 3
     for batch in (np.array([[0, 0, 1]]), np.array([[0, 0, 1], [2, 1, 3]])):
         bulk = SeededRng(5, stream="noise")
-        noise = model.draw_noise(batch, ALL_PATTERNS, bulk)
+        inputs = model.generator_inputs(batch, ALL_PATTERNS, bulk)
         per_block = SeededRng(5, stream="noise")
-        for key, z in noise.items():
-            ref = per_block.normals(z.size).reshape(z.shape)
-            assert z.tobytes() == ref.tobytes(), key
+        n = len(batch)
+        for s, side in enumerate(synthetic_sides(ALL_PATTERNS)):
+            for m, x in inputs.items():
+                z = x[s * n:(s + 1) * n, 6:]
+                ref = per_block.normals(z.size).reshape(z.shape)
+                assert z.tobytes() == ref.tobytes(), (side, m)
         assert bulk.counter == per_block.counter
 
 
@@ -674,21 +685,22 @@ def generator_by_hand(store, m, e_s, z):
 def test_starred_entity_shared_within_group():
     # One h* and one t* serve all patterns, so generation runs G_m once per
     # projected modality over the stacked sides the patterns use: row
-    # s * B + b is G_m of side s's entity of triple b and its (side, m) z.
+    # s * B + b is G_m of side s's entity of triple b and its (side, m) z,
+    # the row's noise columns.
     model = small_model()
     store = model.store
     batch = np.array([[0, 0, 1], [1, 1, 2]])
     for patterns, sides in ((ALL_PATTERNS, "ht"), (("syn_head",), "h"),
                             (("syn_tail",), "t"), (("syn_tail", "syn_head"), "ht")):
-        noise = model.draw_noise(batch, patterns, SeededRng(7, stream="noise"))
-        generated = model.generate(Tape(store, FROZEN), batch, noise)
+        inputs = model.generator_inputs(batch, patterns, SeededRng(7, stream="noise"))
+        generated = model.generate(Tape(store, FROZEN), inputs)
         assert list(generated) == ["v", "t"], patterns
         for m, node in generated.items():
             assert node.shape == (2 * len(sides), 6), (patterns, m)
             for s, side in enumerate(sides):
                 for b, entity in enumerate(batch[:, 0 if side == "h" else 2]):
                     want = generator_by_hand(store, m, store["entity.structural"][entity],
-                                             noise[side, m][b])
+                                             inputs[m][s * 2 + b, 6:])
                     assert np.allclose(node.value[s * 2 + b], want, rtol=0, atol=1e-12), (
                         patterns, m, side, b)
 
@@ -717,8 +729,9 @@ def test_synthetic_scores_equal_rotate_distance_by_hand(patterns):
     model = small_model(absent_v=(3,))
     store = model.store
     batch = np.array([[0, 0, 1], [3, 1, 2], [4, 1, 4]])
-    noise = model.draw_noise(batch, patterns, SeededRng(11, stream="noise"))
-    scores = synthetic_scores(model, Tape(store, FROZEN), batch, patterns, noise)
+    inputs = model.generator_inputs(batch, patterns, SeededRng(11, stream="noise"))
+    scores = synthetic_scores(model, Tape(store, FROZEN), batch, patterns, inputs)
+    row = {side: s * len(batch) for s, side in enumerate(synthetic_sides(patterns))}
     real, _ = model.entity_representations()
     assert scores.shape == (len(patterns) * len(batch),)
     for p, pattern in enumerate(patterns):
@@ -728,7 +741,7 @@ def test_synthetic_scores_equal_rotate_distance_by_hand(patterns):
                 e_s = store["entity.structural"][entity]
                 rows[side] = real[entity] if side not in PATTERN_SIDES[pattern] else (
                     fused_by_hand(model, {"s": e_s, **{
-                        m: generator_by_hand(store, m, e_s, noise[side, m][b])
+                        m: generator_by_hand(store, m, e_s, inputs[m][row[side] + b, 6:])
                         for m in ("v", "t")}}))
             want = rotate_distance(rows["h"], store["relation.phase"][r], rows["t"])
             assert abs(scores.value[p * len(batch) + b] - want) < 1e-10, (pattern, b)
@@ -741,8 +754,8 @@ def test_zero_generator_still_builds_full_set():
             model.store.set(f"gen.{m}.{p}", np.zeros_like(model.store[f"gen.{m}.{p}"]))
     batch = np.array([[0, 0, 1]])
     tape = Tape(model.store, DISC)
-    noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(1, stream="noise"))
-    scores = synthetic_scores(model, tape, batch, ALL_PATTERNS, noise)
+    inputs = model.generator_inputs(batch, ALL_PATTERNS, SeededRng(1, stream="noise"))
+    scores = synthetic_scores(model, tape, batch, ALL_PATTERNS, inputs)
     assert scores.value.shape == (len(ALL_PATTERNS),)
     assert np.all(np.isfinite(scores.value))
 

@@ -234,10 +234,9 @@ def test_loss_adv_all_scores_at_margin():
     tape = Tape(model.store, DISC)
     # syn scores: tail pattern F(1,0*)=gamma... all entities sit at their
     # real positions, so every pattern scores gamma as well.
-    noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(0, stream="noise"))
-    assert noise == {}  # no projected modality, nothing to generate
-    loss, _ = loss_adv(model, tape, ALL_PATTERNS, model.generate(tape, batch, noise),
-                       positive_parts(model, tape, (batch,)))
+    inputs = model.generator_inputs(batch, ALL_PATTERNS, SeededRng(0, stream="noise"))
+    assert inputs == {}  # no projected modality, nothing to generate
+    loss, _ = loss_adv(model, tape, ALL_PATTERNS, inputs, positive_parts(model, tape, (batch,)))
     assert abs(loss.value - 2.0 * math.log(2.0)) < 1e-12
 
 
@@ -249,9 +248,8 @@ def test_loss_positive_on_random_fixtures():
         negs = sample_negatives(batch, model.n_entities, 4, rng)
         tape = Tape(model.store, DISC)
         kgc, _ = margin_loss(model, tape, batch, negs)
-        noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(seed, stream="noise"))
-        adv, _ = loss_adv(model, tape, ALL_PATTERNS, model.generate(tape, batch, noise),
-                          positive_parts(model, tape, (batch,)))
+        inputs = model.generator_inputs(batch, ALL_PATTERNS, SeededRng(seed, stream="noise"))
+        adv, _ = loss_adv(model, tape, ALL_PATTERNS, inputs, positive_parts(model, tape, (batch,)))
         assert kgc.value > 0.0
         assert adv.value > 0.0
 
@@ -260,8 +258,8 @@ def test_restricted_patterns_shrink_synthetic_set():
     model = small_model()
     batch = np.array([[0, 0, 1]])
     tape = Tape(model.store, DISC)
-    noise = model.draw_noise(batch, ("syn_head",), SeededRng(0, stream="noise"))
-    scores = synthetic_scores(model, tape, batch, ("syn_head",), noise)
+    inputs = model.generator_inputs(batch, ("syn_head",), SeededRng(0, stream="noise"))
+    scores = synthetic_scores(model, tape, batch, ("syn_head",), inputs)
     assert scores.value.shape == (1,)
 
 
@@ -270,13 +268,9 @@ def test_restricted_patterns_shrink_synthetic_set():
 def test_discriminator_view_gives_zero_generator_gradient():
     model = small_model()
     batch = np.array([[0, 0, 1], [2, 1, 3]])
-    noise_rng = SeededRng(0, stream="noise")
-    noise = model.draw_noise(batch, ALL_PATTERNS, noise_rng)
-    frozen = model.generate(Tape(model.store, FROZEN), batch, noise)
+    inputs = model.generator_inputs(batch, ALL_PATTERNS, SeededRng(0, stream="noise"))
     tape = Tape(model.store, DISC)
-    generated = {key: tape.const(node.value) for key, node in frozen.items()}
-    loss, _ = loss_adv(model, tape, ALL_PATTERNS, generated,
-                       positive_parts(model, tape, (batch,)))
+    loss, _ = loss_adv(model, tape, ALL_PATTERNS, inputs, positive_parts(model, tape, (batch,)))
     grads = backward_views(tape, loss)
     for name in model.store.names("generator"):
         assert np.all(grads[name] == 0.0), name
@@ -286,10 +280,9 @@ def test_discriminator_view_gives_zero_generator_gradient():
 def test_generator_view_gives_zero_discriminator_gradient():
     model = small_model()
     batch = np.array([[0, 0, 1], [2, 1, 3]])
-    noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(0, stream="noise"))
+    inputs = model.generator_inputs(batch, ALL_PATTERNS, SeededRng(0, stream="noise"))
     tape = Tape(model.store, GEN)
-    loss, _ = loss_adv(model, tape, ALL_PATTERNS, model.generate(tape, batch, noise),
-                       positive_parts(model, tape, (batch,)))
+    loss, _ = loss_adv(model, tape, ALL_PATTERNS, inputs, positive_parts(model, tape, (batch,)))
     grads = backward_views(tape, loss)
     for name in model.store.names("discriminator"):
         assert np.all(grads[name] == 0.0), name
@@ -308,8 +301,8 @@ def test_mat_steps_run_without_structural_or_projected_modalities(modalities):
     negs = sample_negatives(batch, model.n_entities, 4, SeededRng(0, stream="negatives"))
     tape = Tape(model.store, FROZEN)
     pos = positive_parts(model, tape, (batch,))
-    noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(0, stream="noise"))
-    _, info = loss_adv(model, tape, ALL_PATTERNS, model.generate(tape, batch, noise), pos)
+    inputs = model.generator_inputs(batch, ALL_PATTERNS, SeededRng(0, stream="noise"))
+    _, info = loss_adv(model, tape, ALL_PATTERNS, inputs, pos)
     f_pos = model.distances(tape, pos[0], batch).value
     assert (info["f_syn"] == f_pos).all() == (modalities == ("s",))
     disc, gen = (model.store.values[g].copy() for g in ("discriminator", "generator"))
@@ -326,13 +319,13 @@ def test_generator_objective_gradcheck_on_one_side():
     # ("syn_head",) builds only h*: the generator's stacked pass has B rows.
     model = small_model(seed=3)
     batch = np.array([[0, 0, 1], [2, 1, 3], [5, 0, 2]])
-    noise = model.draw_noise(batch, ("syn_head",), SeededRng(3, stream="noise"))
-    assert list(noise) == [("h", "v"), ("h", "t")]
-    cli._clear_generator_kinks(model, batch, noise)
+    inputs = model.generator_inputs(batch, ("syn_head",), SeededRng(3, stream="noise"))
+    assert [(m, x.shape) for m, x in inputs.items()] == [("v", (3, 9)), ("t", (3, 9))]
+    cli._clear_generator_kinks(model, inputs)
 
     def builder(params):
         tape = Tape(params, GEN)
-        adv, _ = loss_adv(model, tape, ("syn_head",), model.generate(tape, batch, noise),
+        adv, _ = loss_adv(model, tape, ("syn_head",), inputs,
                           positive_parts(model, tape, (batch,)))
         return tape, tape.scale(adv, -0.01 * cli.GRADCHECK_SCALE)
 
@@ -725,11 +718,11 @@ def test_generator_pressure_reduces_synthetic_distance():
     model = small_model(seed=1)
     batch = np.array([[0, 0, 1], [2, 1, 3], [4, 0, 5]])
     cfg = TrainConfig(k_negatives=4, batch_size=4, lr_g=1e-2, seed=0)
-    probe_noise = model.draw_noise(batch, ALL_PATTERNS, SeededRng(123, stream="probe"))
+    probe_inputs = model.generator_inputs(batch, ALL_PATTERNS, SeededRng(123, stream="probe"))
 
     def mean_synthetic_f():
         tape = Tape(model.store, GEN)
-        scores = synthetic_scores(model, tape, batch, ALL_PATTERNS, probe_noise)
+        scores = synthetic_scores(model, tape, batch, ALL_PATTERNS, probe_inputs)
         return float(scores.value.mean())
 
     start = mean_synthetic_f()
