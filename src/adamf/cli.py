@@ -133,23 +133,20 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _load_run_config(args)
-    result = run_gradcheck(lam=cfg.training.adv_lambda, seed=cfg.training.seed,
-                           beta=cfg.model.beta)
-    failed = None
-    for label, check in result:
+    failure = None
+    for label, check in run_gradcheck(lam=cfg.training.adv_lambda, seed=cfg.training.seed,
+                                      beta=cfg.model.beta):
         if check is None:
             print(f"{label}: skipped (adversarial coefficient is 0)")
             continue
-        status = "ok" if check.worst < GRADCHECK_TOLERANCE else "FAIL"
+        ok = check.worst < GRADCHECK_TOLERANCE
         print(f"{label}: worst rel err {check.worst:.3e} "
-              f"({check.worst_param}) {status}")
-        if check.worst >= GRADCHECK_TOLERANCE and failed is None:
-            failed = (label, check)
-    if failed:
-        label, check = failed
-        raise GradCheckError(
-            f"{label}: parameter {check.worst_param!r} rel err "
-            f"{check.worst:.3e} exceeds {GRADCHECK_TOLERANCE:g}")
+              f"({check.worst_param}) {'ok' if ok else 'FAIL'}")
+        if not ok and failure is None:
+            failure = GradCheckError(f"{label}: parameter {check.worst_param!r} rel err "
+                                     f"{check.worst:.3e} exceeds {GRADCHECK_TOLERANCE:g}")
+    if failure:
+        raise failure
     return 0
 
 
@@ -180,7 +177,9 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0):
 
     Builds a 5-entity / 3-relation / d=4 world in double precision with one
     missing feature row per modality (so the fallback path is exercised),
-    then checks the margin loss and both views of the adversarial loss.
+    then checks the margin loss and both views of the adversarial loss on
+    tapes that one `check` builds; it skips (None) both adversarial views at
+    lam = 0, where their objective is identically zero.
     Returns [(label, GradCheckResult-or-None)].
     """
     model_cfg = ModelConfig(d=4, visual_dim=7, textual_dim=5, noise_dim=4,
@@ -215,31 +214,27 @@ def run_gradcheck(lam: float = 0.01, seed: int = 0, beta: float = 1.0):
     inputs = model.generator_inputs(batch, ALL_PATTERNS, root.substream("noise"))
     _clear_generator_kinks(model, inputs)
 
-    def kgc_builder(params):
-        tape = Tape(params, DISC)
+    def margin(tape):
         pos = positive_parts(model, tape, (batch, negatives))
-        loss, _ = loss_kgc(model, tape, negatives, pos, frozen_weights=weights)
-        return tape, tape.scale(loss, GRADCHECK_SCALE)
+        return loss_kgc(model, tape, negatives, pos, frozen_weights=weights)[0]
 
-    def adv_disc_builder(params):
-        tape = Tape(params, DISC)
-        pos = positive_parts(model, tape, (batch,))
-        adv, _ = loss_adv(model, tape, ALL_PATTERNS, inputs, pos)
-        return tape, tape.scale(adv, lam * GRADCHECK_SCALE)
+    def adversarial(tape):
+        return loss_adv(model, tape, ALL_PATTERNS, inputs,
+                        positive_parts(model, tape, (batch,)))[0]
 
-    def adv_gen_builder(params):
-        tape = Tape(params, GEN)
-        pos = positive_parts(model, tape, (batch,))
-        adv, _ = loss_adv(model, tape, ALL_PATTERNS, inputs, pos)
-        return tape, tape.scale(adv, -lam * GRADCHECK_SCALE)
+    def check(loss, live, scale):     # the audit of scale * loss over live's one group
+        if scale == 0:
+            return None
 
-    def check(builder, group):
-        return finite_diff_check(builder, store, GRADCHECK_EPSILONS, store.names(group))
+        def build(params):
+            tape = Tape(params, live)
+            return tape, tape.scale(loss(tape), scale * GRADCHECK_SCALE)
 
-    return [("margin loss (discriminator)", check(kgc_builder, "discriminator")),
-            ("adversarial loss (discriminator)", check(adv_disc_builder, "discriminator")),
-            ("adversarial objective (generator)",
-             None if lam == 0 else check(adv_gen_builder, "generator"))]
+        return finite_diff_check(build, store, GRADCHECK_EPSILONS, store.names(*live))
+
+    return [("margin loss (discriminator)", check(margin, DISC, 1.0)),
+            ("adversarial loss (discriminator)", check(adversarial, DISC, lam)),
+            ("adversarial objective (generator)", check(adversarial, GEN, -lam))]
 
 
 # --------------------------------------------------------------------- wiring

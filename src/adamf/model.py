@@ -325,9 +325,9 @@ class Model:
         mirroring the construction of the adversarial example set.  A
         synthetic entity keeps its own structural embedding and takes its
         other modalities from `generated` (`generate`'s rows); all of them
-        are fused in one pass and joined, in one `take`, below the rows of
-        `table` that some pattern reads as a real head or tail, so one
-        `query_distance` call scores every pattern.  Returns a flat
+        are fused in one pass and joined, in one `take`, below each triple's
+        `table` rows on the sides some pattern reads as real (no negative's),
+        so one `query_distance` call scores every pattern.  Returns a flat
         (B * len(patterns),) score node, one block of B per pattern in
         `patterns` order.  `patterns` is a non-empty subset of ALL_PATTERNS
         in its order, as `TrainConfig` validates it.
@@ -337,18 +337,18 @@ class Model:
                  self.modal_embedding(tape, "s", side_entities(triples, sides))
                  for m in self.cfg.modalities}
         synthetic = self.fuse(tape, parts)[0]
-        real = {side: table.rows(triples[:, col]) for side, col in SIDE_COLUMN.items()}
-        read = np.zeros(len(table.ids), dtype=bool)
-        for p in patterns:
-            for side in SIDE_COLUMN:
-                if side not in PATTERN_SIDES[p]:
-                    read[real[side]] = True
-        kept, joined = read.nonzero()[0], read.cumsum() - 1     # table row -> join row
-        n_syn = len(synthetic.value)
-        rows = tape.take([table.joint, synthetic], np.concatenate([kept, np.arange(n_syn)]),
-                         np.arange(len(kept) + n_syn) >= len(kept))   # True: a synthetic row
-        star = {side: len(kept) + i * n + np.arange(n) for i, side in enumerate(sides)}
-        h, t = (np.concatenate([star[side] if side in PATTERN_SIDES[p] else joined[real[side]]
+        # Blocks of B rows: real tails, real heads, then the synthetic sides.
+        # Tails first, as query_distance's backward delivers the candidates'
+        # adjoints in its block loop and the queries' after it: take's in-order
+        # scatter adds them into the table's adjoint in the order they arrive.
+        real = tuple(side for side in reversed(SIDE_COLUMN)
+                     if any(side not in PATTERN_SIDES[p] for p in patterns))
+        index = np.concatenate([table.rows(side_entities(triples, real)),
+                                np.arange(len(sides) * n)])
+        rows = tape.take([table.joint, synthetic], index,
+                         np.arange(len(index)) >= len(real) * n)   # True: a synthetic row
+        blocks = [(side, False) for side in real] + [(side, True) for side in sides]
+        h, t = (np.concatenate([blocks.index((side, side in PATTERN_SIDES[p])) * n + np.arange(n)
                                 for p in patterns]) for side in SIDE_COLUMN)
         return tape.query_distance(rows, h, tape.leaf("relation.phase"),
                                    np.tile(triples[:, 1], len(patterns)), rows, t)

@@ -370,12 +370,19 @@ def test_gradcheck_passes_with_defaults(capsys):
     assert any("generator" in line for line in lines)
 
 
-def test_gradcheck_skips_generator_at_zero_coefficient(corpus, tmp_path, capsys):
+def test_gradcheck_skips_both_adversarial_audits_at_zero_coefficient(corpus, capsys):
+    # At adv_lambda = 0 both views of the adversarial objective are
+    # identically zero, so neither is audited; the margin loss still is.
     path = corpus / "lam0.cfg"
     path.write_text("adv_lambda = 0.0\n")
     assert main(["gradcheck", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "skipped" in out
+    margin, *adversarial = capsys.readouterr().out.strip().splitlines()
+    assert margin.startswith("margin loss (discriminator): worst rel err ")
+    assert margin.endswith(" ok")
+    assert adversarial == [f"{label}: skipped (adversarial coefficient is 0)" for label in
+                           ("adversarial loss (discriminator)",
+                            "adversarial objective (generator)")]
+    assert not any("worst" in line for line in adversarial)
 
 
 def test_gradcheck_flags_corrupted_kernel(monkeypatch, capsys):
@@ -398,7 +405,11 @@ def test_gradcheck_flags_corrupted_kernel(monkeypatch, capsys):
 
     monkeypatch.setattr(Tape, "fuse", crooked)
     assert main(["gradcheck"]) == 5
-    assert "exceeds" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out
+    # the error names the first failing audit
+    assert "failed: margin loss (discriminator): " in captured.err
+    assert "exceeds" in captured.err
 
 
 def test_gradcheck_fixture_repeats_entities(monkeypatch):
@@ -406,15 +417,22 @@ def test_gradcheck_fixture_repeats_entities(monkeypatch):
     # every audited loss, each query_distance call repeats some row of one
     # of its index arrays, and some call repeats a candidate row of the
     # entity table.  The margin loss's union table must be built from inputs
-    # with repeats, and its negatives must score head and tail queries.
+    # with repeats, and its negatives must score head and tail queries.  Both
+    # adversarial audits must cover take's scatter backward too: their
+    # synthetic join holds some entity-table row twice.
     audited = []
-    build = {"tables": [], "scores": []}  # the self-adversarial weight probe
-    original_qd, original_table = Tape.query_distance, Model.entity_table
+    build = {"tables": [], "scores": [], "takes": []}  # the self-adversarial weight probe
+    original_qd, original_table, original_take = (Tape.query_distance, Model.entity_table,
+                                                  Tape.take)
 
     def recording_qd(self, q, q_idx, phase, r_idx, c, c_idx, head=None):
         build["scores"].append((q, np.asarray(q_idx), np.asarray(r_idx), c,
                                 np.asarray(c_idx), head))
         return original_qd(self, q, q_idx, phase, r_idx, c, c_idx, head)
+
+    def recording_take(self, parts, index, owner=None):
+        build["takes"].append((parts, np.asarray(index), owner))
+        return original_take(self, parts, index, owner)
 
     def recording_table(self, tape, triples):
         table = original_table(self, tape, triples)
@@ -424,12 +442,13 @@ def test_gradcheck_fixture_repeats_entities(monkeypatch):
 
     def one_build(builder, store, epsilons, names):
         nonlocal build
-        build = {"tables": [], "scores": []}
+        build = {"tables": [], "scores": [], "takes": []}
         builder(store)
         audited.append(build)
 
     monkeypatch.setattr(Tape, "query_distance", recording_qd)
     monkeypatch.setattr(Model, "entity_table", recording_table)
+    monkeypatch.setattr(Tape, "take", recording_take)
     # build each audited loss once instead of running the finite differences
     monkeypatch.setattr(cli, "finite_diff_check", one_build)
     cli.run_gradcheck()
@@ -450,6 +469,11 @@ def test_gradcheck_fixture_repeats_entities(monkeypatch):
     assert repeats(margin_inputs)
     [head] = [head for *_, head in audited[0]["scores"] if head is not None]
     assert head.any() and not head.all()
+    for loss in audited[1:]:
+        [(_, joint)] = loss["tables"]
+        [(index, owner)] = [(index, np.asarray(owner)) for parts, index, owner in loss["takes"]
+                            if parts[0] is joint]   # the synthetic join
+        assert repeats(index[~owner])
 
 
 # ------------------------------------------------ inputs refused before output

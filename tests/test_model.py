@@ -12,8 +12,8 @@ from adamf import model as model_module
 from adamf.data import apply_modality_missing
 from adamf.errors import ContractError
 from adamf.model import (ALL_PATTERNS, DISC, FROZEN, GEN, MODALITY_ORDER, PATTERN_SIDES,
-                         SIDE_COLUMN, Model, ModelConfig, init_params, synthetic_sides,
-                         zero_params)
+                         SIDE_COLUMN, Model, ModelConfig, init_params, side_entities,
+                         synthetic_sides, zero_params)
 from adamf.params import GROUPS, ParameterStore
 from adamf.rng import SeededRng
 from adamf.tape import Tape
@@ -605,17 +605,18 @@ def test_synthetic_set_size_and_patterns():
 
 
 def test_synthetic_join_holds_only_the_rows_it_reads():
-    # Below the synthetic rows, the scores' one join holds only the real
-    # heads and tails that some pattern keeps, not every row of the step's
-    # entity table (whose negatives no synthetic triple reads), and the
-    # scores do not depend on what else the table holds.
+    # Below the synthetic rows, the scores' one join holds each triple's real
+    # tail, then its real head, on the sides that some pattern reads as real:
+    # no other row of the step's entity table (whose negatives no synthetic
+    # triple reads).  The scores do not depend on what else the table holds.
     model = small_model(n_entities=10)
     batch = np.array([[0, 0, 1], [3, 1, 2], [0, 1, 4]])
     negatives = sample_negatives(batch, model.n_entities, 4, SeededRng(2, stream="negatives"))
-    for patterns in (ALL_PATTERNS, ("syn_tail",), ("syn_head",), ("syn_both",)):
+    for patterns in (ALL_PATTERNS, ("syn_tail",), ("syn_head",), ("syn_both",),
+                     ("syn_tail", "syn_head")):
         inputs = model.generator_inputs(batch, patterns, SeededRng(3, stream="noise"))
-        read = {int(e) for p in patterns for side, col in SIDE_COLUMN.items()
-                if side not in PATTERN_SIDES[p] for e in batch[:, col]}
+        real = tuple(side for side in ("t", "h")
+                     if any(side not in PATTERN_SIDES[p] for p in patterns))
         scores = []
         for triples in ((batch,), (batch, negatives)):
             tape = Tape(model.store, DISC)
@@ -624,7 +625,10 @@ def test_synthetic_join_holds_only_the_rows_it_reads():
                                                 model.generate(tape, inputs), table)
             join = out.parents[0]
             assert join.name == "take" and out.parents[2] is join
-            assert join.shape[0] <= len(read) + len(synthetic_sides(patterns)) * len(batch)
+            assert join.shape[0] == (len(real) + len(synthetic_sides(patterns))) * len(batch)
+            n_real = len(real) * len(batch)
+            assert join.value[:n_real].tobytes() == table.joint.value[
+                table.rows(side_entities(batch, real))].tobytes(), patterns
             scores.append(out.value)
         assert np.allclose(*scores, rtol=0, atol=1e-12), patterns
 
