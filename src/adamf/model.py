@@ -97,6 +97,11 @@ class ModelConfig:
         return np.float64 if self.precision == "double" else np.float32
 
     @property
+    def weighted_fusion(self) -> bool:
+        """Fusion reads weights: adaptive, over two or more modalities."""
+        return self.fusion_mode == "adaptive" and len(self.modalities) > 1
+
+    @property
     def projected_modalities(self) -> tuple[str, ...]:
         return tuple(m for m in self.modalities if m in PROJECTED)
 
@@ -119,7 +124,7 @@ def _param_tables(cfg: ModelConfig, n_entities: int, n_relations: int) -> dict:
         disc[f"proj.{m}.weight"] = xavier(two_d, cfg.feature_dim(m))
         disc[f"proj.{m}.bias"] = (two_d,), 0.0
         disc[f"fallback.{m}"] = (n_entities, two_d), b
-    for m in cfg.modalities:
+    for m in cfg.modalities if cfg.weighted_fusion else ():
         disc[f"fusion.w.{m}"] = (two_d,), 0.0
     for m in cfg.projected_modalities:
         gen[f"gen.{m}.w1"] = xavier(two_d, two_d + cfg.noise_dim)
@@ -152,7 +157,7 @@ def init_params(cfg: ModelConfig, n_entities: int, n_relations: int,
                 for lo in range(0, out.size, INIT_CHUNK):
                     chunk = out[lo:lo + INIT_CHUNK]
                     chunk[...] = (rng.uniforms(chunk.size) * 2.0 - 1.0) * bound
-    for m in cfg.modalities:
+    for m in cfg.modalities if cfg.weighted_fusion else ():
         store[f"fusion.w.{m}"][...] = 1.0
     return store
 
@@ -232,15 +237,15 @@ class Model:
 
         Adaptive mode scores each modality by the inner product of its
         fusion vector with tanh(embedding) and softmaxes the scores; mean
-        mode weights every available modality equally.  Both modes build
-        joint as the alpha-weighted sum of the parts (`Tape.fuse`).
+        mode, or one modality, weights every modality equally (alpha = 1/M).
+        Both build joint as the alpha-weighted sum of the parts (`Tape.fuse`).
         """
         order = self.cfg.modalities
         if set(parts) != set(order):
             raise ContractError(
                 f"fusion expects modalities {order}, got {tuple(parts)}")
-        weights = (None if self.cfg.fusion_mode == "mean" else
-                   [tape.leaf(f"fusion.w.{m}") for m in order])
+        weights = ([tape.leaf(f"fusion.w.{m}") for m in order] if self.cfg.weighted_fusion
+                   else None)
         return tape.fuse([parts[m] for m in order], weights)
 
     def joint_and_alpha(self, tape: Tape, idx: np.ndarray) -> tuple[Node, np.ndarray]:
@@ -268,12 +273,12 @@ class Model:
         h, r, t = table.rows(triples[:, 0]), triples[:, 1], table.rows(triples[:, 2])
         phase = tape.leaf("relation.phase")
         if negatives is None:
-            return tape.query_distance(table.joint, h, phase, r, table.joint, t)
+            return tape.query_distance(table.joint, h, phase, r, t)
         head = negatives[..., 0] != triples[:, None, 0]
         if not ((head <= (negatives[..., 2] == triples[:, None, 2]))
                 & (negatives[..., 1] == triples[:, None, 1])).all():
             raise ContractError("a negative must replace one side of its triple")
-        return tape.query_distance(table.joint, np.array((h, t)), phase, r, table.joint,
+        return tape.query_distance(table.joint, np.array((h, t)), phase, r,
                                    table.rows(np.where(head, negatives[..., 0],
                                                        negatives[..., 2])), head)
 
@@ -351,7 +356,7 @@ class Model:
         h, t = (np.concatenate([blocks.index((side, side in PATTERN_SIDES[p])) * n + np.arange(n)
                                 for p in patterns]) for side in SIDE_COLUMN)
         return tape.query_distance(rows, h, tape.leaf("relation.phase"),
-                                   np.tile(triples[:, 1], len(patterns)), rows, t)
+                                   np.tile(triples[:, 1], len(patterns)), t)
 
     # ------------------------------------------------------------- evaluation
 

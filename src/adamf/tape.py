@@ -7,25 +7,26 @@ Values are numpy arrays (scalars are 0-d); the last axis is the vector axis
 and an optional leading axis batches independent rows.
 
 The eight kernels are ``add`` (equal shapes), ``scale``, the affine
-``matvec`` (x @ w.T + b), ``take`` (rows of one or more parts: output row i
-is row index[i] of parts[owner[i]]), ``leaky_relu``, ``log_sigmoid_sum``
-(both losses' sigmoid-margin sum of w log sigma(x)), ``fuse`` (the joint
-rows sum_m alpha_m e_m, with alpha the tanh-score softmax or mean fusion's
-1/M, returned as an array that no loss reads), and ``query_distance``, the
-RotatE score of candidate table rows against rotated query rows (h o r for
-tails, t o conj(r) for heads), whose forward shares ``modulus_sum`` with
-evaluation.  Each has an analytic backward that adds or scatters (through
-flat element indices, ``_scatter``) straight into its operands' one
-accumulator each: a live leaf's view of its group's flat gradient, else
-made on first use, as zeros for a scatter (``Node.adjoint``) and as an owned
-zeros + g for an add (``Node.add_grad``).  ``take`` picks one of three rules
-per part: a part whose rows are all taken, in order, gets ``add_grad``;
-strictly increasing indices get one fancy-index add; any other indices go
-through ``_scatter``.  No backward makes an operand-sized table.  Float
-addition is not associative, so a row two kernels reach gets
-(acc + g1) + g2.  A kernel checks its operands' shapes before it computes
-and raises `ContractError` naming itself and the shapes (``_mismatch``, the
-only place the shape list is built).
+``matvec`` (x @ w.T + b), ``take`` (rows of one part, or of two joined by a
+bool mask: output row i is row index[i] of parts[mask[i]]), ``leaky_relu``,
+``log_sigmoid_sum`` (both losses' sigmoid-margin sum of w log sigma(x)),
+``fuse`` (the joint rows sum_m alpha_m e_m, with alpha the tanh-score
+softmax or mean fusion's 1/M, returned as an array that no loss reads), and
+``query_distance``, the RotatE score of one table's candidate rows against
+its rotated query rows (h o r for tails, t o conj(r) for heads), whose
+forward shares ``modulus_sum`` with evaluation.  Each has an analytic
+backward that adds or scatters (through flat element indices,
+``_scatter``) straight into its operands' one accumulator each: a live
+leaf's view of its group's flat gradient, else made on first use, as zeros
+for a scatter (``Node.adjoint``) and as an owned zeros + g for an add
+(``Node.add_grad``).  ``take`` picks one of three rules per part: a part
+whose rows are all taken, in order, gets ``add_grad``; strictly increasing
+indices get one fancy-index add; any other indices go through
+``_scatter``.  No backward makes an operand-sized table.  Float addition
+is not associative, so a row two kernels reach gets (acc + g1) + g2.  A
+kernel checks its operands' shapes before it computes and raises
+`ContractError` naming itself and the shapes (``_mismatch``, the only place
+the shape list is built).
 
 Complex-valued quantities are interleaved (re, im) pairs in an even-length
 last axis; phase vectors have half that length.
@@ -225,42 +226,40 @@ class Tape:
 
         return self._emit("matvec", out, (w, x, b), backward)
 
-    def take(self, parts: list[Node], index, owner=None) -> Node:
+    def take(self, parts: list[Node], index, mask=None) -> Node:
         """Rows of 2-d parts of one width: output row i is row index[i] of
-        parts[owner[i]], or of parts[0] when owner is omitted; owner has
-        index's shape, which the output extends by the width.  A part's
-        adjoint is added whole when its rows are all taken in order, in one
-        fancy-index add when its indices strictly increase, else scattered."""
+        parts[mask[i]] for two parts and a bool mask of index's shape, or of
+        parts[0] for one part and no mask.  A part's adjoint is added whole
+        when its rows are all taken in order, in one fancy-index add when its
+        indices strictly increase, else scattered."""
         index = np.asarray(index, dtype=np.int64)
         width = parts[0].value.shape[1:] if parts else None
-        owner = None if owner is None else np.asarray(owner)
+        mask = None if mask is None else np.asarray(mask)
         if not (parts and all(p.value.ndim == 2 and p.value.shape[1:] == width for p in parts)
-                and (len(parts) == 1 if owner is None else (
-                    owner.shape == index.shape and (not owner.size or (
-                        0 <= np.minimum.reduce(owner, axis=None)
-                        and np.maximum.reduce(owner, axis=None) < len(parts)))))):
-            raise _mismatch("take", *parts, index, owner)
-        if owner is None:
+                and (len(parts) == 1 if mask is None else (
+                    len(parts) == 2 and mask.dtype == bool and mask.shape == index.shape))):
+            raise _mismatch("take", *parts, index, mask)
+        if mask is None:
             masks = (None,)
             out = parts[0].value.take(index, axis=0)
         else:
-            masks = [owner == j for j in range(len(parts))]
+            masks = (~mask, mask)
             out = np.empty(index.shape + width, np.result_type(*[p.value for p in parts]))
-            for p, mask in zip(parts, masks):
-                out[mask] = p.value.take(index[mask], axis=0)
+            for p, rows in zip(parts, masks):
+                out[rows] = p.value.take(index[rows], axis=0)
 
         def backward(g):
-            for p, mask in zip(parts, masks):
+            for p, rows in zip(parts, masks):
                 if not p.live:
                     continue
-                rows, g_rows = (index, g) if mask is None else (index[mask], g[mask])
-                flat = rows.ravel()
+                idx, g_rows = (index, g) if rows is None else (index[rows], g[rows])
+                flat = idx.ravel()
                 if flat.size == len(p.value) and (flat == np.arange(flat.size)).all():
                     p.add_grad(g_rows.reshape(p.value.shape))
                 elif (flat[1:] > flat[:-1]).all():
-                    p.adjoint()[rows] += g_rows     # np.add.at's sums, faster on unique rows
+                    p.adjoint()[idx] += g_rows      # np.add.at's sums, faster on unique rows
                 else:
-                    _scatter(np.add, p.adjoint(), rows, g_rows)
+                    _scatter(np.add, p.adjoint(), idx, g_rows)
 
         return self._emit("take", out, tuple(parts), backward)
 
@@ -344,50 +343,47 @@ class Tape:
 
         return self._emit("fuse", out, (*parts, *(weights or ())), backward), alpha
 
-    def query_distance(self, q: Node, q_idx, phase: Node, r_idx, c: Node, c_idx,
-                       head=None) -> Node:
-        """RotatE distances sum_k |x_k - y_k| of candidate rows y = c[c_idx]
+    def query_distance(self, e: Node, q_idx, phase: Node, r_idx, c_idx, head=None) -> Node:
+        """RotatE distances sum_k |x_k - y_k| of candidate rows y = e[c_idx]
         from rotated query rows x, in the shape of c_idx, (B,) or (B, K).
 
-        Row b's tail query is q[q_idx[0, b]] o e^{i theta}, theta =
-        phase[r_idx[b]], and serves the row's slots.  Given the (B, K) bool
-        `head` (and only then), q_idx is (2, B), and the head query
-        q[q_idx[1, b]] o e^{-i theta} serves the slots where head is set
-        instead.  q and c are (., 2d) tables, possibly one node, whose rows
-        are read with `take`.  The backward keeps the forward's
-        (sides, B, d) rotations and rotated queries; slots run in blocks that
-        it recomputes, so no (slots, 2d) array outlives a block.  Each
-        query's adjoint sums its slots; only candidates scatter.  At |u| = 0
-        the subgradient is 0.
+        Row b's tail query is e[q_idx[0, b]] o e^{i theta}, theta =
+        phase[r_idx[b]], and serves the row's slots; without the (B, K) bool
+        `head`, every slot is a tail slot.  Given a two-row q_idx, the head
+        query e[q_idx[1, b]] o e^{-i theta} serves the slots where head is
+        set instead.  Queries and candidates are rows of the (., 2d) e.  The
+        backward keeps the forward's (sides, B, d) rotations and rotated
+        queries; slots run in blocks that it recomputes, so no (slots, 2d)
+        array outlives a block.  Each query's adjoint sums its slots; the
+        candidates' adjoints are scattered into e's in the block loop, the
+        queries' after it.  At |u| = 0 the subgradient is 0.
         """
         q_idx = np.asarray(q_idx, dtype=np.int64)
         r_idx = np.asarray(r_idx, dtype=np.int64)
         c_idx = np.asarray(c_idx, dtype=np.int64)
         q_idx = q_idx[None] if q_idx.ndim == 1 else q_idx
         slots = c_idx[:, None] if c_idx.ndim == 1 else c_idx
-        side = None if head is None else np.asarray(head, dtype=np.int64)
+        side = np.zeros(slots.shape, np.int64) if head is None else np.asarray(head, np.int64)
         pv, d = phase.value, phase.value.shape[-1]
-        if not (pv.ndim == 2 and q.value.shape[1:] == c.value.shape[1:] == (2 * d,)
-                and q_idx.ndim == slots.ndim == 2 and len(q_idx) == (1 if side is None else 2)
+        if not (pv.ndim == 2 and e.value.shape[1:] == (2 * d,) and side.shape == slots.shape
+                and q_idx.ndim == slots.ndim == 2 and len(q_idx) <= 2
                 and r_idx.shape == q_idx.shape[1:] == slots.shape[:1]
-                and (side is None or side.shape == slots.shape)):
-            raise _mismatch("query_distance", q, phase, c, q_idx, r_idx, c_idx, head)
+                and np.maximum.reduce(side, axis=None, initial=0) < len(q_idx)):
+            raise _mismatch("query_distance", e, phase, q_idx, r_idx, c_idx, head)
         (n_sides, n), k, dtype, cdtype = q_idx.shape, slots.shape[1], self.dtype, self._cdtype
         sign = self._sign[:n_sides]
-        # slot -> row of `queries`; without head slots, row b's slots all read row b
-        query = None if side is None else side * n + np.arange(n)[:, None]
+        query = side * n + np.arange(n)[:, None]   # slot -> row of `queries`
         step = max(1, BLOCK_BYTES // (dtype.itemsize * 2 * d * k))
 
         theta, rot = pv.take(r_idx, axis=0), np.empty((n_sides, n, d), cdtype)
         rot.real = np.cos(theta)
         np.multiply(np.sin(theta), sign, out=rot.imag)
-        z = q.value.take(q_idx, axis=0).view(cdtype) * rot  # (sides, B, d), kept for backward
+        z = e.value.take(q_idx, axis=0).view(cdtype) * rot  # (sides, B, d), kept for backward
         queries = z.view(dtype).reshape(-1, 2 * d)
 
         def block(lo):      # the queries and candidates of slots [lo, lo + step)
-            x = (queries[lo:lo + step, None] if query is None else
-                 queries.take(query[lo:lo + step], axis=0))
-            return x, c.value.take(slots[lo:lo + step], axis=0)
+            return (queries.take(query[lo:lo + step], axis=0),
+                    e.value.take(slots[lo:lo + step], axis=0))
 
         out = np.empty(slots.shape, dtype)
         buffers = np.empty((2, min(step, n), k, d), dtype)
@@ -399,26 +395,24 @@ class Tape:
         def backward(g):
             g = _flush_subnormals(g).reshape(slots.shape)
             g_z = np.empty((n, n_sides, 2 * d), dtype)
-            pick = (np.ones((n, 1, k), dtype) if side is None else    # the query each slot adds to
-                    (side[:, None, :] == np.arange(2)[:, None]).astype(dtype))
+            pick = (side[:, None] == np.arange(n_sides)[:, None]).astype(dtype)  # a slot's query
             for lo in range(0, n, step):
                 u = np.subtract(*block(lo))     # then its adjoint, in place
                 uc = u.view(cdtype)
                 m = np.abs(uc)
                 np.multiply(uc, np.divide(g[lo:lo + step, :, None], m, out=m, where=m > 0),
                             out=uc)
-                if c.live:
-                    _scatter(np.subtract, c.adjoint(), slots[lo:lo + step], u)
-                if q.live or phase.live:
-                    np.matmul(pick[lo:lo + step], u, out=g_z[lo:lo + step])
+                if e.live:
+                    _scatter(np.subtract, e.adjoint(), slots[lo:lo + step], u)
+                np.matmul(pick[lo:lo + step], u, out=g_z[lo:lo + step])
             g_z = g_z.view(cdtype).transpose(1, 0, 2)
-            if q.live:
-                _scatter(np.add, q.adjoint(), q_idx, (g_z * rot.conj()).view(dtype))
+            if e.live:
+                _scatter(np.add, e.adjoint(), q_idx, (g_z * rot.conj()).view(dtype))
             if phase.live:
                 _scatter(np.add, phase.adjoint(), r_idx,
                          np.add.reduce(sign * (g_z * z.conj()).imag, axis=0))
 
-        return self._emit("query_distance", out.reshape(c_idx.shape), (q, phase, c), backward)
+        return self._emit("query_distance", out.reshape(c_idx.shape), (e, phase), backward)
 
     # ---------------------------------------------------------------- backward
 

@@ -303,6 +303,21 @@ def test_eval_mismatched_model_leaves_no_outputs(trained, corpus, tmp_path):
     assert not (tmp_path / "big-out").exists()
 
 
+def test_eval_under_the_other_fusion_mode_exits_2(trained, corpus, tmp_path, capsys):
+    # A checkpoint loads only under the fusion mode that wrote it: adaptive
+    # fusion of two or more modalities holds fusion weights, mean fusion none.
+    out, cfg = trained
+    mean = write_config(corpus, tmp_path / "mean", name="mean.cfg", fusion_mode="mean")
+    assert main(["train", mean]) == 0
+    for config, checkpoint, error in ((mean, out, "not in model"),
+                                      (cfg, tmp_path / "mean", "checkpoint missing tensors")):
+        eval_out = tmp_path / "eval"
+        assert main(["eval", config, str(checkpoint / "checkpoint.bin"),
+                     "--out", str(eval_out)]) == 2
+        assert error in capsys.readouterr().err
+        assert not eval_out.exists()
+
+
 def test_eval_nonfinite_checkpoint_exits_3_without_outputs(trained, tmp_path, capsys):
     _, cfg = trained
     run = parse_config(cfg)
@@ -425,14 +440,14 @@ def test_gradcheck_fixture_repeats_entities(monkeypatch):
     original_qd, original_table, original_take = (Tape.query_distance, Model.entity_table,
                                                   Tape.take)
 
-    def recording_qd(self, q, q_idx, phase, r_idx, c, c_idx, head=None):
-        build["scores"].append((q, np.asarray(q_idx), np.asarray(r_idx), c,
-                                np.asarray(c_idx), head))
-        return original_qd(self, q, q_idx, phase, r_idx, c, c_idx, head)
+    def recording_qd(self, e, q_idx, phase, r_idx, c_idx, head=None):
+        build["scores"].append((e, np.asarray(q_idx), np.asarray(r_idx), np.asarray(c_idx),
+                                head))
+        return original_qd(self, e, q_idx, phase, r_idx, c_idx, head)
 
-    def recording_take(self, parts, index, owner=None):
-        build["takes"].append((parts, np.asarray(index), owner))
-        return original_take(self, parts, index, owner)
+    def recording_take(self, parts, index, mask=None):
+        build["takes"].append((parts, np.asarray(index), mask))
+        return original_take(self, parts, index, mask)
 
     def recording_table(self, tape, triples):
         table = original_table(self, tape, triples)
@@ -461,9 +476,9 @@ def test_gradcheck_fixture_repeats_entities(monkeypatch):
         [(inputs, joint)] = loss["tables"]  # one union table per loss
         assert loss["scores"]
         candidate_repeats = False
-        for q, q_idx, r_idx, c, c_idx, _ in loss["scores"]:
+        for e, q_idx, r_idx, c_idx, _ in loss["scores"]:
             assert repeats(q_idx) or repeats(r_idx) or repeats(c_idx)
-            candidate_repeats |= c is joint and repeats(c_idx)
+            candidate_repeats |= e is joint and repeats(c_idx)
         assert candidate_repeats
     margin_inputs, _ = audited[0]["tables"][0]
     assert repeats(margin_inputs)
@@ -471,9 +486,9 @@ def test_gradcheck_fixture_repeats_entities(monkeypatch):
     assert head.any() and not head.all()
     for loss in audited[1:]:
         [(_, joint)] = loss["tables"]
-        [(index, owner)] = [(index, np.asarray(owner)) for parts, index, owner in loss["takes"]
-                            if parts[0] is joint]   # the synthetic join
-        assert repeats(index[~owner])
+        [(index, mask)] = [(index, mask) for parts, index, mask in loss["takes"]
+                           if parts[0] is joint]    # the synthetic join
+        assert repeats(index[~mask])
 
 
 # ------------------------------------------------ inputs refused before output

@@ -90,6 +90,20 @@ def test_init_shapes_and_ranges():
     assert store.group_of("entity.structural") == "discriminator"
 
 
+@pytest.mark.parametrize("modalities", [("s",), ("v", "t"), ("s", "v", "t")])
+def test_fusion_weights_only_where_a_softmax_reads_them(modalities):
+    # Mean fusion reads no weights, and over one modality adaptive fusion's
+    # softmax is 1 whatever they are: only adaptive fusion of two or more
+    # modalities holds them.
+    names = {mode: set(init_params(ModelConfig(d=2, visual_dim=3, textual_dim=3, noise_dim=2,
+                                               fusion_mode=mode, modalities=modalities),
+                                   5, 2, seed=0).names())
+             for mode in ("adaptive", "mean")}
+    weights = {f"fusion.w.{m}" for m in modalities}
+    assert names["mean"].isdisjoint(weights)
+    assert names["adaptive"] - names["mean"] == (weights if len(modalities) > 1 else set())
+
+
 def test_init_name_substreams_independent():
     # Growing the entity table must not reshuffle relation phases.
     cfg = ModelConfig(d=4, visual_dim=3, textual_dim=3, noise_dim=2)
@@ -311,9 +325,8 @@ def complex_rows(x):
 def score_pair(h, theta, t):
     tape = Tape(ParameterStore(np.float64))
     row = np.zeros(1, dtype=np.int64)
-    out = tape.query_distance(tape.const(np.array([h], dtype=float)), row,
-                              tape.const(np.array([theta], dtype=float)), row,
-                              tape.const(np.array([t], dtype=float)), row)
+    out = tape.query_distance(tape.const(np.array([h, t], dtype=float)), row,
+                              tape.const(np.array([theta], dtype=float)), row, row + 1)
     return float(out.value[0])
 
 
@@ -624,7 +637,7 @@ def test_synthetic_join_holds_only_the_rows_it_reads():
             out = model.synthetic_triple_scores(tape, batch, patterns,
                                                 model.generate(tape, inputs), table)
             join = out.parents[0]
-            assert join.name == "take" and out.parents[2] is join
+            assert join.name == "take" and len(out.parents) == 2
             assert join.shape[0] == (len(real) + len(synthetic_sides(patterns))) * len(batch)
             n_real = len(real) * len(batch)
             assert join.value[:n_real].tobytes() == table.joint.value[

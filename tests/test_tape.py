@@ -253,27 +253,32 @@ def test_matvec_batched_gradients():
 
 
 def join(parts):
-    """`take`'s index and owner that stack whole parts, in list order."""
+    """`take`'s index and mask that stack two whole parts, in list order."""
     sizes = [len(p.value) for p in parts]
     return (np.concatenate([np.arange(n) for n in sizes]),
-            np.repeat(np.arange(len(parts)), sizes))
+            np.repeat(np.array([False, True]), sizes))
+
+
+def stack(tape, a, b):
+    """One node of a's rows, then b's: a table that holds both."""
+    return tape.take([a, b], *join([a, b]))
 
 
 def test_concat_gradients():
-    # A row join through take: parts of one width and any row counts, one
-    # part used twice, each whole and in order.
+    # A row join through take: parts of one width and any row counts, each
+    # whole and in order, and one part used twice.
     def shapes(rng):
         n = dims(rng)
         return {"a": (dims(rng), n), "b": (dims(rng), n)}
 
     def build(tape, lv):
-        parts = [lv["a"], lv["b"], lv["a"]]
-        return tape.log_sigmoid_sum(tape.take(parts, *join(parts)), 0.0, -1)
+        return tape.add(*[tape.log_sigmoid_sum(tape.take(parts, *join(parts)), 0.0, -1)
+                          for parts in ([lv["a"], lv["b"]], [lv["a"], lv["a"]])])
     check_kernel(shapes, build)
 
 
 def test_gather_gradients():
-    # One part and no owner; repeated indices exercise scatter-add
+    # One part and no mask; repeated indices exercise scatter-add
     # accumulation in the backward.
     def build(tape, lv):
         idx = np.array([0, 2, 2, 1, 0])
@@ -342,7 +347,7 @@ def test_scatter_backward_makes_no_operand_sized_table(use):
     table = tape.leaf("table")
     if use == "query_distance":
         out = tape.query_distance(table, [[0, 7, 9]], tape.leaf("phase"), [0, 2, 1],
-                                  table, [[1, 2], [3, 4], [5, 6]])
+                                  [[1, 2], [3, 4], [5, 6]])
     else:
         out = tape.take([table], np.array([2, 5, 900] if use == "unique" else [5, 2, 5]))
     root = probe_sum(tape, out)
@@ -366,9 +371,9 @@ def test_scatter_refuses_a_table_that_is_not_c_contiguous():
 
 
 def merge(mask):
-    """`take`'s index and owner that interleave two parts by a bool mask:
+    """`take`'s index and mask that interleave two parts by a bool mask:
     the first part's rows in order where it is set, the second's elsewhere."""
-    return np.where(mask, mask.cumsum() - 1, (~mask).cumsum() - 1), (~mask).astype(int)
+    return np.where(mask, mask.cumsum() - 1, (~mask).cumsum() - 1), ~mask
 
 
 def test_merge_rows_gradients():
@@ -389,17 +394,18 @@ def test_merge_rows_gradients():
 
 
 def test_take_mixes_the_three_adjoint_rules():
-    # One call whose parts take each rule: all rows in order (a), strictly
-    # increasing rows (b), repeated rows (c), and a constant part.
+    # Two joins whose parts take each rule: all rows in order (a) beside
+    # strictly increasing rows (b), and repeated rows (c) beside a constant.
     def shapes(rng):
         n = dims(rng)
         return {"a": (2, n), "b": (5, n), "c": (3, n)}
 
     def build(tape, lv):
-        parts = [lv["a"], lv["b"], lv["c"], tape.const(np.ones((4, lv["a"].shape[1])))]
-        index = np.array([1, 4, 2, 0, 2, 0, 3, 1, 1])
-        owner = np.array([1, 1, 2, 0, 2, 3, 3, 0, 2])
-        return probe_square(tape, tape.take(parts, index, owner))
+        const = tape.const(np.ones((4, lv["a"].shape[1])))
+        mask = np.array([True, True, False, True, False])
+        ab = tape.take([lv["a"], lv["b"]], [1, 2, 0, 4, 1], mask)
+        cd = tape.take([lv["c"], const], [2, 0, 2, 3, 2], mask)
+        return tape.add(probe_square(tape, ab), probe_square(tape, cd))
     check_kernel(shapes, build)
 
 
@@ -409,10 +415,19 @@ def test_merge_rows_routes_rows_in_order():
     b = tape.const(np.array([[-1.0], [-2.0], [-3.0]]))
     out = tape.take([a, b], *merge(np.array([False, True, False, True, False])))
     assert out.value.ravel().tolist() == [-1.0, 1.0, -2.0, 2.0, -3.0]
-    for index, owner in (([0, 1, 0], [0, 0]), ([0, 1], [[0, 1]]), ([0, 1], [0, 2]),
-                         ([0, 1], [-1, 0]), ([0, 1], None)):
+    for index, mask in (([0, 1, 0], [False, True]), ([0, 1], [[False, True]]), ([0, 1], None)):
         with pytest.raises(ContractError, match="take"):
-            tape.take([a, b], np.array(index), None if owner is None else np.array(owner))
+            tape.take([a, b], np.array(index), None if mask is None else np.array(mask))
+
+
+def test_take_joins_one_part_or_two_by_a_bool_mask():
+    # A mask names the second part's rows; it must be bool, and the parts two.
+    tape = Tape(ParameterStore(np.float64))
+    a = tape.const(np.ones((2, 3)))
+    for parts, mask in (([a, a], [0, 1]), ([a, a], [0.0, 1.0]), ([a, a, a], [False, True]),
+                        ([a], [False, True])):
+        with pytest.raises(ContractError, match="take"):
+            tape.take(parts, [0, 1], np.array(mask))
 
 
 # --- rotation distance --------------------------------------------------------
@@ -423,7 +438,7 @@ def rows_of(n):
 
 def test_complex_rotate_gradients():
     # The rotation's adjoints: query rows and theta live, candidates a fixed
-    # constant.
+    # constant, joined below the queries in one table.
     def shapes(rng):
         b, d = dims(rng), dims(rng)
         return {"h": (b, 2 * d), "theta": (b, d)}
@@ -431,8 +446,8 @@ def test_complex_rotate_gradients():
     def build(tape, lv):
         b, n = lv["h"].shape
         t = tape.const(2.0 * np.cos(np.arange(b * n)).reshape(b, n))
-        return tape.query_distance(lv["h"], rows_of(b), lv["theta"], rows_of(b),
-                                   t, rows_of(b))
+        return tape.query_distance(stack(tape, lv["h"], t), rows_of(b), lv["theta"],
+                                   rows_of(b), b + rows_of(b))
     check_kernel(shapes, build)
 
 
@@ -453,9 +468,9 @@ def test_complex_modulus_sum_gradients():
 
     def build(tape, lv):
         b, n = lv["t"].shape
-        return tape.query_distance(tape.const(np.zeros((b, n))), rows_of(b),
-                                   tape.const(np.zeros((b, n // 2))), rows_of(b),
-                                   lv["t"], rows_of(b))
+        return tape.query_distance(stack(tape, tape.const(np.zeros((b, n))), lv["t"]),
+                                   rows_of(b), tape.const(np.zeros((b, n // 2))), rows_of(b),
+                                   b + rows_of(b))
     check_kernel(shapes, build, mutate=clear_cone)
 
 
@@ -482,10 +497,12 @@ def test_rotate_then_score_gradients():
                 "c": (dims(rng, 2, 4), 2 * d)}
 
     def build(tape, lv):
-        q_idx, r_idx, c_idx, head = mixed_slots(lv["q"].shape[0], lv["theta"].shape[0],
+        n_q = lv["q"].shape[0]
+        q_idx, r_idx, c_idx, head = mixed_slots(n_q, lv["theta"].shape[0],
                                                 lv["c"].shape[0], 4, 3)
-        return tape.log_sigmoid_sum(tape.query_distance(lv["q"], q_idx, lv["theta"], r_idx,
-                                                        lv["c"], c_idx, head), 0.0, -1)
+        return tape.log_sigmoid_sum(tape.query_distance(stack(tape, lv["q"], lv["c"]), q_idx,
+                                                        lv["theta"], r_idx, n_q + c_idx, head),
+                                    0.0, -1)
     check_kernel(shapes, build, trials=TRIALS // 2, mutate=clear)
 
 
@@ -515,39 +532,55 @@ def triple_reference(q, q_idx, theta, r_idx, c, c_idx, head, w):
     return np.abs(u).sum(axis=-1), interleave(g_q), g_theta, interleave(g_c)
 
 
-@pytest.mark.parametrize("shared", [True, False])
-def test_rotate_distance_matches_complex_reference(shared):
+def test_rotate_distance_matches_complex_reference():
     # float64, 300 rows of 8 slots at d = 64 (five blocks), head and tail
-    # slots mixed, query rows, relations and candidates repeated; `shared`
-    # scores one table against itself, as training does.
+    # slots mixed, query rows, relations and candidates repeated, one table
+    # scored against itself, as training does.
     rng = SeededRng(5, stream="rotate-reference")
-    d, n_rows, k, n_q, n_c, n_r = 64, 300, 8, 37, 23, 5
+    d, n_rows, k, n_e, n_r = 64, 300, 8, 37, 5
     store = ParameterStore(dtype=np.float64)
-    store.add("q", rng.normals(n_q * 2 * d).reshape(n_q, 2 * d), "discriminator")
-    store.add("c", rng.normals(n_c * 2 * d).reshape(n_c, 2 * d), "discriminator")
+    store.add("e", rng.normals(n_e * 2 * d).reshape(n_e, 2 * d), "discriminator")
     store.add("theta", (rng.uniforms(n_r * d).reshape(n_r, d) * 2 - 1) * math.pi,
               "discriminator")
-    q_idx = rng.randints(np.full(2 * n_rows, n_q)).reshape(2, n_rows)
+    q_idx = rng.randints(np.full(2 * n_rows, n_e)).reshape(2, n_rows)
     r_idx = rng.randints(np.full(n_rows, n_r))
-    c_idx = rng.randints(np.full(n_rows * k, n_q if shared else n_c)).reshape(n_rows, k)
+    c_idx = rng.randints(np.full(n_rows * k, n_e)).reshape(n_rows, k)
     head = (rng.uniforms(n_rows * k) < 0.5).reshape(n_rows, k)
     w = rng.normals(n_rows * k).reshape(n_rows, k)
 
     tape = Tape(store)
-    q = tape.leaf("q")
-    c = q if shared else tape.leaf("c")
-    out = tape.query_distance(q, q_idx, tape.leaf("theta"), r_idx, c, c_idx, head)
+    out = tape.query_distance(tape.leaf("e"), q_idx, tape.leaf("theta"), r_idx, c_idx, head)
     grads = backward_views(tape, probe_sum(tape, out, w))
 
-    c_value = store["q"] if shared else store["c"]
-    f, g_q, g_theta, g_c = triple_reference(store["q"], q_idx, store["theta"], r_idx,
-                                            c_value, c_idx, head, w)
-    if shared:
-        g_q, g_c = g_q + g_c, np.zeros_like(store["c"])
+    f, g_q, g_theta, g_c = triple_reference(store["e"], q_idx, store["theta"], r_idx,
+                                            store["e"], c_idx, head, w)
     assert out.value.dtype == np.float64 and out.shape == (n_rows, k)
-    for got, want in ((out.value, f), (grads["q"], g_q), (grads["theta"], g_theta),
-                      (grads["c"], g_c)):
+    for got, want in ((out.value, f), (grads["e"], g_q + g_c), (grads["theta"], g_theta)):
         assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_query_without_head_is_the_all_tail_call(dtype):
+    # Without `head` every slot is a tail slot: the value and gradients are
+    # byte for byte those of an all-False head with a second q_idx row, whose
+    # head queries no slot reads.
+    rng = SeededRng(6, stream="all-tail")
+    d, n_rows, k, n_e, n_r = 5, 40, 3, 11, 4
+    store = ParameterStore(dtype=dtype)
+    store.add("e", rng.normals(n_e * 2 * d).reshape(n_e, 2 * d), "discriminator")
+    store.add("theta", rng.normals(n_r * d).reshape(n_r, d), "discriminator")
+    q_idx = rng.randints(np.full(2 * n_rows, n_e)).reshape(2, n_rows)
+    r_idx = rng.randints(np.full(n_rows, n_r))
+    w = rng.normals(n_rows * k).reshape(n_rows, k)
+    for c_idx in (rng.randints(np.full(n_rows * k, n_e)).reshape(n_rows, k),
+                  rng.randints(np.full(n_rows, n_e)).reshape(n_rows, 1)):
+        runs = []
+        for q, head in ((q_idx[:1], None), (q_idx, np.zeros(c_idx.shape, bool))):
+            tape = Tape(store)
+            out = tape.query_distance(tape.leaf("e"), q, tape.leaf("theta"), r_idx, c_idx, head)
+            grads = backward_views(tape, probe_sum(tape, out, w[:, :c_idx.shape[1]]))
+            runs.append([out.value.tobytes(), grads["e"].tobytes(), grads["theta"].tobytes()])
+        assert runs[0] == runs[1], c_idx.shape
 
 
 def test_rotate_distance_keeps_tape_dtype():
@@ -555,9 +588,8 @@ def test_rotate_distance_keeps_tape_dtype():
     store.add("h", np.ones((3, 4)), "discriminator")
     store.add("theta", np.full((2, 2), 0.5), "discriminator")
     tape = Tape(store)
-    h = tape.leaf("h")
-    out = tape.query_distance(h, [[0, 1, 1], [2, 0, 1]], tape.leaf("theta"), [0, 1, 0],
-                              h, [[2, 1], [2, 0], [0, 0]],
+    out = tape.query_distance(tape.leaf("h"), [[0, 1, 1], [2, 0, 1]], tape.leaf("theta"),
+                              [0, 1, 0], [[2, 1], [2, 0], [0, 0]],
                               [[False, True], [True, False], [True, True]])
     grads = backward_views(tape, probe_sum(tape, out))
     assert out.value.dtype == np.float32
@@ -570,8 +602,9 @@ def _float32_uses():
         "add": lambda t, p: t.add(p("a"), p("b")),
         "matvec": lambda t, p: t.matvec(p("w"), p("a"), p("c")),
         "take": lambda t, p: t.add(   # a join, a repeated row, and all three rules at once
-            t.take([p("a"), p("b")], [0, 1, 2, 0, 1, 2], [0, 0, 0, 1, 1, 1]),
-            t.take([t.take([p("a")], [2, 0, 0]), p("b")], [1, 0, 0, 2, 1, 0], [0, 1, 0, 1, 0, 0])),
+            t.take([p("a"), p("b")], [0, 1, 2, 0, 1, 2], [False] * 3 + [True] * 3),
+            t.take([t.take([p("a")], [2, 0, 0]), p("b")], [1, 0, 0, 2, 1, 0],
+                   [False, True, False, True, False, False])),
         "leaky_relu": lambda t, p: t.leaky_relu(p("a"), 0.01),
         "log_sigmoid_sum": lambda t, p: t.add(
             t.log_sigmoid_sum(p("a"), 0.5, 1),
@@ -580,7 +613,7 @@ def _float32_uses():
         "fuse": lambda t, p: t.add(t.fuse([p("a"), p("b")], [p("u"), p("v")])[0],
                                    t.fuse([p("a"), p("b")])[0]),
         "query_distance": lambda t, p: t.query_distance(
-            p("a"), [[0, 1, 2], [2, 2, 0]], p("phase"), [1, 0, 1], p("b"),
+            p("a"), [[0, 1, 2], [2, 2, 0]], p("phase"), [1, 0, 1],
             [[2, 0], [1, 1], [0, 2]], [[True, False], [False, True], [True, True]]),
     }
 
@@ -622,8 +655,7 @@ def test_rotate_distance_zero_modulus_subgradient():
     store.add("h", np.array([[1.5, -2.0, 0.25, 3.0]]), "discriminator")
     store.add("theta", np.zeros((1, 2)), "discriminator")
     tape = Tape(store)
-    h = tape.leaf("h")
-    out = tape.query_distance(h, [[0], [0]], tape.leaf("theta"), [0], h, [[0, 0]],
+    out = tape.query_distance(tape.leaf("h"), [[0], [0]], tape.leaf("theta"), [0], [[0, 0]],
                               [[False, True]])
     grads = backward_views(tape, probe_sum(tape, out))
     assert np.all(out.value == 0.0)
@@ -795,8 +827,8 @@ def test_identity_rotation_is_exact():
     h = np.array([[1.5, -2.0, 0.25, 3.0], [0.0, 1.0, -4.0, 0.5]])
     t = np.array([[0.5, 2.0, 0.25, -1.0]])
     tape = Tape(ParameterStore(np.float64))
-    out = tape.query_distance(tape.const(h), [0, 1], tape.const(np.zeros((1, 2))),
-                              [0, 0], tape.const(t), [0, 0])
+    out = tape.query_distance(tape.const(np.vstack([h, t])), [0, 1],
+                              tape.const(np.zeros((1, 2))), [0, 0], [2, 2])
     diff = h - t
     assert np.array_equal(out.value, np.hypot(diff[:, 0::2], diff[:, 1::2]).sum(axis=1))
 
@@ -810,8 +842,8 @@ def test_rotation_preserves_norm(x, angle):
     tape = Tape(ParameterStore(np.float64))
     theta = np.full((1, x.shape[1] // 2), angle)
     rows = np.arange(x.shape[0])
-    out = tape.query_distance(tape.const(x), rows, tape.const(theta), np.zeros(3, int),
-                              tape.const(np.zeros_like(x)), rows)
+    out = tape.query_distance(tape.const(np.vstack([x, np.zeros_like(x)])), rows,
+                              tape.const(theta), np.zeros(3, int), 3 + rows)
     before = np.hypot(x[:, 0::2], x[:, 1::2]).sum(axis=1)
     assert np.all(np.abs(before - out.value) <= 1e-12 * np.maximum(1.0, before))
 
@@ -986,15 +1018,15 @@ def test_complex_rotate_shape_mismatch():
     x = tape.const(np.ones((1, 3)))  # odd length: no complex pairing
     theta = tape.const(np.ones((1, 1)))
     with pytest.raises(ContractError, match="query_distance"):
-        tape.query_distance(x, [0], theta, [0], x, [0])
+        tape.query_distance(x, [0], theta, [0], [0])
     even = tape.const(np.ones((1, 2)))
-    for q_idx, c_idx, head in (([0, 0], [0, 0], None),     # queries vs relations
-                               ([0], [[0], [0]], None),    # slot rows vs relations
-                               ([0], [[0]], [[True]]),     # head slot, no head query
-                               ([[0], [0]], [[0]], None),  # head query, no head slot
-                               ([[0], [0], [0]], [0], None)):
+    for q_idx, c_idx, head in (([0, 0], [0, 0], None),               # queries vs relations
+                               ([0], [[0], [0]], None),              # slot rows vs relations
+                               ([0], [[0]], [[True]]),               # head slot, no head query
+                               ([[0], [0]], [[0]], [[True, False]]),  # head vs slots
+                               ([[0], [0], [0]], [0], None)):        # a third side
         with pytest.raises(ContractError, match="query_distance"):
-            tape.query_distance(even, q_idx, theta, [0], even, c_idx, head)
+            tape.query_distance(even, q_idx, theta, [0], c_idx, head)
 
 
 def _ones(tape, *shape):
@@ -1005,10 +1037,10 @@ def _ones(tape, *shape):
     ("add", lambda t: t.add(_ones(t, 2, 3), _ones(t, 3)), [(2, 3), (3,)]),
     ("matvec", lambda t: t.matvec(_ones(t, 2, 3), _ones(t, 1, 4), _ones(t, 2)),
      [(2, 3), (1, 4), (2,)]),
-    ("take", lambda t: t.take([_ones(t, 2, 3), _ones(t, 2, 4)], [0, 0], [0, 1]),
+    ("take", lambda t: t.take([_ones(t, 2, 3), _ones(t, 2, 4)], [0, 0], [False, True]),
      [(2, 3), (2, 4), (2,), (2,)]),
     ("take", lambda t: t.take([_ones(t, 4)], np.array([0])), [(4,), (1,), ()]),
-    ("take", lambda t: t.take([_ones(t, 1, 3), _ones(t, 2, 3)], [0, 0, 1], [0, 1]),
+    ("take", lambda t: t.take([_ones(t, 1, 3), _ones(t, 2, 3)], [0, 0, 1], [False, True]),
      [(1, 3), (2, 3), (3,), (2,)]),
     ("log_sigmoid_sum", lambda t: t.log_sigmoid_sum(_ones(t, 2, 3), 1.0, 1, np.ones(3)),
      [(2, 3), (3,)]),
@@ -1017,8 +1049,8 @@ def _ones(tape, *shape):
     ("fuse", lambda t: t.fuse([_ones(t, 2, 3), _ones(t, 2, 3)], [_ones(t, 3)]),
      [(2, 3), (2, 3), (3,)]),
     ("query_distance", lambda t: t.query_distance(_ones(t, 1, 4), [0], _ones(t, 1, 2), [0],
-                                                  _ones(t, 1, 4), [[0]], [[True]]),
-     [(1, 4), (1, 2), (1, 4), (1, 1), (1,), (1, 1), (1, 1)]),
+                                                  [[0]], [[True]]),
+     [(1, 4), (1, 2), (1, 1), (1,), (1, 1), (1, 1)]),
 ])
 def test_mismatched_shapes_name_the_op_and_the_shapes(op, use, shapes):
     # Each kernel checks its operands before it computes; the shapes are
@@ -1034,9 +1066,9 @@ def test_concat_shape_mismatch():
     parts = [a, tape.const(np.ones((4, 3)))]
     assert tape.take(parts, *join(parts)).shape == (6, 3)
     for parts in ([a, tape.const(np.ones((2, 4)))], [a, tape.const(np.ones(3))],
-                  [tape.const(np.ones((2, 3, 1)))], []):
+                  [a, tape.const(np.ones((2, 3, 1)))], []):
         with pytest.raises(ContractError, match="take"):
-            tape.take(parts, np.zeros(2, int), np.zeros(2, int))
+            tape.take(parts, np.zeros(2, int), np.zeros(2, bool))
 
 
 def test_matvec_flushes_subnormal_adjoint():
