@@ -5,15 +5,17 @@ Scores are distances (lower is more plausible), so ranking sorts ascending.
 The filtered protocol removes every candidate completion that forms a known
 true triple in train/valid/test, except the query's own target.
 
-Ranks are those of planar float64 scores: `build_cache` splits the joint
-embeddings once into (N, d) `re`, `im`, plus cos/sin of the (R, d) phases, and
-keeps nothing per relation.  Rotations have unit modulus, so |h o r - t| =
+Ranks are those of planar float64 scores: `build_cache` casts the joint
+embeddings (projected from the present feature rows in place) once into
+(N, d) `re`, `im`, plus cos/sin of the (R, d) phases, and keeps nothing per
+relation.  Rotations have unit modulus, so |h o r - t| =
 |h - t o conj(r)|: a tail query scores (h o r) - e, a head one e - (t o conj(r)).
 `candidate_scores` is that float64 score of every entity.  `rank_query` gets
 the same rank for about half the arithmetic: it scores every entity from
 float32 copies of the cache, decides each candidate whose float32 score lies
 further from the target's float64 score than a proven error bound, and
-re-scores only the rest in float64 (see `_screen`).
+re-scores only the rest in float64 (see `_screen`).  Each pass scores in
+blocks of BLOCK_BYTES of its own dtype.
 
 `evaluate` ranks contiguous slices of the split on one thread per CPU the
 process may use (numpy releases the GIL inside the blocked `_distances`).
@@ -65,34 +67,38 @@ class EvalCache:
 
 
 def build_cache(model: Model) -> EvalCache:
-    """Raises `NumericError` on a non-finite embedding or phase, which no
-    ranking can order (NaN never compares below a target), or on a
-    non-finite fusion weight, which the report would carry."""
-    joint, alpha = (np.asarray(a, dtype=np.float64)
-                    for a in model.entity_representations())
-    phases = np.asarray(model.relation_phases(), dtype=np.float64)
+    """The model's joint rows, their re and im columns cast to float64
+    straight from the store's dtype.  Raises `NumericError` on a non-finite
+    embedding or phase, which no ranking can order (NaN never compares below
+    a target), or on a non-finite fusion weight, which the report would
+    carry; each is checked in its own dtype."""
+    joint, alpha = model.entity_representations()
+    phases = model.relation_phases()
     for what, values in (("entity embeddings", joint), ("relation phases", phases),
                          ("fusion weights", alpha)):
         if not np.isfinite(values).all():
             raise NumericError(f"non-finite {what}; cannot rank")
-    return EvalCache(re=np.ascontiguousarray(joint[:, 0::2]),
-                     im=np.ascontiguousarray(joint[:, 1::2]),
-                     cos=np.cos(phases), sin=np.sin(phases), alpha=alpha)
+    phases = np.asarray(phases, dtype=np.float64)
+    return EvalCache(re=np.ascontiguousarray(joint[:, 0::2], dtype=np.float64),
+                     im=np.ascontiguousarray(joint[:, 1::2], dtype=np.float64),
+                     cos=np.cos(phases), sin=np.sin(phases),
+                     alpha=np.asarray(alpha, dtype=np.float64))
 
 
-def _block_rows(d: int) -> int:
-    """Entity rows per `_distances` block: BLOCK_BYTES of float64."""
-    return max(1, BLOCK_BYTES // (8 * d))
+def _block_rows(d: int, itemsize: int) -> int:
+    """Rows of d entries of `itemsize` bytes per BLOCK_BYTES block."""
+    return max(1, BLOCK_BYTES // (itemsize * d))
 
 
 def _distances(re: np.ndarray, im: np.ndarray, x: np.ndarray,
                y: np.ndarray) -> np.ndarray:
     """sum_k sqrt((x_k - re_jk)^2 + (y_k - im_jk)^2) for every row j, in the
-    dtype of `re`.  A row's sum depends on that row alone, so scoring a subset
-    of rows gives each row the bytes it has in the full pass."""
+    dtype of `re` and in blocks of BLOCK_BYTES of it.  A row's sum depends on
+    that row alone, so scoring a subset of rows, or in blocks of another
+    size, gives each row the bytes it has in the full pass."""
     n, d = re.shape
     out = np.empty(n, dtype=re.dtype)
-    step = _block_rows(d)
+    step = _block_rows(d, re.itemsize)
     a_block, b_block = np.empty((2, min(step, n), d), re.dtype)
     for lo in range(0, n, step):
         modulus_sum(x, y, re[lo:lo + step], im[lo:lo + step],
@@ -240,9 +246,9 @@ def pool_size(tasks: int) -> int:
 
 def _rank_workers(n_queries: int, n_entities: int, d: int) -> int:
     """One ranking thread per CPU the process may use, at most one per query;
-    a single thread when every entity fits in one `_distances` block, where
-    the per-query Python overhead would outweigh the parallel numpy."""
-    return 1 if n_entities <= _block_rows(d) else pool_size(n_queries)
+    a single thread when every entity fits in one float64 `_distances` block,
+    where the per-query Python overhead would outweigh the parallel numpy."""
+    return 1 if n_entities <= _block_rows(d, 8) else pool_size(n_queries)
 
 
 # ---------------------------------------------------------------- aggregates

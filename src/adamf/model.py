@@ -19,7 +19,7 @@ from .data import FEATURE_NAMES, FeatureTable
 from .errors import ContractError
 from .params import ParameterStore
 from .rng import SeededRng
-from .tape import Node, Tape
+from .tape import Node, Tape, every_row
 
 MODALITY_ORDER = ("s", "v", "t")
 PROJECTED = tuple(FEATURE_NAMES)
@@ -214,7 +214,8 @@ class Model:
         Projected modalities take the affine projection of the raw features
         of entities whose features are present, and the trainable fallback
         row of the others, joined in one `take`; only present rows are
-        projected.
+        projected.  When those are all the model's present rows, in order
+        (as over every entity), the projection reads `_raw[m]` in place.
         """
         idx = np.asarray(idx, dtype=np.int64)
         if m == "s":
@@ -223,8 +224,10 @@ class Model:
             raise ContractError(f"modality {m!r} not active in this model")
         rows = self._rows[m].take(idx)
         present = rows >= 0
+        raw, read = self._raw[m], rows[present]
         projected = tape.matvec(tape.leaf(f"proj.{m}.weight"),
-                                tape.const(self._raw[m].take(rows[present], axis=0)),
+                                tape.const(raw if every_row(read, len(raw))
+                                           else raw.take(read, axis=0)),
                                 tape.leaf(f"proj.{m}.bias"))
         if present.all():
             return projected

@@ -20,13 +20,13 @@ backward that adds or scatters (through flat element indices,
 leaf's view of its group's flat gradient, else made on first use, as zeros
 for a scatter (``Node.adjoint``) and as an owned zeros + g for an add
 (``Node.add_grad``).  ``take`` picks one of three rules per part: a part
-whose rows are all taken, in order, gets ``add_grad``; strictly increasing
-indices get one fancy-index add; any other indices go through
-``_scatter``.  No backward makes an operand-sized table.  Float addition
-is not associative, so a row two kernels reach gets (acc + g1) + g2.  A
-kernel checks its operands' shapes before it computes and raises
-`ContractError` naming itself and the shapes (``_mismatch``, the only place
-the shape list is built).
+whose rows are all taken, in order (``every_row``), gets ``add_grad``;
+strictly increasing indices get one fancy-index add; any other indices go
+through ``_scatter``.  No backward makes an operand-sized table.  Float
+addition is not associative, so a row two kernels reach gets
+(acc + g1) + g2.  A kernel checks its operands' shapes before it computes
+and raises `ContractError` naming itself and the shapes (``_mismatch``, the
+only place the shape list is built).
 
 Complex-valued quantities are interleaved (re, im) pairs in an even-length
 last axis; phase vectors have half that length.
@@ -127,6 +127,11 @@ def _scatter(ufunc, table: np.ndarray, idx, rows: np.ndarray) -> None:
     width = table.shape[1]
     flat = np.asarray(idx).reshape(-1, 1) * width + np.arange(width)
     ufunc.at(table.reshape(-1), flat.reshape(-1), rows.reshape(-1))
+
+
+def every_row(index: np.ndarray, n: int) -> bool:
+    """Whether the int array `index` names each of n rows once, in order."""
+    return index.size == n and (index.ravel() == np.arange(n)).all()
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -254,7 +259,7 @@ class Tape:
                     continue
                 idx, g_rows = (index, g) if rows is None else (index[rows], g[rows])
                 flat = idx.ravel()
-                if flat.size == len(p.value) and (flat == np.arange(flat.size)).all():
+                if every_row(flat, len(p.value)):
                     p.add_grad(g_rows.reshape(p.value.shape))
                 elif (flat[1:] > flat[:-1]).all():
                     p.adjoint()[idx] += g_rows      # np.add.at's sums, faster on unique rows

@@ -428,9 +428,11 @@ def test_evaluate_rejects_nonfinite_model():
 
 def _tied_block_fixture(n_model=1300, test=None):
     """Structural-only model (1300 entities by default) at d = 128, so the
-    entities span three `_distances` blocks, with entities 40-59 copies of
-    entities 0-19 so that candidates tie with targets; the vocabulary has
-    1300 entities either way."""
+    entities span three float64 `_distances` blocks of 512 rows and the
+    float32 screen two of 1024, with entities 40-59 copies of entities 0-19
+    so that candidates tie with targets; the vocabulary has 1300 entities
+    either way."""
+    assert adamf.evaluation._block_rows(128, 4) == 1024 < n_model
     model = small_model(n_entities=n_model, n_relations=2, d=128, seed=8,
                         modalities=("s",))
     table = model.store["entity.structural"].copy()
@@ -556,8 +558,9 @@ def test_evaluate_ranks_through_the_module_global_rank_query(monkeypatch):
 
 
 def _fresh_distances(re, im, x, y):
-    """`_distances` with two new arrays per block, as it was written before
-    the block buffers were reused."""
+    """`_distances` with two new arrays per block of float64's size in
+    either dtype, as it was written before the block buffers were reused and
+    the blocks sized to the dtype."""
     n, d = re.shape
     out = np.empty(n, dtype=re.dtype)
     step = max(1, (1 << 19) // (8 * d))
@@ -584,6 +587,47 @@ def test_distances_with_reused_blocks_equal_fresh_arrays():
             rows = np.sort(gen.choice(n, size=min(n, 7), replace=False))
             subset = adamf.evaluation._distances(re[rows], im[rows], x, y)
             assert subset.tobytes() == got[rows].tobytes(), (n, d)
+
+
+def test_evaluate_ranks_are_those_of_one_row_blocks(monkeypatch):
+    # Each row's score is its own, so blocks of any size, here one row in
+    # both passes, give every rank and tie its bytes.
+    model, ds = _tied_block_fixture()
+    want = {tie: evaluate(model, ds, tie_break=tie) for tie in ("optimistic", "pessimistic")}
+    monkeypatch.setattr(adamf.evaluation, "BLOCK_BYTES", 1)
+    assert adamf.evaluation._block_rows(128, 4) == adamf.evaluation._block_rows(128, 8) == 1
+    for tie, report in want.items():
+        got = evaluate(model, ds, tie_break=tie)
+        assert got.head_ranks.tolist() == report.head_ranks.tolist(), tie
+        assert got.tail_ranks.tolist() == report.tail_ranks.tolist(), tie
+
+
+def _old_cache_arrays(model):
+    """re, im, re32, im32 and l1 as `build_cache` made them through an
+    (N, 2d) float64 copy of the joint rows."""
+    joint = np.asarray(model.entity_representations()[0], dtype=np.float64)
+    re, im = np.ascontiguousarray(joint[:, 0::2]), np.ascontiguousarray(joint[:, 1::2])
+    with np.errstate(over="ignore"):
+        re32, im32 = re.astype(np.float32), im.astype(np.float32)
+    return re, im, re32, im32, np.abs(re).sum(axis=1) + np.abs(im).sum(axis=1)
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+def test_cache_cast_from_the_joint_rows_keeps_the_old_bytes(precision):
+    # Straight from the store's dtype: float32 rows widen exactly, and
+    # float64 rows round (or overflow, beyond float32) to the same float32.
+    model = small_model(n_entities=40, d=5, seed=3, absent_v=(2, 9), precision=precision)
+    if precision == "double":
+        table = model.store["entity.structural"].copy()
+        table[4] = 1e39     # finite in float64, inf in the float32 copies
+        model.store.set("entity.structural", table)
+    cache = build_cache(model)
+    old = _old_cache_arrays(model)
+    for name, want in zip(("re", "im", "re32", "im32", "l1"), old):
+        got = getattr(cache, name)
+        assert got.dtype == want.dtype and got.flags.c_contiguous, name
+        assert got.tobytes() == want.tobytes(), name
+    assert np.isinf(cache.re32).any() == (precision == "double")
 
 
 def test_evaluate_rejects_empty_split():

@@ -489,6 +489,70 @@ def test_present_rows_projection_matches_project_then_mix():
                     (m, case, name)
 
 
+def _projected_operands(monkeypatch):
+    """The x operand of every `Tape.matvec` from here on, in call order."""
+    seen = []
+    real = Tape.matvec
+
+    def spy(tape, w, x, b):
+        seen.append(x.value)
+        return real(tape, w, x, b)
+
+    monkeypatch.setattr(Tape, "matvec", spy)
+    return seen
+
+
+def _wide_model(precision, n=300, absent=((3, 150, 299), (0, 7))):
+    """A model whose projections are GEMMs of some size: 64- and 48-wide
+    features at d = 16, with a few rows of each modality absent."""
+    cfg = ModelConfig(d=16, visual_dim=64, textual_dim=48, noise_dim=3, gamma=4.0,
+                      precision=precision)
+    rng = SeededRng(21, stream="wide-features")
+    features = {m: random_features(n, cfg.feature_dim(m), m, rng.substream(m), gone)
+                for m, gone in zip(("v", "t"), absent)}
+    return Model(cfg, init_params(cfg, n, 2, seed=9), features)
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+def test_every_present_row_is_projected_in_place(monkeypatch, precision):
+    # Over all entities, and in a step whose table names every entity, the
+    # projection reads the model's present rows themselves.  The copy path,
+    # forced by one repeated entity (present in both) after all of them in
+    # order, gives every row and fusion weight the same bytes.
+    model = _wide_model(precision)
+    n = model.n_entities
+    seen = _projected_operands(monkeypatch)
+    joint, alpha = model.entity_representations()
+    assert len(seen) == 2
+    assert all(x is model._raw[m] for x, m in zip(seen, ("v", "t")))
+    seen.clear()
+    triples = np.stack([np.arange(n), np.zeros(n, np.int64), np.arange(n)[::-1]], axis=1)
+    model.entity_table(Tape(model.store, DISC), (triples,))
+    assert all(np.shares_memory(x, model._raw[m]) for x, m in zip(seen, ("v", "t")))
+    seen.clear()
+    copy_joint, copy_alpha = model.joint_and_alpha(Tape(model.store, FROZEN),
+                                                   np.append(np.arange(n), 5))
+    assert not any(np.shares_memory(x, model._raw[m]) for x, m in zip(seen, ("v", "t")))
+    assert copy_joint.value[:n].tobytes() == joint.tobytes()
+    assert copy_alpha[:n].tobytes() == alpha.tobytes()
+    assert joint.dtype == model.cfg.dtype
+
+
+def test_a_full_length_selection_out_of_order_is_copied(monkeypatch):
+    # Every entity, each once, but two present in both modalities swapped:
+    # the present rows are read in another order, so the projection's
+    # operand is a new array.
+    model = _wide_model("single")
+    seen = _projected_operands(monkeypatch)
+    order = np.arange(model.n_entities)
+    order[[1, 2]] = 2, 1
+    joint = model.joint_and_alpha(Tape(model.store, FROZEN), order)[0].value
+    assert [x.shape for x in seen] == [model._raw["v"].shape, model._raw["t"].shape]
+    assert not any(np.shares_memory(x, model._raw[m]) for x, m in zip(seen, ("v", "t")))
+    want = model.entity_representations()[0]
+    np.testing.assert_allclose(joint, want[order], rtol=1e-6, atol=1e-6)
+
+
 def test_model_rejects_feature_table_of_wrong_shape():
     cfg = ModelConfig(d=3, visual_dim=4, textual_dim=5, noise_dim=3)
     store = init_params(cfg, 6, 2, seed=0)
