@@ -50,20 +50,14 @@ GRADCHECK_SCALE = 1e-3
 KINK_MARGIN = 5e-4      # see _clear_generator_kinks
 
 
-def _load_run_config(args) -> RunConfig:
+def _load_run_config(args, out_required=True) -> RunConfig:
     cfg = parse_config(args.config) if args.config else RunConfig()
     if args.out:
         cfg.out = os.path.abspath(args.out)
-    return cfg
-
-
-def _out_dir(cfg: RunConfig) -> str:
-    """The run's output directory, created if it does not exist."""
-    if not cfg.out:
+    if out_required and not cfg.out:
         raise ConfigError("an output directory is required (config key `out` "
                           "or flag --out)")
-    os.makedirs(cfg.out, exist_ok=True)
-    return cfg.out
+    return cfg
 
 
 def _load_dataset(cfg: RunConfig) -> TripleDataset:
@@ -101,7 +95,8 @@ def cmd_train(args) -> int:
     echo = echo_config(cfg)
     dataset = _load_dataset(cfg)
     model = _build_model(cfg, dataset)
-    out = _out_dir(cfg)
+    out = cfg.out
+    os.makedirs(out, exist_ok=True)
     # A rerun into the same directory must not leave the last run's results.
     for name in ("checkpoint.bin", "best.bin", "rank_report.json", "ranks.tsv"):
         with contextlib.suppress(FileNotFoundError):
@@ -121,18 +116,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = _load_run_config(args)    # no output directory: refused before minutes of ranking
     dataset = _load_dataset(cfg)
     model = _build_model(cfg, dataset, args.checkpoint)
     report = evaluate(model, dataset, args.split, cfg.eval_ks, cfg.tie_break)
-    write_rank_report(report, dataset, _out_dir(cfg))
+    os.makedirs(cfg.out, exist_ok=True)     # a failed ranking leaves no directory
+    write_rank_report(report, dataset, cfg.out)
     hits = " ".join(f"hit@{k} {v:.4f}" for k, v in sorted(report.hits.items()))
     print(f"{args.split} mrr {report.mrr:.6f} {hits} ({report.n_test} triples)")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = _load_run_config(args, out_required=False)
     failure = None
     for label, check in run_gradcheck(lam=cfg.training.adv_lambda, seed=cfg.training.seed,
                                       beta=cfg.model.beta):

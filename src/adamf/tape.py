@@ -144,6 +144,11 @@ def softmax(x: np.ndarray) -> np.ndarray:
 BLOCK_BYTES = 1 << 19   # bytes per block of modulus_sum's callers: 512 KiB stays in cache
 
 
+def block_rows(width: int, itemsize: int) -> int:
+    """Rows of `width` entries of `itemsize` bytes per BLOCK_BYTES block, at least one."""
+    return max(1, BLOCK_BYTES // (itemsize * width))
+
+
 def modulus_sum(x, y, re, im, a, b, out) -> np.ndarray:
     """out = sum over the last axis of |(x - re) + i (y - im)|, computed in
     the buffers a and b (the shape of re), which it overwrites."""
@@ -378,7 +383,7 @@ class Tape:
         (n_sides, n), k, dtype, cdtype = q_idx.shape, slots.shape[1], self.dtype, self._cdtype
         sign = self._sign[:n_sides]
         query = side * n + np.arange(n)[:, None]   # slot -> row of `queries`
-        step = max(1, BLOCK_BYTES // (dtype.itemsize * 2 * d * k))
+        step = block_rows(2 * d * k, dtype.itemsize)
 
         theta, rot = pv.take(r_idx, axis=0), np.empty((n_sides, n, d), cdtype)
         rot.real = np.cos(theta)

@@ -288,6 +288,21 @@ def test_eval_rebuilds_the_training_masks(corpus, tmp_path):
             (tmp_path / "train" / name).read_bytes()
 
 
+def test_eval_missing_out_exits_2_before_ranking(trained, corpus, tmp_path, monkeypatch,
+                                                 capsys):
+    # Ranking a DB15K-sized split takes minutes: a config with no output
+    # directory must be refused before it, not after.
+    out, _ = trained
+    cfg = write_config(corpus, None, name="noout-eval.cfg")
+    ranked = []
+    monkeypatch.setattr(cli, "evaluate", lambda *args: ranked.append(args))
+    monkeypatch.chdir(tmp_path)
+    assert main(["eval", cfg, str(out / "checkpoint.bin")]) == 2
+    assert "output directory" in capsys.readouterr().err
+    assert ranked == []
+    assert os.listdir(tmp_path) == []
+
+
 def test_eval_missing_checkpoint(trained, tmp_path):
     _, cfg = trained
     assert main(["eval", cfg, str(tmp_path / "nope.bin"),

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adamf.evaluation
+import adamf.tape
 from adamf.errors import ContractError, NumericError
 from adamf.evaluation import (build_cache, candidate_scores, evaluate,
                               rank_from_scores, rank_query, write_rank_report)
@@ -344,13 +345,11 @@ def test_training_distance_equals_eval_candidate_score(seed):
 
 def test_eval_cache_memory_is_flat_in_relations_queried(monkeypatch):
     n, n_rel, d = 10, 5, 3
-    model = small_model(n_entities=n, n_relations=n_rel, d=d, seed=4)
     ds = make_dataset(n, {"test": [(r, r, (r + 3) % n) for r in range(n_rel)]},
                       n_relations=n_rel)
-    built = []
 
-    def nbytes(cache):
-        return sum(v.nbytes for v in vars(cache).values())
+    def nbytes(cache):      # an array the cache holds twice is counted once
+        return sum(v.nbytes for v in {id(v): v for v in vars(cache).values()}.values())
 
     def spy(m):
         cache = build_cache(m)
@@ -358,14 +357,20 @@ def test_eval_cache_memory_is_flat_in_relations_queried(monkeypatch):
         return cache
 
     monkeypatch.setattr(adamf.evaluation, "build_cache", spy)
-    evaluate(model, ds)
-    [(cache, before)] = built
-    assert all(isinstance(v, np.ndarray) for v in vars(cache).values())
-    # planar float64 re/im plus cos/sin, float32 re/im, the per-entity L1
-    # and the float64 fusion weights of the M modalities
-    m = len(model.cfg.modalities)
-    assert before == 8 * 2 * d * (n + n_rel) + 4 * 2 * d * n + 8 * n + 8 * n * m
-    assert nbytes(cache) == before
+    for precision, itemsize in (("single", 4), ("double", 8)):
+        model = small_model(n_entities=n, n_relations=n_rel, d=d, seed=4,
+                            precision=precision)
+        built = []
+        evaluate(model, ds)
+        [(cache, before)] = built
+        assert all(isinstance(v, np.ndarray) for v in vars(cache).values())
+        # planar re/im in the store's dtype, float32 copies of them only in
+        # a double store, float64 cos/sin, the per-entity L1 and the
+        # float64 fusion weights of the M modalities
+        m = len(model.cfg.modalities)
+        planar = itemsize * 2 * d * n + (4 * 2 * d * n if itemsize == 8 else 0)
+        assert before == planar + 8 * 2 * d * n_rel + 8 * n + 8 * n * m, precision
+        assert nbytes(cache) == before
 
 
 # --------------------------------------------------------------- hand cases
@@ -432,7 +437,7 @@ def _tied_block_fixture(n_model=1300, test=None):
     float32 screen two of 1024, with entities 40-59 copies of entities 0-19
     so that candidates tie with targets; the vocabulary has 1300 entities
     either way."""
-    assert adamf.evaluation._block_rows(128, 4) == 1024 < n_model
+    assert adamf.tape.block_rows(128, 4) == 1024 < n_model
     model = small_model(n_entities=n_model, n_relations=2, d=128, seed=8,
                         modalities=("s",))
     table = model.store["entity.structural"].copy()
@@ -594,8 +599,8 @@ def test_evaluate_ranks_are_those_of_one_row_blocks(monkeypatch):
     # both passes, give every rank and tie its bytes.
     model, ds = _tied_block_fixture()
     want = {tie: evaluate(model, ds, tie_break=tie) for tie in ("optimistic", "pessimistic")}
-    monkeypatch.setattr(adamf.evaluation, "BLOCK_BYTES", 1)
-    assert adamf.evaluation._block_rows(128, 4) == adamf.evaluation._block_rows(128, 8) == 1
+    monkeypatch.setattr(adamf.tape, "BLOCK_BYTES", 1)
+    assert adamf.tape.block_rows(128, 4) == adamf.tape.block_rows(128, 8) == 1
     for tie, report in want.items():
         got = evaluate(model, ds, tie_break=tie)
         assert got.head_ranks.tolist() == report.head_ranks.tolist(), tie
@@ -614,8 +619,10 @@ def _old_cache_arrays(model):
 
 @pytest.mark.parametrize("precision", ["single", "double"])
 def test_cache_cast_from_the_joint_rows_keeps_the_old_bytes(precision):
-    # Straight from the store's dtype: float32 rows widen exactly, and
-    # float64 rows round (or overflow, beyond float32) to the same float32.
+    # In the store's dtype: a single-precision cache keeps the float32
+    # columns, which widen exactly to the old float64 ones, and screens them
+    # as they are; float64 rows round (or overflow, beyond float32) to the
+    # same float32.
     model = small_model(n_entities=40, d=5, seed=3, absent_v=(2, 9), precision=precision)
     if precision == "double":
         table = model.store["entity.structural"].copy()
@@ -625,9 +632,36 @@ def test_cache_cast_from_the_joint_rows_keeps_the_old_bytes(precision):
     old = _old_cache_arrays(model)
     for name, want in zip(("re", "im", "re32", "im32", "l1"), old):
         got = getattr(cache, name)
-        assert got.dtype == want.dtype and got.flags.c_contiguous, name
+        assert got.flags.c_contiguous, name
+        if precision == "single" and name in ("re", "im"):
+            assert got.dtype == np.float32 and getattr(cache, name + "32") is got, name
+            got = got.astype(np.float64)
+        assert got.dtype == want.dtype, name
         assert got.tobytes() == want.tobytes(), name
     assert np.isinf(cache.re32).any() == (precision == "double")
+
+
+def test_single_precision_cache_holds_each_planar_array_once():
+    model = small_model(n_entities=40, d=5, seed=3, precision="single")
+    cache = build_cache(model)
+    assert cache.re32 is cache.re and cache.im32 is cache.im
+    distinct = {id(v): v for v in vars(cache).values()}
+    assert len(distinct) == len(vars(cache)) - 2
+    for a, b in itertools.combinations(distinct.values(), 2):
+        assert not np.shares_memory(a, b)
+
+
+def test_distances_of_float32_rows_from_a_float64_point_are_those_of_the_widened_rows():
+    # The exact re-score reads the float32 columns: numpy widens them inside
+    # the subtract, so each score has the bytes of the float64 rows' score.
+    gen = np.random.default_rng(12)
+    for n, d in ((1300, 128), (40, 3), (70000, 1)):
+        re, im = (gen.standard_normal((n, d)).astype(np.float32) for _ in range(2))
+        x, y = gen.standard_normal((2, d))
+        got = adamf.evaluation._distances(re, im, x, y)
+        assert got.dtype == np.float64
+        want = adamf.evaluation._distances(re.astype(np.float64), im.astype(np.float64), x, y)
+        assert got.tobytes() == want.tobytes(), (n, d)
 
 
 def test_evaluate_rejects_empty_split():
