@@ -6,19 +6,22 @@ The filtered protocol removes every candidate completion that forms a known
 true triple in train/valid/test, except the query's own target.
 
 Ranks are those of float64 scores: `build_cache` splits the joint embeddings
-(projected from the present feature rows in place) once into planar (N, d)
-`re`, `im` in the store's dtype, plus float64 cos/sin of the (R, d) phases,
-and keeps nothing per relation.  Rotations have unit modulus, so |h o r - t| =
-|h - t o conj(r)|: a tail query scores (h o r) - e, a head one e - (t o conj(r)).
+(projected from the present feature rows in place) once into planar `re`,
+`im` in the store's dtype, coordinate-major (d, N), plus float64 cos/sin of
+the (R, d) phases, and keeps nothing per relation.  Rotations have unit
+modulus, so |h o r - t| = |h - t o conj(r)|: a tail query scores
+(h o r) - e, a head one e - (t o conj(r)).
 `candidate_scores` is that float64 score of every entity.  `rank_query` gets
 the same rank for about half the arithmetic: it scores every entity in
 float32, decides each candidate whose float32 score lies further from the
 target's float64 score than a proven error bound, and re-scores only the rest
-in float64 (see `_screen`).  Each pass scores in blocks of BLOCK_BYTES of its
-query point's dtype, to which float32 rows widen exactly.
+in float64 (see `_screen`).  The screen sums slabs of whole coordinate rows,
+so each ufunc runs over all N entities at once; the float64 passes read
+entity rows of the transposed planes, to which float32 rows widen exactly.
+Each pass works in blocks of BLOCK_BYTES of its query point's dtype.
 
 `evaluate` ranks contiguous slices of the split on one thread per CPU the
-process may use (numpy releases the GIL inside the blocked `_distances`).
+process may use (numpy releases the GIL inside the blocked passes).
 Each slice returns its ranks through the executor's ordered map, which
 yields them in split order and raises the error a serial loop would meet
 first.  Every query is scored by the same code whatever the slicing, so
@@ -46,30 +49,34 @@ TIE_BREAKS = ("optimistic", "pessimistic")
 
 @dataclass
 class EvalCache:
-    """Planar entity embeddings in the store's dtype and float64 rotations,
-    plus what the float32 screen reads: `re32`, `im32` (`re`, `im` themselves
-    in a single-precision store) and each entity's float64 L1 norm sum_k
-    |re_ek| + |im_ek|.  `alpha` holds fusion weights, one column per modality."""
-    re: np.ndarray     # (N, d)
-    im: np.ndarray     # (N, d)
+    """Planar entity embeddings in the store's dtype, coordinate-major (row k
+    of `re` and `im` holds coordinate k of every entity), and float64
+    rotations, plus what the float32 screen reads: `re32`, `im32` (`re`, `im`
+    themselves in a single-precision store) and each entity's float64 L1
+    norm sum_k |re_ke| + |im_ke|.  `alpha` holds fusion weights, one column
+    per modality."""
+    re: np.ndarray     # (d, N)
+    im: np.ndarray     # (d, N)
     cos: np.ndarray    # (R, d)
     sin: np.ndarray    # (R, d)
     alpha: np.ndarray  # (N, M)
-    re32: np.ndarray = field(init=False)    # (N, d)
-    im32: np.ndarray = field(init=False)    # (N, d)
+    re32: np.ndarray = field(init=False)    # (d, N)
+    im32: np.ndarray = field(init=False)    # (d, N)
     l1: np.ndarray = field(init=False)      # (N,)
 
     def __post_init__(self):
         with np.errstate(over="ignore"):    # beyond float32: inf, re-scored
             self.re32 = self.re.astype(np.float32, copy=False)
             self.im32 = self.im.astype(np.float32, copy=False)
-        self.l1 = (np.abs(self.re, dtype=np.float64).sum(axis=1)
-                   + np.abs(self.im, dtype=np.float64).sum(axis=1))
+        # summed along contiguous rows of d, in the order of an (N, d) layout
+        self.l1 = (np.abs(self.re.T, dtype=np.float64, order="C").sum(axis=1)
+                   + np.abs(self.im.T, dtype=np.float64, order="C").sum(axis=1))
 
 
 def build_cache(model: Model) -> EvalCache:
-    """The model's joint rows as contiguous re and im columns in the store's
-    dtype; only the scores are float64.  Raises `NumericError` on a non-finite
+    """The model's joint rows as (d, N) re and im planes in the store's dtype,
+    both in one (2, d, N) array filled a BLOCK_BYTES block of joint rows at a
+    time; only the scores are float64.  Raises `NumericError` on a non-finite
     embedding or phase, which no ranking can order (NaN never compares below
     a target), or on a non-finite fusion weight, which the report would
     carry; each is checked in its own dtype."""
@@ -80,8 +87,12 @@ def build_cache(model: Model) -> EvalCache:
         if not np.isfinite(values).all():
             raise NumericError(f"non-finite {what}; cannot rank")
     phases = np.asarray(phases, dtype=np.float64)
-    return EvalCache(re=np.ascontiguousarray(joint[:, 0::2]),
-                     im=np.ascontiguousarray(joint[:, 1::2]),
+    n, width = joint.shape
+    planes = np.empty((2, width // 2, n), joint.dtype)
+    step = block_rows(width, joint.itemsize)
+    for lo in range(0, n, step):
+        planes[..., lo:lo + step] = joint[lo:lo + step].reshape(-1, width // 2, 2).T
+    return EvalCache(re=planes[0], im=planes[1],
                      cos=np.cos(phases), sin=np.sin(phases),
                      alpha=np.asarray(alpha, dtype=np.float64))
 
@@ -102,6 +113,24 @@ def _distances(re: np.ndarray, im: np.ndarray, x: np.ndarray,
     return out
 
 
+def _slab_distances(re: np.ndarray, im: np.ndarray, x: np.ndarray,
+                    y: np.ndarray) -> np.ndarray:
+    """sum_k sqrt((x_k - re_kj)^2 + (y_k - im_kj)^2) for every column j of the
+    (d, N) planes, in the dtype of the point (x, y).  Slabs of whole
+    coordinate rows, BLOCK_BYTES of that dtype each, are summed over their
+    rows and added in turn into one (N,) sum, so every ufunc runs over rows
+    of N entities."""
+    d, n = re.shape
+    step = block_rows(n, x.itemsize)
+    out, part = np.zeros((2, n), x.dtype)
+    a_block, b_block = np.empty((2, min(step, d), n), x.dtype)
+    for lo in range(0, d, step):
+        rows = slice(lo, lo + step)
+        out += modulus_sum(x[rows, None], y[rows, None], re[rows], im[rows],
+                           a_block[:d - lo], b_block[:d - lo], part, axis=0)
+    return out
+
+
 def _query(cache: EvalCache, side: str, triple) -> tuple[np.ndarray, np.ndarray]:
     """The float64 point (x, y) every candidate of the `side` is measured from;
     the triple's entities and relation must be in the vocabulary."""
@@ -110,11 +139,11 @@ def _query(cache: EvalCache, side: str, triple) -> tuple[np.ndarray, np.ndarray]
         raise ContractError(f"side must be 'head' or 'tail', got {side!r}")
     target, other = (h, t) if side == "head" else (t, h)
     for role, e in (("target", target), ("query", other)):
-        if not 0 <= e < cache.re.shape[0]:
+        if not 0 <= e < cache.re.shape[1]:
             raise ContractError(f"{role} entity {e} outside vocabulary")
     if not 0 <= r < cache.cos.shape[0]:
         raise ContractError(f"relation {r} outside vocabulary")
-    a, b, c, s = cache.re[other], cache.im[other], cache.cos[r], cache.sin[r]
+    a, b, c, s = cache.re[:, other], cache.im[:, other], cache.cos[r], cache.sin[r]
     if side == "head":      # |e - t o conj(r)|
         return a * c + b * s, b * c - a * s
     return a * c - b * s, a * s + b * c     # |h o r - e|
@@ -122,7 +151,7 @@ def _query(cache: EvalCache, side: str, triple) -> tuple[np.ndarray, np.ndarray]
 
 def candidate_scores(cache: EvalCache, side: str, triple) -> np.ndarray:
     """Float64 distance of every entity as the `side` completion of the triple."""
-    return _distances(cache.re, cache.im, *_query(cache, side, triple))
+    return _distances(cache.re.T, cache.im.T, *_query(cache, side, triple))
 
 
 _U32 = 2.0 ** -24           # float32 unit roundoff
@@ -163,9 +192,12 @@ def _screen(cache: EvalCache, x: np.ndarray, y: np.ndarray,
       (sqrt eta = 2^-74.5).  So |m'_k - m_k| <= 4.0001 u a_k + 0.7072 * 2^-74.
     - Any order of summing d non-negative terms errs by at most
       g = (d - 1)u / (1 - (d - 1)u) times their exact sum T' (Higham,
-      Accuracy and Stability of Numerical Algorithms, 2nd ed., §4.2), so
-      numpy's pairwise blocking does not matter: T' <= s32 / (1 - g) and
-      |s32 - T'| <= 1.016 (d - 1) u s32 for d <= 2^17.  Hence
+      Accuracy and Stability of Numerical Algorithms, 2nd ed., §4.2).  The
+      slab order of `_slab_distances` (each entity's terms summed along a
+      slab's rows, then the slab sums added one after another) is one such
+      order, and the exact pass's pairwise blocking another.  So
+      T' <= s32 / (1 - g) and |s32 - T'| <= 1.016 (d - 1) u s32 for
+      d <= 2^17.  Hence
       |s32 - S| <= 1.016 (d - 1) u s32 + 4.0001 u L + 0.7072 d 2^-74.
     - The same steps in float64 (v for u, 2^-1074 for eta, no cast) give
       |s64 - S| <= 3.0001 v L + d 2^-537 + 1.0001 (d - 1) v T64, which with
@@ -177,11 +209,11 @@ def _screen(cache: EvalCache, x: np.ndarray, y: np.ndarray,
     the bound.  Entities left undecided, the target among them, are
     re-scored in float64 by the caller.
     """
-    d = cache.re.shape[1]
+    d = cache.re.shape[0]
     sum_coef = 2.1 * d if d <= _MAX_SCREEN_DIM else np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        s32 = _distances(cache.re32, cache.im32,
-                         x.astype(np.float32), y.astype(np.float32))
+        s32 = _slab_distances(cache.re32, cache.im32,
+                              x.astype(np.float32), y.astype(np.float32))
         s = s32.astype(np.float64)
         l1q = np.abs(x).sum() + np.abs(y).sum()
         bound = _U32 * (10.0 * (l1q + cache.l1) + sum_coef * s) + d * 2.0 ** -73
@@ -222,11 +254,14 @@ def rank_query(cache: EvalCache, dataset: TripleDataset, side: str, triple,
     else:
         target, known = t, dataset.filter_tails.get((h, r), ())
     x, y = _query(cache, side, triple)
-    f = _distances(cache.re[target:target + 1], cache.im[target:target + 1], x, y)[0]
+
+    def exact(rows):    # float64 scores of the entities `rows`, as (n, d) rows
+        return _distances(cache.re[:, rows].T, cache.im[:, rows].T, x, y)
+
+    f = exact([target])[0]
     better, decided = _screen(cache, x, y, f)
     open_rows = np.flatnonzero(~decided)
-    better[open_rows] = _beats(
-        _distances(cache.re[open_rows], cache.im[open_rows], x, y), f, tie_break)
+    better[open_rows] = _beats(exact(open_rows), f, tie_break)
     return _filtered_rank(better, target, known)
 
 
@@ -242,8 +277,9 @@ def pool_size(tasks: int) -> int:
 
 def _rank_workers(n_queries: int, n_entities: int, d: int) -> int:
     """One ranking thread per CPU the process may use, at most one per query;
-    one when every entity fits in one float64 `_distances` block, where the
-    per-query Python overhead outweighs the parallel numpy: a quick-start toy
+    one when every entity fits in one float64 `_distances` block of entity
+    rows (`evaluate` passes the planes' (N, d) shape), where the per-query
+    Python overhead outweighs the parallel numpy: a quick-start toy
     validation took 3.3 ms on one thread and 4.1-4.4 ms on two (2-core x86-64)."""
     return 1 if n_entities <= block_rows(d, 8) else pool_size(n_queries)
 
@@ -300,7 +336,7 @@ def evaluate(model: Model, dataset: TripleDataset, split: str = "test",
                  rank_query(cache, dataset, "tail", triple, tie_break))
                 for triple in triples[lo:hi]]
 
-    workers = _rank_workers(n, *cache.re.shape)
+    workers = _rank_workers(n, *cache.re.T.shape)
     bounds = [n * k // workers for k in range(workers + 1)]
     with ThreadPoolExecutor(workers) as pool:   # map keeps slice order: the serial loop's first error
         ranks = np.array([pair for ranked in pool.map(rank_slice, bounds, bounds[1:])

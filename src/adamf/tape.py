@@ -149,14 +149,14 @@ def block_rows(width: int, itemsize: int) -> int:
     return max(1, BLOCK_BYTES // (itemsize * width))
 
 
-def modulus_sum(x, y, re, im, a, b, out) -> np.ndarray:
-    """out = sum over the last axis of |(x - re) + i (y - im)|, computed in
-    the buffers a and b (the shape of re), which it overwrites."""
+def modulus_sum(x, y, re, im, a, b, out, axis=-1) -> np.ndarray:
+    """out = sum over `axis` of |(x - re) + i (y - im)|, computed in the
+    buffers a and b (the shape of re), which it overwrites."""
     np.subtract(x, re, out=a)
     np.subtract(y, im, out=b)
     a *= a
     a += np.square(b, out=b)
-    return np.add.reduce(np.sqrt(a, out=a), axis=-1, out=out)
+    return np.add.reduce(np.sqrt(a, out=a), axis=axis, out=out)
 
 
 class Tape:

@@ -212,6 +212,15 @@ def train_batch(model: Model, batch: np.ndarray, cfg: TrainConfig,
     return kgc, adv, gen
 
 
+def _stopped(log_file, err: NumericError, epoch: int, batch: int | None) -> NumericError:
+    """Log where `err` stopped training, as a last `{"epoch", "batch",
+    "error"}` line (batch None: in validation), and return the error to
+    raise, prefixed with the same."""
+    log_file.write(json.dumps({"epoch": epoch, "batch": batch, "error": str(err)}) + "\n")
+    where = "validation" if batch is None else f"batch {batch}"
+    return NumericError(f"epoch {epoch} {where}: {err}")
+
+
 def train(model: Model, dataset: TripleDataset, cfg: TrainConfig, out,
           tie_break: str = "optimistic") -> list[dict]:
     """Full training loop in the run directory `out`; returns the per-epoch
@@ -221,7 +230,8 @@ def train(model: Model, dataset: TripleDataset, cfg: TrainConfig, out,
     MRR (ranked with `tie_break`) on validation epochs: every
     `validate_every` epochs and always on the last.  The entries stream to
     `out/train_log.jsonl`, the best-MRR parameters go to `out/best.bin` and
-    the final ones to `out/checkpoint.bin`.
+    the final ones to `out/checkpoint.bin`.  A `NumericError` in a batch
+    or a validation ends the log with one line saying where (`_stopped`).
     """
     # Imported per call, so a caller that rebinds adamf.evaluation.evaluate
     # (a tracer, a test) sees the validation calls.
@@ -245,7 +255,7 @@ def train(model: Model, dataset: TripleDataset, cfg: TrainConfig, out,
                 try:
                     kgc, adv, _ = train_batch(model, batch, cfg, state)
                 except NumericError as err:
-                    raise NumericError(f"epoch {epoch} batch {n}: {err}") from err
+                    raise _stopped(log_file, err, epoch, n) from err
                 kgc_sum += kgc
                 adv_sum += adv
             entry = {"epoch": epoch, "loss_kgc": kgc_sum / len(starts),
@@ -253,8 +263,11 @@ def train(model: Model, dataset: TripleDataset, cfg: TrainConfig, out,
             validate = (dataset.valid.shape[0] > 0 and cfg.validate_every > 0
                         and (epoch % cfg.validate_every == 0 or epoch == cfg.epochs))
             if validate:
-                entry["val_mrr"] = evaluate(model, dataset, "valid",
-                                            tie_break=tie_break).mrr
+                try:
+                    entry["val_mrr"] = evaluate(model, dataset, "valid",
+                                                tie_break=tie_break).mrr
+                except NumericError as err:
+                    raise _stopped(log_file, err, epoch, None) from err
                 if entry["val_mrr"] > best_mrr:
                     best_mrr = entry["val_mrr"]
                     save_checkpoint(model.store, best_path)

@@ -5,10 +5,11 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import adamf.evaluation
@@ -129,7 +130,9 @@ def _near_tie_cache(gen, n, d, scale, offset, precision, side, triple):
     the query point (equal distance in exact arithmetic, different rows).
     Every row is moved by `offset` times the scale, which the identity
     rotation (half the draws) turns into cancellation.  Rows of a single
-    store are float32 values."""
+    store are float32 values.  The rows are drawn and edited as (n, d)
+    arrays and handed to the cache coordinate-major, as `build_cache` lays
+    them out."""
     dtype = np.float32 if precision == "single" else np.float64
     re, im = ((gen.standard_normal((n, d)) + offset) * scale for _ in range(2))
     if precision == "single":
@@ -143,7 +146,8 @@ def _near_tie_cache(gen, n, d, scale, offset, precision, side, triple):
     gen.shuffle(others)
 
     def cache():
-        return adamf.evaluation.EvalCache(re=re.copy(), im=im.copy(),
+        return adamf.evaluation.EvalCache(re=np.ascontiguousarray(re.T),
+                                          im=np.ascontiguousarray(im.T),
                                           cos=np.cos(phases), sin=np.sin(phases),
                                           alpha=np.ones((n, 1)))
 
@@ -202,7 +206,8 @@ def test_screen_decides_nothing_beyond_its_proven_width():
     gen = np.random.default_rng(5)
     n, d = 4, (1 << 17) + 1
     cache = adamf.evaluation.EvalCache(
-        re=gen.standard_normal((n, d)), im=gen.standard_normal((n, d)),
+        re=np.ascontiguousarray(gen.standard_normal((n, d)).T),
+        im=np.ascontiguousarray(gen.standard_normal((n, d)).T),
         cos=np.ones((1, d)), sin=np.zeros((1, d)), alpha=np.ones((n, 1)))
     x, y = adamf.evaluation._query(cache, "tail", (0, 0, 1))
     scores = candidate_scores(cache, "tail", (0, 0, 1))
@@ -210,6 +215,40 @@ def test_screen_decides_nothing_beyond_its_proven_width():
     assert not decided.any()
     ds = make_dataset(n, {"test": [(0, 0, 1)]})
     assert rank_query(cache, ds, "tail", (0, 0, 1)) == rank_from_scores(scores, 1, ())
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_screen_error_is_within_half_its_bound(data):
+    # The inequality `_screen`'s proof ends on: |s32 - s64| <= B/2.06 for
+    # every entity whose float32 score is finite, with d over at least three
+    # slabs (the last one possibly partial) and float64 blocks that do not
+    # divide N.
+    precision = data.draw(st.sampled_from(("single", "double")))
+    scale = data.draw(st.sampled_from(SCREEN_SCALES[precision]))
+    offset = data.draw(st.sampled_from((0.0, 1e3, 1e6)))
+    slab = data.draw(st.integers(1, 3))
+    n, d = data.draw(st.integers(13, 60)), data.draw(st.integers(3 * slab, 4 * slab + 1))
+    block_bytes = 4 * n * slab
+    rows = block_bytes // (8 * d)
+    assume(rows > 1 and n % rows)
+    gen = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    h, t = (int(v) for v in gen.choice(n, 2, replace=False))
+    triple = (h, int(gen.integers(0, 2)), t)
+    side = data.draw(st.sampled_from(("head", "tail")))
+    cache = _near_tie_cache(gen, n, d, scale, offset, precision, side, triple)
+    x, y = adamf.evaluation._query(cache, side, triple)
+    with mock.patch.object(adamf.tape, "BLOCK_BYTES", block_bytes), \
+            np.errstate(over="ignore", invalid="ignore"):
+        assert adamf.tape.block_rows(n, 4) == slab and adamf.tape.block_rows(d, 8) == rows
+        s32 = adamf.evaluation._slab_distances(cache.re32, cache.im32,
+                                               x.astype(np.float32), y.astype(np.float32))
+        s64 = candidate_scores(cache, side, triple)
+        s = s32.astype(np.float64)
+        l1q = np.abs(x).sum() + np.abs(y).sum()
+        bound = 2.0 ** -24 * (10 * (l1q + cache.l1) + 2.1 * d * s) + d * 2.0 ** -73
+        finite = np.isfinite(s)
+        assert (np.abs(s - s64)[finite] <= bound[finite] / 2.06).all()
 
 
 # ----------------------------------------------------------- rank mechanics
@@ -434,10 +473,12 @@ def test_evaluate_rejects_nonfinite_model():
 def _tied_block_fixture(n_model=1300, test=None):
     """Structural-only model (1300 entities by default) at d = 128, so the
     entities span three float64 `_distances` blocks of 512 rows and the
-    float32 screen two of 1024, with entities 40-59 copies of entities 0-19
-    so that candidates tie with targets; the vocabulary has 1300 entities
-    either way."""
-    assert adamf.tape.block_rows(128, 4) == 1024 < n_model
+    float32 screen's 128 coordinates two slabs of 100 (109 at 1200
+    entities), with entities 40-59 copies of entities 0-19 so that
+    candidates tie with targets; the vocabulary has 1300 entities either
+    way."""
+    assert adamf.tape.block_rows(128, 8) == 512 < n_model
+    assert adamf.tape.block_rows(n_model, 4) < 128
     model = small_model(n_entities=n_model, n_relations=2, d=128, seed=8,
                         modalities=("s",))
     table = model.store["entity.structural"].copy()
@@ -595,8 +636,10 @@ def test_distances_with_reused_blocks_equal_fresh_arrays():
 
 
 def test_evaluate_ranks_are_those_of_one_row_blocks(monkeypatch):
-    # Each row's score is its own, so blocks of any size, here one row in
-    # both passes, give every rank and tie its bytes.
+    # Each row's score is its own, and the screen decides only what its
+    # proof covers in any summation order, so blocks of any size, here one
+    # entity row in the float64 pass and one coordinate row per screen slab,
+    # give every rank and tie its bytes.
     model, ds = _tied_block_fixture()
     want = {tie: evaluate(model, ds, tie_break=tie) for tie in ("optimistic", "pessimistic")}
     monkeypatch.setattr(adamf.tape, "BLOCK_BYTES", 1)
@@ -622,7 +665,8 @@ def test_cache_cast_from_the_joint_rows_keeps_the_old_bytes(precision):
     # In the store's dtype: a single-precision cache keeps the float32
     # columns, which widen exactly to the old float64 ones, and screens them
     # as they are; float64 rows round (or overflow, beyond float32) to the
-    # same float32.
+    # same float32.  The planes are coordinate-major, so their transposes
+    # hold the old (N, d) columns.
     model = small_model(n_entities=40, d=5, seed=3, absent_v=(2, 9), precision=precision)
     if precision == "double":
         table = model.store["entity.structural"].copy()
@@ -636,9 +680,30 @@ def test_cache_cast_from_the_joint_rows_keeps_the_old_bytes(precision):
         if precision == "single" and name in ("re", "im"):
             assert got.dtype == np.float32 and getattr(cache, name + "32") is got, name
             got = got.astype(np.float64)
+        if name != "l1":
+            assert got.shape == want.T.shape, name
+            got = got.T
         assert got.dtype == want.dtype, name
         assert got.tobytes() == want.tobytes(), name
     assert np.isinf(cache.re32).any() == (precision == "double")
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("block_rows", [None, 3, 1])
+def test_build_cache_fills_the_planes_with_the_joint_columns(monkeypatch, precision,
+                                                             block_rows):
+    # Filled a block of joint rows at a time (every row at once, three rows,
+    # one row; 40 entities are 13 blocks of three and one of one), the
+    # planes hold exactly the transposed re and im columns of the joint rows.
+    model = small_model(n_entities=40, d=5, seed=3, absent_v=(2, 9), precision=precision)
+    joint = model.entity_representations()[0]
+    if block_rows is not None:
+        monkeypatch.setattr(adamf.tape, "BLOCK_BYTES", block_rows * joint[0].nbytes)
+        assert adamf.tape.block_rows(joint.shape[1], joint.itemsize) == block_rows
+    cache = build_cache(model)
+    for got, want in ((cache.re, joint[:, 0::2].T), (cache.im, joint[:, 1::2].T)):
+        assert got.dtype == want.dtype and got.shape == want.shape == (5, 40)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_single_precision_cache_holds_each_planar_array_once():

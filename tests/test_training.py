@@ -646,20 +646,41 @@ def test_train_deterministic_across_runs(tmp_path):
 
 def test_nonfinite_loss_aborts_with_batch_context(tmp_path):
     # The loop must surface a non-finite step with its epoch, batch and
-    # origin, and refuse it before Adam moves anything.  The fixture is
-    # double precision: 1e308 embeddings are finite and overflow the
-    # per-triple modulus sum, so the kernel is named; NaN embeddings are
-    # named by their parameter.  (Merely huge-but-finite values train fine.)
+    # origin, in its error and in the log's last line, and refuse it before
+    # Adam moves anything.  The fixture is double precision: 1e308
+    # embeddings are finite and overflow the per-triple modulus sum, so the
+    # kernel is named; NaN embeddings are named by their parameter.  (Merely
+    # huge-but-finite values train fine.)
     for fill, origin in ((1e308, "op 'query_distance'"),
                          (np.nan, "parameter 'entity.structural'")):
         model, ds, cfg = toy_train_setup(mat=False, epochs=1)
         store = model.store
         store.set("entity.structural", np.full_like(store["entity.structural"], fill))
         before = _store_state(store)
-        with pytest.raises(NumericError, match=f"epoch 1 batch 0: .*{origin}"):
+        with pytest.raises(NumericError, match=f"epoch 1 batch 0: .*{origin}") as raised:
             with np.errstate(all="ignore"):
                 train(model, ds, cfg, tmp_path)
         assert _store_state(store) == before
+        last = json.loads((tmp_path / "train_log.jsonl").read_text().splitlines()[-1])
+        assert sorted(last) == ["batch", "epoch", "error"] and origin in last["error"]
+        assert (last["epoch"], last["batch"]) == (1, 0)
+        assert str(raised.value) == f"epoch 1 batch 0: {last['error']}"
+
+
+def test_nonfinite_validation_ends_the_log_with_its_epoch(tmp_path, monkeypatch):
+    # A validation that cannot rank stops the run too; its line has no batch.
+    def unrankable(*args, **kwargs):
+        raise NumericError("non-finite entity embeddings; cannot rank")
+
+    monkeypatch.setattr(adamf.evaluation, "evaluate", unrankable)
+    model, ds, cfg = toy_train_setup(mat=False, epochs=3, validate_every=2)
+    with pytest.raises(NumericError, match="^epoch 2 validation: non-finite entity"):
+        train(model, ds, cfg, tmp_path)
+    lines = [json.loads(line)
+             for line in (tmp_path / "train_log.jsonl").read_text().splitlines()]
+    assert [line["epoch"] for line in lines] == [1, 2]
+    assert lines[-1] == {"epoch": 2, "batch": None,
+                         "error": "non-finite entity embeddings; cannot rank"}
 
 
 def test_generator_step_names_nonfinite_detached_parameter():
