@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ContractError, DataError
 from .ioutil import atomic_open
-from .params import ADAM_CHUNK, GROUPS, ParameterStore
+from .params import GROUPS, ParameterStore, block_rows
 
 MAGIC = b"AMF2"
 DTYPES = ("<f4", "<f8")
@@ -91,12 +91,12 @@ def _check_layout(store: ParameterStore, groups: dict):
 
 def _read_into(fh, path: str, offset: int, dtype: np.dtype, flats):
     """Fill each flat array of `flats` in turn from the file's payload at
-    byte `offset`, ADAM_CHUNK elements at a time, widening each chunk into
-    place."""
+    byte `offset`, ``block_rows(1, itemsize)`` elements of the file's dtype
+    at a time, widening each chunk into place."""
     fh.seek(offset)
-    chunk = np.empty(ADAM_CHUNK, dtype)
+    chunk = np.empty(block_rows(1, dtype.itemsize), dtype)
     for flat in flats:
-        for lo in range(0, flat.size, ADAM_CHUNK):
+        for lo in range(0, flat.size, chunk.size):
             part = chunk[:flat.size - lo]
             if fh.readinto(part) != part.nbytes:
                 raise DataError(f"{path}: truncated checkpoint file")
@@ -111,12 +111,12 @@ def load_checkpoint(store: ParameterStore, path: str):
     safely to the store's (widening is allowed, narrowing is a contract
     error), each group must list the store's tensors in order and shape,
     and the file must end where its payload does.  Each group's values are
-    then read straight into its buffer.  Its moments are not read: the
-    store reads them through this load's open handle when they are first
-    asked for (``ParameterStore.defer_moments``), so evaluation never makes
-    them resident.  The handle keeps the loaded file, so a later save over
-    `path` does not change them; a file cut short since raises `DataError`
-    then.
+    then read straight into its buffer, a BLOCK_BYTES block of the file at
+    a time.  Its moments are not read: the store reads them through this
+    load's open handle when they are first asked for
+    (``ParameterStore.defer_moments``), so evaluation never makes them
+    resident.  The handle keeps the loaded file, so a later save over `path`
+    does not change them; a file cut short since raises `DataError` then.
     """
     fh = open(path, "rb")
     try:

@@ -270,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
+    try:    # an overflow is inf or NaN, which a finite check refuses and names
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigError, ContractError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

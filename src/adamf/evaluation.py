@@ -41,7 +41,8 @@ from .data import TripleDataset
 from .errors import ContractError, NumericError
 from .ioutil import atomic_write_text
 from .model import MODALITY_ORDER, Model
-from .tape import block_rows, modulus_sum
+from .params import block_rows
+from .tape import modulus_sum
 
 TIE_BREAKS = ("optimistic", "pessimistic")
 
@@ -53,8 +54,8 @@ class EvalCache:
     of `re` and `im` holds coordinate k of every entity), and float64
     rotations, plus what the float32 screen reads: `re32`, `im32` (`re`, `im`
     themselves in a single-precision store) and each entity's float64 L1
-    norm sum_k |re_ke| + |im_ke|.  `alpha` holds fusion weights, one column
-    per modality."""
+    norm sum_k |re_ke| + |im_ke|, summed down the planes' columns.  `alpha`
+    holds fusion weights, one column per modality."""
     re: np.ndarray     # (d, N)
     im: np.ndarray     # (d, N)
     cos: np.ndarray    # (R, d)
@@ -68,9 +69,8 @@ class EvalCache:
         with np.errstate(over="ignore"):    # beyond float32: inf, re-scored
             self.re32 = self.re.astype(np.float32, copy=False)
             self.im32 = self.im.astype(np.float32, copy=False)
-        # summed along contiguous rows of d, in the order of an (N, d) layout
-        self.l1 = (np.abs(self.re.T, dtype=np.float64, order="C").sum(axis=1)
-                   + np.abs(self.im.T, dtype=np.float64, order="C").sum(axis=1))
+        self.l1 = (np.add.reduce(np.abs(self.re), axis=0, dtype=np.float64)
+                   + np.add.reduce(np.abs(self.im), axis=0, dtype=np.float64))
 
 
 def build_cache(model: Model) -> EvalCache:
@@ -204,8 +204,9 @@ def _screen(cache: EvalCache, x: np.ndarray, y: np.ndarray,
       v = 2^-29 u is below 10^-4 (u L + (d - 1) u s32 + d 2^-74).
     Together |s32 - s64| <= 1.0161 (d - 1) u s32 + 4.0002 u L +
     0.7073 d 2^-74, and B exceeds each term at least 2.06-fold.  The margin
-    also covers computing B, L1 and |s32 - f| in float64 (relative error a
-    few times 2^-53), so a computed |s32 - f| > B implies a real gap over
+    also covers computing B, L1 and |s32 - f| in float64: L1 in any order
+    errs by at most about d 2^-53 relative (2^-36 at d = 2^17), the rest by
+    a few times 2^-53, so a computed |s32 - f| > B implies a real gap over
     the bound.  Entities left undecided, the target among them, are
     re-scored in float64 by the caller.
     """
@@ -275,11 +276,10 @@ def pool_size(tasks: int) -> int:
     return max(1, min(cpus, tasks))
 
 
-def _rank_workers(n_queries: int, n_entities: int, d: int) -> int:
+def _rank_workers(n_queries: int, d: int, n_entities: int) -> int:
     """One ranking thread per CPU the process may use, at most one per query;
-    one when every entity fits in one float64 `_distances` block of entity
-    rows (`evaluate` passes the planes' (N, d) shape), where the per-query
-    Python overhead outweighs the parallel numpy: a quick-start toy
+    one when every entity fits in one float64 `_distances` block, where the
+    per-query Python overhead outweighs the parallel numpy: a quick-start toy
     validation took 3.3 ms on one thread and 4.1-4.4 ms on two (2-core x86-64)."""
     return 1 if n_entities <= block_rows(d, 8) else pool_size(n_queries)
 
@@ -336,7 +336,7 @@ def evaluate(model: Model, dataset: TripleDataset, split: str = "test",
                  rank_query(cache, dataset, "tail", triple, tie_break))
                 for triple in triples[lo:hi]]
 
-    workers = _rank_workers(n, *cache.re.T.shape)
+    workers = _rank_workers(n, *cache.re.shape)
     bounds = [n * k // workers for k in range(workers + 1)]
     with ThreadPoolExecutor(workers) as pool:   # map keeps slice order: the serial loop's first error
         ranks = np.array([pair for ranked in pool.map(rank_slice, bounds, bounds[1:])

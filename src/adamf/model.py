@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import FEATURE_NAMES, FeatureTable
 from .errors import ContractError
-from .params import ParameterStore
+from .params import ParameterStore, block_rows
 from .rng import SeededRng
 from .tape import Node, Tape, every_row
 
@@ -37,9 +37,7 @@ DISC = frozenset({"discriminator"})
 GEN = frozenset({"generator"})
 FROZEN = frozenset()
 
-INIT_CHUNK = 1 << 16    # draws per pass of init_params's uniform tables
 LEAKY_SLOPE = 0.01      # negative slope of the generator's hidden LeakyReLU
-FEATURE_BLOCK = 256     # feature rows per pass of Model's dtype conversion
 
 
 def synthetic_sides(patterns: tuple[str, ...]) -> tuple[str, ...]:
@@ -147,15 +145,16 @@ def zero_params(cfg: ModelConfig, n_entities: int, n_relations: int) -> Paramete
 def init_params(cfg: ModelConfig, n_entities: int, n_relations: int,
                 seed: int) -> ParameterStore:
     """Deterministic initialization; every tensor draws from its own
-    sub-stream so adding/removing parameters never shifts the others."""
+    sub-stream so adding/removing parameters never shifts the others, its
+    float64 uniforms ``block_rows(1, 8)`` at a time."""
     store = zero_params(cfg, n_entities, n_relations)
-    root = SeededRng(seed)
+    root, step = SeededRng(seed), block_rows(1, 8)     # step: float64 draws per pass
     for tables in _param_tables(cfg, n_entities, n_relations).values():
         for name, (_, bound) in tables.items():
             if bound:
                 out, rng = store[name].reshape(-1), root.substream(f"init/{name}")
-                for lo in range(0, out.size, INIT_CHUNK):
-                    chunk = out[lo:lo + INIT_CHUNK]
+                for lo in range(0, out.size, step):
+                    chunk = out[lo:lo + step]
                     chunk[...] = (rng.uniforms(chunk.size) * 2.0 - 1.0) * bound
     for m in cfg.modalities if cfg.weighted_fusion else ():
         store[f"fusion.w.{m}"][...] = 1.0
@@ -192,17 +191,18 @@ class Model:
         for m in cfg.projected_modalities:
             table = features.get(m)
             shape = (self.n_entities, cfg.feature_dim(m))
-            present = np.zeros(shape[0], dtype=bool)   # no table: no row is read
+            present, step = np.zeros(shape[0], dtype=bool), 1   # no table: no row is read
             if table is not None:
                 got = (table.matrix.shape, np.shape(table.present))
                 if got != (shape, shape[:1]):
                     raise ContractError(f"feature table for {m!r} has matrix and mask "
                                         f"shapes {got}, expected {(shape, shape[:1])}")
                 present = np.asarray(table.present, dtype=bool)
+                step = block_rows(shape[1], table.matrix.itemsize)
             ids = np.flatnonzero(present)
             self._raw[m] = raw = np.empty((ids.size, shape[1]), cfg.dtype)
-            for lo in range(0, ids.size, FEATURE_BLOCK):
-                raw[lo:lo + FEATURE_BLOCK] = table.matrix[ids[lo:lo + FEATURE_BLOCK]]
+            for lo in range(0, ids.size, step):     # a BLOCK_BYTES gather at a time
+                raw[lo:lo + step] = table.matrix[ids[lo:lo + step]]
             self._rows[m] = np.full(self.n_entities, -1, dtype=np.int64)
             self._rows[m][ids] = np.arange(ids.size)
 

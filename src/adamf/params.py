@@ -11,8 +11,13 @@ import numpy as np
 from .errors import ContractError, NumericError
 
 GROUPS = ("discriminator", "generator")
-ADAM_CHUNK = 1 << 15    # flat elements per pass of adam_step
+BLOCK_BYTES = 1 << 19   # bytes per block of every chunked pass: 512 KiB stays in cache
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def block_rows(width: int, itemsize: int) -> int:
+    """Rows of `width` entries of `itemsize` bytes per BLOCK_BYTES block, at least one."""
+    return max(1, BLOCK_BYTES // (itemsize * width))
 
 
 class ParameterStore:
@@ -139,10 +144,11 @@ def adam_step(params: ParameterStore, group: str, grad: np.ndarray, lr: float):
     value -= lr m_hat / (sqrt(v_hat) + eps), with the constants beta1 =
     ADAM_BETA1 (0.9), beta2 = ADAM_BETA2 (0.999) and eps = ADAM_EPS (1e-8),
     so the bytes equal the out-of-place formula's.  The update runs over
-    chunks of ADAM_CHUNK flat elements with two chunk-sized temporaries, so
-    each pass reads cache rather than the whole table.  The gradient must
-    have the group's size and the store's dtype: a wider one would round
-    differently, a narrower one would lose precision.
+    chunks of ``block_rows(1, itemsize)`` flat elements (131,072 in float32)
+    with two chunk-sized temporaries, so each pass reads cache rather than
+    the whole table.  The gradient must have the group's size and the
+    store's dtype: a wider one would round differently, a narrower one would
+    lose precision.
     """
     values = params.values[group]
     if grad.dtype != params.dtype:
@@ -153,9 +159,10 @@ def adam_step(params: ParameterStore, group: str, grad: np.ndarray, lr: float):
                             f"the group {values.shape}")
     m, v = params.moments(group)
     step = params.steps[group] = params.steps[group] + 1
-    buffers = np.empty((2, min(ADAM_CHUNK, values.size)), params.dtype)
-    for lo in range(0, values.size, ADAM_CHUNK):
-        value, m_c, v_c, g = (x[lo:lo + ADAM_CHUNK] for x in (values, m, v, grad))
+    chunk = block_rows(1, params.dtype.itemsize)
+    buffers = np.empty((2, min(chunk, values.size)), params.dtype)
+    for lo in range(0, values.size, chunk):
+        value, m_c, v_c, g = (x[lo:lo + chunk] for x in (values, m, v, grad))
         tmp, update = buffers[:, :g.size]
         m_c *= ADAM_BETA1
         m_c += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)

@@ -60,9 +60,9 @@ check below sees everything it saw before.
 has run, so a step does not hold every adjoint until it ends; a live leaf's
 accumulator, its view of the group gradient, stays.  The one finite check
 runs at the end of ``backward``, on the root value and each live group's
-flat gradient in ADAM_CHUNK slices, before any optimizer sees them.  A
-failure rescans the tape once to name the first non-finite node or
-gradient.
+flat gradient in ``block_rows(1, itemsize)`` slices, before any optimizer
+sees them.  A failure rescans the tape once to name the first non-finite
+node or gradient.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, NumericError
-from .params import ADAM_CHUNK, GROUPS
+from .params import GROUPS, block_rows
 
 
 class Node:
@@ -139,14 +139,6 @@ def softmax(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
-
-
-BLOCK_BYTES = 1 << 19   # bytes per block of modulus_sum's callers: 512 KiB stays in cache
-
-
-def block_rows(width: int, itemsize: int) -> int:
-    """Rows of `width` entries of `itemsize` bytes per BLOCK_BYTES block, at least one."""
-    return max(1, BLOCK_BYTES // (itemsize * width))
 
 
 def modulus_sum(x, y, re, im, a, b, out, axis=-1) -> np.ndarray:
@@ -446,10 +438,10 @@ class Tape:
             if node.grad is not None and node.backward_fn is not None:
                 node.backward_fn(node.grad)
                 node.grad = None    # used up; a leaf keeps its view
-        flats = [g for group, g in self.grads.items() if group in self.live]
+        chunk = block_rows(1, self.dtype.itemsize)
         if not (np.isfinite(root.value) and all(    # by chunks: no buffer-sized mask
-                np.isfinite(g[lo:lo + ADAM_CHUNK]).all()
-                for g in flats for lo in range(0, g.size, ADAM_CHUNK))):
+                np.isfinite(g[lo:lo + chunk]).all() for group, g in self.grads.items()
+                if group in self.live for lo in range(0, g.size, chunk))):
             raise NumericError(_first_nonfinite(self))
         return self.grads
 

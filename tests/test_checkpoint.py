@@ -19,7 +19,7 @@ from adamf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from adamf.errors import ContractError, DataError
 from adamf.ioutil import atomic_write_text
 from adamf.model import init_params
-from adamf.params import GROUPS, ParameterStore, adam_step
+from adamf.params import GROUPS, ParameterStore, adam_step, block_rows
 from adamf.training import TrainConfig, train
 
 from conftest import make_dataset, small_model
@@ -143,6 +143,27 @@ def test_moments_read_later_are_those_loaded_after_a_save_over_the_file(tmp_path
     save_checkpoint(trained_model(seed=1, precision="single").store, path)
     expected = [model.store.moments(g).astype(target.store.dtype).tobytes() for g in GROUPS]
     assert moment_bytes(target.store) == expected
+
+
+@pytest.mark.parametrize("precision", ["single", "double"], ids=["float32", "widened"])
+def test_load_in_small_blocks_reads_what_the_default_block_reads(tmp_path, monkeypatch,
+                                                                  precision):
+    # Blocks of 7 file elements split each group's values and moments into
+    # many reads, the last one partial; the store loaded through them holds
+    # the bytes of one loaded at the default block size, moments included.
+    path = str(tmp_path / "ckpt.bin")
+    save_checkpoint(trained_model(precision="single").store, path)
+    loaded = []
+    for block_bytes in (None, 7 * 4):
+        if block_bytes is not None:
+            monkeypatch.setattr("adamf.params.BLOCK_BYTES", block_bytes)
+        target = small_model(n_entities=6, n_relations=1, seed=99, precision=precision)
+        load_checkpoint(target.store, path)
+        loaded.append(snapshot(target.store))   # reads the deferred moments here
+    assert block_rows(1, 4) == 7
+    assert all(target.store.values[g].size > 7 and target.store.values[g].size % 7
+               for g in GROUPS)
+    assert loaded[1] == loaded[0]
 
 
 def test_loaded_store_steps_as_the_saved_one(tmp_path):

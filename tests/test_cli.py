@@ -5,6 +5,7 @@ import os
 import re
 import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from adamf.data import feature_dir_paths, load_triples
 from adamf.errors import AdamfError, NumericError
 from adamf.model import Model
 from adamf.tape import Tape
-from adamf.toykg import run_toy_grid, write_toy_kg
+from adamf.toykg import run_toy_grid, write_toy_config, write_toy_kg
 
 N_ENTITIES = 8
 
@@ -238,6 +239,21 @@ def test_numeric_failure_exit_code(corpus, tmp_path, monkeypatch):
     monkeypatch.setattr("adamf.cli.train", explode)
     cfg = write_config(corpus, tmp_path / "x", name="boom.cfg")
     assert main(["train", cfg]) == 3
+
+
+@pytest.mark.parametrize("lr_d, op", [(1e30, "query_distance"), (1e38, "matvec")])
+def test_numeric_failure_prints_only_its_own_line(tmp_path, capsys, lr_d, op):
+    # The quick-start toy at this scorer rate overflows float32 in epoch 1,
+    # batch 0.  The finite checks refuse and name the op; numpy's overflow
+    # warnings, which would name a numpy call's line instead, are not shown.
+    write_toy_kg(str(tmp_path / "data"))
+    cfg = write_toy_config(str(tmp_path), "overflow", "out", lr_d=lr_d)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", cfg]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err.splitlines() == [
+        f"numeric error: epoch 1 batch 0: non-finite value from op {op!r}"]
 
 
 # -------------------------------------------------------------------- eval

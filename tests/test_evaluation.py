@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import adamf.evaluation
-import adamf.tape
+import adamf.params
 from adamf.errors import ContractError, NumericError
 from adamf.evaluation import (build_cache, candidate_scores, evaluate,
                               rank_from_scores, rank_query, write_rank_report)
@@ -238,9 +238,9 @@ def test_screen_error_is_within_half_its_bound(data):
     side = data.draw(st.sampled_from(("head", "tail")))
     cache = _near_tie_cache(gen, n, d, scale, offset, precision, side, triple)
     x, y = adamf.evaluation._query(cache, side, triple)
-    with mock.patch.object(adamf.tape, "BLOCK_BYTES", block_bytes), \
+    with mock.patch.object(adamf.params, "BLOCK_BYTES", block_bytes), \
             np.errstate(over="ignore", invalid="ignore"):
-        assert adamf.tape.block_rows(n, 4) == slab and adamf.tape.block_rows(d, 8) == rows
+        assert adamf.params.block_rows(n, 4) == slab and adamf.params.block_rows(d, 8) == rows
         s32 = adamf.evaluation._slab_distances(cache.re32, cache.im32,
                                                x.astype(np.float32), y.astype(np.float32))
         s64 = candidate_scores(cache, side, triple)
@@ -477,8 +477,8 @@ def _tied_block_fixture(n_model=1300, test=None):
     entities), with entities 40-59 copies of entities 0-19 so that
     candidates tie with targets; the vocabulary has 1300 entities either
     way."""
-    assert adamf.tape.block_rows(128, 8) == 512 < n_model
-    assert adamf.tape.block_rows(n_model, 4) < 128
+    assert adamf.params.block_rows(128, 8) == 512 < n_model
+    assert adamf.params.block_rows(n_model, 4) < 128
     model = small_model(n_entities=n_model, n_relations=2, d=128, seed=8,
                         modalities=("s",))
     table = model.store["entity.structural"].copy()
@@ -642,8 +642,8 @@ def test_evaluate_ranks_are_those_of_one_row_blocks(monkeypatch):
     # give every rank and tie its bytes.
     model, ds = _tied_block_fixture()
     want = {tie: evaluate(model, ds, tie_break=tie) for tie in ("optimistic", "pessimistic")}
-    monkeypatch.setattr(adamf.tape, "BLOCK_BYTES", 1)
-    assert adamf.tape.block_rows(128, 4) == adamf.tape.block_rows(128, 8) == 1
+    monkeypatch.setattr(adamf.params, "BLOCK_BYTES", 1)
+    assert adamf.params.block_rows(128, 4) == adamf.params.block_rows(128, 8) == 1
     for tie, report in want.items():
         got = evaluate(model, ds, tie_break=tie)
         assert got.head_ranks.tolist() == report.head_ranks.tolist(), tie
@@ -698,8 +698,8 @@ def test_build_cache_fills_the_planes_with_the_joint_columns(monkeypatch, precis
     model = small_model(n_entities=40, d=5, seed=3, absent_v=(2, 9), precision=precision)
     joint = model.entity_representations()[0]
     if block_rows is not None:
-        monkeypatch.setattr(adamf.tape, "BLOCK_BYTES", block_rows * joint[0].nbytes)
-        assert adamf.tape.block_rows(joint.shape[1], joint.itemsize) == block_rows
+        monkeypatch.setattr(adamf.params, "BLOCK_BYTES", block_rows * joint[0].nbytes)
+        assert adamf.params.block_rows(joint.shape[1], joint.itemsize) == block_rows
     cache = build_cache(model)
     for got, want in ((cache.re, joint[:, 0::2].T), (cache.im, joint[:, 1::2].T)):
         assert got.dtype == want.dtype and got.shape == want.shape == (5, 40)

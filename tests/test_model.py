@@ -8,13 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adamf import model as model_module
+import adamf.params
 from adamf.data import apply_modality_missing
 from adamf.errors import ContractError
 from adamf.model import (ALL_PATTERNS, DISC, FROZEN, GEN, MODALITY_ORDER, PATTERN_SIDES,
                          SIDE_COLUMN, Model, ModelConfig, init_params, side_entities,
                          synthetic_sides, zero_params)
-from adamf.params import GROUPS, ParameterStore
+from adamf.params import GROUPS, ParameterStore, block_rows
 from adamf.rng import SeededRng
 from adamf.tape import Tape
 from adamf.training import (TrainConfig, sample_negatives, train_step_discriminator,
@@ -137,9 +137,10 @@ def test_init_chunked_equals_one_shot_formula(monkeypatch, precision, chunk):
     # chunks or 193 small ones, the last one partial either way; the
     # 3 x 8 phase table is one partial chunk.
     if chunk is None:
-        assert 2 * model_module.INIT_CHUNK < 12_001 * 16 < 3 * model_module.INIT_CHUNK
+        assert 2 * block_rows(1, 8) < 12_001 * 16 < 3 * block_rows(1, 8)
     else:
-        monkeypatch.setattr(model_module, "INIT_CHUNK", chunk)
+        monkeypatch.setattr(adamf.params, "BLOCK_BYTES", chunk * 8)   # float64 draws
+        assert block_rows(1, 8) == chunk
     cfg = ModelConfig(d=8, visual_dim=7, textual_dim=5, noise_dim=3, precision=precision)
     store = init_params(cfg, 12_001, 3, seed=4)
     expected = one_shot_uniform_tables(cfg, 12_001, 3, seed=4)
@@ -502,15 +503,20 @@ def _projected_operands(monkeypatch):
     return seen
 
 
-def _wide_model(precision, n=300, absent=((3, 150, 299), (0, 7))):
-    """A model whose projections are GEMMs of some size: 64- and 48-wide
-    features at d = 16, with a few rows of each modality absent."""
+def _wide_features(n=300, absent=((3, 150, 299), (0, 7))):
+    """64-wide visual and 48-wide textual float64 rows, with a few rows of
+    each modality absent."""
+    rng = SeededRng(21, stream="wide-features")
+    return {m: random_features(n, dim, m, rng.substream(m), gone)
+            for m, dim, gone in zip(("v", "t"), (64, 48), absent)}
+
+
+def _wide_model(precision, n=300):
+    """A model whose projections are GEMMs of some size: `_wide_features`
+    at d = 16."""
     cfg = ModelConfig(d=16, visual_dim=64, textual_dim=48, noise_dim=3, gamma=4.0,
                       precision=precision)
-    rng = SeededRng(21, stream="wide-features")
-    features = {m: random_features(n, cfg.feature_dim(m), m, rng.substream(m), gone)
-                for m, gone in zip(("v", "t"), absent)}
-    return Model(cfg, init_params(cfg, n, 2, seed=9), features)
+    return Model(cfg, init_params(cfg, n, 2, seed=9), _wide_features(n))
 
 
 @pytest.mark.parametrize("precision", ["single", "double"])
@@ -536,6 +542,23 @@ def test_every_present_row_is_projected_in_place(monkeypatch, precision):
     assert copy_joint.value[:n].tobytes() == joint.tobytes()
     assert copy_alpha[:n].tobytes() == alpha.tobytes()
     assert joint.dtype == model.cfg.dtype
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+def test_present_rows_converted_in_blocks_are_those_of_one_cast(monkeypatch, precision):
+    # With 3,584-byte blocks the float64 features convert 7 visual and 9
+    # textual rows at a time: 297 present visual rows are 43 blocks and 298
+    # textual rows 34, the last block of each partial.
+    monkeypatch.setattr(adamf.params, "BLOCK_BYTES", 7 * 64 * 8)
+    assert block_rows(64, 8) == 7 and block_rows(48, 8) == 9
+    model = _wide_model(precision)
+    for m, step in (("v", 7), ("t", 9)):
+        table = _wide_features()[m]
+        rows = int(table.present.sum())
+        assert rows > 2 * step and rows % step
+        want = table.matrix[table.present].astype(model.cfg.dtype)
+        assert model._raw[m].dtype == want.dtype and model._raw[m].shape == want.shape
+        assert model._raw[m].tobytes() == want.tobytes(), m
 
 
 def test_a_full_length_selection_out_of_order_is_copied(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from adamf.checkpoint import load_checkpoint, save_checkpoint
 from adamf.errors import ContractError
-from adamf.params import ADAM_CHUNK, ParameterStore, adam_step, finite_diff_check
+from adamf.params import ParameterStore, adam_step, block_rows, finite_diff_check
 from adamf.tape import Tape
 from conftest import probe_square, probe_sum
 
@@ -66,12 +66,13 @@ def test_in_place_adam_equals_out_of_place_formula(dtype):
     # Fortran-ordered start values, which the store keeps C-ordered.  Each
     # parameter must follow its own out-of-place formula.
     gen = np.random.default_rng(7)
-    shapes = {"s": (), "a": (5,), "b": (40, 30), "c": (2 * ADAM_CHUNK + 7,),
-              "d": (3, ADAM_CHUNK // 2 + 5)}
+    chunk = block_rows(1, np.dtype(dtype).itemsize)
+    shapes = {"s": (), "a": (5,), "b": (40, 30), "c": (2 * chunk + 7,),
+              "d": (3, chunk // 2 + 5)}
     store = ParameterStore(dtype=dtype)
     store.extend("discriminator", {n: np.array(gen.standard_normal(shape), order="F")
                                    for n, shape in shapes.items()})
-    assert store.values["discriminator"].size > 3 * ADAM_CHUNK
+    assert store.values["discriminator"].size > 3 * chunk
     state = {n: (store[n].copy(), np.zeros(shape, dtype), np.zeros(shape, dtype))
              for n, shape in shapes.items()}
     for step in range(1, 7):

@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 from adamf.errors import ContractError, NumericError
 from adamf.model import DISC, FROZEN, GEN
-from adamf.params import ADAM_CHUNK, ParameterStore, finite_diff_check
+from adamf.params import ParameterStore, block_rows, finite_diff_check
 from adamf.rng import SeededRng
 from adamf.tape import Tape, _scatter
 from conftest import backward_views, probe_square, probe_sum
@@ -987,9 +987,10 @@ def test_finite_loss_with_overflowing_gradient_names_parameter():
 
 
 def test_nonfinite_gradient_in_the_last_chunk_names_parameter():
-    # The finite check reads each group's gradient ADAM_CHUNK entries at a
-    # time; one overflowing entry in the last, partial chunk is still seen.
-    n = 2 * ADAM_CHUNK + 5
+    # The finite check reads each group's gradient block_rows(1, itemsize)
+    # entries at a time; one overflowing entry in the last, partial chunk is
+    # still seen.
+    n = 2 * block_rows(1, np.dtype(np.float32).itemsize) + 5
     store = ParameterStore(dtype=np.float32)
     store.add("p", np.zeros(n), group="discriminator")
     tape = Tape(store)
