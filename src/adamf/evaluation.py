@@ -7,10 +7,10 @@ true triple in train/valid/test, except the query's own target.
 
 Ranks are those of float64 scores: `build_cache` splits the joint embeddings
 (projected from the present feature rows in place) once into planar `re`,
-`im` in the store's dtype, coordinate-major (d, N), plus float64 cos/sin of
-the (R, d) phases, and keeps nothing per relation.  Rotations have unit
-modulus, so |h o r - t| = |h - t o conj(r)|: a tail query scores
-(h o r) - e, a head one e - (t o conj(r)).
+`im` in the store's dtype, coordinate-major (d, N), plus the complex128
+rotations `tape.rotation` makes of the (R, d) phases, and keeps nothing per
+relation.  Rotations have unit modulus, so |h o r - t| = |h - t o conj(r)|:
+a tail query scores (h o r) - e, a head one e - (t o conj(r)), like training.
 `candidate_scores` is that float64 score of every entity.  `rank_query` gets
 the same rank for about half the arithmetic: it scores every entity in
 float32, decides each candidate whose float32 score lies further from the
@@ -42,7 +42,7 @@ from .errors import ContractError, NumericError
 from .ioutil import atomic_write_text
 from .model import MODALITY_ORDER, Model
 from .params import block_rows
-from .tape import modulus_sum
+from .tape import modulus_sum, rotation
 
 TIE_BREAKS = ("optimistic", "pessimistic")
 
@@ -51,15 +51,14 @@ TIE_BREAKS = ("optimistic", "pessimistic")
 @dataclass
 class EvalCache:
     """Planar entity embeddings in the store's dtype, coordinate-major (row k
-    of `re` and `im` holds coordinate k of every entity), and float64
+    of `re` and `im` holds coordinate k of every entity), and complex128
     rotations, plus what the float32 screen reads: `re32`, `im32` (`re`, `im`
     themselves in a single-precision store) and each entity's float64 L1
     norm sum_k |re_ke| + |im_ke|, summed down the planes' columns.  `alpha`
     holds fusion weights, one column per modality."""
     re: np.ndarray     # (d, N)
     im: np.ndarray     # (d, N)
-    cos: np.ndarray    # (R, d)
-    sin: np.ndarray    # (R, d)
+    rot: np.ndarray    # (R, d) complex128
     alpha: np.ndarray  # (N, M)
     re32: np.ndarray = field(init=False)    # (d, N)
     im32: np.ndarray = field(init=False)    # (d, N)
@@ -86,14 +85,12 @@ def build_cache(model: Model) -> EvalCache:
                          ("fusion weights", alpha)):
         if not np.isfinite(values).all():
             raise NumericError(f"non-finite {what}; cannot rank")
-    phases = np.asarray(phases, dtype=np.float64)
     n, width = joint.shape
     planes = np.empty((2, width // 2, n), joint.dtype)
     step = block_rows(width, joint.itemsize)
     for lo in range(0, n, step):
         planes[..., lo:lo + step] = joint[lo:lo + step].reshape(-1, width // 2, 2).T
-    return EvalCache(re=planes[0], im=planes[1],
-                     cos=np.cos(phases), sin=np.sin(phases),
+    return EvalCache(re=planes[0], im=planes[1], rot=rotation(phases.astype(np.float64), 1),
                      alpha=np.asarray(alpha, dtype=np.float64))
 
 
@@ -132,8 +129,8 @@ def _slab_distances(re: np.ndarray, im: np.ndarray, x: np.ndarray,
 
 
 def _query(cache: EvalCache, side: str, triple) -> tuple[np.ndarray, np.ndarray]:
-    """The float64 point (x, y) every candidate of the `side` is measured from;
-    the triple's entities and relation must be in the vocabulary."""
+    """The float64 point (x, y) a `side` query measures from, h o r or t o conj(r)
+    as training forms it; its entities and relation must be in the vocabulary."""
     h, r, t = (int(v) for v in triple)
     if side not in ("head", "tail"):
         raise ContractError(f"side must be 'head' or 'tail', got {side!r}")
@@ -141,12 +138,12 @@ def _query(cache: EvalCache, side: str, triple) -> tuple[np.ndarray, np.ndarray]
     for role, e in (("target", target), ("query", other)):
         if not 0 <= e < cache.re.shape[1]:
             raise ContractError(f"{role} entity {e} outside vocabulary")
-    if not 0 <= r < cache.cos.shape[0]:
+    if not 0 <= r < cache.rot.shape[0]:
         raise ContractError(f"relation {r} outside vocabulary")
-    a, b, c, s = cache.re[:, other], cache.im[:, other], cache.cos[r], cache.sin[r]
-    if side == "head":      # |e - t o conj(r)|
-        return a * c + b * s, b * c - a * s
-    return a * c - b * s, a * s + b * c     # |h o r - e|
+    z = np.empty(cache.rot.shape[1], np.complex128)
+    z.real, z.imag = cache.re[:, other], cache.im[:, other]
+    z *= cache.rot[r].conj() if side == "head" else cache.rot[r]
+    return z.real, z.imag
 
 
 def candidate_scores(cache: EvalCache, side: str, triple) -> np.ndarray:

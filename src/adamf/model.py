@@ -162,10 +162,9 @@ def init_params(cfg: ModelConfig, n_entities: int, n_relations: int,
 
 
 class EntityTable(NamedTuple):
-    """One step's fused entity rows: entity ids[i] is row i of joint/alpha."""
+    """A step's fused rows, entity ids[i]'s row i of joint; no step reads alpha."""
     ids: np.ndarray    # (U,) sorted unique entity ids
     joint: Node        # (U, 2d)
-    alpha: np.ndarray  # (U, M)
 
     def rows(self, entities: np.ndarray) -> np.ndarray:
         """Row of each entity; every one must be in the table."""
@@ -263,7 +262,7 @@ class Model:
         for x in triples:
             named[np.asarray(x)[..., 0::2]] = True
         ids = named.nonzero()[0]
-        return EntityTable(ids, *self.joint_and_alpha(tape, ids))
+        return EntityTable(ids, self.joint_and_alpha(tape, ids)[0])
 
     # ---------------------------------------------------------------- scoring
 

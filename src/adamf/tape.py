@@ -14,12 +14,12 @@ bool mask: output row i is row index[i] of parts[mask[i]]), ``leaky_relu``,
 softmax or mean fusion's 1/M, returned as an array that no loss reads), and
 ``query_distance``, the RotatE score of one table's candidate rows against
 its rotated query rows (h o r for tails, t o conj(r) for heads), whose
-forward shares ``modulus_sum`` with evaluation.  Each has an analytic
-backward that adds or scatters (through flat element indices,
-``_scatter``) straight into its operands' one accumulator each: a live
-leaf's view of its group's flat gradient, else made on first use, as zeros
-for a scatter (``Node.adjoint``) and as an owned zeros + g for an add
-(``Node.add_grad``).  ``take`` picks one of three rules per part: a part
+forward shares ``rotation`` and ``modulus_sum`` with evaluation.  Each
+has an analytic backward that adds or scatters (through flat element
+indices, ``_scatter``) straight into its operands' one accumulator each: a
+live leaf's view of its group's flat gradient, else made on first use, as
+zeros for a scatter (``Node.adjoint``) and as an owned zeros + g for an
+add (``Node.add_grad``).  ``take`` picks one of three rules per part: a part
 whose rows are all taken, in order (``every_row``), gets ``add_grad``;
 strictly increasing indices get one fancy-index add; any other indices go
 through ``_scatter``.  No backward makes an operand-sized table.  Float
@@ -141,6 +141,15 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e
 
 
+def rotation(theta, sign) -> np.ndarray:
+    """e^(i sign theta), theta broadcast against sign (1, or -1 for the
+    conjugate), complex64 for float32 phases and complex128 for float64."""
+    s = np.multiply(np.sin(theta), sign)
+    rot = np.empty(s.shape, np.result_type(theta, np.complex64))
+    rot.real, rot.imag = np.cos(theta), s
+    return rot
+
+
 def modulus_sum(x, y, re, im, a, b, out, axis=-1) -> np.ndarray:
     """out = sum over `axis` of |(x - re) + i (y - im)|, computed in the
     buffers a and b (the shape of re), which it overwrites."""
@@ -162,7 +171,6 @@ class Tape:
         self.grads: dict[str, np.ndarray] = {}     # per group, made by backward
         self.consumed = False
         self.dtype = store.dtype
-        self._cdtype = np.result_type(self.dtype, np.complex64)    # views of (re, im) pairs
         self._sign = np.array([1, -1], self.dtype)[:, None, None]  # conj(r) for heads
 
     # ------------------------------------------------------------------ leaves
@@ -360,9 +368,7 @@ class Tape:
         candidates' adjoints are scattered into e's in the block loop, the
         queries' after it.  At |u| = 0 the subgradient is 0.
         """
-        q_idx = np.asarray(q_idx, dtype=np.int64)
-        r_idx = np.asarray(r_idx, dtype=np.int64)
-        c_idx = np.asarray(c_idx, dtype=np.int64)
+        q_idx, r_idx, c_idx = (np.asarray(i, dtype=np.int64) for i in (q_idx, r_idx, c_idx))
         q_idx = q_idx[None] if q_idx.ndim == 1 else q_idx
         slots = c_idx[:, None] if c_idx.ndim == 1 else c_idx
         side = np.zeros(slots.shape, np.int64) if head is None else np.asarray(head, np.int64)
@@ -372,15 +378,13 @@ class Tape:
                 and r_idx.shape == q_idx.shape[1:] == slots.shape[:1]
                 and np.maximum.reduce(side, axis=None, initial=0) < len(q_idx)):
             raise _mismatch("query_distance", e, phase, q_idx, r_idx, c_idx, head)
-        (n_sides, n), k, dtype, cdtype = q_idx.shape, slots.shape[1], self.dtype, self._cdtype
+        (n_sides, n), k, dtype = q_idx.shape, slots.shape[1], self.dtype
         sign = self._sign[:n_sides]
         query = side * n + np.arange(n)[:, None]   # slot -> row of `queries`
         step = block_rows(2 * d * k, dtype.itemsize)
 
-        theta, rot = pv.take(r_idx, axis=0), np.empty((n_sides, n, d), cdtype)
-        rot.real = np.cos(theta)
-        np.multiply(np.sin(theta), sign, out=rot.imag)
-        z = e.value.take(q_idx, axis=0).view(cdtype) * rot  # (sides, B, d), kept for backward
+        rot = rotation(pv.take(r_idx, axis=0), sign)    # (sides, B, d)
+        z = e.value.take(q_idx, axis=0).view(rot.dtype) * rot  # kept for backward
         queries = z.view(dtype).reshape(-1, 2 * d)
 
         def block(lo):      # the queries and candidates of slots [lo, lo + step)
@@ -400,14 +404,14 @@ class Tape:
             pick = (side[:, None] == np.arange(n_sides)[:, None]).astype(dtype)  # a slot's query
             for lo in range(0, n, step):
                 u = np.subtract(*block(lo))     # then its adjoint, in place
-                uc = u.view(cdtype)
+                uc = u.view(rot.dtype)
                 m = np.abs(uc)
                 np.multiply(uc, np.divide(g[lo:lo + step, :, None], m, out=m, where=m > 0),
                             out=uc)
                 if e.live:
                     _scatter(np.subtract, e.adjoint(), slots[lo:lo + step], u)
                 np.matmul(pick[lo:lo + step], u, out=g_z[lo:lo + step])
-            g_z = g_z.view(cdtype).transpose(1, 0, 2)
+            g_z = g_z.view(rot.dtype).transpose(1, 0, 2)
             if e.live:
                 _scatter(np.add, e.adjoint(), q_idx, (g_z * rot.conj()).view(dtype))
             if phase.live:

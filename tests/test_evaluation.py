@@ -19,7 +19,7 @@ from adamf.evaluation import (build_cache, candidate_scores, evaluate,
                               rank_from_scores, rank_query, write_rank_report)
 from adamf.model import FROZEN
 from adamf.rng import SeededRng
-from adamf.tape import Tape
+from adamf.tape import Tape, rotation
 from adamf.training import sample_negatives
 
 from conftest import line_model, make_dataset, small_model
@@ -148,7 +148,7 @@ def _near_tie_cache(gen, n, d, scale, offset, precision, side, triple):
     def cache():
         return adamf.evaluation.EvalCache(re=np.ascontiguousarray(re.T),
                                           im=np.ascontiguousarray(im.T),
-                                          cos=np.cos(phases), sin=np.sin(phases),
+                                          rot=rotation(phases, 1),
                                           alpha=np.ones((n, 1)))
 
     x, y = adamf.evaluation._query(cache(), side, triple)
@@ -208,7 +208,7 @@ def test_screen_decides_nothing_beyond_its_proven_width():
     cache = adamf.evaluation.EvalCache(
         re=np.ascontiguousarray(gen.standard_normal((n, d)).T),
         im=np.ascontiguousarray(gen.standard_normal((n, d)).T),
-        cos=np.ones((1, d)), sin=np.zeros((1, d)), alpha=np.ones((n, 1)))
+        rot=np.ones((1, d), np.complex128), alpha=np.ones((n, 1)))
     x, y = adamf.evaluation._query(cache, "tail", (0, 0, 1))
     scores = candidate_scores(cache, "tail", (0, 0, 1))
     _, decided = adamf.evaluation._screen(cache, x, y, scores[1])
@@ -375,11 +375,11 @@ def test_training_distance_equals_eval_candidate_score(seed):
     assert f_neg.shape == negatives.shape[:2]
     for triple, value, corrupted, values in zip(ds.train, f, negatives, f_neg):
         expect = candidate_scores(cache, "tail", triple)[triple[2]]
-        assert abs(value - expect) <= 1e-12
+        assert value == expect
         for negative, neg_value in zip(corrupted, values):
             side, col = ("head", 0) if negative[0] != triple[0] else ("tail", 2)
             expect = candidate_scores(cache, side, triple)[negative[col]]
-            assert abs(neg_value - expect) <= 1e-12
+            assert neg_value == expect
 
 
 def test_eval_cache_memory_is_flat_in_relations_queried(monkeypatch):
@@ -404,7 +404,7 @@ def test_eval_cache_memory_is_flat_in_relations_queried(monkeypatch):
         [(cache, before)] = built
         assert all(isinstance(v, np.ndarray) for v in vars(cache).values())
         # planar re/im in the store's dtype, float32 copies of them only in
-        # a double store, float64 cos/sin, the per-entity L1 and the
+        # a double store, complex128 rotations, the per-entity L1 and the
         # float64 fusion weights of the M modalities
         m = len(model.cfg.modalities)
         planar = itemsize * 2 * d * n + (4 * 2 * d * n if itemsize == 8 else 0)

@@ -285,9 +285,11 @@ def test_joint_and_alpha_dedup_matches_row_by_row():
     tape = Tape(model.store, DISC)
     table = model.entity_table(tape, (batch[:2], batch[2:, None]))
     assert np.array_equal(table.ids, np.unique(idx))
-    assert table.joint.shape[0] == table.alpha.shape[0] == np.unique(idx).size
+    assert table.joint.shape[0] == np.unique(idx).size
+    assert not hasattr(table, "alpha")     # no training step reads a table's fusion weights
     rows = table.rows(idx)
-    joint, alpha = tape.take([table.joint], rows), table.alpha[rows]
+    joint = tape.take([table.joint], rows)
+    alpha = model.joint_and_alpha(Tape(model.store, FROZEN), table.ids)[1][rows]
     grads = backward_views(tape, loss(tape, joint, slice(None)))
 
     ref = Tape(model.store, DISC)

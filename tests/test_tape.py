@@ -22,7 +22,7 @@ from adamf.errors import ContractError, NumericError
 from adamf.model import DISC, FROZEN, GEN
 from adamf.params import ParameterStore, block_rows, finite_diff_check
 from adamf.rng import SeededRng
-from adamf.tape import Tape, _scatter
+from adamf.tape import Tape, _scatter, rotation
 from conftest import backward_views, probe_square, probe_sum
 
 TRIALS = 100
@@ -831,6 +831,25 @@ def test_identity_rotation_is_exact():
                               tape.const(np.zeros((1, 2))), [0, 0], [2, 2])
     diff = h - t
     assert np.array_equal(out.value, np.hypot(diff[:, 0::2], diff[:, 1::2]).sum(axis=1))
+
+
+@pytest.mark.parametrize("dtype, cdtype", [(np.float32, np.complex64),
+                                           (np.float64, np.complex128)])
+def test_rotation_is_cos_and_signed_sin_in_the_phases_precision(dtype, cdtype):
+    # e^(i sign theta) in theta's precision; sign -1 is the conjugate byte
+    # for byte, signed zeros included, and a (2, 1, 1) sign broadcasts
+    # against (B, d) phases into both sides' rotations.
+    theta = np.random.default_rng(3).uniform(-np.pi, np.pi, (5, 7)).astype(dtype)
+    theta[0, :2] = 0.0, -0.0
+    rot = rotation(theta, 1)
+    assert rot.dtype == cdtype and rot.shape == theta.shape
+    assert rot.real.tobytes() == np.cos(theta).tobytes()
+    assert rot.imag.tobytes() == np.sin(theta).tobytes()
+    assert rotation(theta, -1).tobytes() == rot.conj().tobytes()
+    both = rotation(theta, np.array([1, -1], dtype)[:, None, None])
+    assert both.dtype == cdtype and both.shape == (2, 5, 7)
+    assert both[0].tobytes() == rot.tobytes()
+    assert both[1].tobytes() == rot.conj().tobytes()
 
 
 @given(hnp.arrays(np.float64, st.integers(1, 8).map(lambda d: (3, 2 * d)),
